@@ -5,15 +5,13 @@ family suffices for stability: the selected first-party indices are spread
 so that every cyclic shift keeps at least two complementary pairs {x, N-x},
 and complementary table entries are exactly the orthogonal ones.
 
-Numerical note: a conflict admission multiplies N-1 factor overlaps, and on
-49 parties genuine products shrink to ~2e-18 while true zeros stay exact.
-The admission cutoff must therefore sit below the genuine floor; the
-default 1e-10 is tuned for few-party sets.
+Numerical note: orthogonality is decided per factor.  Factors are unit
+vectors, so the default cutoff 1e-10 serves every N, although the product
+of the N-1 overlaps away from a conflict's party shrinks geometrically
+(about 2e-18 on 49 parties).
 """
 
 import locstab as ls
-
-WIDE_TOL = ls.Tolerance(rank_rel=1e-8, orth_abs=1e-22)
 
 plan, subset = ls.sqrt_subset(25)
 print(f"n=25: N={plan.parties} qubits, block={plan.block}")
@@ -25,10 +23,19 @@ print(f"complementary-pair counts per shift: min={pairs.minimum}, "
       f"ok={pairs.ok}")
 print(f"  first few counts: {pairs.counts[:10]}\n")
 
-cert = ls.is_locally_stable(subset, WIDE_TOL)
+cert = ls.is_locally_stable(subset)
 smallest = min(r.smallest_conflict_magnitude for r in cert.parties)
 print(f"21-state set on 49 qubits: stable = {cert.stable}")
 print(f"smallest admitted rest overlap: {smallest:.3e}\n")
+
+# the same default tolerance certifies the wider subsets
+for n in (50, 100, 200):
+    wide_plan, wide_set = ls.sqrt_subset(n)
+    wide_cert = ls.is_locally_stable(wide_set)
+    least = min(len(r.conflict_pairs) for r in wide_cert.parties)
+    print(f"{len(wide_set)}-state set on {wide_plan.parties} qubits: "
+          f"stable = {wide_cert.stable}, fewest conflict pairs at a party = {least}")
+print()
 
 # the plan holds for every odd width in (36, 201]
 sizes_ok = True

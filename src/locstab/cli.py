@@ -142,7 +142,7 @@ def _cmd_check(args) -> int:
     if args.audit:
         if not state_set.all_product:
             raise _UsageError("--audit needs an all-product set")
-        audit = conflict_audit(state_set, tol)
+        audit = conflict_audit(state_set, tol, certificate)
         payload["audit"] = audit.to_dict()
         lines.append(
             f"audit: disjoint={audit.disjoint} "

@@ -26,8 +26,10 @@ class Tolerance:
     """Numerical cutoffs shared across the package.
 
     ``rank_rel`` scales the dead-pivot threshold of rank computations
-    relative to the largest input row norm; ``orth_abs`` is the absolute
-    magnitude below which an inner product counts as zero.
+    relative to the largest input row norm.  ``orth_abs`` is the absolute
+    magnitude below which an inner product counts as zero.  For product sets
+    it applies per factor overlap, never to a product of overlaps; factors
+    are unit vectors, so the cutoff does not depend on the party count.
     """
 
     rank_rel: float = 1e-8
@@ -71,7 +73,8 @@ def hs_inner(m, n) -> complex:
 
 
 def span_rank(mats, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Complex dimension of the linear span of a list of square matrices.
+    """Complex dimension of the linear span of square matrices, given as a
+    list or as one (m, d, d) array.
 
     Each matrix is flattened to a row and the rows are eliminated in input
     order; a pivot counts as dead once its magnitude drops below
@@ -79,12 +82,7 @@ def span_rank(mats, tol: Tolerance = DEFAULT_TOL) -> int:
     rank 0.
     """
     rows, _ = _flattened_rows(mats)
-    if not rows:
-        return 0
-    scale = max(np.linalg.norm(r) for r in rows)
-    if scale == 0.0:
-        return 0
-    return len(_orthonormalize(rows, tol.rank_rel * scale))
+    return len(_orthonormal_rows(rows, tol.rank_rel))
 
 
 def orthocomplement_basis(mats, tol: Tolerance = DEFAULT_TOL, dim: int | None = None):
@@ -105,22 +103,13 @@ def orthocomplement_basis(mats, tol: Tolerance = DEFAULT_TOL, dim: int | None = 
     if d < 1:
         raise ValueError("dim must be positive")
 
-    span_basis = []
-    if rows:
-        scale = max(np.linalg.norm(r) for r in rows)
-        if scale > 0.0:
-            span_basis = _orthonormalize(rows, tol.rank_rel * scale)
-
-    complement = []
-    accepted = list(span_basis)
-    for idx in range(d * d):
-        unit = np.zeros(d * d, dtype=complex)
-        unit[idx] = 1.0
-        before = len(accepted)
-        accepted = _orthonormalize([unit], tol.rank_rel, basis=accepted)
-        if len(accepted) > before:
-            complement.append(accepted[-1].reshape(d, d))
-    return complement
+    span_basis = _orthonormal_rows(rows.reshape(-1, d * d), tol.rank_rel)
+    # Every row below has unit norm, so the span basis is accepted again as
+    # it stands and each unit vector is eliminated against it and against the
+    # complement vectors found before it, at the absolute cutoff rank_rel.
+    units = np.eye(d * d, dtype=complex)
+    basis = _orthonormal_rows(np.concatenate([span_basis, units]), tol.rank_rel)
+    return list(basis[len(span_basis):].reshape(-1, d, d))
 
 
 def _require_square(m):
@@ -129,31 +118,59 @@ def _require_square(m):
 
 
 def _flattened_rows(mats):
-    """Validate a list of equally sized square matrices; return flat rows and d."""
-    arrays = [np.asarray(m, dtype=complex) for m in mats]
-    for a in arrays:
-        _require_square(a)
-    sizes = {a.shape[0] for a in arrays}
-    if len(sizes) > 1:
-        raise ValueError(f"matrices differ in size: {sorted(sizes)}")
-    d = sizes.pop() if sizes else None
-    return [a.ravel() for a in arrays], d
+    """Validate equally sized square matrices, given as a list or as one
+    (m, d, d) array; return them as an (m, d*d) row stack and d, which is
+    None for an empty list."""
+    if not isinstance(mats, np.ndarray):
+        arrays = [np.asarray(m, dtype=complex) for m in mats]
+        for a in arrays:
+            _require_square(a)
+        sizes = {a.shape[0] for a in arrays}
+        if len(sizes) > 1:
+            raise ValueError(f"matrices differ in size: {sorted(sizes)}")
+        if not arrays:
+            return np.empty((0, 0), dtype=complex), None
+        mats = np.stack(arrays)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError(
+            f"expected an (m, d, d) stack of square matrices, got shape {mats.shape}"
+        )
+    d = mats.shape[1]
+    return mats.reshape(len(mats), d * d), d
 
 
-def _orthonormalize(rows, threshold, basis=None):
-    """Modified Gram-Schmidt in input order, appending to ``basis``.
+def _row_norms(rows):
+    """Euclidean norms of the rows of a C-contiguous complex array."""
+    flat = rows.view(np.float64)
+    return np.sqrt((flat * flat).sum(axis=1))
 
-    Residuals are projected out twice per row for numerical stability; a row
-    whose residual norm falls below ``threshold`` is treated as dependent.
+
+def _orthonormal_rows(rows, rank_rel):
+    """Modified Gram-Schmidt over the rows of a 2-D array, in row order.
+
+    The first row whose residual norm reaches ``rank_rel`` times the largest
+    initial row norm becomes the next unit pivot, and that pivot is projected
+    out of every later row at once, twice for numerical stability.  A row
+    whose residual falls below the cutoff is dependent and never revisited,
+    since projections only shrink it.  Stops once no row is left or the
+    basis fills the row space, so there are at most ``rows.shape[1]`` steps.
+    Returns the pivots as a (rank, n) array.
     """
-    if basis is None:
-        basis = []
-    for row in rows:
-        v = row.astype(complex, copy=True)
+    rows = np.ascontiguousarray(rows, dtype=complex)
+    width = rows.shape[1]
+    norms = _row_norms(rows)
+    threshold = rank_rel * norms.max(initial=0.0)
+    basis = []
+    while threshold > 0.0 and len(basis) < width:
+        alive = (norms >= threshold).nonzero()[0]
+        if not alive.size:
+            break
+        pivot = rows[alive[0]] / norms[alive[0]]
+        basis.append(pivot)
+        rows = rows[alive[1:]]
+        # elementwise products rather than a BLAS call, so the result does
+        # not depend on the BLAS build
         for _ in range(2):
-            for q in basis:
-                v -= np.vdot(q, v) * q
-        norm = np.linalg.norm(v)
-        if norm >= threshold:
-            basis.append(v / norm)
-    return basis
+            rows -= (rows * pivot.conj()).sum(axis=1)[:, None] * pivot
+        norms = _row_norms(rows)
+    return np.array(basis, dtype=complex).reshape(len(basis), width)

@@ -26,8 +26,8 @@ from .states import (
     bpart_decompose,
     check_mutual_orthogonality,
     check_signature,
+    factor_zero_pattern,
     ProductState,
-    _product_factor_grams,
 )
 
 __all__ = [
@@ -65,7 +65,8 @@ class OrthogonalityError(ValueError):
 
 @dataclass(frozen=True)
 class ConflictSet:
-    """Ordered state pairs (j, k) whose factors away from ``party`` all overlap.
+    """Ordered state pairs (j, k) whose factors vanish at ``party`` and at no
+    other party, so they overlap everywhere else.
 
     ``smallest_magnitude`` records the smallest admitted rest inner product,
     so borderline admissions stay visible.
@@ -127,54 +128,42 @@ def _require_all_product(state_set, operation):
         )
 
 
-def _admitted_pairs(rest_matrix, tol):
-    """Pairs (j, k) with |rest inner| >= orth_abs, plus the smallest admitted."""
-    size = rest_matrix.shape[0]
-    pairs = []
-    smallest = None
-    for j in range(size):
-        for k in range(size):
-            if j == k:
-                continue
-            magnitude = abs(rest_matrix[k, j])
-            if magnitude >= tol.orth_abs:
-                pairs.append((j, k))
-                if smallest is None or magnitude < smallest:
-                    smallest = magnitude
-    return tuple(pairs), smallest
-
-
-def _rest_product_tensors(grams):
-    """rest[i, k, j] = prod over r != i of grams[r, k, j], one slice per party."""
-    parties = grams.shape[0]
-    prefix = np.ones_like(grams)
-    suffix = np.ones_like(grams)
-    for r in range(1, parties):
-        prefix[r] = prefix[r - 1] * grams[r - 1]
-    for r in range(parties - 2, -1, -1):
-        suffix[r] = suffix[r + 1] * grams[r + 1]
-    return prefix * suffix
-
-
-def conflict_set(state_set: StateSet, party: int, tol: Tolerance = DEFAULT_TOL) -> ConflictSet:
-    """The conflict set of an all-product set at one party."""
-    _require_all_product(state_set, "conflict_set")
+def _require_party(state_set, party):
     parties = len(state_set.dims)
     if not 0 <= party < parties:
         raise IndexError(f"party {party} out of range for {parties} parties")
-    grams = _product_factor_grams(state_set)
-    others = [r for r in range(parties) if r != party]
-    if others:
-        rest = grams[others].prod(axis=0)
-    else:
-        rest = np.ones((len(state_set), len(state_set)), dtype=complex)
-    pairs, smallest = _admitted_pairs(rest, tol)
-    return ConflictSet(party, pairs, smallest)
 
 
-def _product_generators(state_set, party, pairs):
-    factors = [s.factors[party] for s in state_set.states]
-    return [np.outer(factors[j], factors[k].conj()) for j, k in pairs]
+def _party_conflicts(pattern, party):
+    """Conflict pairs of one party and the smallest admitted magnitude.
+
+    Pair (j, k) conflicts at ``party`` when its factors vanish there and
+    nowhere else.  The pairs come as an (m, 2) array, j outer and k inner;
+    the magnitude is |<a_k|a_j>| over the other parties.
+    """
+    pairs = np.argwhere(pattern.zeros[party] & (pattern.zero_count == 1))
+    if not len(pairs):
+        return pairs, None
+    rest = pattern.nonzero_product[pairs[:, 1], pairs[:, 0]]
+    return pairs, float(np.abs(rest).min())
+
+
+def _product_generators(factors, pairs):
+    """|a_j><a_k| for every pair (j, k), as one (m, d, d) array."""
+    return factors[pairs[:, 0], :, None] * factors[pairs[:, 1], None, :].conj()
+
+
+def _pair_tuples(pairs):
+    return tuple(map(tuple, pairs.tolist()))
+
+
+def conflict_set(state_set: StateSet, party: int, tol: Tolerance = DEFAULT_TOL) -> ConflictSet:
+    """The conflict set of an all-product set at one party: the ordered pairs
+    whose factors vanish at ``party`` and at no other party."""
+    _require_all_product(state_set, "conflict_set")
+    _require_party(state_set, party)
+    pairs, smallest = _party_conflicts(factor_zero_pattern(state_set, tol), party)
+    return ConflictSet(party, _pair_tuples(pairs), smallest)
 
 
 def _dense_generators(state_set, party, tol):
@@ -192,26 +181,31 @@ def _dense_generators(state_set, party, tol):
     return generators
 
 
+def _generators(state_set, party, tol):
+    """One party's span generators: an (m, d, d) array for all-product sets,
+    a list of matrices otherwise."""
+    if state_set.all_product:
+        pattern = factor_zero_pattern(state_set, tol)
+        pairs, _ = _party_conflicts(pattern, party)
+        return _product_generators(pattern.factors[party], pairs)
+    return _dense_generators(state_set, party, tol)
+
+
 def span_generators(state_set: StateSet, party: int, tol: Tolerance = DEFAULT_TOL):
-    """Generator matrices of one party's operator span.
+    """Generator matrices of one party's operator span, as a list.
 
     All-product sets contribute the factor outer product of each conflict
     pair; otherwise every ordered state pair contributes the contraction of
     its one-party blocks, dropping matrices of negligible norm.
     """
-    parties = len(state_set.dims)
-    if not 0 <= party < parties:
-        raise IndexError(f"party {party} out of range for {parties} parties")
-    if state_set.all_product:
-        pairs = conflict_set(state_set, party, tol).pairs
-        return _product_generators(state_set, party, pairs)
-    return _dense_generators(state_set, party, tol)
+    _require_party(state_set, party)
+    return list(_generators(state_set, party, tol))
 
 
 def party_stable(state_set: StateSet, party: int, tol: Tolerance = DEFAULT_TOL):
     """(stable, span_dim) for one party: stable iff span_dim == d**2 - 1."""
-    generators = span_generators(state_set, party, tol)
-    dim = span_rank(generators, tol)
+    _require_party(state_set, party)
+    dim = span_rank(_generators(state_set, party, tol), tol)
     return dim == state_set.dims[party] ** 2 - 1, dim
 
 
@@ -219,22 +213,27 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     """Certify the span criterion at every party of a mutually orthogonal set.
 
     Raises :class:`OrthogonalityError` when the input is not orthogonal.
-    Product sets additionally record their conflict pairs per party.
+    Product sets are checked and certified from one factor zero pattern and
+    additionally record their conflict pairs per party.
     """
-    offending = check_mutual_orthogonality(state_set, tol)
+    if not len(state_set):
+        raise ValueError("cannot check an empty state set")
+    product = state_set.all_product
+    if product:
+        pattern = factor_zero_pattern(state_set, tol)
+        offending = pattern.offending_pairs()
+    else:
+        offending = check_mutual_orthogonality(state_set, tol)
     if offending:
         raise OrthogonalityError(offending)
 
     records = []
-    product = state_set.all_product
-    if product:
-        rests = _rest_product_tensors(_product_factor_grams(state_set))
     for party, d in enumerate(state_set.dims):
         if product:
-            pairs, smallest = _admitted_pairs(rests[party], tol)
-            generators = _product_generators(state_set, party, pairs)
+            pairs, smallest = _party_conflicts(pattern, party)
+            generators = _product_generators(pattern.factors[party], pairs)
             extra = {
-                "conflict_pairs": pairs,
+                "conflict_pairs": _pair_tuples(pairs),
                 "smallest_conflict_magnitude": smallest,
             }
         else:
@@ -286,10 +285,22 @@ class ConflictAudit:
         }
 
 
-def conflict_audit(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> ConflictAudit:
-    """Audit the conflict-set counting facts of an all-product orthogonal set."""
+def conflict_audit(
+    state_set: StateSet,
+    tol: Tolerance = DEFAULT_TOL,
+    certificate: StabilityCertificate | None = None,
+) -> ConflictAudit:
+    """Audit the conflict-set counting facts of an all-product orthogonal set.
+
+    ``certificate`` is the set's certificate from :func:`is_locally_stable`
+    at ``tol`` when the caller already holds it; otherwise the set is
+    certified here.
+    """
     _require_all_product(state_set, "conflict_audit")
-    certificate = is_locally_stable(state_set, tol)
+    if certificate is None:
+        certificate = is_locally_stable(state_set, tol)
+    elif len(certificate.parties) != len(state_set.dims):
+        raise ValueError("the certificate does not match the state set's parties")
 
     attribution: dict[tuple[int, int], list[int]] = {}
     counts = []

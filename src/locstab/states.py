@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +26,8 @@ __all__ = [
     "tensor_expand",
     "as_dense",
     "state_inner",
+    "FactorZeroPattern",
+    "factor_zero_pattern",
     "check_mutual_orthogonality",
     "rest_inner",
     "bpart_decompose",
@@ -182,32 +185,78 @@ def state_inner(a, b) -> complex:
     return vec_inner(as_dense(a).amplitudes, as_dense(b).amplitudes)
 
 
-def _product_factor_grams(state_set: StateSet) -> np.ndarray:
-    """Per-party Gram tensors G[r, a, b] = <factor_a|factor_b> at party r.
+@dataclass(frozen=True)
+class FactorZeroPattern:
+    """Which factor overlaps of an all-product set vanish, from one pass.
 
-    Computed without fused multiply-adds so that exactly cancelling factor
-    pairs (a state and its orthogonal partner) come out as exact zeros.
+    ``factors[r]`` stacks the unit factors of party r as an (l, d_r) array.
+    ``zeros[r, j, k]`` is true when |<a_j|a_k>_r| < ``orth_abs``; factors are
+    unit vectors, so that cutoff does not depend on the party count.
+    ``zero_count[j, k]`` counts the parties where the pair vanishes, and
+    ``nonzero_product[j, k]`` multiplies the overlaps <a_j|a_k>_r that do not
+    vanish, party by party in order.
     """
-    grams = np.empty(
-        (len(state_set.dims), len(state_set), len(state_set)), dtype=complex
-    )
-    for r in range(len(state_set.dims)):
-        stacked = np.array([s.factors[r] for s in state_set.states])
-        grams[r] = (stacked.conj()[:, None, :] * stacked[None, :, :]).sum(axis=-1)
-    return grams
+
+    factors: tuple
+    zeros: np.ndarray
+    zero_count: np.ndarray
+    nonzero_product: np.ndarray
+
+    def offending_pairs(self):
+        """Ordered pairs (j, k, <j|k>) with no vanishing factor overlap, i.e.
+        the non-orthogonal pairs; the value is their full product overlap."""
+        bad = self.zero_count == 0
+        np.fill_diagonal(bad, False)
+        return [
+            (j, k, complex(self.nonzero_product[j, k]))
+            for j, k in np.argwhere(bad).tolist()
+        ]
+
+
+def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> FactorZeroPattern:
+    """Build the :class:`FactorZeroPattern` of an all-product set.
+
+    Each party's factor Gram sums its materialized products in coordinate
+    order, without fused multiply-adds, so exactly cancelling factor pairs
+    (a state and its orthogonal partner) come out as exact zeros.  It is
+    dropped once folded in: no complex (parties, l, l) tensor is held.
+    """
+    if not state_set.all_product:
+        raise ValueError("factor_zero_pattern needs an all-product set")
+    size = len(state_set)
+    factors = []
+    zeros = np.empty((len(state_set.dims), size, size), dtype=bool)
+    zero_count = np.zeros((size, size), dtype=np.int64)
+    product = np.ones((size, size), dtype=complex)
+    for r, d in enumerate(state_set.dims):
+        stacked = np.array([s.factors[r] for s in state_set.states]).reshape(size, d)
+        conj = stacked.conj()
+        gram = conj[:, None, 0] * stacked[None, :, 0]
+        for c in range(1, d):
+            gram += conj[:, None, c] * stacked[None, :, c]
+        np.less(np.abs(gram), tol.orth_abs, out=zeros[r])
+        zero_count += zeros[r]
+        gram[zeros[r]] = 1.0
+        product *= gram
+        factors.append(stacked)
+    return FactorZeroPattern(tuple(factors), zeros, zero_count, product)
 
 
 def check_mutual_orthogonality(state_set: StateSet, tol: Tolerance = DEFAULT_TOL):
-    """List every ordered pair (j, k, <j|k>) whose inner-product magnitude
-    reaches ``tol.orth_abs``; an empty list means the set is orthogonal."""
+    """List every ordered pair (j, k, <j|k>) that is not orthogonal; an empty
+    list means the set is orthogonal.
+
+    A product pair is orthogonal when at least one of its factor overlaps
+    falls below ``tol.orth_abs``; a pair with a dense member when its full
+    inner product does.
+    """
     size = len(state_set)
     if size == 0:
         raise ValueError("cannot check an empty state set")
     if state_set.all_product:
-        overlaps = _product_factor_grams(state_set).prod(axis=0)
-    else:
-        dense = np.stack([as_dense(s).amplitudes for s in state_set.states])
-        overlaps = np.stack([(dense[j].conj() * dense).sum(axis=1) for j in range(size)])
+        return factor_zero_pattern(state_set, tol).offending_pairs()
+    dense = np.stack([as_dense(s).amplitudes for s in state_set.states])
+    overlaps = np.stack([(dense[j].conj() * dense).sum(axis=1) for j in range(size)])
     offending = []
     for j in range(size):
         for k in range(size):

@@ -3,8 +3,8 @@
 Each test prints one [PASS]/[FAIL] line (visible with ``pytest -s``) and
 asserts the same condition, covering: named-set stability verdicts, size
 bound values, the heptagon six-subset campaign plus its misprint variant,
-shift-family subset campaigns, the square-root subset reproduction on 49
-qubit parties, five randomized property suites at 1000 trials each,
+shift-family subset campaigns, the square-root subset reproduction
+certified on 49, 99, 199 and 399 qubit parties, five randomized property suites at 1000 trials each,
 compositions of stable sets, and the complement see-saw evidence.
 """
 
@@ -16,10 +16,6 @@ import numpy as np
 import pytest
 
 import locstab as ls
-
-# rest inner products on N parties multiply N-1 factor overlaps, so wide
-# systems need the admission cutoff below the smallest genuine product
-WIDE_TOL = ls.Tolerance(rank_rel=1e-8, orth_abs=1e-22)
 
 TRIALS = 1000
 
@@ -175,6 +171,23 @@ def test_shift_family_subset_campaigns():
     )
 
 
+def sqrt_subset_conflicts_match_plan(plan, certificate):
+    """Each state pair of a shift family is orthogonal at exactly one party:
+    states a != b (first-party table entries) at the party p with
+    a + b = 2p mod N.  So the conflict pairs at p are exactly those pairs."""
+    idx = plan.indices
+    for p, record in enumerate(certificate.parties):
+        expected = {
+            (j, k)
+            for j in range(len(idx))
+            for k in range(len(idx))
+            if j != k and (idx[j] + idx[k]) % plan.parties == (2 * p) % plan.parties
+        }
+        if set(record.conflict_pairs) != expected:
+            return False
+    return True
+
+
 def test_sqrt_subset_reproduction():
     start = time.monotonic()
     plan, subset = ls.sqrt_subset(25)
@@ -182,7 +195,19 @@ def test_sqrt_subset_reproduction():
     size_ok = len(plan.indices) == 21 and len(subset) == 21
     pairs = ls.verify_two_pairs(plan)
     pairs_ok = pairs.ok and len(pairs.counts) == 49
-    certificate = ls.is_locally_stable(subset, WIDE_TOL)
+    # certified at the default tolerance on N = 49, 99, 199 and 399 parties,
+    # with the default seeds and with random valid ones
+    rng = np.random.default_rng(29)
+    certified = []
+    for n in (25, 50, 100, 200):
+        for seeds in (None, random_valid_seeds(n, rng)):
+            wide_plan, wide_set = ls.sqrt_subset(n, seeds)
+            certificate = ls.is_locally_stable(wide_set)
+            if certificate.stable and sqrt_subset_conflicts_match_plan(
+                wide_plan, certificate
+            ):
+                certified.append(wide_plan.parties)
+    certified_ok = certified == [49, 49, 99, 99, 199, 199, 399, 399]
     all_widths_ok = True
     for parties in range(37, 202, 2):
         wide_plan = ls.sqrt_subset_plan((parties + 1) // 2)
@@ -197,7 +222,7 @@ def test_sqrt_subset_reproduction():
         indices_ok
         and size_ok
         and pairs_ok
-        and certificate.stable
+        and certified_ok
         and all_widths_ok
         and elapsed < 60.0
     )
@@ -205,7 +230,8 @@ def test_sqrt_subset_reproduction():
         "square-root subset reproduction",
         ok,
         f"|T|={len(plan.indices)}, two-pairs min={pairs.minimum}, "
-        f"stable={certificate.stable}, all widths={all_widths_ok}, {elapsed:.2f}s",
+        f"stable at N={sorted(set(certified))}, all widths={all_widths_ok}, "
+        f"{elapsed:.2f}s",
     )
 
 

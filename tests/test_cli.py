@@ -66,6 +66,15 @@ class TestConstruct:
         assert code == 0
         assert json.loads(out)["size"] == 21
 
+    def test_sqrt_subset_n19_checks_stable_at_default_tolerance(self, capsys, tmp_path):
+        out_path = str(tmp_path / "sub.json")
+        run_cli(capsys, "construct", "sqrt-subset", "--n", "19", "--out", out_path)
+        code, out, _ = run_cli(capsys, "check", out_path, "--audit")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["stable"] is True
+        assert payload["audit"]["disjoint"] is True
+
     def test_shift_family_name(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "shift-family", "--n", "3")
         assert code == 0
@@ -142,6 +151,23 @@ class TestCheck:
         assert audit["disjoint"] is True
         assert audit["pair_budget"] == 12
         assert audit["required_span_total"] == 9
+
+    def test_audit_certifies_once(self, capsys, qubit3_file, monkeypatch):
+        import locstab.cli
+        import locstab.stability
+
+        calls = []
+        original = locstab.stability.is_locally_stable
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(locstab.cli, "is_locally_stable", counted)
+        monkeypatch.setattr(locstab.stability, "is_locally_stable", counted)
+        code, _, _ = run_cli(capsys, "check", qubit3_file, "--audit")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_tolerance_flags_recorded(self, capsys, qubit3_file):
         code, out, _ = run_cli(capsys, "check", qubit3_file, "--tol-orth", "1e-9")

@@ -7,7 +7,6 @@ import pytest
 
 from locstab import (
     DEFAULT_TOL,
-    Tolerance,
     ProductState,
     StateSet,
     cardinality_lower_bound,
@@ -32,10 +31,6 @@ from locstab import (
     vec_inner,
     verify_two_pairs,
 )
-
-# conflict admissions on many parties multiply ~2(n-1) factor overlaps, so
-# the absolute cutoff must sit below the smallest genuine product
-WIDE_TOL = Tolerance(rank_rel=1e-8, orth_abs=1e-22)
 
 
 def orthogonal_parties(state_set, j, k, cutoff=1e-10):
@@ -317,9 +312,9 @@ class TestSqrtSubset:
                     counts[r] += 1
         assert min(counts) >= 2
 
-    def test_subset_certified_stable_at_wide_tolerance(self):
+    def test_subset_certified_stable_at_default_tolerance(self):
         _, subset = sqrt_subset(19)
-        cert = is_locally_stable(subset, WIDE_TOL)
+        cert = is_locally_stable(subset)
         assert cert.stable
 
 

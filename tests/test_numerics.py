@@ -129,6 +129,27 @@ class TestSpanRank:
             expected = exact_rank([m.ravel().tolist() for m in mats])
             assert span_rank([m.astype(complex) for m in mats]) == expected
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_many_rows_array_and_list_match_exact_oracle(self, d):
+        # m >> d**2 rows drawn from a known lower-rank integer span, so most
+        # rows are dependent and the dead-pivot rule decides the rank
+        rng = np.random.default_rng(d)
+        for target in range(d * d + 1):
+            basis = rng.integers(-3, 4, size=(target, d, d))
+            coeffs = rng.integers(-2, 3, size=(12 * d * d, target))
+            mats = np.einsum("mt,tij->mij", coeffs, basis)
+            expected = exact_rank([m.ravel().tolist() for m in mats])
+            stacked = mats.astype(complex)
+            assert span_rank(stacked) == expected
+            assert span_rank(list(stacked)) == expected
+
+    def test_empty_array_has_rank_zero(self):
+        assert span_rank(np.empty((0, 3, 3), dtype=complex)) == 0
+
+    def test_array_must_be_a_square_stack(self):
+        with pytest.raises(ValueError):
+            span_rank(np.ones((4, 2, 3)))
+
     def test_zero_matrices(self):
         assert span_rank([np.zeros((3, 3))] * 4) == 0
 

@@ -14,17 +14,25 @@ from locstab import (
     cardinality_lower_bound,
     cardinality_upper_bounds,
     complement_product_search,
+    compose,
     conflict_audit,
     conflict_set,
     entangled_triple,
     hs_inner,
     is_locally_stable,
     party_stable,
+    rest_inner,
+    shift_family,
     span_generators,
     span_rank,
+    sqrt_subset,
     upb_44_reducible,
     upb_qubit3,
     upb_sep333,
+    upb_shifts,
+    upb_tiles33,
+    validate_seeds,
+    vec_inner,
 )
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -218,7 +226,91 @@ class TestCertificates:
         assert [r.span_dim for r in cert.parties] == [3, 3, 3]
 
 
+def named_product_sets():
+    return [
+        upb_qubit3(),
+        upb_tiles33(),
+        upb_sep333(),
+        upb_44_reducible(),
+        upb_shifts(3),
+        upb_shifts(6),
+        shift_family(5),
+        shift_family(10),
+        sqrt_subset(19)[1],
+        compose(upb_qubit3(), 0, upb_tiles33(), 4),
+    ]
+
+
+class TestOneConflictRoutine:
+    """conflict_set, span_generators, party_stable and is_locally_stable all
+    read one zero pattern, so they must agree pair for pair."""
+
+    @pytest.mark.parametrize("state_set", named_product_sets(), ids=lambda s: s.label)
+    def test_views_agree_on_named_sets(self, state_set):
+        # reference: per-pair loops over vec_inner and rest_inner
+        size, parties = len(state_set), len(state_set.dims)
+        vanishing = {
+            (j, k): {
+                r
+                for r in range(parties)
+                if abs(vec_inner(state_set[j].factors[r], state_set[k].factors[r]))
+                < DEFAULT_TOL.orth_abs
+            }
+            for j in range(size)
+            for k in range(size)
+            if j != k
+        }
+        cert = is_locally_stable(state_set)
+        for record in cert.parties:
+            party = record.party
+            cs = conflict_set(state_set, party)
+            assert cs.pairs == tuple(
+                pair for pair, zeros in vanishing.items() if zeros == {party}
+            )
+            if cs.pairs:
+                assert cs.smallest_magnitude == pytest.approx(
+                    min(abs(rest_inner(state_set, j, k, party)) for j, k in cs.pairs),
+                    rel=1e-12,
+                )
+            assert cs.pairs == record.conflict_pairs
+            assert cs.smallest_magnitude == record.smallest_conflict_magnitude
+            factors = [s.factors[party] for s in state_set]
+            gens = span_generators(state_set, party)
+            assert len(gens) == len(cs.pairs)
+            for (j, k), gen in zip(cs.pairs, gens):
+                assert np.array_equal(gen, np.outer(factors[j], factors[k].conj()))
+            assert party_stable(state_set, party) == (record.stable, record.span_dim)
+
+
+def random_shift_seeds(n, rng):
+    while True:
+        raw = rng.standard_normal((n - 1, 2)) + 1j * rng.standard_normal((n - 1, 2))
+        try:
+            return validate_seeds(list(raw), n)
+        except ValueError:
+            continue
+
+
 class TestConflictAudit:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shift_family_50_has_every_orthogonal_pair(self, seed):
+        # every state pair is orthogonal at exactly one party, so each of the
+        # 99 parties keeps all 2(n-1) = 98 of its orthogonal pairs
+        family = shift_family(50, random_shift_seeds(50, np.random.default_rng(seed)))
+        audit = conflict_audit(family)
+        assert audit.conflict_counts == (98,) * 99
+        assert audit.disjoint
+        assert audit.stable
+
+    def test_reuses_a_held_certificate(self):
+        q3 = upb_qubit3()
+        cert = is_locally_stable(q3)
+        assert conflict_audit(q3, certificate=cert) == conflict_audit(q3)
+
+    def test_certificate_of_another_signature_rejected(self):
+        with pytest.raises(ValueError, match="certificate"):
+            conflict_audit(upb_qubit3(), certificate=is_locally_stable(upb_tiles33()))
+
     def test_qubit3_numbers(self):
         audit = conflict_audit(upb_qubit3())
         assert audit.disjoint

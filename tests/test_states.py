@@ -15,6 +15,7 @@ from locstab import (
     bpart_decompose,
     check_mutual_orthogonality,
     check_signature,
+    factor_zero_pattern,
     heptagon_qutrit_states,
     load_set,
     rest_inner,
@@ -166,6 +167,30 @@ class TestMutualOrthogonality:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             check_mutual_orthogonality(StateSet((2,), []))
+
+    def test_product_pair_needs_a_vanishing_factor(self):
+        # the full overlap is about 1e-80, far below the cutoff, but no factor
+        # pair is orthogonal, so the states are not orthogonal
+        s = StateSet((2,) * 40, [
+            ProductState([KET0] * 40), ProductState([[0.01, 1.0]] * 40)
+        ])
+        offending = check_mutual_orthogonality(s)
+        assert [(j, k) for j, k, _ in offending] == [(0, 1), (1, 0)]
+        for j, k, value in offending:
+            assert value == pytest.approx(state_inner(s[j], s[k]), rel=1e-12)
+
+    def test_zero_pattern_counts_vanishing_parties(self):
+        pattern = factor_zero_pattern(upb_qubit3())
+        assert pattern.zeros.shape == (3, 4, 4)
+        off_diagonal = ~np.eye(4, dtype=bool)
+        # every pair of the 3-qubit UPB is orthogonal at exactly one party
+        assert np.all(pattern.zero_count[off_diagonal] == 1)
+        assert np.all(pattern.zero_count[~off_diagonal] == 0)
+
+    def test_zero_pattern_rejects_dense_members(self):
+        mixed = StateSet((2, 2, 2), [upb_qubit3()[0], as_dense(upb_qubit3()[1])])
+        with pytest.raises(ValueError, match="all-product"):
+            factor_zero_pattern(mixed)
 
 
 class TestRestInner:
