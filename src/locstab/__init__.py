@@ -7,130 +7,12 @@ checks, party by party, whether the span of the induced operators reaches
 the full traceless dimension d**2 - 1.
 """
 
-from .numerics import (
-    DEFAULT_TOL,
-    Tolerance,
-    hs_inner,
-    orthocomplement_basis,
-    span_rank,
-    vec_inner,
-)
-from .states import (
-    DenseState,
-    FactorZeroPattern,
-    ProductState,
-    StateFormatError,
-    StateSet,
-    as_dense,
-    bpart_decompose,
-    check_mutual_orthogonality,
-    check_signature,
-    factor_zero_pattern,
-    load_set,
-    rest_inner,
-    save_set,
-    state_inner,
-    state_set_from_dict,
-    state_set_to_dict,
-    states_close,
-    tensor_expand,
-)
-from .stability import (
-    BoundReport,
-    ConflictAudit,
-    ConflictSet,
-    OrthogonalityError,
-    PartyRecord,
-    StabilityCertificate,
-    cardinality_lower_bound,
-    cardinality_upper_bounds,
-    complement_product_search,
-    conflict_audit,
-    conflict_set,
-    is_locally_stable,
-    party_stable,
-    span_generators,
-)
-from .constructions import (
-    CampaignReport,
-    SqrtSubsetPlan,
-    TwoPairReport,
-    compose,
-    default_seeds,
-    entangled_triple,
-    heptagon_qutrit_states,
-    qubit_perp,
-    shift_family,
-    sqrt_subset,
-    sqrt_subset_plan,
-    subset_campaign,
-    upb_44_reducible,
-    upb_qubit3,
-    upb_sep333,
-    upb_shifts,
-    upb_tiles33,
-    validate_seeds,
-    verify_two_pairs,
-)
+from . import constructions, numerics, stability, states
+from .constructions import *  # noqa: F401,F403
+from .numerics import *  # noqa: F401,F403
+from .stability import *  # noqa: F401,F403
+from .states import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TOL",
-    "Tolerance",
-    "vec_inner",
-    "hs_inner",
-    "span_rank",
-    "orthocomplement_basis",
-    "ProductState",
-    "DenseState",
-    "StateSet",
-    "StateFormatError",
-    "check_signature",
-    "tensor_expand",
-    "as_dense",
-    "state_inner",
-    "FactorZeroPattern",
-    "factor_zero_pattern",
-    "check_mutual_orthogonality",
-    "rest_inner",
-    "bpart_decompose",
-    "states_close",
-    "state_set_to_dict",
-    "state_set_from_dict",
-    "save_set",
-    "load_set",
-    "OrthogonalityError",
-    "ConflictSet",
-    "PartyRecord",
-    "StabilityCertificate",
-    "ConflictAudit",
-    "BoundReport",
-    "conflict_set",
-    "span_generators",
-    "party_stable",
-    "is_locally_stable",
-    "conflict_audit",
-    "cardinality_lower_bound",
-    "cardinality_upper_bounds",
-    "complement_product_search",
-    "default_seeds",
-    "validate_seeds",
-    "qubit_perp",
-    "upb_qubit3",
-    "shift_family",
-    "upb_shifts",
-    "entangled_triple",
-    "upb_tiles33",
-    "heptagon_qutrit_states",
-    "upb_sep333",
-    "upb_44_reducible",
-    "compose",
-    "SqrtSubsetPlan",
-    "sqrt_subset",
-    "sqrt_subset_plan",
-    "TwoPairReport",
-    "verify_two_pairs",
-    "CampaignReport",
-    "subset_campaign",
-]
+__all__ = numerics.__all__ + states.__all__ + stability.__all__ + constructions.__all__

@@ -9,113 +9,108 @@ or input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import constructions
 from .numerics import DEFAULT_TOL, Tolerance
 from .stability import (
-    OrthogonalityError,
     cardinality_lower_bound,
     cardinality_upper_bounds,
     complement_product_search,
     conflict_audit,
     is_locally_stable,
 )
-from .states import StateFormatError, load_set, save_set, state_set_to_dict
+from .states import load_set, save_set, state_set_to_dict
 
-_SIMPLE_CONSTRUCTIONS = ("qubit3", "triple", "tiles33", "sep333", "reducible44")
-_SIZED_CONSTRUCTIONS = ("shifts", "shift-family", "sqrt-subset", "appendix")
-_CONSTRUCTION_NAMES = _SIMPLE_CONSTRUCTIONS + _SIZED_CONSTRUCTIONS + ("compose",)
+
+def _sqrt_subset_set(n, tol):
+    return constructions.sqrt_subset(n, tol=tol)[1]
+
+
+# name -> (builder, whether it is sized by --n); sized builders take (n, tol=)
+_CONSTRUCTIONS = {
+    "qubit3": (constructions.upb_qubit3, False),
+    "triple": (constructions.entangled_triple, False),
+    "tiles33": (constructions.upb_tiles33, False),
+    "sep333": (constructions.upb_sep333, False),
+    "reducible44": (constructions.upb_44_reducible, False),
+    "shifts": (constructions.upb_shifts, True),
+    "shift-family": (constructions.shift_family, True),
+    "sqrt-subset": (_sqrt_subset_set, True),
+    "appendix": (_sqrt_subset_set, True),
+}
 
 # A found product state in the complement means the set is extendible; the
 # command's "property" is the absence of such a state.
 _COMPLEMENT_FOUND = 1.0 - 1e-3
 
-
-class _UsageError(Exception):
-    pass
+# Upper-bound kinds by the shared local dimension of the signature;
+# cardinality_upper_bounds decides for which party counts each applies.
+_UPPER_BOUND_KINDS = {
+    2: ("qubit_upb", "qubit_subset", "qubit_sqrt"),
+    3: ("qutrit_composition",),
+}
 
 
 def _tolerance(args) -> Tolerance:
     rank_rel = DEFAULT_TOL.rank_rel if args.tol_rank is None else args.tol_rank
     orth_abs = DEFAULT_TOL.orth_abs if args.tol_orth is None else args.tol_orth
-    try:
-        return Tolerance(rank_rel=rank_rel, orth_abs=orth_abs)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return Tolerance(rank_rel=rank_rel, orth_abs=orth_abs)
 
 
-def _emit(args, payload: dict, human_lines) -> None:
+def _emit(args, payload: dict, human_lines, out) -> None:
+    """Write ``payload`` as JSON, or ``human_lines`` under --human, to the
+    path ``out``, or to stdout when it is None."""
     if args.human:
         text = "\n".join(human_lines) + "\n"
     else:
         text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _build_named(name, n, tol):
-    if name == "qubit3":
-        return constructions.upb_qubit3()
-    if name == "triple":
-        return constructions.entangled_triple()
-    if name == "tiles33":
-        return constructions.upb_tiles33()
-    if name == "sep333":
-        return constructions.upb_sep333()
-    if name == "reducible44":
-        return constructions.upb_44_reducible()
-    if name in ("shifts", "shift-family", "sqrt-subset", "appendix"):
-        if n is None:
-            raise _UsageError(f"construction {name!r} requires --n")
-        if name == "shifts":
-            return constructions.upb_shifts(n, tol=tol)
-        if name == "shift-family":
-            return constructions.shift_family(n, tol=tol)
-        _, state_set = constructions.sqrt_subset(n, tol=tol)
-        return state_set
-    raise _UsageError(f"unknown construction {name!r}")
+    build, sized = _CONSTRUCTIONS[name]
+    if not sized:
+        return build()
+    if n is None:
+        raise ValueError(f"construction {name!r} requires --n")
+    return build(n, tol=tol)
 
 
 def _cmd_construct(args) -> int:
     tol = _tolerance(args)
-    try:
-        if args.name == "compose":
-            if args.left is None or args.right is None:
-                raise _UsageError("compose requires --left and --right")
-            left = _build_named(args.left, args.left_n, tol)
-            right = _build_named(args.right, args.right_n, tol)
-            state_set = constructions.compose(
-                left, args.left_index, right, args.right_index
-            )
-        else:
-            state_set = _build_named(args.name, args.n, tol)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    if args.name == "compose":
+        if args.left is None or args.right is None:
+            raise ValueError("compose requires --left and --right")
+        left = _build_named(args.left, args.left_n, tol)
+        right = _build_named(args.right, args.right_n, tol)
+        state_set = constructions.compose(left, args.left_index, right, args.right_index)
+    else:
+        state_set = _build_named(args.name, args.n, tol)
 
     lines = [
         f"label: {state_set.label}",
         f"size:  {len(state_set)}",
         f"dims:  {','.join(str(d) for d in state_set.dims)}",
     ]
-    if args.out:
-        # the set goes to the file; the summary goes to stdout
-        save_set(state_set, args.out)
-        summary = {
-            "label": state_set.label,
-            "size": len(state_set),
-            "dims": list(state_set.dims),
-            "out": args.out,
-        }
-        lines.append(f"out:   {args.out}")
-        text = "\n".join(lines) + "\n" if args.human else json.dumps(summary, indent=2) + "\n"
-        sys.stdout.write(text)
-    else:
-        _emit(args, state_set_to_dict(state_set), lines)
+    if not args.out:
+        _emit(args, state_set_to_dict(state_set), lines, None)
+        return 0
+    # the set goes to the file; the summary goes to stdout
+    save_set(state_set, args.out)
+    summary = {
+        "label": state_set.label,
+        "size": len(state_set),
+        "dims": list(state_set.dims),
+        "out": args.out,
+    }
+    _emit(args, summary, lines + [f"out:   {args.out}"], None)
     return 0
 
 
@@ -133,15 +128,12 @@ def _certificate_lines(cert) -> list:
 def _cmd_check(args) -> int:
     tol = _tolerance(args)
     state_set = load_set(args.input)
-    try:
-        certificate = is_locally_stable(state_set, tol)
-    except OrthogonalityError as exc:
-        raise _UsageError(str(exc)) from None
+    certificate = is_locally_stable(state_set, tol)
     payload = certificate.to_dict()
     lines = _certificate_lines(certificate)
     if args.audit:
         if not state_set.all_product:
-            raise _UsageError("--audit needs an all-product set")
+            raise ValueError("--audit needs an all-product set")
         audit = conflict_audit(state_set, tol, certificate)
         payload["audit"] = audit.to_dict()
         lines.append(
@@ -149,15 +141,13 @@ def _cmd_check(args) -> int:
             f"counts_cover_span={audit.counts_cover_span} "
             f"size_bound_ok={audit.size_bound_ok}"
         )
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, args.out)
     return 0 if certificate.stable else 1
 
 
 def _cmd_subsets(args) -> int:
     tol = _tolerance(args)
     state_set = load_set(args.input)
-    if args.k > len(state_set) or args.k < 1:
-        raise _UsageError(f"--k {args.k} out of range for a set of {len(state_set)}")
     report = constructions.subset_campaign(
         state_set,
         args.k,
@@ -168,7 +158,7 @@ def _cmd_subsets(args) -> int:
     )
     _emit(
         args,
-        report.to_dict(),
+        dataclasses.asdict(report),
         [
             f"label:    {report.set_label}",
             f"subsets:  {report.checked} of {report.total_subsets}"
@@ -176,6 +166,7 @@ def _cmd_subsets(args) -> int:
             f"stable:   {report.stable}",
             f"unstable: {report.unstable}",
         ],
+        args.out,
     )
     return 0 if report.unstable == 0 else 1
 
@@ -184,31 +175,27 @@ def _parse_dims(text):
     try:
         dims = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(f"--dims expects comma-separated integers, got {text!r}")
+        raise ValueError(f"--dims expects comma-separated integers, got {text!r}") from None
     if len(dims) < 2:
-        raise _UsageError("--dims needs at least two parties")
+        raise ValueError("--dims needs at least two parties")
     if any(d < 2 for d in dims):
-        raise _UsageError("every local dimension must be >= 2")
+        raise ValueError("every local dimension must be >= 2")
     return dims
 
 
 def _cmd_bound(args) -> int:
     dims = _parse_dims(args.dims)
     report = cardinality_lower_bound(dims)
-    payload = report.to_dict()
+    payload = dataclasses.asdict(report)
     upper = {}
     n = len(dims)
-    if all(d == 2 for d in dims):
-        if n >= 5:
-            upper["qubit_upb"] = cardinality_upper_bounds(n, "qubit_upb")
-        if (n >= 5 and n % 2 == 1) or (n >= 10 and n % 2 == 0):
-            upper["qubit_subset"] = cardinality_upper_bounds(n, "qubit_subset")
-        if n > 36 and n % 2 == 1:
-            upper["qubit_sqrt"] = cardinality_upper_bounds(n, "qubit_sqrt")
-    elif all(d == 3 for d in dims) and n >= 2:
-        upper["qutrit_composition"] = cardinality_upper_bounds(
-            n, "qutrit_composition"
-        )
+    kinds = _UPPER_BOUND_KINDS.get(dims[0], ()) if len(set(dims)) == 1 else ()
+    for kind in kinds:
+        try:
+            upper[kind] = cardinality_upper_bounds(n, kind)
+        except ValueError:
+            pass
+    if "qutrit_composition" in upper:
         upper["qutrit_formula"] = 5.0 * n / 3.0 + 2.0
     if upper:
         payload["upper_bounds"] = upper
@@ -221,23 +208,20 @@ def _cmd_bound(args) -> int:
     ]
     for key, value in upper.items():
         lines.append(f"{key}: {value}")
-    _emit(args, payload, lines)
+    _emit(args, payload, lines, args.out)
     return 0
 
 
 def _cmd_complement(args) -> int:
     tol = _tolerance(args)
     state_set = load_set(args.input)
-    try:
-        overlap, witness = complement_product_search(
-            state_set,
-            restarts=args.restarts,
-            iters=args.iters,
-            rng_seed=args.seed,
-            tol=tol,
-        )
-    except (OrthogonalityError, ValueError) as exc:
-        raise _UsageError(str(exc)) from None
+    overlap, witness = complement_product_search(
+        state_set,
+        restarts=args.restarts,
+        iters=args.iters,
+        rng_seed=args.seed,
+        tol=tol,
+    )
     payload = {
         "label": state_set.label,
         "best_overlap": overlap,
@@ -259,6 +243,7 @@ def _cmd_complement(args) -> int:
             f"product state in complement: "
             f"{'found' if overlap >= _COMPLEMENT_FOUND else 'none found'}",
         ],
+        args.out,
     )
     return 0 if overlap < _COMPLEMENT_FOUND else 1
 
@@ -282,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_construct = sub.add_parser("construct", help="emit a named state set")
-    p_construct.add_argument("name", choices=_CONSTRUCTION_NAMES)
+    p_construct.add_argument("name", choices=tuple(_CONSTRUCTIONS) + ("compose",))
     p_construct.add_argument("--n", type=int, default=None,
                              help="family size parameter for sized constructions")
-    p_construct.add_argument("--left", choices=_SIMPLE_CONSTRUCTIONS + _SIZED_CONSTRUCTIONS,
+    p_construct.add_argument("--left", choices=tuple(_CONSTRUCTIONS),
                              default=None, help="left operand for compose")
-    p_construct.add_argument("--right", choices=_SIMPLE_CONSTRUCTIONS + _SIZED_CONSTRUCTIONS,
+    p_construct.add_argument("--right", choices=tuple(_CONSTRUCTIONS),
                              default=None, help="right operand for compose")
     p_construct.add_argument("--left-n", type=int, default=None)
     p_construct.add_argument("--right-n", type=int, default=None)
@@ -332,14 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (StateFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (ValueError, OSError) as exc:
+        # every input error: bad flags, unreadable or malformed files,
+        # empty or non-orthogonal sets
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

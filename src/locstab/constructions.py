@@ -340,14 +340,6 @@ class TwoPairReport:
     minimum: int
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "parties": self.parties,
-            "counts": list(self.counts),
-            "minimum": self.minimum,
-            "ok": self.ok,
-        }
-
 
 def verify_two_pairs(plan, parties=None) -> TwoPairReport:
     """Check that every cyclic shift of the selected index set keeps at least
@@ -386,18 +378,6 @@ class CampaignReport:
     stable: int
     unstable: int
     unstable_subsets: tuple[tuple[int, ...], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "set_label": self.set_label,
-            "subset_size": self.subset_size,
-            "total_subsets": self.total_subsets,
-            "checked": self.checked,
-            "sampled": self.sampled,
-            "stable": self.stable,
-            "unstable": self.unstable,
-            "unstable_subsets": [list(c) for c in self.unstable_subsets],
-        }
 
 
 def subset_campaign(

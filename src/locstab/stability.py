@@ -21,13 +21,15 @@ import numpy as np
 
 from .numerics import DEFAULT_TOL, Tolerance, span_rank
 from .states import (
+    FactorZeroPattern,
+    ProductState,
     StateSet,
+    _offending_pairs,
+    _party_blocks,
+    _span_source,
     as_dense,
-    bpart_decompose,
     check_mutual_orthogonality,
     check_signature,
-    factor_zero_pattern,
-    ProductState,
 )
 
 __all__ = [
@@ -157,38 +159,37 @@ def _pair_tuples(pairs):
     return tuple(map(tuple, pairs.tolist()))
 
 
+def _party_span(state_set, party, tol, source=None):
+    """One party's span generators as an (m, d, d) array, with its conflict
+    pairs and their smallest rest magnitude.
+
+    ``source`` is the set's :func:`~locstab.states._span_source` when the
+    caller already holds it.  A factor zero pattern contributes |a_j><a_k|
+    for each conflict pair; a dense stack contributes the block contraction
+    of every ordered pair (j outer, k inner) whose norm reaches
+    ``tol.orth_abs``, and has no conflict pairs (None) and no magnitude (None).
+    """
+    if source is None:
+        source = _span_source(state_set, tol)
+    if isinstance(source, FactorZeroPattern):
+        pairs, smallest = _party_conflicts(source, party)
+        generators = _product_generators(source.factors[party], pairs)
+        return generators, _pair_tuples(pairs), smallest
+    blocks = _party_blocks(source, state_set.dims, party)
+    # contractions[j, k] = blocks[j].T @ blocks[k].conj()
+    contractions = np.swapaxes(blocks, 1, 2)[:, None] @ blocks.conj()[None, :]
+    keep = np.linalg.norm(contractions, axis=(2, 3)) >= tol.orth_abs
+    np.fill_diagonal(keep, False)
+    return contractions[keep], None, None
+
+
 def conflict_set(state_set: StateSet, party: int, tol: Tolerance = DEFAULT_TOL) -> ConflictSet:
     """The conflict set of an all-product set at one party: the ordered pairs
     whose factors vanish at ``party`` and at no other party."""
     _require_all_product(state_set, "conflict_set")
     _require_party(state_set, party)
-    pairs, smallest = _party_conflicts(factor_zero_pattern(state_set, tol), party)
-    return ConflictSet(party, _pair_tuples(pairs), smallest)
-
-
-def _dense_generators(state_set, party, tol):
-    blocks = [
-        np.stack(bpart_decompose(as_dense(s), party)) for s in state_set.states
-    ]
-    generators = []
-    for k in range(len(blocks)):
-        for m in range(len(blocks)):
-            if k == m:
-                continue
-            mat = blocks[k].T @ blocks[m].conj()
-            if np.linalg.norm(mat) >= tol.orth_abs:
-                generators.append(mat)
-    return generators
-
-
-def _generators(state_set, party, tol):
-    """One party's span generators: an (m, d, d) array for all-product sets,
-    a list of matrices otherwise."""
-    if state_set.all_product:
-        pattern = factor_zero_pattern(state_set, tol)
-        pairs, _ = _party_conflicts(pattern, party)
-        return _product_generators(pattern.factors[party], pairs)
-    return _dense_generators(state_set, party, tol)
+    _, pairs, smallest = _party_span(state_set, party, tol)
+    return ConflictSet(party, pairs, smallest)
 
 
 def span_generators(state_set: StateSet, party: int, tol: Tolerance = DEFAULT_TOL):
@@ -199,13 +200,15 @@ def span_generators(state_set: StateSet, party: int, tol: Tolerance = DEFAULT_TO
     its one-party blocks, dropping matrices of negligible norm.
     """
     _require_party(state_set, party)
-    return list(_generators(state_set, party, tol))
+    generators, _, _ = _party_span(state_set, party, tol)
+    return list(generators)
 
 
 def party_stable(state_set: StateSet, party: int, tol: Tolerance = DEFAULT_TOL):
     """(stable, span_dim) for one party: stable iff span_dim == d**2 - 1."""
     _require_party(state_set, party)
-    dim = span_rank(_generators(state_set, party, tol), tol)
+    generators, _, _ = _party_span(state_set, party, tol)
+    dim = span_rank(generators, tol)
     return dim == state_set.dims[party] ** 2 - 1, dim
 
 
@@ -218,30 +221,17 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     """
     if not len(state_set):
         raise ValueError("cannot check an empty state set")
-    product = state_set.all_product
-    if product:
-        pattern = factor_zero_pattern(state_set, tol)
-        offending = pattern.offending_pairs()
-    else:
-        offending = check_mutual_orthogonality(state_set, tol)
+    source = _span_source(state_set, tol)
+    offending = _offending_pairs(source, tol)
     if offending:
         raise OrthogonalityError(offending)
 
     records = []
     for party, d in enumerate(state_set.dims):
-        if product:
-            pairs, smallest = _party_conflicts(pattern, party)
-            generators = _product_generators(pattern.factors[party], pairs)
-            extra = {
-                "conflict_pairs": _pair_tuples(pairs),
-                "smallest_conflict_magnitude": smallest,
-            }
-        else:
-            generators = _dense_generators(state_set, party, tol)
-            extra = {}
+        generators, pairs, smallest = _party_span(state_set, party, tol, source)
         dim = span_rank(generators, tol)
         required = d * d - 1
-        records.append(PartyRecord(party, dim, required, dim == required, **extra))
+        records.append(PartyRecord(party, dim, required, dim == required, pairs, smallest))
     return StabilityCertificate(
         state_set.label, tol, tuple(records), all(r.stable for r in records)
     )
@@ -345,15 +335,6 @@ class BoundReport:
     min_size: int
     closed_form: float
     trivial_upb_bound: int
-
-    def to_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "required_span_total": self.required_span_total,
-            "min_size": self.min_size,
-            "closed_form": self.closed_form,
-            "trivial_upb_bound": self.trivial_upb_bound,
-        }
 
 
 def cardinality_lower_bound(dims) -> BoundReport:
@@ -462,11 +443,7 @@ def complement_product_search(
     dense = np.stack([as_dense(s).amplitudes for s in state_set.states])
     parties = len(dims)
     # blocks[i][k] has shape (d_rest, d_i): state k split at party i.
-    blocks = []
-    shaped = dense.reshape((size,) + dims)
-    for i in range(parties):
-        moved = np.moveaxis(shaped, 1 + i, -1)
-        blocks.append(np.ascontiguousarray(moved.reshape(size, -1, dims[i])))
+    blocks = [_party_blocks(dense, dims, i) for i in range(parties)]
 
     best_overlap = -math.inf
     best_factors = None

@@ -242,6 +242,25 @@ def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Fa
     return FactorZeroPattern(tuple(factors), zeros, zero_count, product)
 
 
+def _span_source(state_set: StateSet, tol: Tolerance):
+    """What orthogonality and span checks read: the factor zero pattern of an
+    all-product set, else the (l, D) stack of dense amplitudes."""
+    if state_set.all_product:
+        return factor_zero_pattern(state_set, tol)
+    return np.stack([as_dense(s).amplitudes for s in state_set.states])
+
+
+def _offending_pairs(source, tol: Tolerance):
+    """Non-orthogonal ordered pairs (j, k, <j|k>) of a :func:`_span_source`,
+    j outer and k inner."""
+    if isinstance(source, FactorZeroPattern):
+        return source.offending_pairs()
+    overlaps = np.stack([(row.conj() * source).sum(axis=1) for row in source])
+    bad = np.abs(overlaps) >= tol.orth_abs
+    np.fill_diagonal(bad, False)
+    return [(j, k, complex(overlaps[j, k])) for j, k in np.argwhere(bad).tolist()]
+
+
 def check_mutual_orthogonality(state_set: StateSet, tol: Tolerance = DEFAULT_TOL):
     """List every ordered pair (j, k, <j|k>) that is not orthogonal; an empty
     list means the set is orthogonal.
@@ -250,19 +269,9 @@ def check_mutual_orthogonality(state_set: StateSet, tol: Tolerance = DEFAULT_TOL
     falls below ``tol.orth_abs``; a pair with a dense member when its full
     inner product does.
     """
-    size = len(state_set)
-    if size == 0:
+    if not len(state_set):
         raise ValueError("cannot check an empty state set")
-    if state_set.all_product:
-        return factor_zero_pattern(state_set, tol).offending_pairs()
-    dense = np.stack([as_dense(s).amplitudes for s in state_set.states])
-    overlaps = np.stack([(dense[j].conj() * dense).sum(axis=1) for j in range(size)])
-    offending = []
-    for j in range(size):
-        for k in range(size):
-            if j != k and abs(overlaps[j, k]) >= tol.orth_abs:
-                offending.append((j, k, complex(overlaps[j, k])))
-    return offending
+    return _offending_pairs(_span_source(state_set, tol), tol)
 
 
 def rest_inner(state_set: StateSet, j: int, k: int, i: int) -> complex:
@@ -287,19 +296,28 @@ def rest_inner(state_set: StateSet, j: int, k: int, i: int) -> complex:
     return complex(out)
 
 
+def _party_blocks(amplitudes, dims, party):
+    """Split an (l, D) amplitude stack at ``party`` into (l, D/d_i, d_i)
+    blocks: row r of block k is state k's vector in party i's space for the
+    r-th computational basis state of the other parties, row-major in their
+    original order.  May share memory with ``amplitudes``."""
+    moved = np.moveaxis(amplitudes.reshape((len(amplitudes),) + dims), 1 + party, -1)
+    return np.ascontiguousarray(moved.reshape(len(amplitudes), -1, dims[party]))
+
+
 def bpart_decompose(state: DenseState, i: int):
     """Split a dense state across party ``i``.
 
     Returns one (possibly zero, unnormalized) vector in party i's space per
     computational basis state of the remaining parties, indexed row-major
     over the remaining parties in their original order; summing
-    |j>_rest (x) v_j at party i's slot reassembles the state.
+    |j>_rest (x) v_j at party i's slot reassembles the state.  Each vector
+    is an independent, writable copy.
     """
     dims = state.dims
     if not 0 <= i < len(dims):
         raise IndexError(f"party {i} out of range for {len(dims)} parties")
-    moved = np.moveaxis(state.amplitudes.reshape(dims), i, -1)
-    return [row.copy() for row in moved.reshape(-1, dims[i])]
+    return [row.copy() for row in _party_blocks(state.amplitudes[None], dims, i)[0]]
 
 
 def states_close(a, b, atol=1e-12, up_to_phase=True) -> bool:

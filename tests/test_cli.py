@@ -262,6 +262,38 @@ class TestComplement:
         assert code == 2
 
 
+class TestInputErrors:
+    """Each input error exits 2 with one error line on stderr and nothing
+    on stdout."""
+
+    @staticmethod
+    def assert_input_error(code, out, err):
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_check_empty_set(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"dims": [2, 2], "states": []}))
+        self.assert_input_error(*run_cli(capsys, "check", str(path)))
+
+    def test_subsets_of_non_orthogonal_set(self, capsys, tmp_path):
+        from locstab import StateSet
+
+        q3 = upb_qubit3()
+        path = tmp_path / "dup.json"
+        save_set(StateSet(q3.dims, [q3[0], q3[0], q3[1]], "dup"), path)
+        code, out, err = run_cli(capsys, "subsets", str(path), "--k", "2")
+        self.assert_input_error(code, out, err)
+        assert "orthogonal" in err
+
+    def test_check_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"label": "\xff", "dims": [2, 2], "states": []}')
+        self.assert_input_error(*run_cli(capsys, "check", str(path)))
+
+
 class TestDeterminism:
     def test_identical_command_lines_identical_bytes(self, capsys, qubit3_file):
         _, out1, _ = run_cli(capsys, "check", qubit3_file)

@@ -8,6 +8,7 @@ from locstab import (
     DEFAULT_TOL,
     DenseState,
     as_dense,
+    bpart_decompose,
     OrthogonalityError,
     ProductState,
     StateSet,
@@ -279,6 +280,50 @@ class TestOneConflictRoutine:
             assert len(gens) == len(cs.pairs)
             for (j, k), gen in zip(cs.pairs, gens):
                 assert np.array_equal(gen, np.outer(factors[j], factors[k].conj()))
+            assert party_stable(state_set, party) == (record.stable, record.span_dim)
+
+
+def dense_expansion(state_set):
+    return StateSet(state_set.dims, [as_dense(s) for s in state_set], state_set.label)
+
+
+class TestDenseViews:
+    """On dense sets span_generators and party_stable read the block
+    contractions of every ordered pair, j outer and k inner."""
+
+    @pytest.mark.parametrize(
+        "state_set",
+        [
+            dense_expansion(upb_qubit3()),
+            dense_expansion(upb_tiles33()),
+            dense_expansion(upb_sep333()),
+            dense_expansion(upb_44_reducible()),
+            entangled_triple(3),
+        ],
+        ids=lambda s: s.label,
+    )
+    def test_views_agree_with_pair_loop(self, state_set):
+        cert = is_locally_stable(state_set)
+        size = len(state_set)
+        for record in cert.parties:
+            party = record.party
+            # reference: one contraction per ordered pair, then the norm filter
+            blocks = [np.stack(bpart_decompose(s, party)) for s in state_set]
+            contractions = [
+                blocks[k].T @ blocks[m].conj()
+                for k in range(size)
+                for m in range(size)
+                if k != m
+            ]
+            expected = [
+                mat for mat in contractions
+                if np.linalg.norm(mat) >= DEFAULT_TOL.orth_abs
+            ]
+            gens = span_generators(state_set, party)
+            assert len(gens) == len(expected)
+            for gen, ref in zip(gens, expected):
+                assert np.array_equal(gen, ref)
+            assert record.conflict_pairs is None
             assert party_stable(state_set, party) == (record.stable, record.span_dim)
 
 

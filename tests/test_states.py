@@ -270,6 +270,17 @@ class TestBpartDecompose:
         with pytest.raises(IndexError):
             bpart_decompose(DenseState([1, 0, 0, 1], (2, 2)), 2)
 
+    def test_rows_are_independent_writable_copies(self):
+        rng = np.random.default_rng(37)
+        amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        state = DenseState(amps, (2, 3, 2))
+        for party in range(3):
+            rows = bpart_decompose(state, party)
+            for pos, row in enumerate(rows):
+                assert row.flags.writeable
+                assert not np.shares_memory(row, state.amplitudes)
+                assert not any(np.shares_memory(row, other) for other in rows[pos + 1:])
+
 
 class TestJsonFormat:
     def test_round_trip_product(self, tmp_path):
