@@ -90,6 +90,14 @@ def _cmd_construct(args) -> int:
             raise ValueError("compose requires --left and --right")
         left = _build_named(args.left, args.left_n, tol)
         right = _build_named(args.right, args.right_n, tol)
+        for flag, index, operand in (
+            ("--left-index", args.left_index, left),
+            ("--right-index", args.right_index, right),
+        ):
+            if not 0 <= index < len(operand):
+                raise ValueError(
+                    f"{flag} {index} out of range for {operand.label} of size {len(operand)}"
+                )
         state_set = constructions.compose(left, args.left_index, right, args.right_index)
     else:
         state_set = _build_named(args.name, args.n, tol)
@@ -128,12 +136,12 @@ def _certificate_lines(cert) -> list:
 def _cmd_check(args) -> int:
     tol = _tolerance(args)
     state_set = load_set(args.input)
+    if args.audit and not state_set.all_product:
+        raise ValueError("--audit needs an all-product set")
     certificate = is_locally_stable(state_set, tol)
     payload = certificate.to_dict()
     lines = _certificate_lines(certificate)
     if args.audit:
-        if not state_set.all_product:
-            raise ValueError("--audit needs an all-product set")
         audit = conflict_audit(state_set, tol, certificate)
         payload["audit"] = audit.to_dict()
         lines.append(

@@ -49,7 +49,9 @@ __all__ = [
     "complement_product_search",
 ]
 
-# See-saw memory scales like parties * states * total dimension.
+# See-saw memory scales like (parties * states + restarts) * total dimension:
+# one (D/d_i, l*d_i) contraction matrix per party, plus the restarts' rest
+# vectors and final product states.
 _SEARCH_DENSE_LIMIT = 1 << 20
 
 
@@ -399,11 +401,12 @@ def cardinality_upper_bounds(n: int, kind: str) -> int:
     raise ValueError(f"unknown bound kind {kind!r}")
 
 
-def _kron_except(factors, skip=None):
-    out = np.ones(1, dtype=complex)
-    for r, factor in enumerate(factors):
-        if r != skip:
-            out = np.kron(out, factor)
+def _rowwise_kron(rows, factors):
+    """Row-wise Kronecker product of (rows, d_r) arrays: a (rows, prod d_r)
+    array whose row t is the Kronecker product of the factors' rows t."""
+    out = np.ones((rows, 1), dtype=complex)
+    for factor in factors:
+        out = (out[:, :, None] * factor[:, None, :]).reshape(rows, -1)
     return out
 
 
@@ -417,13 +420,15 @@ def complement_product_search(
     """See-saw maximization of a product state's overlap with the orthogonal
     complement of span(state_set).
 
-    Each restart draws uniformly random unit factors, then sweeps the
-    parties: with all other factors fixed, the factor of one party is set to
-    the top eigenvector of its induced local operator, which can only raise
-    the overlap.  Restarts use independent substreams spawned from
-    ``rng_seed``, so results are reproducible.  Returns the best
-    (overlap, ProductState) across restarts; an overlap of 1 means a product
-    state was found inside the complement.
+    Each restart draws uniformly random unit factors from its own substream
+    spawned from ``rng_seed``, so results are reproducible.  The restarts
+    then advance together, one party at a time: with all other factors
+    fixed, the factor of one party is set to the top eigenvector of its
+    induced local operator, which can only raise the overlap.  A restart
+    stops changing after the first sweep over the parties that gains less
+    than 1e-13, or after ``iters`` sweeps.  Returns the best
+    (overlap, ProductState) across restarts, the first on ties; an overlap
+    of 1 means a product state was found inside the complement.
     """
     offending = check_mutual_orthogonality(state_set, tol)
     if offending:
@@ -441,33 +446,43 @@ def complement_product_search(
         raise ValueError("restarts and iters must be positive")
 
     dense = np.stack([as_dense(s).amplitudes for s in state_set.states])
-    parties = len(dims)
-    # blocks[i][k] has shape (d_rest, d_i): state k split at party i.
-    blocks = [_party_blocks(dense, dims, i) for i in range(parties)]
+    # rest_maps[i][j, k * d_i + a] is block row j, entry a of state k split at
+    # party i, so (R, D/d_i) conjugate rest vectors contract to (R, l * d_i).
+    rest_maps = [
+        _party_blocks(dense, dims, i).transpose(1, 0, 2).reshape(total // d, size * d)
+        for i, d in enumerate(dims)
+    ]
 
-    best_overlap = -math.inf
-    best_factors = None
+    # one substream per restart, drawn party by party; factors[i] is (R, d_i)
+    draws = []
     for stream in np.random.SeedSequence(rng_seed).spawn(restarts):
         rng = np.random.default_rng(stream)
-        factors = []
-        for d in dims:
-            vec = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            factors.append(vec / np.linalg.norm(vec))
-        previous = -math.inf
-        for _ in range(iters):
-            for i in range(parties):
-                rest = _kron_except(factors, i)
-                contracted = np.einsum("kja,j->ka", blocks[i], rest.conj())
-                local_op = contracted.T @ contracted.conj()
-                eigenvalues, eigenvectors = np.linalg.eigh(local_op)
-                factors[i] = eigenvectors[:, 0]
-                value = 1.0 - float(eigenvalues[0])
-            if value - previous < 1e-13:
-                break
-            previous = value
-        phi = _kron_except(factors)
-        overlap = 1.0 - float(np.sum(np.abs(dense.conj() @ phi) ** 2))
-        if overlap > best_overlap:
-            best_overlap = overlap
-            best_factors = [f.copy() for f in factors]
-    return best_overlap, ProductState(best_factors)
+        vecs = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
+        draws.append([vec / np.linalg.norm(vec) for vec in vecs])
+    factors = [np.array(column) for column in zip(*draws)]
+
+    # the restarts still moving, their factors, and their last sweep's value
+    active = np.arange(restarts)
+    moving = list(factors)
+    previous = np.full(restarts, -math.inf)
+    for _ in range(iters):
+        for i, d in enumerate(dims):
+            rest = _rowwise_kron(len(active), moving[:i] + moving[i + 1:])
+            contracted = (rest.conj() @ rest_maps[i]).reshape(len(active), size, d)
+            local_ops = np.swapaxes(contracted, 1, 2) @ contracted.conj()
+            eigenvalues, eigenvectors = np.linalg.eigh(local_ops)
+            moving[i] = eigenvectors[:, :, 0]
+        value = 1.0 - eigenvalues[:, 0]
+        for full, part in zip(factors, moving):
+            full[active] = part
+        keep = ~(value - previous < 1e-13)
+        previous = value[keep]
+        active = active[keep]
+        moving = [part[keep] for part in moving]
+        if not len(active):
+            break
+
+    amplitudes = _rowwise_kron(restarts, factors) @ dense.conj().T
+    overlaps = 1.0 - np.sum(np.abs(amplitudes) ** 2, axis=1)
+    best = int(np.argmax(overlaps))
+    return float(overlaps[best]), ProductState([f[best] for f in factors])

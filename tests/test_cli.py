@@ -293,6 +293,31 @@ class TestInputErrors:
         path.write_bytes(b'{"label": "\xff", "dims": [2, 2], "states": []}')
         self.assert_input_error(*run_cli(capsys, "check", str(path)))
 
+    @pytest.mark.parametrize("flag", ["--left-index", "--right-index"])
+    @pytest.mark.parametrize("index", ["9", "4", "-1"])
+    def test_compose_index_out_of_range(self, capsys, flag, index):
+        code, out, err = run_cli(capsys, "construct", "compose", "--left", "qubit3",
+                                 "--right", "qubit3", flag, index)
+        self.assert_input_error(code, out, err)
+        assert f"{flag} {index} out of range" in err
+
+    def test_audit_of_dense_set_rejected_before_certifying(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import locstab.cli
+        from locstab import StateSet, tensor_expand
+
+        q3 = upb_qubit3()
+        path = tmp_path / "dense.json"
+        save_set(StateSet(q3.dims, [tensor_expand(s) for s in q3], "dense"), path)
+        calls = []
+        monkeypatch.setattr(locstab.cli, "is_locally_stable",
+                            lambda *args, **kwargs: calls.append(args))
+        code, out, err = run_cli(capsys, "check", str(path), "--audit")
+        self.assert_input_error(code, out, err)
+        assert err == "error: --audit needs an all-product set\n"
+        assert calls == []
+
 
 class TestDeterminism:
     def test_identical_command_lines_identical_bytes(self, capsys, qubit3_file):

@@ -1,6 +1,8 @@
 """Certifier tests: conflict sets, span generators, certificates, bounds,
 counting audits, and the complement see-saw."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from locstab import (
     span_generators,
     span_rank,
     sqrt_subset,
+    tensor_expand,
     upb_44_reducible,
     upb_qubit3,
     upb_sep333,
@@ -35,6 +38,7 @@ from locstab import (
     validate_seeds,
     vec_inner,
 )
+from oracles import seesaw_sequential
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -438,6 +442,40 @@ class TestCardinalityUpperBounds:
             cardinality_upper_bounds(5, "nope")
 
 
+def _extendible_trio():
+    e = np.eye(2, dtype=complex)
+    return StateSet(
+        (2, 2),
+        [ProductState([e[0], e[0]]), ProductState([e[0], e[1]]),
+         ProductState([e[1], e[0]])],
+        "extendible-trio",
+    )
+
+
+_SEARCH_SETS = {
+    "qubit3": upb_qubit3,
+    "tiles33": upb_tiles33,
+    "sep333": upb_sep333,
+    "upb_shifts(3)": lambda: upb_shifts(3),
+    "extendible-trio": _extendible_trio,
+    "entangled_triple(3)": lambda: entangled_triple(3),
+}
+_SEARCH_RESTARTS = 20
+
+
+@functools.lru_cache(maxsize=None)
+def _sequential_search(name, seed, iters):
+    return seesaw_sequential(_SEARCH_SETS[name](), _SEARCH_RESTARTS, iters, seed)
+
+
+def _equal_up_to_phase(phi, factors, atol=1e-9):
+    expected = tensor_expand(ProductState(factors)).amplitudes
+    overlap = np.vdot(expected, phi)
+    if abs(overlap) < 0.5:
+        return False
+    return np.max(np.abs(expected * overlap / abs(overlap) - phi)) <= atol
+
+
 class TestComplementSearch:
     def test_single_state_has_full_complement(self):
         s = StateSet((2, 2), [ProductState([KET0, KET0])])
@@ -445,13 +483,9 @@ class TestComplementSearch:
         assert overlap == pytest.approx(1.0, abs=1e-9)
 
     def test_extendible_trio_finds_missing_basis_state(self):
-        e = np.eye(2, dtype=complex)
-        s = StateSet(
-            (2, 2),
-            [ProductState([e[0], e[0]]), ProductState([e[0], e[1]]),
-             ProductState([e[1], e[0]])],
+        overlap, witness = complement_product_search(
+            _extendible_trio(), restarts=10, iters=50, rng_seed=0
         )
-        overlap, witness = complement_product_search(s, restarts=10, iters=50, rng_seed=0)
         assert overlap == pytest.approx(1.0, abs=1e-9)
         for factor in witness.factors:
             assert abs(abs(factor[1]) - 1.0) < 1e-6
@@ -477,6 +511,44 @@ class TestComplementSearch:
         assert a[0] == b[0]
         for fa, fb in zip(a[1].factors, b[1].factors):
             assert np.array_equal(fa, fb)
+
+    @pytest.mark.parametrize("iters", [1, 5, 200])
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("name", sorted(_SEARCH_SETS))
+    def test_batch_matches_sequential_reference(self, name, seed, iters):
+        overlap, witness = complement_product_search(
+            _SEARCH_SETS[name](), restarts=_SEARCH_RESTARTS, iters=iters, rng_seed=seed
+        )
+        best, _, runs = _sequential_search(name, seed, iters)
+        assert abs(overlap - best) <= 1e-12
+        # Restarts that reach the best overlap at different optima tie to
+        # within rounding, and rounding picks the first of them; the
+        # witness must be the final state of one restart that ties.
+        phi = tensor_expand(witness).amplitudes
+        tied = [factors for value, factors, _ in runs if value >= best - 1e-12]
+        assert any(_equal_up_to_phase(phi, factors) for factors in tied)
+
+    def test_exact_ties_keep_the_first_restart(self):
+        # restarts end at |01> or |10>, both at overlap exactly 1
+        s = StateSet((2, 2), [ProductState([KET0, KET0]), ProductState([KET1, KET1])])
+        overlap, witness = complement_product_search(s, restarts=6, iters=20, rng_seed=1)
+        best, _, runs = seesaw_sequential(s, 6, 20, 1)
+        assert overlap == best == 1.0
+        assert all(value == 1.0 for value, _, _ in runs)
+        phi = tensor_expand(witness).amplitudes
+        assert _equal_up_to_phase(phi, runs[0][1])
+        assert not _equal_up_to_phase(phi, runs[-1][1])
+
+    def test_reference_runs_cover_convergence_and_cap(self):
+        sweeps = {
+            (name, seed): [count for _, _, count in _sequential_search(name, seed, 200)[2]]
+            for name in _SEARCH_SETS
+            for seed in (0, 11)
+        }
+        converged = {count for counts in sweeps.values() for count in counts if count < 200}
+        assert len(converged) > 1
+        for seed in (0, 11):
+            assert 200 in sweeps["entangled_triple(3)", seed]
 
 
 class TestSpanRankOnGenerators:
