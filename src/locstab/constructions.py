@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, Tolerance, vec_inner
+from .numerics import DEFAULT_TOL, Tolerance
 from .stability import is_locally_stable
-from .states import DenseState, ProductState, StateSet, as_dense
+from .states import DenseState, ProductState, StateSet, _unit, _unit_rows, as_dense
 
 __all__ = [
     "default_seeds",
@@ -73,7 +73,8 @@ def validate_seeds(seeds, n: int, tol: Tolerance = DEFAULT_TOL):
     """Normalize and vet the n-1 shift-family seeds.
 
     Every seed must be neither orthogonal nor parallel to |0>, and no two
-    seeds may be mutually orthogonal or parallel; violations name the seed.
+    seeds may be mutually orthogonal or parallel; violations name the seed,
+    or the first offending pair in ``itertools.combinations`` order.
     """
     if len(seeds) != n - 1:
         raise ValueError(f"expected {n - 1} seeds for n={n}, got {len(seeds)}")
@@ -82,23 +83,36 @@ def validate_seeds(seeds, n: int, tol: Tolerance = DEFAULT_TOL):
         arr = np.asarray(seed, dtype=complex)
         if arr.shape != (2,):
             raise ValueError(f"seed {pos} is not a single-qubit vector")
-        norm = np.linalg.norm(arr)
-        if norm == 0.0:
-            raise ValueError(f"seed {pos} is the zero vector")
-        normalized.append(arr / norm)
+        try:
+            normalized.append(_unit(arr))
+        except ValueError:
+            raise ValueError(f"seed {pos} is the zero vector") from None
     lo, hi = tol.orth_abs, 1.0 - tol.orth_abs
-    for pos, seed in enumerate(normalized):
-        overlap = abs(seed[0])
+    stack = np.array(normalized, dtype=complex).reshape(len(normalized), 2)
+    for pos, overlap in enumerate(np.abs(stack[:, 0]).tolist()):
         if overlap <= lo:
             raise ValueError(f"seed {pos} is orthogonal to |0>")
         if overlap >= hi:
             raise ValueError(f"seed {pos} is parallel to |0>")
-    for a, b in itertools.combinations(range(len(normalized)), 2):
-        overlap = abs(vec_inner(normalized[a], normalized[b]))
-        if overlap <= lo:
-            raise ValueError(f"seeds {a} and {b} are mutually orthogonal")
-        if overlap >= hi:
-            raise ValueError(f"seeds {a} and {b} are parallel")
+    # One Gram over the stacked seeds, summing materialized products in
+    # coordinate order as vec_inner does; taken in blocks of about 2**20
+    # entries so that memory stays O(n) per block at wide n.
+    count = len(stack)
+    step = max(1, (1 << 20) // max(count, 1))
+    conj = stack.conj()
+    for start in range(0, count, step):
+        rows = slice(start, start + step)
+        gram = conj[rows, None, 0] * stack[None, :, 0]
+        gram += conj[rows, None, 1] * stack[None, :, 1]
+        overlap = np.abs(gram)
+        bad = (overlap <= lo) | (overlap >= hi)
+        bad &= np.arange(count) > np.arange(start, start + len(gram))[:, None]
+        hits = np.argwhere(bad)
+        if len(hits):
+            row, b = hits[0].tolist()
+            if overlap[row, b] <= lo:
+                raise ValueError(f"seeds {start + row} and {b} are mutually orthogonal")
+            raise ValueError(f"seeds {start + row} and {b} are parallel")
     return normalized
 
 
@@ -137,15 +151,23 @@ def shift_family(n: int, seeds=None, tol: Tolerance = DEFAULT_TOL) -> StateSet:
     """
     if n < 2:
         raise ValueError("shift families need n >= 2")
+    parties = 2 * n - 1
+    states = _shift_states(n, seeds, tol, range(parties))
+    return StateSet((2,) * parties, states, f"shift-family-n{n}")
+
+
+def _shift_states(n, seeds, tol, firsts):
+    """The shift-family states whose first factor is table entry t, for each
+    t in ``firsts``: state t carries entry (t - r) mod N at party r.  The
+    2n-1 table entries are normalized once and shared by every state."""
     seeds = default_seeds(n) if seeds is None else list(seeds)
     seeds = validate_seeds(seeds, n, tol)
     parties = 2 * n - 1
-    table = _local_state_table(n, seeds)
-    states = [
-        ProductState([table[(t - r) % parties] for r in range(1, parties + 1)])
-        for t in range(1, parties + 1)
+    table = list(_unit_rows(np.array(_local_state_table(n, seeds))))
+    return [
+        ProductState._from_units([table[(t - r) % parties] for r in range(parties)])
+        for t in firsts
     ]
-    return StateSet((2,) * parties, states, f"shift-family-n{n}")
 
 
 def upb_shifts(n: int, seeds=None, tol: Tolerance = DEFAULT_TOL) -> StateSet:
@@ -326,9 +348,8 @@ def sqrt_subset(n: int, seeds=None, tol: Tolerance = DEFAULT_TOL):
     table entry t.
     """
     plan = sqrt_subset_plan(n)
-    family = shift_family(n, seeds, tol)
-    states = [family[t] for t in plan.indices]
-    return plan, StateSet(family.dims, states, f"sqrt-subset-n{n}")
+    states = _shift_states(n, seeds, tol, plan.indices)
+    return plan, StateSet((2,) * plan.parties, states, f"sqrt-subset-n{n}")
 
 
 @dataclass(frozen=True)

@@ -294,23 +294,24 @@ def conflict_audit(
     elif len(certificate.parties) != len(state_set.dims):
         raise ValueError("the certificate does not match the state set's parties")
 
-    attribution: dict[tuple[int, int], list[int]] = {}
-    counts = []
-    for record in certificate.parties:
-        pairs = record.conflict_pairs or ()
-        counts.append(len(pairs))
-        for j, k in pairs:
-            unordered = (j, k) if j < k else (k, j)
-            parties = attribution.setdefault(unordered, [])
-            if record.party not in parties:
-                parties.append(record.party)
+    size = len(state_set)
+    records = certificate.parties
+    counts = [len(r.conflict_pairs or ()) for r in records]
+    pairs = np.array(
+        [pair for r in records for pair in r.conflict_pairs or ()], dtype=np.int64
+    ).reshape(-1, 2)
+    parties = np.repeat([r.party for r in records], counts)
+    # one key per (unordered pair, party): pair code min*l + max, then party
+    codes = pairs.min(axis=1) * size + pairs.max(axis=1)
+    keys = np.unique(codes * len(records) + parties)
+    codes, parties = np.divmod(keys, len(records))
+    codes, first, repeats = np.unique(codes, return_index=True, return_counts=True)
     shared = tuple(
-        (pair, tuple(parties))
-        for pair, parties in sorted(attribution.items())
-        if len(parties) > 1
+        (divmod(code, size), tuple(parties[start:start + repeat].tolist()))
+        for code, start, repeat in zip(codes.tolist(), first.tolist(), repeats.tolist())
+        if repeat > 1
     )
     span_dims = tuple(r.span_dim for r in certificate.parties)
-    size = len(state_set)
     required_total = sum(r.required for r in certificate.parties)
     return ConflictAudit(
         disjoint=not shared,
@@ -426,9 +427,10 @@ def complement_product_search(
     fixed, the factor of one party is set to the top eigenvector of its
     induced local operator, which can only raise the overlap.  A restart
     stops changing after the first sweep over the parties that gains less
-    than 1e-13, or after ``iters`` sweeps.  Returns the best
-    (overlap, ProductState) across restarts, the first on ties; an overlap
-    of 1 means a product state was found inside the complement.
+    than 1e-13, or after ``iters`` sweeps.  Returns the best overlap across
+    restarts and, as the witness, the final ProductState of the
+    lowest-numbered restart within 1e-12 of it; an overlap of 1 means a
+    product state was found inside the complement.
     """
     offending = check_mutual_orthogonality(state_set, tol)
     if offending:
@@ -484,5 +486,8 @@ def complement_product_search(
 
     amplitudes = _rowwise_kron(restarts, factors) @ dense.conj().T
     overlaps = 1.0 - np.sum(np.abs(amplitudes) ** 2, axis=1)
-    best = int(np.argmax(overlaps))
-    return float(overlaps[best]), ProductState([f[best] for f in factors])
+    # restarts can end at distinct optima within rounding of each other;
+    # picking by index keeps the witness independent of summation order
+    top = overlaps.max()
+    best = int(np.flatnonzero(overlaps >= top - 1e-12)[0])
+    return float(top), ProductState([f[best] for f in factors])

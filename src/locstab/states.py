@@ -8,6 +8,7 @@ party most significant, here and in the JSON file format.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -29,7 +30,6 @@ __all__ = [
     "FactorZeroPattern",
     "factor_zero_pattern",
     "check_mutual_orthogonality",
-    "rest_inner",
     "bpart_decompose",
     "states_close",
     "state_set_to_dict",
@@ -57,16 +57,29 @@ def check_signature(dims) -> tuple[int, ...]:
     return dims
 
 
+def _unit_rows(stack) -> np.ndarray:
+    """Scale every row of a fresh (m, d) complex stack to unit norm, in
+    place, and return the stack marked read-only.
+
+    Each squared norm is ``vecdot(re, re) + vecdot(im, im)``, the same dot
+    kernel :func:`numpy.linalg.norm` runs on one complex vector, so a row
+    comes out bit-identical to ``row / np.linalg.norm(row)``; a different
+    summation order would move last bits and with them exact factor zeros.
+    """
+    re, im = stack.real, stack.imag
+    norms = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    if not norms.all():
+        raise ValueError("cannot normalize a zero vector")
+    stack /= norms[:, None]
+    stack.flags.writeable = False
+    return stack
+
+
 def _unit(vec) -> np.ndarray:
     arr = np.array(vec, dtype=complex)
     if arr.ndim != 1:
         raise ValueError("amplitude vectors must be 1-D")
-    norm = np.linalg.norm(arr)
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    arr /= norm
-    arr.flags.writeable = False
-    return arr
+    return _unit_rows(arr[None])[0]
 
 
 class ProductState:
@@ -77,6 +90,14 @@ class ProductState:
     def __init__(self, factors):
         self.factors = tuple(_unit(f) for f in factors)
         check_signature(self.dims)
+
+    @classmethod
+    def _from_units(cls, factors) -> "ProductState":
+        """A state holding ``factors`` as they are: read-only unit vectors of
+        length >= 2, already normalized by :func:`_unit_rows`."""
+        state = cls.__new__(cls)
+        state.factors = tuple(factors)
+        return state
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -274,28 +295,6 @@ def check_mutual_orthogonality(state_set: StateSet, tol: Tolerance = DEFAULT_TOL
     return _offending_pairs(_span_source(state_set, tol), tol)
 
 
-def rest_inner(state_set: StateSet, j: int, k: int, i: int) -> complex:
-    """Inner product of states k and j over every party except ``i``
-    (conjugate-linear in state k's factors)."""
-    if not state_set.all_product:
-        raise ValueError(
-            "rest_inner needs an all-product set; decompose dense states with "
-            "bpart_decompose and use the general span path instead"
-        )
-    size = len(state_set)
-    if not (0 <= j < size and 0 <= k < size):
-        raise IndexError(f"state indices ({j}, {k}) out of range for size {size}")
-    if j == k:
-        raise ValueError("rest_inner needs two distinct states (j != k)")
-    if not 0 <= i < len(state_set.dims):
-        raise IndexError(f"party {i} out of range for {len(state_set.dims)} parties")
-    out = 1.0 + 0.0j
-    for r in range(len(state_set.dims)):
-        if r != i:
-            out *= vec_inner(state_set[k].factors[r], state_set[j].factors[r])
-    return complex(out)
-
-
 def _party_blocks(amplitudes, dims, party):
     """Split an (l, D) amplitude stack at ``party`` into (l, D/d_i, d_i)
     blocks: row r of block k is state k's vector in party i's space for the
@@ -365,29 +364,79 @@ def _parse_pair(value, where):
     return complex(value[0], value[1])
 
 
-def state_set_from_dict(payload) -> StateSet:
-    """Parse a state-set payload, naming the offending field on failure."""
-    if not isinstance(payload, dict):
-        raise StateFormatError("top level: expected an object")
-    label = payload.get("label", "")
-    if not isinstance(label, str):
-        raise StateFormatError("label: expected a string")
-    dims_raw = payload.get("dims")
-    if (
-        not isinstance(dims_raw, list)
-        or not dims_raw
-        or not all(isinstance(d, int) and not isinstance(d, bool) for d in dims_raw)
-    ):
-        raise StateFormatError("dims: expected a non-empty list of integers")
-    try:
-        dims = check_signature(dims_raw)
-    except ValueError as exc:
-        raise StateFormatError(f"dims: {exc}") from None
-    states_raw = payload.get("states")
-    if not isinstance(states_raw, list):
-        raise StateFormatError("states: expected a list")
+def _only(values, types) -> bool:
+    """Whether every item of ``values`` is an instance of ``types`` and none
+    is a bool; checked once per distinct type."""
+    return all(issubclass(t, types) and t is not bool for t in set(map(type, values)))
 
-    states = []
+
+def _pair_rows(rows, width):
+    """``rows``, lists of ``width`` [re, im] pairs, as one complex
+    (len(rows), width) array; None when a row, pair or number breaks the
+    per-field rules of :func:`_parse_pair`."""
+    chain = itertools.chain.from_iterable
+    if not (
+        _only(rows, list)
+        and _only(chain(rows), (list, tuple))
+        and _only(chain(chain(rows)), (int, float))
+    ):
+        return None
+    try:
+        numbers = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if numbers.shape != (len(rows), width, 2):
+        return None
+    return numbers.view(complex)[..., 0]
+
+
+def _parse_states(states_raw, dims):
+    """The states of a well-formed payload, or None when any entry is not.
+
+    One structural pass sorts the entries by kind.  Each party's product
+    factors are then parsed into one (l, d_r) stack and normalized by
+    :func:`_unit_rows`; each dense amplitude vector is parsed as one array.
+    """
+    products, dense = [], []
+    total = math.prod(dims)
+    for pos, entry in enumerate(states_raw):
+        if not isinstance(entry, dict) or len(entry) != 1:
+            return None
+        kind, value = next(iter(entry.items()))
+        if kind == "product" and isinstance(value, list) and len(value) == len(dims):
+            products.append((pos, value))
+        elif kind == "dense" and isinstance(value, list) and len(value) == total:
+            dense.append((pos, value))
+        else:
+            return None
+
+    states = [None] * len(states_raw)
+    if products:
+        stacks = []
+        for party, d in enumerate(dims):
+            stack = _pair_rows([factors[party] for _, factors in products], d)
+            if stack is None:
+                return None
+            try:
+                stacks.append(_unit_rows(stack))
+            except ValueError:
+                return None
+        for (pos, _), factors in zip(products, zip(*map(list, stacks))):
+            states[pos] = ProductState._from_units(factors)
+    for pos, amps_raw in dense:
+        amps = _pair_rows([amps_raw], total)
+        if amps is None:
+            return None
+        try:
+            states[pos] = DenseState(amps[0], dims)
+        except ValueError:
+            return None
+    return states
+
+
+def _raise_first_error(states_raw, dims):
+    """Raise the :class:`StateFormatError` of the earliest malformed state,
+    checking each entry field by field."""
     total = math.prod(dims)
     for pos, entry in enumerate(states_raw):
         where = f"states[{pos}]"
@@ -416,7 +465,7 @@ def state_set_from_dict(payload) -> StateSet:
                     ]
                 )
             try:
-                states.append(ProductState(factors))
+                ProductState(factors)
             except ValueError as exc:
                 raise StateFormatError(f"{where}.product: {exc}") from None
         elif kind == "dense":
@@ -430,11 +479,43 @@ def state_set_from_dict(payload) -> StateSet:
                 for idx, v in enumerate(amps_raw)
             ]
             try:
-                states.append(DenseState(amps, dims))
+                DenseState(amps, dims)
             except ValueError as exc:
                 raise StateFormatError(f"{where}.dense: {exc}") from None
         else:
             raise StateFormatError(f"{where}: unknown state kind {kind!r}")
+    raise AssertionError("the batch parse rejected a payload with no malformed state")
+
+
+def state_set_from_dict(payload) -> StateSet:
+    """Parse a state-set payload, naming the offending field on failure.
+
+    Well-formed payloads are parsed in batches.  When a payload is not, its
+    entries are checked one by one, so the earliest failing state is the one
+    named.
+    """
+    if not isinstance(payload, dict):
+        raise StateFormatError("top level: expected an object")
+    label = payload.get("label", "")
+    if not isinstance(label, str):
+        raise StateFormatError("label: expected a string")
+    dims_raw = payload.get("dims")
+    if (
+        not isinstance(dims_raw, list)
+        or not dims_raw
+        or not all(isinstance(d, int) and not isinstance(d, bool) for d in dims_raw)
+    ):
+        raise StateFormatError("dims: expected a non-empty list of integers")
+    try:
+        dims = check_signature(dims_raw)
+    except ValueError as exc:
+        raise StateFormatError(f"dims: {exc}") from None
+    states_raw = payload.get("states")
+    if not isinstance(states_raw, list):
+        raise StateFormatError("states: expected a list")
+    states = _parse_states(states_raw, dims)
+    if states is None:
+        _raise_first_error(states_raw, dims)
     return StateSet(dims, states, label)
 
 

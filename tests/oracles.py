@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from locstab.numerics import vec_inner
 from locstab.states import _party_blocks, as_dense
 
 
@@ -109,3 +110,105 @@ def seesaw_sequential(state_set, restarts=50, iters=200, rng_seed=0):
             best_overlap = overlap
             best_factors = [f.copy() for f in factors]
     return best_overlap, best_factors, runs
+
+
+def rest_inner(state_set, j, k, i):
+    """Inner product of states k and j over every party except ``i``
+    (conjugate-linear in state k's factors): the per-pair reference for the
+    conflict rest magnitudes."""
+    if not state_set.all_product:
+        raise ValueError(
+            "rest_inner needs an all-product set; decompose dense states with "
+            "bpart_decompose and use the general span path instead"
+        )
+    size = len(state_set)
+    if not (0 <= j < size and 0 <= k < size):
+        raise IndexError(f"state indices ({j}, {k}) out of range for size {size}")
+    if j == k:
+        raise ValueError("rest_inner needs two distinct states (j != k)")
+    if not 0 <= i < len(state_set.dims):
+        raise IndexError(f"party {i} out of range for {len(state_set.dims)} parties")
+    out = 1.0 + 0.0j
+    for r in range(len(state_set.dims)):
+        if r != i:
+            out *= vec_inner(state_set[k].factors[r], state_set[j].factors[r])
+    return complex(out)
+
+
+def unit_reference(vec):
+    """``vec`` over its ``np.linalg.norm``, the per-vector normalization rule."""
+    arr = np.array(vec, dtype=complex)
+    return arr / np.linalg.norm(arr)
+
+
+def shift_family_factors(n, seeds=None):
+    """Every factor of the N = 2n-1 shift-family states, built the O(N^2)
+    way: state t (t = 1..N) carries table entry (t - r) mod N at party r
+    (r = 1..N), each factor normalized on its own.  Returns a list of N
+    lists of N factors."""
+    parties = 2 * n - 1
+    if seeds is None:
+        seeds = [
+            np.array([math.cos(i * math.pi / (2 * n)), math.sin(i * math.pi / (2 * n))])
+            for i in range(1, n)
+        ]
+    seeds = [unit_reference(seed) for seed in seeds]
+    table = [np.array([0.0, 1.0], dtype=complex)]
+    table += [np.array([np.conj(s[1]), -np.conj(s[0])]) for s in seeds]
+    table += [seeds[n - 2 - i] for i in range(n - 1)]
+    return [
+        [unit_reference(table[(t - r) % parties]) for r in range(1, parties + 1)]
+        for t in range(1, parties + 1)
+    ]
+
+
+def validate_seeds_loop(seeds, n, orth_abs=1e-10):
+    """Shift-family seed vetting one seed and one seed pair at a time, in
+    ``itertools.combinations`` order, with the library's messages."""
+    if len(seeds) != n - 1:
+        raise ValueError(f"expected {n - 1} seeds for n={n}, got {len(seeds)}")
+    normalized = []
+    for pos, seed in enumerate(seeds):
+        arr = np.asarray(seed, dtype=complex)
+        if arr.shape != (2,):
+            raise ValueError(f"seed {pos} is not a single-qubit vector")
+        norm = np.linalg.norm(arr)
+        if norm == 0.0:
+            raise ValueError(f"seed {pos} is the zero vector")
+        normalized.append(arr / norm)
+    lo, hi = orth_abs, 1.0 - orth_abs
+    for pos, seed in enumerate(normalized):
+        overlap = abs(seed[0])
+        if overlap <= lo:
+            raise ValueError(f"seed {pos} is orthogonal to |0>")
+        if overlap >= hi:
+            raise ValueError(f"seed {pos} is parallel to |0>")
+    for a, b in itertools.combinations(range(len(normalized)), 2):
+        overlap = abs(vec_inner(normalized[a], normalized[b]))
+        if overlap <= lo:
+            raise ValueError(f"seeds {a} and {b} are mutually orthogonal")
+        if overlap >= hi:
+            raise ValueError(f"seeds {a} and {b} are parallel")
+    return normalized
+
+
+def conflict_attribution_loop(certificate):
+    """(shared_pairs, conflict_counts) of a certificate by a dict over every
+    conflict pair: each unordered pair maps to the parties it conflicts at,
+    in record order; pairs at more than one party are shared."""
+    attribution = {}
+    counts = []
+    for record in certificate.parties:
+        pairs = record.conflict_pairs or ()
+        counts.append(len(pairs))
+        for j, k in pairs:
+            unordered = (j, k) if j < k else (k, j)
+            parties = attribution.setdefault(unordered, [])
+            if record.party not in parties:
+                parties.append(record.party)
+    shared = tuple(
+        (pair, tuple(parties))
+        for pair, parties in sorted(attribution.items())
+        if len(parties) > 1
+    )
+    return shared, tuple(counts)

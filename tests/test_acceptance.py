@@ -4,8 +4,9 @@ Each test prints one [PASS]/[FAIL] line (visible with ``pytest -s``) and
 asserts the same condition, covering: named-set stability verdicts, size
 bound values, the heptagon six-subset campaign plus its misprint variant,
 shift-family subset campaigns, the square-root subset reproduction
-certified on 49, 99, 199 and 399 qubit parties, five randomized property suites at 1000 trials each,
-compositions of stable sets, and the complement see-saw evidence.
+certified on every odd width from 37 to 201 and on 399 qubit parties,
+five randomized property suites at 1000 trials each, compositions of
+stable sets, and the complement see-saw evidence.
 """
 
 import itertools
@@ -195,28 +196,27 @@ def test_sqrt_subset_reproduction():
     size_ok = len(plan.indices) == 21 and len(subset) == 21
     pairs = ls.verify_two_pairs(plan)
     pairs_ok = pairs.ok and len(pairs.counts) == 49
-    # certified at the default tolerance on N = 49, 99, 199 and 399 parties,
-    # with the default seeds and with random valid ones
+    # certified at the default tolerance on every odd width from 37 to 201
+    # and on 399 parties with the default seeds, and on N = 49, 99, 199 and
+    # 399 with random valid ones
     rng = np.random.default_rng(29)
+    runs = [((parties + 1) // 2, None) for parties in range(37, 202, 2)]
+    runs += [(200, None)]
+    runs += [(n, random_valid_seeds(n, rng)) for n in (25, 50, 100, 200)]
     certified = []
-    for n in (25, 50, 100, 200):
-        for seeds in (None, random_valid_seeds(n, rng)):
-            wide_plan, wide_set = ls.sqrt_subset(n, seeds)
-            certificate = ls.is_locally_stable(wide_set)
-            if certificate.stable and sqrt_subset_conflicts_match_plan(
-                wide_plan, certificate
-            ):
-                certified.append(wide_plan.parties)
-    certified_ok = certified == [49, 49, 99, 99, 199, 199, 399, 399]
     all_widths_ok = True
-    for parties in range(37, 202, 2):
-        wide_plan = ls.sqrt_subset_plan((parties + 1) // 2)
+    for n, seeds in runs:
+        wide_plan, wide_set = ls.sqrt_subset(n, seeds)
         if len(wide_plan.indices) != 3 * wide_plan.block:
             all_widths_ok = False
-            break
         if not ls.verify_two_pairs(wide_plan).ok:
             all_widths_ok = False
-            break
+        certificate = ls.is_locally_stable(wide_set)
+        if certificate.stable and sqrt_subset_conflicts_match_plan(
+            wide_plan, certificate
+        ):
+            certified.append(wide_plan.parties)
+    certified_ok = certified == list(range(37, 202, 2)) + [399, 49, 99, 199, 399]
     elapsed = time.monotonic() - start
     ok = (
         indices_ok
@@ -230,7 +230,8 @@ def test_sqrt_subset_reproduction():
         "square-root subset reproduction",
         ok,
         f"|T|={len(plan.indices)}, two-pairs min={pairs.minimum}, "
-        f"stable at N={sorted(set(certified))}, all widths={all_widths_ok}, "
+        f"stable at {len(set(certified))} widths from {min(certified, default=None)} "
+        f"to {max(certified, default=None)}, plans ok={all_widths_ok}, "
         f"{elapsed:.2f}s",
     )
 

@@ -31,6 +31,7 @@ from locstab import (
     vec_inner,
     verify_two_pairs,
 )
+from oracles import shift_family_factors, validate_seeds_loop
 
 
 def orthogonal_parties(state_set, j, k, cutoff=1e-10):
@@ -39,6 +40,18 @@ def orthogonal_parties(state_set, j, k, cutoff=1e-10):
         for r in range(len(state_set.dims))
         if abs(vec_inner(state_set[j].factors[r], state_set[k].factors[r])) < cutoff
     ]
+
+
+def _random_seeds(n, seed):
+    """n-1 random raw seeds that validate_seeds accepts."""
+    rng = np.random.default_rng(seed)
+    while True:
+        raw = list(rng.standard_normal((n - 1, 2)) + 1j * rng.standard_normal((n - 1, 2)))
+        try:
+            validate_seeds(raw, n)
+            return raw
+        except ValueError:
+            continue
 
 
 class TestSeeds:
@@ -65,6 +78,46 @@ class TestSeeds:
     def test_parallel_pair_rejected(self):
         with pytest.raises(ValueError, match="parallel"):
             validate_seeds([np.array([1.0, 1.0]), np.array([2.0, 2.0])], 3)
+
+    @staticmethod
+    def _outcome(vet, seeds, n):
+        try:
+            return [seed.tobytes() for seed in vet(seeds, n)]
+        except ValueError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("trial", range(60))
+    def test_matches_pairwise_loop(self, trial):
+        rng = np.random.default_rng(trial)
+        n = int(rng.integers(2, 60))
+        seeds = list(rng.standard_normal((n - 1, 2)) + 1j * rng.standard_normal((n - 1, 2)))
+        # plant up to three defects: a perp or scaled copy of an earlier seed,
+        # a pole, a zero vector or a malformed seed
+        for _ in range(int(rng.integers(0, 4)) if n > 2 else 0):
+            a, b = sorted(rng.choice(n - 1, size=2, replace=False).tolist())
+            kind = (0, 0, 0, 1, 1, 1, 2, 3, 4, 5)[int(rng.integers(10))]
+            if kind == 0:
+                seeds[b] = np.array([np.conj(seeds[a][1]), -np.conj(seeds[a][0])])
+            elif kind == 1:
+                seeds[b] = seeds[a] * (2.0 - 1j)
+            elif kind == 2:
+                seeds[b] = np.array([0.0, 1.0 + 1j])
+            elif kind == 3:
+                seeds[b] = np.array([3.0j, 0.0])
+            elif kind == 4:
+                seeds[b] = np.zeros(2)
+            else:
+                seeds[b] = np.ones(3)
+        assert self._outcome(validate_seeds, seeds, n) == self._outcome(
+            validate_seeds_loop, seeds, n
+        )
+
+    def test_first_offending_pair_in_combinations_order(self):
+        seeds = [np.array([1.0, 0.1 * (i + 1)]) for i in range(6)]
+        seeds[4] = seeds[3] * 2.0
+        seeds[5] = np.array([np.conj(seeds[1][1]), -np.conj(seeds[1][0])])
+        with pytest.raises(ValueError, match="^seeds 1 and 5 are mutually orthogonal$"):
+            validate_seeds(seeds, 7)
 
     def test_qubit_perp(self):
         v = np.array([0.6, 0.8j])
@@ -130,6 +183,16 @@ class TestShiftFamily:
     def test_n_too_small(self):
         with pytest.raises(ValueError):
             shift_family(1)
+
+    @pytest.mark.parametrize("random_seeds", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 19, 25, 100])
+    def test_factor_bytes_match_quadratic_reference(self, n, random_seeds):
+        seeds = _random_seeds(n, n) if random_seeds else None
+        family = shift_family(n, seeds)
+        reference = shift_family_factors(n, seeds)
+        assert len(family) == len(reference) == 2 * n - 1
+        for state, factors in zip(family, reference):
+            assert [f.tobytes() for f in state.factors] == [f.tobytes() for f in factors]
 
 
 class TestUpbShifts:
@@ -302,6 +365,18 @@ class TestSqrtSubset:
         family = shift_family(19)
         for t, state in zip(plan.indices, subset):
             assert states_close(state, family[t])
+
+    @pytest.mark.parametrize("random_seeds", [False, True])
+    @pytest.mark.parametrize("n", [19, 25, 100])
+    def test_factor_bytes_match_quadratic_reference(self, n, random_seeds):
+        seeds = _random_seeds(n, n + 1) if random_seeds else None
+        plan, subset = sqrt_subset(n, seeds)
+        reference = shift_family_factors(n, seeds)
+        assert len(subset) == len(plan.indices)
+        for t, state in zip(plan.indices, subset):
+            assert [f.tobytes() for f in state.factors] == [
+                f.tobytes() for f in reference[t]
+            ]
 
     def test_selected_parties_keep_two_orthogonal_pairs(self):
         _, subset = sqrt_subset(19)

@@ -1,6 +1,7 @@
 """Certifier tests: conflict sets, span generators, certificates, bounds,
 counting audits, and the complement see-saw."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -24,7 +25,6 @@ from locstab import (
     hs_inner,
     is_locally_stable,
     party_stable,
-    rest_inner,
     shift_family,
     span_generators,
     span_rank,
@@ -38,7 +38,7 @@ from locstab import (
     validate_seeds,
     vec_inner,
 )
-from oracles import seesaw_sequential
+from oracles import conflict_attribution_loop, rest_inner, seesaw_sequential
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -380,6 +380,44 @@ class TestConflictAudit:
         with pytest.raises(ValueError, match="all-product"):
             conflict_audit(entangled_triple())
 
+    @pytest.mark.parametrize(
+        "build",
+        [upb_qubit3, upb_tiles33, upb_sep333, upb_44_reducible, basis_set_2x2,
+         lambda: upb_shifts(5), lambda: shift_family(10), lambda: sqrt_subset(19)[1]],
+    )
+    def test_matches_attribution_loop(self, build):
+        state_set = build()
+        audit = conflict_audit(state_set)
+        shared, counts = conflict_attribution_loop(is_locally_stable(state_set))
+        assert audit.shared_pairs == shared
+        assert audit.conflict_counts == counts
+
+    def test_shared_pairs_of_a_hand_made_certificate(self):
+        # conflict pairs that no real certificate has: unordered pairs at
+        # several parties, in both orders at one party
+        q3 = upb_qubit3()
+        cert = is_locally_stable(q3)
+        pairs = [
+            ((0, 1), (1, 0), (2, 3)),
+            ((1, 2), (3, 2), (0, 2)),
+            ((2, 3), (0, 1), (3, 0)),
+        ]
+        cert = dataclasses.replace(
+            cert,
+            parties=tuple(
+                dataclasses.replace(record, conflict_pairs=p)
+                for record, p in zip(cert.parties, pairs)
+            ),
+        )
+        audit = conflict_audit(q3, certificate=cert)
+        assert audit.shared_pairs == (((0, 1), (0, 2)), ((2, 3), (0, 1, 2)))
+        assert (audit.shared_pairs, audit.conflict_counts) == conflict_attribution_loop(cert)
+        assert not audit.disjoint
+        assert audit.to_dict()["shared_pairs"] == [
+            {"pair": [0, 1], "parties": [0, 2]},
+            {"pair": [2, 3], "parties": [0, 1, 2]},
+        ]
+
 
 class TestCardinalityLowerBound:
     @pytest.mark.parametrize(
@@ -522,11 +560,21 @@ class TestComplementSearch:
         best, _, runs = _sequential_search(name, seed, iters)
         assert abs(overlap - best) <= 1e-12
         # Restarts that reach the best overlap at different optima tie to
-        # within rounding, and rounding picks the first of them; the
-        # witness must be the final state of one restart that ties.
+        # within rounding; the witness must be the final state of one
+        # restart that ties.
         phi = tensor_expand(witness).amplitudes
         tied = [factors for value, factors, _ in runs if value >= best - 1e-12]
         assert any(_equal_up_to_phase(phi, factors) for factors in tied)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("name", sorted(_SEARCH_SETS))
+    def test_witness_is_the_first_restart_near_the_best(self, name, seed):
+        _, witness = complement_product_search(
+            _SEARCH_SETS[name](), restarts=_SEARCH_RESTARTS, iters=200, rng_seed=seed
+        )
+        best, _, runs = _sequential_search(name, seed, 200)
+        first = next(factors for value, factors, _ in runs if value >= best - 1e-12)
+        assert _equal_up_to_phase(tensor_expand(witness).amplitudes, first)
 
     def test_exact_ties_keep_the_first_restart(self):
         # restarts end at |01> or |10>, both at overlap exactly 1

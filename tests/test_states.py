@@ -8,6 +8,7 @@ import pytest
 
 from locstab import (
     DenseState,
+    entangled_triple,
     ProductState,
     StateFormatError,
     StateSet,
@@ -18,16 +19,21 @@ from locstab import (
     factor_zero_pattern,
     heptagon_qutrit_states,
     load_set,
-    rest_inner,
     save_set,
     state_inner,
     state_set_from_dict,
     state_set_to_dict,
     states_close,
     tensor_expand,
+    shift_family,
+    upb_44_reducible,
     upb_qubit3,
+    upb_sep333,
+    upb_shifts,
+    upb_tiles33,
+    validate_seeds,
 )
-from oracles import inner_brute, kron_expand_brute
+from oracles import inner_brute, kron_expand_brute, rest_inner, unit_reference
 
 KET0 = [1.0, 0.0]
 KET1 = [0.0, 1.0]
@@ -344,6 +350,223 @@ class TestJsonFormat:
         first = json.dumps(payload)
         second = json.dumps(state_set_to_dict(upb_qubit3()))
         assert first == second
+
+
+def _pairs_to_vector(pairs):
+    return [complex(re, im) for re, im in pairs]
+
+
+def _assert_loaded_bitwise(payload):
+    """Every loaded factor and amplitude vector has the bytes of the raw
+    payload vector over its own ``np.linalg.norm``."""
+    loaded = state_set_from_dict(payload)
+    assert len(loaded) == len(payload["states"])
+    for state, entry in zip(loaded, payload["states"]):
+        if "product" in entry:
+            assert isinstance(state, ProductState)
+            assert len(state.factors) == len(entry["product"])
+            for factor, raw in zip(state.factors, entry["product"]):
+                reference = unit_reference(_pairs_to_vector(raw))
+                assert factor.dtype == complex and factor.shape == reference.shape
+                assert factor.tobytes() == reference.tobytes()
+                assert not factor.flags.writeable
+        else:
+            assert isinstance(state, DenseState)
+            reference = unit_reference(_pairs_to_vector(entry["dense"]))
+            assert state.amplitudes.tobytes() == reference.tobytes()
+
+
+def _random_pairs(rng, d, ints=False):
+    if ints:
+        return rng.integers(-9, 10, size=(d, 2)).tolist()
+    scale = 10.0 ** rng.integers(-3, 4)
+    return (rng.standard_normal((d, 2)) * scale).tolist()
+
+
+def _dense_copy(state_set):
+    return StateSet(state_set.dims, [as_dense(s) for s in state_set], "dense")
+
+
+class TestBatchLoader:
+    @pytest.mark.parametrize(
+        "build",
+        [upb_qubit3, upb_tiles33, upb_sep333, upb_44_reducible, heptagon_qutrit_states,
+         lambda: upb_shifts(4), lambda: entangled_triple(3)],
+    )
+    def test_named_sets_load_bitwise(self, build):
+        _assert_loaded_bitwise(state_set_to_dict(build()))
+
+    def test_wide_shift_family_loads_bitwise(self):
+        rng = np.random.default_rng(41)
+        raw = rng.standard_normal((29, 2)) + 1j * rng.standard_normal((29, 2))
+        family = shift_family(30, validate_seeds(list(raw), 30))
+        _assert_loaded_bitwise(state_set_to_dict(family))
+
+    def test_dense_set_loads_bitwise(self):
+        _assert_loaded_bitwise(state_set_to_dict(_dense_copy(upb_shifts(5))))
+
+    def test_mixed_dims_and_kinds_load_bitwise(self):
+        rng = np.random.default_rng(43)
+        dims = (2, 3, 4)
+        states = [random_product_state(rng, dims) for _ in range(5)]
+        states.insert(2, as_dense(random_product_state(rng, dims)))
+        _assert_loaded_bitwise(state_set_to_dict(StateSet(dims, states, "mixed")))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_payloads_load_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = [int(d) for d in rng.integers(2, 5, size=int(rng.integers(1, 5)))]
+        total = math.prod(dims)
+        entries = []
+        for _ in range(int(rng.integers(1, 9))):
+            ints = bool(rng.integers(2))
+            if rng.random() < 0.25:
+                entries.append({"dense": _random_pairs(rng, total, ints)})
+            else:
+                entries.append({"product": [_random_pairs(rng, d, ints) for d in dims]})
+        _assert_loaded_bitwise({"label": "random", "dims": dims, "states": entries})
+
+    def test_numpy_numbers_and_tuple_pairs_accepted(self):
+        pairs = [(np.float64(0.6), np.float64(0.0)), [np.float64(0.0), 0.8]]
+        payload = {"dims": [2, 2], "states": [{"product": [pairs, [[1, 0], [0, 0]]]}]}
+        _assert_loaded_bitwise(payload)
+
+    def test_empty_state_list_loads(self):
+        assert len(state_set_from_dict({"dims": [2], "states": []})) == 0
+
+
+_Q = [[1, 0], [0, 1]]
+_T = [[1, 0], [0, 0], [0, 1]]
+_Z2 = [[0, 0], [0.0, 0]]
+
+
+def _prod(*factors):
+    return {"product": list(factors)}
+
+
+# (payload, the message the per-entry parser gave before batching)
+MALFORMED = {
+    "not an object": (["x"], "top level: expected an object"),
+    "entry not an object": (
+        {"dims": [2], "states": [[1, 0]]},
+        "states[0]: expected an object with exactly one of 'product' or 'dense'",
+    ),
+    "entry with two kinds": (
+        {"dims": [2], "states": [{"product": [_Q], "dense": []}]},
+        "states[0]: expected an object with exactly one of 'product' or 'dense'",
+    ),
+    "empty entry": (
+        {"dims": [2], "states": [{}]},
+        "states[0]: expected an object with exactly one of 'product' or 'dense'",
+    ),
+    "unknown kind": ({"dims": [2], "states": [{"weird": []}]}, "states[0]: unknown state kind 'weird'"),
+    "product not a list": (
+        {"dims": [2], "states": [{"product": "ab"}]},
+        "states[0].product: expected one factor per party (1)",
+    ),
+    "too few factors": (
+        {"dims": [2, 3], "states": [_prod(_Q)]},
+        "states[0].product: expected one factor per party (2)",
+    ),
+    "factor is a tuple": (
+        {"dims": [2, 3], "states": [_prod(_Q, tuple(_T))]},
+        "states[0].product[1]: factor length must equal dims[1]=3",
+    ),
+    "factor too long": (
+        {"dims": [2, 3], "states": [_prod(_Q, _T + [[0, 0]])]},
+        "states[0].product[1]: factor length must equal dims[1]=3",
+    ),
+    "pair is a string": (
+        {"dims": [2], "states": [_prod([[1, 0], "x"])]},
+        "states[0].product[0][1]: expected a [re, im] number pair",
+    ),
+    "pair too short": (
+        {"dims": [2], "states": [_prod([[1, 0], [1]])]},
+        "states[0].product[0][1]: expected a [re, im] number pair",
+    ),
+    "pair too long": (
+        {"dims": [2], "states": [_prod([[1, 0], [1, 0, 0]])]},
+        "states[0].product[0][1]: expected a [re, im] number pair",
+    ),
+    "bool in a pair": (
+        {"dims": [2], "states": [_prod([[True, 0], [0, 1]])]},
+        "states[0].product[0][0]: expected a [re, im] number pair",
+    ),
+    "None in a pair": (
+        {"dims": [2], "states": [_prod([[1, None], [0, 1]])]},
+        "states[0].product[0][0]: expected a [re, im] number pair",
+    ),
+    "string number": (
+        {"dims": [2], "states": [_prod([[1, 0], ["1", 0]])]},
+        "states[0].product[0][1]: expected a [re, im] number pair",
+    ),
+    "nested list in a pair": (
+        {"dims": [2], "states": [_prod([[1, [0]], [0, 1]])]},
+        "states[0].product[0][0]: expected a [re, im] number pair",
+    ),
+    "array pair": (
+        {"dims": [2], "states": [_prod([np.array([1.0, 0.0]), [0, 1]])]},
+        "states[0].product[0][0]: expected a [re, im] number pair",
+    ),
+    "bool deep in a later state": (
+        {"dims": [2, 3, 2],
+         "states": [_prod(_Q, _T, _Q)] * 3 + [_prod(_Q, _T, [[0.5, 0], [0.5, False]])]},
+        "states[3].product[2][1]: expected a [re, im] number pair",
+    ),
+    "zero factor before a format error": (
+        {"dims": [2, 2], "states": [_prod(_Q, _Z2), _prod(_Q, [[1, 0], "x"])]},
+        "states[0].product: cannot normalize a zero vector",
+    ),
+    "format error before a zero factor": (
+        {"dims": [2, 2], "states": [_prod(_Q, [[1, 0], "x"]), _prod(_Z2, _Q)]},
+        "states[0].product[1][1]: expected a [re, im] number pair",
+    ),
+    "zero factor at a later party first": (
+        {"dims": [2, 2, 2], "states": [_prod(_Q, _Q, _Q), _prod(_Q, _Q, _Z2), _prod(_Z2, _Q, _Q)]},
+        "states[1].product: cannot normalize a zero vector",
+    ),
+    "format error after a zero factor in one state": (
+        {"dims": [2, 2], "states": [_prod(_Z2, [[1, 0], [0, "x"]])]},
+        "states[0].product[1][1]: expected a [re, im] number pair",
+    ),
+    "dense not a list": (
+        {"dims": [2, 2], "states": [{"dense": {"a": 1}}]},
+        "states[0].dense: expected 4 amplitude pairs",
+    ),
+    "dense too short": (
+        {"dims": [2, 2], "states": [{"dense": [[1, 0], [0, 0]]}]},
+        "states[0].dense: expected 4 amplitude pairs",
+    ),
+    "bool in dense": (
+        {"dims": [2, 2], "states": [{"dense": [[1, 0], [0, 0], [0, 0], [0, True]]}]},
+        "states[0].dense[3]: expected a [re, im] number pair",
+    ),
+    "dense zero vector": (
+        {"dims": [2, 2], "states": [_prod(_Q, _Q), {"dense": [[0, 0]] * 4}]},
+        "states[1].dense: cannot normalize a zero vector",
+    ),
+    "dense zero before a product zero": (
+        {"dims": [2, 2], "states": [{"dense": [[0, 0]] * 4}, _prod(_Z2, _Q)]},
+        "states[0].dense: cannot normalize a zero vector",
+    ),
+    "product zero before a dense format error": (
+        {"dims": [2, 2], "states": [_prod(_Q, _Z2), {"dense": [[1, 0]] * 3}]},
+        "states[0].product: cannot normalize a zero vector",
+    ),
+    "mixed dims zero factor": (
+        {"dims": [2, 3, 4],
+         "states": [_prod(_Q, _T, [[1, 0]] * 4), _prod(_Q, [[0, 0]] * 3, [[1, 0]] * 4)]},
+        "states[1].product: cannot normalize a zero vector",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_payload_message(case):
+    payload, message = MALFORMED[case]
+    with pytest.raises(StateFormatError) as excinfo:
+        state_set_from_dict(payload)
+    assert str(excinfo.value) == message
 
 
 class TestStatesClose:
