@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DEFAULT_TOL, Tolerance
-from .stability import is_locally_stable
+from .stability import _subset_verdicts
 from .states import DenseState, ProductState, StateSet, _unit, _unit_rows, as_dense
 
 __all__ = [
@@ -409,8 +409,17 @@ def subset_campaign(
     sample_size: int = 10**4,
     rng_seed: int = 0,
 ) -> CampaignReport:
-    """Certify every k-subset of ``state_set`` (orthogonal subsets inherit
-    orthogonality, so no subset can error out).
+    """Certify every k-subset of ``state_set``; each verdict is that of
+    :func:`~locstab.stability.is_locally_stable` on the subset.
+
+    An all-product set is certified from its own factor zero pattern, built
+    once: a subset's conflict pairs and generators are the parent's pairs
+    with both states in the subset, and each party's span ranks are shared
+    by subsets that keep the same pairs.  A subset holding a non-orthogonal
+    pair raises :class:`~locstab.stability.OrthogonalityError` with that
+    subset's indices, at the first such subset in order; a non-orthogonal
+    set with no such subset (k = 1, or a sample that draws none) still gets
+    its report.  Sets with dense members are certified subset by subset.
 
     When the subset count exceeds ``sample_threshold`` a seeded random sample
     of about ``sample_size`` distinct subsets is checked instead and the
@@ -436,11 +445,8 @@ def subset_campaign(
     stable = 0
     unstable = 0
     witnesses = []
-    checked = 0
-    for combo in combos:
-        checked += 1
-        certificate = is_locally_stable(state_set.subset(combo), tol)
-        if certificate.stable:
+    for combo, verdict in _subset_verdicts(state_set, combos, tol):
+        if verdict:
             stable += 1
         else:
             unstable += 1
@@ -450,7 +456,7 @@ def subset_campaign(
         set_label=state_set.label,
         subset_size=k,
         total_subsets=total,
-        checked=checked,
+        checked=stable + unstable,
         sampled=sampled,
         stable=stable,
         unstable=unstable,

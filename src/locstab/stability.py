@@ -14,6 +14,7 @@ search for product states in a set's orthogonal complement.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from .states import (
     as_dense,
     check_mutual_orthogonality,
     check_signature,
+    factor_zero_pattern,
 )
 
 __all__ = [
@@ -53,6 +55,10 @@ __all__ = [
 # one (D/d_i, l*d_i) contraction matrix per party, plus the restarts' rest
 # vectors and final product states.
 _SEARCH_DENSE_LIMIT = 1 << 20
+
+# Subsets a campaign certifies together: bounds the (block, l) membership
+# and (block, m) kept-row masks, and the distinct masks ranked per block.
+_SUBSET_BLOCK = 512
 
 
 class OrthogonalityError(ValueError):
@@ -237,6 +243,56 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     return StabilityCertificate(
         state_set.label, tol, tuple(records), all(r.stable for r in records)
     )
+
+
+def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
+    """Yield (combo, stable) for every ascending index tuple of ``combos``,
+    each verdict that of ``is_locally_stable(state_set.subset(combo), tol)``.
+
+    Factor overlaps are computed elementwise, so a subset's zero pattern,
+    conflict pairs and generator rows are its parent's restricted to pairs
+    with both states in the subset, in the parent's order, and span_rank
+    sees the rows it would see on the subset.  Per block of combos and per
+    party, each distinct kept-row mask is ranked once; a subset skips the
+    block's later parties after its first party short of d**2 - 1.
+    """
+    combos = iter(combos)
+    if not state_set.all_product:
+        for combo in combos:
+            yield combo, is_locally_stable(state_set.subset(combo), tol).stable
+        return
+    pattern = factor_zero_pattern(state_set, tol)
+    offending = pattern.offending_pairs()
+    bad = np.array([pair[:2] for pair in offending], dtype=np.int64).reshape(-1, 2)
+    parties = []
+    for party, d in enumerate(state_set.dims):
+        pairs, _ = _party_conflicts(pattern, party)
+        rows = _product_generators(pattern.factors[party], pairs)
+        parties.append((pairs, rows, d * d - 1))
+
+    while block := list(itertools.islice(combos, _SUBSET_BLOCK)):
+        member = np.zeros((len(block), len(state_set)), dtype=bool)
+        np.put_along_axis(member, np.array(block), True, axis=1)
+        hits = (member[:, bad[:, 0]] & member[:, bad[:, 1]]).any(axis=1)
+        if hits.any():
+            combo = block[int(hits.argmax())]
+            position = {j: pos for pos, j in enumerate(combo)}
+            raise OrthogonalityError(
+                (position[j], position[k], value)
+                for j, k, value in offending
+                if j in position and k in position
+            )
+        stable = np.ones(len(block), dtype=bool)
+        for pairs, rows, required in parties:
+            live = stable.nonzero()[0]
+            if not live.size:
+                break
+            alive = member[live]
+            kept = alive[:, pairs[:, 0]] & alive[:, pairs[:, 1]]
+            masks, inverse = np.unique(kept, axis=0, return_inverse=True)
+            ranks = np.array([span_rank(rows[mask], tol) for mask in masks])
+            stable[live] = ranks[inverse.reshape(-1)] == required
+        yield from zip(block, stable.tolist())
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ party most significant, here and in the JSON file format.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -361,7 +362,13 @@ def _parse_pair(value, where):
     )
     if not ok:
         raise StateFormatError(f"{where}: expected a [re, im] number pair")
-    return complex(value[0], value[1])
+    try:
+        number = complex(value[0], value[1])
+    except OverflowError:
+        number = None
+    if number is None or not cmath.isfinite(number):
+        raise StateFormatError(f"{where}: numbers must be finite floats")
+    return number
 
 
 def _only(values, types) -> bool:
@@ -385,7 +392,7 @@ def _pair_rows(rows, width):
         numbers = np.array(rows, dtype=float)
     except (TypeError, ValueError, OverflowError):
         return None
-    if numbers.shape != (len(rows), width, 2):
+    if numbers.shape != (len(rows), width, 2) or not np.isfinite(numbers).all():
         return None
     return numbers.view(complex)[..., 0]
 

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from locstab.numerics import vec_inner
+from locstab.constructions import CampaignReport
+from locstab.numerics import DEFAULT_TOL, vec_inner
+from locstab.stability import is_locally_stable
 from locstab.states import _party_blocks, as_dense
 
 
@@ -212,3 +214,33 @@ def conflict_attribution_loop(certificate):
         if len(parties) > 1
     )
     return shared, tuple(counts)
+
+
+def subset_campaign_loop(
+    state_set, k, tol=DEFAULT_TOL, sample_threshold=10**6, sample_size=10**4, rng_seed=0
+):
+    """The subset campaign as one ``is_locally_stable`` call per subset, on
+    a subset set of its own, with the library's subset choice and report."""
+    size = len(state_set)
+    total = math.comb(size, k)
+    if total > sample_threshold:
+        rng = np.random.default_rng(rng_seed)
+        picked = {
+            tuple(sorted(rng.choice(size, size=k, replace=False).tolist()))
+            for _ in range(sample_size)
+        }
+        combos = sorted(picked)
+    else:
+        combos = list(itertools.combinations(range(size), k))
+    verdicts = [is_locally_stable(state_set.subset(c), tol).stable for c in combos]
+    unstable = [c for c, stable in zip(combos, verdicts) if not stable]
+    return CampaignReport(
+        set_label=state_set.label,
+        subset_size=k,
+        total_subsets=total,
+        checked=len(combos),
+        sampled=total > sample_threshold,
+        stable=len(combos) - len(unstable),
+        unstable=len(unstable),
+        unstable_subsets=tuple(unstable[:1000]),
+    )

@@ -288,6 +288,17 @@ class TestInputErrors:
         self.assert_input_error(code, out, err)
         assert "orthogonal" in err
 
+    @pytest.mark.parametrize("number", ["1" + "0" * 400, "1e400", "NaN"])
+    def test_check_number_that_is_not_a_finite_float(self, capsys, tmp_path, number):
+        path = tmp_path / "number.json"
+        path.write_text(
+            '{"dims": [2, 2], "states": [{"product": [[[%s, 0], [0, 1]], [[1, 0], [0, 0]]]}]}'
+            % number
+        )
+        code, out, err = run_cli(capsys, "check", str(path))
+        self.assert_input_error(code, out, err)
+        assert err == "error: states[0].product[0][0]: numbers must be finite floats\n"
+
     def test_check_file_that_is_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"label": "\xff", "dims": [2, 2], "states": []}')

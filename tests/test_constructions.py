@@ -1,17 +1,22 @@
 """Named-family tests: shift families, UPBs, compositions, subset plans."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import locstab.stability
+import locstab.states
 from locstab import (
     DEFAULT_TOL,
+    OrthogonalityError,
     ProductState,
     StateSet,
     cardinality_lower_bound,
     check_mutual_orthogonality,
     compose,
+    conflict_set,
     default_seeds,
     entangled_triple,
     heptagon_qutrit_states,
@@ -22,6 +27,7 @@ from locstab import (
     sqrt_subset_plan,
     states_close,
     subset_campaign,
+    tensor_expand,
     upb_44_reducible,
     upb_qubit3,
     upb_sep333,
@@ -31,7 +37,7 @@ from locstab import (
     vec_inner,
     verify_two_pairs,
 )
-from oracles import shift_family_factors, validate_seeds_loop
+from oracles import shift_family_factors, subset_campaign_loop, validate_seeds_loop
 
 
 def orthogonal_parties(state_set, j, k, cutoff=1e-10):
@@ -445,3 +451,138 @@ class TestSubsetCampaign:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             subset_campaign(upb_qubit3(), 5)
+
+
+# name -> (set builder, subset sizes, campaign options)
+CAMPAIGNS = {
+    "qubit3": (upb_qubit3, (1, 2, 3, 4), {}),
+    "tiles33": (upb_tiles33, (1, 2, 3, 4, 5), {}),
+    "sep333": (upb_sep333, (4, 5, 6), {}),
+    "upb_44_reducible": (upb_44_reducible, (9, 10, 11), {}),
+    "upb_shifts(5)": (lambda: upb_shifts(5), (6, 7), {}),
+    "upb_shifts(6)": (lambda: upb_shifts(6), (8, 9), {}),
+    "upb_shifts(5) random seeds": (lambda: upb_shifts(5, _random_seeds(5, 41)), (6, 7), {}),
+    "upb_shifts(6) random seeds": (lambda: upb_shifts(6, _random_seeds(6, 42)), (8, 9), {}),
+    "shift_family(4)": (lambda: shift_family(4), (4, 6), {}),
+    "shift_family(5)": (lambda: shift_family(5), (5, 7), {}),
+    "sqrt_subset(25) sampled": (
+        lambda: sqrt_subset(25)[1],
+        (5, 18),
+        {"sample_threshold": 1000, "sample_size": 300, "rng_seed": 3},
+    ),
+    "shift_family(7)": (lambda: shift_family(7), (6, 8), {}),
+}
+
+
+@pytest.mark.parametrize(
+    "name,k", [(name, k) for name, (_, sizes, _) in CAMPAIGNS.items() for k in sizes]
+)
+def test_campaign_matches_per_subset_certification(name, k):
+    build, _, options = CAMPAIGNS[name]
+    state_set = build()
+    assert subset_campaign(state_set, k, **options) == subset_campaign_loop(
+        state_set, k, **options
+    )
+
+
+def test_campaigns_cover_mixed_verdicts():
+    # stable and unstable subsets side by side, within one block of subsets
+    report = subset_campaign(shift_family(7), 8)
+    assert (report.checked, report.stable) == (1287, 39)
+    report = subset_campaign(sqrt_subset(25)[1], 18, sample_threshold=1000,
+                             sample_size=300, rng_seed=3)
+    assert 0 < report.stable < report.checked
+
+
+def test_campaign_witnesses_capped_at_1000():
+    report = subset_campaign(shift_family(7), 6)
+    assert report.unstable > 1000
+    assert len(report.unstable_subsets) == 1000
+
+
+class TestMisprintCampaign:
+    """The heptagon misprint breaks orthogonality at index distance 3."""
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_subset_with_offending_pair_raises_its_error(self, k):
+        misprint = heptagon_qutrit_states((1, 2, 6))
+        with pytest.raises(OrthogonalityError) as want:
+            subset_campaign_loop(misprint, k)
+        with pytest.raises(OrthogonalityError) as got:
+            subset_campaign(misprint, k)
+        assert str(got.value) == str(want.value)
+        assert got.value.pairs == want.value.pairs
+
+    @pytest.mark.parametrize(
+        "k,options",
+        [(1, {}), (2, {"sample_threshold": 1, "sample_size": 2, "rng_seed": 0})],
+    )
+    def test_subsets_without_offending_pairs_report(self, k, options):
+        misprint = heptagon_qutrit_states((1, 2, 6))
+        report = subset_campaign(misprint, k, **options)
+        assert report == subset_campaign_loop(misprint, k, **options)
+        assert report.checked and report.unstable == report.checked
+
+
+class TestCampaignCertifiesFromParent:
+    @staticmethod
+    def _counting(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_zero_pattern_and_no_subset_certificates(self, monkeypatch):
+        patterns = self._counting(monkeypatch, locstab.stability, "factor_zero_pattern")
+        patterns += self._counting(monkeypatch, locstab.states, "factor_zero_pattern")
+        certificates = self._counting(monkeypatch, locstab.stability, "is_locally_stable")
+        report = subset_campaign(upb_shifts(6), 8)
+        assert report.checked == math.comb(12, 8)
+        assert len(patterns) == 1
+        assert certificates == []
+
+    @pytest.mark.parametrize(
+        "build,k",
+        [(lambda: upb_shifts(6), 8), (lambda: upb_shifts(6), 6), (upb_44_reducible, 10)],
+    )
+    def test_one_rank_per_distinct_kept_mask_per_block(self, monkeypatch, build, k):
+        state_set = build()
+        ranks = self._counting(monkeypatch, locstab.stability, "span_rank")
+        report = subset_campaign(state_set, k)
+
+        combos = list(itertools.combinations(range(len(state_set)), k))
+        parties = [conflict_set(state_set, p).pairs for p in range(len(state_set.dims))]
+        block = locstab.stability._SUBSET_BLOCK
+        distinct = 0
+        for start in range(0, len(combos), block):
+            members = [set(c) for c in combos[start:start + block]]
+            for pairs in parties:
+                distinct += len({
+                    tuple(a in m and b in m for a, b in pairs) for m in members
+                })
+        assert report.checked == len(combos)
+        assert len(ranks) <= distinct
+        assert len(ranks) < report.checked * len(parties)
+
+    def test_dense_members_certify_each_subset(self, monkeypatch):
+        q3 = upb_qubit3()
+        dense = StateSet(q3.dims, [tensor_expand(s) for s in q3], "dense")
+        certificates = self._counting(monkeypatch, locstab.stability, "is_locally_stable")
+        report = subset_campaign(dense, 3)
+        assert report == subset_campaign_loop(dense, 3)
+        assert len(certificates) == 4
+
+    def test_back_to_back_campaigns_keep_no_state(self):
+        # same label and size, different verdicts
+        stable = StateSet(upb_shifts(6).dims, upb_shifts(6).states, "same")
+        unstable = StateSet(upb_44_reducible().dims, upb_44_reducible().states, "same")
+        runs = [stable, unstable, stable, unstable]
+        reports = [subset_campaign(s, 10) for s in runs]
+        for state_set, report in zip(runs, reports):
+            assert report == subset_campaign_loop(state_set, 10)
+        assert reports[0].unstable == 0 and reports[1].stable == 0

@@ -569,6 +569,36 @@ def test_malformed_payload_message(case):
     assert str(excinfo.value) == message
 
 
+# JSON text whose numbers are not finite floats, and the field named
+_BIG = "1" + "0" * 400
+NON_FINITE = {
+    "integer too large for a float": (
+        '{"dims": [2, 2], "states": [{"product": [[[%s, 0], [0, 0]], [[1, 0], [0, 0]]]}]}' % _BIG,
+        "states[0].product[0][0]",
+    ),
+    "float overflow": (
+        '{"dims": [2, 2], "states": [{"product": [[[1, 0], [0, 0]], [[1, 0], [0, 1e400]]]}]}',
+        "states[0].product[1][1]",
+    ),
+    "NaN in a later state": (
+        '{"dims": [2], "states": [{"product": [[[1, 0], [0, 0]]]}, {"product": [[[0, 0], [NaN, 0]]]}]}',
+        "states[1].product[0][1]",
+    ),
+    "Infinity in dense": (
+        '{"dims": [2], "states": [{"dense": [[1, 0], [0, -Infinity]]}]}',
+        "states[0].dense[1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_number_message(case):
+    text, where = NON_FINITE[case]
+    with pytest.raises(StateFormatError) as excinfo:
+        state_set_from_dict(json.loads(text))
+    assert str(excinfo.value) == f"{where}: numbers must be finite floats"
+
+
 class TestStatesClose:
     def test_global_phase_ignored(self):
         a = ProductState([KET0, KET1])
