@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
-from . import constructions
+from . import _jsonout, constructions
 from .numerics import DEFAULT_TOL, Tolerance
 from .stability import (
     cardinality_lower_bound,
@@ -66,7 +65,7 @@ def _emit(args, payload: dict, human_lines, out) -> None:
     if args.human:
         text = "\n".join(human_lines) + "\n"
     else:
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _jsonout.dumps(payload) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._jsonout import LazyList, iter_json
 from .numerics import DEFAULT_TOL, Tolerance, vec_inner
 
 __all__ = [
@@ -66,12 +67,24 @@ def _unit_rows(stack) -> np.ndarray:
     kernel :func:`numpy.linalg.norm` runs on one complex vector, so a row
     comes out bit-identical to ``row / np.linalg.norm(row)``; a different
     summation order would move last bits and with them exact factor zeros.
+    Squares overflow above about 1e154 and lose precision below about
+    1e-154, so a row whose squared norm is not a normal float is first
+    divided by its largest real or imaginary part.
     """
     re, im = stack.real, stack.imag
-    norms = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
-    if not norms.all():
-        raise ValueError("cannot normalize a zero vector")
-    stack /= norms[:, None]
+    with np.errstate(over="ignore"):
+        squares = np.vecdot(re, re) + np.vecdot(im, im)
+    extreme = np.flatnonzero(~np.isfinite(squares) | (squares < np.finfo(float).tiny))
+    if extreme.size:
+        scale = np.maximum(np.abs(re[extreme]), np.abs(im[extreme])).max(axis=1)
+        if not scale.all():
+            raise ValueError("cannot normalize a zero vector")
+        re[extreme] /= scale[:, None]
+        im[extreme] /= scale[:, None]
+        squares[extreme] = np.vecdot(re[extreme], re[extreme]) + np.vecdot(
+            im[extreme], im[extreme]
+        )
+    stack /= np.sqrt(squares)[:, None]
     stack.flags.writeable = False
     return stack
 
@@ -333,25 +346,32 @@ def states_close(a, b, atol=1e-12, up_to_phase=True) -> bool:
     return bool(np.allclose(va, vb, rtol=0.0, atol=atol))
 
 
-def _complex_pairs(vec):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec, dtype=complex)]
+def _complex_pairs(arr):
+    """``arr`` as nested lists with each complex number an [re, im] pair."""
+    arr = np.ascontiguousarray(arr, dtype=complex)
+    return arr.view(float).reshape(arr.shape + (2,)).tolist()
 
 
-def state_set_to_dict(state_set: StateSet) -> dict:
-    """The JSON-ready payload for a state set."""
-    states_payload = []
-    for state in state_set:
-        if isinstance(state, ProductState):
-            states_payload.append(
-                {"product": [_complex_pairs(f) for f in state.factors]}
-            )
-        else:
-            states_payload.append({"dense": _complex_pairs(state.amplitudes)})
+def _state_payload(state) -> dict:
+    if isinstance(state, DenseState):
+        return {"dense": _complex_pairs(state.amplitudes)}
+    if len(set(state.dims)) == 1:
+        # one (parties, d) array instead of one small array per factor
+        return {"product": _complex_pairs(state.factors)}
+    return {"product": [_complex_pairs(f) for f in state.factors]}
+
+
+def _set_payload(state_set: StateSet, states_payload) -> dict:
     return {
         "label": state_set.label,
         "dims": list(state_set.dims),
         "states": states_payload,
     }
+
+
+def state_set_to_dict(state_set: StateSet) -> dict:
+    """The JSON-ready payload for a state set."""
+    return _set_payload(state_set, [_state_payload(s) for s in state_set])
 
 
 def _parse_pair(value, where):
@@ -527,8 +547,11 @@ def state_set_from_dict(payload) -> StateSet:
 
 
 def save_set(state_set: StateSet, path) -> None:
+    """Write ``state_set`` as the text of ``json.dumps(state_set_to_dict(...),
+    indent=2)`` plus a newline, building one state's payload at a time."""
+    payload = _set_payload(state_set, LazyList(_state_payload, state_set.states))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_set_to_dict(state_set), fh, indent=2)
+        fh.writelines(iter_json(payload))
         fh.write("\n")
 
 
@@ -538,4 +561,6 @@ def load_set(path) -> StateSet:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise StateFormatError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise StateFormatError("invalid JSON: nesting too deep") from None
     return state_set_from_dict(payload)

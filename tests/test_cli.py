@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -139,6 +140,24 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", str(path))
         assert code == 2
         assert "orthogonal" in err
+
+    @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+    def test_extreme_amplitudes_check_like_unit_ones(self, capsys, tmp_path, scale):
+        text = (
+            '{"label": "x", "dims": [2, 2], "states": ['
+            '{"product": [[[%s, 0], [%s, 0]], [[1, 0], [0, 0]]]}, '
+            '{"product": [[[1, 0], [-1, 0]], [[0, 0], [1, 0]]]}]}'
+        )
+        scaled, unit = tmp_path / "scaled.json", tmp_path / "unit.json"
+        scaled.write_text(text % (scale, scale))
+        unit.write_text(text % (1, 1))
+        for a, b in zip(load_set(scaled), load_set(unit)):
+            assert [f.tobytes() for f in a.factors] == [f.tobytes() for f in b.factors]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_cli(capsys, "check", str(scaled))
+        assert result == run_cli(capsys, "check", str(unit))
+        assert result[0] == 1 and result[2] == ""
 
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "check", "/no/such/file.json")
@@ -298,6 +317,13 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, "check", str(path))
         self.assert_input_error(code, out, err)
         assert err == "error: states[0].product[0][0]: numbers must be finite floats\n"
+
+    def test_check_file_nested_too_deep(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000)
+        code, out, err = run_cli(capsys, "check", str(path))
+        self.assert_input_error(code, out, err)
+        assert err == "error: invalid JSON: nesting too deep\n"
 
     def test_check_file_that_is_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"

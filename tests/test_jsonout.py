@@ -1,0 +1,224 @@
+"""The indented JSON writer: the stdlib's exact bytes, for set files and
+every CLI payload, with a set file written one state at a time."""
+
+import json
+import math
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import locstab.cli
+from locstab import (
+    StateSet,
+    compose,
+    entangled_triple,
+    heptagon_qutrit_states,
+    save_set,
+    shift_family,
+    sqrt_subset,
+    state_set_to_dict,
+    tensor_expand,
+    upb_44_reducible,
+    upb_qubit3,
+    upb_sep333,
+    upb_shifts,
+    upb_tiles33,
+)
+from locstab._jsonout import dumps
+from locstab.cli import main
+
+# strings that look like the separators the writer rewrites inside number blocks
+TRICKY = [", ", "], [", "]], [[", "[", "]", '"', "\\", "é", "☃", "\n", "a, b", ""]
+
+strings = st.one_of(st.sampled_from(TRICKY), st.text(max_size=8))
+numbers = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-300, 1e300]),
+    st.booleans(),
+    st.none(),
+)
+
+
+@st.composite
+def blocks(draw):
+    """Nested lists or tuples of numbers with every leaf at one depth:
+    rectangular, ragged, or ending in empty lists."""
+    depth = draw(st.integers(1, 4))
+
+    def build(level):
+        if level == depth:
+            return draw(st.lists(numbers, max_size=4))
+        items = [build(level + 1) for _ in range(draw(st.integers(0, 3)))]
+        return tuple(items) if draw(st.booleans()) else items
+
+    return build(0)
+
+
+def _rectangular(shape):
+    if not shape:
+        return numbers
+    return st.lists(_rectangular(shape[1:]), min_size=shape[0], max_size=shape[0])
+
+
+rectangular = st.lists(st.integers(1, 3), min_size=1, max_size=4).flatmap(_rectangular)
+
+values = st.recursive(
+    st.one_of(numbers, strings, blocks(), rectangular),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(strings, children, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), strings),
+                        children, max_size=3),
+    ),
+    max_leaves=40,
+)
+
+
+class TestWriterOracle:
+    @settings(deadline=None, max_examples=400)
+    @given(values)
+    def test_matches_stdlib_indent_2(self, obj):
+        assert dumps(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [], {}, (), [[]], [[], []], [[1], []], [[[]]], [1, [2]], [[1, 2], [3]],
+            [[1, [2]], [3, 4]], [(1, 2), [3, 4]], [[-0.0, math.nan], [math.inf, -math.inf]],
+            [True, False, None], {"a": {}}, {"a": []}, {1: [1, 2], "1": [[3]]},
+            {None: 1, True: 2, 2.5: 3}, ["], [", [1, 2]], {"], [": [[1, 2], [3, 4]]},
+            "é\"\\", 0, -0.0, math.nan, None,
+        ],
+    )
+    def test_edge_cases(self, obj):
+        assert dumps(obj) == json.dumps(obj, indent=2)
+
+    def test_unknown_types_raise_like_the_stdlib(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dumps({"a": {1, 2}})
+
+
+def _dense(state_set):
+    return StateSet(state_set.dims, [tensor_expand(s) for s in state_set], "dense")
+
+
+GOLDEN_SETS = {
+    "qubit3": upb_qubit3,
+    "triple": entangled_triple,
+    "tiles33": upb_tiles33,
+    "sep333": upb_sep333,
+    "reducible44": upb_44_reducible,
+    "heptagon": heptagon_qutrit_states,
+    "shifts4": lambda: upb_shifts(4),
+    "shift_family30": lambda: shift_family(30),
+    "sqrt_subset19": lambda: sqrt_subset(19)[1],
+    "dense_shifts3": lambda: _dense(upb_shifts(3)),
+    "compose_mixed": lambda: compose(upb_qubit3(), 1, upb_tiles33(), 2),
+}
+
+
+@pytest.fixture(params=sorted(GOLDEN_SETS))
+def golden_set(request):
+    return GOLDEN_SETS[request.param]()
+
+
+class TestSetFiles:
+    def test_save_set_writes_stdlib_bytes(self, golden_set, tmp_path):
+        path = tmp_path / "set.json"
+        save_set(golden_set, path)
+        reference = tmp_path / "reference.json"
+        with open(reference, "w", encoding="utf-8") as fh:
+            json.dump(state_set_to_dict(golden_set), fh, indent=2)
+            fh.write("\n")
+        assert path.read_bytes() == reference.read_bytes()
+
+    def test_empty_set(self, tmp_path):
+        empty = StateSet((2, 2), [], "empty")
+        path = tmp_path / "empty.json"
+        save_set(empty, path)
+        assert path.read_text() == json.dumps(state_set_to_dict(empty), indent=2) + "\n"
+
+    def test_save_set_streams_states(self, tmp_path):
+        dense = _dense(upb_shifts(7))
+        path = tmp_path / "dense.json"
+        tracemalloc.start()
+        try:
+            save_set(dense, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
+
+
+def _canonical(text):
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+class TestCliPayloads:
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        """Every payload the CLI emits, as handed to the writer."""
+        payloads = []
+        real = locstab.cli._emit
+
+        def record(args, payload, human_lines, out):
+            payloads.append(payload)
+            real(args, payload, human_lines, out)
+
+        monkeypatch.setattr(locstab.cli, "_emit", record)
+        return payloads
+
+    def test_every_command_prints_stdlib_bytes(self, golden_set, tmp_path, capsys, emitted):
+        path = str(tmp_path / "set.json")
+        save_set(golden_set, path)
+        dims = ",".join(str(d) for d in golden_set.dims)
+        commands = [
+            ["check", path] + (["--audit"] if golden_set.all_product else []),
+            ["subsets", path, "--k", "3", "--threshold", "500", "--sample", "100"],
+            ["complement", path, "--restarts", "3", "--iters", "10", "--seed", "4"],
+            ["bound", "--dims", dims],
+        ]
+        for argv in commands:
+            code = main(argv)
+            out = capsys.readouterr().out
+            assert code in (0, 1, 2)
+            if code != 2:
+                assert out == _canonical(out)
+        for payload in emitted:
+            assert dumps(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "qubit3"],
+            ["construct", "triple"],
+            ["construct", "tiles33"],
+            ["construct", "sep333"],
+            ["construct", "reducible44"],
+            ["construct", "shifts", "--n", "3"],
+            ["construct", "shift-family", "--n", "30"],
+            ["construct", "sqrt-subset", "--n", "19"],
+            ["construct", "appendix", "--n", "19"],
+            ["construct", "compose", "--left", "sep333", "--right", "qubit3"],
+            ["bound", "--dims", "2,2,2,2,2"],
+            ["bound", "--dims", "3,3,3,3"],
+            ["bound", "--dims", "2,3"],
+        ],
+    )
+    def test_construct_and_bound_print_stdlib_bytes(self, argv, capsys, emitted):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == _canonical(out)
+        (payload,) = emitted
+        assert dumps(payload) == json.dumps(payload, indent=2)
+
+    def test_construct_out_summary_and_file(self, tmp_path, capsys, emitted):
+        path = tmp_path / "sf.json"
+        assert main(["construct", "shift-family", "--n", "7", "--out", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out == _canonical(out)
+        assert path.read_text() == json.dumps(state_set_to_dict(shift_family(7)), indent=2) + "\n"

@@ -2,10 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import locstab.states as states_module
 from locstab import (
     DenseState,
     entangled_triple,
@@ -74,6 +76,22 @@ class TestSignaturesAndTypes:
     def test_zero_factor_rejected(self):
         with pytest.raises(ValueError):
             ProductState([[0.0, 0.0], KET1])
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-160, 1e-200, 1e-320])
+    def test_extreme_magnitudes_normalize_like_their_scaled_rows(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = ProductState([[scale, scale], [scale, 2j * scale]])
+        reference = ProductState([[1, 1], [1, 2j]])
+        for factor, expected in zip(state.factors, reference.factors):
+            assert factor.tobytes() == expected.tobytes()
+
+    def test_extreme_rows_leave_other_rows_alone(self):
+        stack = np.array([[3e200, 4e200], [1.0, 2.0], [1e-200, 0.0]], dtype=complex)
+        rows = states_module._unit_rows(stack)
+        assert rows[0].tobytes() == unit_reference([3.0, 4.0]).tobytes()
+        assert rows[1].tobytes() == unit_reference([1.0, 2.0]).tobytes()
+        assert rows[2].tobytes() == unit_reference([1.0, 0.0]).tobytes()
 
     def test_dense_state_length_checked(self):
         with pytest.raises(ValueError):
