@@ -21,7 +21,7 @@ from .stability import (
     conflict_audit,
     is_locally_stable,
 )
-from .states import load_set, save_set, state_set_to_dict
+from .states import _complex_pairs, load_set, save_set, state_set_to_dict
 
 
 def _sqrt_subset_set(n, tol):
@@ -232,10 +232,7 @@ def _cmd_complement(args) -> int:
     payload = {
         "label": state_set.label,
         "best_overlap": overlap,
-        "witness": [
-            [[float(z.real), float(z.imag)] for z in factor]
-            for factor in witness.factors
-        ],
+        "witness": [_complex_pairs(factor) for factor in witness.factors],
         "restarts": args.restarts,
         "iters": args.iters,
         "seed": args.seed,

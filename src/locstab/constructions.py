@@ -163,9 +163,10 @@ def _shift_states(n, seeds, tol, firsts):
     seeds = default_seeds(n) if seeds is None else list(seeds)
     seeds = validate_seeds(seeds, n, tol)
     parties = 2 * n - 1
+    dims = (2,) * parties
     table = list(_unit_rows(np.array(_local_state_table(n, seeds))))
     return [
-        ProductState._from_units([table[(t - r) % parties] for r in range(parties)])
+        ProductState._from_units([table[(t - r) % parties] for r in range(parties)], dims)
         for t in firsts
     ]
 

@@ -144,20 +144,6 @@ def _require_party(state_set, party):
         raise IndexError(f"party {party} out of range for {parties} parties")
 
 
-def _party_conflicts(pattern, party):
-    """Conflict pairs of one party and the smallest admitted magnitude.
-
-    Pair (j, k) conflicts at ``party`` when its factors vanish there and
-    nowhere else.  The pairs come as an (m, 2) array, j outer and k inner;
-    the magnitude is |<a_k|a_j>| over the other parties.
-    """
-    pairs = np.argwhere(pattern.zeros[party] & (pattern.zero_count == 1))
-    if not len(pairs):
-        return pairs, None
-    rest = pattern.nonzero_product[pairs[:, 1], pairs[:, 0]]
-    return pairs, float(np.abs(rest).min())
-
-
 def _product_generators(factors, pairs):
     """|a_j><a_k| for every pair (j, k), as one (m, d, d) array."""
     return factors[pairs[:, 0], :, None] * factors[pairs[:, 1], None, :].conj()
@@ -180,8 +166,10 @@ def _party_span(state_set, party, tol, source=None):
     if source is None:
         source = _span_source(state_set, tol)
     if isinstance(source, FactorZeroPattern):
-        pairs, smallest = _party_conflicts(source, party)
+        pairs = source.conflict_pairs[party]
         generators = _product_generators(source.factors[party], pairs)
+        rest = np.abs(source.nonzero_product[pairs[:, 1], pairs[:, 0]])
+        smallest = float(rest.min()) if rest.size else None
         return generators, _pair_tuples(pairs), smallest
     blocks = _party_blocks(source, state_set.dims, party)
     # contractions[j, k] = blocks[j].T @ blocks[k].conj()
@@ -264,11 +252,10 @@ def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
     pattern = factor_zero_pattern(state_set, tol)
     offending = pattern.offending_pairs()
     bad = np.array([pair[:2] for pair in offending], dtype=np.int64).reshape(-1, 2)
-    parties = []
-    for party, d in enumerate(state_set.dims):
-        pairs, _ = _party_conflicts(pattern, party)
-        rows = _product_generators(pattern.factors[party], pairs)
-        parties.append((pairs, rows, d * d - 1))
+    parties = [
+        (pairs, _product_generators(factors, pairs), d * d - 1)
+        for factors, pairs, d in zip(pattern.factors, pattern.conflict_pairs, state_set.dims)
+    ]
 
     while block := list(itertools.islice(combos, _SUBSET_BLOCK)):
         member = np.zeros((len(block), len(state_set)), dtype=bool)

@@ -99,23 +99,21 @@ def _unit(vec) -> np.ndarray:
 class ProductState:
     """A fully product multipartite pure state; factors are stored unit-norm."""
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "dims")
 
     def __init__(self, factors):
         self.factors = tuple(_unit(f) for f in factors)
-        check_signature(self.dims)
+        self.dims = check_signature(f.shape[0] for f in self.factors)
 
     @classmethod
-    def _from_units(cls, factors) -> "ProductState":
-        """A state holding ``factors`` as they are: read-only unit vectors of
-        length >= 2, already normalized by :func:`_unit_rows`."""
+    def _from_units(cls, factors, dims) -> "ProductState":
+        """A state holding ``factors`` as they are: read-only unit vectors
+        normalized by :func:`_unit_rows`, of the lengths in the checked
+        signature ``dims``."""
         state = cls.__new__(cls)
         state.factors = tuple(factors)
+        state.dims = dims
         return state
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(f.shape[0] for f in self.factors)
 
     def __repr__(self):
         return f"ProductState(dims={self.dims})"
@@ -225,16 +223,19 @@ class FactorZeroPattern:
     """Which factor overlaps of an all-product set vanish, from one pass.
 
     ``factors[r]`` stacks the unit factors of party r as an (l, d_r) array.
-    ``zeros[r, j, k]`` is true when |<a_j|a_k>_r| < ``orth_abs``; factors are
-    unit vectors, so that cutoff does not depend on the party count.
-    ``zero_count[j, k]`` counts the parties where the pair vanishes, and
-    ``nonzero_product[j, k]`` multiplies the overlaps <a_j|a_k>_r that do not
-    vanish, party by party in order.
+    The factors of pair (j, k) vanish at party r when |<a_j|a_k>_r| <
+    ``orth_abs``; factors are unit vectors, so that cutoff does not depend
+    on the party count.  ``zero_count[j, k]`` counts the parties where the
+    pair vanishes: zero means the pair is not orthogonal, one means it is a
+    conflict pair of that single party.  ``conflict_pairs[r]`` holds party
+    r's conflict pairs as an (m_r, 2) array, j outer and k inner, and
+    ``nonzero_product[j, k]`` multiplies the overlaps <a_j|a_k>_r that do
+    not vanish, party by party in order.
     """
 
     factors: tuple
-    zeros: np.ndarray
     zero_count: np.ndarray
+    conflict_pairs: tuple
     nonzero_product: np.ndarray
 
     def offending_pairs(self):
@@ -254,14 +255,16 @@ def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Fa
     Each party's factor Gram sums its materialized products in coordinate
     order, without fused multiply-adds, so exactly cancelling factor pairs
     (a state and its orthogonal partner) come out as exact zeros.  It is
-    dropped once folded in: no complex (parties, l, l) tensor is held.
+    dropped once folded in: besides the factors, only (l, l) arrays are
+    held.  The last party where each pair vanishes is kept alongside the
+    count, and the pairs vanishing once are grouped by it in one sort.
     """
     if not state_set.all_product:
         raise ValueError("factor_zero_pattern needs an all-product set")
     size = len(state_set)
     factors = []
-    zeros = np.empty((len(state_set.dims), size, size), dtype=bool)
     zero_count = np.zeros((size, size), dtype=np.int64)
+    last_zero = np.zeros((size, size), dtype=np.int64)
     product = np.ones((size, size), dtype=complex)
     for r, d in enumerate(state_set.dims):
         stacked = np.array([s.factors[r] for s in state_set.states]).reshape(size, d)
@@ -269,12 +272,19 @@ def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Fa
         gram = conj[:, None, 0] * stacked[None, :, 0]
         for c in range(1, d):
             gram += conj[:, None, c] * stacked[None, :, c]
-        np.less(np.abs(gram), tol.orth_abs, out=zeros[r])
-        zero_count += zeros[r]
-        gram[zeros[r]] = 1.0
+        zeros = np.abs(gram) < tol.orth_abs
+        zero_count += zeros
+        np.copyto(last_zero, r, where=zeros)
+        gram[zeros] = 1.0
         product *= gram
         factors.append(stacked)
-    return FactorZeroPattern(tuple(factors), zeros, zero_count, product)
+    pairs = np.argwhere(zero_count == 1)
+    parties = last_zero[pairs[:, 0], pairs[:, 1]]
+    order = np.argsort(parties, kind="stable")
+    bounds = np.searchsorted(parties[order], np.arange(len(factors) + 1)).tolist()
+    pairs = pairs[order]
+    conflict_pairs = tuple(pairs[a:b] for a, b in zip(bounds, bounds[1:]))
+    return FactorZeroPattern(tuple(factors), zero_count, conflict_pairs, product)
 
 
 def _span_source(state_set: StateSet, tol: Tolerance):
@@ -449,7 +459,7 @@ def _parse_states(states_raw, dims):
             except ValueError:
                 return None
         for (pos, _), factors in zip(products, zip(*map(list, stacks))):
-            states[pos] = ProductState._from_units(factors)
+            states[pos] = ProductState._from_units(factors, dims)
     for pos, amps_raw in dense:
         amps = _pair_rows([amps_raw], total)
         if amps is None:

@@ -137,6 +137,21 @@ def rest_inner(state_set, j, k, i):
     return complex(out)
 
 
+def conflict_pairs_scan(state_set, orth_abs=DEFAULT_TOL.orth_abs):
+    """(zero_count, conflict_pairs) of an all-product set from a full
+    (parties, l, l) boolean: ``zeros[r]`` marks the pairs whose party-r
+    factor Gram entry is below ``orth_abs``, and party r's conflict pairs
+    are ``argwhere(zeros[r] & (zero_count == 1))``, j outer and k inner."""
+    grams = []
+    for r in range(len(state_set.dims)):
+        stack = np.array([s.factors[r] for s in state_set.states])
+        grams.append(stack.conj() @ stack.T)
+    zeros = np.abs(np.array(grams)) < orth_abs
+    zero_count = zeros.sum(axis=0)
+    once = zero_count == 1
+    return zero_count, tuple(np.argwhere(party & once) for party in zeros)
+
+
 def unit_reference(vec):
     """``vec`` over its ``np.linalg.norm``, the per-vector normalization rule."""
     arr = np.array(vec, dtype=complex)

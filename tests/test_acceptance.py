@@ -175,18 +175,19 @@ def test_shift_family_subset_campaigns():
 def sqrt_subset_conflicts_match_plan(plan, certificate):
     """Each state pair of a shift family is orthogonal at exactly one party:
     states a != b (first-party table entries) at the party p with
-    a + b = 2p mod N.  So the conflict pairs at p are exactly those pairs."""
+    a + b = 2p mod N.  So the conflict pairs at p are exactly those pairs,
+    j outer and k inner."""
     idx = plan.indices
-    for p, record in enumerate(certificate.parties):
-        expected = {
-            (j, k)
-            for j in range(len(idx))
-            for k in range(len(idx))
-            if j != k and (idx[j] + idx[k]) % plan.parties == (2 * p) % plan.parties
-        }
-        if set(record.conflict_pairs) != expected:
-            return False
-    return True
+    half = (plan.parties + 1) // 2  # the inverse of 2 mod N
+    expected = [[] for _ in range(plan.parties)]
+    for j, a in enumerate(idx):
+        for k, b in enumerate(idx):
+            if j != k:
+                expected[(a + b) * half % plan.parties].append((j, k))
+    return len(certificate.parties) == plan.parties and all(
+        record.conflict_pairs == tuple(pairs)
+        for record, pairs in zip(certificate.parties, expected)
+    )
 
 
 def test_sqrt_subset_reproduction():
@@ -196,12 +197,11 @@ def test_sqrt_subset_reproduction():
     size_ok = len(plan.indices) == 21 and len(subset) == 21
     pairs = ls.verify_two_pairs(plan)
     pairs_ok = pairs.ok and len(pairs.counts) == 49
-    # certified at the default tolerance on every odd width from 37 to 201
-    # and on 399 parties with the default seeds, and on N = 49, 99, 199 and
-    # 399 with random valid ones
+    # certified at the default tolerance on every odd width from 37 to 399
+    # with the default seeds, and on N = 49, 99, 199 and 399 with random
+    # valid ones
     rng = np.random.default_rng(29)
-    runs = [((parties + 1) // 2, None) for parties in range(37, 202, 2)]
-    runs += [(200, None)]
+    runs = [((parties + 1) // 2, None) for parties in range(37, 400, 2)]
     runs += [(n, random_valid_seeds(n, rng)) for n in (25, 50, 100, 200)]
     certified = []
     all_widths_ok = True
@@ -216,7 +216,7 @@ def test_sqrt_subset_reproduction():
             wide_plan, certificate
         ):
             certified.append(wide_plan.parties)
-    certified_ok = certified == list(range(37, 202, 2)) + [399, 49, 99, 199, 399]
+    certified_ok = certified == list(range(37, 400, 2)) + [49, 99, 199, 399]
     elapsed = time.monotonic() - start
     ok = (
         indices_ok

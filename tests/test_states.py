@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from locstab import (
     bpart_decompose,
     check_mutual_orthogonality,
     check_signature,
+    compose,
     factor_zero_pattern,
     heptagon_qutrit_states,
     load_set,
@@ -28,6 +30,7 @@ from locstab import (
     states_close,
     tensor_expand,
     shift_family,
+    sqrt_subset,
     upb_44_reducible,
     upb_qubit3,
     upb_sep333,
@@ -35,12 +38,26 @@ from locstab import (
     upb_tiles33,
     validate_seeds,
 )
-from oracles import inner_brute, kron_expand_brute, rest_inner, unit_reference
+from oracles import (
+    conflict_pairs_scan,
+    inner_brute,
+    kron_expand_brute,
+    rest_inner,
+    unit_reference,
+)
 
 KET0 = [1.0, 0.0]
 KET1 = [0.0, 1.0]
 PLUS = [1.0, 1.0]
 MINUS = [1.0, -1.0]
+
+
+def _random_shift_family(n, seed):
+    """shift_family(n) on random seeds drawn from ``seed``; shift_family
+    rejects a draw that is not valid."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n - 1, 2)) + 1j * rng.standard_normal((n - 1, 2))
+    return shift_family(n, list(raw))
 
 
 def random_product_state(rng, dims):
@@ -72,6 +89,11 @@ class TestSignaturesAndTypes:
         s = ProductState([KET0, KET1])
         with pytest.raises(ValueError):
             s.factors[0][0] = 5.0
+
+    def test_product_dims_stored_once(self):
+        s = ProductState([KET0, [1.0, 0.0, 0.0]])
+        assert s.dims == (2, 3)
+        assert s.dims is s.dims
 
     def test_zero_factor_rejected(self):
         with pytest.raises(ValueError):
@@ -205,11 +227,53 @@ class TestMutualOrthogonality:
 
     def test_zero_pattern_counts_vanishing_parties(self):
         pattern = factor_zero_pattern(upb_qubit3())
-        assert pattern.zeros.shape == (3, 4, 4)
         off_diagonal = ~np.eye(4, dtype=bool)
-        # every pair of the 3-qubit UPB is orthogonal at exactly one party
+        # every pair of the 3-qubit UPB is orthogonal at exactly one party,
+        # so each ordered pair is a conflict pair of that party alone
         assert np.all(pattern.zero_count[off_diagonal] == 1)
         assert np.all(pattern.zero_count[~off_diagonal] == 0)
+        assert [pairs.tolist() for pairs in pattern.conflict_pairs] == [
+            [[0, 2], [1, 3], [2, 0], [3, 1]],
+            [[0, 3], [1, 2], [2, 1], [3, 0]],
+            [[0, 1], [1, 0], [2, 3], [3, 2]],
+        ]
+
+    @pytest.mark.parametrize(
+        "state_set",
+        [
+            upb_qubit3(),
+            upb_tiles33(),
+            upb_sep333(),
+            upb_44_reducible(),
+            # pairs vanishing at 0, 1 and 2 parties; two parties hold none
+            heptagon_qutrit_states((1, 2, 2)),
+            compose(upb_qubit3(), 0, upb_qubit3(), 0),
+            upb_shifts(5),
+            _random_shift_family(30, 41),
+            sqrt_subset(25)[1],
+        ],
+        ids=lambda s: s.label,
+    )
+    def test_conflict_pairs_match_full_scan(self, state_set):
+        pattern = factor_zero_pattern(state_set)
+        zero_count, expected = conflict_pairs_scan(state_set)
+        assert np.array_equal(pattern.zero_count, zero_count)
+        assert len(pattern.conflict_pairs) == len(expected) == len(state_set.dims)
+        for pairs, ref in zip(pattern.conflict_pairs, expected):
+            assert pairs.dtype == ref.dtype
+            assert pairs.shape == ref.shape
+            assert np.array_equal(pairs, ref)
+
+    def test_zero_pattern_holds_no_party_cube(self):
+        # a (parties, l, l) boolean alone would take 199**3 bytes here
+        state_set = shift_family(100)
+        tracemalloc.start()
+        try:
+            factor_zero_pattern(state_set)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 199**3
 
     def test_zero_pattern_rejects_dense_members(self):
         mixed = StateSet((2, 2, 2), [upb_qubit3()[0], as_dense(upb_qubit3()[1])])
@@ -419,6 +483,12 @@ class TestBatchLoader:
         raw = rng.standard_normal((29, 2)) + 1j * rng.standard_normal((29, 2))
         family = shift_family(30, validate_seeds(list(raw), 30))
         _assert_loaded_bitwise(state_set_to_dict(family))
+
+    def test_loaded_states_share_the_set_signature(self):
+        loaded = state_set_from_dict(state_set_to_dict(upb_sep333()))
+        for state in loaded:
+            assert state.dims == loaded.dims == (3, 3, 3)
+            assert state.dims is loaded[0].dims
 
     def test_dense_set_loads_bitwise(self):
         _assert_loaded_bitwise(state_set_to_dict(_dense_copy(upb_shifts(5))))
