@@ -165,7 +165,7 @@ def _cmd_subsets(args) -> int:
     )
     _emit(
         args,
-        dataclasses.asdict(report),
+        report.to_dict(),
         [
             f"label:    {report.set_label}",
             f"subsets:  {report.checked} of {report.total_subsets}"

@@ -401,6 +401,18 @@ class CampaignReport:
     unstable: int
     unstable_subsets: tuple[tuple[int, ...], ...]
 
+    def to_dict(self) -> dict:
+        return {
+            "set_label": self.set_label,
+            "subset_size": self.subset_size,
+            "total_subsets": self.total_subsets,
+            "checked": self.checked,
+            "sampled": self.sampled,
+            "stable": self.stable,
+            "unstable": self.unstable,
+            "unstable_subsets": [list(c) for c in self.unstable_subsets],
+        }
+
 
 def subset_campaign(
     state_set: StateSet,

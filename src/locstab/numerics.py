@@ -2,7 +2,12 @@
 ranks, and Hilbert-Schmidt orthogonal complements.
 
 Vectors are 1-D complex arrays and operators are square 2-D complex arrays;
-every function is pure and leaves its inputs untouched.
+every public function is pure and leaves its inputs untouched.  All ranks
+and complements come from one elimination kernel, ``_orthonormal_rows``,
+which runs Gram-Schmidt over a (B, m, n) stack of row sets at once with a
+dead-pivot cutoff set per row set, so zero rows and the other sets in the
+stack never move a set's rank; ``span_rank`` and ``orthocomplement_basis``
+are its one-set case, and the certifier hands it whole stacks.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ class Tolerance:
     """Numerical cutoffs shared across the package.
 
     ``rank_rel`` scales the dead-pivot threshold of rank computations
-    relative to the largest input row norm.  ``orth_abs`` is the absolute
+    relative to the largest input row norm of each row set.  ``orth_abs`` is the absolute
     magnitude below which an inner product counts as zero.  For product sets
     it applies per factor overlap, never to a product of overlaps; factors
     are unit vectors, so the cutoff does not depend on the party count.
@@ -77,12 +82,14 @@ def span_rank(mats, tol: Tolerance = DEFAULT_TOL) -> int:
     list or as one (m, d, d) array.
 
     Each matrix is flattened to a row and the rows are eliminated in input
-    order; a pivot counts as dead once its magnitude drops below
-    ``tol.rank_rel`` times the largest initial row norm.  The empty list has
+    order, as a one-set stack of the shared rank kernel; a pivot counts as
+    dead once its magnitude drops below ``tol.rank_rel`` times the largest
+    initial row norm of this set.  The empty list and all-zero matrices have
     rank 0.
     """
     rows, _ = _flattened_rows(mats)
-    return len(_orthonormal_rows(rows, tol.rank_rel))
+    _, ranks = _orthonormal_rows(rows[None], tol.rank_rel)
+    return int(ranks[0])
 
 
 def orthocomplement_basis(mats, tol: Tolerance = DEFAULT_TOL, dim: int | None = None):
@@ -103,12 +110,12 @@ def orthocomplement_basis(mats, tol: Tolerance = DEFAULT_TOL, dim: int | None = 
     if d < 1:
         raise ValueError("dim must be positive")
 
-    span_basis = _orthonormal_rows(rows.reshape(-1, d * d), tol.rank_rel)
+    span_basis = _orthonormal_rows(rows.reshape(1, -1, d * d), tol.rank_rel)[0][0]
     # Every row below has unit norm, so the span basis is accepted again as
     # it stands and each unit vector is eliminated against it and against the
     # complement vectors found before it, at the absolute cutoff rank_rel.
     units = np.eye(d * d, dtype=complex)
-    basis = _orthonormal_rows(np.concatenate([span_basis, units]), tol.rank_rel)
+    basis = _orthonormal_rows(np.concatenate([span_basis, units])[None], tol.rank_rel)[0][0]
     return list(basis[len(span_basis):].reshape(-1, d, d))
 
 
@@ -119,8 +126,8 @@ def _require_square(m):
 
 def _flattened_rows(mats):
     """Validate equally sized square matrices, given as a list or as one
-    (m, d, d) array; return them as an (m, d*d) row stack and d, which is
-    None for an empty list."""
+    (m, d, d) array; return them as a new (m, d*d) row stack and d, which
+    is None for an empty list."""
     if not isinstance(mats, np.ndarray):
         arrays = [np.asarray(m, dtype=complex) for m in mats]
         for a in arrays:
@@ -136,41 +143,60 @@ def _flattened_rows(mats):
             f"expected an (m, d, d) stack of square matrices, got shape {mats.shape}"
         )
     d = mats.shape[1]
-    return mats.reshape(len(mats), d * d), d
+    return np.array(mats, dtype=complex).reshape(len(mats), d * d), d
 
 
 def _row_norms(rows):
-    """Euclidean norms of the rows of a C-contiguous complex array."""
+    """Euclidean norms along the last axis of a complex array whose last
+    axis is contiguous."""
     flat = rows.view(np.float64)
-    return np.sqrt((flat * flat).sum(axis=1))
+    return np.sqrt((flat * flat).sum(axis=-1))
 
 
 def _orthonormal_rows(rows, rank_rel):
-    """Modified Gram-Schmidt over the rows of a 2-D array, in row order.
+    """Modified Gram-Schmidt over a (B, m, n) stack of row sets at once,
+    each set in row order.
 
-    The first row whose residual norm reaches ``rank_rel`` times the largest
-    initial row norm becomes the next unit pivot, and that pivot is projected
-    out of every later row at once, twice for numerical stability.  A row
-    whose residual falls below the cutoff is dependent and never revisited,
-    since projections only shrink it.  Stops once no row is left or the
-    basis fills the row space, so there are at most ``rows.shape[1]`` steps.
-    Returns the pivots as a (rank, n) array.
+    Every step takes the first live row of each set as that set's next unit
+    pivot and projects it out of the set's later rows, twice for numerical
+    stability, with elementwise products and last-axis sums, so each set
+    gets the pivots it would get on its own.  A row is dead once its
+    residual falls below ``rank_rel`` times the largest initial row norm of
+    its own set; zero rows therefore never pivot, and a dead row is never
+    revisited, since projections only shrink it.  A set leaves the batch
+    once it has no live row or its basis fills the row space, so there are
+    at most n steps.  ``rows`` must be a C-contiguous complex array, and is
+    overwritten.  Returns the pivots as a (B, r, n) array, zero past each
+    set's rank, and the ranks as a (B,) array.
     """
-    rows = np.ascontiguousarray(rows, dtype=complex)
-    width = rows.shape[1]
+    sets, _, width = rows.shape
     norms = _row_norms(rows)
-    threshold = rank_rel * norms.max(initial=0.0)
-    basis = []
-    while threshold > 0.0 and len(basis) < width:
-        alive = (norms >= threshold).nonzero()[0]
-        if not alive.size:
+    threshold = rank_rel * norms.max(axis=1, initial=0.0)
+    alive = (norms >= threshold[:, None]) & (threshold[:, None] > 0.0)
+    pivots = np.zeros((sets, min(rows.shape[1], width), width), dtype=complex)
+    ranks = np.zeros(sets, dtype=np.intp)
+    active = np.arange(sets)
+    while True:
+        going = alive.any(axis=1) & (ranks[active] < width)
+        if not going.all():
+            active, rows, norms, alive = active[going], rows[going], norms[going], alive[going]
+            threshold = threshold[going]
+        if not active.size:
             break
-        pivot = rows[alive[0]] / norms[alive[0]]
-        basis.append(pivot)
-        rows = rows[alive[1:]]
+        first = alive.argmax(axis=1)
+        step = np.arange(len(active))
+        pivot = rows[step, first] / norms[step, first][:, None]
+        pivots[active, ranks[active]] = pivot
+        ranks[active] += 1
+        # every row up to the earliest pivot is dead or a pivot already
+        cut = first.min() + 1
+        alive[step, first] = False
+        rows, alive = rows[:, cut:], alive[:, cut:]
         # elementwise products rather than a BLAS call, so the result does
         # not depend on the BLAS build
+        pivot = pivot[:, None, :]
         for _ in range(2):
-            rows -= (rows * pivot.conj()).sum(axis=1)[:, None] * pivot
+            rows -= (rows * pivot.conj()).sum(axis=2)[:, :, None] * pivot
         norms = _row_norms(rows)
-    return np.array(basis, dtype=complex).reshape(len(basis), width)
+        alive &= norms >= threshold[:, None]
+    return pivots[:, :ranks.max(initial=0)], ranks

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, Tolerance, span_rank
+from .numerics import DEFAULT_TOL, Tolerance, _orthonormal_rows, span_rank
 from .states import (
     FactorZeroPattern,
     ProductState,
@@ -59,6 +59,10 @@ _SEARCH_DENSE_LIMIT = 1 << 20
 # Subsets a campaign certifies together: bounds the (block, l) membership
 # and (block, m) kept-row masks, and the distinct masks ranked per block.
 _SUBSET_BLOCK = 512
+
+# Complex entries in one zero-padded (sets, rows, d*d) stack handed to the
+# rank kernel; a row set larger than this is ranked on its own.
+_RANK_BUDGET = 1 << 13
 
 
 class OrthogonalityError(ValueError):
@@ -213,7 +217,9 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
 
     Raises :class:`OrthogonalityError` when the input is not orthogonal.
     Product sets are checked and certified from one factor zero pattern and
-    additionally record their conflict pairs per party.
+    additionally record their conflict pairs per party.  The generators of
+    parties with one local dimension are ranked together, in stacks of at
+    most _RANK_BUDGET entries.
     """
     if not len(state_set):
         raise ValueError("cannot check an empty state set")
@@ -222,15 +228,79 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     if offending:
         raise OrthogonalityError(offending)
 
-    records = []
-    for party, d in enumerate(state_set.dims):
-        generators, pairs, smallest = _party_span(state_set, party, tol, source)
-        dim = span_rank(generators, tol)
-        required = d * d - 1
-        records.append(PartyRecord(party, dim, required, dim == required, pairs, smallest))
+    spans = []
+
+    def generator_rows():
+        for party, d in enumerate(state_set.dims):
+            generators, pairs, smallest = _party_span(state_set, party, tol, source)
+            spans.append((pairs, smallest))
+            yield generators.reshape(len(generators), d * d)
+
+    ranks = _stacked_ranks(generator_rows(), tol)
+    records = [
+        PartyRecord(party, dim, d * d - 1, dim == d * d - 1, pairs, smallest)
+        for party, (d, dim, (pairs, smallest)) in enumerate(zip(state_set.dims, ranks, spans))
+    ]
     return StabilityCertificate(
         state_set.label, tol, tuple(records), all(r.stable for r in records)
     )
+
+
+def _stacked_ranks(row_sets, tol):
+    """Span ranks of an iterable of (m, n) row sets, in order.
+
+    Sets of one width n wait in a group that is ranked as one zero-padded
+    (sets, tallest m, n) stack, with one kernel call, once the next set
+    would push it past _RANK_BUDGET entries, and at the end; so at most one
+    group per width is held at a time.
+    """
+    ranks = []
+    pending = {}  # width -> [positions, row sets, tallest]
+
+    def flush(width):
+        positions, sets, tallest = pending.pop(width)
+        stack = np.zeros((len(sets), tallest, width), dtype=complex)
+        for slot, rows in zip(stack, sets):
+            slot[:len(rows)] = rows
+        for position, rank in zip(positions, _orthonormal_rows(stack, tol.rank_rel)[1].tolist()):
+            ranks[position] = rank
+
+    for position, rows in enumerate(row_sets):
+        ranks.append(None)
+        width = rows.shape[1]
+        group = pending.get(width)
+        if group and (len(group[1]) + 1) * max(group[2], len(rows)) * width > _RANK_BUDGET:
+            flush(width)
+        group = pending.setdefault(width, [[], [], 0])
+        group[0].append(position)
+        group[1].append(rows)
+        group[2] = max(group[2], len(rows))
+    for width in list(pending):
+        flush(width)
+    return ranks
+
+
+def _distinct_masks(kept):
+    """The distinct rows of a 2-D boolean array and the index of each row's
+    distinct row, as ``np.unique(kept, axis=0, return_inverse=True)`` gives
+    them up to order, keyed by one packed byte string per row."""
+    if not kept.shape[1]:
+        return kept[:1], np.zeros(len(kept), dtype=np.intp)
+    packed = np.ascontiguousarray(np.packbits(kept, axis=1))
+    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return kept[first], inverse
+
+
+def _masked_ranks(rows, masks, tol):
+    """Span rank of ``rows[mask]`` for every row of a (U, m) boolean array,
+    from zero-masked copies of the (m, n) rows, ranked in stacks of at most
+    _RANK_BUDGET entries."""
+    per = max(1, _RANK_BUDGET // max(rows.size, 1))
+    return np.concatenate([
+        _orthonormal_rows(np.where(masks[start:start + per, :, None], rows, 0), tol.rank_rel)[1]
+        for start in range(0, len(masks), per)
+    ])
 
 
 def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
@@ -239,10 +309,11 @@ def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
 
     Factor overlaps are computed elementwise, so a subset's zero pattern,
     conflict pairs and generator rows are its parent's restricted to pairs
-    with both states in the subset, in the parent's order, and span_rank
-    sees the rows it would see on the subset.  Per block of combos and per
-    party, each distinct kept-row mask is ranked once; a subset skips the
-    block's later parties after its first party short of d**2 - 1.
+    with both states in the subset, in the parent's order, and the rank
+    kernel sees the rows it would see on the subset, between zero rows that
+    never pivot.  Per block of combos and per party, the distinct kept-row
+    masks are ranked together, each once; a subset skips the block's later
+    parties after its first party short of d**2 - 1.
     """
     combos = iter(combos)
     if not state_set.all_product:
@@ -253,7 +324,7 @@ def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
     offending = pattern.offending_pairs()
     bad = np.array([pair[:2] for pair in offending], dtype=np.int64).reshape(-1, 2)
     parties = [
-        (pairs, _product_generators(factors, pairs), d * d - 1)
+        (pairs, _product_generators(factors, pairs).reshape(len(pairs), d * d), d * d - 1)
         for factors, pairs, d in zip(pattern.factors, pattern.conflict_pairs, state_set.dims)
     ]
 
@@ -276,9 +347,8 @@ def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
                 break
             alive = member[live]
             kept = alive[:, pairs[:, 0]] & alive[:, pairs[:, 1]]
-            masks, inverse = np.unique(kept, axis=0, return_inverse=True)
-            ranks = np.array([span_rank(rows[mask], tol) for mask in masks])
-            stable[live] = ranks[inverse.reshape(-1)] == required
+            masks, inverse = _distinct_masks(kept)
+            stable[live] = _masked_ranks(rows, masks, tol)[inverse] == required
         yield from zip(block, stable.tolist())
 
 

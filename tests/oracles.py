@@ -259,3 +259,35 @@ def subset_campaign_loop(
         unstable=len(unstable),
         unstable_subsets=tuple(unstable[:1000]),
     )
+
+
+def orthonormal_rows_loop(rows, rank_rel):
+    """Modified Gram-Schmidt over the rows of one 2-D array, in row order:
+    the rank kernel as a loop over a single row set.
+
+    The first row whose residual norm reaches ``rank_rel`` times the largest
+    initial row norm becomes the next unit pivot, projected out of every
+    later row twice; dependent rows are dropped.  Returns the (rank, n)
+    pivots.
+    """
+
+    def norms_of(rows):
+        flat = rows.view(np.float64)
+        return np.sqrt((flat * flat).sum(axis=1))
+
+    rows = np.ascontiguousarray(rows, dtype=complex)
+    width = rows.shape[1]
+    norms = norms_of(rows)
+    threshold = rank_rel * norms.max(initial=0.0)
+    basis = []
+    while threshold > 0.0 and len(basis) < width:
+        alive = (norms >= threshold).nonzero()[0]
+        if not alive.size:
+            break
+        pivot = rows[alive[0]] / norms[alive[0]]
+        basis.append(pivot)
+        rows = rows[alive[1:]]
+        for _ in range(2):
+            rows -= (rows * pivot.conj()).sum(axis=1)[:, None] * pivot
+        norms = norms_of(rows)
+    return np.array(basis, dtype=complex).reshape(len(basis), width)

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,7 +8,15 @@ import warnings
 
 import pytest
 
-from locstab import load_set, save_set, upb_44_reducible, upb_qubit3, upb_tiles33
+from locstab import (
+    load_set,
+    save_set,
+    subset_campaign,
+    upb_44_reducible,
+    upb_qubit3,
+    upb_tiles33,
+)
+from locstab._jsonout import dumps
 from locstab.cli import main
 
 
@@ -213,6 +222,15 @@ class TestSubsets:
     def test_k_too_large(self, capsys, qubit3_file):
         code, _, err = run_cli(capsys, "subsets", qubit3_file, "--k", "9")
         assert code == 2
+
+    def test_payload_is_the_report_field_by_field(self, capsys, tmp_path):
+        path = tmp_path / "reducible.json"
+        save_set(upb_44_reducible(), path)
+        report = subset_campaign(upb_44_reducible(), 10)
+        code, out, _ = run_cli(capsys, "subsets", str(path), "--k", "10")
+        assert code == 1
+        assert out == dumps(dataclasses.asdict(report)) + "\n"
+        assert report.to_dict() == json.loads(json.dumps(dataclasses.asdict(report)))
 
 
 class TestBound:

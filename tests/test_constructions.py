@@ -552,8 +552,10 @@ class TestCampaignCertifiesFromParent:
     )
     def test_one_rank_per_distinct_kept_mask_per_block(self, monkeypatch, build, k):
         state_set = build()
-        ranks = self._counting(monkeypatch, locstab.stability, "span_rank")
+        spans = self._counting(monkeypatch, locstab.stability, "span_rank")
+        kernel = self._counting(monkeypatch, locstab.stability, "_orthonormal_rows")
         report = subset_campaign(state_set, k)
+        ranks = [rows for args in kernel for rows in args[0]]
 
         combos = list(itertools.combinations(range(len(state_set)), k))
         parties = [conflict_set(state_set, p).pairs for p in range(len(state_set.dims))]
@@ -566,7 +568,8 @@ class TestCampaignCertifiesFromParent:
                     tuple(a in m and b in m for a, b in pairs) for m in members
                 })
         assert report.checked == len(combos)
-        assert len(ranks) <= distinct
+        assert spans == []
+        assert 0 < len(ranks) <= distinct
         assert len(ranks) < report.checked * len(parties)
 
     def test_dense_members_certify_each_subset(self, monkeypatch):
@@ -586,3 +589,63 @@ class TestCampaignCertifiesFromParent:
         for state_set, report in zip(runs, reports):
             assert report == subset_campaign_loop(state_set, 10)
         assert reports[0].unstable == 0 and reports[1].stable == 0
+
+
+def _unique_rows(kept):
+    """The kept-row deduplication by np.unique over whole rows."""
+    masks, inverse = np.unique(kept, axis=0, return_inverse=True)
+    return masks, inverse.reshape(-1)
+
+
+def _constant_party_qubit3():
+    """upb_qubit3 behind a first party where every state has the factor |0>,
+    so that party has no conflict pairs."""
+    ket0 = np.array([1.0, 0.0], dtype=complex)
+    q3 = upb_qubit3()
+    return StateSet(
+        (2,) + q3.dims, [ProductState([ket0, *s.factors]) for s in q3], "constant-party"
+    )
+
+
+class TestKeptMaskDedup:
+    """Packed-key deduplication of kept-row masks against np.unique(axis=0)."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 13, 64])
+    @pytest.mark.parametrize("count", [1, 2, 300])
+    def test_same_distinct_rows_as_unique_over_rows(self, width, count, order):
+        rng = np.random.default_rng(width * 1000 + count)
+        kept = rng.random((count, width)) < 0.5
+        kept[count // 2:] = kept[: count - count // 2]
+        kept = np.asarray(kept, order=order)
+        masks, inverse = locstab.stability._distinct_masks(kept)
+        want, _ = _unique_rows(kept)
+        assert np.array_equal(masks[inverse], kept)
+        assert sorted(map(bytes, masks)) == sorted(map(bytes, want))
+
+    @pytest.mark.parametrize(
+        "build,k,options",
+        [
+            (_constant_party_qubit3, 3, {}),
+            (lambda: upb_shifts(6), 7, {}),
+            (upb_44_reducible, 9, {}),
+            (lambda: upb_shifts(6), 4, {"sample_threshold": 10, "sample_size": 50}),
+            (lambda: shift_family(10), 4, {"sample_threshold": 10, "sample_size": 50}),
+        ],
+        ids=["no-conflict-party", "shifts6-k7", "reducible44-k9", "shifts6-sampled",
+             "family10-sampled"],
+    )
+    @pytest.mark.parametrize("block", [1, 512])
+    def test_campaign_verdicts_match_unique_over_rows(self, monkeypatch, build, k, options, block):
+        state_set = build()
+        monkeypatch.setattr(locstab.stability, "_SUBSET_BLOCK", block)
+        packed = subset_campaign(state_set, k, **options)
+        monkeypatch.setattr(locstab.stability, "_distinct_masks", _unique_rows)
+        assert subset_campaign(state_set, k, **options) == packed
+        assert packed == subset_campaign_loop(state_set, k, **options)
+
+    def test_party_without_conflict_pairs_ranks_zero(self):
+        state_set = _constant_party_qubit3()
+        assert conflict_set(state_set, 0).pairs == ()
+        report = subset_campaign(state_set, len(state_set))
+        assert (report.checked, report.unstable) == (1, 1)

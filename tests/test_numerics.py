@@ -13,7 +13,8 @@ from locstab import (
     span_rank,
     vec_inner,
 )
-from oracles import exact_rank
+from locstab.numerics import _orthonormal_rows
+from oracles import exact_rank, orthonormal_rows_loop
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -219,3 +220,85 @@ class TestOrthocomplement:
             for j, b in enumerate(basis):
                 expected = 1.0 if i == j else 0.0
                 assert abs(hs_inner(a, b) - expected) < 1e-12
+
+
+def random_stack(rng, sets, rows, width):
+    """A (sets, rows, width) stack mixing every case the rank kernel meets:
+    rank-deficient sets, zero rows, zero padding at the end, all-zero sets
+    and sets scaled anywhere from 1e-100 to 1e100."""
+    stack = rng.standard_normal((sets, rows, width)) + 1j * rng.standard_normal(
+        (sets, rows, width)
+    )
+    for rows_b in stack:
+        rank = int(rng.integers(0, width + 1))
+        if rank < rows:
+            rows_b[:] = rng.standard_normal((rows, rank)) @ rows_b[:rank]
+        rows_b[rng.random(rows) < 0.2] = 0.0
+        rows_b[int(rng.integers(0, rows + 1)):] = 0.0
+        rows_b *= 10.0 ** int(rng.integers(-100, 101))
+    stack[rng.random(sets) < 0.1] = 0.0
+    return stack
+
+
+class TestRankKernel:
+    """The stacked kernel against the one-set elimination loop."""
+
+    @pytest.mark.parametrize("width", [4, 9, 16])
+    def test_stack_matches_loop_set_by_set(self, width):
+        rng = np.random.default_rng(width)
+        for _ in range(40):
+            stack = random_stack(rng, int(rng.integers(1, 9)), int(rng.integers(0, 30)), width)
+            pivots, ranks = _orthonormal_rows(stack.copy(), DEFAULT_TOL.rank_rel)
+            assert pivots.shape == (len(stack), ranks.max(initial=0), width)
+            for rows, got, rank in zip(stack, pivots, ranks):
+                want = orthonormal_rows_loop(rows, DEFAULT_TOL.rank_rel)
+                assert rank == len(want)
+                assert np.array_equal(got[:rank], want)
+                assert not got[rank:].any()
+
+    def test_padding_and_neighbours_do_not_move_a_rank(self):
+        rng = np.random.default_rng(1)
+        rows = random_stack(rng, 1, 12, 9)[0]
+        rows[:3] = rng.standard_normal((3, 9))
+        want = orthonormal_rows_loop(rows, DEFAULT_TOL.rank_rel)
+        big = np.zeros((3, 20, 9), dtype=complex)
+        big[0, 5:17] = rows
+        big[1] = 1e100 * rng.standard_normal((20, 9))
+        big[2, :12] = rows
+        pivots, ranks = _orthonormal_rows(big, DEFAULT_TOL.rank_rel)
+        assert ranks.tolist() == [len(want), 9, len(want)]
+        assert np.array_equal(pivots[0, :len(want)], want)
+        assert np.array_equal(pivots[2, :len(want)], want)
+
+    def test_all_zero_and_empty_sets_have_rank_zero(self):
+        for shape in [(3, 5, 4), (2, 0, 9), (0, 4, 4), (1, 0, 0)]:
+            pivots, ranks = _orthonormal_rows(np.zeros(shape, dtype=complex), 1e-8)
+            assert ranks.tolist() == [0] * shape[0]
+            assert pivots.shape == (shape[0], 0, shape[2])
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_span_rank_on_lists_and_arrays_is_the_loop_rank(self, d):
+        rng = np.random.default_rng(10 + d)
+        for _ in range(30):
+            mats = random_stack(rng, 1, int(rng.integers(0, 3 * d * d)), d * d)[0]
+            mats = mats.reshape(-1, d, d)
+            want = len(orthonormal_rows_loop(mats.reshape(-1, d * d), DEFAULT_TOL.rank_rel))
+            before = mats.copy()
+            assert span_rank(mats) == want
+            assert span_rank(list(mats)) == want
+            assert np.array_equal(mats, before)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_orthocomplement_pivots_are_the_loop_pivots(self, d):
+        rng = np.random.default_rng(20 + d)
+        tol = DEFAULT_TOL.rank_rel
+        for _ in range(20):
+            mats = random_stack(rng, 1, int(rng.integers(0, d * d + 3)), d * d)[0]
+            mats = mats.reshape(-1, d, d)
+            before = mats.copy()
+            span = orthonormal_rows_loop(mats.reshape(-1, d * d), tol)
+            units = np.eye(d * d, dtype=complex)
+            want = orthonormal_rows_loop(np.concatenate([span, units]), tol)[len(span):]
+            got = orthocomplement_basis(mats, dim=d)
+            assert np.array_equal(np.array(got).reshape(-1, d * d), want)
+            assert np.array_equal(mats, before)

@@ -3,10 +3,12 @@ counting audits, and the complement see-saw."""
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
 
+import locstab.stability
 from locstab import (
     DEFAULT_TOL,
     DenseState,
@@ -285,6 +287,47 @@ class TestOneConflictRoutine:
             for (j, k), gen in zip(cs.pairs, gens):
                 assert np.array_equal(gen, np.outer(factors[j], factors[k].conj()))
             assert party_stable(state_set, party) == (record.stable, record.span_dim)
+
+
+class TestCertificateRanksInStacks:
+    """is_locally_stable ranks parties of one dimension together, in stacks
+    bounded by _RANK_BUDGET entries."""
+
+    @staticmethod
+    def _counting(monkeypatch, name):
+        calls = []
+        original = getattr(locstab.stability, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(locstab.stability, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("budget", [1, 64, 1 << 20])
+    def test_stack_bounds_do_not_move_a_certificate(self, monkeypatch, budget):
+        q3 = upb_qubit3()
+        sets = named_product_sets() + [
+            entangled_triple(),
+            StateSet(q3.dims, [q3[0], q3[1], as_dense(q3[2]), as_dense(q3[3])], "mixed"),
+        ]
+        want = [is_locally_stable(s) for s in sets]
+        monkeypatch.setattr(locstab.stability, "_RANK_BUDGET", budget)
+        assert [is_locally_stable(s) for s in sets] == want
+
+    def test_wide_set_ranks_in_few_kernel_calls(self, monkeypatch):
+        family = shift_family(100)
+        parties = len(family.dims)
+        ranks = self._counting(monkeypatch, "span_rank")
+        kernel = self._counting(monkeypatch, "_orthonormal_rows")
+        cert = is_locally_stable(family)
+        assert cert.stable
+        widest = max(len(r.conflict_pairs) for r in cert.parties)
+        assert ranks == []
+        assert sum(len(args[0]) for args in kernel) == parties
+        budget = locstab.stability._RANK_BUDGET
+        assert len(kernel) <= math.ceil(parties * widest * 4 / budget) + 1
 
 
 def dense_expansion(state_set):
