@@ -21,16 +21,17 @@ print(f"non-orthogonal pairs: {offending or 'none'}\n")
 
 # A "conflict pair" at party i is a pair of states whose factors on every
 # OTHER party still overlap.  Orthogonality then has to be carried by party
-# i itself, which pins down what measurements party i may perform.
-for party in range(3):
-    cs = ls.conflict_set(s, party)
-    print(f"party {party}: conflict pairs {cs.pairs}")
+# i itself, which pins down what measurements party i may perform.  The
+# certificate records each party's conflict pairs.
+cert = ls.is_locally_stable(s)
+for record in cert.parties:
+    print(f"party {record.party}: conflict pairs {record.conflict_pairs}")
 print()
 
 # Each conflict pair contributes one operator |a><b| built from the party's
 # own factors.  The party is stable when these operators span the whole
 # traceless space, dimension d^2 - 1.
-gens = ls.span_generators(s, 0)
+gens = ls.span_generators(s)[0]
 print(f"party 0 has {len(gens)} generators; span dimension {ls.span_rank(gens)}")
 print("one generator:")
 print(np.round(gens[2], 3), "\n")
@@ -42,6 +43,5 @@ print(f"orthocomplement dimension: {len(complement)}")
 print("its single element, rescaled:")
 print(np.round(complement[0] / complement[0][0, 0], 6), "\n")
 
-cert = ls.is_locally_stable(s)
 print("certificate:")
 print(json.dumps(cert.to_dict(), indent=2))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from . import _jsonout, constructions
@@ -263,7 +264,9 @@ def _common_flags(parser):
                         help="text summary instead of JSON")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``locstab`` parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="locstab",
         description="Construct orthogonal state sets and certify local stability.",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, Tolerance, _orthonormal_rows, span_rank
+from .numerics import DEFAULT_TOL, Tolerance, _orthonormal_rows
 from .states import (
     FactorZeroPattern,
     ProductState,
@@ -36,14 +36,11 @@ from .states import (
 
 __all__ = [
     "OrthogonalityError",
-    "ConflictSet",
     "PartyRecord",
     "StabilityCertificate",
     "ConflictAudit",
     "BoundReport",
-    "conflict_set",
     "span_generators",
-    "party_stable",
     "is_locally_stable",
     "conflict_audit",
     "cardinality_lower_bound",
@@ -78,21 +75,10 @@ class OrthogonalityError(ValueError):
 
 
 @dataclass(frozen=True)
-class ConflictSet:
-    """Ordered state pairs (j, k) whose factors vanish at ``party`` and at no
-    other party, so they overlap everywhere else.
-
-    ``smallest_magnitude`` records the smallest admitted rest inner product,
-    so borderline admissions stay visible.
-    """
-
-    party: int
-    pairs: tuple[tuple[int, int], ...]
-    smallest_magnitude: float | None
-
-
-@dataclass(frozen=True)
 class PartyRecord:
+    """One party's span dimension against d**2 - 1 and, for all-product sets,
+    its conflict pairs (j, k), whose factors vanish here and at no other party,
+    with their smallest rest magnitude, so borderline admissions stay visible."""
     party: int
     span_dim: int
     required: int
@@ -134,20 +120,6 @@ class StabilityCertificate:
         }
 
 
-def _require_all_product(state_set, operation):
-    if not state_set.all_product:
-        raise ValueError(
-            f"{operation} needs an all-product set; dense members go through "
-            "the general span path (span_generators / is_locally_stable)"
-        )
-
-
-def _require_party(state_set, party):
-    parties = len(state_set.dims)
-    if not 0 <= party < parties:
-        raise IndexError(f"party {party} out of range for {parties} parties")
-
-
 def _product_generators(factors, pairs):
     """|a_j><a_k| for every pair (j, k), as one (m, d, d) array."""
     return factors[pairs[:, 0], :, None] * factors[pairs[:, 1], None, :].conj()
@@ -157,59 +129,41 @@ def _pair_tuples(pairs):
     return tuple(map(tuple, pairs.tolist()))
 
 
-def _party_span(state_set, party, tol, source=None):
-    """One party's span generators as an (m, d, d) array, with its conflict
-    pairs and their smallest rest magnitude.
+def _party_spans(state_set, source, tol):
+    """Yield each party's span generators as an (m, d, d) array, with its
+    conflict pairs and their smallest rest magnitude, in party order.
 
-    ``source`` is the set's :func:`~locstab.states._span_source` when the
-    caller already holds it.  A factor zero pattern contributes |a_j><a_k|
-    for each conflict pair; a dense stack contributes the block contraction
-    of every ordered pair (j outer, k inner) whose norm reaches
-    ``tol.orth_abs``, and has no conflict pairs (None) and no magnitude (None).
+    ``source`` is the set's :func:`~locstab.states._span_source`.  A factor
+    zero pattern contributes |a_j><a_k| for each conflict pair; a dense stack
+    contributes the block contraction of every ordered pair (j outer, k
+    inner) whose norm reaches ``tol.orth_abs``, and has no conflict pairs
+    (None) and no magnitude (None).
     """
-    if source is None:
-        source = _span_source(state_set, tol)
     if isinstance(source, FactorZeroPattern):
-        pairs = source.conflict_pairs[party]
-        generators = _product_generators(source.factors[party], pairs)
-        rest = np.abs(source.nonzero_product[pairs[:, 1], pairs[:, 0]])
-        smallest = float(rest.min()) if rest.size else None
-        return generators, _pair_tuples(pairs), smallest
-    blocks = _party_blocks(source, state_set.dims, party)
-    # contractions[j, k] = blocks[j].T @ blocks[k].conj()
-    contractions = np.swapaxes(blocks, 1, 2)[:, None] @ blocks.conj()[None, :]
-    keep = np.linalg.norm(contractions, axis=(2, 3)) >= tol.orth_abs
-    np.fill_diagonal(keep, False)
-    return contractions[keep], None, None
+        for factors, pairs in zip(source.factors, source.conflict_pairs):
+            rest = np.abs(source.nonzero_product[pairs[:, 1], pairs[:, 0]])
+            smallest = float(rest.min()) if rest.size else None
+            yield _product_generators(factors, pairs), _pair_tuples(pairs), smallest
+        return
+    for party in range(len(state_set.dims)):
+        blocks = _party_blocks(source, state_set.dims, party)
+        # contractions[j, k] = blocks[j].T @ blocks[k].conj()
+        contractions = np.swapaxes(blocks, 1, 2)[:, None] @ blocks.conj()[None, :]
+        keep = np.linalg.norm(contractions, axis=(2, 3)) >= tol.orth_abs
+        np.fill_diagonal(keep, False)
+        yield contractions[keep], None, None
 
 
-def conflict_set(state_set: StateSet, party: int, tol: Tolerance = DEFAULT_TOL) -> ConflictSet:
-    """The conflict set of an all-product set at one party: the ordered pairs
-    whose factors vanish at ``party`` and at no other party."""
-    _require_all_product(state_set, "conflict_set")
-    _require_party(state_set, party)
-    _, pairs, smallest = _party_span(state_set, party, tol)
-    return ConflictSet(party, pairs, smallest)
-
-
-def span_generators(state_set: StateSet, party: int, tol: Tolerance = DEFAULT_TOL):
-    """Generator matrices of one party's operator span, as a list.
+def span_generators(state_set: StateSet, tol: Tolerance = DEFAULT_TOL):
+    """Generator matrices of every party's operator span: a tuple with one
+    (m_i, d_i, d_i) array per party, from one pass over the set.
 
     All-product sets contribute the factor outer product of each conflict
     pair; otherwise every ordered state pair contributes the contraction of
     its one-party blocks, dropping matrices of negligible norm.
     """
-    _require_party(state_set, party)
-    generators, _, _ = _party_span(state_set, party, tol)
-    return list(generators)
-
-
-def party_stable(state_set: StateSet, party: int, tol: Tolerance = DEFAULT_TOL):
-    """(stable, span_dim) for one party: stable iff span_dim == d**2 - 1."""
-    _require_party(state_set, party)
-    generators, _, _ = _party_span(state_set, party, tol)
-    dim = span_rank(generators, tol)
-    return dim == state_set.dims[party] ** 2 - 1, dim
+    source = _span_source(state_set, tol)
+    return tuple(generators for generators, _, _ in _party_spans(state_set, source, tol))
 
 
 def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> StabilityCertificate:
@@ -231,8 +185,9 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     spans = []
 
     def generator_rows():
-        for party, d in enumerate(state_set.dims):
-            generators, pairs, smallest = _party_span(state_set, party, tol, source)
+        for d, (generators, pairs, smallest) in zip(
+            state_set.dims, _party_spans(state_set, source, tol)
+        ):
             spans.append((pairs, smallest))
             yield generators.reshape(len(generators), d * d)
 
@@ -401,7 +356,8 @@ def conflict_audit(
     at ``tol`` when the caller already holds it; otherwise the set is
     certified here.
     """
-    _require_all_product(state_set, "conflict_audit")
+    if not state_set.all_product:
+        raise ValueError("conflict_audit needs an all-product set")
     if certificate is None:
         certificate = is_locally_stable(state_set, tol)
     elif len(certificate.parties) != len(state_set.dims):

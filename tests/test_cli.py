@@ -17,7 +17,7 @@ from locstab import (
     upb_tiles33,
 )
 from locstab._jsonout import dumps
-from locstab.cli import main
+from locstab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -389,6 +389,29 @@ class TestDeterminism:
         _, out2, _ = run_cli(capsys, "complement", tiles_file, "--restarts", "5",
                              "--iters", "50", "--seed", "7")
         assert out1 == out2
+
+    def test_shared_parser_answers_like_a_fresh_one(self, capsys, qubit3_file):
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        calls = [
+            ["check", qubit3_file, "--human"],
+            ["check", qubit3_file],
+            ["check", qubit3_file, "--no-such-flag"],
+            ["subsets", qubit3_file, "--k", "3"],
+            ["construct", "qubit3"],
+        ]
+        first = []
+        for argv in calls:
+            build_parser.cache_clear()
+            first.append(call(argv))
+        assert first[2][0] == 2
+        assert [call(argv) for argv in calls] == first
 
 
 class TestModuleEntryPoint:

@@ -16,7 +16,6 @@ from locstab import (
     cardinality_lower_bound,
     check_mutual_orthogonality,
     compose,
-    conflict_set,
     default_seeds,
     entangled_triple,
     heptagon_qutrit_states,
@@ -552,13 +551,13 @@ class TestCampaignCertifiesFromParent:
     )
     def test_one_rank_per_distinct_kept_mask_per_block(self, monkeypatch, build, k):
         state_set = build()
-        spans = self._counting(monkeypatch, locstab.stability, "span_rank")
+        # read before the counters go in, so the certificate's own ranks are not counted
+        parties = [r.conflict_pairs for r in is_locally_stable(state_set).parties]
         kernel = self._counting(monkeypatch, locstab.stability, "_orthonormal_rows")
         report = subset_campaign(state_set, k)
         ranks = [rows for args in kernel for rows in args[0]]
 
         combos = list(itertools.combinations(range(len(state_set)), k))
-        parties = [conflict_set(state_set, p).pairs for p in range(len(state_set.dims))]
         block = locstab.stability._SUBSET_BLOCK
         distinct = 0
         for start in range(0, len(combos), block):
@@ -568,7 +567,7 @@ class TestCampaignCertifiesFromParent:
                     tuple(a in m and b in m for a, b in pairs) for m in members
                 })
         assert report.checked == len(combos)
-        assert spans == []
+        assert not hasattr(locstab.stability, "span_rank")
         assert 0 < len(ranks) <= distinct
         assert len(ranks) < report.checked * len(parties)
 
@@ -646,6 +645,6 @@ class TestKeptMaskDedup:
 
     def test_party_without_conflict_pairs_ranks_zero(self):
         state_set = _constant_party_qubit3()
-        assert conflict_set(state_set, 0).pairs == ()
+        assert is_locally_stable(state_set).parties[0].conflict_pairs == ()
         report = subset_campaign(state_set, len(state_set))
         assert (report.checked, report.unstable) == (1, 1)

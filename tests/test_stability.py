@@ -1,4 +1,4 @@
-"""Certifier tests: conflict sets, span generators, certificates, bounds,
+"""Certifier tests: conflict pairs, span generators, certificates, bounds,
 counting audits, and the complement see-saw."""
 
 import dataclasses
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import locstab.stability
+import locstab.states
 from locstab import (
     DEFAULT_TOL,
     DenseState,
@@ -22,11 +23,9 @@ from locstab import (
     complement_product_search,
     compose,
     conflict_audit,
-    conflict_set,
     entangled_triple,
     hs_inner,
     is_locally_stable,
-    party_stable,
     shift_family,
     span_generators,
     span_rank,
@@ -58,36 +57,32 @@ def basis_set_2x2():
     return StateSet((2, 2), states, "computational-2x2")
 
 
-class TestConflictSet:
+class TestConflictRecords:
+    """Each party record of a certificate carries that party's conflict
+    pairs and their smallest rest magnitude."""
+
     def test_qubit3_party0(self):
-        cs = conflict_set(upb_qubit3(), 0)
-        assert set(cs.pairs) == {(0, 2), (2, 0), (1, 3), (3, 1)}
-        assert cs.smallest_magnitude == pytest.approx(0.5)
+        record = is_locally_stable(upb_qubit3()).parties[0]
+        assert set(record.conflict_pairs) == {(0, 2), (2, 0), (1, 3), (3, 1)}
+        assert record.smallest_conflict_magnitude == pytest.approx(0.5)
 
     def test_qubit3_all_parties_size_four(self):
-        for party in range(3):
-            assert len(conflict_set(upb_qubit3(), party).pairs) == 4
+        records = is_locally_stable(upb_qubit3()).parties
+        assert [len(r.conflict_pairs) for r in records] == [4, 4, 4]
 
     def test_computational_basis_party1(self):
-        cs = conflict_set(basis_set_2x2(), 1)
-        assert set(cs.pairs) == {(0, 1), (1, 0), (2, 3), (3, 2)}
+        record = is_locally_stable(basis_set_2x2()).parties[1]
+        assert set(record.conflict_pairs) == {(0, 1), (1, 0), (2, 3), (3, 2)}
 
     def test_singleton_empty(self):
         single = StateSet((2, 2), [ProductState([KET0, KET0])])
-        cs = conflict_set(single, 0)
-        assert cs.pairs == ()
-        assert cs.smallest_magnitude is None
+        record = is_locally_stable(single).parties[0]
+        assert record.conflict_pairs == ()
+        assert record.smallest_conflict_magnitude is None
 
     def test_closed_under_swap(self):
-        cs = conflict_set(upb_sep333(), 1)
-        pairs = set(cs.pairs)
+        pairs = set(is_locally_stable(upb_sep333()).parties[1].conflict_pairs)
         assert all((k, j) in pairs for j, k in pairs)
-
-    def test_dense_member_rejected(self):
-        ghz = DenseState([1, 0, 0, 0, 0, 0, 0, 1], (2, 2, 2))
-        mixed = StateSet((2, 2, 2), [upb_qubit3()[0], ghz])
-        with pytest.raises(ValueError, match="all-product"):
-            conflict_set(mixed, 0)
 
 
 class TestSpanGenerators:
@@ -98,21 +93,23 @@ class TestSpanGenerators:
             (1, 3): outer(PLUS, MINUS),
             (3, 1): outer(MINUS, PLUS),
         }
-        pairs = conflict_set(upb_qubit3(), 0).pairs
-        gens = span_generators(upb_qubit3(), 0)
+        pairs = is_locally_stable(upb_qubit3()).parties[0].conflict_pairs
+        gens = span_generators(upb_qubit3())[0]
         assert len(gens) == 4
         for pair, gen in zip(pairs, gens):
             assert np.allclose(gen, expected[pair], atol=1e-12)
 
     def test_singleton_empty(self):
         single = StateSet((2, 2), [ProductState([KET0, KET0])])
-        assert span_generators(single, 0) == []
+        gens = span_generators(single)
+        assert isinstance(gens, tuple)
+        assert [g.shape for g in gens] == [(0, 2, 2), (0, 2, 2)]
 
     def test_bell_pair_general_path(self):
         plus = DenseState([1, 0, 0, 1], (2, 2))
         minus = DenseState([1, 0, 0, -1], (2, 2))
         pair = StateSet((2, 2), [plus, minus], "bell-pair")
-        gens = span_generators(pair, 0)
+        gens = span_generators(pair)[0]
         assert len(gens) == 2
         target = np.diag([1.0, -1.0])
         for g in gens:
@@ -124,29 +121,48 @@ class TestSpanGenerators:
         ghz_minus = DenseState([1, 0, 0, 0, 0, 0, 0, -1], (2, 2, 2))
         pair = StateSet((2, 2, 2), [ghz_plus, ghz_minus], "ghz-pair")
         target = np.diag([1.0, -1.0])
-        for party in range(3):
-            gens = span_generators(pair, party)
+        for gens in span_generators(pair):
             assert len(gens) == 2
             for g in gens:
                 assert np.allclose(g / g[0, 0], target, atol=1e-12)
 
     def test_generators_traceless(self):
-        for party in range(3):
-            for g in span_generators(upb_sep333(), party):
+        for gens in span_generators(upb_sep333()):
+            for g in gens:
                 assert abs(np.trace(g)) < 1e-12
 
 
-class TestPartyStable:
+class TestOnePass:
+    """A certificate and a span_generators call each build the set's factor
+    zero pattern once, not once per party."""
+
+    @pytest.mark.parametrize("view", [is_locally_stable, span_generators])
+    def test_one_zero_pattern_per_call(self, monkeypatch, view):
+        family = shift_family(30)
+        builds = []
+        original = locstab.states.factor_zero_pattern
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(locstab.states, "factor_zero_pattern", counted)
+        view(family)
+        assert len(builds) == 1
+
+
+class TestPartyVerdicts:
     def test_qubit3(self):
-        for party in range(3):
-            assert party_stable(upb_qubit3(), party) == (True, 3)
+        records = is_locally_stable(upb_qubit3()).parties
+        assert [(r.stable, r.span_dim) for r in records] == [(True, 3)] * 3
 
     def test_computational_basis_party0(self):
-        assert party_stable(basis_set_2x2(), 0) == (False, 2)
+        record = is_locally_stable(basis_set_2x2()).parties[0]
+        assert (record.stable, record.span_dim) == (False, 2)
 
     def test_entangled_triple(self):
-        for party in range(3):
-            assert party_stable(entangled_triple(), party) == (True, 3)
+        records = is_locally_stable(entangled_triple()).parties
+        assert [(r.stable, r.span_dim) for r in records] == [(True, 3)] * 3
 
 
 class TestCertificates:
@@ -204,9 +220,9 @@ class TestCertificates:
     def test_identity_orthogonal_to_generators(self):
         for builder in (upb_qubit3, upb_sep333, entangled_triple):
             s = builder()
-            for party, d in enumerate(s.dims):
+            for d, gens in zip(s.dims, span_generators(s)):
                 eye = np.eye(d, dtype=complex)
-                for g in span_generators(s, party):
+                for g in gens:
                     assert abs(hs_inner(eye, g / np.linalg.norm(g))) < 1e-9
 
     def test_stable_party_complement_is_identity_line(self):
@@ -214,8 +230,8 @@ class TestCertificates:
 
         for builder in (upb_qubit3, upb_sep333):
             s = builder()
-            for party, d in enumerate(s.dims):
-                basis = orthocomplement_basis(span_generators(s, party), dim=d)
+            for d, gens in zip(s.dims, span_generators(s)):
+                basis = orthocomplement_basis(gens, dim=d)
                 assert len(basis) == 1
                 scaled = basis[0] / basis[0][0, 0]
                 assert np.max(np.abs(scaled - np.eye(d))) < 1e-8
@@ -249,8 +265,8 @@ def named_product_sets():
 
 
 class TestOneConflictRoutine:
-    """conflict_set, span_generators, party_stable and is_locally_stable all
-    read one zero pattern, so they must agree pair for pair."""
+    """The certificate's conflict pairs and span_generators read one zero
+    pattern, so they must agree pair for pair with per-pair reference loops."""
 
     @pytest.mark.parametrize("state_set", named_product_sets(), ids=lambda s: s.label)
     def test_views_agree_on_named_sets(self, state_set):
@@ -268,25 +284,24 @@ class TestOneConflictRoutine:
             if j != k
         }
         cert = is_locally_stable(state_set)
-        for record in cert.parties:
+        for record, gens in zip(cert.parties, span_generators(state_set), strict=True):
             party = record.party
-            cs = conflict_set(state_set, party)
-            assert cs.pairs == tuple(
+            pairs = record.conflict_pairs
+            assert pairs == tuple(
                 pair for pair, zeros in vanishing.items() if zeros == {party}
             )
-            if cs.pairs:
-                assert cs.smallest_magnitude == pytest.approx(
-                    min(abs(rest_inner(state_set, j, k, party)) for j, k in cs.pairs),
+            if pairs:
+                assert record.smallest_conflict_magnitude == pytest.approx(
+                    min(abs(rest_inner(state_set, j, k, party)) for j, k in pairs),
                     rel=1e-12,
                 )
-            assert cs.pairs == record.conflict_pairs
-            assert cs.smallest_magnitude == record.smallest_conflict_magnitude
+            else:
+                assert record.smallest_conflict_magnitude is None
             factors = [s.factors[party] for s in state_set]
-            gens = span_generators(state_set, party)
-            assert len(gens) == len(cs.pairs)
-            for (j, k), gen in zip(cs.pairs, gens):
+            assert len(gens) == len(pairs)
+            for (j, k), gen in zip(pairs, gens):
                 assert np.array_equal(gen, np.outer(factors[j], factors[k].conj()))
-            assert party_stable(state_set, party) == (record.stable, record.span_dim)
+            assert span_rank(gens) == record.span_dim
 
 
 class TestCertificateRanksInStacks:
@@ -319,12 +334,12 @@ class TestCertificateRanksInStacks:
     def test_wide_set_ranks_in_few_kernel_calls(self, monkeypatch):
         family = shift_family(100)
         parties = len(family.dims)
-        ranks = self._counting(monkeypatch, "span_rank")
         kernel = self._counting(monkeypatch, "_orthonormal_rows")
         cert = is_locally_stable(family)
         assert cert.stable
         widest = max(len(r.conflict_pairs) for r in cert.parties)
-        assert ranks == []
+        # no per-party rank: the module holds no span_rank to call
+        assert not hasattr(locstab.stability, "span_rank")
         assert sum(len(args[0]) for args in kernel) == parties
         budget = locstab.stability._RANK_BUDGET
         assert len(kernel) <= math.ceil(parties * widest * 4 / budget) + 1
@@ -335,7 +350,7 @@ def dense_expansion(state_set):
 
 
 class TestDenseViews:
-    """On dense sets span_generators and party_stable read the block
+    """On dense sets span_generators and the certificate read the block
     contractions of every ordered pair, j outer and k inner."""
 
     @pytest.mark.parametrize(
@@ -352,7 +367,7 @@ class TestDenseViews:
     def test_views_agree_with_pair_loop(self, state_set):
         cert = is_locally_stable(state_set)
         size = len(state_set)
-        for record in cert.parties:
+        for record, gens in zip(cert.parties, span_generators(state_set), strict=True):
             party = record.party
             # reference: one contraction per ordered pair, then the norm filter
             blocks = [np.stack(bpart_decompose(s, party)) for s in state_set]
@@ -366,12 +381,11 @@ class TestDenseViews:
                 mat for mat in contractions
                 if np.linalg.norm(mat) >= DEFAULT_TOL.orth_abs
             ]
-            gens = span_generators(state_set, party)
             assert len(gens) == len(expected)
             for gen, ref in zip(gens, expected):
                 assert np.array_equal(gen, ref)
             assert record.conflict_pairs is None
-            assert party_stable(state_set, party) == (record.stable, record.span_dim)
+            assert span_rank(gens) == record.span_dim
 
 
 def random_shift_seeds(n, rng):
@@ -646,7 +660,7 @@ class TestSpanRankOnGenerators:
     def test_rank_unaffected_by_keeping_both_orders(self):
         # adjoint pairs are kept as separate generators; dropping one of each
         # order must not change the span dimension for this rank-1 family
-        gens = span_generators(upb_qubit3(), 0)
+        gens = span_generators(upb_qubit3())[0]
         half = gens[::2]
         assert span_rank(gens) == 3
         assert span_rank(half) <= 3
