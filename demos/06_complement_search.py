@@ -1,12 +1,13 @@
-"""See-saw evidence that a UPB's complement holds no product state.
+"""Is there a product state in a set's orthogonal complement?
 
-The search maximizes <phi|P|phi> over product states |phi>, where P
-projects onto the orthogonal complement of the span of the given set.  One
-party at a time, the factor is replaced by the top eigenvector of its
-induced local operator; random restarts guard against local maxima.  An
-overlap of 1 exhibits a product state in the complement (the set extends);
-staying clearly below 1 across many restarts is heuristic evidence of
-unextendibility, not a proof.
+For all-product sets the partition test decides it exactly: a product state
+lies in the complement if and only if the states split into one group per
+party whose factors at that party do not span the party's space.  Each
+party's capacity, the most of its factors inside one hyperplane, bounds the
+groups; a capacity sum below the set size proves the set unextendible with
+no search.  Sets with dense members keep the see-saw search, which
+maximizes <phi|P|phi> over product states |phi>, P the projector onto the
+complement, one party at a time from seeded random restarts.
 """
 
 import numpy as np
@@ -20,24 +21,30 @@ trio = ls.StateSet(
     [ls.ProductState([e0, e0]), ls.ProductState([e0, e1]), ls.ProductState([e1, e0])],
     "extendible-trio",
 )
-overlap, witness = ls.complement_product_search(trio, restarts=10, iters=100, rng_seed=0)
-print(f"{trio.label}: best overlap = {overlap:.9f}")
+report = ls.product_extension(trio)
+print(f"{trio.label}: {report.verdict}, groups {report.groups}, {report.nodes} nodes")
 print("witness factors (magnitudes):")
-for factor in witness.factors:
+for factor in report.witness.factors:
     print(f"  {np.round(np.abs(factor), 6)}")
 print()
 
-# the named UPBs never get close to 1
-for builder in (ls.upb_qubit3, ls.upb_tiles33):
-    state_set = builder()
-    overlap, _ = ls.complement_product_search(state_set, restarts=50, iters=200,
-                                              rng_seed=0)
-    print(f"{state_set.label}: best overlap = {overlap:.9f} "
-          f"(gap to 1: {1 - overlap:.3e})")
+# the named UPBs: proved unextendible, by the capacity bound or by search
+for build in (ls.upb_qubit3, ls.upb_tiles33, ls.upb_sep333, ls.upb_44_reducible):
+    state_set = build()
+    report = ls.product_extension(state_set)
+    print(f"{state_set.label}: {report.verdict}; capacities {report.capacities} "
+          f"(sum {sum(report.capacities)} for {len(state_set)} states), "
+          f"{report.nodes} nodes")
 print()
 
+# the GHZ/W triple has dense members: the see-saw finds |011> in its complement
+triple = ls.entangled_triple(3)
+overlap, witness = ls.complement_product_search(triple, restarts=50, iters=200, rng_seed=0)
+print(f"{triple.label}: best overlap = {overlap:.9f}")
+print("witness factors (magnitudes):")
+for factor in witness.factors:
+    print(f"  {np.round(np.abs(factor), 6)}")
+
 # restarts are seeded substreams, so the whole search replays exactly
-again, _ = ls.complement_product_search(ls.upb_qubit3(), restarts=50, iters=200,
-                                        rng_seed=0)
-print(f"replay with the same seed reproduces the overlap bit for bit: "
-      f"{again == ls.complement_product_search(ls.upb_qubit3(), restarts=50, iters=200, rng_seed=0)[0]}")
+again, _ = ls.complement_product_search(triple, restarts=50, iters=200, rng_seed=0)
+print(f"replay with the same seed reproduces the overlap bit for bit: {again == overlap}")

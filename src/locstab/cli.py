@@ -21,6 +21,7 @@ from .stability import (
     complement_product_search,
     conflict_audit,
     is_locally_stable,
+    product_extension,
 )
 from .states import _complex_pairs, load_set, save_set, state_set_to_dict
 
@@ -42,8 +43,8 @@ _CONSTRUCTIONS = {
     "appendix": (_sqrt_subset_set, True),
 }
 
-# A found product state in the complement means the set is extendible; the
-# command's "property" is the absence of such a state.
+# The see-saw overlap at which a set with dense members counts as extendible;
+# the command's "property" is the absence of a product state in the complement.
 _COMPLEMENT_FOUND = 1.0 - 1e-3
 
 # Upper-bound kinds by the shared local dimension of the signature;
@@ -220,9 +221,38 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+def _product_complement(args, state_set, tol) -> int:
+    report = product_extension(state_set, tol)
+    witness = report.witness
+    payload = {
+        "label": report.label,
+        "method": "partition",
+        "verdict": report.verdict,
+        "product_state_found": report.verdict == "extendible",
+        "witness": None if witness is None else [_complex_pairs(f) for f in witness.factors],
+        "groups": None if report.groups is None else [list(g) for g in report.groups],
+        "capacities": list(report.capacities),
+        "nodes": report.nodes,
+    }
+    _emit(
+        args,
+        payload,
+        [
+            f"label:      {report.label}",
+            f"verdict:    {report.verdict}",
+            f"capacities: {sum(report.capacities)} for {len(state_set)} states",
+            f"nodes:      {report.nodes}",
+        ],
+        args.out,
+    )
+    return 0 if report.verdict == "unextendible" else 1
+
+
 def _cmd_complement(args) -> int:
     tol = _tolerance(args)
     state_set = load_set(args.input)
+    if state_set.all_product:
+        return _product_complement(args, state_set, tol)
     overlap, witness = complement_product_search(
         state_set,
         restarts=args.restarts,
@@ -312,11 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.set_defaults(func=_cmd_bound)
 
     p_complement = sub.add_parser(
-        "complement", help="see-saw search for a product state in the complement"
+        "complement",
+        help="decide whether a product state lies in the set's orthogonal complement",
     )
     p_complement.add_argument("input", help="state-set JSON file")
-    p_complement.add_argument("--restarts", type=int, default=50)
-    p_complement.add_argument("--iters", type=int, default=200)
+    p_complement.add_argument("--restarts", type=int, default=50,
+                              help="see-saw restarts, for sets with dense members")
+    p_complement.add_argument("--iters", type=int, default=200,
+                              help="see-saw sweeps per restart, for sets with dense members")
     _common_flags(p_complement)
     p_complement.set_defaults(func=_cmd_complement)
 

@@ -8,8 +8,9 @@ stable when that span fills the full traceless operator space, i.e. reaches
 dimension d**2 - 1; the set is locally stable when every party is.
 
 The module also carries the counting facts that bound the size of a stable
-set, closed-form upper bounds for qubit and qutrit systems, and a see-saw
-search for product states in a set's orthogonal complement.
+set, closed-form upper bounds for qubit and qutrit systems, and two tests
+for product states in a set's orthogonal complement: the exact partition
+test for all-product sets and a see-saw search for sets with dense members.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ __all__ = [
     "conflict_audit",
     "cardinality_lower_bound",
     "cardinality_upper_bounds",
+    "ExtensionReport",
+    "product_extension",
     "complement_product_search",
 ]
 
@@ -60,6 +63,14 @@ _SUBSET_BLOCK = 512
 # Complex entries in one zero-padded (sets, rows, d*d) stack handed to the
 # rank kernel; a row set larger than this is ranked on its own.
 _RANK_BUDGET = 1 << 13
+
+# (d - 1)-subsets of one party's factors whose hyperplanes product_extension
+# enumerates; a party with more is searched as if any group fitted in one
+# hyperplane, and its groups are ranked at the leaves.
+_HYPERPLANE_SUBSETS = 1 << 14
+
+# States placed by product_extension's search before it reports "undecided".
+_EXTENSION_NODES = 1 << 16
 
 
 class OrthogonalityError(ValueError):
@@ -471,6 +482,206 @@ def cardinality_upper_bounds(n: int, kind: str) -> int:
     raise ValueError(f"unknown bound kind {kind!r}")
 
 
+@dataclass(frozen=True)
+class ExtensionReport:
+    """The partition test's answer for an all-product set.
+
+    ``verdict`` is "unextendible" (no product state lies in the orthogonal
+    complement), "extendible" (``witness`` lies there and passed the direct
+    check) or "undecided" (the node cap was hit, or the witness of a found
+    split failed that check).  ``capacities[i]`` is the largest number of
+    party-i factors inside one hyperplane, or the set size where the
+    hyperplanes were not enumerated.  ``groups[i]`` lists the states the
+    found split gives party i, and is None when no split was found;
+    ``witness`` is None unless the verdict is "extendible".  ``nodes``
+    counts the states the search placed.
+    """
+
+    label: str
+    verdict: str
+    witness: ProductState | None
+    groups: tuple[tuple[int, ...], ...] | None
+    capacities: tuple[int, ...]
+    nodes: int
+
+
+def _hyperplanes(stack, tol):
+    """The hyperplanes spanned by (d-1)-subsets of the unit factors of
+    parties sharing one local dimension, given as a (P, l, d) stack: per
+    party (normals, hits), where ``normals`` is (C, d) and ``hits[c, j]``
+    says whether |<n_c|a_j>| < ``tol.rank_rel``, or None when the party's
+    factors do not span C^d (always when l < d) or there are more than
+    _HYPERPLANE_SUBSETS subsets.
+
+    Each normal is the pivot past rank d-1 of its subset stacked above the
+    identity, so it is orthogonal to the subset even when the subset is
+    rank deficient.  Factors lie in one hyperplane exactly when some normal
+    hits all of them: while a party's factors span, any group of rank
+    below d grows, by more factors, to a rank d-1 subset whose hyperplane
+    holds it.  Subsets are ranked, and their hits counted, in stacks of at
+    most _RANK_BUDGET entries, one party at least.
+    """
+    parties, size, d = stack.shape
+    if size < d or math.comb(size, d - 1) > _HYPERPLANE_SUBSETS:
+        return [None] * parties
+    spans = _orthonormal_rows(stack.copy(), tol.rank_rel)[1] == d
+    subsets = np.array(list(itertools.combinations(range(size), d - 1)), dtype=np.intp)
+    subsets = subsets.reshape(len(subsets), d - 1)
+    per = max(1, _RANK_BUDGET // (len(subsets) * (2 * d - 1) * d))
+    identity = np.eye(d, dtype=complex)
+    normals, hits = [], []
+    for first in range(0, parties, per):
+        factors = stack[first:first + per]
+        chunk = factors[:, subsets]
+        rows = np.concatenate(
+            [chunk, np.broadcast_to(identity, chunk.shape[:2] + (d, d))], axis=2
+        )
+        pivots = _orthonormal_rows(rows.reshape(-1, 2 * d - 1, d), tol.rank_rel)[0]
+        found = pivots[:, d - 1].reshape(len(factors), len(subsets), d)
+        normals.extend(found)
+        hits.extend(np.abs(found.conj() @ factors.transpose(0, 2, 1)) < tol.rank_rel)
+    return [(n, h) if ok else None for n, h, ok in zip(normals, hits, spans.tolist())]
+
+
+def _partition_search(hits, starts, leaf):
+    """Depth-first search for a split of the states into one group per
+    party, each inside one of its party's hyperplanes.
+
+    ``hits`` is (l, H), one column per hyperplane, party i's columns
+    starting at ``starts[i]``; ``hits[j, h]`` says whether state j's factor
+    lies in hyperplane h.  States are placed in order, each at every party
+    in turn that has a hyperplane holding its group and the state.  A
+    branch is cut when, summed over the parties, the most unplaced states
+    that one hyperplane holding a party's group takes is below the number
+    of states left; at the root that sum is the capacity sum.
+    ``leaf(parties, alive)`` gets each complete split, as the party of
+    every state and the mask of hyperplanes holding each group, and the
+    first split it returns a result for ends the search.
+
+    Returns ((parties, result) or None, nodes, capped); None means that no
+    split exists, or, when ``capped``, that _EXTENSION_NODES placements
+    did not settle it.
+    """
+    size, width = hits.shape
+    ends = np.append(starts[1:], width)
+    alive = np.ones(width, dtype=bool)
+    free = hits.sum(axis=0)
+    placed = []  # (party, its alive columns before the state joined)
+    pending = []  # per state being placed: the parties left to try, last first
+    nodes = 0
+
+    def options(j):
+        room = np.maximum.reduceat(np.where(alive, free, 0), starts)
+        if room.sum() < size - j:
+            return []
+        return np.logical_or.reduceat(alive & hits[j], starts).nonzero()[0].tolist()[::-1]
+
+    pending.append(options(0))
+    while pending:
+        j = len(pending) - 1
+        if len(placed) > j:
+            party, before = placed.pop()
+            alive[starts[party]:ends[party]] = before
+            free += hits[j]
+        if not pending[-1]:
+            pending.pop()
+            continue
+        if nodes == _EXTENSION_NODES:
+            return None, nodes, True
+        nodes += 1
+        party = pending[-1].pop()
+        columns = slice(starts[party], ends[party])
+        placed.append((party, alive[columns].copy()))
+        alive[columns] &= hits[j, columns]
+        free -= hits[j]
+        if j + 1 < size:
+            pending.append(options(j + 1))
+            continue
+        parties = [p for p, _ in placed]
+        result = leaf(parties, alive)
+        if result is not None:
+            return (parties, result), nodes, False
+    return None, nodes, False
+
+
+def product_extension(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> ExtensionReport:
+    """Decide exactly whether the orthogonal complement of an all-product
+    set holds a product state.
+
+    By the partition test (Bennett et al., PRL 82, 5385 (1999); DiVincenzo
+    et al., CMP 238, 379 (2003)) it does if and only if the states split
+    into one group per party such that no group's factors span its party's
+    space: unit vectors v_i orthogonal to group i give such a product state
+    v_1 x ... x v_P, and such a product state is orthogonal to each state
+    at some party, which groups them.
+
+    Party i's capacity is the largest number of its factors in one
+    hyperplane (:func:`_hyperplanes`); a capacity sum below the set
+    size proves unextendibility with no search, and otherwise
+    :func:`_partition_search` looks for a split.  The witness takes, per
+    party, the normal of a hyperplane holding the group, or the rank
+    kernel's pivot past the group's rank where hyperplanes were not
+    enumerated or the group is empty (e_0).  Every state must have a
+    factor overlap |<v_i|a_i>| below ``tol.orth_abs`` with it, else the
+    verdict is "undecided".  Raises :class:`OrthogonalityError` for a
+    non-orthogonal set and ValueError for a complete one.
+    """
+    if not state_set.all_product:
+        raise ValueError("product_extension needs an all-product set")
+    if not len(state_set):
+        raise ValueError("cannot check an empty state set")
+    pattern = factor_zero_pattern(state_set, tol)
+    offending = pattern.offending_pairs()
+    if offending:
+        raise OrthogonalityError(offending)
+    size = len(state_set)
+    if size >= state_set.total_dimension:
+        raise ValueError("the set already spans the full space; complement is empty")
+
+    planes = [None] * len(state_set.dims)
+    for d in set(state_set.dims):
+        parties = [i for i, di in enumerate(state_set.dims) if di == d]
+        stack = np.stack([pattern.factors[i] for i in parties])
+        for party, plane in zip(parties, _hyperplanes(stack, tol)):
+            planes[party] = plane
+    # a party without enumerated hyperplanes gets one column holding every state
+    columns = [np.ones((size, 1), dtype=bool) if p is None else p[1].T for p in planes]
+    starts = np.cumsum([0] + [c.shape[1] for c in columns[:-1]])
+    hits = np.concatenate(columns, axis=1)
+    capacities = tuple(np.maximum.reduceat(hits.sum(axis=0), starts).tolist())
+
+    def leaf(parties, alive):
+        witness = []
+        for party, (plane, factors, start) in enumerate(zip(planes, pattern.factors, starts)):
+            group = factors[[j for j, p in enumerate(parties) if p == party]]
+            if plane is not None and len(group):
+                normals = plane[0]
+                witness.append(normals[alive[start:start + len(normals)].argmax()])
+                continue
+            d = factors.shape[1]
+            rank = _orthonormal_rows(group[None].copy(), tol.rank_rel)[1][0]
+            if rank == d:
+                return None
+            rows = np.concatenate([group, np.eye(d, dtype=complex)])[None]
+            witness.append(_orthonormal_rows(rows, tol.rank_rel)[0][0, rank])
+        return witness
+
+    found, nodes, capped = _partition_search(hits, starts, leaf)
+    verdict = "undecided" if capped else "unextendible"
+    witness = groups = None
+    if found is not None:
+        parties, vectors = found
+        groups = tuple(
+            tuple(j for j, p in enumerate(parties) if p == party) for party in range(len(planes))
+        )
+        overlaps = [np.abs((f * v.conj()).sum(axis=1)) for f, v in zip(pattern.factors, vectors)]
+        if (np.min(overlaps, axis=0) < tol.orth_abs).all():
+            verdict, witness = "extendible", ProductState(vectors)
+        else:
+            verdict = "undecided"
+    return ExtensionReport(state_set.label, verdict, witness, groups, capacities, nodes)
+
+
 def _rowwise_kron(rows, factors):
     """Row-wise Kronecker product of (rows, d_r) arrays: a (rows, prod d_r)
     array whose row t is the Kronecker product of the factors' rows t."""
@@ -488,7 +699,8 @@ def complement_product_search(
     tol: Tolerance = DEFAULT_TOL,
 ):
     """See-saw maximization of a product state's overlap with the orthogonal
-    complement of span(state_set).
+    complement of span(state_set).  The CLI uses it for sets with dense
+    members; :func:`product_extension` decides all-product sets exactly.
 
     Each restart draws uniformly random unit factors from its own substream
     spawned from ``rng_seed``, so results are reproducible.  The restarts

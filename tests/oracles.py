@@ -114,6 +114,42 @@ def seesaw_sequential(state_set, restarts=50, iters=200, rng_seed=0):
     return best_overlap, best_factors, runs
 
 
+def extension_brute(state_set, rtol=1e-8):
+    """(extendible, capacities) of an all-product set of at most 8 states,
+    by trying every one of the P**l assignments of states to parties.
+
+    A group of states does not span party i when ``np.linalg.matrix_rank``
+    of their party-i factors, at relative cutoff ``rtol``, is below d_i.
+    The set is extendible when some assignment leaves every party's group
+    non-spanning, and ``capacities[i]`` is the size of party i's largest
+    non-spanning subset.
+    """
+    size, parties = len(state_set), len(state_set.dims)
+    if size > 8:
+        raise ValueError("extension_brute enumerates at most 8 states")
+    weights = 1 << np.arange(size)
+    members = (np.arange(1 << size)[:, None] & weights) > 0
+    fits = []  # fits[i][mask]: the states of the bit mask do not span party i
+    for i, d in enumerate(state_set.dims):
+        factors = np.array([s.factors[i] for s in state_set.states])
+        fits.append(np.array([
+            not row.any() or np.linalg.matrix_rank(factors[row], rtol=rtol) < d
+            for row in members
+        ]))
+    capacities = tuple(int(members[fit].sum(axis=1).max()) for fit in fits)
+    total = parties ** size
+    places = parties ** np.arange(size)
+    for start in range(0, total, 1 << 15):
+        codes = np.arange(start, min(start + (1 << 15), total))
+        digits = codes[:, None] // places % parties
+        ok = np.ones(len(codes), dtype=bool)
+        for i, fit in enumerate(fits):
+            ok &= fit[((digits == i) * weights).sum(axis=1)]
+        if ok.any():
+            return True, capacities
+    return False, capacities
+
+
 def rest_inner(state_set, j, k, i):
     """Inner product of states k and j over every party except ``i``
     (conjugate-linear in state k's factors): the per-pair reference for the

@@ -6,7 +6,8 @@ bound values, the heptagon six-subset campaign plus its misprint variant,
 shift-family subset campaigns, the square-root subset reproduction
 certified on every odd width from 37 to 201 and on 399 qubit parties,
 five randomized property suites at 1000 trials each, compositions of
-stable sets, and the complement see-saw evidence.
+stable sets, partition proofs that the named UPBs and upb_shifts(n) for
+n = 3..64 are unextendible, and the complement see-saw evidence.
 """
 
 import itertools
@@ -409,6 +410,23 @@ def test_compositions_of_stable_sets():
         "compositions of stable sets stay stable",
         checked > 0 and not failures,
         f"{checked} compositions" + (f"; failed: {failures}" if failures else ""),
+    )
+
+
+def test_partition_proofs_of_unextendibility():
+    start = time.monotonic()
+    named = [ls.upb_qubit3(), ls.upb_tiles33(), ls.upb_sep333(), ls.upb_44_reducible()]
+    shifts = range(3, 65)
+    reports = [ls.product_extension(s) for s in named]
+    reports += [ls.product_extension(ls.upb_shifts(n)) for n in shifts]
+    proved = [r.label for r in reports if r.verdict == "unextendible"]
+    searched = [r.label for r in reports if r.nodes]
+    elapsed = time.monotonic() - start
+    _report(
+        "partition proofs of unextendibility",
+        len(proved) == len(reports) and searched == ["tiles-4x4-reducible"] and elapsed < 60.0,
+        f"{len(proved)} of {len(reports)} sets proved (upb_shifts n = 3..64), "
+        f"searched: {searched}, {elapsed:.2f}s",
     )
 
 

@@ -6,14 +6,18 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
+import locstab.stability
 from locstab import (
+    entangled_triple,
     load_set,
     save_set,
     subset_campaign,
     upb_44_reducible,
     upb_qubit3,
+    upb_shifts,
     upb_tiles33,
 )
 from locstab._jsonout import dumps
@@ -274,19 +278,90 @@ class TestComplement:
         ], "trio")
         path = tmp_path / "trio.json"
         save_set(trio, path)
-        code, out, _ = run_cli(capsys, "complement", str(path), "--restarts", "10",
-                               "--iters", "50")
+        code, out, _ = run_cli(capsys, "complement", str(path))
         assert code == 1
         payload = json.loads(out)
-        assert payload["best_overlap"] == pytest.approx(1.0, abs=1e-6)
+        assert payload["method"] == "partition"
+        assert payload["verdict"] == "extendible"
         assert payload["product_state_found"] is True
+        assert sorted(j for group in payload["groups"] for j in group) == [0, 1, 2]
+        # the witness is |11> up to phases, orthogonal to every state
+        witness = [np.array([complex(*z) for z in factor]) for factor in payload["witness"]]
+        for state in trio.states:
+            assert min(abs(np.vdot(v, a)) for v, a in zip(witness, state.factors)) < 1e-10
+        assert [abs(v[1]) for v in witness] == pytest.approx([1.0, 1.0])
 
     def test_tiles_no_product_state(self, capsys, tiles_file):
-        code, out, _ = run_cli(capsys, "complement", tiles_file,
-                               "--restarts", "15", "--iters", "100")
+        code, out, _ = run_cli(capsys, "complement", tiles_file)
         assert code == 0
         payload = json.loads(out)
-        assert payload["best_overlap"] < 1 - 1e-3
+        assert list(payload) == ["label", "method", "verdict", "product_state_found",
+                                 "witness", "groups", "capacities", "nodes"]
+        assert payload["verdict"] == "unextendible"
+        assert payload["product_state_found"] is False
+        assert payload["witness"] is None and payload["groups"] is None
+        assert payload["capacities"] == [2, 2]
+        assert payload["nodes"] == 0
+
+    def test_tiles_human(self, capsys, tiles_file):
+        code, out, _ = run_cli(capsys, "complement", tiles_file, "--human")
+        assert code == 0
+        assert out == (
+            "label:      tiles-3x3\n"
+            "verdict:    unextendible\n"
+            "capacities: 4 for 5 states\n"
+            "nodes:      0\n"
+        )
+
+    def test_wide_shift_upb_proved_unextendible(self, capsys, tmp_path):
+        # N = 127 qubits: beyond the see-saw's dense limit of 2**20
+        path = tmp_path / "shifts64.json"
+        save_set(upb_shifts(64), path)
+        code, out, err = run_cli(capsys, "complement", str(path))
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["verdict"] == "unextendible"
+        assert sum(payload["capacities"]) == 127
+
+    def test_capped_search_exits_one_undecided(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "reducible.json"
+        save_set(upb_44_reducible(), path)
+        monkeypatch.setattr(locstab.stability, "_EXTENSION_NODES", 5)
+        code, out, _ = run_cli(capsys, "complement", str(path))
+        assert code == 1
+        payload = json.loads(out)
+        assert (payload["verdict"], payload["nodes"]) == ("undecided", 5)
+        assert payload["product_state_found"] is False
+
+    def test_dense_members_keep_the_seesaw_output(self, capsys, tmp_path):
+        # the see-saw's payload and human summary, as before product sets
+        # moved to the partition test; floats are compared to 1e-9 so the
+        # check does not depend on the BLAS build
+        path = tmp_path / "triple.json"
+        save_set(entangled_triple(3), path)
+        argv = ["complement", str(path), "--restarts", "3", "--iters", "10", "--seed", "9"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        payload = json.loads(out)
+        assert list(payload) == ["label", "best_overlap", "witness", "restarts", "iters",
+                                 "seed", "product_state_found"]
+        assert payload["label"] == "ghz-w-triple-3q"
+        assert payload["best_overlap"] == pytest.approx(0.9999403396029427, abs=1e-9)
+        expected = [
+            [[-0.9999999999778661, 0.0], [-5.553240611476474e-06, -3.6646241060841612e-06]],
+            [[0.08839306383791976, 0.0], [0.8313778953663028, 0.5486323553725595]],
+            [[-0.08638346700458285, 0.0], [0.8315250346759875, 0.5487294536794667]],
+        ]
+        assert np.allclose(payload["witness"], expected, atol=1e-9, rtol=0)
+        assert (payload["restarts"], payload["iters"], payload["seed"]) == (3, 10, 9)
+        assert payload["product_state_found"] is True
+        code, out, _ = run_cli(capsys, *argv, "--human")
+        assert code == 1
+        assert out == (
+            "label:        ghz-w-triple-3q\n"
+            "best overlap: 0.999940340\n"
+            "product state in complement: found\n"
+        )
 
     def test_complete_set_rejected(self, capsys, tmp_path):
         from locstab import ProductState, StateSet

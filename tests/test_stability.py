@@ -26,6 +26,7 @@ from locstab import (
     entangled_triple,
     hs_inner,
     is_locally_stable,
+    product_extension,
     shift_family,
     span_generators,
     span_rank,
@@ -39,7 +40,7 @@ from locstab import (
     validate_seeds,
     vec_inner,
 )
-from oracles import conflict_attribution_loop, rest_inner, seesaw_sequential
+from oracles import conflict_attribution_loop, extension_brute, rest_inner, seesaw_sequential
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -654,6 +655,216 @@ class TestComplementSearch:
         assert len(converged) > 1
         for seed in (0, 11):
             assert 200 in sweeps["entangled_triple(3)", seed]
+
+
+def _planted_product_set(rng, dims, size):
+    """A random orthogonal product set of at most ``size`` states whose
+    factors are vectors of two random bases per party, each times a random
+    phase: factors of one basis vector are parallel, of one basis
+    orthogonal, and of two bases generic.  A candidate state joins when it
+    is orthogonal to every state kept, within one basis at some party."""
+    bases = [[np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+              for _ in range(2)] for d in dims]
+    labels, states = [], []
+    for _ in range(200):
+        label = [(int(rng.integers(2)), int(rng.integers(d))) for d in dims]
+        if any(all(a[0] != b[0] or a[1] == b[1] for a, b in zip(label, kept)) for kept in labels):
+            continue
+        labels.append(label)
+        states.append(ProductState([
+            bases[i][b][:, k] * np.exp(2j * np.pi * rng.random()) for i, (b, k) in enumerate(label)
+        ]))
+        if len(states) == size:
+            break
+    return StateSet(dims, states, "planted")
+
+
+def _with_basis_party(state_set):
+    """Every state of ``state_set`` times |0> and times |1> on one more
+    qubit; unextendible when ``state_set`` is, with a parallel class of l
+    factors at the new party."""
+    e = np.eye(2, dtype=complex)
+    return StateSet(
+        state_set.dims + (2,),
+        [ProductState(list(s.factors) + [e[k]]) for s in state_set.states for k in range(2)],
+        state_set.label + "x2",
+    )
+
+
+_DISGUISED_BASES = [
+    upb_qubit3, upb_tiles33, upb_sep333, functools.partial(upb_shifts, 3),
+    lambda: _with_basis_party(upb_qubit3()), lambda: _with_basis_party(_extendible_trio()),
+]
+
+
+def _disguised(rng, state_set, drop):
+    """``state_set`` under random local unitaries, factor phases and party
+    and state orders, with ``drop`` random states removed: the verdict of
+    the whole set does not change, and removing a state from a UPB makes it
+    extendible."""
+    unitaries = [np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+                 for d in state_set.dims]
+    order = rng.permutation(len(state_set.dims))
+    kept = rng.permutation(len(state_set))[drop:]
+    states = [
+        ProductState([
+            unitaries[i] @ state_set[j].factors[i] * np.exp(2j * np.pi * rng.random())
+            for i in order
+        ])
+        for j in kept
+    ]
+    return StateSet(tuple(state_set.dims[i] for i in order), states, "disguised")
+
+
+def _assert_witness_checks(state_set, report):
+    """The witness of an "extendible" report is orthogonal to every state at
+    some party, by at least the package's factor cutoff."""
+    assert report.verdict == "extendible"
+    assert report.witness.dims == state_set.dims
+    for state in state_set.states:
+        overlaps = [abs(vec_inner(v, a)) for v, a in zip(report.witness.factors, state.factors)]
+        assert min(overlaps) < DEFAULT_TOL.orth_abs
+    groups = report.groups
+    assert sorted(j for group in groups for j in group) == list(range(len(state_set)))
+
+
+def _assert_agrees_with_brute_force(state_set):
+    extendible, capacities = extension_brute(state_set)
+    report = product_extension(state_set)
+    assert report.capacities == capacities
+    assert report.verdict == ("extendible" if extendible else "unextendible")
+    if extendible:
+        _assert_witness_checks(state_set, report)
+
+
+_NAMED_UPBS = {
+    "qubit3": upb_qubit3,
+    "tiles33": upb_tiles33,
+    "sep333": upb_sep333,
+    "reducible44": upb_44_reducible,
+    **{f"upb_shifts({n})": functools.partial(upb_shifts, n) for n in (3, 4, 5, 6)},
+}
+
+
+class TestProductExtension:
+    @pytest.mark.parametrize("build", [
+        upb_qubit3, upb_tiles33, upb_sep333, _extendible_trio,
+        functools.partial(upb_shifts, 3), functools.partial(upb_shifts, 4),
+        functools.partial(shift_family, 3), functools.partial(shift_family, 4),
+        lambda: compose(upb_qubit3(), 0, upb_qubit3(), 0),
+    ], ids=["qubit3", "tiles33", "sep333", "trio", "upb_shifts(3)", "upb_shifts(4)",
+            "shift_family(3)", "shift_family(4)", "compose-qubit3"])
+    def test_agrees_with_brute_force_on_named_sets(self, build):
+        state_set = build()
+        _assert_agrees_with_brute_force(state_set)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_agrees_with_brute_force_on_planted_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = [(2, 2), (2, 2, 2), (2, 3), (3, 3), (2, 2, 2, 2), (3, 2, 2), (4, 2)][seed % 7]
+        size = min(int(rng.integers(3, 9)), math.prod(dims) - 1)
+        state_set = _planted_product_set(rng, dims, size)
+        _assert_agrees_with_brute_force(state_set)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_agrees_with_brute_force_on_disguised_sets(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        base = _DISGUISED_BASES[seed % len(_DISGUISED_BASES)]()
+        state_set = _disguised(rng, base, drop=seed // len(_DISGUISED_BASES) % 2)
+        _assert_agrees_with_brute_force(state_set)
+
+    def test_disguised_sets_cover_both_verdicts_and_searches(self):
+        reports = [
+            product_extension(_disguised(np.random.default_rng(1000 + seed),
+                                         _DISGUISED_BASES[seed % len(_DISGUISED_BASES)](),
+                                         drop=seed // len(_DISGUISED_BASES) % 2))
+            for seed in range(24)
+        ]
+        assert {r.verdict for r in reports} == {"extendible", "unextendible"}
+        assert any(r.verdict == "unextendible" and r.nodes > 0 for r in reports)
+        assert any(r.verdict == "extendible" and r.nodes > 0 for r in reports)
+
+    @pytest.mark.parametrize("name", sorted(_NAMED_UPBS))
+    def test_named_upbs_minus_one_state_extend(self, name):
+        upb = _NAMED_UPBS[name]()
+        assert product_extension(upb).verdict == "unextendible"
+        for j in range(len(upb)):
+            rest = upb.subset([k for k in range(len(upb)) if k != j])
+            _assert_witness_checks(rest, product_extension(rest))
+
+    def test_shift_family_extends_in_a_few_nodes(self):
+        report = product_extension(shift_family(3))
+        assert report.verdict == "extendible"
+        assert report.nodes <= 10
+        _assert_witness_checks(shift_family(3), report)
+
+    def test_reducible44_needs_a_search(self):
+        report = product_extension(upb_44_reducible())
+        assert report.verdict == "unextendible"
+        assert sum(report.capacities) >= len(upb_44_reducible())
+        assert report.nodes > 0
+        assert report.witness is None and report.groups is None
+
+    def test_capacity_bound_decides_without_search(self):
+        for build in (upb_qubit3, upb_tiles33, upb_sep333, lambda: upb_shifts(5)):
+            report = product_extension(build())
+            assert sum(report.capacities) < len(build())
+            assert (report.verdict, report.nodes) == ("unextendible", 0)
+
+    def test_node_cap_reports_undecided(self, monkeypatch):
+        monkeypatch.setattr(locstab.stability, "_EXTENSION_NODES", 10)
+        report = product_extension(upb_44_reducible())
+        assert (report.verdict, report.nodes) == ("undecided", 10)
+        assert report.witness is None and report.groups is None
+        # the capacity bound needs no node
+        assert product_extension(upb_qubit3()).verdict == "unextendible"
+
+    @pytest.mark.parametrize("build", [upb_qubit3, upb_tiles33, _extendible_trio,
+                                       functools.partial(shift_family, 3)])
+    def test_unenumerated_hyperplanes_rank_groups_at_the_leaves(self, build, monkeypatch):
+        expected = product_extension(build()).verdict
+        monkeypatch.setattr(locstab.stability, "_HYPERPLANE_SUBSETS", 0)
+        report = product_extension(build())
+        assert report.capacities == (len(build()),) * len(build().dims)
+        assert report.verdict == expected
+        if expected == "extendible":
+            _assert_witness_checks(build(), report)
+
+    def test_low_rank_party_holds_every_state(self):
+        # every first factor lies in the plane of e0 and e1 inside C^3
+        e = np.eye(3, dtype=complex)
+        s = StateSet((3, 2), [ProductState([e[0], KET0]), ProductState([e[1], KET0]),
+                              ProductState([e[0], KET1])], "flat")
+        report = product_extension(s)
+        assert report.capacities[0] == 3
+        _assert_witness_checks(s, report)
+        assert abs(report.witness.factors[0][2]) == pytest.approx(1.0)
+
+    def test_fewer_states_than_a_hyperplane_needs(self):
+        e = np.eye(4, dtype=complex)
+        s = StateSet((4, 4), [ProductState([e[0], e[0]]), ProductState([e[1], e[1]])], "pair")
+        report = product_extension(s)
+        assert report.capacities == (2, 2)
+        _assert_witness_checks(s, report)
+
+    def test_failed_witness_check_is_undecided(self):
+        # the first factors are parallel within rank_rel but not within
+        # orth_abs, so the split that groups them has no exact witness
+        near = np.array([1.0, 1e-9], dtype=complex)
+        s = StateSet((2, 2), [ProductState([KET0, PLUS]), ProductState([near, MINUS])], "near")
+        report = product_extension(s)
+        assert report.verdict == "undecided"
+        assert report.groups == ((0, 1), ())
+        assert report.witness is None
+
+    def test_input_checks(self):
+        with pytest.raises(ValueError, match="complement is empty"):
+            product_extension(basis_set_2x2())
+        with pytest.raises(OrthogonalityError):
+            product_extension(StateSet((2, 2), [ProductState([KET0, KET0]),
+                                                ProductState([KET0, PLUS])]))
+        with pytest.raises(ValueError, match="all-product"):
+            product_extension(entangled_triple(3))
 
 
 class TestSpanRankOnGenerators:
