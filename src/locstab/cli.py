@@ -18,10 +18,9 @@ from .numerics import DEFAULT_TOL, Tolerance
 from .stability import (
     cardinality_lower_bound,
     cardinality_upper_bounds,
-    complement_product_search,
     conflict_audit,
+    decide_extension,
     is_locally_stable,
-    product_extension,
 )
 from .states import _complex_pairs, load_set, save_set, state_set_to_dict
 
@@ -42,10 +41,6 @@ _CONSTRUCTIONS = {
     "sqrt-subset": (_sqrt_subset_set, True),
     "appendix": (_sqrt_subset_set, True),
 }
-
-# The see-saw overlap at which a set with dense members counts as extendible;
-# the command's "property" is the absence of a product state in the complement.
-_COMPLEMENT_FOUND = 1.0 - 1e-3
 
 # Upper-bound kinds by the shared local dimension of the signature;
 # cardinality_upper_bounds decides for which party counts each applies.
@@ -221,66 +216,47 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _product_complement(args, state_set, tol) -> int:
-    report = product_extension(state_set, tol)
+def _cmd_complement(args) -> int:
+    tol = _tolerance(args)
+    state_set = load_set(args.input)
+    report = decide_extension(
+        state_set, tol, restarts=args.restarts, iters=args.iters, rng_seed=args.seed
+    )
     witness = report.witness
     payload = {
         "label": report.label,
-        "method": "partition",
+        "method": report.method,
         "verdict": report.verdict,
         "product_state_found": report.verdict == "extendible",
         "witness": None if witness is None else [_complex_pairs(f) for f in witness.factors],
         "groups": None if report.groups is None else [list(g) for g in report.groups],
-        "capacities": list(report.capacities),
+        "capacities": None if report.capacities is None else list(report.capacities),
         "nodes": report.nodes,
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"label:      {report.label}",
-            f"verdict:    {report.verdict}",
+    lines = [f"label:      {report.label}", f"verdict:    {report.verdict}"]
+    if report.method != "partition":
+        lines.insert(1, f"method:     {report.method}")
+    if report.capacities is not None:
+        lines += [
             f"capacities: {sum(report.capacities)} for {len(state_set)} states",
             f"nodes:      {report.nodes}",
-        ],
-        args.out,
-    )
+        ]
+    search = report.search
+    if search is not None:
+        payload.update(
+            restarts=args.restarts,
+            iters=args.iters,
+            seed=args.seed,
+            residual=1.0 - search.overlap,
+            sweeps=search.sweeps,
+            capped=search.capped,
+        )
+        lines += [
+            f"residual:   {1.0 - search.overlap:.3e}",
+            f"sweeps:     {search.sweeps}{' (capped)' if search.capped else ''}",
+        ]
+    _emit(args, payload, lines, args.out)
     return 0 if report.verdict == "unextendible" else 1
-
-
-def _cmd_complement(args) -> int:
-    tol = _tolerance(args)
-    state_set = load_set(args.input)
-    if state_set.all_product:
-        return _product_complement(args, state_set, tol)
-    overlap, witness = complement_product_search(
-        state_set,
-        restarts=args.restarts,
-        iters=args.iters,
-        rng_seed=args.seed,
-        tol=tol,
-    )
-    payload = {
-        "label": state_set.label,
-        "best_overlap": overlap,
-        "witness": [_complex_pairs(factor) for factor in witness.factors],
-        "restarts": args.restarts,
-        "iters": args.iters,
-        "seed": args.seed,
-        "product_state_found": overlap >= _COMPLEMENT_FOUND,
-    }
-    _emit(
-        args,
-        payload,
-        [
-            f"label:        {state_set.label}",
-            f"best overlap: {overlap:.9f}",
-            f"product state in complement: "
-            f"{'found' if overlap >= _COMPLEMENT_FOUND else 'none found'}",
-        ],
-        args.out,
-    )
-    return 0 if overlap < _COMPLEMENT_FOUND else 1
 
 
 def _common_flags(parser):
@@ -347,9 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_complement.add_argument("input", help="state-set JSON file")
     p_complement.add_argument("--restarts", type=int, default=50,
-                              help="see-saw restarts, for sets with dense members")
+                              help="see-saw restarts, for sets no exact rule decides")
     p_complement.add_argument("--iters", type=int, default=200,
-                              help="see-saw sweeps per restart, for sets with dense members")
+                              help="see-saw sweeps per restart, for sets no exact rule decides")
     _common_flags(p_complement)
     p_complement.set_defaults(func=_cmd_complement)
 

@@ -41,6 +41,9 @@ __all__ = [
     "subset_campaign",
 ]
 
+# Uniform keys a sampled campaign draws per chunk: 4 MB of float64.
+_DRAW_KEYS = 1 << 19
+
 _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
 _PLUS = np.array([1.0, 1.0], dtype=complex)
@@ -414,6 +417,24 @@ class CampaignReport:
         }
 
 
+def _sample_combos(size: int, k: int, draws: int, rng_seed: int) -> list:
+    """The distinct k-subsets of range(size) among ``draws`` seeded uniform
+    draws, as ascending index tuples in sorted order.
+
+    Each draw keeps the k smallest of ``size`` uniform keys, so every
+    k-subset is equally likely.  Keys are drawn in chunks of at most
+    _DRAW_KEYS; the generator yields the same keys for any chunking.
+    """
+    rng = np.random.default_rng(rng_seed)
+    per = max(1, _DRAW_KEYS // size)
+    picked = [np.empty((0, k), dtype=np.intp)] + [
+        np.argpartition(rng.random((min(per, draws - start), size)), k - 1, axis=1)[:, :k]
+        for start in range(0, draws, per)
+    ]
+    rows = np.sort(np.concatenate(picked), axis=1)
+    return list(map(tuple, np.unique(rows, axis=0).tolist()))
+
+
 def subset_campaign(
     state_set: StateSet,
     k: int,
@@ -434,22 +455,17 @@ def subset_campaign(
     set with no such subset (k = 1, or a sample that draws none) still gets
     its report.  Sets with dense members are certified subset by subset.
 
-    When the subset count exceeds ``sample_threshold`` a seeded random sample
-    of about ``sample_size`` distinct subsets is checked instead and the
-    report is marked as sampled.  Unstable subsets are returned as sorted
-    index tuples (capped at 1000 witnesses).
+    When the subset count exceeds ``sample_threshold`` the distinct subsets
+    among ``sample_size`` seeded uniform draws are checked instead, in
+    sorted order, and the report is marked as sampled.  Unstable subsets
+    are returned as sorted index tuples (capped at 1000 witnesses).
     """
     size = len(state_set)
     if not 1 <= k <= size:
         raise ValueError(f"k={k} out of range for a set of {size} states")
     total = math.comb(size, k)
     if total > sample_threshold:
-        rng = np.random.default_rng(rng_seed)
-        picked = {
-            tuple(sorted(rng.choice(size, size=k, replace=False).tolist()))
-            for _ in range(sample_size)
-        }
-        combos = sorted(picked)
+        combos = _sample_combos(size, k, sample_size, rng_seed)
         sampled = True
     else:
         combos = itertools.combinations(range(size), k)

@@ -20,7 +20,6 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "vec_inner",
-    "hs_inner",
     "span_rank",
     "orthocomplement_basis",
 ]
@@ -64,17 +63,6 @@ def vec_inner(a, b) -> complex:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     return complex((a.conj() * b).sum())
-
-
-def hs_inner(m, n) -> complex:
-    """Hilbert-Schmidt pairing Tr(M_adj N) of two equal-size square matrices."""
-    m = np.asarray(m, dtype=complex)
-    n = np.asarray(n, dtype=complex)
-    _require_square(m)
-    _require_square(n)
-    if m.shape != n.shape:
-        raise ValueError(f"shape mismatch: {m.shape} vs {n.shape}")
-    return complex((m.conj() * n).sum())
 
 
 def span_rank(mats, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -8,9 +8,10 @@ stable when that span fills the full traceless operator space, i.e. reaches
 dimension d**2 - 1; the set is locally stable when every party is.
 
 The module also carries the counting facts that bound the size of a stable
-set, closed-form upper bounds for qubit and qutrit systems, and two tests
-for product states in a set's orthogonal complement: the exact partition
-test for all-product sets and a see-saw search for sets with dense members.
+set, closed-form upper bounds for qubit and qutrit systems, and the exact
+decision whether a set's orthogonal complement holds a product state: the
+partition test for product sets, the dimension count for small sets, and a
+see-saw search whose witnesses are checked before they count.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .states import (
     check_mutual_orthogonality,
     check_signature,
     factor_zero_pattern,
+    factorize,
 )
 
 __all__ = [
@@ -48,7 +50,9 @@ __all__ = [
     "cardinality_upper_bounds",
     "ExtensionReport",
     "product_extension",
+    "SearchReport",
     "complement_product_search",
+    "decide_extension",
 ]
 
 # See-saw memory scales like (parties * states + restarts) * total dimension:
@@ -484,25 +488,31 @@ def cardinality_upper_bounds(n: int, kind: str) -> int:
 
 @dataclass(frozen=True)
 class ExtensionReport:
-    """The partition test's answer for an all-product set.
+    """Whether the orthogonal complement of a set holds a product state.
 
-    ``verdict`` is "unextendible" (no product state lies in the orthogonal
-    complement), "extendible" (``witness`` lies there and passed the direct
-    check) or "undecided" (the node cap was hit, or the witness of a found
-    split failed that check).  ``capacities[i]`` is the largest number of
-    party-i factors inside one hyperplane, or the set size where the
-    hyperplanes were not enumerated.  ``groups[i]`` lists the states the
-    found split gives party i, and is None when no split was found;
-    ``witness`` is None unless the verdict is "extendible".  ``nodes``
-    counts the states the search placed.
+    ``verdict`` is "unextendible" (it holds none), "extendible" (it holds
+    one) or "undecided".  ``method`` names the rule that decided it:
+    "partition" (:func:`product_extension`), "dimension-count" or "see-saw"
+    (:func:`decide_extension`).  ``witness`` is a product state in the
+    complement that passed the direct check against every state, and is
+    None unless the verdict is "extendible" and the method constructs one.
+
+    The partition test also reports ``capacities[i]``, the largest number
+    of party-i factors inside one hyperplane, or the set size where the
+    hyperplanes were not enumerated; ``groups[i]``, the states the found
+    split gives party i, None when no split was found; and ``nodes``, the
+    states its search placed.  Other methods leave these None.  ``search``
+    is the see-saw's :class:`SearchReport` for that method, else None.
     """
 
     label: str
     verdict: str
-    witness: ProductState | None
-    groups: tuple[tuple[int, ...], ...] | None
-    capacities: tuple[int, ...]
-    nodes: int
+    witness: ProductState | None = None
+    groups: tuple[tuple[int, ...], ...] | None = None
+    capacities: tuple[int, ...] | None = None
+    nodes: int | None = None
+    method: str = "partition"
+    search: SearchReport | None = None
 
 
 def _hyperplanes(stack, tol):
@@ -623,8 +633,9 @@ def product_extension(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Exte
     kernel's pivot past the group's rank where hyperplanes were not
     enumerated or the group is empty (e_0).  Every state must have a
     factor overlap |<v_i|a_i>| below ``tol.orth_abs`` with it, else the
-    verdict is "undecided".  Raises :class:`OrthogonalityError` for a
-    non-orthogonal set and ValueError for a complete one.
+    verdict is "undecided", as it is when the search hits its node cap.
+    Raises :class:`OrthogonalityError` for a non-orthogonal set and
+    ValueError for a complete one.
     """
     if not state_set.all_product:
         raise ValueError("product_extension needs an all-product set")
@@ -691,16 +702,33 @@ def _rowwise_kron(rows, factors):
     return out
 
 
+@dataclass(frozen=True)
+class SearchReport:
+    """What a see-saw search found and how hard it looked.
+
+    ``overlap`` is the best <phi|P|phi> across restarts, P the projector
+    onto the complement, and ``witness`` the product state reaching it.
+    ``sweeps`` counts the sweeps over the parties run by all restarts
+    together, and ``capped`` says whether some restart ran all ``iters``
+    sweeps without stopping earlier.
+    """
+
+    overlap: float
+    witness: ProductState
+    sweeps: int
+    capped: bool
+
+
 def complement_product_search(
     state_set: StateSet,
     restarts: int = 50,
     iters: int = 200,
     rng_seed: int = 0,
     tol: Tolerance = DEFAULT_TOL,
-):
+) -> SearchReport:
     """See-saw maximization of a product state's overlap with the orthogonal
-    complement of span(state_set).  The CLI uses it for sets with dense
-    members; :func:`product_extension` decides all-product sets exactly.
+    complement of span(state_set).  It only proposes a witness:
+    :func:`decide_extension` checks it before any verdict.
 
     Each restart draws uniformly random unit factors from its own substream
     spawned from ``rng_seed``, so results are reproducible.  The restarts
@@ -708,10 +736,10 @@ def complement_product_search(
     fixed, the factor of one party is set to the top eigenvector of its
     induced local operator, which can only raise the overlap.  A restart
     stops changing after the first sweep over the parties that gains less
-    than 1e-13, or after ``iters`` sweeps.  Returns the best overlap across
-    restarts and, as the witness, the final ProductState of the
-    lowest-numbered restart within 1e-12 of it; an overlap of 1 means a
-    product state was found inside the complement.
+    than 1e-13, or after ``iters`` sweeps.  The report holds the best
+    overlap across restarts and, as the witness, the final ProductState of
+    the lowest-numbered restart within 1e-12 of it; an overlap of 1 means a
+    product state was found inside the complement, up to rounding.
     """
     offending = check_mutual_orthogonality(state_set, tol)
     if offending:
@@ -748,7 +776,8 @@ def complement_product_search(
     active = np.arange(restarts)
     moving = list(factors)
     previous = np.full(restarts, -math.inf)
-    for _ in range(iters):
+    sweeps = 0
+    for sweep in range(iters):
         for i, d in enumerate(dims):
             rest = _rowwise_kron(len(active), moving[:i] + moving[i + 1:])
             contracted = (rest.conj() @ rest_maps[i]).reshape(len(active), size, d)
@@ -758,6 +787,7 @@ def complement_product_search(
         value = 1.0 - eigenvalues[:, 0]
         for full, part in zip(factors, moving):
             full[active] = part
+        sweeps += len(active)
         keep = ~(value - previous < 1e-13)
         previous = value[keep]
         active = active[keep]
@@ -771,4 +801,64 @@ def complement_product_search(
     # picking by index keeps the witness independent of summation order
     top = overlaps.max()
     best = int(np.flatnonzero(overlaps >= top - 1e-12)[0])
-    return float(top), ProductState([f[best] for f in factors])
+    witness = ProductState([f[best] for f in factors])
+    return SearchReport(float(top), witness, sweeps, sweep + 1 == iters)
+
+
+def decide_extension(
+    state_set: StateSet,
+    tol: Tolerance = DEFAULT_TOL,
+    restarts: int = 50,
+    iters: int = 200,
+    rng_seed: int = 0,
+) -> ExtensionReport:
+    """Decide whether the orthogonal complement of a set holds a product
+    state, by the first of three rules that applies.
+
+    1. "partition": an all-product set, or one whose every dense member
+       factorizes (:func:`~locstab.states.factorize`), goes to
+       :func:`product_extension` as a product set.
+    2. "dimension-count": l <= sum_i (d_i - 1) states are always
+       extendible.  The product states form the Segre variety, of
+       projective dimension sum_i (d_i - 1); the complement of l
+       independent states is a projective subspace of codimension l; and
+       the two meet (the count behind the UPB size floor of Bennett et
+       al., PRL 82, 5385 (1999), and Alon & Lovasz, JCTA 95, 169 (2001)).
+       No search runs, so no total dimension is too large.
+    3. "see-saw": :func:`complement_product_search` proposes a witness,
+       with ``restarts``, ``iters`` and ``rng_seed``.  The verdict is
+       "extendible" only when the witness is orthogonal to every state by
+       :func:`~locstab.states.check_mutual_orthogonality`, else
+       "undecided"; a search never proves a set unextendible.
+
+    Raises :class:`OrthogonalityError` for a non-orthogonal set and
+    ValueError for a complete one.
+    """
+    if state_set.all_product:
+        return product_extension(state_set, tol)
+    offending = check_mutual_orthogonality(state_set, tol)
+    if offending:
+        raise OrthogonalityError(offending)
+    size = len(state_set)
+    if size >= state_set.total_dimension:
+        raise ValueError("the set already spans the full space; complement is empty")
+    members = []
+    for state in state_set.states:
+        member = state if isinstance(state, ProductState) else factorize(state, tol)
+        if member is None:
+            break
+        members.append(member)
+    else:
+        return product_extension(StateSet(state_set.dims, members, state_set.label), tol)
+    if size <= sum(d - 1 for d in state_set.dims):
+        return ExtensionReport(state_set.label, "extendible", method="dimension-count")
+    search = complement_product_search(state_set, restarts, iters, rng_seed, tol)
+    with_witness = StateSet(state_set.dims, (search.witness,) + state_set.states)
+    found = not check_mutual_orthogonality(with_witness, tol)
+    return ExtensionReport(
+        state_set.label,
+        "extendible" if found else "undecided",
+        search.witness if found else None,
+        method="see-saw",
+        search=search,
+    )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jsonout import LazyList, iter_json
-from .numerics import DEFAULT_TOL, Tolerance, vec_inner
+from .numerics import DEFAULT_TOL, Tolerance, _orthonormal_rows, vec_inner
 
 __all__ = [
     "MAX_DENSE_DIMENSION",
@@ -28,12 +28,11 @@ __all__ = [
     "StateSet",
     "tensor_expand",
     "as_dense",
-    "state_inner",
     "FactorZeroPattern",
     "factor_zero_pattern",
     "check_mutual_orthogonality",
     "bpart_decompose",
-    "states_close",
+    "factorize",
     "state_set_to_dict",
     "state_set_from_dict",
     "save_set",
@@ -205,19 +204,6 @@ def as_dense(state) -> DenseState:
     return state if isinstance(state, DenseState) else tensor_expand(state)
 
 
-def state_inner(a, b) -> complex:
-    """Full-system inner product <a|b>; product pairs multiply factor inners
-    without ever expanding the tensor."""
-    if a.dims != b.dims:
-        raise ValueError(f"signature mismatch: {a.dims} vs {b.dims}")
-    if isinstance(a, ProductState) and isinstance(b, ProductState):
-        out = 1.0 + 0.0j
-        for fa, fb in zip(a.factors, b.factors):
-            out *= vec_inner(fa, fb)
-        return complex(out)
-    return vec_inner(as_dense(a).amplitudes, as_dense(b).amplitudes)
-
-
 @dataclass(frozen=True)
 class FactorZeroPattern:
     """Which factor overlaps of an all-product set vanish, from one pass.
@@ -343,17 +329,27 @@ def bpart_decompose(state: DenseState, i: int):
     return [row.copy() for row in _party_blocks(state.amplitudes[None], dims, i)[0]]
 
 
-def states_close(a, b, atol=1e-12, up_to_phase=True) -> bool:
-    """Amplitude-wise closeness of two states, by default up to one global phase."""
-    if a.dims != b.dims:
-        return False
-    if up_to_phase:
-        # unit vectors are parallel iff their overlap has magnitude one;
-        # product pairs stay unexpanded this way
-        return abs(abs(state_inner(a, b)) - 1.0) <= atol
-    va = as_dense(a).amplitudes
-    vb = as_dense(b).amplitudes
-    return bool(np.allclose(va, vb, rtol=0.0, atol=atol))
+def factorize(state: DenseState, tol: Tolerance = DEFAULT_TOL) -> ProductState | None:
+    """The product state equal to ``state`` up to a global phase, or None
+    when it is not one.
+
+    Split at any party (the :func:`bpart_decompose` layout), a product
+    state's blocks are all multiples of that party's factor, so each split
+    must have rank 1 under the rank kernel, and its unit pivot is the
+    factor.  Parties are split one at a time, stopping at the first of
+    higher rank.  The rebuilt product is accepted only when
+    1 - |<rebuild|state>| < ``tol.orth_abs``.
+    """
+    factors = []
+    for party in range(len(state.dims)):
+        blocks = np.array(_party_blocks(state.amplitudes[None], state.dims, party))
+        pivots, ranks = _orthonormal_rows(blocks, tol.rank_rel)
+        if ranks[0] != 1:
+            return None
+        factors.append(pivots[0, 0])
+    product = ProductState(factors)
+    overlap = vec_inner(tensor_expand(product).amplitudes, state.amplitudes)
+    return product if 1.0 - abs(overlap) < tol.orth_abs else None
 
 
 def _complex_pairs(arr):

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from locstab.constructions import CampaignReport
+from locstab.constructions import CampaignReport, _sample_combos
 from locstab.numerics import DEFAULT_TOL, vec_inner
 from locstab.stability import is_locally_stable
-from locstab.states import _party_blocks, as_dense
+from locstab.states import ProductState, _party_blocks, as_dense
 
 
 def exact_rank(rows):
@@ -60,6 +60,44 @@ def kron_expand_brute(factors):
 def inner_brute(a, b):
     """Plain-Python inner product, conjugating the first argument."""
     return sum(complex(x).conjugate() * complex(y) for x, y in zip(a, b))
+
+
+def hs_inner(m, n) -> complex:
+    """Hilbert-Schmidt pairing Tr(M_adj N) of two equal-size square matrices."""
+    m = np.asarray(m, dtype=complex)
+    n = np.asarray(n, dtype=complex)
+    for mat in (m, n):
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if m.shape != n.shape:
+        raise ValueError(f"shape mismatch: {m.shape} vs {n.shape}")
+    return complex((m.conj() * n).sum())
+
+
+def state_inner(a, b) -> complex:
+    """Full-system inner product <a|b>; product pairs multiply factor inners
+    without ever expanding the tensor."""
+    if a.dims != b.dims:
+        raise ValueError(f"signature mismatch: {a.dims} vs {b.dims}")
+    if isinstance(a, ProductState) and isinstance(b, ProductState):
+        out = 1.0 + 0.0j
+        for fa, fb in zip(a.factors, b.factors):
+            out *= vec_inner(fa, fb)
+        return complex(out)
+    return vec_inner(as_dense(a).amplitudes, as_dense(b).amplitudes)
+
+
+def states_close(a, b, atol=1e-12, up_to_phase=True) -> bool:
+    """Amplitude-wise closeness of two states, by default up to one global phase."""
+    if a.dims != b.dims:
+        return False
+    if up_to_phase:
+        # unit vectors are parallel iff their overlap has magnitude one;
+        # product pairs stay unexpanded this way
+        return abs(abs(state_inner(a, b)) - 1.0) <= atol
+    va = as_dense(a).amplitudes
+    vb = as_dense(b).amplitudes
+    return bool(np.allclose(va, vb, rtol=0.0, atol=atol))
 
 
 def _kron_except(factors, skip=None):
@@ -275,12 +313,7 @@ def subset_campaign_loop(
     size = len(state_set)
     total = math.comb(size, k)
     if total > sample_threshold:
-        rng = np.random.default_rng(rng_seed)
-        picked = {
-            tuple(sorted(rng.choice(size, size=k, replace=False).tolist()))
-            for _ in range(sample_size)
-        }
-        combos = sorted(picked)
+        combos = _sample_combos(size, k, sample_size, rng_seed)
     else:
         combos = list(itertools.combinations(range(size), k))
     verdicts = [is_locally_stable(state_set.subset(c), tol).stable for c in combos]

@@ -7,7 +7,8 @@ shift-family subset campaigns, the square-root subset reproduction
 certified on every odd width from 37 to 201 and on 399 qubit parties,
 five randomized property suites at 1000 trials each, compositions of
 stable sets, partition proofs that the named UPBs and upb_shifts(n) for
-n = 3..64 are unextendible, and the complement see-saw evidence.
+n = 3..64 are unextendible, exact complement decisions for dense
+triples and dense-expanded UPBs, and the complement see-saw evidence.
 """
 
 import itertools
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import locstab as ls
+from oracles import hs_inner
 
 TRIALS = 1000
 
@@ -265,7 +267,7 @@ def test_property_span_bounds_and_identity_orthogonality():
             continue
         eye = np.eye(d, dtype=complex)
         for g in generators:
-            if abs(ls.hs_inner(eye, g / np.linalg.norm(g))) >= 1e-9:
+            if abs(hs_inner(eye, g / np.linalg.norm(g))) >= 1e-9:
                 failures += 1
                 break
     _report(
@@ -441,14 +443,14 @@ def test_complement_search_evidence():
         ],
         "extendible-trio",
     )
-    overlap_trio, _ = ls.complement_product_search(trio, restarts=10, iters=100, rng_seed=0)
+    overlap_trio = ls.complement_product_search(trio, restarts=10, iters=100, rng_seed=0).overlap
 
-    overlap_q3, _ = ls.complement_product_search(ls.upb_qubit3(), restarts=50,
-                                                 iters=200, rng_seed=0)
-    overlap_q3_again, _ = ls.complement_product_search(ls.upb_qubit3(), restarts=50,
-                                                       iters=200, rng_seed=0)
-    overlap_tiles, _ = ls.complement_product_search(ls.upb_tiles33(), restarts=50,
-                                                    iters=200, rng_seed=0)
+    overlap_q3 = ls.complement_product_search(ls.upb_qubit3(), restarts=50,
+                                              iters=200, rng_seed=0).overlap
+    overlap_q3_again = ls.complement_product_search(ls.upb_qubit3(), restarts=50,
+                                                    iters=200, rng_seed=0).overlap
+    overlap_tiles = ls.complement_product_search(ls.upb_tiles33(), restarts=50,
+                                                 iters=200, rng_seed=0).overlap
     checks = [
         ("extendible overlap 1", abs(overlap_trio - 1.0) <= 1e-6),
         ("qubit3 below UPB cutoff", overlap_q3 < 1 - 1e-3),
@@ -463,4 +465,29 @@ def test_complement_search_evidence():
         not failed,
         f"qubit3={overlap_q3:.6f}, tiles33={overlap_tiles:.6f}"
         + (f"; failed: {failed}" if failed else ""),
+    )
+
+
+def test_dense_complement_decisions():
+    # dense GHZ/W triples: l = 3 <= n = sum(d_i - 1), so the dimension count
+    # settles them; the named UPBs, every state tensor-expanded, factorize
+    # back into product sets that the partition test proves unextendible
+    triples = [ls.decide_extension(ls.entangled_triple(n)) for n in range(3, 15)]
+    counted = all(
+        (r.method, r.verdict) == ("dimension-count", "extendible") for r in triples
+    )
+    upbs = []
+    for build in (ls.upb_qubit3, ls.upb_tiles33, ls.upb_sep333, ls.upb_44_reducible):
+        product = build()
+        dense = ls.StateSet(product.dims, [ls.tensor_expand(s) for s in product], product.label)
+        report = ls.decide_extension(dense)
+        upbs.append(
+            (report.method, report.verdict, report.capacities)
+            == ("partition", "unextendible", ls.product_extension(product).capacities)
+        )
+    _report(
+        "dense complements decided exactly",
+        counted and all(upbs),
+        f"triples n = 3..14 by dimension count: {counted}; "
+        f"dense UPBs by partition: {sum(upbs)} of {len(upbs)}",
     )

@@ -11,10 +11,14 @@ import pytest
 
 import locstab.stability
 from locstab import (
+    DenseState,
+    ProductState,
+    StateSet,
     entangled_triple,
     load_set,
     save_set,
     subset_campaign,
+    tensor_expand,
     upb_44_reducible,
     upb_qubit3,
     upb_shifts,
@@ -28,6 +32,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("the see-saw search ran")
 
 
 @pytest.fixture
@@ -333,34 +341,92 @@ class TestComplement:
         assert (payload["verdict"], payload["nodes"]) == ("undecided", 5)
         assert payload["product_state_found"] is False
 
-    def test_dense_members_keep_the_seesaw_output(self, capsys, tmp_path):
-        # the see-saw's payload and human summary, as before product sets
-        # moved to the partition test; floats are compared to 1e-9 so the
-        # check does not depend on the BLAS build
+    @pytest.mark.parametrize("parties", range(3, 9))
+    def test_entangled_triple_settled_by_the_dimension_count(
+        self, capsys, tmp_path, monkeypatch, parties
+    ):
+        monkeypatch.setattr(locstab.stability, "complement_product_search", _no_search)
         path = tmp_path / "triple.json"
-        save_set(entangled_triple(3), path)
-        argv = ["complement", str(path), "--restarts", "3", "--iters", "10", "--seed", "9"]
+        save_set(entangled_triple(parties), path)
+        outputs = set()
+        for iters in ("1", "10", "200"):
+            code, out, err = run_cli(capsys, "complement", str(path), "--iters", iters)
+            assert (code, err) == (1, "")
+            outputs.add(out)
+        assert len(outputs) == 1
+        assert json.loads(out) == {
+            "label": f"ghz-w-triple-{parties}q",
+            "method": "dimension-count",
+            "verdict": "extendible",
+            "product_state_found": True,
+            "witness": None,
+            "groups": None,
+            "capacities": None,
+            "nodes": None,
+        }
+        code, out, _ = run_cli(capsys, "complement", str(path), "--human")
+        assert code == 1
+        assert out == (
+            f"label:      ghz-w-triple-{parties}q\n"
+            "method:     dimension-count\n"
+            "verdict:    extendible\n"
+        )
+
+    @pytest.mark.parametrize("name", ["qubit3", "tiles33", "sep333", "reducible44"])
+    def test_dense_upb_expansions_proved_unextendible(self, capsys, tmp_path, monkeypatch, name):
+        monkeypatch.setattr(locstab.stability, "complement_product_search", _no_search)
+        state_set = load_set(self._constructed(capsys, tmp_path, name))
+        dense = StateSet(state_set.dims, [tensor_expand(s) for s in state_set], "dense")
+        path = tmp_path / "dense.json"
+        save_set(dense, path)
+        code, out, _ = run_cli(capsys, "complement", str(path))
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["method"], payload["verdict"]) == ("partition", "unextendible")
+        _, product_out, _ = run_cli(
+            capsys, "complement", self._constructed(capsys, tmp_path, name)
+        )
+        product = json.loads(product_out)
+        assert payload == dict(product, label="dense")
+
+    @staticmethod
+    def _constructed(capsys, tmp_path, name):
+        path = str(tmp_path / f"{name}.json")
+        assert run_cli(capsys, "construct", name, "--out", path)[0] == 0
+        return path
+
+    def test_seesaw_payload(self, capsys, tmp_path):
+        # {Phi+, Phi-, |01>}: one state past the dimension count, one member
+        # entangled, so the see-saw looks for the missing |10>
+        states = [
+            DenseState([1, 0, 0, 1], (2, 2)),
+            DenseState([1, 0, 0, -1], (2, 2)),
+            ProductState([[1, 0], [0, 1]]),
+        ]
+        path = tmp_path / "bell.json"
+        save_set(StateSet((2, 2), states, "bell"), path)
+        argv = ["complement", str(path), "--restarts", "4", "--iters", "20", "--seed", "3"]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 1
         payload = json.loads(out)
-        assert list(payload) == ["label", "best_overlap", "witness", "restarts", "iters",
-                                 "seed", "product_state_found"]
-        assert payload["label"] == "ghz-w-triple-3q"
-        assert payload["best_overlap"] == pytest.approx(0.9999403396029427, abs=1e-9)
-        expected = [
-            [[-0.9999999999778661, 0.0], [-5.553240611476474e-06, -3.6646241060841612e-06]],
-            [[0.08839306383791976, 0.0], [0.8313778953663028, 0.5486323553725595]],
-            [[-0.08638346700458285, 0.0], [0.8315250346759875, 0.5487294536794667]],
-        ]
-        assert np.allclose(payload["witness"], expected, atol=1e-9, rtol=0)
-        assert (payload["restarts"], payload["iters"], payload["seed"]) == (3, 10, 9)
+        assert list(payload) == ["label", "method", "verdict", "product_state_found",
+                                 "witness", "groups", "capacities", "nodes",
+                                 "restarts", "iters", "seed", "residual", "sweeps", "capped"]
+        assert (payload["method"], payload["verdict"]) == ("see-saw", "extendible")
         assert payload["product_state_found"] is True
+        witness = [np.array([complex(*z) for z in factor]) for factor in payload["witness"]]
+        assert [abs(witness[0][1]), abs(witness[1][0])] == pytest.approx([1.0, 1.0])
+        assert (payload["restarts"], payload["iters"], payload["seed"]) == (4, 20, 3)
+        assert payload["residual"] == pytest.approx(0.0, abs=1e-12)
+        assert payload["capped"] is False and 4 <= payload["sweeps"] < 80
         code, out, _ = run_cli(capsys, *argv, "--human")
         assert code == 1
         assert out == (
-            "label:        ghz-w-triple-3q\n"
-            "best overlap: 0.999940340\n"
-            "product state in complement: found\n"
+            "label:      bell\n"
+            "method:     see-saw\n"
+            "verdict:    extendible\n"
+            f"residual:   {payload['residual']:.3e}\n"
+            f"sweeps:     {payload['sweeps']}\n"
         )
 
     def test_complete_set_rejected(self, capsys, tmp_path):

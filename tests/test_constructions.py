@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import locstab.constructions
 import locstab.stability
 import locstab.states
 from locstab import (
@@ -24,7 +25,6 @@ from locstab import (
     shift_family,
     sqrt_subset,
     sqrt_subset_plan,
-    states_close,
     subset_campaign,
     tensor_expand,
     upb_44_reducible,
@@ -36,7 +36,12 @@ from locstab import (
     vec_inner,
     verify_two_pairs,
 )
-from oracles import shift_family_factors, subset_campaign_loop, validate_seeds_loop
+from oracles import (
+    shift_family_factors,
+    states_close,
+    subset_campaign_loop,
+    validate_seeds_loop,
+)
 
 
 def orthogonal_parties(state_set, j, k, cutoff=1e-10):
@@ -450,6 +455,23 @@ class TestSubsetCampaign:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             subset_campaign(upb_qubit3(), 5)
+
+    def test_sampled_draw_is_distinct_sorted_and_chunk_free(self, monkeypatch):
+        combos = locstab.constructions._sample_combos(30, 4, 2000, 5)
+        assert 1800 < len(combos) <= 2000
+        assert combos == sorted(set(combos))
+        assert all(len(set(c)) == 4 and list(c) == sorted(c) for c in combos)
+        assert {j for c in combos for j in c} == set(range(30))
+        # the keys come from one stream whatever the chunk size
+        monkeypatch.setattr(locstab.constructions, "_DRAW_KEYS", 7)
+        assert locstab.constructions._sample_combos(30, 4, 2000, 5) == combos
+
+    def test_sampled_draw_edges(self):
+        sample = locstab.constructions._sample_combos
+        # 200 draws of 10 equally likely pairs miss one with probability < 1e-8
+        assert sample(5, 2, 200, 1) == list(itertools.combinations(range(5), 2))
+        assert sample(5, 5, 3, 0) == [(0, 1, 2, 3, 4)]
+        assert sample(5, 2, 0, 0) == []
 
 
 # name -> (set builder, subset sizes, campaign options)

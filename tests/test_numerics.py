@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from locstab import (
     DEFAULT_TOL,
     Tolerance,
-    hs_inner,
     orthocomplement_basis,
     span_rank,
     vec_inner,
 )
 from locstab.numerics import _orthonormal_rows
-from oracles import exact_rank, orthonormal_rows_loop
+from oracles import exact_rank, hs_inner, orthonormal_rows_loop
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)

@@ -13,6 +13,7 @@ import locstab.states
 from locstab import (
     DEFAULT_TOL,
     DenseState,
+    SearchReport,
     as_dense,
     bpart_decompose,
     OrthogonalityError,
@@ -23,8 +24,8 @@ from locstab import (
     complement_product_search,
     compose,
     conflict_audit,
+    decide_extension,
     entangled_triple,
-    hs_inner,
     is_locally_stable,
     product_extension,
     shift_family,
@@ -40,7 +41,13 @@ from locstab import (
     validate_seeds,
     vec_inner,
 )
-from oracles import conflict_attribution_loop, extension_brute, rest_inner, seesaw_sequential
+from oracles import (
+    conflict_attribution_loop,
+    extension_brute,
+    hs_inner,
+    rest_inner,
+    seesaw_sequential,
+)
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -575,15 +582,15 @@ def _equal_up_to_phase(phi, factors, atol=1e-9):
 class TestComplementSearch:
     def test_single_state_has_full_complement(self):
         s = StateSet((2, 2), [ProductState([KET0, KET0])])
-        overlap, _ = complement_product_search(s, restarts=5, iters=50, rng_seed=0)
-        assert overlap == pytest.approx(1.0, abs=1e-9)
+        report = complement_product_search(s, restarts=5, iters=50, rng_seed=0)
+        assert report.overlap == pytest.approx(1.0, abs=1e-9)
 
     def test_extendible_trio_finds_missing_basis_state(self):
-        overlap, witness = complement_product_search(
+        report = complement_product_search(
             _extendible_trio(), restarts=10, iters=50, rng_seed=0
         )
-        assert overlap == pytest.approx(1.0, abs=1e-9)
-        for factor in witness.factors:
+        assert report.overlap == pytest.approx(1.0, abs=1e-9)
+        for factor in report.witness.factors:
             assert abs(abs(factor[1]) - 1.0) < 1e-6
 
     def test_complete_set_rejected(self):
@@ -596,40 +603,43 @@ class TestComplementSearch:
             complement_product_search(s)
 
     def test_overlap_never_exceeds_one(self):
-        overlap, _ = complement_product_search(
+        report = complement_product_search(
             upb_qubit3(), restarts=20, iters=100, rng_seed=3
         )
-        assert overlap <= 1.0 + 1e-9
+        assert report.overlap <= 1.0 + 1e-9
 
     def test_seed_determinism(self):
         a = complement_product_search(upb_qubit3(), restarts=10, iters=50, rng_seed=42)
         b = complement_product_search(upb_qubit3(), restarts=10, iters=50, rng_seed=42)
-        assert a[0] == b[0]
-        for fa, fb in zip(a[1].factors, b[1].factors):
+        assert (a.overlap, a.sweeps, a.capped) == (b.overlap, b.sweeps, b.capped)
+        for fa, fb in zip(a.witness.factors, b.witness.factors):
             assert np.array_equal(fa, fb)
 
     @pytest.mark.parametrize("iters", [1, 5, 200])
     @pytest.mark.parametrize("seed", [0, 11])
     @pytest.mark.parametrize("name", sorted(_SEARCH_SETS))
     def test_batch_matches_sequential_reference(self, name, seed, iters):
-        overlap, witness = complement_product_search(
+        report = complement_product_search(
             _SEARCH_SETS[name](), restarts=_SEARCH_RESTARTS, iters=iters, rng_seed=seed
         )
         best, _, runs = _sequential_search(name, seed, iters)
-        assert abs(overlap - best) <= 1e-12
+        assert abs(report.overlap - best) <= 1e-12
+        counts = [count for _, _, count in runs]
+        assert report.sweeps == sum(counts)
+        assert report.capped == (iters in counts)
         # Restarts that reach the best overlap at different optima tie to
         # within rounding; the witness must be the final state of one
         # restart that ties.
-        phi = tensor_expand(witness).amplitudes
+        phi = tensor_expand(report.witness).amplitudes
         tied = [factors for value, factors, _ in runs if value >= best - 1e-12]
         assert any(_equal_up_to_phase(phi, factors) for factors in tied)
 
     @pytest.mark.parametrize("seed", [0, 11])
     @pytest.mark.parametrize("name", sorted(_SEARCH_SETS))
     def test_witness_is_the_first_restart_near_the_best(self, name, seed):
-        _, witness = complement_product_search(
+        witness = complement_product_search(
             _SEARCH_SETS[name](), restarts=_SEARCH_RESTARTS, iters=200, rng_seed=seed
-        )
+        ).witness
         best, _, runs = _sequential_search(name, seed, 200)
         first = next(factors for value, factors, _ in runs if value >= best - 1e-12)
         assert _equal_up_to_phase(tensor_expand(witness).amplitudes, first)
@@ -637,11 +647,11 @@ class TestComplementSearch:
     def test_exact_ties_keep_the_first_restart(self):
         # restarts end at |01> or |10>, both at overlap exactly 1
         s = StateSet((2, 2), [ProductState([KET0, KET0]), ProductState([KET1, KET1])])
-        overlap, witness = complement_product_search(s, restarts=6, iters=20, rng_seed=1)
+        report = complement_product_search(s, restarts=6, iters=20, rng_seed=1)
         best, _, runs = seesaw_sequential(s, 6, 20, 1)
-        assert overlap == best == 1.0
+        assert report.overlap == best == 1.0
         assert all(value == 1.0 for value, _, _ in runs)
-        phi = tensor_expand(witness).amplitudes
+        phi = tensor_expand(report.witness).amplitudes
         assert _equal_up_to_phase(phi, runs[0][1])
         assert not _equal_up_to_phase(phi, runs[-1][1])
 
@@ -655,6 +665,98 @@ class TestComplementSearch:
         assert len(converged) > 1
         for seed in (0, 11):
             assert 200 in sweeps["entangled_triple(3)", seed]
+
+    def test_triple_search_keeps_its_output(self):
+        # the GHZ/W triple's search as the CLI printed it before the
+        # dimension count settled that set; floats are compared to 1e-9 so
+        # the check does not depend on the BLAS build
+        report = complement_product_search(entangled_triple(3), restarts=3, iters=10, rng_seed=9)
+        assert report.overlap == pytest.approx(0.9999403396029427, abs=1e-9)
+        expected = [
+            [[-0.9999999999778661, 0.0], [-5.553240611476474e-06, -3.6646241060841612e-06]],
+            [[0.08839306383791976, 0.0], [0.8313778953663028, 0.5486323553725595]],
+            [[-0.08638346700458285, 0.0], [0.8315250346759875, 0.5487294536794667]],
+        ]
+        pairs = [np.stack([f.real, f.imag], axis=1) for f in report.witness.factors]
+        assert np.allclose(pairs, expected, atol=1e-9, rtol=0)
+        # no restart meets the 1e-13 gain stop within 10 sweeps
+        assert (report.sweeps, report.capped) == (30, True)
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("the see-saw search ran")
+
+
+def _dense_expansion(state_set):
+    return StateSet(
+        state_set.dims, [tensor_expand(s) for s in state_set], state_set.label + "-dense"
+    )
+
+
+_BELL = {
+    "phi+": DenseState([1, 0, 0, 1], (2, 2)),
+    "phi-": DenseState([1, 0, 0, -1], (2, 2)),
+    "psi+": DenseState([0, 1, 1, 0], (2, 2)),
+    "psi-": DenseState([0, 1, -1, 0], (2, 2)),
+}
+
+
+def _bell_set(*names, extra=()):
+    """Bell states by name plus product states: sets of three states in 2x2
+    that are past the dimension count (1 + 1) and not all product."""
+    return StateSet((2, 2), [_BELL[n] for n in names] + list(extra), "+".join(names))
+
+
+class TestDecideExtension:
+    def test_mixed_extendible_set_gets_a_checked_witness(self):
+        trio = _extendible_trio()
+        mixed = StateSet(trio.dims, [trio[0], tensor_expand(trio[1]), trio[2]], "mixed")
+        report = decide_extension(mixed)
+        assert (report.method, report.verdict) == ("partition", "extendible")
+        # the witness is |11> up to phases
+        assert [abs(v[1]) for v in report.witness.factors] == pytest.approx([1.0, 1.0])
+
+    def test_dimension_count_has_no_search_limit(self, monkeypatch):
+        # D = 2**21, above the see-saw's dense limit of 2**20
+        monkeypatch.setattr(locstab.stability, "complement_product_search", _no_search)
+        report = decide_extension(entangled_triple(21))
+        assert (report.method, report.verdict) == ("dimension-count", "extendible")
+
+    def test_seesaw_witness_in_the_complement_is_extendible(self):
+        # {Phi+, Phi-, |01>} leaves exactly |10>
+        state_set = _bell_set("phi+", "phi-", extra=[ProductState([KET0, KET1])])
+        report = decide_extension(state_set, restarts=4, iters=20, rng_seed=0)
+        assert (report.method, report.verdict) == ("see-saw", "extendible")
+        assert report.witness is report.search.witness
+        assert [abs(report.witness.factors[0][1]), abs(report.witness.factors[1][0])] == (
+            pytest.approx([1.0, 1.0])
+        )
+        assert report.capacities is report.groups is report.nodes is None
+
+    def test_seesaw_never_proves_unextendibility(self):
+        # {Phi+, Phi-, Psi+} leaves exactly the entangled Psi-
+        report = decide_extension(_bell_set("phi+", "phi-", "psi+"), restarts=4, iters=20)
+        assert (report.method, report.verdict, report.witness) == ("see-saw", "undecided", None)
+        assert report.search.overlap == pytest.approx(0.5)
+        assert not report.search.capped
+
+    def test_seesaw_witness_failing_the_check_is_undecided(self, monkeypatch):
+        # a search that claims overlap 1 at |00>, which is not orthogonal to Phi+
+        claimed = SearchReport(1.0, ProductState([KET0, KET0]), 1, True)
+        monkeypatch.setattr(
+            locstab.stability, "complement_product_search", lambda *args, **kwargs: claimed
+        )
+        state_set = _bell_set("phi+", "phi-", extra=[ProductState([KET0, KET1])])
+        report = decide_extension(state_set)
+        assert (report.method, report.verdict, report.witness) == ("see-saw", "undecided", None)
+        assert report.search is claimed
+
+    def test_input_errors(self, monkeypatch):
+        monkeypatch.setattr(locstab.stability, "complement_product_search", _no_search)
+        with pytest.raises(OrthogonalityError):
+            decide_extension(_bell_set("phi+", extra=[ProductState([KET0, KET0])]))
+        with pytest.raises(ValueError, match="complement is empty"):
+            decide_extension(_bell_set("phi+", "phi-", "psi+", "psi-"))
 
 
 def _planted_product_set(rng, dims, size):

@@ -12,6 +12,7 @@ import locstab.states as states_module
 from locstab import (
     DenseState,
     entangled_triple,
+    factorize,
     ProductState,
     StateFormatError,
     StateSet,
@@ -24,10 +25,8 @@ from locstab import (
     heptagon_qutrit_states,
     load_set,
     save_set,
-    state_inner,
     state_set_from_dict,
     state_set_to_dict,
-    states_close,
     tensor_expand,
     shift_family,
     sqrt_subset,
@@ -43,6 +42,8 @@ from oracles import (
     inner_brute,
     kron_expand_brute,
     rest_inner,
+    state_inner,
+    states_close,
     unit_reference,
 )
 
@@ -368,6 +369,57 @@ class TestBpartDecompose:
                 assert row.flags.writeable
                 assert not np.shares_memory(row, state.amplitudes)
                 assert not any(np.shares_memory(row, other) for other in rows[pos + 1:])
+
+
+class TestFactorize:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 4), (3, 3, 3), (5, 2), (2,) * 7])
+    def test_random_product_states_round_trip(self, dims):
+        rng = np.random.default_rng(sum(dims) * len(dims))
+        for _ in range(10):
+            state = random_product_state(rng, dims)
+            found = factorize(tensor_expand(state))
+            assert found is not None and found.dims == dims
+            for got, want in zip(found.factors, state.factors):
+                assert abs(abs(np.vdot(got, want)) - 1.0) < 1e-12
+            assert states_close(found, state)
+
+    def test_sparse_product_states_round_trip(self):
+        # zero blocks come first at some parties: the factor is the first live row
+        for factors in ([KET1, KET1], [KET0, PLUS, KET1], [[0, 0, 1], [0, 1, -1]]):
+            state = ProductState(factors)
+            found = factorize(tensor_expand(state))
+            for got, want in zip(found.factors, state.factors):
+                assert np.allclose(got, want, atol=1e-15)
+
+    def test_entangled_states_are_never_factorized(self):
+        for parties in (3, 4, 6):
+            assert all(factorize(s) is None for s in entangled_triple(parties))
+        assert factorize(DenseState([1, 0, 0, 1], (2, 2))) is None
+        rng = np.random.default_rng(41)
+        for dims in [(2, 2), (2, 3), (3, 3, 2)]:
+            total = math.prod(dims)
+            for _ in range(10):
+                amps = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+                assert factorize(DenseState(amps, dims)) is None
+            # a product state moved off the product states by 1e-6
+            product = tensor_expand(random_product_state(rng, dims)).amplitudes
+            noise = rng.standard_normal(total) + 1j * rng.standard_normal(total)
+            amps = product + 1e-6 * noise
+            assert factorize(DenseState(amps, dims)) is None
+
+    def test_rebuild_check_rejects_a_wrong_factor(self, monkeypatch):
+        # every block of rank 1, but a pivot off the factor: the rebuild fails
+        real = states_module._orthonormal_rows
+
+        def tilted(rows, rank_rel):
+            pivots, ranks = real(rows, rank_rel)
+            pivots[:, 0] = np.roll(pivots[:, 0], 1, axis=-1)
+            return pivots, ranks
+
+        state = tensor_expand(ProductState([[1, 2], [3, 1j]]))
+        assert factorize(state) is not None
+        monkeypatch.setattr(states_module, "_orthonormal_rows", tilted)
+        assert factorize(state) is None
 
 
 class TestJsonFormat:
