@@ -1,16 +1,17 @@
 """Is there a product state in a set's orthogonal complement?
 
-For all-product sets the partition test decides it exactly: a product state
-lies in the complement if and only if the states split into one group per
-party whose factors at that party do not span the party's space.  Each
-party's capacity, the most of its factors inside one hyperplane, bounds the
-groups; a capacity sum below the set size proves the set unextendible with
-no search.  A set with dense members goes to the partition test when every
-member factorizes, and is extendible by the dimension count when it has at
-most sum(d_i - 1) states.  Only then does the see-saw search, which
-maximizes <phi|P|phi> over product states |phi>, P the projector onto the
-complement, one party at a time from seeded random restarts, propose a
-witness, and that witness counts only once it is checked.
+``decide_extension`` answers it.  For all-product sets the partition test
+decides it exactly: a product state lies in the complement if and only if
+the states split into one group per party whose factors at that party do
+not span the party's space.  Each party's capacity, the most of its factors
+inside one hyperplane, bounds the groups; a capacity sum below the set size
+proves the set unextendible with no search.  A set with dense members goes
+to the partition test when every member factorizes, and is extendible by
+the dimension count when it has at most sum(d_i - 1) states.  Only then does
+the see-saw search, which maximizes <phi|P|phi> over product states |phi>,
+P the projector onto the complement, one party at a time from seeded random
+restarts, propose a witness, and that witness counts only once it is
+checked.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ trio = ls.StateSet(
     [ls.ProductState([e0, e0]), ls.ProductState([e0, e1]), ls.ProductState([e1, e0])],
     "extendible-trio",
 )
-report = ls.product_extension(trio)
+report = ls.decide_extension(trio)
 print(f"{trio.label}: {report.verdict}, groups {report.groups}, {report.nodes} nodes")
 print("witness factors (magnitudes):")
 for factor in report.witness.factors:
@@ -34,7 +35,7 @@ print()
 # the named UPBs: proved unextendible, by the capacity bound or by search
 for build in (ls.upb_qubit3, ls.upb_tiles33, ls.upb_sep333, ls.upb_44_reducible):
     state_set = build()
-    report = ls.product_extension(state_set)
+    report = ls.decide_extension(state_set)
     print(f"{state_set.label}: {report.verdict}; capacities {report.capacities} "
           f"(sum {sum(report.capacities)} for {len(state_set)} states), "
           f"{report.nodes} nodes")

@@ -31,7 +31,6 @@ from .states import (
     _party_blocks,
     _span_source,
     as_dense,
-    check_mutual_orthogonality,
     check_signature,
     factor_zero_pattern,
     factorize,
@@ -49,7 +48,6 @@ __all__ = [
     "cardinality_lower_bound",
     "cardinality_upper_bounds",
     "ExtensionReport",
-    "product_extension",
     "SearchReport",
     "complement_product_search",
     "decide_extension",
@@ -68,12 +66,12 @@ _SUBSET_BLOCK = 512
 # rank kernel; a row set larger than this is ranked on its own.
 _RANK_BUDGET = 1 << 13
 
-# (d - 1)-subsets of one party's factors whose hyperplanes product_extension
+# (d - 1)-subsets of one party's factors whose hyperplanes the partition test
 # enumerates; a party with more is searched as if any group fitted in one
 # hyperplane, and its groups are ranked at the leaves.
 _HYPERPLANE_SUBSETS = 1 << 14
 
-# States placed by product_extension's search before it reports "undecided".
+# States placed by the partition test's search before it reports "undecided".
 _EXTENSION_NODES = 1 << 16
 
 
@@ -149,9 +147,9 @@ def _party_spans(state_set, source, tol):
     conflict pairs and their smallest rest magnitude, in party order.
 
     ``source`` is the set's :func:`~locstab.states._span_source`.  A factor
-    zero pattern contributes |a_j><a_k| for each conflict pair; a dense stack
-    contributes the block contraction of every ordered pair (j outer, k
-    inner) whose norm reaches ``tol.orth_abs``, and has no conflict pairs
+    zero pattern contributes |a_j><a_k| for each conflict pair; amplitude
+    vectors contribute the block contraction of every ordered pair (j outer,
+    k inner) whose norm reaches ``tol.orth_abs``, and have no conflict pairs
     (None) and no magnitude (None).
     """
     if isinstance(source, FactorZeroPattern):
@@ -160,8 +158,9 @@ def _party_spans(state_set, source, tol):
             smallest = float(rest.min()) if rest.size else None
             yield _product_generators(factors, pairs), _pair_tuples(pairs), smallest
         return
+    amplitudes = np.stack(source)
     for party in range(len(state_set.dims)):
-        blocks = _party_blocks(source, state_set.dims, party)
+        blocks = _party_blocks(amplitudes, state_set.dims, party)
         # contractions[j, k] = blocks[j].T @ blocks[k].conj()
         contractions = np.swapaxes(blocks, 1, 2)[:, None] @ blocks.conj()[None, :]
         keep = np.linalg.norm(contractions, axis=(2, 3)) >= tol.orth_abs
@@ -181,6 +180,23 @@ def span_generators(state_set: StateSet, tol: Tolerance = DEFAULT_TOL):
     return tuple(generators for generators, _, _ in _party_spans(state_set, source, tol))
 
 
+def _checked_source(state_set: StateSet, tol: Tolerance, complement: bool = False):
+    """The :func:`~locstab.states._span_source` of ``state_set`` once it is
+    checked: ValueError for an empty set, :class:`OrthogonalityError` for a
+    non-orthogonal one (the factor zero pattern decides for an all-product
+    set, the full inner products otherwise), and, with ``complement``,
+    ValueError for a set whose orthogonal complement is empty."""
+    if not len(state_set):
+        raise ValueError("cannot check an empty state set")
+    source = _span_source(state_set, tol)
+    offending = _offending_pairs(source, tol)
+    if offending:
+        raise OrthogonalityError(offending)
+    if complement and len(state_set) >= state_set.total_dimension:
+        raise ValueError("the set already spans the full space; complement is empty")
+    return source
+
+
 def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> StabilityCertificate:
     """Certify the span criterion at every party of a mutually orthogonal set.
 
@@ -190,13 +206,7 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     parties with one local dimension are ranked together, in stacks of at
     most _RANK_BUDGET entries.
     """
-    if not len(state_set):
-        raise ValueError("cannot check an empty state set")
-    source = _span_source(state_set, tol)
-    offending = _offending_pairs(source, tol)
-    if offending:
-        raise OrthogonalityError(offending)
-
+    source = _checked_source(state_set, tol)
     spans = []
 
     def generator_rows():
@@ -491,9 +501,9 @@ class ExtensionReport:
     """Whether the orthogonal complement of a set holds a product state.
 
     ``verdict`` is "unextendible" (it holds none), "extendible" (it holds
-    one) or "undecided".  ``method`` names the rule that decided it:
-    "partition" (:func:`product_extension`), "dimension-count" or "see-saw"
-    (:func:`decide_extension`).  ``witness`` is a product state in the
+    one) or "undecided".  ``method`` names the rule of
+    :func:`decide_extension` that decided it: "partition",
+    "dimension-count" or "see-saw".  ``witness`` is a product state in the
     complement that passed the direct check against every state, and is
     None unless the verdict is "extendible" and the method constructs one.
 
@@ -614,16 +624,10 @@ def _partition_search(hits, starts, leaf):
     return None, nodes, False
 
 
-def product_extension(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> ExtensionReport:
-    """Decide exactly whether the orthogonal complement of an all-product
-    set holds a product state.
-
-    By the partition test (Bennett et al., PRL 82, 5385 (1999); DiVincenzo
-    et al., CMP 238, 379 (2003)) it does if and only if the states split
-    into one group per party such that no group's factors span its party's
-    space: unit vectors v_i orthogonal to group i give such a product state
-    v_1 x ... x v_P, and such a product state is orthogonal to each state
-    at some party, which groups them.
+def _partition_test(label, factors, tol):
+    """The partition rule of :func:`decide_extension` on ``factors``, the
+    per-party (l, d_r) factor stacks of a checked product set whose
+    complement is not empty.
 
     Party i's capacity is the largest number of its factors in one
     hyperplane (:func:`_hyperplanes`); a capacity sum below the set
@@ -634,25 +638,13 @@ def product_extension(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Exte
     enumerated or the group is empty (e_0).  Every state must have a
     factor overlap |<v_i|a_i>| below ``tol.orth_abs`` with it, else the
     verdict is "undecided", as it is when the search hits its node cap.
-    Raises :class:`OrthogonalityError` for a non-orthogonal set and
-    ValueError for a complete one.
     """
-    if not state_set.all_product:
-        raise ValueError("product_extension needs an all-product set")
-    if not len(state_set):
-        raise ValueError("cannot check an empty state set")
-    pattern = factor_zero_pattern(state_set, tol)
-    offending = pattern.offending_pairs()
-    if offending:
-        raise OrthogonalityError(offending)
-    size = len(state_set)
-    if size >= state_set.total_dimension:
-        raise ValueError("the set already spans the full space; complement is empty")
-
-    planes = [None] * len(state_set.dims)
-    for d in set(state_set.dims):
-        parties = [i for i, di in enumerate(state_set.dims) if di == d]
-        stack = np.stack([pattern.factors[i] for i in parties])
+    size = len(factors[0])
+    dims = [f.shape[1] for f in factors]
+    planes = [None] * len(dims)
+    for d in set(dims):
+        parties = [i for i, di in enumerate(dims) if di == d]
+        stack = np.stack([factors[i] for i in parties])
         for party, plane in zip(parties, _hyperplanes(stack, tol)):
             planes[party] = plane
     # a party without enumerated hyperplanes gets one column holding every state
@@ -663,13 +655,13 @@ def product_extension(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Exte
 
     def leaf(parties, alive):
         witness = []
-        for party, (plane, factors, start) in enumerate(zip(planes, pattern.factors, starts)):
-            group = factors[[j for j, p in enumerate(parties) if p == party]]
+        for party, (plane, stack, start) in enumerate(zip(planes, factors, starts)):
+            group = stack[[j for j, p in enumerate(parties) if p == party]]
             if plane is not None and len(group):
                 normals = plane[0]
                 witness.append(normals[alive[start:start + len(normals)].argmax()])
                 continue
-            d = factors.shape[1]
+            d = stack.shape[1]
             rank = _orthonormal_rows(group[None].copy(), tol.rank_rel)[1][0]
             if rank == d:
                 return None
@@ -685,12 +677,12 @@ def product_extension(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Exte
         groups = tuple(
             tuple(j for j, p in enumerate(parties) if p == party) for party in range(len(planes))
         )
-        overlaps = [np.abs((f * v.conj()).sum(axis=1)) for f, v in zip(pattern.factors, vectors)]
+        overlaps = [np.abs((f * v.conj()).sum(axis=1)) for f, v in zip(factors, vectors)]
         if (np.min(overlaps, axis=0) < tol.orth_abs).all():
             verdict, witness = "extendible", ProductState(vectors)
         else:
             verdict = "undecided"
-    return ExtensionReport(state_set.label, verdict, witness, groups, capacities, nodes)
+    return ExtensionReport(label, verdict, witness, groups, capacities, nodes)
 
 
 def _rowwise_kron(rows, factors):
@@ -741,22 +733,23 @@ def complement_product_search(
     the lowest-numbered restart within 1e-12 of it; an overlap of 1 means a
     product state was found inside the complement, up to rounding.
     """
-    offending = check_mutual_orthogonality(state_set, tol)
-    if offending:
-        raise OrthogonalityError(offending)
-    dims = state_set.dims
-    total = state_set.total_dimension
+    if restarts < 1 or iters < 1:
+        raise ValueError("restarts and iters must be positive")
+    _checked_source(state_set, tol, complement=True)
+    vectors = [as_dense(s).amplitudes for s in state_set.states]
+    return _see_saw(vectors, state_set.dims, restarts, iters, rng_seed)
+
+
+def _see_saw(vectors, dims, restarts, iters, rng_seed):
+    """The search of :func:`complement_product_search` over the amplitude
+    vectors of a checked set whose complement is not empty."""
+    total = math.prod(dims)
     if total > _SEARCH_DENSE_LIMIT:
         raise ValueError(
             f"total dimension {total} exceeds the search limit {_SEARCH_DENSE_LIMIT}"
         )
-    size = len(state_set)
-    if size >= total:
-        raise ValueError("the set already spans the full space; complement is empty")
-    if restarts < 1 or iters < 1:
-        raise ValueError("restarts and iters must be positive")
-
-    dense = np.stack([as_dense(s).amplitudes for s in state_set.states])
+    size = len(vectors)
+    dense = np.stack(vectors)
     # rest_maps[i][j, k * d_i + a] is block row j, entry a of state k split at
     # party i, so (R, D/d_i) conjugate rest vectors contract to (R, l * d_i).
     rest_maps = [
@@ -815,9 +808,18 @@ def decide_extension(
     """Decide whether the orthogonal complement of a set holds a product
     state, by the first of three rules that applies.
 
+    The set is checked once, by its own rule: the factor zero pattern of an
+    all-product set, the full inner products otherwise.
+
     1. "partition": an all-product set, or one whose every dense member
-       factorizes (:func:`~locstab.states.factorize`), goes to
-       :func:`product_extension` as a product set.
+       factorizes (:func:`~locstab.states.factorize`), is decided exactly.
+       By the partition test (Bennett et al., PRL 82, 5385 (1999);
+       DiVincenzo et al., CMP 238, 379 (2003)) its complement holds a
+       product state if and only if the states split into one group per
+       party such that no group's factors span its party's space: unit
+       vectors v_i orthogonal to group i give such a product state
+       v_1 x ... x v_P, and such a product state is orthogonal to each
+       state at some party, which groups them (:func:`_partition_test`).
     2. "dimension-count": l <= sum_i (d_i - 1) states are always
        extendible.  The product states form the Segre variety, of
        projective dimension sum_i (d_i - 1); the complement of l
@@ -825,36 +827,30 @@ def decide_extension(
        the two meet (the count behind the UPB size floor of Bennett et
        al., PRL 82, 5385 (1999), and Alon & Lovasz, JCTA 95, 169 (2001)).
        No search runs, so no total dimension is too large.
-    3. "see-saw": :func:`complement_product_search` proposes a witness,
-       with ``restarts``, ``iters`` and ``rng_seed``.  The verdict is
-       "extendible" only when the witness is orthogonal to every state by
-       :func:`~locstab.states.check_mutual_orthogonality`, else
-       "undecided"; a search never proves a set unextendible.
+    3. "see-saw": the search of :func:`complement_product_search` proposes
+       a witness, with ``restarts``, ``iters`` and ``rng_seed``.  The
+       verdict is "extendible" only when the witness's inner product with
+       every state is below ``tol.orth_abs``, else "undecided"; a search
+       never proves a set unextendible.
 
     Raises :class:`OrthogonalityError` for a non-orthogonal set and
-    ValueError for a complete one.
+    ValueError for an empty or a complete one.
     """
-    if state_set.all_product:
-        return product_extension(state_set, tol)
-    offending = check_mutual_orthogonality(state_set, tol)
-    if offending:
-        raise OrthogonalityError(offending)
-    size = len(state_set)
-    if size >= state_set.total_dimension:
-        raise ValueError("the set already spans the full space; complement is empty")
-    members = []
-    for state in state_set.states:
-        member = state if isinstance(state, ProductState) else factorize(state, tol)
-        if member is None:
-            break
-        members.append(member)
-    else:
-        return product_extension(StateSet(state_set.dims, members, state_set.label), tol)
-    if size <= sum(d - 1 for d in state_set.dims):
+    source = _checked_source(state_set, tol, complement=True)
+    if isinstance(source, FactorZeroPattern):
+        return _partition_test(state_set.label, source.factors, tol)
+    members = (s if isinstance(s, ProductState) else factorize(s, tol) for s in state_set.states)
+    members = list(itertools.takewhile(lambda member: member is not None, members))
+    if len(members) == len(state_set):
+        factors = [np.array(stack) for stack in zip(*(m.factors for m in members))]
+        return _partition_test(state_set.label, factors, tol)
+    if len(state_set) <= sum(d - 1 for d in state_set.dims):
         return ExtensionReport(state_set.label, "extendible", method="dimension-count")
-    search = complement_product_search(state_set, restarts, iters, rng_seed, tol)
-    with_witness = StateSet(state_set.dims, (search.witness,) + state_set.states)
-    found = not check_mutual_orthogonality(with_witness, tol)
+    if restarts < 1 or iters < 1:
+        raise ValueError("restarts and iters must be positive")
+    search = _see_saw(source, state_set.dims, restarts, iters, rng_seed)
+    witness = as_dense(search.witness).amplitudes.conj()
+    found = all(abs((witness * vector).sum()) < tol.orth_abs for vector in source)
     return ExtensionReport(
         state_set.label,
         "extendible" if found else "undecided",

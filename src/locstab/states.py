@@ -275,18 +275,20 @@ def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Fa
 
 def _span_source(state_set: StateSet, tol: Tolerance):
     """What orthogonality and span checks read: the factor zero pattern of an
-    all-product set, else the (l, D) stack of dense amplitudes."""
+    all-product set, else the list of every state's dense amplitude vector,
+    a dense member's own array."""
     if state_set.all_product:
         return factor_zero_pattern(state_set, tol)
-    return np.stack([as_dense(s).amplitudes for s in state_set.states])
+    return [as_dense(s).amplitudes for s in state_set.states]
 
 
 def _offending_pairs(source, tol: Tolerance):
     """Non-orthogonal ordered pairs (j, k, <j|k>) of a :func:`_span_source`,
-    j outer and k inner."""
+    j outer and k inner.  Amplitude vectors are multiplied one pair at a
+    time, with no (l, D) stack."""
     if isinstance(source, FactorZeroPattern):
         return source.offending_pairs()
-    overlaps = np.stack([(row.conj() * source).sum(axis=1) for row in source])
+    overlaps = np.array([[(conj * vec).sum() for vec in source] for conj in map(np.conj, source)])
     bad = np.abs(overlaps) >= tol.orth_abs
     np.fill_diagonal(bad, False)
     return [(j, k, complex(overlaps[j, k])) for j, k in np.argwhere(bad).tolist()]

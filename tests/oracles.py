@@ -62,6 +62,17 @@ def inner_brute(a, b):
     return sum(complex(x).conjugate() * complex(y) for x, y in zip(a, b))
 
 
+def dense_offending_stacked(state_set, orth_abs=DEFAULT_TOL.orth_abs):
+    """Non-orthogonal ordered pairs (j, k, <j|k>) of a set with a dense
+    member, from one stacked (l, D) array of every state's amplitudes and
+    one (l, D) product per row."""
+    stack = np.stack([as_dense(s).amplitudes for s in state_set.states])
+    overlaps = np.stack([(row.conj() * stack).sum(axis=1) for row in stack])
+    bad = np.abs(overlaps) >= orth_abs
+    np.fill_diagonal(bad, False)
+    return [(j, k, complex(overlaps[j, k])) for j, k in np.argwhere(bad).tolist()]
+
+
 def hs_inner(m, n) -> complex:
     """Hilbert-Schmidt pairing Tr(M_adj N) of two equal-size square matrices."""
     m = np.asarray(m, dtype=complex)

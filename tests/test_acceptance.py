@@ -419,8 +419,8 @@ def test_partition_proofs_of_unextendibility():
     start = time.monotonic()
     named = [ls.upb_qubit3(), ls.upb_tiles33(), ls.upb_sep333(), ls.upb_44_reducible()]
     shifts = range(3, 65)
-    reports = [ls.product_extension(s) for s in named]
-    reports += [ls.product_extension(ls.upb_shifts(n)) for n in shifts]
+    reports = [ls.decide_extension(s) for s in named]
+    reports += [ls.decide_extension(ls.upb_shifts(n)) for n in shifts]
     proved = [r.label for r in reports if r.verdict == "unextendible"]
     searched = [r.label for r in reports if r.nodes]
     elapsed = time.monotonic() - start
@@ -483,7 +483,7 @@ def test_dense_complement_decisions():
         report = ls.decide_extension(dense)
         upbs.append(
             (report.method, report.verdict, report.capacities)
-            == ("partition", "unextendible", ls.product_extension(product).capacities)
+            == ("partition", "unextendible", ls.decide_extension(product).capacities)
         )
     _report(
         "dense complements decided exactly",

@@ -11,6 +11,7 @@ import pytest
 
 import locstab.stability
 from locstab import (
+    DEFAULT_TOL,
     DenseState,
     ProductState,
     StateSet,
@@ -345,7 +346,7 @@ class TestComplement:
     def test_entangled_triple_settled_by_the_dimension_count(
         self, capsys, tmp_path, monkeypatch, parties
     ):
-        monkeypatch.setattr(locstab.stability, "complement_product_search", _no_search)
+        monkeypatch.setattr(locstab.stability, "_see_saw", _no_search)
         path = tmp_path / "triple.json"
         save_set(entangled_triple(parties), path)
         outputs = set()
@@ -374,7 +375,7 @@ class TestComplement:
 
     @pytest.mark.parametrize("name", ["qubit3", "tiles33", "sep333", "reducible44"])
     def test_dense_upb_expansions_proved_unextendible(self, capsys, tmp_path, monkeypatch, name):
-        monkeypatch.setattr(locstab.stability, "complement_product_search", _no_search)
+        monkeypatch.setattr(locstab.stability, "_see_saw", _no_search)
         state_set = load_set(self._constructed(capsys, tmp_path, name))
         dense = StateSet(state_set.dims, [tensor_expand(s) for s in state_set], "dense")
         path = tmp_path / "dense.json"
@@ -428,6 +429,26 @@ class TestComplement:
             f"residual:   {payload['residual']:.3e}\n"
             f"sweeps:     {payload['sweeps']}\n"
         )
+
+    def test_near_orthogonal_dense_pair_gets_a_verdict(self, capsys, tmp_path):
+        # factor overlaps 1e-6 at both parties, stored dense: check accepts
+        # the pair (full inner product 1e-12), and so does complement
+        near = [1e-6, 1.0]
+        products = [ProductState([[1.0, 0.0], [1.0, 0.0]]), ProductState([near, near])]
+        state_set = StateSet((2, 2), [tensor_expand(p) for p in products], "near")
+        path = tmp_path / "near.json"
+        save_set(state_set, path)
+        assert run_cli(capsys, "check", str(path))[0] == 1
+        code, out, err = run_cli(capsys, "complement", str(path))
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert (payload["method"], payload["verdict"]) == ("partition", "extendible")
+        witness = ProductState(
+            [np.array([complex(*z) for z in factor]) for factor in payload["witness"]]
+        )
+        phi = tensor_expand(witness).amplitudes
+        for state in state_set.states:
+            assert abs(np.vdot(phi, state.amplitudes)) < DEFAULT_TOL.orth_abs
 
     def test_complete_set_rejected(self, capsys, tmp_path):
         from locstab import ProductState, StateSet

@@ -1,6 +1,7 @@
 """Certifier tests: conflict pairs, span generators, certificates, bounds,
 counting audits, and the complement see-saw."""
 
+import collections
 import dataclasses
 import functools
 import math
@@ -27,7 +28,6 @@ from locstab import (
     decide_extension,
     entangled_triple,
     is_locally_stable,
-    product_extension,
     shift_family,
     span_generators,
     span_rank,
@@ -602,6 +602,12 @@ class TestComplementSearch:
         with pytest.raises(OrthogonalityError):
             complement_product_search(s)
 
+    def test_effort_is_checked_before_the_set(self, monkeypatch):
+        monkeypatch.setattr(locstab.stability, "_offending_pairs", _not_called)
+        for restarts, iters in ((0, 10), (10, 0)):
+            with pytest.raises(ValueError, match="must be positive"):
+                complement_product_search(upb_qubit3(), restarts=restarts, iters=iters)
+
     def test_overlap_never_exceeds_one(self):
         report = complement_product_search(
             upb_qubit3(), restarts=20, iters=100, rng_seed=3
@@ -687,6 +693,10 @@ def _no_search(*args, **kwargs):
     raise AssertionError("the see-saw search ran")
 
 
+def _not_called(*args, **kwargs):
+    raise AssertionError("a check ran that this path must not run")
+
+
 def _dense_expansion(state_set):
     return StateSet(
         state_set.dims, [tensor_expand(s) for s in state_set], state_set.label + "-dense"
@@ -718,7 +728,7 @@ class TestDecideExtension:
 
     def test_dimension_count_has_no_search_limit(self, monkeypatch):
         # D = 2**21, above the see-saw's dense limit of 2**20
-        monkeypatch.setattr(locstab.stability, "complement_product_search", _no_search)
+        monkeypatch.setattr(locstab.stability, "_see_saw", _no_search)
         report = decide_extension(entangled_triple(21))
         assert (report.method, report.verdict) == ("dimension-count", "extendible")
 
@@ -743,20 +753,69 @@ class TestDecideExtension:
     def test_seesaw_witness_failing_the_check_is_undecided(self, monkeypatch):
         # a search that claims overlap 1 at |00>, which is not orthogonal to Phi+
         claimed = SearchReport(1.0, ProductState([KET0, KET0]), 1, True)
-        monkeypatch.setattr(
-            locstab.stability, "complement_product_search", lambda *args, **kwargs: claimed
-        )
+        monkeypatch.setattr(locstab.stability, "_see_saw", lambda *args, **kwargs: claimed)
         state_set = _bell_set("phi+", "phi-", extra=[ProductState([KET0, KET1])])
         report = decide_extension(state_set)
         assert (report.method, report.verdict, report.witness) == ("see-saw", "undecided", None)
         assert report.search is claimed
 
     def test_input_errors(self, monkeypatch):
-        monkeypatch.setattr(locstab.stability, "complement_product_search", _no_search)
+        monkeypatch.setattr(locstab.stability, "_see_saw", _no_search)
         with pytest.raises(OrthogonalityError):
             decide_extension(_bell_set("phi+", extra=[ProductState([KET0, KET0])]))
         with pytest.raises(ValueError, match="complement is empty"):
             decide_extension(_bell_set("phi+", "phi-", "psi+", "psi-"))
+
+    def test_near_orthogonal_dense_pair_is_decided_by_its_own_rule(self):
+        # factor overlaps 1e-6 at both parties, so the full inner product is
+        # 1e-12: orthogonal by the dense rule that check and certify use
+        near = np.array([1e-6, 1.0], dtype=complex)
+        products = [ProductState([KET0, KET0]), ProductState([near, near])]
+        state_set = StateSet((2, 2), [tensor_expand(p) for p in products], "near")
+        assert locstab.check_mutual_orthogonality(state_set) == []
+        is_locally_stable(state_set)
+        report = decide_extension(state_set)
+        assert (report.method, report.verdict) == ("partition", "extendible")
+        for state in state_set.states:
+            overlap = vec_inner(tensor_expand(report.witness).amplitudes, state.amplitudes)
+            assert abs(overlap) < DEFAULT_TOL.orth_abs
+
+
+def _counted(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+class TestOneCheckPerDecision:
+    """decide_extension checks its input once, by the set's own rule, on
+    every path; no later step builds a second zero pattern or re-checks."""
+
+    @pytest.mark.parametrize("build, method, patterns", [
+        (upb_qubit3, "partition", 1),
+        (lambda: _dense_expansion(upb_qubit3()), "partition", 0),
+        (lambda: entangled_triple(3), "dimension-count", 0),
+        (lambda: _bell_set("phi+", "phi-", extra=[ProductState([KET0, KET1])]), "see-saw", 0),
+        (lambda: _bell_set("phi+", "phi-", "psi+"), "see-saw", 0),
+    ], ids=["product", "dense-factorized", "dimension-count", "see-saw-extendible",
+            "see-saw-undecided"])
+    def test_input_is_checked_once(self, monkeypatch, build, method, patterns):
+        state_set = build()
+        calls = collections.Counter()
+        _counted(monkeypatch, locstab.stability, "_span_source", calls)
+        _counted(monkeypatch, locstab.stability, "_offending_pairs", calls)
+        for module in (locstab.states, locstab.stability):
+            _counted(monkeypatch, module, "factor_zero_pattern", calls)
+        for module in (locstab.states, locstab.stability, locstab):
+            monkeypatch.setattr(module, "check_mutual_orthogonality", _not_called, raising=False)
+        report = decide_extension(state_set, restarts=4, iters=20)
+        assert report.method == method
+        names = ("_span_source", "_offending_pairs", "factor_zero_pattern")
+        assert [calls[name] for name in names] == [1, 1, patterns]
 
 
 def _planted_product_set(rng, dims, size):
@@ -832,7 +891,7 @@ def _assert_witness_checks(state_set, report):
 
 def _assert_agrees_with_brute_force(state_set):
     extendible, capacities = extension_brute(state_set)
-    report = product_extension(state_set)
+    report = decide_extension(state_set)
     assert report.capacities == capacities
     assert report.verdict == ("extendible" if extendible else "unextendible")
     if extendible:
@@ -848,7 +907,7 @@ _NAMED_UPBS = {
 }
 
 
-class TestProductExtension:
+class TestPartitionRule:
     @pytest.mark.parametrize("build", [
         upb_qubit3, upb_tiles33, upb_sep333, _extendible_trio,
         functools.partial(upb_shifts, 3), functools.partial(upb_shifts, 4),
@@ -877,9 +936,9 @@ class TestProductExtension:
 
     def test_disguised_sets_cover_both_verdicts_and_searches(self):
         reports = [
-            product_extension(_disguised(np.random.default_rng(1000 + seed),
-                                         _DISGUISED_BASES[seed % len(_DISGUISED_BASES)](),
-                                         drop=seed // len(_DISGUISED_BASES) % 2))
+            decide_extension(_disguised(np.random.default_rng(1000 + seed),
+                                        _DISGUISED_BASES[seed % len(_DISGUISED_BASES)](),
+                                        drop=seed // len(_DISGUISED_BASES) % 2))
             for seed in range(24)
         ]
         assert {r.verdict for r in reports} == {"extendible", "unextendible"}
@@ -889,19 +948,19 @@ class TestProductExtension:
     @pytest.mark.parametrize("name", sorted(_NAMED_UPBS))
     def test_named_upbs_minus_one_state_extend(self, name):
         upb = _NAMED_UPBS[name]()
-        assert product_extension(upb).verdict == "unextendible"
+        assert decide_extension(upb).verdict == "unextendible"
         for j in range(len(upb)):
             rest = upb.subset([k for k in range(len(upb)) if k != j])
-            _assert_witness_checks(rest, product_extension(rest))
+            _assert_witness_checks(rest, decide_extension(rest))
 
     def test_shift_family_extends_in_a_few_nodes(self):
-        report = product_extension(shift_family(3))
+        report = decide_extension(shift_family(3))
         assert report.verdict == "extendible"
         assert report.nodes <= 10
         _assert_witness_checks(shift_family(3), report)
 
     def test_reducible44_needs_a_search(self):
-        report = product_extension(upb_44_reducible())
+        report = decide_extension(upb_44_reducible())
         assert report.verdict == "unextendible"
         assert sum(report.capacities) >= len(upb_44_reducible())
         assert report.nodes > 0
@@ -909,24 +968,24 @@ class TestProductExtension:
 
     def test_capacity_bound_decides_without_search(self):
         for build in (upb_qubit3, upb_tiles33, upb_sep333, lambda: upb_shifts(5)):
-            report = product_extension(build())
+            report = decide_extension(build())
             assert sum(report.capacities) < len(build())
             assert (report.verdict, report.nodes) == ("unextendible", 0)
 
     def test_node_cap_reports_undecided(self, monkeypatch):
         monkeypatch.setattr(locstab.stability, "_EXTENSION_NODES", 10)
-        report = product_extension(upb_44_reducible())
+        report = decide_extension(upb_44_reducible())
         assert (report.verdict, report.nodes) == ("undecided", 10)
         assert report.witness is None and report.groups is None
         # the capacity bound needs no node
-        assert product_extension(upb_qubit3()).verdict == "unextendible"
+        assert decide_extension(upb_qubit3()).verdict == "unextendible"
 
     @pytest.mark.parametrize("build", [upb_qubit3, upb_tiles33, _extendible_trio,
                                        functools.partial(shift_family, 3)])
     def test_unenumerated_hyperplanes_rank_groups_at_the_leaves(self, build, monkeypatch):
-        expected = product_extension(build()).verdict
+        expected = decide_extension(build()).verdict
         monkeypatch.setattr(locstab.stability, "_HYPERPLANE_SUBSETS", 0)
-        report = product_extension(build())
+        report = decide_extension(build())
         assert report.capacities == (len(build()),) * len(build().dims)
         assert report.verdict == expected
         if expected == "extendible":
@@ -937,7 +996,7 @@ class TestProductExtension:
         e = np.eye(3, dtype=complex)
         s = StateSet((3, 2), [ProductState([e[0], KET0]), ProductState([e[1], KET0]),
                               ProductState([e[0], KET1])], "flat")
-        report = product_extension(s)
+        report = decide_extension(s)
         assert report.capacities[0] == 3
         _assert_witness_checks(s, report)
         assert abs(report.witness.factors[0][2]) == pytest.approx(1.0)
@@ -945,7 +1004,7 @@ class TestProductExtension:
     def test_fewer_states_than_a_hyperplane_needs(self):
         e = np.eye(4, dtype=complex)
         s = StateSet((4, 4), [ProductState([e[0], e[0]]), ProductState([e[1], e[1]])], "pair")
-        report = product_extension(s)
+        report = decide_extension(s)
         assert report.capacities == (2, 2)
         _assert_witness_checks(s, report)
 
@@ -954,19 +1013,17 @@ class TestProductExtension:
         # orth_abs, so the split that groups them has no exact witness
         near = np.array([1.0, 1e-9], dtype=complex)
         s = StateSet((2, 2), [ProductState([KET0, PLUS]), ProductState([near, MINUS])], "near")
-        report = product_extension(s)
+        report = decide_extension(s)
         assert report.verdict == "undecided"
         assert report.groups == ((0, 1), ())
         assert report.witness is None
 
     def test_input_checks(self):
         with pytest.raises(ValueError, match="complement is empty"):
-            product_extension(basis_set_2x2())
+            decide_extension(basis_set_2x2())
         with pytest.raises(OrthogonalityError):
-            product_extension(StateSet((2, 2), [ProductState([KET0, KET0]),
-                                                ProductState([KET0, PLUS])]))
-        with pytest.raises(ValueError, match="all-product"):
-            product_extension(entangled_triple(3))
+            decide_extension(StateSet((2, 2), [ProductState([KET0, KET0]),
+                                               ProductState([KET0, PLUS])]))
 
 
 class TestSpanRankOnGenerators:

@@ -16,6 +16,7 @@ from locstab import (
     ProductState,
     StateFormatError,
     StateSet,
+    Tolerance,
     as_dense,
     bpart_decompose,
     check_mutual_orthogonality,
@@ -39,6 +40,7 @@ from locstab import (
 )
 from oracles import (
     conflict_pairs_scan,
+    dense_offending_stacked,
     inner_brute,
     kron_expand_brute,
     rest_inner,
@@ -225,6 +227,33 @@ class TestMutualOrthogonality:
         assert [(j, k) for j, k, _ in offending] == [(0, 1), (1, 0)]
         for j, k, value in offending:
             assert value == pytest.approx(state_inner(s[j], s[k]), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_dense_pairs_match_the_stacked_overlaps(self, seed):
+        # orthonormal columns, some pairs then tilted past the cutoff, some
+        # members replaced by product states: every ordered pair's value
+        # and the list's order must be those of the stacked (l, D) overlaps
+        rng = np.random.default_rng(seed)
+        dims = [(2, 2), (2, 3, 2), (2,) * 9, (2,) * 14][seed % 4]
+        total = math.prod(dims)
+        size = int(rng.integers(2, 6))
+        basis = np.linalg.qr(rng.standard_normal((total, size))
+                             + 1j * rng.standard_normal((total, size)))[0].T
+        members = [DenseState(basis[0], dims)]
+        for vec in basis[1:]:
+            if rng.random() < 0.5:
+                vec = vec + 10.0 ** -rng.integers(3, 9) * basis[0]
+            members.append(DenseState(vec, dims))
+            if rng.random() < 0.3:
+                factors = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in dims]
+                members[-1] = ProductState(factors)
+        state_set = StateSet(dims, members)
+        assert check_mutual_orthogonality(state_set) == dense_offending_stacked(state_set)
+        # a cutoff below every nonzero overlap compares (nearly) every value
+        tiny = Tolerance(rank_rel=1e-8, orth_abs=1e-300)
+        assert check_mutual_orthogonality(state_set, tiny) == dense_offending_stacked(
+            state_set, tiny.orth_abs
+        )
 
     def test_zero_pattern_counts_vanishing_parties(self):
         pattern = factor_zero_pattern(upb_qubit3())
