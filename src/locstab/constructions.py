@@ -446,14 +446,16 @@ def subset_campaign(
     """Certify every k-subset of ``state_set``; each verdict is that of
     :func:`~locstab.stability.is_locally_stable` on the subset.
 
-    An all-product set is certified from its own factor zero pattern, built
-    once: a subset's conflict pairs and generators are the parent's pairs
-    with both states in the subset, and each party's span ranks are shared
-    by subsets that keep the same pairs.  A subset holding a non-orthogonal
+    The set is checked and spanned once, by the certificate's own pass (the
+    factor zero pattern of an all-product set, the amplitude vectors
+    otherwise): a subset's generators are the parent's on the pairs with
+    both states in the subset, and each party's span ranks are shared by
+    subsets that keep the same pairs.  A subset holding a non-orthogonal
     pair raises :class:`~locstab.stability.OrthogonalityError` with that
     subset's indices, at the first such subset in order; a non-orthogonal
     set with no such subset (k = 1, or a sample that draws none) still gets
-    its report.  Sets with dense members are certified subset by subset.
+    its report.  A set with dense members judges its all-product subsets by
+    the amplitude rule too.
 
     When the subset count exceeds ``sample_threshold`` the distinct subsets
     among ``sample_size`` seeded uniform draws are checked instead, in

@@ -32,7 +32,6 @@ from .states import (
     _span_source,
     as_dense,
     check_signature,
-    factor_zero_pattern,
     factorize,
 )
 
@@ -133,30 +132,20 @@ class StabilityCertificate:
         }
 
 
-def _product_generators(factors, pairs):
-    """|a_j><a_k| for every pair (j, k), as one (m, d, d) array."""
-    return factors[pairs[:, 0], :, None] * factors[pairs[:, 1], None, :].conj()
-
-
-def _pair_tuples(pairs):
-    return tuple(map(tuple, pairs.tolist()))
-
-
 def _party_spans(state_set, source, tol):
-    """Yield each party's span generators as an (m, d, d) array, with its
-    conflict pairs and their smallest rest magnitude, in party order.
+    """Yield each party's span generators as an (m, d, d) array, with the
+    (m, 2) array of the ordered pairs (j, k) they come from, j outer and k
+    inner, in party order.
 
     ``source`` is the set's :func:`~locstab.states._span_source`.  A factor
     zero pattern contributes |a_j><a_k| for each conflict pair; amplitude
-    vectors contribute the block contraction of every ordered pair (j outer,
-    k inner) whose norm reaches ``tol.orth_abs``, and have no conflict pairs
-    (None) and no magnitude (None).
+    vectors contribute the block contraction of every ordered pair whose
+    norm reaches ``tol.orth_abs``.  Each generator depends on its own pair
+    alone, so a subset's generators are its parent's on the pairs inside it.
     """
     if isinstance(source, FactorZeroPattern):
         for factors, pairs in zip(source.factors, source.conflict_pairs):
-            rest = np.abs(source.nonzero_product[pairs[:, 1], pairs[:, 0]])
-            smallest = float(rest.min()) if rest.size else None
-            yield _product_generators(factors, pairs), _pair_tuples(pairs), smallest
+            yield factors[pairs[:, 0], :, None] * factors[pairs[:, 1], None, :].conj(), pairs
         return
     amplitudes = np.stack(source)
     for party in range(len(state_set.dims)):
@@ -165,7 +154,7 @@ def _party_spans(state_set, source, tol):
         contractions = np.swapaxes(blocks, 1, 2)[:, None] @ blocks.conj()[None, :]
         keep = np.linalg.norm(contractions, axis=(2, 3)) >= tol.orth_abs
         np.fill_diagonal(keep, False)
-        yield contractions[keep], None, None
+        yield contractions[keep], np.argwhere(keep)
 
 
 def span_generators(state_set: StateSet, tol: Tolerance = DEFAULT_TOL):
@@ -177,7 +166,7 @@ def span_generators(state_set: StateSet, tol: Tolerance = DEFAULT_TOL):
     its one-party blocks, dropping matrices of negligible norm.
     """
     source = _span_source(state_set, tol)
-    return tuple(generators for generators, _, _ in _party_spans(state_set, source, tol))
+    return tuple(generators for generators, _ in _party_spans(state_set, source, tol))
 
 
 def _checked_source(state_set: StateSet, tol: Tolerance, complement: bool = False):
@@ -210,10 +199,13 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     spans = []
 
     def generator_rows():
-        for d, (generators, pairs, smallest) in zip(
-            state_set.dims, _party_spans(state_set, source, tol)
-        ):
-            spans.append((pairs, smallest))
+        for d, (generators, pairs) in zip(state_set.dims, _party_spans(state_set, source, tol)):
+            if isinstance(source, FactorZeroPattern):
+                rest = np.abs(source.nonzero_product[pairs[:, 1], pairs[:, 0]])
+                smallest = float(rest.min()) if rest.size else None
+                spans.append((tuple(map(tuple, pairs.tolist())), smallest))
+            else:
+                spans.append((None, None))
             yield generators.reshape(len(generators), d * d)
 
     ranks = _stacked_ranks(generator_rows(), tol)
@@ -287,25 +279,25 @@ def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
     """Yield (combo, stable) for every ascending index tuple of ``combos``,
     each verdict that of ``is_locally_stable(state_set.subset(combo), tol)``.
 
-    Factor overlaps are computed elementwise, so a subset's zero pattern,
-    conflict pairs and generator rows are its parent's restricted to pairs
-    with both states in the subset, in the parent's order, and the rank
-    kernel sees the rows it would see on the subset, between zero rows that
-    never pivot.  Per block of combos and per party, the distinct kept-row
-    masks are ranked together, each once; a subset skips the block's later
-    parties after its first party short of d**2 - 1.
+    Overlaps and span generators each depend on one pair alone, so a
+    subset's non-orthogonal pairs, generator pairs and generator rows are
+    its parent's restricted to pairs with both states in the subset, in the
+    parent's order, and the rank kernel sees the rows it would see on the
+    subset, between zero rows that never pivot.  The parent is checked and
+    spanned once, by its own rule, so a set with dense members applies the
+    amplitude rule also to its subsets of product members, where the factor
+    rule would differ only on pairs the tolerances decide.  Per block of
+    combos and per party, the distinct kept-row masks are ranked together,
+    each once; a subset skips the block's later parties after its first
+    party short of d**2 - 1.
     """
     combos = iter(combos)
-    if not state_set.all_product:
-        for combo in combos:
-            yield combo, is_locally_stable(state_set.subset(combo), tol).stable
-        return
-    pattern = factor_zero_pattern(state_set, tol)
-    offending = pattern.offending_pairs()
+    source = _span_source(state_set, tol)
+    offending = _offending_pairs(source, tol)
     bad = np.array([pair[:2] for pair in offending], dtype=np.int64).reshape(-1, 2)
     parties = [
-        (pairs, _product_generators(factors, pairs).reshape(len(pairs), d * d), d * d - 1)
-        for factors, pairs, d in zip(pattern.factors, pattern.conflict_pairs, state_set.dims)
+        (pairs, generators.reshape(len(pairs), d * d), d * d - 1)
+        for d, (generators, pairs) in zip(state_set.dims, _party_spans(state_set, source, tol))
     ]
 
     while block := list(itertools.islice(combos, _SUBSET_BLOCK)):

@@ -224,16 +224,6 @@ class FactorZeroPattern:
     conflict_pairs: tuple
     nonzero_product: np.ndarray
 
-    def offending_pairs(self):
-        """Ordered pairs (j, k, <j|k>) with no vanishing factor overlap, i.e.
-        the non-orthogonal pairs; the value is their full product overlap."""
-        bad = self.zero_count == 0
-        np.fill_diagonal(bad, False)
-        return [
-            (j, k, complex(self.nonzero_product[j, k]))
-            for j, k in np.argwhere(bad).tolist()
-        ]
-
 
 def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> FactorZeroPattern:
     """Build the :class:`FactorZeroPattern` of an all-product set.
@@ -284,12 +274,16 @@ def _span_source(state_set: StateSet, tol: Tolerance):
 
 def _offending_pairs(source, tol: Tolerance):
     """Non-orthogonal ordered pairs (j, k, <j|k>) of a :func:`_span_source`,
-    j outer and k inner.  Amplitude vectors are multiplied one pair at a
-    time, with no (l, D) stack."""
+    j outer and k inner.  A factor zero pattern's are the pairs with no
+    vanishing factor overlap, valued by their full product overlap.
+    Amplitude vectors are multiplied one pair at a time, with no (l, D)
+    stack."""
     if isinstance(source, FactorZeroPattern):
-        return source.offending_pairs()
-    overlaps = np.array([[(conj * vec).sum() for vec in source] for conj in map(np.conj, source)])
-    bad = np.abs(overlaps) >= tol.orth_abs
+        overlaps = source.nonzero_product
+        bad = source.zero_count == 0
+    else:
+        overlaps = np.array([[(c * vec).sum() for vec in source] for c in map(np.conj, source)])
+        bad = np.abs(overlaps) >= tol.orth_abs
     np.fill_diagonal(bad, False)
     return [(j, k, complex(overlaps[j, k])) for j, k in np.argwhere(bad).tolist()]
 

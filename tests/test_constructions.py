@@ -521,12 +521,30 @@ def test_campaign_witnesses_capped_at_1000():
     assert len(report.unstable_subsets) == 1000
 
 
+def _dense(state_set, members=None):
+    """``state_set`` with the states at ``members`` (all by default) expanded
+    to dense amplitude vectors."""
+    members = set(range(len(state_set)) if members is None else members)
+    return StateSet(
+        state_set.dims,
+        [tensor_expand(s) if pos in members else s for pos, s in enumerate(state_set)],
+        f"{state_set.label}-dense",
+    )
+
+
+def _qubit3_shifts3():
+    return compose(upb_qubit3(), 0, upb_shifts(3), 0)
+
+
 class TestMisprintCampaign:
     """The heptagon misprint breaks orthogonality at index distance 3."""
 
+    @pytest.mark.parametrize("dense", [False, True], ids=["product", "dense"])
     @pytest.mark.parametrize("k", range(2, 8))
-    def test_subset_with_offending_pair_raises_its_error(self, k):
+    def test_subset_with_offending_pair_raises_its_error(self, k, dense):
         misprint = heptagon_qutrit_states((1, 2, 6))
+        if dense:
+            misprint = _dense(misprint)
         with pytest.raises(OrthogonalityError) as want:
             subset_campaign_loop(misprint, k)
         with pytest.raises(OrthogonalityError) as got:
@@ -559,12 +577,16 @@ class TestCampaignCertifiesFromParent:
         return calls
 
     def test_one_zero_pattern_and_no_subset_certificates(self, monkeypatch):
-        patterns = self._counting(monkeypatch, locstab.stability, "factor_zero_pattern")
-        patterns += self._counting(monkeypatch, locstab.states, "factor_zero_pattern")
+        # counted where it is defined and under any name a module imports it by
+        patterns = [
+            self._counting(monkeypatch, module, "factor_zero_pattern")
+            for module in (locstab.states, locstab.stability)
+            if hasattr(module, "factor_zero_pattern")
+        ]
         certificates = self._counting(monkeypatch, locstab.stability, "is_locally_stable")
         report = subset_campaign(upb_shifts(6), 8)
         assert report.checked == math.comb(12, 8)
-        assert len(patterns) == 1
+        assert sum(map(len, patterns)) == 1
         assert certificates == []
 
     @pytest.mark.parametrize(
@@ -593,13 +615,28 @@ class TestCampaignCertifiesFromParent:
         assert 0 < len(ranks) <= distinct
         assert len(ranks) < report.checked * len(parties)
 
-    def test_dense_members_certify_each_subset(self, monkeypatch):
-        q3 = upb_qubit3()
-        dense = StateSet(q3.dims, [tensor_expand(s) for s in q3], "dense")
+    @pytest.mark.parametrize(
+        "build,k,options",
+        [
+            (lambda: _dense(upb_qubit3()), 3, {}),
+            (lambda: _dense(upb_shifts(5)), 6, {}),
+            (lambda: _dense(upb_44_reducible()), 10, {}),
+            (lambda: _dense(upb_sep333()), 6, {}),
+            # 5 of the 9 subsets are stable
+            (lambda: _dense(_qubit3_shifts3()), 8, {}),
+            (lambda: _dense(_qubit3_shifts3(), members=range(1, 9, 2)), 8, {}),
+            (lambda: _dense(upb_shifts(5)), 6,
+             {"sample_threshold": 100, "sample_size": 40, "rng_seed": 2}),
+        ],
+        ids=["qubit3", "shifts5", "reducible44", "sep333", "qubit3-shifts3",
+             "qubit3-shifts3-mixed", "shifts5-sampled"],
+    )
+    def test_dense_members_certify_from_parent(self, monkeypatch, build, k, options):
+        state_set = build()
+        want = subset_campaign_loop(state_set, k, **options)
         certificates = self._counting(monkeypatch, locstab.stability, "is_locally_stable")
-        report = subset_campaign(dense, 3)
-        assert report == subset_campaign_loop(dense, 3)
-        assert len(certificates) == 4
+        assert subset_campaign(state_set, k, **options) == want
+        assert certificates == []
 
     def test_back_to_back_campaigns_keep_no_state(self):
         # same label and size, different verdicts

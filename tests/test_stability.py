@@ -808,8 +808,7 @@ class TestOneCheckPerDecision:
         calls = collections.Counter()
         _counted(monkeypatch, locstab.stability, "_span_source", calls)
         _counted(monkeypatch, locstab.stability, "_offending_pairs", calls)
-        for module in (locstab.states, locstab.stability):
-            _counted(monkeypatch, module, "factor_zero_pattern", calls)
+        _counted(monkeypatch, locstab.states, "factor_zero_pattern", calls)
         for module in (locstab.states, locstab.stability, locstab):
             monkeypatch.setattr(module, "check_mutual_orthogonality", _not_called, raising=False)
         report = decide_extension(state_set, restarts=4, iters=20)
