@@ -259,12 +259,15 @@ def _cmd_complement(args) -> int:
     return 0 if report.verdict == "unextendible" else 1
 
 
-def _common_flags(parser):
-    parser.add_argument("--tol-rank", type=float, default=None,
-                        help="relative rank cutoff (default 1e-8)")
-    parser.add_argument("--tol-orth", type=float, default=None,
-                        help="absolute orthogonality cutoff (default 1e-10)")
-    parser.add_argument("--seed", type=int, default=0, help="rng seed")
+def _common_flags(parser, tolerance=True, seed=False):
+    """--out and --human, plus the tolerance and seed flags if read."""
+    if tolerance:
+        parser.add_argument("--tol-rank", type=float, default=None,
+                            help="relative rank cutoff (default 1e-8)")
+        parser.add_argument("--tol-orth", type=float, default=None,
+                            help="absolute orthogonality cutoff (default 1e-10)")
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="rng seed")
     parser.add_argument("--out", default=None, help="write output to this path")
     parser.add_argument("--human", action="store_true",
                         help="text summary instead of JSON")
@@ -308,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="sample size once the subset count passes --threshold")
     p_subsets.add_argument("--threshold", type=int, default=10**6,
                            help="exhaustive-enumeration limit")
-    _common_flags(p_subsets)
+    _common_flags(p_subsets, seed=True)
     p_subsets.set_defaults(func=_cmd_subsets)
 
     p_bound = sub.add_parser("bound", help="size bounds for a signature")
     p_bound.add_argument("--dims", required=True,
                          help="comma-separated local dimensions, e.g. 2,2,2")
-    _common_flags(p_bound)
+    _common_flags(p_bound, tolerance=False)
     p_bound.set_defaults(func=_cmd_bound)
 
     p_complement = sub.add_parser(
@@ -326,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="see-saw restarts, for sets no exact rule decides")
     p_complement.add_argument("--iters", type=int, default=200,
                               help="see-saw sweeps per restart, for sets no exact rule decides")
-    _common_flags(p_complement)
+    _common_flags(p_complement, seed=True)
     p_complement.set_defaults(func=_cmd_complement)
 
     return parser

@@ -17,7 +17,8 @@ import numpy as np
 
 from .numerics import DEFAULT_TOL, Tolerance
 from .stability import _subset_verdicts
-from .states import DenseState, ProductState, StateSet, _unit, _unit_rows, as_dense
+from .states import DenseState, ProductState, StateSet, as_dense
+from .states import _coordinate_sums, _unit, _unit_rows
 
 __all__ = [
     "default_seeds",
@@ -97,19 +98,17 @@ def validate_seeds(seeds, n: int, tol: Tolerance = DEFAULT_TOL):
             raise ValueError(f"seed {pos} is orthogonal to |0>")
         if overlap >= hi:
             raise ValueError(f"seed {pos} is parallel to |0>")
-    # One Gram over the stacked seeds, summing materialized products in
-    # coordinate order as vec_inner does; taken in blocks of about 2**20
-    # entries so that memory stays O(n) per block at wide n.
+    # One Gram over the stacked seeds, with the arithmetic of every factor
+    # overlap; taken in blocks of about 2**20 entries so that memory stays
+    # O(n) per block at wide n.
     count = len(stack)
     step = max(1, (1 << 20) // max(count, 1))
     conj = stack.conj()
     for start in range(0, count, step):
         rows = slice(start, start + step)
-        gram = conj[rows, None, 0] * stack[None, :, 0]
-        gram += conj[rows, None, 1] * stack[None, :, 1]
-        overlap = np.abs(gram)
+        overlap = np.abs(_coordinate_sums(conj[rows, None], stack[None]))
         bad = (overlap <= lo) | (overlap >= hi)
-        bad &= np.arange(count) > np.arange(start, start + len(gram))[:, None]
+        bad &= np.arange(count) > np.arange(start, start + len(overlap))[:, None]
         hits = np.argwhere(bad)
         if len(hits):
             row, b = hits[0].tolist()
@@ -459,14 +458,17 @@ def subset_campaign(
 
     When the subset count exceeds ``sample_threshold`` the distinct subsets
     among ``sample_size`` seeded uniform draws are checked instead, in
-    sorted order, and the report is marked as sampled.  Unstable subsets
-    are returned as sorted index tuples (capped at 1000 witnesses).
+    sorted order, and the report is marked as sampled; a sample of no draws
+    raises ValueError.  Unstable subsets are returned as sorted index tuples
+    (capped at 1000 witnesses).
     """
     size = len(state_set)
     if not 1 <= k <= size:
         raise ValueError(f"k={k} out of range for a set of {size} states")
     total = math.comb(size, k)
     if total > sample_threshold:
+        if sample_size < 1:
+            raise ValueError(f"sample size {sample_size} draws no subset; it must be >= 1")
         combos = _sample_combos(size, k, sample_size, rng_seed)
         sampled = True
     else:

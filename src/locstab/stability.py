@@ -89,14 +89,13 @@ class OrthogonalityError(ValueError):
 @dataclass(frozen=True)
 class PartyRecord:
     """One party's span dimension against d**2 - 1 and, for all-product sets,
-    its conflict pairs (j, k), whose factors vanish here and at no other party,
-    with their smallest rest magnitude, so borderline admissions stay visible."""
+    its conflict pairs (j, k): the pairs whose factor overlap falls below
+    ``orth_abs`` here and at no other party, each factor decided on its own."""
     party: int
     span_dim: int
     required: int
     stable: bool
     conflict_pairs: tuple[tuple[int, int], ...] | None = None
-    smallest_conflict_magnitude: float | None = None
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,6 @@ class StabilityCertificate:
             }
             if rec.conflict_pairs is not None:
                 entry["conflict_pairs"] = [list(p) for p in rec.conflict_pairs]
-                entry["smallest_conflict_magnitude"] = rec.smallest_conflict_magnitude
             parties.append(entry)
         return {
             "label": self.label,
@@ -196,22 +194,14 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     most _RANK_BUDGET entries.
     """
     source = _checked_source(state_set, tol)
-    spans = []
-
-    def generator_rows():
-        for d, (generators, pairs) in zip(state_set.dims, _party_spans(state_set, source, tol)):
-            if isinstance(source, FactorZeroPattern):
-                rest = np.abs(source.nonzero_product[pairs[:, 1], pairs[:, 0]])
-                smallest = float(rest.min()) if rest.size else None
-                spans.append((tuple(map(tuple, pairs.tolist())), smallest))
-            else:
-                spans.append((None, None))
-            yield generators.reshape(len(generators), d * d)
-
-    ranks = _stacked_ranks(generator_rows(), tol)
+    spans = zip(state_set.dims, _party_spans(state_set, source, tol))
+    ranks = _stacked_ranks((g.reshape(len(g), d * d) for d, (g, _) in spans), tol)
+    conflicts = [None] * len(state_set.dims)
+    if isinstance(source, FactorZeroPattern):
+        conflicts = [tuple(map(tuple, pairs.tolist())) for pairs in source.conflict_pairs]
     records = [
-        PartyRecord(party, dim, d * d - 1, dim == d * d - 1, pairs, smallest)
-        for party, (d, dim, (pairs, smallest)) in enumerate(zip(state_set.dims, ranks, spans))
+        PartyRecord(party, dim, d * d - 1, dim == d * d - 1, pairs)
+        for party, (d, dim, pairs) in enumerate(zip(state_set.dims, ranks, conflicts))
     ]
     return StabilityCertificate(
         state_set.label, tol, tuple(records), all(r.stable for r in records)

@@ -214,24 +214,29 @@ class FactorZeroPattern:
     on the party count.  ``zero_count[j, k]`` counts the parties where the
     pair vanishes: zero means the pair is not orthogonal, one means it is a
     conflict pair of that single party.  ``conflict_pairs[r]`` holds party
-    r's conflict pairs as an (m_r, 2) array, j outer and k inner, and
-    ``nonzero_product[j, k]`` multiplies the overlaps <a_j|a_k>_r that do
-    not vanish, party by party in order.
+    r's conflict pairs as an (m_r, 2) array, j outer and k inner.
     """
 
     factors: tuple
     zero_count: np.ndarray
     conflict_pairs: tuple
-    nonzero_product: np.ndarray
+
+
+def _coordinate_sums(left, right) -> np.ndarray:
+    """``sum_c left[..., c] * right[..., c]``: materialized products added in
+    coordinate order, with no dot or matmul kernel, so a pair's factor
+    overlap has the same bits wherever it is taken."""
+    sums = left[..., 0] * right[..., 0]
+    for c in range(1, left.shape[-1]):
+        sums += left[..., c] * right[..., c]
+    return sums
 
 
 def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> FactorZeroPattern:
     """Build the :class:`FactorZeroPattern` of an all-product set.
 
-    Each party's factor Gram sums its materialized products in coordinate
-    order, without fused multiply-adds, so exactly cancelling factor pairs
-    (a state and its orthogonal partner) come out as exact zeros.  It is
-    dropped once folded in: besides the factors, only (l, l) arrays are
+    Each party's factor Gram (:func:`_coordinate_sums`) is dropped once its
+    zeros are counted: besides the factors, only (l, l) integer arrays are
     held.  The last party where each pair vanishes is kept alongside the
     count, and the pairs vanishing once are grouped by it in one sort.
     """
@@ -241,18 +246,11 @@ def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Fa
     factors = []
     zero_count = np.zeros((size, size), dtype=np.int64)
     last_zero = np.zeros((size, size), dtype=np.int64)
-    product = np.ones((size, size), dtype=complex)
     for r, d in enumerate(state_set.dims):
         stacked = np.array([s.factors[r] for s in state_set.states]).reshape(size, d)
-        conj = stacked.conj()
-        gram = conj[:, None, 0] * stacked[None, :, 0]
-        for c in range(1, d):
-            gram += conj[:, None, c] * stacked[None, :, c]
-        zeros = np.abs(gram) < tol.orth_abs
+        zeros = np.abs(_coordinate_sums(stacked.conj()[:, None], stacked[None])) < tol.orth_abs
         zero_count += zeros
         np.copyto(last_zero, r, where=zeros)
-        gram[zeros] = 1.0
-        product *= gram
         factors.append(stacked)
     pairs = np.argwhere(zero_count == 1)
     parties = last_zero[pairs[:, 0], pairs[:, 1]]
@@ -260,7 +258,7 @@ def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Fa
     bounds = np.searchsorted(parties[order], np.arange(len(factors) + 1)).tolist()
     pairs = pairs[order]
     conflict_pairs = tuple(pairs[a:b] for a, b in zip(bounds, bounds[1:]))
-    return FactorZeroPattern(tuple(factors), zero_count, conflict_pairs, product)
+    return FactorZeroPattern(tuple(factors), zero_count, conflict_pairs)
 
 
 def _span_source(state_set: StateSet, tol: Tolerance):
@@ -275,15 +273,21 @@ def _span_source(state_set: StateSet, tol: Tolerance):
 def _offending_pairs(source, tol: Tolerance):
     """Non-orthogonal ordered pairs (j, k, <j|k>) of a :func:`_span_source`,
     j outer and k inner.  A factor zero pattern's are the pairs with no
-    vanishing factor overlap, valued by their full product overlap.
-    Amplitude vectors are multiplied one pair at a time, with no (l, D)
-    stack."""
+    vanishing factor overlap, valued by multiplying their factor overlaps
+    party by party in order.  Amplitude vectors are multiplied one pair at a
+    time, with no (l, D) stack."""
     if isinstance(source, FactorZeroPattern):
-        overlaps = source.nonzero_product
         bad = source.zero_count == 0
-    else:
-        overlaps = np.array([[(c * vec).sum() for vec in source] for c in map(np.conj, source)])
-        bad = np.abs(overlaps) >= tol.orth_abs
+        np.fill_diagonal(bad, False)
+        rows, cols = bad.nonzero()
+        if not len(rows):
+            return []
+        values = np.ones(len(rows), dtype=complex)
+        for stack in source.factors:
+            values *= _coordinate_sums(stack[rows].conj(), stack[cols])
+        return list(zip(rows.tolist(), cols.tolist(), values.tolist()))
+    overlaps = np.array([[(c * vec).sum() for vec in source] for c in map(np.conj, source)])
+    bad = np.abs(overlaps) >= tol.orth_abs
     np.fill_diagonal(bad, False)
     return [(j, k, complex(overlaps[j, k])) for j, k in np.argwhere(bad).tolist()]
 

@@ -73,6 +73,42 @@ def dense_offending_stacked(state_set, orth_abs=DEFAULT_TOL.orth_abs):
     return [(j, k, complex(overlaps[j, k])) for j, k in np.argwhere(bad).tolist()]
 
 
+def factor_overlap_loop(a, b):
+    """<a|b> of two factors, summing conj(a[c]) * b[c] in coordinate order.
+    Each product and sum is a ufunc call on length-1 arrays: numpy's array
+    complex multiply may fuse multiply-adds where its scalar and Python's do
+    not, and a length-1 array runs the array loop, so the bits are those
+    whole-array code gets."""
+    a = np.conj(np.asarray(a, dtype=complex))
+    b = np.asarray(b, dtype=complex)
+    total = a[0:1] * b[0:1]
+    for c in range(1, len(a)):
+        total = total + a[c : c + 1] * b[c : c + 1]
+    return total
+
+
+def product_offending_loop(state_set, orth_abs=DEFAULT_TOL.orth_abs):
+    """Non-orthogonal ordered pairs (j, k, <j|k>) of an all-product set, one
+    pair at a time, j outer and k inner: a pair is orthogonal when some
+    factor overlap (:func:`factor_overlap_loop`) is below ``orth_abs``, and
+    a non-orthogonal pair's value multiplies its factor overlaps from 1 in
+    party order."""
+    pairs = []
+    for j, left in enumerate(state_set.states):
+        for k, right in enumerate(state_set.states):
+            if j == k:
+                continue
+            value = np.ones(1, dtype=complex)
+            for a, b in zip(left.factors, right.factors):
+                overlap = factor_overlap_loop(a, b)
+                if abs(overlap[0]) < orth_abs:
+                    break
+                value = value * overlap
+            else:
+                pairs.append((j, k, complex(value[0])))
+    return pairs
+
+
 def hs_inner(m, n) -> complex:
     """Hilbert-Schmidt pairing Tr(M_adj N) of two equal-size square matrices."""
     m = np.asarray(m, dtype=complex)
@@ -201,8 +237,7 @@ def extension_brute(state_set, rtol=1e-8):
 
 def rest_inner(state_set, j, k, i):
     """Inner product of states k and j over every party except ``i``
-    (conjugate-linear in state k's factors): the per-pair reference for the
-    conflict rest magnitudes."""
+    (conjugate-linear in state k's factors)."""
     if not state_set.all_product:
         raise ValueError(
             "rest_inner needs an all-product set; decompose dense states with "

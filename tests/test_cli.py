@@ -236,6 +236,14 @@ class TestSubsets:
         code, _, err = run_cli(capsys, "subsets", qubit3_file, "--k", "9")
         assert code == 2
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_sample_without_draws_exits_two(self, capsys, qubit3_file, size):
+        code, out, err = run_cli(capsys, "subsets", qubit3_file, "--k", "2",
+                                 "--threshold", "0", "--sample", size)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: sample size")
+
     def test_payload_is_the_report_field_by_field(self, capsys, tmp_path):
         path = tmp_path / "reducible.json"
         save_set(upb_44_reducible(), path)
@@ -574,6 +582,41 @@ class TestDeterminism:
             first.append(call(argv))
         assert first[2][0] == 2
         assert [call(argv) for argv in calls] == first
+
+
+class TestFlagsPerSubcommand:
+    """Each subcommand takes only the flags it reads; any other flag is a
+    usage error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "qubit3", "--seed", "1"],
+            ["check", "{set}", "--seed", "1"],
+            ["bound", "--dims", "2,2", "--seed", "1"],
+            ["bound", "--dims", "2,2", "--tol-rank", "1e-6"],
+            ["bound", "--dims", "2,2", "--tol-orth", "1e-6"],
+        ],
+    )
+    def test_unread_flag_exits_two(self, capsys, qubit3_file, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([qubit3_file if arg == "{set}" else arg for arg in argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["subsets", "{set}", "--k", "2", "--seed", "1", "--tol-orth", "1e-9"],
+            ["complement", "{set}", "--seed", "1", "--tol-rank", "1e-6"],
+            ["check", "{set}", "--tol-rank", "1e-6", "--tol-orth", "1e-9"],
+            ["construct", "qubit3", "--tol-orth", "1e-9"],
+        ],
+    )
+    def test_read_flags_accepted(self, capsys, qubit3_file, argv):
+        code, out, _ = run_cli(capsys, *[qubit3_file if a == "{set}" else a for a in argv])
+        assert code in (0, 1)
+        assert out
 
 
 class TestModuleEntryPoint:

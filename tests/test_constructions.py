@@ -473,6 +473,17 @@ class TestSubsetCampaign:
         assert sample(5, 5, 3, 0) == [(0, 1, 2, 3, 4)]
         assert sample(5, 2, 0, 0) == []
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_sample_without_draws_rejected(self, size):
+        # a sampled report of zero checked subsets would read as a pass
+        with pytest.raises(ValueError, match="sample size"):
+            subset_campaign(upb_qubit3(), 2, sample_threshold=0, sample_size=size)
+
+    def test_exhaustive_campaign_ignores_sample_size(self):
+        report = subset_campaign(upb_qubit3(), 2, sample_size=0)
+        assert not report.sampled
+        assert report.checked == 6
+
 
 # name -> (set builder, subset sizes, campaign options)
 CAMPAIGNS = {

@@ -45,7 +45,6 @@ from oracles import (
     conflict_attribution_loop,
     extension_brute,
     hs_inner,
-    rest_inner,
     seesaw_sequential,
 )
 
@@ -67,12 +66,11 @@ def basis_set_2x2():
 
 class TestConflictRecords:
     """Each party record of a certificate carries that party's conflict
-    pairs and their smallest rest magnitude."""
+    pairs."""
 
     def test_qubit3_party0(self):
         record = is_locally_stable(upb_qubit3()).parties[0]
         assert set(record.conflict_pairs) == {(0, 2), (2, 0), (1, 3), (3, 1)}
-        assert record.smallest_conflict_magnitude == pytest.approx(0.5)
 
     def test_qubit3_all_parties_size_four(self):
         records = is_locally_stable(upb_qubit3()).parties
@@ -86,7 +84,6 @@ class TestConflictRecords:
         single = StateSet((2, 2), [ProductState([KET0, KET0])])
         record = is_locally_stable(single).parties[0]
         assert record.conflict_pairs == ()
-        assert record.smallest_conflict_magnitude is None
 
     def test_closed_under_swap(self):
         pairs = set(is_locally_stable(upb_sep333()).parties[1].conflict_pairs)
@@ -211,14 +208,7 @@ class TestCertificates:
         assert payload["tolerance"] == {"rank_rel": 1e-8, "orth_abs": 1e-10}
         assert len(payload["parties"]) == 3
         entry = payload["parties"][0]
-        assert set(entry) == {
-            "party",
-            "span_dim",
-            "required",
-            "stable",
-            "conflict_pairs",
-            "smallest_conflict_magnitude",
-        }
+        assert set(entry) == {"party", "span_dim", "required", "stable", "conflict_pairs"}
 
     def test_span_dim_never_exceeds_required(self):
         for builder in (upb_qubit3, upb_sep333, upb_44_reducible, entangled_triple):
@@ -278,7 +268,7 @@ class TestOneConflictRoutine:
 
     @pytest.mark.parametrize("state_set", named_product_sets(), ids=lambda s: s.label)
     def test_views_agree_on_named_sets(self, state_set):
-        # reference: per-pair loops over vec_inner and rest_inner
+        # reference: per-pair loops over vec_inner
         size, parties = len(state_set), len(state_set.dims)
         vanishing = {
             (j, k): {
@@ -298,13 +288,6 @@ class TestOneConflictRoutine:
             assert pairs == tuple(
                 pair for pair, zeros in vanishing.items() if zeros == {party}
             )
-            if pairs:
-                assert record.smallest_conflict_magnitude == pytest.approx(
-                    min(abs(rest_inner(state_set, j, k, party)) for j, k in pairs),
-                    rel=1e-12,
-                )
-            else:
-                assert record.smallest_conflict_magnitude is None
             factors = [s.factors[party] for s in state_set]
             assert len(gens) == len(pairs)
             for (j, k), gen in zip(pairs, gens):

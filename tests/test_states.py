@@ -11,6 +11,7 @@ import pytest
 import locstab.states as states_module
 from locstab import (
     DenseState,
+    OrthogonalityError,
     entangled_triple,
     factorize,
     ProductState,
@@ -24,6 +25,7 @@ from locstab import (
     compose,
     factor_zero_pattern,
     heptagon_qutrit_states,
+    is_locally_stable,
     load_set,
     save_set,
     state_set_from_dict,
@@ -43,6 +45,7 @@ from oracles import (
     dense_offending_stacked,
     inner_brute,
     kron_expand_brute,
+    product_offending_loop,
     rest_inner,
     state_inner,
     states_close,
@@ -227,6 +230,42 @@ class TestMutualOrthogonality:
         assert [(j, k) for j, k, _ in offending] == [(0, 1), (1, 0)]
         for j, k, value in offending:
             assert value == pytest.approx(state_inner(s[j], s[k]), rel=1e-12)
+
+    @staticmethod
+    def _assert_values_exact(state_set):
+        # every pair, value and the list's order equal the per-pair oracle's
+        # bit for bit, in the list and in OrthogonalityError.pairs
+        expected = product_offending_loop(state_set)
+        assert expected
+        assert check_mutual_orthogonality(state_set) == expected
+        with pytest.raises(OrthogonalityError) as excinfo:
+            is_locally_stable(state_set)
+        assert excinfo.value.pairs == tuple(expected)
+
+    def test_misprint_values_exact(self):
+        self._assert_values_exact(heptagon_qutrit_states((1, 2, 6)))
+
+    def test_ket0_plus_values_exact(self):
+        self._assert_values_exact(
+            StateSet((2, 2), [ProductState([KET0, KET0]), ProductState([KET0, PLUS])])
+        )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_mixed_dimension_values_exact(self, seed):
+        # basis-vector factors make some factor overlaps vanish exactly, so
+        # orthogonal and non-orthogonal pairs mix
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(d) for d in rng.integers(2, 6, size=int(rng.integers(2, 7))))
+        members = []
+        for _ in range(int(rng.integers(3, 12))):
+            factors = []
+            for d in dims:
+                factor = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                if rng.random() < 0.3:
+                    factor = np.eye(d)[int(rng.integers(d))]
+                factors.append(factor)
+            members.append(ProductState(factors))
+        self._assert_values_exact(StateSet(dims, members))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_dense_pairs_match_the_stacked_overlaps(self, seed):
