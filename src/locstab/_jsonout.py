@@ -24,20 +24,21 @@ _chain = itertools.chain.from_iterable
 
 
 class LazyList:
-    """A list the writer encodes item by item, ``func(x)`` for each x in
-    ``source``, so that one item's payload is built at a time."""
+    """A list of ``length`` items that the writer encodes one at a time, as
+    the iterable ``items`` yields them, so that no item is built before it
+    is written.  It is iterated once."""
 
-    __slots__ = ("func", "source")
+    __slots__ = ("items", "length")
 
-    def __init__(self, func, source):
-        self.func = func
-        self.source = source
+    def __init__(self, items, length):
+        self.items = items
+        self.length = length
 
     def __len__(self):
-        return len(self.source)
+        return self.length
 
     def __iter__(self):
-        return map(self.func, self.source)
+        return iter(self.items)
 
 
 def _block_depth(value) -> int:

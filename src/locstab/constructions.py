@@ -45,6 +45,9 @@ __all__ = [
 # Uniform keys a sampled campaign draws per chunk: 4 MB of float64.
 _DRAW_KEYS = 1 << 19
 
+# Table indices a shift-family stack takes per block: 2 MB of intp.
+_TABLE_ROWS = 1 << 18
+
 _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
 _PLUS = np.array([1.0, 1.0], dtype=complex)
@@ -154,23 +157,28 @@ def shift_family(n: int, seeds=None, tol: Tolerance = DEFAULT_TOL) -> StateSet:
     if n < 2:
         raise ValueError("shift families need n >= 2")
     parties = 2 * n - 1
-    states = _shift_states(n, seeds, tol, range(parties))
-    return StateSet((2,) * parties, states, f"shift-family-n{n}")
+    stacks = _shift_stacks(n, seeds, tol, range(parties))
+    return StateSet._from_stacks((2,) * parties, stacks, f"shift-family-n{n}")
 
 
-def _shift_states(n, seeds, tol, firsts):
-    """The shift-family states whose first factor is table entry t, for each
-    t in ``firsts``: state t carries entry (t - r) mod N at party r.  The
-    2n-1 table entries are normalized once and shared by every state."""
+def _shift_stacks(n, seeds, tol, firsts):
+    """The per-party factor stacks of the shift-family states whose first
+    factor is table entry t, for each t in ``firsts``: state t carries entry
+    (t - r) mod N at party r.  The 2n-1 table entries are normalized once,
+    and the stacks are rows of one (N, len(firsts), 2) array, filled in
+    blocks of at most _TABLE_ROWS rows."""
     seeds = default_seeds(n) if seeds is None else list(seeds)
     seeds = validate_seeds(seeds, n, tol)
     parties = 2 * n - 1
-    dims = (2,) * parties
-    table = list(_unit_rows(np.array(_local_state_table(n, seeds))))
-    return [
-        ProductState._from_units([table[(t - r) % parties] for r in range(parties)], dims)
-        for t in firsts
-    ]
+    table = _unit_rows(np.array(_local_state_table(n, seeds)))
+    firsts = np.array(firsts, dtype=np.intp)
+    stacks = np.empty((parties, len(firsts), 2), dtype=complex)
+    per = max(1, _TABLE_ROWS // max(len(firsts), 1))
+    for start in range(0, parties, per):
+        shifts = np.arange(start, min(start + per, parties))[:, None]
+        stacks[start:start + per] = table[(firsts - shifts) % parties]
+    stacks.flags.writeable = False
+    return list(stacks)
 
 
 def upb_shifts(n: int, seeds=None, tol: Tolerance = DEFAULT_TOL) -> StateSet:
@@ -351,8 +359,8 @@ def sqrt_subset(n: int, seeds=None, tol: Tolerance = DEFAULT_TOL):
     table entry t.
     """
     plan = sqrt_subset_plan(n)
-    states = _shift_states(n, seeds, tol, plan.indices)
-    return plan, StateSet((2,) * plan.parties, states, f"sqrt-subset-n{n}")
+    stacks = _shift_stacks(n, seeds, tol, plan.indices)
+    return plan, StateSet._from_stacks((2,) * plan.parties, stacks, f"sqrt-subset-n{n}")
 
 
 @dataclass(frozen=True)

@@ -52,9 +52,11 @@ DEFAULT_TOL = Tolerance()
 def vec_inner(a, b) -> complex:
     """Inner product of two amplitude vectors, conjugating the first slot.
 
-    Products are materialized before summing (no fused multiply-add), so
-    structurally cancelling entries give an exact zero; stability checks on
-    many parties rely on that.
+    Products are materialized before summing, in coordinate order.  numpy's
+    complex multiply may itself fuse multiply-adds (it does on AVX2 and
+    AVX-512), so structurally cancelling entries can leave a residue of up
+    to about 6e-17 instead of an exact zero; verdicts compare magnitudes
+    with ``Tolerance.orth_abs``, never with zero.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)

@@ -824,7 +824,7 @@ def decide_extension(
     members = (s if isinstance(s, ProductState) else factorize(s, tol) for s in state_set.states)
     members = list(itertools.takewhile(lambda member: member is not None, members))
     if len(members) == len(state_set):
-        factors = [np.array(stack) for stack in zip(*(m.factors for m in members))]
+        factors = StateSet(state_set.dims, members).factors
         return _partition_test(state_set.label, factors, tol)
     if len(state_set) <= sum(d - 1 for d in state_set.dims):
         return ExtensionReport(state_set.label, "extendible", method="dimension-count")

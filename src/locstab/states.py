@@ -43,6 +43,21 @@ __all__ = [
 # carry no such limit since they never materialize the full tensor.
 MAX_DENSE_DIMENSION = 1 << 26
 
+# The qubit pass of factor_zero_pattern (_qubit_zeros): the axis Bloch
+# vectors are projected on, away from every coordinate plane and diagonal so
+# that few pairs that are not near antipodal share a key window; the slack
+# added to that window, far above the rounding of the keys (about 1e-15) and
+# of the party shifts (below 2**-43 for fewer than _RAY_PARTIES parties);
+# and the parties, keys and candidate pairs handled per step.
+_RAY_AXIS = np.array([1.0, math.sqrt(2.0), math.sqrt(5.0)]) / math.sqrt(8.0)
+_RAY_SLACK = 1e-11
+_RAY_PARTIES = 256
+_RAY_KEYS = 1 << 14
+_RAY_PAIRS = 1 << 16
+
+# Complex factor entries turned into one block of JSON payloads by save_set.
+_SAVE_BLOCK = 1 << 16
+
 
 class StateFormatError(ValueError):
     """A state-set payload violates the JSON schema; the message names the field."""
@@ -65,7 +80,9 @@ def _unit_rows(stack) -> np.ndarray:
     Each squared norm is ``vecdot(re, re) + vecdot(im, im)``, the same dot
     kernel :func:`numpy.linalg.norm` runs on one complex vector, so a row
     comes out bit-identical to ``row / np.linalg.norm(row)``; a different
-    summation order would move last bits and with them exact factor zeros.
+    summation order would move last bits, and with them the residues that
+    vanishing factor overlaps leave (up to about 6e-17 where numpy's complex
+    multiply fuses multiply-adds), which ``orth_abs`` then judges.
     Squares overflow above about 1e154 and lose precision below about
     1e-154, so a row whose squared norm is not a normal float is first
     divided by its largest real or imaginary part.
@@ -96,23 +113,39 @@ def _unit(vec) -> np.ndarray:
 
 
 class ProductState:
-    """A fully product multipartite pure state; factors are stored unit-norm."""
+    """A fully product multipartite pure state; factors are stored unit-norm.
 
-    __slots__ = ("factors", "dims")
+    The factors are one row of per-party (m, d_r) read-only unit stacks:
+    the states of an all-product :class:`StateSet` are rows of the set's
+    stacks, and a state built on its own holds one-row stacks.  ``factors``
+    is the tuple of that row's views, made on first use.
+    """
+
+    __slots__ = ("_stacks", "_row", "_factors", "dims")
 
     def __init__(self, factors):
-        self.factors = tuple(_unit(f) for f in factors)
-        self.dims = check_signature(f.shape[0] for f in self.factors)
+        self._stacks = tuple(_unit(f)[None] for f in factors)
+        self._row = 0
+        self._factors = None
+        self.dims = check_signature(stack.shape[1] for stack in self._stacks)
 
     @classmethod
-    def _from_units(cls, factors, dims) -> "ProductState":
-        """A state holding ``factors`` as they are: read-only unit vectors
-        normalized by :func:`_unit_rows`, of the lengths in the checked
+    def _rows(cls, stacks, dims) -> list:
+        """One state per row of ``stacks``: read-only (m, d_r) stacks of unit
+        rows normalized by :func:`_unit_rows`, one per party of the checked
         signature ``dims``."""
-        state = cls.__new__(cls)
-        state.factors = tuple(factors)
-        state.dims = dims
-        return state
+        states = []
+        for row in range(len(stacks[0])):
+            state = cls.__new__(cls)
+            state._stacks, state._row, state._factors, state.dims = stacks, row, None, dims
+            states.append(state)
+        return states
+
+    @property
+    def factors(self) -> tuple:
+        if self._factors is None:
+            self._factors = tuple(stack[self._row] for stack in self._stacks)
+        return self._factors
 
     def __repr__(self):
         return f"ProductState(dims={self.dims})"
@@ -142,9 +175,14 @@ class DenseState:
 
 
 class StateSet:
-    """An ordered collection of states over one signature; the unit of checking."""
+    """An ordered collection of states over one signature; the unit of checking.
 
-    __slots__ = ("dims", "states", "label")
+    An all-product set holds its factors by party: ``factors[r]`` is party
+    r's (l, d_r) read-only stack of unit factors, row j that of state j.
+    ``factors`` is None when some state is dense.
+    """
+
+    __slots__ = ("dims", "states", "label", "factors")
 
     def __init__(self, dims, states, label=""):
         self.dims = check_signature(dims)
@@ -158,6 +196,19 @@ class StateSet:
                 )
         self.states = states
         self.label = str(label)
+        self.factors = None
+        if all(isinstance(s, ProductState) for s in states):
+            self.factors = _factor_stacks(states, self.dims)
+
+    @classmethod
+    def _from_stacks(cls, dims, stacks, label="") -> "StateSet":
+        """The all-product set whose party-r factors are the rows of
+        ``stacks[r]``, unit rows normalized by :func:`_unit_rows`, over the
+        checked signature ``dims``; the stacks are marked read-only and
+        become the set's own."""
+        for stack in stacks:
+            stack.flags.writeable = False
+        return cls(dims, ProductState._rows(tuple(stacks), dims), label)
 
     def __len__(self):
         return len(self.states)
@@ -170,21 +221,47 @@ class StateSet:
 
     @property
     def all_product(self) -> bool:
-        return all(isinstance(s, ProductState) for s in self.states)
+        return self.factors is not None
 
     @property
     def total_dimension(self) -> int:
         return math.prod(self.dims)
 
     def subset(self, indices, label=None) -> "StateSet":
-        """A new set holding the states at ``indices``, in the given order."""
-        picked = [self.states[i] for i in indices]
+        """A new set holding the states at ``indices``, in the given order;
+        an all-product set's subset takes its stacks' rows."""
+        rows = [range(len(self))[i] for i in indices]
         if label is None:
             label = f"{self.label}[{','.join(str(i) for i in indices)}]"
-        return StateSet(self.dims, picked, label)
+        if self.factors is None:
+            return StateSet(self.dims, [self.states[i] for i in rows], label)
+        rows = np.array(rows, dtype=np.intp)
+        return StateSet._from_stacks(self.dims, [stack[rows] for stack in self.factors], label)
 
     def __repr__(self):
         return f"StateSet(label={self.label!r}, dims={self.dims}, size={len(self)})"
+
+
+def _factor_stacks(states, dims) -> tuple:
+    """The per-party (l, d_r) read-only factor stacks of product ``states``:
+    their own stacks when they are all those stacks' rows in order, else one
+    copy per party, joined from the runs of consecutive rows of one source
+    stack."""
+    runs = []  # [source stacks, first row, end row]
+    for state in states:
+        if runs and runs[-1][0] is state._stacks and runs[-1][2] == state._row:
+            runs[-1][2] += 1
+        else:
+            runs.append([state._stacks, state._row, state._row + 1])
+    if len(runs) == 1 and runs[0][1] == 0 and runs[0][2] == len(runs[0][0][0]):
+        return runs[0][0]
+    gathered = []
+    for party, d in enumerate(dims):
+        pieces = [source[party][first:end] for source, first, end in runs]
+        stack = np.concatenate(pieces) if pieces else np.empty((0, d), dtype=complex)
+        stack.flags.writeable = False
+        gathered.append(stack)
+    return tuple(gathered)
 
 
 def tensor_expand(state: ProductState) -> DenseState:
@@ -232,33 +309,88 @@ def _coordinate_sums(left, right) -> np.ndarray:
     return sums
 
 
-def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> FactorZeroPattern:
-    """Build the :class:`FactorZeroPattern` of an all-product set.
+def _qubit_zeros(factors, parties, tol: Tolerance):
+    """Yield (party, j, k) index arrays of the ordered pairs whose factor
+    overlap <a_j|a_k> at a qubit party in ``parties`` falls below
+    ``tol.orth_abs``, each decided by :func:`_coordinate_sums`, the
+    arithmetic of the party's Gram.
 
-    Each party's factor Gram (:func:`_coordinate_sums`) is dropped once its
-    zeros are counted: besides the factors, only (l, l) integer arrays are
-    held.  The last party where each pair vanishes is kept alongside the
-    count, and the pairs vanishing once are grouped by it in one sort.
+    Unit qubit factors have |<a|b>| = |n_a + n_b| / 2 for their Bloch
+    vectors n, so the keys x = n.u on the unit axis u = _RAY_AXIS of a
+    vanishing pair satisfy |x_a + x_b| <= 2 |<a|b>|.  Per batch of at most
+    _RAY_PARTIES parties, the keys are sorted once, each party's shifted by
+    4 times its place in the batch, and every factor's candidates are the
+    keys within 2 * orth_abs + _RAY_SLACK of minus its own: a superset of
+    its vanishing partners.  At most _RAY_PAIRS candidates are decided at a
+    time, so sets whose keys cluster take more steps, not more memory.
     """
-    if not state_set.all_product:
+    size = len(factors[0])
+    per = max(1, min(_RAY_PARTIES, _RAY_KEYS // max(size, 1)))
+    window = 2.0 * tol.orth_abs + _RAY_SLACK
+    for first in range(0, len(parties), per):
+        batch = np.array(parties[first:first + per], dtype=np.intp)
+        stacks = np.stack([factors[r] for r in batch])
+        up, down = stacks[..., 0], stacks[..., 1]
+        cross = up.conj() * down
+        keys = 2.0 * (_RAY_AXIS[0] * cross.real + _RAY_AXIS[1] * cross.imag) + _RAY_AXIS[2] * (
+            up.real**2 + up.imag**2 - down.real**2 - down.imag**2
+        )
+        shift = 4.0 * np.arange(len(batch))[:, None]
+        order = np.argsort(keys, axis=1)
+        ranked = (np.take_along_axis(keys, order, axis=1) + shift).ravel()
+        targets = (shift - keys).ravel()
+        low = np.searchsorted(ranked, targets - window, "left")
+        counts = np.searchsorted(ranked, targets + window, "right") - low
+        ends = np.cumsum(counts)
+        order = order.ravel()
+        start = 0
+        while start < len(counts):
+            done = int(ends[start - 1]) if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, done + _RAY_PAIRS, "right")))
+            query = np.repeat(np.arange(start, stop), counts[start:stop])
+            slots = low[query] + np.arange(len(query)) - (ends[query] - counts[query] - done)
+            place, j = np.divmod(query, size)
+            k = order[slots]
+            zero = np.abs(_coordinate_sums(stacks[place, j].conj(), stacks[place, k])) < tol.orth_abs
+            yield batch[place[zero]], j[zero], k[zero]
+            start = stop
+
+
+def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> FactorZeroPattern:
+    """Build the :class:`FactorZeroPattern` of an all-product set from its
+    factor stacks.
+
+    Qubit parties are decided by :func:`_qubit_zeros`, which takes only the
+    pairs near antipodal on the Bloch sphere; every other party's Gram
+    (:func:`_coordinate_sums`) is dropped once its zeros are counted.
+    Either way each zero is decided by the same arithmetic, and besides the
+    factors only (l, l) integer arrays are held.  The last party where each
+    pair vanishes is kept alongside the count, and the pairs vanishing once
+    are grouped by it in one sort.
+    """
+    factors = state_set.factors
+    if factors is None:
         raise ValueError("factor_zero_pattern needs an all-product set")
     size = len(state_set)
-    factors = []
     zero_count = np.zeros((size, size), dtype=np.int64)
     last_zero = np.zeros((size, size), dtype=np.int64)
-    for r, d in enumerate(state_set.dims):
-        stacked = np.array([s.factors[r] for s in state_set.states]).reshape(size, d)
-        zeros = np.abs(_coordinate_sums(stacked.conj()[:, None], stacked[None])) < tol.orth_abs
+    qubits = [r for r, d in enumerate(state_set.dims) if d == 2]
+    for parties, j, k in _qubit_zeros(factors, qubits, tol):
+        np.add.at(zero_count, (j, k), 1)
+        last_zero[j, k] = parties
+    for r, stack in enumerate(factors):
+        if stack.shape[1] == 2:
+            continue
+        zeros = np.abs(_coordinate_sums(stack.conj()[:, None], stack[None])) < tol.orth_abs
         zero_count += zeros
         np.copyto(last_zero, r, where=zeros)
-        factors.append(stacked)
     pairs = np.argwhere(zero_count == 1)
     parties = last_zero[pairs[:, 0], pairs[:, 1]]
     order = np.argsort(parties, kind="stable")
     bounds = np.searchsorted(parties[order], np.arange(len(factors) + 1)).tolist()
     pairs = pairs[order]
     conflict_pairs = tuple(pairs[a:b] for a, b in zip(bounds, bounds[1:]))
-    return FactorZeroPattern(tuple(factors), zero_count, conflict_pairs)
+    return FactorZeroPattern(factors, zero_count, conflict_pairs)
 
 
 def _span_source(state_set: StateSet, tol: Tolerance):
@@ -367,6 +499,22 @@ def _state_payload(state) -> dict:
     return {"product": [_complex_pairs(f) for f in state.factors]}
 
 
+def _state_payloads(state_set: StateSet):
+    """Yield each state's payload in order.  When every party has one local
+    dimension, an all-product set's come from its factor stacks, in blocks
+    of states holding at most _SAVE_BLOCK factor entries; other sets are
+    written state by state."""
+    stacks = state_set.factors
+    if stacks is None or len(set(state_set.dims)) > 1:
+        yield from map(_state_payload, state_set.states)
+        return
+    per = max(1, _SAVE_BLOCK // sum(state_set.dims))
+    for start in range(0, len(state_set), per):
+        # one (states, parties, d) array: each state's (parties, d) factors
+        for factors in np.stack([stack[start:start + per] for stack in stacks], axis=1):
+            yield {"product": _complex_pairs(factors)}
+
+
 def _set_payload(state_set: StateSet, states_payload) -> dict:
     return {
         "label": state_set.label,
@@ -377,7 +525,7 @@ def _set_payload(state_set: StateSet, states_payload) -> dict:
 
 def state_set_to_dict(state_set: StateSet) -> dict:
     """The JSON-ready payload for a state set."""
-    return _set_payload(state_set, [_state_payload(s) for s in state_set])
+    return _set_payload(state_set, list(_state_payloads(state_set)))
 
 
 def _parse_pair(value, where):
@@ -428,7 +576,9 @@ def _parse_states(states_raw, dims):
 
     One structural pass sorts the entries by kind.  Each party's product
     factors are then parsed into one (l, d_r) stack and normalized by
-    :func:`_unit_rows`; each dense amplitude vector is parsed as one array.
+    :func:`_unit_rows`, and the product states are the rows of those
+    stacks, which an all-product set keeps as its own; each dense amplitude
+    vector is parsed as one array.
     """
     products, dense = [], []
     total = math.prod(dims)
@@ -454,8 +604,8 @@ def _parse_states(states_raw, dims):
                 stacks.append(_unit_rows(stack))
             except ValueError:
                 return None
-        for (pos, _), factors in zip(products, zip(*map(list, stacks))):
-            states[pos] = ProductState._from_units(factors, dims)
+        for (pos, _), state in zip(products, ProductState._rows(tuple(stacks), dims)):
+            states[pos] = state
     for pos, amps_raw in dense:
         amps = _pair_rows([amps_raw], total)
         if amps is None:
@@ -555,7 +705,7 @@ def state_set_from_dict(payload) -> StateSet:
 def save_set(state_set: StateSet, path) -> None:
     """Write ``state_set`` as the text of ``json.dumps(state_set_to_dict(...),
     indent=2)`` plus a newline, building one state's payload at a time."""
-    payload = _set_payload(state_set, LazyList(_state_payload, state_set.states))
+    payload = _set_payload(state_set, LazyList(_state_payloads(state_set), len(state_set)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(iter_json(payload))
         fh.write("\n")

@@ -235,28 +235,6 @@ def extension_brute(state_set, rtol=1e-8):
     return False, capacities
 
 
-def rest_inner(state_set, j, k, i):
-    """Inner product of states k and j over every party except ``i``
-    (conjugate-linear in state k's factors)."""
-    if not state_set.all_product:
-        raise ValueError(
-            "rest_inner needs an all-product set; decompose dense states with "
-            "bpart_decompose and use the general span path instead"
-        )
-    size = len(state_set)
-    if not (0 <= j < size and 0 <= k < size):
-        raise IndexError(f"state indices ({j}, {k}) out of range for size {size}")
-    if j == k:
-        raise ValueError("rest_inner needs two distinct states (j != k)")
-    if not 0 <= i < len(state_set.dims):
-        raise IndexError(f"party {i} out of range for {len(state_set.dims)} parties")
-    out = 1.0 + 0.0j
-    for r in range(len(state_set.dims)):
-        if r != i:
-            out *= vec_inner(state_set[k].factors[r], state_set[j].factors[r])
-    return complex(out)
-
-
 def conflict_pairs_scan(state_set, orth_abs=DEFAULT_TOL.orth_abs):
     """(zero_count, conflict_pairs) of an all-product set from a full
     (parties, l, l) boolean: ``zeros[r]`` marks the pairs whose party-r

@@ -46,7 +46,6 @@ from oracles import (
     inner_brute,
     kron_expand_brute,
     product_offending_loop,
-    rest_inner,
     state_inner,
     states_close,
     unit_reference,
@@ -350,27 +349,224 @@ class TestMutualOrthogonality:
             factor_zero_pattern(mixed)
 
 
-class TestRestInner:
-    def test_nonzero_pair(self):
-        # remaining factors <+|0> and <-|0> give 1/2
-        assert rest_inner(upb_qubit3(), 0, 2, 0) == pytest.approx(0.5)
+def _assert_pattern_matches_scan(state_set, tol=Tolerance()):
+    """factor_zero_pattern agrees exactly with the full-Gram oracle."""
+    pattern = factor_zero_pattern(state_set, tol)
+    zero_count, expected = conflict_pairs_scan(state_set, tol.orth_abs)
+    assert np.array_equal(pattern.zero_count, zero_count)
+    assert len(pattern.conflict_pairs) == len(expected) == len(state_set.dims)
+    for pairs, ref in zip(pattern.conflict_pairs, expected):
+        assert pairs.shape == ref.shape
+        assert np.array_equal(pairs, ref)
+    return pattern
 
-    def test_zero_pair(self):
-        assert rest_inner(upb_qubit3(), 0, 1, 0) == 0
 
-    def test_same_state_rejected(self):
-        with pytest.raises(ValueError):
-            rest_inner(upb_qubit3(), 1, 1, 0)
+def _pooled_set(rng, dims, size, pool=3):
+    """``size`` product states whose party-r factor is drawn from ``pool``
+    random orthonormal bases of C^{d_r}, the rows of random unitaries, so
+    that many factor pairs vanish up to rounding."""
+    choices = []
+    for d in dims:
+        bases = [
+            np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0].T
+            for _ in range(pool)
+        ]
+        choices.append(np.concatenate(bases))
+    return StateSet(
+        dims,
+        [ProductState([c[rng.integers(len(c))] for c in choices]) for _ in range(size)],
+        "pooled",
+    )
 
-    def test_dense_member_rejected(self):
-        ghz = DenseState([1, 0, 0, 0, 0, 0, 0, 1], (2, 2, 2))
-        mixed = StateSet((2, 2, 2), [upb_qubit3()[0], ghz])
-        with pytest.raises(ValueError, match="general"):
-            rest_inner(mixed, 0, 1, 0)
 
-    def test_bad_party(self):
+_ORTH = [1e-4, 1e-10, 1e-12]
+
+
+class TestQubitRayPass:
+    @pytest.mark.parametrize("orth_abs", _ORTH)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_qubit_sets_match_scan(self, orth_abs, seed):
+        rng = np.random.default_rng(seed)
+        parties, size = int(rng.integers(1, 40)), int(rng.integers(1, 60))
+        tol = Tolerance(orth_abs=orth_abs)
+        _assert_pattern_matches_scan(_pooled_set(rng, (2,) * parties, size), tol)
+        generic = StateSet(
+            (2,) * parties, [random_product_state(rng, (2,) * parties) for _ in range(size)]
+        )
+        pattern = _assert_pattern_matches_scan(generic, tol)
+        assert not pattern.zero_count.any()
+
+    @pytest.mark.parametrize("orth_abs", _ORTH)
+    def test_clustered_keys_match_scan(self, orth_abs, monkeypatch):
+        # |0>, |1>, |+>, |-> repeated: every key window holds O(l) factors,
+        # decided over several party batches and candidate steps
+        monkeypatch.setattr(states_module, "_RAY_PARTIES", 2)
+        monkeypatch.setattr(states_module, "_RAY_PAIRS", 999)
+        rng = np.random.default_rng(5)
+        ring = [KET0, KET1, PLUS, MINUS]
+        picks = rng.integers(0, 4, size=(160, 5))
+        state_set = StateSet((2,) * 5, [ProductState([ring[i] for i in row]) for row in picks])
+        pattern = _assert_pattern_matches_scan(state_set, Tolerance(orth_abs=orth_abs))
+        assert pattern.zero_count.sum() > 160**2
+
+    @pytest.mark.parametrize("orth_abs", [1e-4, 1e-12])
+    def test_overlaps_at_the_cutoff(self, orth_abs):
+        # state 0 is |0>|1> on parties 0 and 1, and state i holds
+        # b = (e * phase, sqrt(1 - e^2)) there, reversed at party 1: both
+        # overlaps are exactly e * phase under any summation, with e a factor
+        # 1e-6 below or above orth_abs
+        rng = np.random.default_rng(11)
+        below, above = orth_abs * (1 - 1e-6), orth_abs * (1 + 1e-6)
+        near = [(e, phase) for e in (below, above) for phase in (1, -1, 1j)]
+        states = [ProductState([KET0, KET1, [0.6, 0.8j]])]
+        for e, phase in near:
+            edge = [e * phase, math.sqrt(1 - e * e)]
+            states.append(ProductState([edge, edge[::-1], rng.standard_normal(2) + 0.5j]))
+        states += [random_product_state(rng, (2, 2, 2)) for _ in range(20)]
+        state_set = StateSet((2, 2, 2), states)
+        pattern = _assert_pattern_matches_scan(state_set, Tolerance(orth_abs=orth_abs))
+        for i, (e, _) in enumerate(near, start=1):
+            assert pattern.zero_count[0, i] == pattern.zero_count[i, 0] == 2 * (e == below)
+
+    @pytest.mark.parametrize("orth_abs", _ORTH)
+    @pytest.mark.parametrize("dims", [(2, 3, 2, 4), (3, 2), (4, 4, 2)])
+    def test_mixed_dims_match_scan(self, orth_abs, dims):
+        rng = np.random.default_rng(sum(dims))
+        pattern = _assert_pattern_matches_scan(
+            _pooled_set(rng, dims, 40), Tolerance(orth_abs=orth_abs)
+        )
+        assert all(len(pairs) for pairs in pattern.conflict_pairs)
+
+    def test_wide_window_decides_every_candidate(self, monkeypatch):
+        # a window of nearly the whole key range makes most pairs candidates,
+        # so every zero must come from the overlap itself, not from the keys
+        monkeypatch.setattr(states_module, "_RAY_SLACK", 1.9)
+        rng = np.random.default_rng(23)
+        _assert_pattern_matches_scan(_pooled_set(rng, (2,) * 9, 50))
+        _assert_pattern_matches_scan(_random_shift_family(12, 4), Tolerance(orth_abs=1e-4))
+
+    def test_one_party_batches_match_scan(self, monkeypatch):
+        monkeypatch.setattr(states_module, "_RAY_PARTIES", 1)
+        monkeypatch.setattr(states_module, "_RAY_PAIRS", 7)
+        _assert_pattern_matches_scan(_random_shift_family(12, 3))
+
+
+class TestColumnarSets:
+    def test_loader_and_list_sets_hold_the_same_stacks(self):
+        rng = np.random.default_rng(17)
+        built = _pooled_set(rng, (2, 3, 2), 30)
+        raw = [[f * (1 + rng.random()) for f in s.factors] for s in built]
+        listed = StateSet(built.dims, [ProductState(f) for f in raw])
+        loaded = state_set_from_dict({
+            "dims": list(built.dims),
+            "states": [{"product": [np.stack([f.real, f.imag], 1).tolist() for f in r]}
+                       for r in raw],
+        })
+        for a, b in zip(listed.factors, loaded.factors):
+            assert a.tobytes() == b.tobytes()
+        left, right = factor_zero_pattern(listed), factor_zero_pattern(loaded)
+        assert np.array_equal(left.zero_count, right.zero_count)
+        for a, b in zip(left.conflict_pairs, right.conflict_pairs):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: shift_family(6),
+            lambda: sqrt_subset(19)[1],
+            lambda: state_set_from_dict(state_set_to_dict(upb_tiles33())),
+            lambda: shift_family(7).subset([4, 0, 9]),
+            lambda: upb_shifts(4),
+            upb_sep333,
+        ],
+    )
+    def test_states_are_read_only_rows_of_the_stacks(self, build):
+        state_set = build()
+        assert state_set.all_product
+        for party, stack in enumerate(state_set.factors):
+            assert stack.shape == (len(state_set), state_set.dims[party])
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0] = 1.0
+            for row, state in zip(stack, state_set):
+                factor = state.factors[party]
+                assert factor.tobytes() == row.tobytes()
+                with pytest.raises(ValueError):
+                    factor[0] = 1.0
+
+    def test_loaded_and_built_states_are_views(self):
+        for state_set in (
+            shift_family(5),
+            sqrt_subset(19)[1],
+            state_set_from_dict(state_set_to_dict(upb_tiles33())),
+        ):
+            for state in state_set:
+                for factor, stack in zip(state.factors, state_set.factors):
+                    assert np.shares_memory(factor, stack)
+
+    def test_subset_keeps_stacks(self):
+        family = _random_shift_family(9, 2)
+        picked = [5, 0, -1, 3]
+        sub = family.subset(picked)
+        assert sub.label == f"{family.label}[5,0,-1,3]"
+        assert sub.all_product
+        for stack, parent in zip(sub.factors, family.factors):
+            assert stack.tobytes() == parent[picked].tobytes()
+        for state in sub:
+            assert all(np.shares_memory(f, s) for f, s in zip(state.factors, sub.factors))
+        assert np.array_equal(
+            factor_zero_pattern(sub).zero_count,
+            factor_zero_pattern(family).zero_count[np.ix_(picked, picked)],
+        )
         with pytest.raises(IndexError):
-            rest_inner(upb_qubit3(), 0, 1, 5)
+            family.subset([0, len(family)])
+
+    def test_rewrapped_states_share_the_stacks(self):
+        family = shift_family(6)
+        again = StateSet(family.dims, family.states, "again")
+        assert all(a is b for a, b in zip(again.factors, family.factors))
+        reordered = StateSet(family.dims, family.states[::-1])
+        assert reordered.factors[0].tobytes() == family.factors[0][::-1].tobytes()
+
+    def test_dense_member_leaves_no_stacks(self):
+        mixed = StateSet((2, 2), [ProductState([KET0, KET1]), DenseState([1, 0, 0, 1], (2, 2))])
+        assert mixed.factors is None and not mixed.all_product
+        assert StateSet((2, 3), []).factors[1].shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: _random_shift_family(20, 8),
+            lambda: sqrt_subset(19)[1],
+            lambda: compose(upb_qubit3(), 1, upb_tiles33(), 2),
+            upb_44_reducible,
+            upb_sep333,
+            lambda: StateSet((2, 2), [ProductState([KET0, PLUS]), DenseState([1, 0, 0, 1], (2, 2))]),
+        ],
+    )
+    def test_save_load_save_matches_the_state_by_state_path(self, build, tmp_path):
+        # the loader divides every saved factor by its norm again, which can
+        # move a last bit, so the second file is compared with the same set
+        # built state by state from the first file's numbers
+        first, second, listed = tmp_path / "1.json", tmp_path / "2.json", tmp_path / "l.json"
+        save_set(build(), first)
+        assert first.read_text() == json.dumps(state_set_to_dict(build()), indent=2) + "\n"
+        save_set(load_set(first), second)
+        payload = json.loads(first.read_text())
+        states = [
+            ProductState([_pairs_to_vector(f) for f in entry["product"]])
+            if "product" in entry
+            else DenseState(_pairs_to_vector(entry["dense"]), payload["dims"])
+            for entry in payload["states"]
+        ]
+        save_set(StateSet(payload["dims"], states, payload["label"]), listed)
+        assert second.read_bytes() == listed.read_bytes()
+
+    def test_pair_rows_rejects_bools_and_numeric_strings(self):
+        assert states_module._pair_rows([[[1, 0.5], [0.0, 1]]], 2) is not None
+        assert states_module._pair_rows([[[True, 0.0], [0.0, 1.0]]], 2) is None
+        assert states_module._pair_rows([[["1", 0.0], [0.0, 1.0]]], 2) is None
+        assert states_module._pair_rows([[[1.0, 0.0], [0.0, b"1"]]], 2) is None
 
 
 class TestBpartDecompose:
