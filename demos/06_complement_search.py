@@ -53,16 +53,32 @@ print(f"{dense.label}: method {report.method}, verdict {report.verdict}; "
       f"every member factorized, capacities {report.capacities}")
 print()
 
-# the see-saw only proposes witnesses; on the triple it creeps towards |011>
-# without reaching the 1e-13 gain stop, so every restart runs to the cap
-search = ls.complement_product_search(triple, restarts=50, iters=200, rng_seed=0)
-print(f"see-saw on {triple.label}: residual 1 - overlap = {1 - search.overlap:.3e}, "
-      f"{search.sweeps} sweeps, capped: {search.capped}")
-print("witness factors (magnitudes):")
-for factor in search.witness.factors:
-    print(f"  {np.round(np.abs(factor), 6)}")
-
-# restarts are seeded substreams, so the whole search replays exactly
-again = ls.complement_product_search(triple, restarts=50, iters=200, rng_seed=0)
-print(f"replay with the same seed reproduces the overlap bit for bit: "
-      f"{again.overlap == search.overlap}")
+# past the dimension count with an entangled member, the see-saw proposes a
+# witness and decide_extension checks it against every state
+phi_plus = ls.DenseState([1, 0, 0, 1], (2, 2))
+phi_minus = ls.DenseState([1, 0, 0, -1], (2, 2))
+bell_sets = [
+    # {Phi+, Phi-, |01>} leaves exactly the product state |10>
+    ls.StateSet((2, 2), [phi_plus, phi_minus, ls.ProductState([e0, e1])], "phi+ phi- |01>"),
+    # {Phi+, Phi-, Psi+} leaves only the entangled Psi-, at overlap 1/2
+    # with the nearest product state: no witness, so no verdict
+    ls.StateSet((2, 2), [phi_plus, phi_minus, ls.DenseState([0, 1, 1, 0], (2, 2))],
+                "phi+ phi- psi+"),
+]
+for state_set in bell_sets:
+    report = ls.decide_extension(state_set, restarts=50, iters=200, rng_seed=0)
+    search = report.search
+    print(f"{state_set.label}: method {report.method}, verdict {report.verdict}; "
+          f"residual 1 - overlap = {1 - search.overlap:.3e}, "
+          f"{search.sweeps} sweeps, capped: {search.capped}")
+    if report.witness is not None:
+        print("witness factors (magnitudes):")
+        for factor in report.witness.factors:
+            print(f"  {np.round(np.abs(factor), 6)}")
+    # restarts are seeded substreams, so the whole decision replays exactly
+    again = ls.decide_extension(state_set, restarts=50, iters=200, rng_seed=0)
+    same = (again.verdict, again.search.overlap, again.search.sweeps) == (
+        report.verdict, search.overlap, search.sweeps
+    ) and all(np.array_equal(a, b) for a, b in zip(again.search.witness.factors,
+                                                   search.witness.factors))
+    print(f"replay with the same seed reproduces the search bit for bit: {same}")

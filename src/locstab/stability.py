@@ -29,6 +29,7 @@ from .states import (
     StateSet,
     _offending_pairs,
     _party_blocks,
+    _rowwise_kron,
     _span_source,
     as_dense,
     check_signature,
@@ -48,7 +49,6 @@ __all__ = [
     "cardinality_upper_bounds",
     "ExtensionReport",
     "SearchReport",
-    "complement_product_search",
     "decide_extension",
 ]
 
@@ -146,10 +146,11 @@ def _party_spans(state_set, source, tol):
             yield factors[pairs[:, 0], :, None] * factors[pairs[:, 1], None, :].conj(), pairs
         return
     amplitudes = np.stack(source)
-    for party in range(len(state_set.dims)):
-        blocks = _party_blocks(amplitudes, state_set.dims, party)
-        # contractions[j, k] = blocks[j].T @ blocks[k].conj()
-        contractions = np.swapaxes(blocks, 1, 2)[:, None] @ blocks.conj()[None, :]
+    size = len(amplitudes)
+    for party, d in enumerate(state_set.dims):
+        split = _party_blocks(amplitudes, state_set.dims, party)
+        # contractions[j, k] is the (d, d) block (j, k) of the split's Gram
+        contractions = (split.T @ split.conj()).reshape(size, d, size, d).swapaxes(1, 2)
         keep = np.linalg.norm(contractions, axis=(2, 3)) >= tol.orth_abs
         np.fill_diagonal(keep, False)
         yield contractions[keep], np.argwhere(keep)
@@ -494,7 +495,8 @@ class ExtensionReport:
     hyperplanes were not enumerated; ``groups[i]``, the states the found
     split gives party i, None when no split was found; and ``nodes``, the
     states its search placed.  Other methods leave these None.  ``search``
-    is the see-saw's :class:`SearchReport` for that method, else None.
+    is the :class:`SearchReport` of :func:`_see_saw` for that method, else
+    None.
     """
 
     label: str
@@ -667,15 +669,6 @@ def _partition_test(label, factors, tol):
     return ExtensionReport(label, verdict, witness, groups, capacities, nodes)
 
 
-def _rowwise_kron(rows, factors):
-    """Row-wise Kronecker product of (rows, d_r) arrays: a (rows, prod d_r)
-    array whose row t is the Kronecker product of the factors' rows t."""
-    out = np.ones((rows, 1), dtype=complex)
-    for factor in factors:
-        out = (out[:, :, None] * factor[:, None, :]).reshape(rows, -1)
-    return out
-
-
 @dataclass(frozen=True)
 class SearchReport:
     """What a see-saw search found and how hard it looked.
@@ -693,16 +686,11 @@ class SearchReport:
     capped: bool
 
 
-def complement_product_search(
-    state_set: StateSet,
-    restarts: int = 50,
-    iters: int = 200,
-    rng_seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-) -> SearchReport:
+def _see_saw(vectors, dims, restarts, iters, rng_seed):
     """See-saw maximization of a product state's overlap with the orthogonal
-    complement of span(state_set).  It only proposes a witness:
-    :func:`decide_extension` checks it before any verdict.
+    complement of the span of ``vectors``, the amplitude vectors of a
+    checked set whose complement is not empty.  It only proposes a
+    witness: :func:`decide_extension` checks it before any verdict.
 
     Each restart draws uniformly random unit factors from its own substream
     spawned from ``rng_seed``, so results are reproducible.  The restarts
@@ -715,16 +703,6 @@ def complement_product_search(
     the lowest-numbered restart within 1e-12 of it; an overlap of 1 means a
     product state was found inside the complement, up to rounding.
     """
-    if restarts < 1 or iters < 1:
-        raise ValueError("restarts and iters must be positive")
-    _checked_source(state_set, tol, complement=True)
-    vectors = [as_dense(s).amplitudes for s in state_set.states]
-    return _see_saw(vectors, state_set.dims, restarts, iters, rng_seed)
-
-
-def _see_saw(vectors, dims, restarts, iters, rng_seed):
-    """The search of :func:`complement_product_search` over the amplitude
-    vectors of a checked set whose complement is not empty."""
     total = math.prod(dims)
     if total > _SEARCH_DENSE_LIMIT:
         raise ValueError(
@@ -732,12 +710,7 @@ def _see_saw(vectors, dims, restarts, iters, rng_seed):
         )
     size = len(vectors)
     dense = np.stack(vectors)
-    # rest_maps[i][j, k * d_i + a] is block row j, entry a of state k split at
-    # party i, so (R, D/d_i) conjugate rest vectors contract to (R, l * d_i).
-    rest_maps = [
-        _party_blocks(dense, dims, i).transpose(1, 0, 2).reshape(total // d, size * d)
-        for i, d in enumerate(dims)
-    ]
+    rest_maps = [_party_blocks(dense, dims, i) for i in range(len(dims))]
 
     # one substream per restart, drawn party by party; factors[i] is (R, d_i)
     draws = []
@@ -809,11 +782,11 @@ def decide_extension(
        the two meet (the count behind the UPB size floor of Bennett et
        al., PRL 82, 5385 (1999), and Alon & Lovasz, JCTA 95, 169 (2001)).
        No search runs, so no total dimension is too large.
-    3. "see-saw": the search of :func:`complement_product_search` proposes
-       a witness, with ``restarts``, ``iters`` and ``rng_seed``.  The
-       verdict is "extendible" only when the witness's inner product with
-       every state is below ``tol.orth_abs``, else "undecided"; a search
-       never proves a set unextendible.
+    3. "see-saw": the search of :func:`_see_saw` proposes a witness, with
+       ``restarts``, ``iters`` and ``rng_seed``.  The verdict is
+       "extendible" only when the witness's inner product with every state
+       is below ``tol.orth_abs``, else "undecided"; a search never proves a
+       set unextendible.
 
     Raises :class:`OrthogonalityError` for a non-orthogonal set and
     ValueError for an empty or a complete one.

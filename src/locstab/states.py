@@ -271,10 +271,16 @@ def tensor_expand(state: ProductState) -> DenseState:
         raise ValueError(
             f"total dimension {total} exceeds the dense limit {MAX_DENSE_DIMENSION}"
         )
-    amps = state.factors[0]
-    for factor in state.factors[1:]:
-        amps = np.kron(amps, factor)
-    return DenseState(amps, state.dims)
+    return DenseState(_rowwise_kron(1, [f[None] for f in state.factors])[0], state.dims)
+
+
+def _rowwise_kron(rows, factors):
+    """Row-wise Kronecker product of (rows, d_r) arrays: a (rows, prod d_r)
+    array whose row t is the Kronecker product of the factors' rows t."""
+    out = np.ones((rows, 1), dtype=complex)
+    for factor in factors:
+        out = (out[:, :, None] * factor[:, None, :]).reshape(rows, -1)
+    return out
 
 
 def as_dense(state) -> DenseState:
@@ -438,12 +444,14 @@ def check_mutual_orthogonality(state_set: StateSet, tol: Tolerance = DEFAULT_TOL
 
 
 def _party_blocks(amplitudes, dims, party):
-    """Split an (l, D) amplitude stack at ``party`` into (l, D/d_i, d_i)
-    blocks: row r of block k is state k's vector in party i's space for the
-    r-th computational basis state of the other parties, row-major in their
-    original order.  May share memory with ``amplitudes``."""
-    moved = np.moveaxis(amplitudes.reshape((len(amplitudes),) + dims), 1 + party, -1)
-    return np.ascontiguousarray(moved.reshape(len(amplitudes), -1, dims[party]))
+    """Split an (l, D) amplitude stack at ``party`` into one (D/d_i, l*d_i)
+    matrix: entry [r, k*d_i + a] is entry a of state k's vector in party
+    i's space for the r-th computational basis state of the other parties,
+    row-major in their original order.  So (R, D/d_i) conjugate rest
+    vectors contract to (R, l*d_i), and the matrix's Gram holds every pair's
+    block contraction.  May share memory with ``amplitudes``."""
+    moved = np.moveaxis(amplitudes.reshape((len(amplitudes),) + dims), (0, 1 + party), (-2, -1))
+    return np.ascontiguousarray(moved.reshape(-1, len(amplitudes) * dims[party]))
 
 
 def bpart_decompose(state: DenseState, i: int):
@@ -458,7 +466,7 @@ def bpart_decompose(state: DenseState, i: int):
     dims = state.dims
     if not 0 <= i < len(dims):
         raise IndexError(f"party {i} out of range for {len(dims)} parties")
-    return [row.copy() for row in _party_blocks(state.amplitudes[None], dims, i)[0]]
+    return [row.copy() for row in _party_blocks(state.amplitudes[None], dims, i)]
 
 
 def factorize(state: DenseState, tol: Tolerance = DEFAULT_TOL) -> ProductState | None:
@@ -474,8 +482,10 @@ def factorize(state: DenseState, tol: Tolerance = DEFAULT_TOL) -> ProductState |
     """
     factors = []
     for party in range(len(state.dims)):
-        blocks = np.array(_party_blocks(state.amplitudes[None], state.dims, party))
-        pivots, ranks = _orthonormal_rows(blocks, tol.rank_rel)
+        # the split can be a view of the read-only amplitudes, and the rank
+        # kernel overwrites its input
+        split = np.array(_party_blocks(state.amplitudes[None], state.dims, party)[None])
+        pivots, ranks = _orthonormal_rows(split, tol.rank_rel)
         if ranks[0] != 1:
             return None
         factors.append(pivots[0, 0])

@@ -158,8 +158,8 @@ def _kron_except(factors, skip=None):
 def seesaw_sequential(state_set, restarts=50, iters=200, rng_seed=0):
     """The see-saw complement search run one restart at a time.
 
-    The loop is the per-restart form that ``complement_product_search``
-    batched; input checks are left to the caller.  Returns the best
+    The loop is the per-restart form that ``stability._see_saw``
+    batches; input checks are left to the caller.  Returns the best
     (overlap, factors) across restarts, first maximum on ties, and every
     restart's (overlap, factors, sweeps) in stream order.
     """
@@ -167,7 +167,10 @@ def seesaw_sequential(state_set, restarts=50, iters=200, rng_seed=0):
     dense = np.stack([as_dense(s).amplitudes for s in state_set.states])
     parties = len(dims)
     # blocks[i][k] has shape (d_rest, d_i): state k split at party i.
-    blocks = [_party_blocks(dense, dims, i) for i in range(parties)]
+    blocks = [
+        _party_blocks(dense, dims, i).reshape(-1, len(dense), d).swapaxes(0, 1)
+        for i, d in enumerate(dims)
+    ]
 
     runs = []
     best_overlap = -math.inf

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import locstab as ls
+from locstab.stability import _see_saw
 from oracles import hs_inner
 
 TRIALS = 1000
@@ -443,14 +444,15 @@ def test_complement_search_evidence():
         ],
         "extendible-trio",
     )
-    overlap_trio = ls.complement_product_search(trio, restarts=10, iters=100, rng_seed=0).overlap
 
-    overlap_q3 = ls.complement_product_search(ls.upb_qubit3(), restarts=50,
-                                              iters=200, rng_seed=0).overlap
-    overlap_q3_again = ls.complement_product_search(ls.upb_qubit3(), restarts=50,
-                                                    iters=200, rng_seed=0).overlap
-    overlap_tiles = ls.complement_product_search(ls.upb_tiles33(), restarts=50,
-                                                 iters=200, rng_seed=0).overlap
+    def overlap(state_set, restarts=50, iters=200):
+        vectors = [ls.as_dense(s).amplitudes for s in state_set]
+        return _see_saw(vectors, state_set.dims, restarts, iters, rng_seed=0).overlap
+
+    overlap_trio = overlap(trio, restarts=10, iters=100)
+    overlap_q3 = overlap(ls.upb_qubit3())
+    overlap_q3_again = overlap(ls.upb_qubit3())
+    overlap_tiles = overlap(ls.upb_tiles33())
     checks = [
         ("extendible overlap 1", abs(overlap_trio - 1.0) <= 1e-6),
         ("qubit3 below UPB cutoff", overlap_q3 < 1 - 1e-3),

@@ -22,7 +22,6 @@ from locstab import (
     StateSet,
     cardinality_lower_bound,
     cardinality_upper_bounds,
-    complement_product_search,
     compose,
     conflict_audit,
     decide_extension,
@@ -41,6 +40,7 @@ from locstab import (
     validate_seeds,
     vec_inner,
 )
+from locstab.stability import _see_saw
 from oracles import (
     conflict_attribution_loop,
     extension_brute,
@@ -351,7 +351,9 @@ class TestDenseViews:
             dense_expansion(upb_tiles33()),
             dense_expansion(upb_sep333()),
             dense_expansion(upb_44_reducible()),
+            dense_expansion(upb_shifts(5)),
             entangled_triple(3),
+            entangled_triple(10),
         ],
         ids=lambda s: s.label,
     )
@@ -549,6 +551,12 @@ _SEARCH_SETS = {
 _SEARCH_RESTARTS = 20
 
 
+def _search(state_set, restarts, iters, rng_seed):
+    """The see-saw kernel on a set's amplitude vectors."""
+    vectors = [as_dense(s).amplitudes for s in state_set]
+    return _see_saw(vectors, state_set.dims, restarts, iters, rng_seed)
+
+
 @functools.lru_cache(maxsize=None)
 def _sequential_search(name, seed, iters):
     return seesaw_sequential(_SEARCH_SETS[name](), _SEARCH_RESTARTS, iters, seed)
@@ -565,41 +573,32 @@ def _equal_up_to_phase(phi, factors, atol=1e-9):
 class TestComplementSearch:
     def test_single_state_has_full_complement(self):
         s = StateSet((2, 2), [ProductState([KET0, KET0])])
-        report = complement_product_search(s, restarts=5, iters=50, rng_seed=0)
+        report = _search(s, restarts=5, iters=50, rng_seed=0)
         assert report.overlap == pytest.approx(1.0, abs=1e-9)
 
     def test_extendible_trio_finds_missing_basis_state(self):
-        report = complement_product_search(
-            _extendible_trio(), restarts=10, iters=50, rng_seed=0
-        )
+        report = _search(_extendible_trio(), restarts=10, iters=50, rng_seed=0)
         assert report.overlap == pytest.approx(1.0, abs=1e-9)
         for factor in report.witness.factors:
             assert abs(abs(factor[1]) - 1.0) < 1e-6
 
+    # the see-saw's only entry, decide_extension, checks the set it searches
     def test_complete_set_rejected(self):
         with pytest.raises(ValueError, match="complement is empty"):
-            complement_product_search(basis_set_2x2())
+            decide_extension(basis_set_2x2())
 
     def test_non_orthogonal_rejected(self):
         s = StateSet((2, 2), [ProductState([KET0, KET0]), ProductState([KET0, PLUS])])
         with pytest.raises(OrthogonalityError):
-            complement_product_search(s)
-
-    def test_effort_is_checked_before_the_set(self, monkeypatch):
-        monkeypatch.setattr(locstab.stability, "_offending_pairs", _not_called)
-        for restarts, iters in ((0, 10), (10, 0)):
-            with pytest.raises(ValueError, match="must be positive"):
-                complement_product_search(upb_qubit3(), restarts=restarts, iters=iters)
+            decide_extension(s)
 
     def test_overlap_never_exceeds_one(self):
-        report = complement_product_search(
-            upb_qubit3(), restarts=20, iters=100, rng_seed=3
-        )
+        report = _search(upb_qubit3(), restarts=20, iters=100, rng_seed=3)
         assert report.overlap <= 1.0 + 1e-9
 
     def test_seed_determinism(self):
-        a = complement_product_search(upb_qubit3(), restarts=10, iters=50, rng_seed=42)
-        b = complement_product_search(upb_qubit3(), restarts=10, iters=50, rng_seed=42)
+        a = _search(upb_qubit3(), restarts=10, iters=50, rng_seed=42)
+        b = _search(upb_qubit3(), restarts=10, iters=50, rng_seed=42)
         assert (a.overlap, a.sweeps, a.capped) == (b.overlap, b.sweeps, b.capped)
         for fa, fb in zip(a.witness.factors, b.witness.factors):
             assert np.array_equal(fa, fb)
@@ -608,9 +607,7 @@ class TestComplementSearch:
     @pytest.mark.parametrize("seed", [0, 11])
     @pytest.mark.parametrize("name", sorted(_SEARCH_SETS))
     def test_batch_matches_sequential_reference(self, name, seed, iters):
-        report = complement_product_search(
-            _SEARCH_SETS[name](), restarts=_SEARCH_RESTARTS, iters=iters, rng_seed=seed
-        )
+        report = _search(_SEARCH_SETS[name](), _SEARCH_RESTARTS, iters, seed)
         best, _, runs = _sequential_search(name, seed, iters)
         assert abs(report.overlap - best) <= 1e-12
         counts = [count for _, _, count in runs]
@@ -626,9 +623,7 @@ class TestComplementSearch:
     @pytest.mark.parametrize("seed", [0, 11])
     @pytest.mark.parametrize("name", sorted(_SEARCH_SETS))
     def test_witness_is_the_first_restart_near_the_best(self, name, seed):
-        witness = complement_product_search(
-            _SEARCH_SETS[name](), restarts=_SEARCH_RESTARTS, iters=200, rng_seed=seed
-        ).witness
+        witness = _search(_SEARCH_SETS[name](), _SEARCH_RESTARTS, 200, seed).witness
         best, _, runs = _sequential_search(name, seed, 200)
         first = next(factors for value, factors, _ in runs if value >= best - 1e-12)
         assert _equal_up_to_phase(tensor_expand(witness).amplitudes, first)
@@ -636,7 +631,7 @@ class TestComplementSearch:
     def test_exact_ties_keep_the_first_restart(self):
         # restarts end at |01> or |10>, both at overlap exactly 1
         s = StateSet((2, 2), [ProductState([KET0, KET0]), ProductState([KET1, KET1])])
-        report = complement_product_search(s, restarts=6, iters=20, rng_seed=1)
+        report = _search(s, restarts=6, iters=20, rng_seed=1)
         best, _, runs = seesaw_sequential(s, 6, 20, 1)
         assert report.overlap == best == 1.0
         assert all(value == 1.0 for value, _, _ in runs)
@@ -659,7 +654,7 @@ class TestComplementSearch:
         # the GHZ/W triple's search as the CLI printed it before the
         # dimension count settled that set; floats are compared to 1e-9 so
         # the check does not depend on the BLAS build
-        report = complement_product_search(entangled_triple(3), restarts=3, iters=10, rng_seed=9)
+        report = _search(entangled_triple(3), restarts=3, iters=10, rng_seed=9)
         assert report.overlap == pytest.approx(0.9999403396029427, abs=1e-9)
         expected = [
             [[-0.9999999999778661, 0.0], [-5.553240611476474e-06, -3.6646241060841612e-06]],
@@ -748,6 +743,9 @@ class TestDecideExtension:
             decide_extension(_bell_set("phi+", extra=[ProductState([KET0, KET0])]))
         with pytest.raises(ValueError, match="complement is empty"):
             decide_extension(_bell_set("phi+", "phi-", "psi+", "psi-"))
+        for restarts, iters in ((0, 10), (10, 0)):
+            with pytest.raises(ValueError, match="must be positive"):
+                decide_extension(_bell_set("phi+", "phi-", "psi+"), restarts=restarts, iters=iters)
 
     def test_near_orthogonal_dense_pair_is_decided_by_its_own_rule(self):
         # factor overlaps 1e-6 at both parties, so the full inner product is
