@@ -27,6 +27,7 @@ from .states import (
     FactorZeroPattern,
     ProductState,
     StateSet,
+    _coordinate_sums,
     _offending_pairs,
     _party_blocks,
     _rowwise_kron,
@@ -168,20 +169,17 @@ def span_generators(state_set: StateSet, tol: Tolerance = DEFAULT_TOL):
     return tuple(generators for generators, _ in _party_spans(state_set, source, tol))
 
 
-def _checked_source(state_set: StateSet, tol: Tolerance, complement: bool = False):
+def _checked_source(state_set: StateSet, tol: Tolerance):
     """The :func:`~locstab.states._span_source` of ``state_set`` once it is
     checked: ValueError for an empty set, :class:`OrthogonalityError` for a
     non-orthogonal one (the factor zero pattern decides for an all-product
-    set, the full inner products otherwise), and, with ``complement``,
-    ValueError for a set whose orthogonal complement is empty."""
+    set, the full inner products otherwise)."""
     if not len(state_set):
         raise ValueError("cannot check an empty state set")
     source = _span_source(state_set, tol)
     offending = _offending_pairs(source, tol)
     if offending:
         raise OrthogonalityError(offending)
-    if complement and len(state_set) >= state_set.total_dimension:
-        raise ValueError("the set already spans the full space; complement is empty")
     return source
 
 
@@ -191,8 +189,8 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     Raises :class:`OrthogonalityError` when the input is not orthogonal.
     Product sets are checked and certified from one factor zero pattern and
     additionally record their conflict pairs per party.  The generators of
-    parties with one local dimension are ranked together, in stacks of at
-    most _RANK_BUDGET entries.
+    consecutive parties with one local dimension are ranked together, each
+    party's rows followed by zero rows.
     """
     source = _checked_source(state_set, tol)
     spans = zip(state_set.dims, _party_spans(state_set, source, tol))
@@ -212,34 +210,28 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
 def _stacked_ranks(row_sets, tol):
     """Span ranks of an iterable of (m, n) row sets, in order.
 
-    Sets of one width n wait in a group that is ranked as one zero-padded
-    (sets, tallest m, n) stack, with one kernel call, once the next set
-    would push it past _RANK_BUDGET entries, and at the end; so at most one
-    group per width is held at a time.
+    Each run of consecutive sets of one width n is ranked as one
+    (sets, tallest m, n) stack, each set's rows followed by zero rows, with
+    one kernel call; a run ends where the width changes, where the next set
+    would push its stack past _RANK_BUDGET entries, and at the end.
     """
-    ranks = []
-    pending = {}  # width -> [positions, row sets, tallest]
+    ranks, run, tallest = [], [], 0
 
-    def flush(width):
-        positions, sets, tallest = pending.pop(width)
-        stack = np.zeros((len(sets), tallest, width), dtype=complex)
-        for slot, rows in zip(stack, sets):
+    def flush():
+        stack = np.zeros((len(run), tallest, run[0].shape[1]), dtype=complex)
+        for slot, rows in zip(stack, run):
             slot[:len(rows)] = rows
-        for position, rank in zip(positions, _orthonormal_rows(stack, tol.rank_rel)[1].tolist()):
-            ranks[position] = rank
+        ranks.extend(_orthonormal_rows(stack, tol.rank_rel)[1].tolist())
 
-    for position, rows in enumerate(row_sets):
-        ranks.append(None)
-        width = rows.shape[1]
-        group = pending.get(width)
-        if group and (len(group[1]) + 1) * max(group[2], len(rows)) * width > _RANK_BUDGET:
-            flush(width)
-        group = pending.setdefault(width, [[], [], 0])
-        group[0].append(position)
-        group[1].append(rows)
-        group[2] = max(group[2], len(rows))
-    for width in list(pending):
-        flush(width)
+    for rows in row_sets:
+        width, taller = rows.shape[1], max(tallest, len(rows))
+        if run and (width != run[0].shape[1] or (len(run) + 1) * taller * width > _RANK_BUDGET):
+            flush()
+            run, taller = [], len(rows)
+        run.append(rows)
+        tallest = taller
+    if run:
+        flush()
     return ranks
 
 
@@ -257,11 +249,19 @@ def _distinct_masks(kept):
 
 def _masked_ranks(rows, masks, tol):
     """Span rank of ``rows[mask]`` for every row of a (U, m) boolean array,
-    from zero-masked copies of the (m, n) rows, ranked in stacks of at most
-    _RANK_BUDGET entries."""
-    per = max(1, _RANK_BUDGET // max(rows.size, 1))
+    from the stacks :func:`_stacked_ranks` builds: each mask's kept rows in
+    order, then zero rows up to the most rows any mask of the stack keeps,
+    with at most _RANK_BUDGET entries per stack."""
+    counts = masks.sum(axis=1)
+    order = np.argsort(~masks, axis=1, kind="stable")[:, :counts.max(initial=0)]
+    # slots past a mask's count take index len(rows), the appended zero row
+    gather = np.where(np.arange(order.shape[1]) < counts[:, None], order, len(rows))
+    padded = np.concatenate([rows, np.zeros((1, rows.shape[1]), dtype=complex)])
+    per = max(1, _RANK_BUDGET // max(gather.shape[1] * rows.shape[1], 1))
     return np.concatenate([
-        _orthonormal_rows(np.where(masks[start:start + per, :, None], rows, 0), tol.rank_rel)[1]
+        _orthonormal_rows(
+            padded[gather[start:start + per, :counts[start:start + per].max()]], tol.rank_rel
+        )[1]
         for start in range(0, len(masks), per)
     ])
 
@@ -273,14 +273,13 @@ def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
     Overlaps and span generators each depend on one pair alone, so a
     subset's non-orthogonal pairs, generator pairs and generator rows are
     its parent's restricted to pairs with both states in the subset, in the
-    parent's order, and the rank kernel sees the rows it would see on the
-    subset, between zero rows that never pivot.  The parent is checked and
-    spanned once, by its own rule, so a set with dense members applies the
-    amplitude rule also to its subsets of product members, where the factor
-    rule would differ only on pairs the tolerances decide.  Per block of
-    combos and per party, the distinct kept-row masks are ranked together,
-    each once; a subset skips the block's later parties after its first
-    party short of d**2 - 1.
+    parent's order.  The parent is checked and spanned once, by its own
+    rule, so a set with dense members applies the amplitude rule also to
+    its subsets of product members, where the factor rule would differ only
+    on pairs the tolerances decide.  Per block of combos and per party, the
+    distinct kept-row masks are ranked together, each once, in the subset's
+    own layout: its kept rows in order, then zero rows.  A subset skips the
+    block's later parties after its first party short of d**2 - 1.
     """
     combos = iter(combos)
     source = _span_source(state_set, tol)
@@ -661,7 +660,7 @@ def _partition_test(label, factors, tol):
         groups = tuple(
             tuple(j for j, p in enumerate(parties) if p == party) for party in range(len(planes))
         )
-        overlaps = [np.abs((f * v.conj()).sum(axis=1)) for f, v in zip(factors, vectors)]
+        overlaps = [np.abs(_coordinate_sums(v.conj(), f)) for f, v in zip(factors, vectors)]
         if (np.min(overlaps, axis=0) < tol.orth_abs).all():
             verdict, witness = "extendible", ProductState(vectors)
         else:
@@ -791,7 +790,9 @@ def decide_extension(
     Raises :class:`OrthogonalityError` for a non-orthogonal set and
     ValueError for an empty or a complete one.
     """
-    source = _checked_source(state_set, tol, complement=True)
+    source = _checked_source(state_set, tol)
+    if len(state_set) >= state_set.total_dimension:
+        raise ValueError("the set already spans the full space; complement is empty")
     if isinstance(source, FactorZeroPattern):
         return _partition_test(state_set.label, source.factors, tol)
     members = (s if isinstance(s, ProductState) else factorize(s, tol) for s in state_set.states)

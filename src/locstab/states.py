@@ -503,9 +503,6 @@ def _complex_pairs(arr):
 def _state_payload(state) -> dict:
     if isinstance(state, DenseState):
         return {"dense": _complex_pairs(state.amplitudes)}
-    if len(set(state.dims)) == 1:
-        # one (parties, d) array instead of one small array per factor
-        return {"product": _complex_pairs(state.factors)}
     return {"product": [_complex_pairs(f) for f in state.factors]}
 
 

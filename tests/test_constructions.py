@@ -718,3 +718,65 @@ class TestKeptMaskDedup:
         assert is_locally_stable(state_set).parties[0].conflict_pairs == ()
         report = subset_campaign(state_set, len(state_set))
         assert (report.checked, report.unstable) == (1, 1)
+
+
+class TestCampaignStacksKeptRows:
+    """A campaign ranks each distinct kept-row mask on its kept rows alone:
+    in order, then zero rows up to the most rows any mask of the stack
+    keeps, never the rows a subset drops."""
+
+    def test_every_stack_is_as_tall_as_its_fullest_mask(self, monkeypatch):
+        shapes = []
+        original = locstab.stability._orthonormal_rows
+
+        def recorded(rows, rank_rel):
+            live = np.abs(rows).sum(axis=2) > 0
+            counts = live.sum(axis=1)
+            # the live rows of every set come first
+            assert (live == (np.arange(rows.shape[1]) < counts[:, None])).all()
+            shapes.append((rows.shape[1], int(counts.max(initial=0))))
+            return original(rows, rank_rel)
+
+        monkeypatch.setattr(locstab.stability, "_orthonormal_rows", recorded)
+        family = shift_family(25)
+        subset_campaign(family, 20, sample_threshold=10, sample_size=300, rng_seed=1)
+        assert shapes
+        assert all(height == fullest for height, fullest in shapes)
+        # each qubit party of the parent has 2 * 24 generator rows
+        assert max(height for height, _ in shapes) < 48
+
+
+class TestWideCampaignOracle:
+    """On shift-family subsets stability is exactly the two-pairs condition:
+    every party keeps two complementary index pairs {x, N-x}, x != 0."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n,k", [(13, 12), (25, 20), (25, 24)])
+    def test_sampled_verdicts_match_two_pairs(self, n, k, seed):
+        parties = 2 * n - 1
+        report = subset_campaign(
+            shift_family(n), k, sample_threshold=10, sample_size=300, rng_seed=seed
+        )
+        combos = locstab.constructions._sample_combos(parties, k, 300, seed)
+        assert report.checked == len(combos)
+        assert report.unstable_subsets == tuple(
+            c for c in combos if not verify_two_pairs(c, parties=parties).ok
+        )
+
+    @pytest.mark.parametrize("n", [19, 50, 200])
+    def test_sqrt_subset_drops_match_two_pairs(self, n):
+        plan, state_set = sqrt_subset(n)
+        size = len(state_set)
+        report = subset_campaign(state_set, size - 1)
+        # combos run in lexicographic order, so combo i drops index size-1-i
+        want = tuple(
+            tuple(j for j in range(size) if j != drop)
+            for drop in reversed(range(size))
+            if not verify_two_pairs(
+                [t for j, t in enumerate(plan.indices) if j != drop], parties=plan.parties
+            ).ok
+        )
+        assert report.checked == size
+        assert report.unstable_subsets == want
+        if n == 200:
+            assert (size, report.unstable) == (60, 51)

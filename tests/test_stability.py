@@ -317,6 +317,8 @@ class TestCertificateRanksInStacks:
         sets = named_product_sets() + [
             entangled_triple(),
             StateSet(q3.dims, [q3[0], q3[1], as_dense(q3[2]), as_dense(q3[3])], "mixed"),
+            # local dimensions 3, 3, 2, 2, 2, 3, 3: the qutrit parties form two runs
+            compose(compose(upb_tiles33(), 0, q3, 0), 0, upb_tiles33(), 0),
         ]
         want = [is_locally_stable(s) for s in sets]
         monkeypatch.setattr(locstab.stability, "_RANK_BUDGET", budget)
