@@ -118,7 +118,7 @@ class StabilityCertificate:
                 "stable": rec.stable,
             }
             if rec.conflict_pairs is not None:
-                entry["conflict_pairs"] = [list(p) for p in rec.conflict_pairs]
+                entry["conflict_pairs"] = list(map(list, rec.conflict_pairs))
             parties.append(entry)
         return {
             "label": self.label,
@@ -373,8 +373,9 @@ def conflict_audit(
     size = len(state_set)
     records = certificate.parties
     counts = [len(r.conflict_pairs or ()) for r in records]
-    pairs = np.array(
-        [pair for r in records for pair in r.conflict_pairs or ()], dtype=np.int64
+    chain = itertools.chain.from_iterable
+    pairs = np.fromiter(
+        chain(chain(r.conflict_pairs or () for r in records)), np.int64, 2 * sum(counts)
     ).reshape(-1, 2)
     parties = np.repeat([r.party for r in records], counts)
     # one key per (unordered pair, party): pair code min*l + max, then party

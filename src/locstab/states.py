@@ -553,74 +553,116 @@ def _parse_pair(value, where):
 
 
 def _only(values, types) -> bool:
-    """Whether every item of ``values`` is an instance of ``types`` and none
-    is a bool; checked once per distinct type."""
-    return all(issubclass(t, types) and t is not bool for t in set(map(type, values)))
+    """Whether every item of ``values`` is an instance of the tuple ``types``
+    and none is a bool; checked once per distinct type."""
+    kinds = set(map(type, values))
+    return kinds.issubset(types) or all(issubclass(t, types) and t is not bool for t in kinds)
 
 
-def _pair_rows(rows, width):
-    """``rows``, lists of ``width`` [re, im] pairs, as one complex
-    (len(rows), width) array; None when a row, pair or number breaks the
-    per-field rules of :func:`_parse_pair`."""
-    chain = itertools.chain.from_iterable
-    if not (
-        _only(rows, list)
-        and _only(chain(rows), (list, tuple))
-        and _only(chain(chain(rows)), (int, float))
-    ):
-        return None
+class _Entry:
+    """A state entry decoded into numbers: its kind, its factor lengths
+    (None for dense) and all its [re, im] numbers, in order, as one flat
+    float array."""
+
+    __slots__ = ("kind", "lengths", "numbers")
+
+    def __init__(self, kind, lengths, numbers):
+        self.kind, self.lengths, self.numbers = kind, lengths, numbers
+
+
+def _entry(entry):
+    """``entry`` as an :class:`_Entry` when it is a one-key ``product`` or
+    ``dense`` object whose pairs and numbers pass the per-field rules of
+    :func:`_parse_pair`, else ``entry`` itself; an :class:`_Entry` passes
+    through.  Finiteness is left to the caller.
+
+    This is also the object hook of :func:`load_set`, so each state entry
+    is turned into numbers the moment it is decoded.
+    """
+    if not isinstance(entry, dict) or len(entry) != 1:
+        return entry
+    ((kind, value),) = entry.items()
+    if not isinstance(value, list):
+        return entry
+    if kind == "product":
+        if not _only(value, (list,)):
+            return entry
+        lengths = tuple(map(len, value))
+        pairs = list(itertools.chain.from_iterable(value))
+    elif kind == "dense":
+        lengths, pairs = None, value
+    else:
+        return entry
+    if not (_only(pairs, (list, tuple)) and set(map(len, pairs)) <= {2}):
+        return entry
+    numbers = list(itertools.chain.from_iterable(pairs))
+    if not _only(numbers, (int, float)):
+        return entry
     try:
-        numbers = np.array(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        return _Entry(kind, lengths, np.array(numbers, dtype=float))
+    except OverflowError:
+        return entry
+
+
+def _party_stacks(entries, dims):
+    """The per-party (l, d_r) read-only unit factor stacks of product
+    ``entries``, or None when a number is not finite or a factor is zero.
+
+    The entries' numbers are joined into one (l, sum d_r) complex table.
+    The columns of the parties of each local dimension are stacked
+    party-major, normalized by one :func:`_unit_rows` call and split into
+    contiguous per-party stacks.
+    """
+    size = len(entries)
+    table = np.concatenate([entry.numbers for entry in entries])
+    if not np.isfinite(table).all():
         return None
-    if numbers.shape != (len(rows), width, 2) or not np.isfinite(numbers).all():
-        return None
-    return numbers.view(complex)[..., 0]
+    table = table.view(complex).reshape(size, -1)
+    starts = list(itertools.accumulate(dims, initial=0))
+    stacks = [None] * len(dims)
+    for d in set(dims):
+        parties = [r for r, e in enumerate(dims) if e == d]
+        try:
+            group = _unit_rows(np.concatenate([table[:, starts[r]:starts[r] + d] for r in parties]))
+        except ValueError:
+            return None
+        for place, party in enumerate(parties):
+            stacks[party] = group[place * size:(place + 1) * size]
+    return tuple(stacks)
 
 
 def _parse_states(states_raw, dims):
     """The states of a well-formed payload, or None when any entry is not.
 
-    One structural pass sorts the entries by kind.  Each party's product
-    factors are then parsed into one (l, d_r) stack and normalized by
-    :func:`_unit_rows`, and the product states are the rows of those
-    stacks, which an all-product set keeps as its own; each dense amplitude
-    vector is parsed as one array.
+    Every entry goes through :func:`_entry`, which :func:`load_set` has
+    already run on each as it was decoded.  Each dense entry becomes one
+    amplitude vector.  The product states are the rows of the stacks of
+    :func:`_party_stacks`, which an all-product set keeps as its own.
     """
-    products, dense = [], []
-    total = math.prod(dims)
-    for pos, entry in enumerate(states_raw):
-        if not isinstance(entry, dict) or len(entry) != 1:
-            return None
-        kind, value = next(iter(entry.items()))
-        if kind == "product" and isinstance(value, list) and len(value) == len(dims):
-            products.append((pos, value))
-        elif kind == "dense" and isinstance(value, list) and len(value) == total:
-            dense.append((pos, value))
-        else:
-            return None
-
     states = [None] * len(states_raw)
-    if products:
-        stacks = []
-        for party, d in enumerate(dims):
-            stack = _pair_rows([factors[party] for _, factors in products], d)
-            if stack is None:
-                return None
-            try:
-                stacks.append(_unit_rows(stack))
-            except ValueError:
-                return None
-        for (pos, _), state in zip(products, ProductState._rows(tuple(stacks), dims)):
-            states[pos] = state
-    for pos, amps_raw in dense:
-        amps = _pair_rows([amps_raw], total)
-        if amps is None:
+    products, total = [], math.prod(dims)
+    for pos, entry in enumerate(map(_entry, states_raw)):
+        if not isinstance(entry, _Entry):
+            return None
+        if entry.lengths == dims:
+            products.append((pos, entry))
+            continue
+        if (
+            entry.kind != "dense"
+            or len(entry.numbers) != 2 * total
+            or not np.isfinite(entry.numbers).all()
+        ):
             return None
         try:
-            states[pos] = DenseState(amps[0], dims)
+            states[pos] = DenseState(entry.numbers.view(complex), dims)
         except ValueError:
             return None
+    if products:
+        stacks = _party_stacks([entry for _, entry in products], dims)
+        if stacks is None:
+            return None
+        for (pos, _), state in zip(products, ProductState._rows(stacks, dims)):
+            states[pos] = state
     return states
 
 
@@ -718,12 +760,29 @@ def save_set(state_set: StateSet, path) -> None:
         fh.write("\n")
 
 
+def _decode(text, object_hook):
+    try:
+        return json.loads(text, object_hook=object_hook)
+    except json.JSONDecodeError as exc:
+        raise StateFormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise StateFormatError("invalid JSON: nesting too deep") from None
+
+
 def load_set(path) -> StateSet:
+    """Read the state set saved at ``path``.
+
+    Each state entry is turned into numbers as soon as it is decoded
+    (:func:`_entry`), so the set's nested lists are never held.  The hook
+    cannot tell a state entry from a one-key object elsewhere, so a refused
+    payload is decoded once more as plain JSON, whose offending field the
+    error then names.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StateFormatError(f"invalid JSON: {exc}") from None
-        except RecursionError:
-            raise StateFormatError("invalid JSON: nesting too deep") from None
-    return state_set_from_dict(payload)
+        text = fh.read()
+    payload = _decode(text, _entry)
+    try:
+        return state_set_from_dict(payload)
+    except StateFormatError:
+        return state_set_from_dict(_decode(text, None))
+

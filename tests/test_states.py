@@ -562,11 +562,36 @@ class TestColumnarSets:
         save_set(StateSet(payload["dims"], states, payload["label"]), listed)
         assert second.read_bytes() == listed.read_bytes()
 
-    def test_pair_rows_rejects_bools_and_numeric_strings(self):
-        assert states_module._pair_rows([[[1, 0.5], [0.0, 1]]], 2) is not None
-        assert states_module._pair_rows([[[True, 0.0], [0.0, 1.0]]], 2) is None
-        assert states_module._pair_rows([[["1", 0.0], [0.0, 1.0]]], 2) is None
-        assert states_module._pair_rows([[[1.0, 0.0], [0.0, b"1"]]], 2) is None
+    def test_entry_rejects_bools_and_numeric_strings(self):
+        def decoded(pairs):
+            return isinstance(states_module._entry({"product": [pairs]}), states_module._Entry)
+
+        assert decoded([[1, 0.5], [0.0, 1]])
+        assert not decoded([[True, 0.0], [0.0, 1.0]])
+        assert not decoded([["1", 0.0], [0.0, 1.0]])
+        assert not decoded([[1.0, 0.0], [0.0, b"1"]])
+        # the decoded entry is a private class: a caller's tuple of the same
+        # fields is an entry of the wrong kind
+        entry = ("product", (2,), np.array([1.0, 0.0, 0.0, 1.0]))
+        with pytest.raises(StateFormatError, match=r"^states\[0\]: expected an object"):
+            state_set_from_dict({"dims": [2], "states": [entry]})
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: shift_family(50), lambda: _dense_copy(upb_shifts(6))],
+    )
+    def test_load_peak_stays_near_the_text(self, build, tmp_path):
+        # reading holds the file's bytes and its text at once, about twice
+        # the file; nested lists of the whole set would add more than a third
+        path = tmp_path / "set.json"
+        save_set(build(), path)
+        tracemalloc.start()
+        try:
+            load_set(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * path.stat().st_size
 
 
 class TestBpartDecompose:
@@ -754,10 +779,16 @@ def _pairs_to_vector(pairs):
     return [complex(re, im) for re, im in pairs]
 
 
-def _assert_loaded_bitwise(payload):
-    """Every loaded factor and amplitude vector has the bytes of the raw
-    payload vector over its own ``np.linalg.norm``."""
-    loaded = state_set_from_dict(payload)
+def _assert_loaded_bitwise(payload, path):
+    """Every factor and amplitude vector loaded from ``payload``, and from
+    its JSON text written to ``path``, has the bytes of the raw payload
+    vector over its own ``np.linalg.norm``."""
+    path.write_text(json.dumps(payload))
+    _assert_set_bitwise(state_set_from_dict(payload), payload)
+    _assert_set_bitwise(load_set(path), payload)
+
+
+def _assert_set_bitwise(loaded, payload):
     assert len(loaded) == len(payload["states"])
     for state, entry in zip(loaded, payload["states"]):
         if "product" in entry:
@@ -791,14 +822,14 @@ class TestBatchLoader:
         [upb_qubit3, upb_tiles33, upb_sep333, upb_44_reducible, heptagon_qutrit_states,
          lambda: upb_shifts(4), lambda: entangled_triple(3)],
     )
-    def test_named_sets_load_bitwise(self, build):
-        _assert_loaded_bitwise(state_set_to_dict(build()))
+    def test_named_sets_load_bitwise(self, build, tmp_path):
+        _assert_loaded_bitwise(state_set_to_dict(build()), tmp_path / "set.json")
 
-    def test_wide_shift_family_loads_bitwise(self):
+    def test_wide_shift_family_loads_bitwise(self, tmp_path):
         rng = np.random.default_rng(41)
         raw = rng.standard_normal((29, 2)) + 1j * rng.standard_normal((29, 2))
         family = shift_family(30, validate_seeds(list(raw), 30))
-        _assert_loaded_bitwise(state_set_to_dict(family))
+        _assert_loaded_bitwise(state_set_to_dict(family), tmp_path / "set.json")
 
     def test_loaded_states_share_the_set_signature(self):
         loaded = state_set_from_dict(state_set_to_dict(upb_sep333()))
@@ -806,18 +837,19 @@ class TestBatchLoader:
             assert state.dims == loaded.dims == (3, 3, 3)
             assert state.dims is loaded[0].dims
 
-    def test_dense_set_loads_bitwise(self):
-        _assert_loaded_bitwise(state_set_to_dict(_dense_copy(upb_shifts(5))))
+    def test_dense_set_loads_bitwise(self, tmp_path):
+        _assert_loaded_bitwise(state_set_to_dict(_dense_copy(upb_shifts(5))), tmp_path / "set.json")
 
-    def test_mixed_dims_and_kinds_load_bitwise(self):
+    def test_mixed_dims_and_kinds_load_bitwise(self, tmp_path):
         rng = np.random.default_rng(43)
         dims = (2, 3, 4)
         states = [random_product_state(rng, dims) for _ in range(5)]
         states.insert(2, as_dense(random_product_state(rng, dims)))
-        _assert_loaded_bitwise(state_set_to_dict(StateSet(dims, states, "mixed")))
+        payload = state_set_to_dict(StateSet(dims, states, "mixed"))
+        _assert_loaded_bitwise(payload, tmp_path / "set.json")
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_payloads_load_bitwise(self, seed):
+    def test_random_payloads_load_bitwise(self, seed, tmp_path):
         rng = np.random.default_rng(seed)
         dims = [int(d) for d in rng.integers(2, 5, size=int(rng.integers(1, 5)))]
         total = math.prod(dims)
@@ -828,12 +860,13 @@ class TestBatchLoader:
                 entries.append({"dense": _random_pairs(rng, total, ints)})
             else:
                 entries.append({"product": [_random_pairs(rng, d, ints) for d in dims]})
-        _assert_loaded_bitwise({"label": "random", "dims": dims, "states": entries})
+        payload = {"label": "random", "dims": dims, "states": entries}
+        _assert_loaded_bitwise(payload, tmp_path / "set.json")
 
-    def test_numpy_numbers_and_tuple_pairs_accepted(self):
+    def test_numpy_numbers_and_tuple_pairs_accepted(self, tmp_path):
         pairs = [(np.float64(0.6), np.float64(0.0)), [np.float64(0.0), 0.8]]
         payload = {"dims": [2, 2], "states": [{"product": [pairs, [[1, 0], [0, 0]]]}]}
-        _assert_loaded_bitwise(payload)
+        _assert_loaded_bitwise(payload, tmp_path / "set.json")
 
     def test_empty_state_list_loads(self):
         assert len(state_set_from_dict({"dims": [2], "states": []})) == 0
@@ -1001,6 +1034,79 @@ def test_non_finite_number_message(case):
     with pytest.raises(StateFormatError) as excinfo:
         state_set_from_dict(json.loads(text))
     assert str(excinfo.value) == f"{where}: numbers must be finite floats"
+
+
+def _outcome(load):
+    """The message of the :class:`StateFormatError` ``load()`` raises, else
+    the label, signature and bytes of every state of the set it returns."""
+    try:
+        loaded = load()
+    except StateFormatError as exc:
+        return str(exc)
+    vectors = [
+        s.amplitudes.tobytes() if isinstance(s, DenseState) else [f.tobytes() for f in s.factors]
+        for s in loaded
+    ]
+    return loaded.label, loaded.dims, vectors
+
+
+def _assert_file_matches_payload(text, path):
+    """``load_set`` on ``text`` written to ``path`` gives what
+    ``state_set_from_dict(json.loads(text))`` gives."""
+    path.write_text(text)
+    want = _outcome(lambda: state_set_from_dict(json.loads(text)))
+    assert _outcome(lambda: load_set(path)) == want
+    return want
+
+
+def _encodable(payload):
+    try:
+        json.dumps(payload)
+    except TypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("case", sorted(c for c, (p, _) in MALFORMED.items() if _encodable(p)))
+def test_malformed_file_matches_the_payload(case, tmp_path):
+    _assert_file_matches_payload(json.dumps(MALFORMED[case][0]), tmp_path / "set.json")
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_file_matches_the_payload(case, tmp_path):
+    text, where = NON_FINITE[case]
+    want = _assert_file_matches_payload(text, tmp_path / "set.json")
+    assert want == f"{where}: numbers must be finite floats"
+
+
+# JSON text only a file carries: a one-key object where no state entry
+# belongs, and a repeated key; and the message each gives
+FILE_ONLY = {
+    "state entry as the whole file": (
+        '{"product": [[[1, 0], [0, 1]]]}',
+        "dims: expected a non-empty list of integers",
+    ),
+    "state entry as the label": (
+        '{"label": {"dense": [[1, 0], [0, 1]]}, "dims": [2], "states": []}',
+        "label: expected a string",
+    ),
+    "repeated states key": (
+        '{"dims": [2], "states": [{"product": [[[1, 0], [0, 1]]]}], "states": [{"dense": [[0, 0]]}]}',
+        "states[0].dense: expected 2 amplitude pairs",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_ONLY))
+def test_file_only_payload_message(case, tmp_path):
+    text, message = FILE_ONLY[case]
+    assert _assert_file_matches_payload(text, tmp_path / "set.json") == message
+
+
+def test_repeated_states_key_keeps_the_last(tmp_path):
+    text = '{"dims": [2], "states": [{"dense": [[0, 0]]}], "states": [{"product": [[[3, 0], [0, 4]]]}]}'
+    label, dims, vectors = _assert_file_matches_payload(text, tmp_path / "set.json")
+    assert dims == (2,) and vectors == [[unit_reference([3, 4j]).tobytes()]]
 
 
 class TestStatesClose:
