@@ -1,13 +1,13 @@
 """Indented JSON text, byte-identical to ``json.dumps(obj, indent=2)``.
 
 With ``indent`` set, :mod:`json` encodes in pure Python.  Nearly all of
-locstab's output bytes are numbers in nested lists (factor tables, dense
-amplitude vectors, conflict pairs), so each such list goes to the compact C
-encoder in one call, and its text is indented by replacing its separators.
-That is safe because the list holds no strings: brackets and ``", "`` occur
-in its compact text only between items.  Dicts, strings and other lists
-take a short recursive walk; anything else the walk does not know, such as
-a dict with a non-string key, is encoded by :mod:`json` itself.
+locstab's output bytes are numbers in rectangular nested lists (factor
+tables, dense amplitude vectors, conflict pairs), so each such block is
+written by one ``%`` template of its shape, filled with the ``repr`` of its
+numbers, which is how :mod:`json` writes ints and floats.  Dicts, strings
+and other lists take a short recursive walk; anything else the walk does
+not know, such as a dict with a non-string key, is encoded by :mod:`json`
+itself.
 """
 
 from __future__ import annotations
@@ -41,41 +41,34 @@ class LazyList:
         return iter(self.items)
 
 
-def _block_depth(value) -> int:
-    """The depth at which every leaf of the list ``value`` sits, when all of
-    them are numbers, bools or None at one depth below non-empty lists and
-    tuples only; 0 for any other list."""
-    level = [value]
-    depth = 0
-    while all(level):
-        depth += 1
-        types = set(map(type, _chain(level)))
-        if types <= _SCALARS:
-            return depth
-        if not types <= _LISTS:
-            return 0
-        level = list(_chain(level))
-    return 0
+def _number_block(value, level: int) -> str | None:
+    """The indented text of ``value`` when it is a rectangular block: lists
+    and tuples of one non-empty length at each level, down to leaves whose
+    type is exactly int or float (no bool or other subclass), the opening
+    bracket at indentation ``level``; None for any other list.
 
-
-def _indent_block(text: str, depth: int, level: int) -> str:
-    """Indent the compact text of a depth-``depth`` block whose opening
-    bracket sits at indentation ``level``.
-
-    Sibling items ``r`` levels above the leaves are separated by ``r``
-    closing brackets, ``", "`` and ``r`` opening brackets; the widest
-    separators are replaced first, since they contain the narrower ones.
+    The text is one ``%`` template, built from the innermost level out, and
+    :mod:`json` writes ints and floats with their own ``__repr__``.  Only a
+    non-finite float, which :mod:`json` spells ``NaN`` or ``Infinity``,
+    puts the letter ``n`` in that text; such a block is refused too.
     """
-    leaf = level + depth
-    newline = ["\n" + " " * (INDENT * i) for i in range(leaf + 1)]
-    body = text[depth:-depth]
-    for r in range(depth - 1, -1, -1):
-        closes = "".join(newline[leaf - i] + "]" for i in range(1, r + 1))
-        opens = "".join(newline[leaf - r + i] + "[" for i in range(r))
-        body = body.replace("]" * r + ", " + "[" * r, closes + "," + opens + newline[leaf])
-    head = "[" + "".join(newline[level + i] + "[" for i in range(1, depth)) + newline[leaf]
-    tail = "".join(newline[leaf - i] + "]" for i in range(1, depth + 1))
-    return head + body + tail
+    items = [value]
+    shape = []
+    while not (types := set(map(type, items))) <= {int, float}:
+        if not types <= _LISTS:
+            return None
+        lengths = set(map(len, items))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        items = list(_chain(items))
+    template = "%r"
+    for depth in range(len(shape), 0, -1):
+        inner = "\n" + " " * (INDENT * (level + depth))
+        outer = "\n" + " " * (INDENT * (level + depth - 1))
+        template = "[" + inner + ("," + inner).join([template] * shape[depth - 1]) + outer + "]"
+    text = template % tuple(items)
+    return None if "n" in text else text
 
 
 def iter_json(obj, level: int = 0):
@@ -89,9 +82,9 @@ def iter_json(obj, level: int = 0):
         items = ((json.dumps(key) + ": ", value) for key, value in obj.items())
         opening, closing = "{", "}"
     elif kind in _LISTS or kind is LazyList:
-        depth = 0 if kind is LazyList else _block_depth(obj)
-        if depth:
-            yield _indent_block(json.dumps(obj), depth, level)
+        text = None if kind is LazyList else _number_block(obj, level)
+        if text is not None:
+            yield text
             return
         items = (("", value) for value in obj)
         opening, closing = "[", "]"
@@ -112,5 +105,6 @@ def iter_json(obj, level: int = 0):
 
 
 def dumps(obj) -> str:
-    """``json.dumps(obj, indent=2)``, with nested number lists encoded in C."""
+    """``json.dumps(obj, indent=2)``, each rectangular number block written
+    by one template."""
     return "".join(iter_json(obj))

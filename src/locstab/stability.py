@@ -118,7 +118,7 @@ class StabilityCertificate:
                 "stable": rec.stable,
             }
             if rec.conflict_pairs is not None:
-                entry["conflict_pairs"] = list(map(list, rec.conflict_pairs))
+                entry["conflict_pairs"] = rec.conflict_pairs
             parties.append(entry)
         return {
             "label": self.label,
@@ -197,7 +197,10 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     ranks = _stacked_ranks((g.reshape(len(g), d * d) for d, (g, _) in spans), tol)
     conflicts = [None] * len(state_set.dims)
     if isinstance(source, FactorZeroPattern):
-        conflicts = [tuple(map(tuple, pairs.tolist())) for pairs in source.conflict_pairs]
+        conflicts = [
+            tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+            for pairs in source.conflict_pairs
+        ]
     records = [
         PartyRecord(party, dim, d * d - 1, dim == d * d - 1, pairs)
         for party, (d, dim, pairs) in enumerate(zip(state_set.dims, ranks, conflicts))
@@ -382,11 +385,12 @@ def conflict_audit(
     codes = pairs.min(axis=1) * size + pairs.max(axis=1)
     keys = np.unique(codes * len(records) + parties)
     codes, parties = np.divmod(keys, len(records))
-    codes, first, repeats = np.unique(codes, return_index=True, return_counts=True)
+    # only the pairs held at more than one party
+    unique = np.unique(codes, return_index=True, return_counts=True)
+    codes, first, repeats = (column[unique[2] > 1].tolist() for column in unique)
     shared = tuple(
         (divmod(code, size), tuple(parties[start:start + repeat].tolist()))
-        for code, start, repeat in zip(codes.tolist(), first.tolist(), repeats.tolist())
-        if repeat > 1
+        for code, start, repeat in zip(codes, first, repeats)
     )
     span_dims = tuple(r.span_dim for r in certificate.parties)
     required_total = sum(r.required for r in certificate.parties)

@@ -1,6 +1,7 @@
 """The indented JSON writer: the stdlib's exact bytes, for set files and
 every CLI payload, with a set file written one state at a time."""
 
+import enum
 import json
 import math
 import tracemalloc
@@ -29,7 +30,7 @@ from locstab import (
 from locstab._jsonout import dumps
 from locstab.cli import main
 
-# strings that look like the separators the writer rewrites inside number blocks
+# strings that look like the brackets and separators of a number block
 TRICKY = [", ", "], [", "]], [[", "[", "]", '"', "\\", "é", "☃", "\n", "a, b", ""]
 
 strings = st.one_of(st.sampled_from(TRICKY), st.text(max_size=8))
@@ -78,6 +79,11 @@ values = st.recursive(
 )
 
 
+class Level(enum.IntEnum):
+    """An int subclass: json writes its value, its repr is not a number."""
+    HIGH = 2
+
+
 class TestWriterOracle:
     @settings(deadline=None, max_examples=400)
     @given(values)
@@ -92,6 +98,9 @@ class TestWriterOracle:
             [True, False, None], {"a": {}}, {"a": []}, {1: [1, 2], "1": [[3]]},
             {None: 1, True: 2, 2.5: 3}, ["], [", [1, 2]], {"], [": [[1, 2], [3, 4]]},
             "é\"\\", 0, -0.0, math.nan, None,
+            ((0, 1), (2, 3)), [[1, 2.5], [3, -0.0]], [[1.5, math.inf], [math.nan, 0.0]],
+            [[1, True], [2, 3]], [[1, Level.HIGH], [2, 3]], [[[1, 2]], [[3]]],
+            {"a": {"b": [[1e300, 1e-300], [-1e300, 5e-324]]}},
         ],
     )
     def test_edge_cases(self, obj):

@@ -4,6 +4,7 @@ counting audits, and the complement see-saw."""
 import collections
 import dataclasses
 import functools
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import locstab.stability
 import locstab.states
+from locstab import _jsonout
 from locstab import (
     DEFAULT_TOL,
     DenseState,
@@ -209,6 +211,12 @@ class TestCertificates:
         assert len(payload["parties"]) == 3
         entry = payload["parties"][0]
         assert set(entry) == {"party", "span_dim", "required", "stable", "conflict_pairs"}
+        # the certificate's own tuples, JSON-ready and not copied
+        cert = is_locally_stable(shift_family(30))
+        payload = cert.to_dict()
+        for entry, rec in zip(payload["parties"], cert.parties):
+            assert entry["conflict_pairs"] is rec.conflict_pairs
+        assert _jsonout.dumps(payload) == json.dumps(payload, indent=2)
 
     def test_span_dim_never_exceeds_required(self):
         for builder in (upb_qubit3, upb_sep333, upb_44_reducible, entangled_triple):
