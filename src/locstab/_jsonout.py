@@ -5,40 +5,24 @@ locstab's output bytes are numbers in rectangular nested lists (factor
 tables, dense amplitude vectors, conflict pairs), so each such block is
 written by one ``%`` template of its shape, filled with the ``repr`` of its
 numbers, which is how :mod:`json` writes ints and floats.  Dicts, strings
-and other lists take a short recursive walk; anything else the walk does
-not know, such as a dict with a non-string key, is encoded by :mod:`json`
-itself.
+and other lists take a short recursive walk, and any other iterator is
+written as a list, one item at a time as it yields them, so that no item
+is built before it is written.  Anything else the walk does not know, such
+as a dict with a non-string key, is encoded by :mod:`json` itself.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterator
 
-__all__ = ["LazyList", "iter_json", "dumps"]
+__all__ = ["iter_json", "dumps"]
 
 INDENT = 2
 _SCALARS = frozenset({int, float, bool, type(None)})
 _LISTS = frozenset({list, tuple})
 _chain = itertools.chain.from_iterable
-
-
-class LazyList:
-    """A list of ``length`` items that the writer encodes one at a time, as
-    the iterable ``items`` yields them, so that no item is built before it
-    is written.  It is iterated once."""
-
-    __slots__ = ("items", "length")
-
-    def __init__(self, items, length):
-        self.items = items
-        self.length = length
-
-    def __len__(self):
-        return self.length
-
-    def __iter__(self):
-        return iter(self.items)
 
 
 def _number_block(value, level: int) -> str | None:
@@ -73,7 +57,8 @@ def _number_block(value, level: int) -> str | None:
 
 def iter_json(obj, level: int = 0):
     """Yield the text of ``json.dumps(obj, indent=2)`` in pieces, for a value
-    whose first line sits at indentation ``level``."""
+    whose first line sits at indentation ``level``; an iterator that is not
+    a list or tuple is written as the list of its items."""
     kind = type(obj)
     if kind is str or kind in _SCALARS:
         yield json.dumps(obj)
@@ -81,8 +66,8 @@ def iter_json(obj, level: int = 0):
     if kind is dict and all(type(key) is str for key in obj):
         items = ((json.dumps(key) + ": ", value) for key, value in obj.items())
         opening, closing = "{", "}"
-    elif kind in _LISTS or kind is LazyList:
-        text = None if kind is LazyList else _number_block(obj, level)
+    elif kind in _LISTS or isinstance(obj, Iterator):
+        text = _number_block(obj, level) if kind in _LISTS else None
         if text is not None:
             yield text
             return
@@ -92,12 +77,13 @@ def iter_json(obj, level: int = 0):
         # JSON strings hold no raw newline, so every newline starts a line
         yield json.dumps(obj, indent=INDENT).replace("\n", "\n" + " " * (INDENT * level))
         return
-    if not obj:
+    first = next(items, None)
+    if first is None:
         yield opening + closing
         return
     newline = "\n" + " " * (INDENT * (level + 1))
     separator = opening + newline
-    for prefix, value in items:
+    for prefix, value in itertools.chain([first], items):
         yield separator + prefix
         yield from iter_json(value, level + 1)
         separator = "," + newline

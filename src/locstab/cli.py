@@ -70,33 +70,43 @@ def _emit(args, payload: dict, human_lines, out) -> None:
         sys.stdout.write(text)
 
 
-def _build_named(name, n, tol):
+def _build_named(name, n, tol, flag="--n"):
+    """The named construction, sized by ``n``, the value of ``flag``, which
+    an unsized construction refuses."""
     build, sized = _CONSTRUCTIONS[name]
     if not sized:
+        if n is not None:
+            raise ValueError(f"{flag} is not read by construction {name!r}")
         return build()
     if n is None:
-        raise ValueError(f"construction {name!r} requires --n")
+        raise ValueError(f"construction {name!r} requires {flag}")
     return build(n, tol=tol)
 
 
 def _cmd_construct(args) -> int:
     tol = _tolerance(args)
-    if args.name == "compose":
+    if args.name != "compose":
+        for dest in ("left", "right", "left_n", "right_n", "left_index", "right_index"):
+            if getattr(args, dest) is not None:
+                raise ValueError(f"--{dest.replace('_', '-')} is read only by compose")
+        state_set = _build_named(args.name, args.n, tol)
+    else:
+        if args.n is not None:
+            raise ValueError("--n is not read by compose; its operands take --left-n and --right-n")
         if args.left is None or args.right is None:
             raise ValueError("compose requires --left and --right")
-        left = _build_named(args.left, args.left_n, tol)
-        right = _build_named(args.right, args.right_n, tol)
+        left = _build_named(args.left, args.left_n, tol, "--left-n")
+        right = _build_named(args.right, args.right_n, tol, "--right-n")
+        left_index, right_index = args.left_index or 0, args.right_index or 0
         for flag, index, operand in (
-            ("--left-index", args.left_index, left),
-            ("--right-index", args.right_index, right),
+            ("--left-index", left_index, left),
+            ("--right-index", right_index, right),
         ):
             if not 0 <= index < len(operand):
                 raise ValueError(
                     f"{flag} {index} out of range for {operand.label} of size {len(operand)}"
                 )
-        state_set = constructions.compose(left, args.left_index, right, args.right_index)
-    else:
-        state_set = _build_named(args.name, args.n, tol)
+        state_set = constructions.compose(left, left_index, right, right_index)
 
     lines = [
         f"label: {state_set.label}",
@@ -292,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                              default=None, help="right operand for compose")
     p_construct.add_argument("--left-n", type=int, default=None)
     p_construct.add_argument("--right-n", type=int, default=None)
-    p_construct.add_argument("--left-index", type=int, default=0)
-    p_construct.add_argument("--right-index", type=int, default=0)
+    p_construct.add_argument("--left-index", type=int, default=None)
+    p_construct.add_argument("--right-index", type=int, default=None)
     _common_flags(p_construct)
     p_construct.set_defaults(func=_cmd_construct)
 

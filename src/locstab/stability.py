@@ -66,9 +66,9 @@ _SUBSET_BLOCK = 512
 # rank kernel; a row set larger than this is ranked on its own.
 _RANK_BUDGET = 1 << 13
 
-# (d - 1)-subsets of one party's factors whose hyperplanes the partition test
-# enumerates; a party with more is searched as if any group fitted in one
-# hyperplane, and its groups are ranked at the leaves.
+# min(l, d - 1)-subsets of one party's factors whose hyperplanes the partition
+# test enumerates; a party with more is searched as if any group fitted in one
+# hyperplane.
 _HYPERPLANE_SUBSETS = 1 << 14
 
 # States placed by the partition test's search before it reports "undecided".
@@ -495,10 +495,13 @@ class ExtensionReport:
     None unless the verdict is "extendible" and the method constructs one.
 
     The partition test also reports ``capacities[i]``, the largest number
-    of party-i factors inside one hyperplane, or the set size where the
-    hyperplanes were not enumerated; ``groups[i]``, the states the found
-    split gives party i, None when no split was found; and ``nodes``, the
-    states its search placed.  Other methods leave these None.  ``search``
+    of party-i factors inside one hyperplane (all of them when they do not
+    span C^d), or the set size where the hyperplanes were not enumerated;
+    ``groups[i]``, the states the found split gives party i, None when no
+    split was found; and ``nodes``, the states its search placed.  Other
+    methods leave these None.  Its witness factor at party i is the rank
+    kernel's pivot past the rank of group i's factors, a unit vector
+    orthogonal to them.  ``search``
     is the :class:`SearchReport` of :func:`_see_saw` for that method, else
     None.
     """
@@ -514,41 +517,41 @@ class ExtensionReport:
 
 
 def _hyperplanes(stack, tol):
-    """The hyperplanes spanned by (d-1)-subsets of the unit factors of
+    """The hyperplanes holding min(l, d-1)-subsets of the unit factors of
     parties sharing one local dimension, given as a (P, l, d) stack: per
-    party (normals, hits), where ``normals`` is (C, d) and ``hits[c, j]``
-    says whether |<n_c|a_j>| < ``tol.rank_rel``, or None when the party's
-    factors do not span C^d (always when l < d) or there are more than
-    _HYPERPLANE_SUBSETS subsets.
+    party the (C, l) mask ``hits``, where ``hits[c, j]`` says whether
+    |<n_c|a_j>| < ``tol.rank_rel`` for the normal n_c of the c-th subset,
+    or None for every party when there are more than _HYPERPLANE_SUBSETS
+    subsets.
 
     Each normal is the pivot past rank d-1 of its subset stacked above the
     identity, so it is orthogonal to the subset even when the subset is
     rank deficient.  Factors lie in one hyperplane exactly when some normal
-    hits all of them: while a party's factors span, any group of rank
-    below d grows, by more factors, to a rank d-1 subset whose hyperplane
-    holds it.  Subsets are ranked, and their hits counted, in stacks of at
-    most _RANK_BUDGET entries, one party at least.
+    hits all of them.  When the party's factors span C^d, a group of rank
+    below d grows, by more factors, to d-1 independent ones, whose normal
+    hits the group.  When they do not (always when l < d), some subset
+    spans all of them, so its normal hits every state and the party's
+    capacity is l.  Subsets are ranked, and their hits counted, in stacks
+    of at most _RANK_BUDGET entries, one party at least.
     """
     parties, size, d = stack.shape
-    if size < d or math.comb(size, d - 1) > _HYPERPLANE_SUBSETS:
+    width = min(size, d - 1)
+    if math.comb(size, width) > _HYPERPLANE_SUBSETS:
         return [None] * parties
-    spans = _orthonormal_rows(stack.copy(), tol.rank_rel)[1] == d
-    subsets = np.array(list(itertools.combinations(range(size), d - 1)), dtype=np.intp)
-    subsets = subsets.reshape(len(subsets), d - 1)
-    per = max(1, _RANK_BUDGET // (len(subsets) * (2 * d - 1) * d))
+    subsets = np.array(list(itertools.combinations(range(size), width)), dtype=np.intp)
+    per = max(1, _RANK_BUDGET // (len(subsets) * (width + d) * d))
     identity = np.eye(d, dtype=complex)
-    normals, hits = [], []
+    hits = []
     for first in range(0, parties, per):
         factors = stack[first:first + per]
         chunk = factors[:, subsets]
         rows = np.concatenate(
             [chunk, np.broadcast_to(identity, chunk.shape[:2] + (d, d))], axis=2
         )
-        pivots = _orthonormal_rows(rows.reshape(-1, 2 * d - 1, d), tol.rank_rel)[0]
-        found = pivots[:, d - 1].reshape(len(factors), len(subsets), d)
-        normals.extend(found)
-        hits.extend(np.abs(found.conj() @ factors.transpose(0, 2, 1)) < tol.rank_rel)
-    return [(n, h) if ok else None for n, h, ok in zip(normals, hits, spans.tolist())]
+        pivots = _orthonormal_rows(rows.reshape(-1, width + d, d), tol.rank_rel)[0]
+        normals = pivots[:, d - 1].reshape(len(factors), len(subsets), d)
+        hits.extend(np.abs(normals.conj() @ factors.transpose(0, 2, 1)) < tol.rank_rel)
+    return hits
 
 
 def _partition_search(hits, starts, leaf):
@@ -562,9 +565,8 @@ def _partition_search(hits, starts, leaf):
     branch is cut when, summed over the parties, the most unplaced states
     that one hyperplane holding a party's group takes is below the number
     of states left; at the root that sum is the capacity sum.
-    ``leaf(parties, alive)`` gets each complete split, as the party of
-    every state and the mask of hyperplanes holding each group, and the
-    first split it returns a result for ends the search.
+    ``leaf(parties)`` gets each complete split, as the party of every
+    state, and the first split it returns a result for ends the search.
 
     Returns ((parties, result) or None, nodes, capped); None means that no
     split exists, or, when ``capped``, that _EXTENSION_NODES placements
@@ -606,7 +608,7 @@ def _partition_search(hits, starts, leaf):
             pending.append(options(j + 1))
             continue
         parties = [p for p, _ in placed]
-        result = leaf(parties, alive)
+        result = leaf(parties)
         if result is not None:
             return (parties, result), nodes, False
     return None, nodes, False
@@ -620,35 +622,33 @@ def _partition_test(label, factors, tol):
     Party i's capacity is the largest number of its factors in one
     hyperplane (:func:`_hyperplanes`); a capacity sum below the set
     size proves unextendibility with no search, and otherwise
-    :func:`_partition_search` looks for a split.  The witness takes, per
-    party, the normal of a hyperplane holding the group, or the rank
-    kernel's pivot past the group's rank where hyperplanes were not
-    enumerated or the group is empty (e_0).  Every state must have a
-    factor overlap |<v_i|a_i>| below ``tol.orth_abs`` with it, else the
-    verdict is "undecided", as it is when the search hits its node cap.
+    :func:`_partition_search` looks for a split.  The hyperplanes only
+    decide capacities and the search: at a split, a group whose factors
+    span C^d is refused, and otherwise the witness factor is the rank
+    kernel's pivot past the group's rank of the group stacked above the
+    identity, a unit vector orthogonal to the group (e_0 for an empty
+    group).  Every state must have a factor overlap |<v_i|a_i>| below
+    ``tol.orth_abs`` with it, else the verdict is "undecided", as it is
+    when the search hits its node cap.
     """
     size = len(factors[0])
     dims = [f.shape[1] for f in factors]
-    planes = [None] * len(dims)
+    masks = [None] * len(dims)
     for d in set(dims):
         parties = [i for i, di in enumerate(dims) if di == d]
         stack = np.stack([factors[i] for i in parties])
-        for party, plane in zip(parties, _hyperplanes(stack, tol)):
-            planes[party] = plane
-    # a party without enumerated hyperplanes gets one column holding every state
-    columns = [np.ones((size, 1), dtype=bool) if p is None else p[1].T for p in planes]
+        for party, mask in zip(parties, _hyperplanes(stack, tol)):
+            masks[party] = mask
+    # a party past the subset cap gets one column holding every state
+    columns = [np.ones((size, 1), dtype=bool) if m is None else m.T for m in masks]
     starts = np.cumsum([0] + [c.shape[1] for c in columns[:-1]])
     hits = np.concatenate(columns, axis=1)
     capacities = tuple(np.maximum.reduceat(hits.sum(axis=0), starts).tolist())
 
-    def leaf(parties, alive):
+    def leaf(parties):
         witness = []
-        for party, (plane, stack, start) in enumerate(zip(planes, factors, starts)):
+        for party, stack in enumerate(factors):
             group = stack[[j for j, p in enumerate(parties) if p == party]]
-            if plane is not None and len(group):
-                normals = plane[0]
-                witness.append(normals[alive[start:start + len(normals)].argmax()])
-                continue
             d = stack.shape[1]
             rank = _orthonormal_rows(group[None].copy(), tol.rank_rel)[1][0]
             if rank == d:
@@ -663,7 +663,7 @@ def _partition_test(label, factors, tol):
     if found is not None:
         parties, vectors = found
         groups = tuple(
-            tuple(j for j, p in enumerate(parties) if p == party) for party in range(len(planes))
+            tuple(j for j, p in enumerate(parties) if p == party) for party in range(len(dims))
         )
         overlaps = [np.abs(_coordinate_sums(v.conj(), f)) for f, v in zip(factors, vectors)]
         if (np.min(overlaps, axis=0) < tol.orth_abs).all():

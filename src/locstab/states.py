@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsonout import LazyList, iter_json
+from ._jsonout import iter_json
 from .numerics import DEFAULT_TOL, Tolerance, _orthonormal_rows, vec_inner
 
 __all__ = [
@@ -754,7 +754,7 @@ def state_set_from_dict(payload) -> StateSet:
 def save_set(state_set: StateSet, path) -> None:
     """Write ``state_set`` as the text of ``json.dumps(state_set_to_dict(...),
     indent=2)`` plus a newline, building one state's payload at a time."""
-    payload = _set_payload(state_set, LazyList(_state_payloads(state_set), len(state_set)))
+    payload = _set_payload(state_set, _state_payloads(state_set))
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(iter_json(payload))
         fh.write("\n")

@@ -618,6 +618,35 @@ class TestFlagsPerSubcommand:
         assert code in (0, 1)
         assert out
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["construct", "qubit3", "--n", "5"], "--n"),
+            (["construct", "shifts", "--n", "3", "--left", "qubit3"], "--left"),
+            (["construct", "qubit3", "--right", "tiles33"], "--right"),
+            (["construct", "qubit3", "--left-n", "3"], "--left-n"),
+            (["construct", "shift-family", "--n", "3", "--right-n", "3"], "--right-n"),
+            (["construct", "qubit3", "--left-index", "0"], "--left-index"),
+            (["construct", "tiles33", "--right-index", "1"], "--right-index"),
+            (["construct", "compose", "--left", "qubit3", "--right", "qubit3", "--n", "4"], "--n"),
+            (["construct", "compose", "--left", "qubit3", "--left-n", "3",
+              "--right", "shifts", "--right-n", "3"], "--left-n"),
+            (["construct", "compose", "--left", "shifts", "--left-n", "3",
+              "--right", "tiles33", "--right-n", "2"], "--right-n"),
+        ],
+    )
+    def test_construct_refuses_flags_it_does_not_read(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+    def test_compose_reads_unset_indices_as_zero(self, capsys):
+        argv = ["construct", "compose", "--left", "qubit3", "--right", "tiles33"]
+        _, default, _ = run_cli(capsys, *argv)
+        code, explicit, _ = run_cli(capsys, *argv, "--left-index", "0", "--right-index", "0")
+        assert code == 0
+        assert explicit == default
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):

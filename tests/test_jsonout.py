@@ -106,6 +106,24 @@ class TestWriterOracle:
     def test_edge_cases(self, obj):
         assert dumps(obj) == json.dumps(obj, indent=2)
 
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [],
+            [[[1.0, 2.5], [3.0, -0.0]], [[5, 6], [7, 8]]],
+            [{"product": [[1.0, 0.0], [0.0, 1.0]]}, {"dense": []}, [], None],
+            [[1, 2], [3]],
+        ],
+        ids=["empty", "number-blocks", "mixed", "ragged"],
+    )
+    def test_iterators_are_written_as_lists(self, items):
+        for obj, as_list in (
+            (iter(items), items),
+            ({"label": "x", "states": (item for item in items)}, {"label": "x", "states": items}),
+            ([map(lambda item: item, items), 1], [items, 1]),
+        ):
+            assert dumps(obj) == json.dumps(as_list, indent=2)
+
     def test_unknown_types_raise_like_the_stdlib(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             dumps({"a": {1, 2}})

@@ -4,6 +4,7 @@ counting audits, and the complement see-saw."""
 import collections
 import dataclasses
 import functools
+import itertools
 import json
 import math
 
@@ -42,7 +43,8 @@ from locstab import (
     validate_seeds,
     vec_inner,
 )
-from locstab.stability import _see_saw
+from locstab.numerics import _orthonormal_rows
+from locstab.stability import _hyperplanes, _see_saw
 from oracles import (
     conflict_attribution_loop,
     extension_brute,
@@ -897,6 +899,19 @@ _NAMED_UPBS = {
 }
 
 
+def _flat_set():
+    """Every first factor lies in the plane of e0 and e1 inside C^3."""
+    e = np.eye(3, dtype=complex)
+    return StateSet((3, 2), [ProductState([e[0], KET0]), ProductState([e[1], KET0]),
+                             ProductState([e[0], KET1])], "flat")
+
+
+def _pair_set():
+    """Two states, fewer than a hyperplane of C^4 needs."""
+    e = np.eye(4, dtype=complex)
+    return StateSet((4, 4), [ProductState([e[0], e[0]]), ProductState([e[1], e[1]])], "pair")
+
+
 class TestPartitionRule:
     @pytest.mark.parametrize("build", [
         upb_qubit3, upb_tiles33, upb_sep333, _extendible_trio,
@@ -982,18 +997,14 @@ class TestPartitionRule:
             _assert_witness_checks(build(), report)
 
     def test_low_rank_party_holds_every_state(self):
-        # every first factor lies in the plane of e0 and e1 inside C^3
-        e = np.eye(3, dtype=complex)
-        s = StateSet((3, 2), [ProductState([e[0], KET0]), ProductState([e[1], KET0]),
-                              ProductState([e[0], KET1])], "flat")
+        s = _flat_set()
         report = decide_extension(s)
         assert report.capacities[0] == 3
         _assert_witness_checks(s, report)
         assert abs(report.witness.factors[0][2]) == pytest.approx(1.0)
 
     def test_fewer_states_than_a_hyperplane_needs(self):
-        e = np.eye(4, dtype=complex)
-        s = StateSet((4, 4), [ProductState([e[0], e[0]]), ProductState([e[1], e[1]])], "pair")
+        s = _pair_set()
         report = decide_extension(s)
         assert report.capacities == (2, 2)
         _assert_witness_checks(s, report)
@@ -1014,6 +1025,69 @@ class TestPartitionRule:
         with pytest.raises(OrthogonalityError):
             decide_extension(StateSet((2, 2), [ProductState([KET0, KET0]),
                                                ProductState([KET0, PLUS])]))
+
+
+def _pivot_past_group(stack, group):
+    """The unit vector orthogonal to the factors ``stack[group]``: the rank
+    kernel's pivot past the group's rank of the group above the identity."""
+    rows = stack[list(group)]
+    rank = _orthonormal_rows(rows[None].copy(), DEFAULT_TOL.rank_rel)[1][0]
+    stacked = np.concatenate([rows, np.eye(stack.shape[1], dtype=complex)])[None]
+    return _orthonormal_rows(stacked, DEFAULT_TOL.rank_rel)[0][0, rank]
+
+
+def _subsets(build, size):
+    state_set = build()
+    return [state_set.subset(list(c)) for c in itertools.combinations(range(len(state_set)), size)]
+
+
+_WITNESS_RULE_SETS = {
+    "tiles33-3": lambda: _subsets(upb_tiles33, 3),
+    "sep333-5": lambda: _subsets(upb_sep333, 5),
+    "reducible44-11": lambda: _subsets(upb_44_reducible, 11),
+    "compose-mixed-7": lambda: _subsets(lambda: compose(upb_qubit3(), 1, upb_tiles33(), 2), 7),
+    "shift_family(3)": lambda: [shift_family(3)],
+    "flat": lambda: [_flat_set()],
+    "pair": lambda: [_pair_set()],
+}
+
+
+class TestOneWitnessRule:
+    """The hyperplanes decide only capacities and the search: every witness
+    factor is the pivot past its group's rank, at every party."""
+
+    @pytest.mark.parametrize("name", sorted(_WITNESS_RULE_SETS))
+    def test_witness_is_the_pivot_past_each_group(self, name):
+        extendible = 0
+        for state_set in _WITNESS_RULE_SETS[name]():
+            report = decide_extension(state_set)
+            if report.verdict != "extendible":
+                continue
+            extendible += 1
+            _assert_witness_checks(state_set, report)
+            rebuilt = ProductState([_pivot_past_group(stack, group)
+                                    for stack, group in zip(state_set.factors, report.groups)])
+            for factor, expected in zip(report.witness.factors, rebuilt.factors):
+                assert factor.tobytes() == expected.tobytes()
+        assert extendible
+
+    def test_non_spanning_party_has_an_all_hitting_column(self):
+        # the first factors e0, e1, e0 span a plane of C^3
+        (mask,) = _hyperplanes(_flat_set().factors[0][None], DEFAULT_TOL)
+        assert mask.shape == (3, 3)
+        assert mask.all(axis=1).any()
+
+    def test_fewer_states_than_a_hyperplane_needs_give_one_column(self):
+        masks = _hyperplanes(np.stack(_pair_set().factors), DEFAULT_TOL)
+        assert [m.tolist() for m in masks] == [[[True, True]]] * 2
+
+    def test_masks_are_none_only_past_the_cap(self, monkeypatch):
+        stack = np.stack(upb_tiles33().factors)
+        monkeypatch.setattr(locstab.stability, "_HYPERPLANE_SUBSETS", math.comb(5, 2))
+        masks = _hyperplanes(stack, DEFAULT_TOL)
+        assert [m.shape for m in masks] == [(10, 5)] * 2
+        monkeypatch.setattr(locstab.stability, "_HYPERPLANE_SUBSETS", math.comb(5, 2) - 1)
+        assert _hyperplanes(stack, DEFAULT_TOL) == [None, None]
 
 
 class TestSpanRankOnGenerators:
