@@ -83,18 +83,32 @@ def _build_named(name, n, tol, flag="--n"):
     return build(n, tol=tol)
 
 
+def _refuse_unread_tolerance(args, names, what):
+    """Refuse --tol-rank and --tol-orth when no construction in ``names``
+    is sized: only the sized builders read a tolerance."""
+    if any(_CONSTRUCTIONS[name][1] for name in names):
+        return
+    for flag, value in (("--tol-rank", args.tol_rank), ("--tol-orth", args.tol_orth)):
+        if value is not None:
+            raise ValueError(f"{flag} is not read by {what}, which takes no tolerance")
+
+
 def _cmd_construct(args) -> int:
     tol = _tolerance(args)
     if args.name != "compose":
         for dest in ("left", "right", "left_n", "right_n", "left_index", "right_index"):
             if getattr(args, dest) is not None:
                 raise ValueError(f"--{dest.replace('_', '-')} is read only by compose")
+        _refuse_unread_tolerance(args, [args.name], f"construction {args.name!r}")
         state_set = _build_named(args.name, args.n, tol)
     else:
         if args.n is not None:
             raise ValueError("--n is not read by compose; its operands take --left-n and --right-n")
         if args.left is None or args.right is None:
             raise ValueError("compose requires --left and --right")
+        _refuse_unread_tolerance(
+            args, [args.left, args.right], f"compose of {args.left!r} and {args.right!r}"
+        )
         left = _build_named(args.left, args.left_n, tol, "--left-n")
         right = _build_named(args.right, args.right_n, tol, "--right-n")
         left_index, right_index = args.left_index or 0, args.right_index or 0

@@ -7,7 +7,11 @@ and complements come from one elimination kernel, ``_orthonormal_rows``,
 which runs Gram-Schmidt over a (B, m, n) stack of row sets at once with a
 dead-pivot cutoff set per row set, so zero rows and the other sets in the
 stack never move a set's rank; ``span_rank`` and ``orthocomplement_basis``
-are its one-set case, and the certifier hands it whole stacks.
+are its one-set case, and the certifier hands it whole stacks.  Those stacks
+hold only what the qubit basis count of ``stability`` leaves to the kernel:
+parties with d >= 3, sets with dense members, and qubit row sets inside the
+band around the cutoff or past its guards (a pair without its reverse, an
+``orth_abs`` above ``rank_rel / 16``).
 """
 
 from __future__ import annotations

@@ -7,6 +7,17 @@ sets the blockwise pair contractions of the dense amplitudes.  A party is
 stable when that span fills the full traceless operator space, i.e. reaches
 dimension d**2 - 1; the set is locally stable when every party is.
 
+Qubit parties of product sets mostly need no rank: their span dimension
+follows from their bases (:func:`_qubit_dims`).  Each conflict pair lies in
+one orthonormal basis and comes with its reverse, so one basis spans 2
+dimensions and two span 3.  The rule decides a qubit party, or the pairs a
+subset keeps there, when the second basis sits well clear of the rank
+cutoff, outside a band of a factor of 4 on either side.  It has two guards:
+every pair's reverse is a conflict pair of the same party, and ``orth_abs``
+is at most ``rank_rel`` / 16.  The rank kernel ranks the generators of
+everything else: parties with d >= 3, sets with dense members, and qubit
+pairs inside the band or past a guard.
+
 The module also carries the counting facts that bound the size of a stable
 set, closed-form upper bounds for qubit and qutrit systems, and the exact
 decision whether a set's orthogonal complement holds a product state: the
@@ -61,6 +72,9 @@ _SEARCH_DENSE_LIMIT = 1 << 20
 # Subsets a campaign certifies together: bounds the (block, l) membership
 # and (block, m) kept-row masks, and the distinct masks ranked per block.
 _SUBSET_BLOCK = 512
+
+# What _qubit_dims returns for a run it leaves to the rank kernel.
+_KERNEL = -1
 
 # Complex entries in one zero-padded (sets, rows, d*d) stack handed to the
 # rank kernel; a row set larger than this is ranked on its own.
@@ -131,10 +145,10 @@ class StabilityCertificate:
         }
 
 
-def _party_spans(state_set, source, tol):
-    """Yield each party's span generators as an (m, d, d) array, with the
-    (m, 2) array of the ordered pairs (j, k) they come from, j outer and k
-    inner, in party order.
+def _party_spans(state_set, source, tol, parties):
+    """Yield the span generators of each party in ``parties`` as an
+    (m, d, d) array, with the (m, 2) array of the ordered pairs (j, k) they
+    come from, j outer and k inner.
 
     ``source`` is the set's :func:`~locstab.states._span_source`.  A factor
     zero pattern contributes |a_j><a_k| for each conflict pair; amplitude
@@ -143,12 +157,14 @@ def _party_spans(state_set, source, tol):
     alone, so a subset's generators are its parent's on the pairs inside it.
     """
     if isinstance(source, FactorZeroPattern):
-        for factors, pairs in zip(source.factors, source.conflict_pairs):
+        for party in parties:
+            factors, pairs = source.factors[party], source.conflict_pairs[party]
             yield factors[pairs[:, 0], :, None] * factors[pairs[:, 1], None, :].conj(), pairs
         return
     amplitudes = np.stack(source)
     size = len(amplitudes)
-    for party, d in enumerate(state_set.dims):
+    for party in parties:
+        d = state_set.dims[party]
         split = _party_blocks(amplitudes, state_set.dims, party)
         # contractions[j, k] is the (d, d) block (j, k) of the split's Gram
         contractions = (split.T @ split.conj()).reshape(size, d, size, d).swapaxes(1, 2)
@@ -166,7 +182,8 @@ def span_generators(state_set: StateSet, tol: Tolerance = DEFAULT_TOL):
     its one-party blocks, dropping matrices of negligible norm.
     """
     source = _span_source(state_set, tol)
-    return tuple(generators for generators, _ in _party_spans(state_set, source, tol))
+    spans = _party_spans(state_set, source, tol, range(len(state_set.dims)))
+    return tuple(generators for generators, _ in spans)
 
 
 def _checked_source(state_set: StateSet, tol: Tolerance):
@@ -188,13 +205,23 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
 
     Raises :class:`OrthogonalityError` when the input is not orthogonal.
     Product sets are checked and certified from one factor zero pattern and
-    additionally record their conflict pairs per party.  The generators of
-    consecutive parties with one local dimension are ranked together, each
-    party's rows followed by zero rows.
+    additionally record their conflict pairs per party.  Their qubit
+    parties take the dimension their bases give (:func:`_qubit_dims`, one
+    call, each party one run) when the second basis sits outside the band
+    around the rank cutoff, every pair has its reverse there, and
+    ``tol.orth_abs`` is at most ``tol.rank_rel`` / 16.  Only the parties it
+    leaves to the rank kernel get generators, and those of consecutive such
+    parties with one local dimension are ranked together, each party's rows
+    followed by zero rows.
     """
     source = _checked_source(state_set, tol)
-    spans = zip(state_set.dims, _party_spans(state_set, source, tol))
-    ranks = _stacked_ranks((g.reshape(len(g), d * d) for d, (g, _) in spans), tol)
+    ruled, counts, firsts, lone = _qubit_pairs(state_set.dims, source, tol)
+    dims = np.full(len(state_set.dims), _KERNEL)
+    dims[ruled] = _qubit_dims(firsts, lone, counts, tol)
+    kernel = (dims == _KERNEL).nonzero()[0].tolist()
+    spans = zip(kernel, _party_spans(state_set, source, tol, kernel))
+    rows = (g.reshape(len(g), state_set.dims[party] ** 2) for party, (g, _) in spans)
+    dims[kernel] = _stacked_ranks(rows, tol)
     conflicts = [None] * len(state_set.dims)
     if isinstance(source, FactorZeroPattern):
         conflicts = [
@@ -203,11 +230,87 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
         ]
     records = [
         PartyRecord(party, dim, d * d - 1, dim == d * d - 1, pairs)
-        for party, (d, dim, pairs) in enumerate(zip(state_set.dims, ranks, conflicts))
+        for party, (d, dim, pairs) in enumerate(zip(state_set.dims, dims.tolist(), conflicts))
     ]
     return StabilityCertificate(
         state_set.label, tol, tuple(records), all(r.stable for r in records)
     )
+
+
+def _qubit_pairs(dims, source, tol):
+    """What :func:`_qubit_dims` reads of the parties it decides: the qubit
+    parties of a factor zero pattern, but none when ``tol.orth_abs``
+    exceeds ``tol.rank_rel / 16``, and none of a set with dense members.
+
+    Returns those parties, the number of conflict pairs (j, k) of each, and
+    for their pairs, party after party and each in the party's order, the
+    (E, 2) first factors a_j and the (E,) flags of the pairs whose reverse
+    (k, j) is not a conflict pair of the same party.
+    """
+    parties = []
+    if isinstance(source, FactorZeroPattern) and 16.0 * tol.orth_abs <= tol.rank_rel:
+        parties = [party for party, d in enumerate(dims) if d == 2]
+    if not parties:
+        return parties, [], np.empty((0, 2), dtype=complex), np.empty(0, dtype=bool)
+    pairs = [source.conflict_pairs[party] for party in parties]
+    counts = [len(p) for p in pairs]
+    flat = np.concatenate(pairs)
+    owners = np.repeat(parties, counts)
+    # owner[j, k] is the qubit party where (j, k) is a conflict pair, or -1
+    owner = np.full(source.zero_count.shape, -1)
+    owner[flat[:, 0], flat[:, 1]] = owners
+    lone = owner[flat[:, 1], flat[:, 0]] != owners
+    firsts = np.concatenate([source.factors[party][p[:, 0]] for party, p in zip(parties, pairs)])
+    return parties, counts, firsts, lone
+
+
+def _qubit_dims(firsts, lone, counts, tol):
+    """The span dimension of each run of a qubit party's conflict-pair
+    generators, or _KERNEL where the rank kernel must decide it.
+
+    Run g holds the next ``counts[g]`` pairs, each given by its first factor
+    and its ``lone`` flag (:func:`_qubit_pairs`), in the party's pair order;
+    a run is the pairs a party, or a subset of the set, keeps.  A conflict
+    pair (j, k) lies in one orthonormal basis {a_j, a_j^perp}: it gives
+    |a_j><a_j^perp| up to a phase and a part below ``orth_abs``, and its
+    reverse gives |a_j^perp><a_j|.  Take u, the first factor of the run's
+    first pair.  In the basis {u, u^perp} a pair's generator is
+    off-diagonal but for a traceless diagonal part of norm
+    M_p = sqrt(2) |<u|a_p>| |<u^perp|a_p>|, so with M the largest M_p of
+    the run, the span is 2 when M vanishes and 3 otherwise.
+
+    Outside the band the kernel agrees.  Every generator has unit norm, so
+    its cutoff is ``rank_rel``.  Had it stopped at rank 2, every generator
+    would lie within ``rank_rel`` of the plane of its two pivots; the first
+    generator and its reverse are orthonormal, so that plane is close to
+    theirs, and a generator with diagonal part M_p lies that close only when
+    M_p < (1 + sqrt 2) ``rank_rel``.  So M > 4 ``rank_rel`` reads at least
+    3.  When M < ``rank_rel`` / 4, every generator lies within 2 M plus a
+    few ``orth_abs`` of the plane of |u><u^perp| and |u^perp><u|, and so do
+    the kernel's first two pivots, so it reads 2.  Both need the reverse
+    pair in the run and the parts off the ideal generators far below
+    ``rank_rel``, which :func:`_qubit_pairs` provides: a run holding a lone
+    pair gets _KERNEL, as does one inside the band.  Where pairs overlap by
+    more than rounding, their trace parts, amplified by a weak pivot, can
+    lift the kernel's reading to 4; the rule reads 3, the span of the
+    traceless parts, which no qubit party exceeds.  An empty run spans 0.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    dims = np.zeros(len(counts), dtype=np.intp)
+    held = counts > 0
+    if not held.any():
+        return dims
+    starts = (np.cumsum(counts) - counts)[held]
+    u = np.repeat(firsts[starts], counts[held], axis=0)
+    along = u[:, 0].conj() * firsts[:, 0] + u[:, 1].conj() * firsts[:, 1]
+    across = u[:, 0] * firsts[:, 1] - u[:, 1] * firsts[:, 0]
+    diagonal = math.sqrt(2.0) * np.maximum.reduceat(np.abs(along) * np.abs(across), starts)
+    verdicts = np.where(
+        diagonal > 4.0 * tol.rank_rel, 3, np.where(diagonal < tol.rank_rel / 4.0, 2, _KERNEL)
+    )
+    verdicts[np.logical_or.reduceat(lone, starts)] = _KERNEL
+    dims[held] = verdicts
+    return dims
 
 
 def _stacked_ranks(row_sets, tol):
@@ -280,17 +383,33 @@ def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
     rule, so a set with dense members applies the amplitude rule also to
     its subsets of product members, where the factor rule would differ only
     on pairs the tolerances decide.  Per block of combos and per party, the
-    distinct kept-row masks are ranked together, each once, in the subset's
-    own layout: its kept rows in order, then zero rows.  A subset skips the
-    block's later parties after its first party short of d**2 - 1.
+    distinct kept-row masks are decided together, each once.  At a qubit
+    party of a product set each mask is a run of :func:`_qubit_dims`: its
+    first kept pair is the subset's first pair there, so the rule gives the
+    subset's own certificate.  The masks the rule leaves to the kernel, and
+    every mask of the other parties, are ranked in the subset's own layout:
+    its kept rows in order, then zero rows.  A party's generators are built
+    only once a mask of it reaches the kernel.  A subset skips the block's
+    later parties after its first party short of d**2 - 1.
     """
     combos = iter(combos)
     source = _span_source(state_set, tol)
     offending = _offending_pairs(source, tol)
     bad = np.array([pair[:2] for pair in offending], dtype=np.int64).reshape(-1, 2)
-    parties = [
-        (pairs, generators.reshape(len(pairs), d * d), d * d - 1)
-        for d, (generators, pairs) in zip(state_set.dims, _party_spans(state_set, source, tol))
+    ruled, counts, firsts, lone = _qubit_pairs(state_set.dims, source, tol)
+    cuts = np.cumsum(counts)[:-1]
+    rules = dict(zip(ruled, zip(np.split(firsts, cuts), np.split(lone, cuts))))
+    spans = {}
+
+    def span(party):
+        if party not in spans:
+            generators, pairs = next(_party_spans(state_set, source, tol, [party]))
+            spans[party] = generators.reshape(len(pairs), state_set.dims[party] ** 2), pairs
+        return spans[party]
+
+    pairs = [
+        source.conflict_pairs[party] if party in rules else span(party)[1]
+        for party in range(len(state_set.dims))
     ]
 
     while block := list(itertools.islice(combos, _SUBSET_BLOCK)):
@@ -306,14 +425,24 @@ def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
                 if j in position and k in position
             )
         stable = np.ones(len(block), dtype=bool)
-        for pairs, rows, required in parties:
+        for party, (d, own) in enumerate(zip(state_set.dims, pairs)):
             live = stable.nonzero()[0]
             if not live.size:
                 break
             alive = member[live]
-            kept = alive[:, pairs[:, 0]] & alive[:, pairs[:, 1]]
+            kept = alive[:, own[:, 0]] & alive[:, own[:, 1]]
             masks, inverse = _distinct_masks(kept)
-            stable[live] = _masked_ranks(rows, masks, tol)[inverse] == required
+            dims = np.full(len(masks), _KERNEL)
+            if party in rules:
+                own_firsts, own_lone = rules[party]
+                kept_pairs = masks.nonzero()[1]
+                dims = _qubit_dims(
+                    own_firsts[kept_pairs], own_lone[kept_pairs], masks.sum(axis=1), tol
+                )
+            band = dims == _KERNEL
+            if band.any():
+                dims[band] = _masked_ranks(span(party)[0], masks[band], tol)
+            stable[live] = dims[inverse] == d * d - 1
         yield from zip(block, stable.tolist())
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jsonout import iter_json
-from .numerics import DEFAULT_TOL, Tolerance, _orthonormal_rows, vec_inner
+from .numerics import DEFAULT_TOL, Tolerance, _orthonormal_rows, _row_norms, vec_inner
 
 __all__ = [
     "MAX_DENSE_DIMENSION",
@@ -475,20 +475,25 @@ def factorize(state: DenseState, tol: Tolerance = DEFAULT_TOL) -> ProductState |
 
     Split at any party (the :func:`bpart_decompose` layout), a product
     state's blocks are all multiples of that party's factor, so each split
-    must have rank 1 under the rank kernel, and its unit pivot is the
-    factor.  Parties are split one at a time, stopping at the first of
-    higher rank.  The rebuilt product is accepted only when
-    1 - |<rebuild|state>| < ``tol.orth_abs``.
+    must have rank 1.  The rank kernel ranks the transposed split, d_i long
+    rows, in at most d_i steps.  The factor is the first block whose norm
+    reaches ``tol.rank_rel`` times the largest, divided by that norm: the
+    kernel's first pivot of the untransposed split, bit for bit.  Parties
+    are split one at a time, stopping at the first of higher rank.  The
+    rebuilt product is accepted only when 1 - |<rebuild|state>| <
+    ``tol.orth_abs``.
     """
     factors = []
-    for party in range(len(state.dims)):
-        # the split can be a view of the read-only amplitudes, and the rank
-        # kernel overwrites its input
-        split = np.array(_party_blocks(state.amplitudes[None], state.dims, party)[None])
-        pivots, ranks = _orthonormal_rows(split, tol.rank_rel)
-        if ranks[0] != 1:
+    amplitudes = state.amplitudes.reshape(state.dims)
+    for party, d in enumerate(state.dims):
+        # the transposed split as a new array: the rank kernel overwrites it
+        rows = np.moveaxis(amplitudes, party, 0).reshape(1, d, -1).copy()
+        if _orthonormal_rows(rows, tol.rank_rel)[1][0] != 1:
             return None
-        factors.append(pivots[0, 0])
+        split = _party_blocks(state.amplitudes[None], state.dims, party)
+        norms = _row_norms(split)
+        first = int((norms >= tol.rank_rel * norms.max()).argmax())
+        factors.append(split[first] / norms[first])
     product = ProductState(factors)
     overlap = vec_inner(tensor_expand(product).amplitudes, state.amplitudes)
     return product if 1.0 - abs(overlap) < tol.orth_abs else None

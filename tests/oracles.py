@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from locstab.constructions import CampaignReport, _sample_combos
+from locstab.constructions import CampaignReport, _sample_combos, compose, upb_qubit3
 from locstab.numerics import DEFAULT_TOL, vec_inner
 from locstab.stability import is_locally_stable
-from locstab.states import ProductState, _party_blocks, as_dense
+from locstab.states import ProductState, StateSet, _party_blocks, as_dense
 
 
 def exact_rank(rows):
@@ -387,3 +387,35 @@ def orthonormal_rows_loop(rows, rank_rel):
             rows -= (rows * pivot.conj()).sum(axis=1)[:, None] * pivot
         norms = norms_of(rows)
     return np.array(basis, dtype=complex).reshape(len(basis), width)
+
+
+# |<u^perp|v>| / rank_rel of the planted second bases the tests use: the
+# qubit rule decides 0.125, 4 and 8, and leaves the band between to the
+# rank kernel
+PLANTED_SCALES = (0.125, 0.25, 0.5, 1, 2, 4, 8)
+
+
+def planted_qubit_bases(scale, v_first=False, rank_rel=DEFAULT_TOL.rank_rel):
+    """compose(qubit3, 0, qubit3, 0) with party 0's {|+>, |->} basis turned
+    into {v, v^perp}, v = cos t |0> + sin t |1> with |<1|v>| = sin t =
+    ``scale * rank_rel``.  Party 0 then holds two conflict pairs, each in
+    both orders: one in the basis {|0>, |1>}, one in v's, whose generators
+    have a diagonal part of norm sqrt(2) cos t sin t in the first.  The
+    factors are exactly orthogonal up to rounding, and every other party is
+    stable, so the set is stable exactly when party 0 spans 3.  ``v_first``
+    reverses the states, which puts v's pair first at party 0."""
+    base = compose(upb_qubit3(), 0, upb_qubit3(), 0)
+    sin = scale * rank_rel
+    cos = math.sqrt(1.0 - sin * sin)
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    turned = {1.0: np.array([cos, sin], dtype=complex), 0.0: np.array([-sin, cos], dtype=complex)}
+    states = []
+    for state in base:
+        factors = list(state.factors)
+        overlap = round(abs(np.vdot(plus, factors[0])), 6)
+        factors[0] = turned.get(overlap, factors[0])
+        states.append(ProductState(factors))
+    if v_first:
+        states.reverse()
+    order = "v" if v_first else "u"
+    return StateSet(base.dims, states, f"planted-{scale:g}-{order}-first")

@@ -610,7 +610,10 @@ class TestFlagsPerSubcommand:
             ["subsets", "{set}", "--k", "2", "--seed", "1", "--tol-orth", "1e-9"],
             ["complement", "{set}", "--seed", "1", "--tol-rank", "1e-6"],
             ["check", "{set}", "--tol-rank", "1e-6", "--tol-orth", "1e-9"],
-            ["construct", "qubit3", "--tol-orth", "1e-9"],
+            ["construct", "shifts", "--n", "3", "--tol-orth", "1e-9"],
+            # a sized operand reads the tolerance
+            ["construct", "compose", "--left", "qubit3", "--right", "shifts",
+             "--right-n", "3", "--tol-rank", "1e-9"],
         ],
     )
     def test_read_flags_accepted(self, capsys, qubit3_file, argv):
@@ -633,6 +636,11 @@ class TestFlagsPerSubcommand:
               "--right", "shifts", "--right-n", "3"], "--left-n"),
             (["construct", "compose", "--left", "shifts", "--left-n", "3",
               "--right", "tiles33", "--right-n", "2"], "--right-n"),
+            # only the sized constructions read a tolerance
+            (["construct", "qubit3", "--tol-orth", "1e-9"], "--tol-orth"),
+            (["construct", "tiles33", "--tol-rank", "1e-9"], "--tol-rank"),
+            (["construct", "compose", "--left", "qubit3", "--right", "tiles33",
+              "--tol-orth", "1e-9"], "--tol-orth"),
         ],
     )
     def test_construct_refuses_flags_it_does_not_read(self, capsys, argv, flag):

@@ -1,5 +1,6 @@
 """Named-family tests: shift families, UPBs, compositions, subset plans."""
 
+import functools
 import itertools
 import math
 
@@ -23,6 +24,7 @@ from locstab import (
     is_locally_stable,
     qubit_perp,
     shift_family,
+    span_generators,
     sqrt_subset,
     sqrt_subset_plan,
     subset_campaign,
@@ -37,6 +39,8 @@ from locstab import (
     verify_two_pairs,
 )
 from oracles import (
+    PLANTED_SCALES,
+    planted_qubit_bases,
     shift_family_factors,
     states_close,
     subset_campaign_loop,
@@ -547,6 +551,15 @@ def _qubit3_shifts3():
     return compose(upb_qubit3(), 0, upb_shifts(3), 0)
 
 
+def _tiles33_pair():
+    """Two tiles33 copies: four qutrit parties, which only the rank kernel
+    ranks."""
+    return compose(upb_tiles33(), 0, upb_tiles33(), 0)
+
+
+_PLANTED = [(scale, v_first) for scale in PLANTED_SCALES for v_first in (False, True)]
+
+
 class TestMisprintCampaign:
     """The heptagon misprint breaks orthogonality at index distance 3."""
 
@@ -600,9 +613,16 @@ class TestCampaignCertifiesFromParent:
         assert sum(map(len, patterns)) == 1
         assert certificates == []
 
+    def test_qubit_campaign_makes_no_kernel_call(self, monkeypatch):
+        # every kept mask of every qubit party is decided by its basis count
+        kernel = self._counting(monkeypatch, locstab.stability, "_orthonormal_rows")
+        report = subset_campaign(upb_shifts(6), 8)
+        assert (report.checked, report.unstable) == (495, 0)
+        assert kernel == []
+
     @pytest.mark.parametrize(
         "build,k",
-        [(lambda: upb_shifts(6), 8), (lambda: upb_shifts(6), 6), (upb_44_reducible, 10)],
+        [(_tiles33_pair, 6), (_tiles33_pair, 7), (upb_44_reducible, 10)],
     )
     def test_one_rank_per_distinct_kept_mask_per_block(self, monkeypatch, build, k):
         state_set = build()
@@ -700,9 +720,9 @@ class TestKeptMaskDedup:
             (upb_44_reducible, 9, {}),
             (lambda: upb_shifts(6), 4, {"sample_threshold": 10, "sample_size": 50}),
             (lambda: shift_family(10), 4, {"sample_threshold": 10, "sample_size": 50}),
-        ],
+        ] + [(functools.partial(planted_qubit_bases, *args), 5, {}) for args in _PLANTED],
         ids=["no-conflict-party", "shifts6-k7", "reducible44-k9", "shifts6-sampled",
-             "family10-sampled"],
+             "family10-sampled"] + [planted_qubit_bases(*args).label for args in _PLANTED],
     )
     @pytest.mark.parametrize("block", [1, 512])
     def test_campaign_verdicts_match_unique_over_rows(self, monkeypatch, build, k, options, block):
@@ -738,12 +758,13 @@ class TestCampaignStacksKeptRows:
             return original(rows, rank_rel)
 
         monkeypatch.setattr(locstab.stability, "_orthonormal_rows", recorded)
-        family = shift_family(25)
-        subset_campaign(family, 20, sample_threshold=10, sample_size=300, rng_seed=1)
+        # dense members, whose pair contractions only the rank kernel ranks
+        dense = _dense(shift_family(6))
+        widest = max(map(len, span_generators(dense)))
+        subset_campaign(dense, 9, sample_threshold=10, sample_size=100, rng_seed=1)
         assert shapes
         assert all(height == fullest for height, fullest in shapes)
-        # each qubit party of the parent has 2 * 24 generator rows
-        assert max(height for height, _ in shapes) < 48
+        assert max(height for height, _ in shapes) < widest
 
 
 class TestWideCampaignOracle:

@@ -43,12 +43,15 @@ from locstab import (
     validate_seeds,
     vec_inner,
 )
-from locstab.numerics import _orthonormal_rows
+from locstab.numerics import Tolerance, _orthonormal_rows
 from locstab.stability import _hyperplanes, _see_saw
+from locstab.states import FactorZeroPattern
 from oracles import (
+    PLANTED_SCALES,
     conflict_attribution_loop,
     extension_brute,
     hs_inner,
+    planted_qubit_bases,
     seesaw_sequential,
 )
 
@@ -272,11 +275,25 @@ def named_product_sets():
     ]
 
 
+def planted_sets():
+    return [
+        planted_qubit_bases(scale, v_first)
+        for scale in PLANTED_SCALES
+        for v_first in (False, True)
+    ]
+
+
 class TestOneConflictRoutine:
     """The certificate's conflict pairs and span_generators read one zero
-    pattern, so they must agree pair for pair with per-pair reference loops."""
+    pattern, so they must agree pair for pair with per-pair reference loops,
+    and each party's span dimension, by the qubit rule or the rank kernel,
+    with the span rank of its generators."""
 
-    @pytest.mark.parametrize("state_set", named_product_sets(), ids=lambda s: s.label)
+    @pytest.mark.parametrize(
+        "state_set",
+        named_product_sets() + planted_sets() + [compose(upb_tiles33(), 0, upb_qubit3(), 0)],
+        ids=lambda s: s.label,
+    )
     def test_views_agree_on_named_sets(self, state_set):
         # reference: per-pair loops over vec_inner
         size, parties = len(state_set), len(state_set.dims)
@@ -335,17 +352,129 @@ class TestCertificateRanksInStacks:
         assert [is_locally_stable(s) for s in sets] == want
 
     def test_wide_set_ranks_in_few_kernel_calls(self, monkeypatch):
-        family = shift_family(100)
-        parties = len(family.dims)
+        # qutrit parties, which only the rank kernel ranks
+        chain = functools.reduce(
+            lambda left, _: compose(left, 0, upb_tiles33(), 0), range(15), upb_tiles33()
+        )
+        parties = len(chain.dims)
+        # a budget below the chain's rows, so that it takes several stacks
+        monkeypatch.setattr(locstab.stability, "_RANK_BUDGET", 1 << 9)
         kernel = self._counting(monkeypatch, "_orthonormal_rows")
-        cert = is_locally_stable(family)
+        cert = is_locally_stable(chain)
         assert cert.stable
         widest = max(len(r.conflict_pairs) for r in cert.parties)
         # no per-party rank: the module holds no span_rank to call
         assert not hasattr(locstab.stability, "span_rank")
         assert sum(len(args[0]) for args in kernel) == parties
         budget = locstab.stability._RANK_BUDGET
-        assert len(kernel) <= math.ceil(parties * widest * 4 / budget) + 1
+        assert 1 < len(kernel) <= math.ceil(parties * widest * 9 / budget) + 1
+
+
+class TestQubitRule:
+    """A qubit party of a product set takes its span dimension from its
+    conflict bases (_qubit_dims): 2 for one basis, 3 once a second sits
+    clear of the rank cutoff.  The rank kernel ranks only what the rule
+    leaves to it: the band around the cutoff, parties with d >= 3, pairs
+    without their reverse, and every party under a loose orth_abs."""
+
+    @staticmethod
+    def _kernel_rows(monkeypatch):
+        """The live row count of every row set the certifier ranks."""
+        counts = []
+        original = locstab.stability._orthonormal_rows
+
+        def recorded(rows, rank_rel):
+            counts.extend((np.abs(rows).sum(axis=2) > 0).sum(axis=1).tolist())
+            return original(rows, rank_rel)
+
+        monkeypatch.setattr(locstab.stability, "_orthonormal_rows", recorded)
+        return counts
+
+    def test_all_qubit_certificate_makes_no_kernel_call(self, monkeypatch):
+        kernel = self._kernel_rows(monkeypatch)
+        cert = is_locally_stable(shift_family(100))
+        assert [r.span_dim for r in cert.parties] == [3] * 199
+        assert kernel == []
+
+    @pytest.mark.parametrize("v_first", [False, True], ids=["u-first", "v-first"])
+    @pytest.mark.parametrize("scale", PLANTED_SCALES)
+    def test_kernel_ranks_only_the_band(self, monkeypatch, scale, v_first):
+        state_set = planted_qubit_bases(scale, v_first)
+        kernel = self._kernel_rows(monkeypatch)
+        cert = is_locally_stable(state_set)
+        # the diagonal part is sqrt(2) * scale * rank_rel: below rank_rel / 4
+        # or above 4 rank_rel the rule decides, in between party 0's four
+        # generators go to the kernel
+        assert kernel == ([] if scale in (0.125, 4, 8) else [4])
+        assert [r.span_dim for r in cert.parties] == [2 if scale < 1 else 3] + [3] * 5
+
+    def test_loose_orth_abs_goes_to_the_kernel(self, monkeypatch):
+        # orth_abs above rank_rel / 16 lets trace parts near the cutoff in
+        tol = Tolerance(orth_abs=1e-3)
+        state_set = upb_shifts(5)
+        want = [span_rank(g, tol) for g in span_generators(state_set, tol)]
+        kernel = self._kernel_rows(monkeypatch)
+        cert = is_locally_stable(state_set, tol)
+        assert [r.span_dim for r in cert.parties] == want
+        assert kernel == [len(r.conflict_pairs) for r in cert.parties]
+
+    def test_mixed_dimensions_rank_only_the_qutrits(self, monkeypatch):
+        state_set = compose(upb_tiles33(), 0, upb_qubit3(), 0)
+        kernel = self._kernel_rows(monkeypatch)
+        cert = is_locally_stable(state_set)
+        assert [r.span_dim for r in cert.parties] == [8, 8, 3, 3, 3]
+        assert kernel == [len(r.conflict_pairs) for r in cert.parties[:2]]
+
+    def test_pair_in_one_order_goes_to_the_kernel(self, monkeypatch):
+        # party 0 of qubit3 keeps its first pair alone: one generator, span
+        # 1, where a rule reading the basis count would say 2
+        real = locstab.stability._span_source
+
+        def one_order(state_set, tol):
+            pattern = real(state_set, tol)
+            zero_count = pattern.zero_count.copy()
+            for j, k in pattern.conflict_pairs[0][1:].tolist():
+                zero_count[j, k] = 2
+            pairs = (pattern.conflict_pairs[0][:1],) + pattern.conflict_pairs[1:]
+            return FactorZeroPattern(pattern.factors, zero_count, pairs)
+
+        monkeypatch.setattr(locstab.stability, "_span_source", one_order)
+        kernel = self._kernel_rows(monkeypatch)
+        cert = is_locally_stable(upb_qubit3())
+        assert cert.parties[0].conflict_pairs == ((0, 2),)
+        assert [r.span_dim for r in cert.parties] == [1, 3, 3]
+        assert kernel == [1]
+
+    @pytest.mark.parametrize("tilts", [(1, -1, 1), (0, 1, 0), (1, 1j, -1)])
+    @pytest.mark.parametrize("size", [1e-12, 5e-11])
+    def test_rule_reads_the_traceless_span_of_tilted_pairs(self, tilts, size):
+        # party 0 holds the bases u, v and w, v a few rank cutoffs off u,
+        # each pair's second factor tilted off the first's perp by ``size``:
+        # every generator has a trace of that size, which the rank kernel
+        # can amplify through v's weak pivot, while the rule reads the
+        # span of the traceless parts
+        def ket(theta):
+            return np.array([np.cos(theta), np.sin(theta)], dtype=complex)
+
+        def perp(v):
+            return np.array([-np.conj(v[1]), np.conj(v[0])])
+
+        def tilted(v, tilt):
+            w = perp(v) + size * tilt * v
+            return w / np.linalg.norm(w)
+
+        x, y = ket(0.3), ket(1.1)
+        bases = [(ket(0.0), x, y), (ket(3e-8), perp(x), y), (ket(0.7), x, perp(y))]
+        states = []
+        for (v, a, b), tilt in zip(bases, tilts):
+            states += [ProductState([v, a, b]), ProductState([tilted(v, tilt), a, b])]
+        state_set = StateSet((2, 2, 2), states, "tilted")
+        cert = is_locally_stable(state_set)
+        traceless = [
+            span_rank(g - np.trace(g, axis1=1, axis2=2)[:, None, None] * np.eye(2) / 2)
+            for g in span_generators(state_set)
+        ]
+        assert [r.span_dim for r in cert.parties] == traceless == [3, 2, 2]
 
 
 def dense_expansion(state_set):

@@ -697,18 +697,33 @@ class TestFactorize:
             assert factorize(DenseState(amps, dims)) is None
 
     def test_rebuild_check_rejects_a_wrong_factor(self, monkeypatch):
-        # every block of rank 1, but a pivot off the factor: the rebuild fails
-        real = states_module._orthonormal_rows
+        # every split of rank 1, but the factor read off blocks tilted away
+        # from it: the rebuild fails
+        real = states_module._party_blocks
 
-        def tilted(rows, rank_rel):
-            pivots, ranks = real(rows, rank_rel)
-            pivots[:, 0] = np.roll(pivots[:, 0], 1, axis=-1)
-            return pivots, ranks
+        def tilted(amplitudes, dims, party):
+            return np.roll(real(amplitudes, dims, party), 1, axis=-1)
 
         state = tensor_expand(ProductState([[1, 2], [3, 1j]]))
         assert factorize(state) is not None
-        monkeypatch.setattr(states_module, "_orthonormal_rows", tilted)
+        monkeypatch.setattr(states_module, "_party_blocks", tilted)
         assert factorize(state) is None
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2, 4), (2,) * 6])
+    def test_splits_ranked_transposed(self, monkeypatch, dims):
+        # each rank runs over d_i long rows, never over the D / d_i blocks
+        shapes = []
+        real = states_module._orthonormal_rows
+
+        def recorded(rows, rank_rel):
+            shapes.append(rows.shape)
+            return real(rows, rank_rel)
+
+        monkeypatch.setattr(states_module, "_orthonormal_rows", recorded)
+        state = random_product_state(np.random.default_rng(len(dims)), dims)
+        assert factorize(tensor_expand(state)) is not None
+        total = math.prod(dims)
+        assert shapes == [(1, d, total // d) for d in dims]
 
 
 class TestJsonFormat:
