@@ -379,7 +379,9 @@ def verify_two_pairs(plan, parties=None) -> TwoPairReport:
 
     Accepts a :class:`SqrtSubsetPlan` or a raw index iterable plus
     ``parties``; shifted entries being orthogonal is exactly the
-    complementary-pair condition on the shift-family table.
+    complementary-pair condition on the shift-family table.  Shift s keeps
+    {t - s, t' - s} exactly when t + t' = 2s mod N, so the count of shift s
+    is the number of unordered index pairs {t, t'}, t != t', with that sum.
     """
     if isinstance(plan, SqrtSubsetPlan):
         indices, cycle = set(plan.indices), plan.parties
@@ -387,13 +389,10 @@ def verify_two_pairs(plan, parties=None) -> TwoPairReport:
         if parties is None:
             raise ValueError("parties is required for a raw index set")
         indices, cycle = {int(t) % int(parties) for t in plan}, int(parties)
-    counts = []
-    for shift in range(cycle):
-        shifted = {(t - shift) % cycle for t in indices}
-        count = sum(
-            1 for x in shifted if x != 0 and x < cycle - x and (cycle - x) in shifted
-        )
-        counts.append(count)
+    chosen = np.array(sorted(indices), dtype=np.int64)
+    j, k = np.triu_indices(len(chosen), 1)
+    sums = np.bincount((chosen[j] + chosen[k]) % cycle, minlength=cycle)
+    counts = sums[2 * np.arange(cycle) % cycle].tolist()
     minimum = min(counts)
     return TwoPairReport(cycle, tuple(counts), minimum, minimum >= 2)
 

@@ -8,9 +8,9 @@ which runs Gram-Schmidt over a (B, m, n) stack of row sets at once with a
 dead-pivot cutoff set per row set, so zero rows and the other sets in the
 stack never move a set's rank; ``span_rank`` and ``orthocomplement_basis``
 are its one-set case, and the certifier hands it whole stacks.  Those stacks
-hold only what the qubit basis count of ``stability`` leaves to the kernel:
-parties with d >= 3, sets with dense members, and qubit row sets inside the
-band around the cutoff or past its guards (a pair without its reverse, an
+hold the traceless parts of what the qubit basis count of ``stability``
+leaves to the kernel: parties with d >= 3, sets with dense members, and
+qubit row sets inside the band around the cutoff or past its guard (an
 ``orth_abs`` above ``rank_rel / 16``).
 """
 

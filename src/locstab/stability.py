@@ -9,14 +9,14 @@ dimension d**2 - 1; the set is locally stable when every party is.
 
 Qubit parties of product sets mostly need no rank: their span dimension
 follows from their bases (:func:`_qubit_dims`).  Each conflict pair lies in
-one orthonormal basis and comes with its reverse, so one basis spans 2
-dimensions and two span 3.  The rule decides a qubit party, or the pairs a
-subset keeps there, when the second basis sits well clear of the rank
-cutoff, outside a band of a factor of 4 on either side.  It has two guards:
-every pair's reverse is a conflict pair of the same party, and ``orth_abs``
-is at most ``rank_rel`` / 16.  The rank kernel ranks the generators of
-everything else: parties with d >= 3, sets with dense members, and qubit
-pairs inside the band or past a guard.
+one orthonormal basis and comes with its reverse, which the factor zero
+pattern decides with it, so one basis spans 2 dimensions and two span 3.
+The rule decides a qubit party, or the pairs a subset keeps there, when the
+second basis sits well clear of the rank cutoff, outside a band of a factor
+of 4 on either side.  Its one guard is that ``orth_abs`` is at most
+``rank_rel`` / 16.  The rank kernel ranks the traceless parts of the
+generators of everything else: parties with d >= 3, sets with dense
+members, and qubit pairs inside the band or past the guard.
 
 The module also carries the counting facts that bound the size of a stable
 set, closed-form upper bounds for qubit and qutrit systems, and the exact
@@ -104,8 +104,9 @@ class OrthogonalityError(ValueError):
 @dataclass(frozen=True)
 class PartyRecord:
     """One party's span dimension against d**2 - 1 and, for all-product sets,
-    its conflict pairs (j, k): the pairs whose factor overlap falls below
-    ``orth_abs`` here and at no other party, each factor decided on its own."""
+    its conflict pairs (j, k): the pairs whose factor overlaps fall below
+    ``orth_abs`` in both orders here and at no other party, so the reverse
+    of each is one too."""
     party: int
     span_dim: int
     required: int
@@ -208,20 +209,19 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     additionally record their conflict pairs per party.  Their qubit
     parties take the dimension their bases give (:func:`_qubit_dims`, one
     call, each party one run) when the second basis sits outside the band
-    around the rank cutoff, every pair has its reverse there, and
-    ``tol.orth_abs`` is at most ``tol.rank_rel`` / 16.  Only the parties it
-    leaves to the rank kernel get generators, and those of consecutive such
+    around the rank cutoff and ``tol.orth_abs`` is at most
+    ``tol.rank_rel`` / 16.  Only the parties it leaves to the rank kernel
+    get generators, and the traceless parts of those of consecutive such
     parties with one local dimension are ranked together, each party's rows
     followed by zero rows.
     """
     source = _checked_source(state_set, tol)
-    ruled, counts, firsts, lone = _qubit_pairs(state_set.dims, source, tol)
+    ruled, counts, firsts = _qubit_pairs(state_set.dims, source, tol)
     dims = np.full(len(state_set.dims), _KERNEL)
-    dims[ruled] = _qubit_dims(firsts, lone, counts, tol)
+    dims[ruled] = _qubit_dims(firsts, counts, tol)
     kernel = (dims == _KERNEL).nonzero()[0].tolist()
-    spans = zip(kernel, _party_spans(state_set, source, tol, kernel))
-    rows = (g.reshape(len(g), state_set.dims[party] ** 2) for party, (g, _) in spans)
-    dims[kernel] = _stacked_ranks(rows, tol)
+    spans = _party_spans(state_set, source, tol, kernel)
+    dims[kernel] = _stacked_ranks((_traceless_rows(g) for g, _ in spans), tol)
     conflicts = [None] * len(state_set.dims)
     if isinstance(source, FactorZeroPattern):
         conflicts = [
@@ -243,41 +243,33 @@ def _qubit_pairs(dims, source, tol):
     exceeds ``tol.rank_rel / 16``, and none of a set with dense members.
 
     Returns those parties, the number of conflict pairs (j, k) of each, and
-    for their pairs, party after party and each in the party's order, the
-    (E, 2) first factors a_j and the (E,) flags of the pairs whose reverse
-    (k, j) is not a conflict pair of the same party.
+    the (E, 2) first factors a_j of their pairs, party after party and each
+    in the party's order.
     """
     parties = []
     if isinstance(source, FactorZeroPattern) and 16.0 * tol.orth_abs <= tol.rank_rel:
         parties = [party for party, d in enumerate(dims) if d == 2]
     if not parties:
-        return parties, [], np.empty((0, 2), dtype=complex), np.empty(0, dtype=bool)
+        return parties, [], np.empty((0, 2), dtype=complex)
     pairs = [source.conflict_pairs[party] for party in parties]
-    counts = [len(p) for p in pairs]
-    flat = np.concatenate(pairs)
-    owners = np.repeat(parties, counts)
-    # owner[j, k] is the qubit party where (j, k) is a conflict pair, or -1
-    owner = np.full(source.zero_count.shape, -1)
-    owner[flat[:, 0], flat[:, 1]] = owners
-    lone = owner[flat[:, 1], flat[:, 0]] != owners
     firsts = np.concatenate([source.factors[party][p[:, 0]] for party, p in zip(parties, pairs)])
-    return parties, counts, firsts, lone
+    return parties, [len(p) for p in pairs], firsts
 
 
-def _qubit_dims(firsts, lone, counts, tol):
+def _qubit_dims(firsts, counts, tol):
     """The span dimension of each run of a qubit party's conflict-pair
     generators, or _KERNEL where the rank kernel must decide it.
 
     Run g holds the next ``counts[g]`` pairs, each given by its first factor
-    and its ``lone`` flag (:func:`_qubit_pairs`), in the party's pair order;
-    a run is the pairs a party, or a subset of the set, keeps.  A conflict
-    pair (j, k) lies in one orthonormal basis {a_j, a_j^perp}: it gives
-    |a_j><a_j^perp| up to a phase and a part below ``orth_abs``, and its
-    reverse gives |a_j^perp><a_j|.  Take u, the first factor of the run's
-    first pair.  In the basis {u, u^perp} a pair's generator is
-    off-diagonal but for a traceless diagonal part of norm
-    M_p = sqrt(2) |<u|a_p>| |<u^perp|a_p>|, so with M the largest M_p of
-    the run, the span is 2 when M vanishes and 3 otherwise.
+    (:func:`_qubit_pairs`), in the party's pair order; a run is the pairs a
+    party, or a subset of the set, keeps.  A conflict pair (j, k) lies in
+    one orthonormal basis {a_j, a_j^perp}: it gives |a_j><a_j^perp| up to a
+    phase and a part below ``orth_abs``, and its reverse gives
+    |a_j^perp><a_j|.  Take u, the first factor of the run's first pair.  In
+    the basis {u, u^perp} a pair's generator is off-diagonal but for a
+    traceless diagonal part of norm M_p = sqrt(2) |<u|a_p>| |<u^perp|a_p>|,
+    so with M the largest M_p of the run, the span is 2 when M vanishes and
+    3 otherwise.
 
     Outside the band the kernel agrees.  Every generator has unit norm, so
     its cutoff is ``rank_rel``.  Had it stopped at rank 2, every generator
@@ -288,12 +280,11 @@ def _qubit_dims(firsts, lone, counts, tol):
     3.  When M < ``rank_rel`` / 4, every generator lies within 2 M plus a
     few ``orth_abs`` of the plane of |u><u^perp| and |u^perp><u|, and so do
     the kernel's first two pivots, so it reads 2.  Both need the reverse
-    pair in the run and the parts off the ideal generators far below
-    ``rank_rel``, which :func:`_qubit_pairs` provides: a run holding a lone
-    pair gets _KERNEL, as does one inside the band.  Where pairs overlap by
-    more than rounding, their trace parts, amplified by a weak pivot, can
-    lift the kernel's reading to 4; the rule reads 3, the span of the
-    traceless parts, which no qubit party exceeds.  An empty run spans 0.
+    pair in the run, which the factor zero pattern decides with each pair,
+    and the parts off the ideal generators far below ``rank_rel``, which
+    :func:`_qubit_pairs` provides; a run inside the band gets _KERNEL.  The
+    kernel ranks traceless parts, as the rule reads them, so neither counts
+    the trace direction.  An empty run spans 0.
     """
     counts = np.asarray(counts, dtype=np.intp)
     dims = np.zeros(len(counts), dtype=np.intp)
@@ -308,13 +299,22 @@ def _qubit_dims(firsts, lone, counts, tol):
     verdicts = np.where(
         diagonal > 4.0 * tol.rank_rel, 3, np.where(diagonal < tol.rank_rel / 4.0, 2, _KERNEL)
     )
-    verdicts[np.logical_or.reduceat(lone, starts)] = _KERNEL
     dims[held] = verdicts
     return dims
 
 
+def _traceless_rows(generators):
+    """The (m, d*d) rows of the traceless parts of (m, d, d) generators,
+    which are overwritten."""
+    m, d, _ = generators.shape
+    rows = generators.reshape(m, d * d)
+    rows[:, ::d + 1] -= np.trace(generators, axis1=1, axis2=2)[:, None] / d
+    return rows
+
+
 def _stacked_ranks(row_sets, tol):
-    """Span ranks of an iterable of (m, n) row sets, in order.
+    """Span ranks of an iterable of (m, n) row sets, in order: the
+    certificate's kernel parties, or the kept rows of a campaign's masks.
 
     Each run of consecutive sets of one width n is ranked as one
     (sets, tallest m, n) stack, each set's rows followed by zero rows, with
@@ -353,25 +353,6 @@ def _distinct_masks(kept):
     return kept[first], inverse
 
 
-def _masked_ranks(rows, masks, tol):
-    """Span rank of ``rows[mask]`` for every row of a (U, m) boolean array,
-    from the stacks :func:`_stacked_ranks` builds: each mask's kept rows in
-    order, then zero rows up to the most rows any mask of the stack keeps,
-    with at most _RANK_BUDGET entries per stack."""
-    counts = masks.sum(axis=1)
-    order = np.argsort(~masks, axis=1, kind="stable")[:, :counts.max(initial=0)]
-    # slots past a mask's count take index len(rows), the appended zero row
-    gather = np.where(np.arange(order.shape[1]) < counts[:, None], order, len(rows))
-    padded = np.concatenate([rows, np.zeros((1, rows.shape[1]), dtype=complex)])
-    per = max(1, _RANK_BUDGET // max(gather.shape[1] * rows.shape[1], 1))
-    return np.concatenate([
-        _orthonormal_rows(
-            padded[gather[start:start + per, :counts[start:start + per].max()]], tol.rank_rel
-        )[1]
-        for start in range(0, len(masks), per)
-    ])
-
-
 def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
     """Yield (combo, stable) for every ascending index tuple of ``combos``,
     each verdict that of ``is_locally_stable(state_set.subset(combo), tol)``.
@@ -387,24 +368,24 @@ def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
     party of a product set each mask is a run of :func:`_qubit_dims`: its
     first kept pair is the subset's first pair there, so the rule gives the
     subset's own certificate.  The masks the rule leaves to the kernel, and
-    every mask of the other parties, are ranked in the subset's own layout:
-    its kept rows in order, then zero rows.  A party's generators are built
-    only once a mask of it reaches the kernel.  A subset skips the block's
-    later parties after its first party short of d**2 - 1.
+    every mask of the other parties, are ranked by :func:`_stacked_ranks`
+    in the subset's own layout: the traceless parts of its kept generators
+    in order, then zero rows.  A party's generators are built only once a
+    mask of it reaches the kernel.  A subset skips the block's later parties
+    after its first party short of d**2 - 1.
     """
     combos = iter(combos)
     source = _span_source(state_set, tol)
     offending = _offending_pairs(source, tol)
     bad = np.array([pair[:2] for pair in offending], dtype=np.int64).reshape(-1, 2)
-    ruled, counts, firsts, lone = _qubit_pairs(state_set.dims, source, tol)
-    cuts = np.cumsum(counts)[:-1]
-    rules = dict(zip(ruled, zip(np.split(firsts, cuts), np.split(lone, cuts))))
+    ruled, counts, firsts = _qubit_pairs(state_set.dims, source, tol)
+    rules = dict(zip(ruled, np.split(firsts, np.cumsum(counts)[:-1])))
     spans = {}
 
     def span(party):
         if party not in spans:
             generators, pairs = next(_party_spans(state_set, source, tol, [party]))
-            spans[party] = generators.reshape(len(pairs), state_set.dims[party] ** 2), pairs
+            spans[party] = _traceless_rows(generators), pairs
         return spans[party]
 
     pairs = [
@@ -434,14 +415,11 @@ def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
             masks, inverse = _distinct_masks(kept)
             dims = np.full(len(masks), _KERNEL)
             if party in rules:
-                own_firsts, own_lone = rules[party]
-                kept_pairs = masks.nonzero()[1]
-                dims = _qubit_dims(
-                    own_firsts[kept_pairs], own_lone[kept_pairs], masks.sum(axis=1), tol
-                )
+                dims = _qubit_dims(rules[party][masks.nonzero()[1]], masks.sum(axis=1), tol)
             band = dims == _KERNEL
             if band.any():
-                dims[band] = _masked_ranks(span(party)[0], masks[band], tol)
+                rows = span(party)[0]
+                dims[band] = _stacked_ranks((rows[mask] for mask in masks[band]), tol)
             stable[live] = dims[inverse] == d * d - 1
         yield from zip(block, stable.tolist())
 

@@ -292,12 +292,15 @@ class FactorZeroPattern:
     """Which factor overlaps of an all-product set vanish, from one pass.
 
     ``factors[r]`` stacks the unit factors of party r as an (l, d_r) array.
-    The factors of pair (j, k) vanish at party r when |<a_j|a_k>_r| <
-    ``orth_abs``; factors are unit vectors, so that cutoff does not depend
-    on the party count.  ``zero_count[j, k]`` counts the parties where the
-    pair vanishes: zero means the pair is not orthogonal, one means it is a
-    conflict pair of that single party.  ``conflict_pairs[r]`` holds party
-    r's conflict pairs as an (m_r, 2) array, j outer and k inner.
+    The factors of pair (j, k) vanish at party r when both |<a_j|a_k>_r| and
+    |<a_k|a_j>_r| fall below ``orth_abs``, so each unordered pair is decided
+    once; factors are unit vectors, so that cutoff does not depend on the
+    party count.  ``zero_count[j, k]`` counts the parties where the pair
+    vanishes: zero means the pair is not orthogonal, one means it is a
+    conflict pair of that single party.  ``zero_count`` is symmetric, and
+    every conflict pair's reverse is a conflict pair of the same party.
+    ``conflict_pairs[r]`` holds party r's conflict pairs as an (m_r, 2)
+    array, j outer and k inner.
     """
 
     factors: tuple
@@ -316,10 +319,10 @@ def _coordinate_sums(left, right) -> np.ndarray:
 
 
 def _qubit_zeros(factors, parties, tol: Tolerance):
-    """Yield (party, j, k) index arrays of the ordered pairs whose factor
-    overlap <a_j|a_k> at a qubit party in ``parties`` falls below
-    ``tol.orth_abs``, each decided by :func:`_coordinate_sums`, the
-    arithmetic of the party's Gram.
+    """Yield (party, j, k) index arrays of the pairs j < k whose factor
+    overlaps <a_j|a_k> and <a_k|a_j> at a qubit party in ``parties`` both
+    fall below ``tol.orth_abs``, each decided by :func:`_coordinate_sums`,
+    the arithmetic of the party's Gram.
 
     Unit qubit factors have |<a|b>| = |n_a + n_b| / 2 for their Bloch
     vectors n, so the keys x = n.u on the unit axis u = _RAY_AXIS of a
@@ -327,8 +330,9 @@ def _qubit_zeros(factors, parties, tol: Tolerance):
     _RAY_PARTIES parties, the keys are sorted once, each party's shifted by
     4 times its place in the batch, and every factor's candidates are the
     keys within 2 * orth_abs + _RAY_SLACK of minus its own: a superset of
-    its vanishing partners.  At most _RAY_PAIRS candidates are decided at a
-    time, so sets whose keys cluster take more steps, not more memory.
+    its vanishing partners, of which factor j keeps those k > j.  At most
+    _RAY_PAIRS candidates are decided at a time, so sets whose keys cluster
+    take more steps, not more memory.
     """
     size = len(factors[0])
     per = max(1, min(_RAY_PARTIES, _RAY_KEYS // max(size, 1)))
@@ -357,7 +361,12 @@ def _qubit_zeros(factors, parties, tol: Tolerance):
             slots = low[query] + np.arange(len(query)) - (ends[query] - counts[query] - done)
             place, j = np.divmod(query, size)
             k = order[slots]
-            zero = np.abs(_coordinate_sums(stacks[place, j].conj(), stacks[place, k])) < tol.orth_abs
+            upper = j < k
+            place, j, k = place[upper], j[upper], k[upper]
+            left, right = stacks[place, j], stacks[place, k]
+            zero = (np.abs(_coordinate_sums(left.conj(), right)) < tol.orth_abs) & (
+                np.abs(_coordinate_sums(right.conj(), left)) < tol.orth_abs
+            )
             yield batch[place[zero]], j[zero], k[zero]
             start = stop
 
@@ -367,12 +376,13 @@ def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Fa
     factor stacks.
 
     Qubit parties are decided by :func:`_qubit_zeros`, which takes only the
-    pairs near antipodal on the Bloch sphere; every other party's Gram
-    (:func:`_coordinate_sums`) is dropped once its zeros are counted.
-    Either way each zero is decided by the same arithmetic, and besides the
-    factors only (l, l) integer arrays are held.  The last party where each
-    pair vanishes is kept alongside the count, and the pairs vanishing once
-    are grouped by it in one sort.
+    pairs near antipodal on the Bloch sphere and fills the upper triangle,
+    then mirrored; every other party's Gram (:func:`_coordinate_sums`)
+    keeps the zeros it holds in both orders and is dropped once they are
+    counted.  Either way each zero is decided by the same arithmetic, and
+    besides the factors only (l, l) integer arrays are held.  A party where
+    each pair vanishes is kept alongside the count, and the pairs vanishing
+    once are grouped by it in one sort.
     """
     factors = state_set.factors
     if factors is None:
@@ -384,10 +394,13 @@ def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Fa
     for parties, j, k in _qubit_zeros(factors, qubits, tol):
         np.add.at(zero_count, (j, k), 1)
         last_zero[j, k] = parties
+    zero_count += zero_count.T
+    last_zero += last_zero.T
     for r, stack in enumerate(factors):
         if stack.shape[1] == 2:
             continue
         zeros = np.abs(_coordinate_sums(stack.conj()[:, None], stack[None])) < tol.orth_abs
+        zeros &= zeros.T
         zero_count += zeros
         np.copyto(last_zero, r, where=zeros)
     pairs = np.argwhere(zero_count == 1)
@@ -434,9 +447,9 @@ def check_mutual_orthogonality(state_set: StateSet, tol: Tolerance = DEFAULT_TOL
     """List every ordered pair (j, k, <j|k>) that is not orthogonal; an empty
     list means the set is orthogonal.
 
-    A product pair is orthogonal when at least one of its factor overlaps
-    falls below ``tol.orth_abs``; a pair with a dense member when its full
-    inner product does.
+    A product pair is orthogonal when at some party its factor overlap falls
+    below ``tol.orth_abs`` in both orders; a pair with a dense member when
+    its full inner product does.
     """
     if not len(state_set):
         raise ValueError("cannot check an empty state set")

@@ -419,3 +419,55 @@ def planted_qubit_bases(scale, v_first=False, rank_rel=DEFAULT_TOL.rank_rel):
         states.reverse()
     order = "v" if v_first else "u"
     return StateSet(base.dims, states, f"planted-{scale:g}-{order}-first")
+
+
+def _stored_unit(vec, rounds=8):
+    """``vec`` normalized until normalizing it again moves no bit, so a
+    state built from it stores it unchanged; None if that takes more than
+    ``rounds`` divisions."""
+    for _ in range(rounds):
+        unit = vec / np.linalg.norm(vec)
+        if np.array_equal(unit, vec):
+            return unit
+        vec = unit
+    return None
+
+
+def straddling_pair(d, seed=0, tries=1000):
+    """A seeded search for unit factors a, b in C^d, b = a^perp + 1e-5 phase
+    a normalized, whose overlaps |<a|b>| and |<b|a>| differ in their
+    rounding (:func:`factor_overlap_loop`), and returns (a, b, cut) with cut
+    the larger: under ``orth_abs = cut``, deciding each order on its own
+    would let the pair vanish in one order only.  Both factors are stored by a state as they are.  Returns None when no
+    draw differs, as on a platform whose complex multiply rounds both orders
+    alike."""
+    rng = np.random.default_rng(seed)
+    for _ in range(tries):
+        a, p = rng.normal(size=(2, d, 2)) @ np.array([1.0, 1.0j])
+        phase = np.exp(2j * np.pi * rng.random())
+        a = _stored_unit(a)
+        if a is None:
+            continue
+        p -= np.vdot(a, p) * a
+        b = _stored_unit(p / np.linalg.norm(p) + 1e-5 * phase * a)
+        if b is None:
+            continue
+        overlaps = np.concatenate([factor_overlap_loop(a, b), factor_overlap_loop(b, a)])
+        # np.abs of an array, whose bits can differ from the scalar abs's
+        forward, backward = np.abs(overlaps)
+        if forward != backward:
+            return a, b, max(forward, backward)
+    return None
+
+
+def two_pairs_loop(indices, parties):
+    """Per-shift counts of complementary index pairs {x, N-x}, x != 0, of
+    the index set shifted by each s, one shift and one entry at a time."""
+    indices = {int(t) % parties for t in indices}
+    counts = []
+    for shift in range(parties):
+        shifted = {(t - shift) % parties for t in indices}
+        counts.append(
+            sum(1 for x in shifted if x != 0 and x < parties - x and (parties - x) in shifted)
+        )
+    return counts

@@ -44,6 +44,7 @@ from oracles import (
     shift_family_factors,
     states_close,
     subset_campaign_loop,
+    two_pairs_loop,
     validate_seeds_loop,
 )
 
@@ -431,6 +432,26 @@ class TestVerifyTwoPairs:
     def test_raw_indices_need_parties(self):
         with pytest.raises(ValueError):
             verify_two_pairs([0, 1, 2])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_match_the_shift_loop(self, seed):
+        # odd and even cycles, sparse and dense index sets, repeats and
+        # entries past the cycle reduced mod N
+        rng = np.random.default_rng(seed)
+        for _ in range(500):
+            parties = int(rng.integers(2, 60))
+            indices = rng.integers(0, 2 * parties, size=int(rng.integers(0, parties + 3)))
+            report = verify_two_pairs(indices, parties=parties)
+            want = two_pairs_loop(indices, parties)
+            assert report.counts == tuple(want)
+            assert (report.minimum, report.ok) == (min(want), min(want) >= 2)
+
+    def test_widest_plan_verifies(self):
+        # N = 199,999 shifts of 1,344 indices: one count over the index pairs
+        plan = sqrt_subset_plan(100000)
+        report = verify_two_pairs(plan)
+        assert plan.parties == 199999 and len(plan.indices) == 1344
+        assert report.ok and len(report.counts) == plan.parties
 
 
 class TestSubsetCampaign:

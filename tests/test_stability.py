@@ -45,7 +45,6 @@ from locstab import (
 )
 from locstab.numerics import Tolerance, _orthonormal_rows
 from locstab.stability import _hyperplanes, _see_saw
-from locstab.states import FactorZeroPattern
 from oracles import (
     PLANTED_SCALES,
     conflict_attribution_loop,
@@ -53,6 +52,7 @@ from oracles import (
     hs_inner,
     planted_qubit_bases,
     seesaw_sequential,
+    straddling_pair,
 )
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
@@ -308,6 +308,8 @@ class TestOneConflictRoutine:
             for k in range(size)
             if j != k
         }
+        zero_count = locstab.states.factor_zero_pattern(state_set).zero_count
+        assert np.array_equal(zero_count, zero_count.T)
         cert = is_locally_stable(state_set)
         for record, gens in zip(cert.parties, span_generators(state_set), strict=True):
             party = record.party
@@ -374,8 +376,8 @@ class TestQubitRule:
     """A qubit party of a product set takes its span dimension from its
     conflict bases (_qubit_dims): 2 for one basis, 3 once a second sits
     clear of the rank cutoff.  The rank kernel ranks only what the rule
-    leaves to it: the band around the cutoff, parties with d >= 3, pairs
-    without their reverse, and every party under a loose orth_abs."""
+    leaves to it: the band around the cutoff, parties with d >= 3, and every
+    party under a loose orth_abs."""
 
     @staticmethod
     def _kernel_rows(monkeypatch):
@@ -425,34 +427,15 @@ class TestQubitRule:
         assert [r.span_dim for r in cert.parties] == [8, 8, 3, 3, 3]
         assert kernel == [len(r.conflict_pairs) for r in cert.parties[:2]]
 
-    def test_pair_in_one_order_goes_to_the_kernel(self, monkeypatch):
-        # party 0 of qubit3 keeps its first pair alone: one generator, span
-        # 1, where a rule reading the basis count would say 2
-        real = locstab.stability._span_source
-
-        def one_order(state_set, tol):
-            pattern = real(state_set, tol)
-            zero_count = pattern.zero_count.copy()
-            for j, k in pattern.conflict_pairs[0][1:].tolist():
-                zero_count[j, k] = 2
-            pairs = (pattern.conflict_pairs[0][:1],) + pattern.conflict_pairs[1:]
-            return FactorZeroPattern(pattern.factors, zero_count, pairs)
-
-        monkeypatch.setattr(locstab.stability, "_span_source", one_order)
-        kernel = self._kernel_rows(monkeypatch)
-        cert = is_locally_stable(upb_qubit3())
-        assert cert.parties[0].conflict_pairs == ((0, 2),)
-        assert [r.span_dim for r in cert.parties] == [1, 3, 3]
-        assert kernel == [1]
-
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(orth_abs=1e-3)], ids=["rule", "kernel"])
     @pytest.mark.parametrize("tilts", [(1, -1, 1), (0, 1, 0), (1, 1j, -1)])
     @pytest.mark.parametrize("size", [1e-12, 5e-11])
-    def test_rule_reads_the_traceless_span_of_tilted_pairs(self, tilts, size):
+    def test_rule_reads_the_traceless_span_of_tilted_pairs(self, tilts, size, tol):
         # party 0 holds the bases u, v and w, v a few rank cutoffs off u,
         # each pair's second factor tilted off the first's perp by ``size``:
-        # every generator has a trace of that size, which the rank kernel
-        # can amplify through v's weak pivot, while the rule reads the
-        # span of the traceless parts
+        # every generator has a trace of that size, which a weak pivot of
+        # v's could amplify; the rule, and under a loose orth_abs the rank
+        # kernel, read the span of the traceless parts
         def ket(theta):
             return np.array([np.cos(theta), np.sin(theta)], dtype=complex)
 
@@ -469,12 +452,71 @@ class TestQubitRule:
         for (v, a, b), tilt in zip(bases, tilts):
             states += [ProductState([v, a, b]), ProductState([tilted(v, tilt), a, b])]
         state_set = StateSet((2, 2, 2), states, "tilted")
-        cert = is_locally_stable(state_set)
+        cert = is_locally_stable(state_set, tol)
         traceless = [
-            span_rank(g - np.trace(g, axis1=1, axis2=2)[:, None, None] * np.eye(2) / 2)
-            for g in span_generators(state_set)
+            span_rank(g - np.trace(g, axis1=1, axis2=2)[:, None, None] * np.eye(2) / 2, tol)
+            for g in span_generators(state_set, tol)
         ]
         assert [r.span_dim for r in cert.parties] == traceless == [3, 2, 2]
+
+
+class TestOneDecisionPerPair:
+    """The factor zero pattern decides each unordered pair once: its
+    factors vanish at a party when they do in both orders.  A straddling
+    pair, whose two overlaps round apart around orth_abs, vanishes in
+    neither order, whichever order the states come in."""
+
+    @staticmethod
+    def _sets(d, second):
+        """The straddling pair at party 0 (a d-level party), with party 1
+        holding |0> and ``second``, in both state orders, and the cutoff."""
+        found = straddling_pair(d)
+        if found is None:
+            pytest.skip("this platform rounds both orders of a factor overlap alike")
+        a, b, cut = found
+        states = [ProductState([a, KET0]), ProductState([b, second])]
+        forward = StateSet((d, 2), states, "straddle")
+        return forward, StateSet((d, 2), states[::-1], "straddle"), Tolerance(orth_abs=cut)
+
+    @pytest.mark.parametrize("d", [2, 3], ids=["qubit", "qutrit"])
+    def test_zero_count_is_symmetric(self, d):
+        *sets, tol = self._sets(d, KET1)
+        for state_set in sets:
+            pattern = locstab.states.factor_zero_pattern(state_set, tol)
+            assert np.array_equal(pattern.zero_count, pattern.zero_count.T)
+            # orthogonal at party 1 alone: the straddle vanishes in neither order
+            assert pattern.zero_count.tolist() == [[0, 1], [1, 0]]
+            for pairs in pattern.conflict_pairs:
+                assert {tuple(p) for p in pairs.tolist()} == {(k, j) for j, k in pairs.tolist()}
+
+    @pytest.mark.parametrize("d", [2, 3], ids=["qubit", "qutrit"])
+    def test_reverse_order_certificate_is_relabelled(self, d):
+        forward, backward, tol = self._sets(d, KET1)
+        cert, reverse = is_locally_stable(forward, tol), is_locally_stable(backward, tol)
+        relabelled = [
+            dataclasses.replace(
+                record,
+                conflict_pairs=tuple(sorted((1 - j, 1 - k) for j, k in record.conflict_pairs)),
+            )
+            for record in cert.parties
+        ]
+        assert list(reverse.parties) == relabelled
+        for record in cert.parties + reverse.parties:
+            assert {(k, j) for j, k in record.conflict_pairs} == set(record.conflict_pairs)
+        assert [r.conflict_pairs for r in cert.parties] == [(), ((0, 1), (1, 0))]
+        assert [r.span_dim for r in cert.parties] == [0, 2]
+
+    @pytest.mark.parametrize("d", [2, 3], ids=["qubit", "qutrit"])
+    def test_orthogonality_error_names_both_orders(self, d):
+        # party 1's factors overlap, so only the straddle could make the
+        # pair orthogonal, and it does in neither order
+        *sets, tol = self._sets(d, PLUS)
+        for state_set in sets:
+            with pytest.raises(OrthogonalityError) as excinfo:
+                is_locally_stable(state_set, tol)
+            assert [(j, k) for j, k, _ in excinfo.value.pairs] == [(0, 1), (1, 0)]
+            offending = locstab.check_mutual_orthogonality(state_set, tol)
+            assert [(j, k) for j, k, _ in offending] == [(0, 1), (1, 0)]
 
 
 def dense_expansion(state_set):
