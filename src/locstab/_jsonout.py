@@ -7,8 +7,10 @@ written by one ``%`` template of its shape, filled with the ``repr`` of its
 numbers, which is how :mod:`json` writes ints and floats.  Dicts, strings
 and other lists take a short recursive walk, and any other iterator is
 written as a list, one item at a time as it yields them, so that no item
-is built before it is written.  Anything else the walk does not know, such
-as a dict with a non-string key, is encoded by :mod:`json` itself.
+is built before it is written.  Dict keys, and items whose type is exactly
+str, int, bool or None, are written in place by the functions :mod:`json`
+uses for them.  Anything else the walk does not know, such as a dict with
+a non-string key, is encoded by :mod:`json` itself.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections.abc import Iterator
+from json.encoder import encode_basestring_ascii
 
 __all__ = ["iter_json", "dumps"]
 
@@ -23,6 +26,14 @@ INDENT = 2
 _SCALARS = frozenset({int, float, bool, type(None)})
 _LISTS = frozenset({list, tuple})
 _chain = itertools.chain.from_iterable
+# the text of a list item or dict value of exactly these types, as json
+# writes it
+_IN_PLACE = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def _number_block(value, level: int) -> str | None:
@@ -64,7 +75,7 @@ def iter_json(obj, level: int = 0):
         yield json.dumps(obj)
         return
     if kind is dict and all(type(key) is str for key in obj):
-        items = ((json.dumps(key) + ": ", value) for key, value in obj.items())
+        items = ((encode_basestring_ascii(key) + ": ", value) for key, value in obj.items())
         opening, closing = "{", "}"
     elif kind in _LISTS or isinstance(obj, Iterator):
         text = _number_block(obj, level) if kind in _LISTS else None
@@ -84,8 +95,12 @@ def iter_json(obj, level: int = 0):
     newline = "\n" + " " * (INDENT * (level + 1))
     separator = opening + newline
     for prefix, value in itertools.chain([first], items):
-        yield separator + prefix
-        yield from iter_json(value, level + 1)
+        write = _IN_PLACE.get(type(value))
+        if write is None:
+            yield separator + prefix
+            yield from iter_json(value, level + 1)
+        else:
+            yield separator + prefix + write(value)
         separator = "," + newline
     yield "\n" + " " * (INDENT * level) + closing
 

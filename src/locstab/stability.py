@@ -471,7 +471,12 @@ def conflict_audit(
 
     ``certificate`` is the set's certificate from :func:`is_locally_stable`
     at ``tol`` when the caller already holds it; otherwise the set is
-    certified here.
+    certified here.  A certificate with another party count, or with a pair
+    index outside ``range(len(state_set))``, is refused.
+
+    The pairs are grouped by one sort of a key per (unordered pair, party),
+    so the parties sharing a pair are a run of equal pair codes, in
+    ascending order.
     """
     if not state_set.all_product:
         raise ValueError("conflict_audit needs an all-product set")
@@ -487,17 +492,26 @@ def conflict_audit(
     pairs = np.fromiter(
         chain(chain(r.conflict_pairs or () for r in records)), np.int64, 2 * sum(counts)
     ).reshape(-1, 2)
+    if len(pairs) and (pairs.min() < 0 or pairs.max() >= size):
+        raise ValueError("the certificate does not match the state set's states")
     parties = np.repeat([r.party for r in records], counts)
-    # one key per (unordered pair, party): pair code min*l + max, then party
-    codes = pairs.min(axis=1) * size + pairs.max(axis=1)
-    keys = np.unique(codes * len(records) + parties)
-    codes, parties = np.divmod(keys, len(records))
-    # only the pairs held at more than one party
-    unique = np.unique(codes, return_index=True, return_counts=True)
-    codes, first, repeats = (column[unique[2] > 1].tolist() for column in unique)
+    # one sorted key per (unordered pair, party): pair code min*l + max,
+    # then party; a pair held in both orders at one party is kept once
+    first, second = pairs[:, 0], pairs[:, 1]
+    codes = np.minimum(first, second) * size + np.maximum(first, second)
+    keys = np.sort(codes * len(records) + parties)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    codes, parties = np.divmod(keys[keep], len(records))
+    # only the runs of one pair code longer than one party are shared
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    repeats = np.diff(starts, append=len(codes))
+    held = repeats > 1
     shared = tuple(
         (divmod(code, size), tuple(parties[start:start + repeat].tolist()))
-        for code, start, repeat in zip(codes, first, repeats)
+        for code, start, repeat in zip(
+            codes[starts[held]].tolist(), starts[held].tolist(), repeats[held].tolist()
+        )
     )
     span_dims = tuple(r.span_dim for r in certificate.parties)
     required_total = sum(r.required for r in certificate.parties)

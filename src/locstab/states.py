@@ -330,9 +330,12 @@ def _qubit_zeros(factors, parties, tol: Tolerance):
     _RAY_PARTIES parties, the keys are sorted once, each party's shifted by
     4 times its place in the batch, and every factor's candidates are the
     keys within 2 * orth_abs + _RAY_SLACK of minus its own: a superset of
-    its vanishing partners, of which factor j keeps those k > j.  At most
-    _RAY_PAIRS candidates are decided at a time, so sets whose keys cluster
-    take more steps, not more memory.
+    its vanishing partners, of which factor j keeps those k > j.  The
+    window ends are searched in ascending order, each party's sorted keys
+    reversed, where numpy's binary search starts from its last bound, and
+    scattered back to factor order.  At most _RAY_PAIRS candidates are
+    decided at a time, so sets whose keys cluster take more steps, not more
+    memory.
     """
     size = len(factors[0])
     per = max(1, min(_RAY_PARTIES, _RAY_KEYS // max(size, 1)))
@@ -347,10 +350,14 @@ def _qubit_zeros(factors, parties, tol: Tolerance):
         )
         shift = 4.0 * np.arange(len(batch))[:, None]
         order = np.argsort(keys, axis=1)
-        ranked = (np.take_along_axis(keys, order, axis=1) + shift).ravel()
-        targets = (shift - keys).ravel()
-        low = np.searchsorted(ranked, targets - window, "left")
-        counts = np.searchsorted(ranked, targets + window, "right") - low
+        ranked = np.take_along_axis(keys, order, axis=1)
+        targets = (shift - ranked[:, ::-1]).ravel()
+        ranked = (ranked + shift).ravel()
+        back = (order[:, ::-1] + size * np.arange(len(batch))[:, None]).ravel()
+        low, counts = np.empty((2, len(back)), dtype=np.intp)
+        low[back] = np.searchsorted(ranked, targets - window, "left")
+        counts[back] = np.searchsorted(ranked, targets + window, "right")
+        counts -= low
         ends = np.cumsum(counts)
         order = order.ravel()
         start = 0

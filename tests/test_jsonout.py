@@ -84,6 +84,13 @@ class Level(enum.IntEnum):
     HIGH = 2
 
 
+class Half(float):
+    """A float subclass: json writes it with float's own repr."""
+
+    def __repr__(self):
+        return "half"
+
+
 class TestWriterOracle:
     @settings(deadline=None, max_examples=400)
     @given(values)
@@ -104,6 +111,24 @@ class TestWriterOracle:
         ],
     )
     def test_edge_cases(self, obj):
+        assert dumps(obj) == json.dumps(obj, indent=2)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"é☃\U0001f600": "naïve ☃ \U0001f600", " ": "\ud800"},
+            {'"\\/\b\f\n\r\t': 'a"b\\c/d\x08\x0c\n\r\t', "": ""},
+            {"\x00\x01\x1f\x7f": "\x00\x1f\x7f\x80", "k": ["\x00", "é", '"', "\\"]},
+            {"t": True, "f": False, "n": None, "lvl": Level.HIGH, "big": 10**400 - 7},
+            {"neg": -(10**400), "zero": 0, "float": Half(0.5), "plain": 2.5},
+            [True, "x", None, Level.HIGH, 10**400, -1, Half(-0.25), 1.5, "é", [False]],
+            {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "list": [math.nan, 1]},
+            [{"a": Level.HIGH}, {"b": [Level.HIGH, True]}, "tail", -(10**399)],
+        ],
+        ids=["non-ascii", "escapes", "controls", "dict-ints", "dict-floats",
+             "mixed-list", "non-finite", "nested"],
+    )
+    def test_scalars_outside_number_blocks(self, obj):
         assert dumps(obj) == json.dumps(obj, indent=2)
 
     @pytest.mark.parametrize(

@@ -651,6 +651,53 @@ class TestConflictAudit:
             {"pair": [2, 3], "parties": [0, 1, 2]},
         ]
 
+    def test_certificate_of_a_larger_set_rejected(self):
+        # the 9-party certificate of the 9-state shift family against its
+        # first 5 states: pairs past state 4 are no pairs of that set
+        family = shift_family(5)
+        with pytest.raises(ValueError, match="the certificate does not match the state set's"):
+            conflict_audit(family.subset(range(5)), certificate=is_locally_stable(family))
+
+    @pytest.mark.parametrize("index", [4, 9, -1])
+    def test_pair_index_outside_the_set_rejected(self, index):
+        cert = is_locally_stable(upb_qubit3())
+        records = list(cert.parties)
+        records[1] = dataclasses.replace(records[1], conflict_pairs=((0, 1), (2, index)))
+        with pytest.raises(ValueError, match="the certificate does not match the state set's"):
+            conflict_audit(upb_qubit3(), certificate=dataclasses.replace(cert, parties=tuple(records)))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_grouping_matches_attribution_loop(self, seed):
+        # hand-made certificates over random sizes: pairs in both orders at
+        # one party, a pair at three parties, an empty last party, and (seed
+        # 0) no pairs at all
+        rng = np.random.default_rng(seed)
+        size, parties = int(rng.integers(3, 12)), int(rng.integers(4, 9))
+        state_set = StateSet(
+            (2,) * parties,
+            [ProductState(rng.standard_normal((parties, 2))) for _ in range(size)],
+        )
+        held = [[] for _ in range(parties)]
+        if seed:
+            for _ in range(int(rng.integers(0, 3 * size))):
+                j, k = rng.choice(size, 2, replace=False).tolist()
+                held[int(rng.integers(parties - 1))].append((j, k))
+            j, k = rng.choice(size, 2, replace=False).tolist()
+            for r in rng.choice(parties - 1, 3, replace=False).tolist():
+                held[r].append((j, k))
+            held[int(rng.integers(parties - 1))] += [(k, j), (j, k), (k, j)]
+        records = tuple(
+            locstab.stability.PartyRecord(r, 0, 3, False, tuple(pairs))
+            for r, pairs in enumerate(held)
+        )
+        cert = locstab.stability.StabilityCertificate("hand-made", DEFAULT_TOL, records, False)
+        audit = conflict_audit(state_set, certificate=cert)
+        shared, counts = conflict_attribution_loop(cert)
+        assert audit.shared_pairs == shared
+        assert audit.conflict_counts == counts
+        assert audit.disjoint == (not shared)
+        assert seed == 0 or any(len(at) >= 3 for _, at in shared)
+
 
 class TestCardinalityLowerBound:
     @pytest.mark.parametrize(

@@ -65,6 +65,18 @@ def _random_shift_family(n, seed):
     return shift_family(n, list(raw))
 
 
+def _two_rays(size, parties, seed):
+    """``size`` qubit product states whose every factor is one of two
+    antipodal rays a and a^perp, drawn at random per state and party, so
+    that each party's keys take two values."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    rays = [a, np.array([-np.conj(a[1]), np.conj(a[0])])]
+    picks = rng.integers(0, 2, size=(size, parties))
+    states = [ProductState([rays[i] for i in row]) for row in picks]
+    return StateSet((2,) * parties, states, f"two-rays-{size}x{parties}")
+
+
 def random_product_state(rng, dims):
     factors = []
     for d in dims:
@@ -319,18 +331,25 @@ class TestMutualOrthogonality:
             upb_shifts(5),
             _random_shift_family(30, 41),
             sqrt_subset(25)[1],
+            # every key ties with half the others: one batch, then more
+            # parties than one _RAY_PARTIES batch holds
+            _two_rays(40, 6, 7),
+            _two_rays(9, 300, 8),
+            # 139 parties of 139 states: two _RAY_KEYS batches
+            _random_shift_family(70, 43),
         ],
         ids=lambda s: s.label,
     )
     def test_conflict_pairs_match_full_scan(self, state_set):
         pattern = factor_zero_pattern(state_set)
         zero_count, expected = conflict_pairs_scan(state_set)
-        assert np.array_equal(pattern.zero_count, zero_count)
+        assert pattern.zero_count.dtype == zero_count.dtype
+        assert pattern.zero_count.tobytes() == zero_count.tobytes()
         assert len(pattern.conflict_pairs) == len(expected) == len(state_set.dims)
         for pairs, ref in zip(pattern.conflict_pairs, expected):
             assert pairs.dtype == ref.dtype
             assert pairs.shape == ref.shape
-            assert np.array_equal(pairs, ref)
+            assert pairs.tobytes() == ref.tobytes()
 
     def test_zero_pattern_holds_no_party_cube(self):
         # a (parties, l, l) boolean alone would take 199**3 bytes here
