@@ -9,6 +9,8 @@ party most significant, here and in the JSON file format.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import gc
 import itertools
 import json
 import math
@@ -776,18 +778,49 @@ def state_set_from_dict(payload) -> StateSet:
     return StateSet(dims, states, label)
 
 
+@contextlib.contextmanager
+def _acyclic():
+    """Pause the cyclic garbage collector for the block, then restore it.
+
+    Only the JSON decoding and writing of state sets run inside: they build
+    nothing but lists, dicts, strings, numbers and :class:`_Entry` objects,
+    none of which can form a reference cycle, so reference counting frees
+    them exactly as before while the collector stops re-scanning the pair
+    lists of a dense entry.  The pause holds for the whole process, so
+    another thread may see the collector off while the block runs.  A
+    collector the caller had disabled stays disabled.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def save_set(state_set: StateSet, path) -> None:
     """Write ``state_set`` as the text of ``json.dumps(state_set_to_dict(...),
-    indent=2)`` plus a newline, building one state's payload at a time."""
+    indent=2)`` plus a newline, building one state's payload at a time.
+
+    The cyclic garbage collector is paused for the whole process while the
+    text is written, and only then (:func:`_acyclic`): the writer makes
+    only strings, lists and numbers, which reference counting frees, so
+    nothing it leaves behind needs the collector.  It is restored however
+    the write ends, stays off if the caller had turned it off, and may be
+    seen paused by another thread meanwhile.
+    """
     payload = _set_payload(state_set, _state_payloads(state_set))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(iter_json(payload))
+        with _acyclic():
+            fh.writelines(iter_json(payload))
         fh.write("\n")
 
 
 def _decode(text, object_hook):
     try:
-        return json.loads(text, object_hook=object_hook)
+        with _acyclic():
+            return json.loads(text, object_hook=object_hook)
     except json.JSONDecodeError as exc:
         raise StateFormatError(f"invalid JSON: {exc}") from None
     except RecursionError:
@@ -802,6 +835,15 @@ def load_set(path) -> StateSet:
     cannot tell a state entry from a one-key object elsewhere, so a refused
     payload is decoded once more as plain JSON, whose offending field the
     error then names.
+
+    The cyclic garbage collector is paused for the whole process while the
+    JSON is decoded, and only then (:func:`_acyclic`): the decoder builds
+    only lists, dicts, strings, numbers and entries, which cannot form a
+    cycle and which reference counting frees as before, while a dense
+    entry's thousands of pair lists would otherwise set off many
+    collections that find nothing.  The collector is restored however the
+    decode ends, stays off if the caller had turned it off, and may be seen
+    paused by another thread meanwhile.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

@@ -1,5 +1,7 @@
 """State model tests: expansion, inner products, decompositions, JSON."""
 
+import contextlib
+import gc
 import json
 import math
 import tracemalloc
@@ -1141,6 +1143,152 @@ def test_repeated_states_key_keeps_the_last(tmp_path):
     text = '{"dims": [2], "states": [{"dense": [[0, 0]]}], "states": [{"product": [[[3, 0], [0, 4]]]}]}'
     label, dims, vectors = _assert_file_matches_payload(text, tmp_path / "set.json")
     assert dims == (2,) and vectors == [[unit_reference([3, 4j]).tobytes()]]
+
+
+@contextlib.contextmanager
+def _collector(enabled):
+    """Run the block with the cyclic collector on or off, then turn it
+    back on."""
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@contextlib.contextmanager
+def _collection_starts():
+    """A list that counts, by its length, the cyclic collections started
+    while the block runs."""
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        yield starts
+    finally:
+        gc.callbacks.remove(record)
+
+
+# a file the decoders refuse, and the message that names the bad field
+_BAD_FILES = {
+    "invalid JSON": ("{not json", "invalid JSON: Expecting property name"),
+    "nesting too deep": ("[" * 200000, "invalid JSON: nesting too deep"),
+    "bool deep in a later state": (
+        json.dumps(MALFORMED["bool deep in a later state"][0]),
+        MALFORMED["bool deep in a later state"][1],
+    ),
+}
+
+# every named set, each small one also as its dense expansion
+_NAMED_SETS = {
+    "qubit3": upb_qubit3,
+    "triple": entangled_triple,
+    "tiles33": upb_tiles33,
+    "sep333": upb_sep333,
+    "reducible44": upb_44_reducible,
+    "heptagon": heptagon_qutrit_states,
+    "shifts5": lambda: upb_shifts(5),
+    "shift_family4": lambda: shift_family(4),
+    "shift_family30": lambda: shift_family(30),
+    "sqrt_subset19": lambda: sqrt_subset(19)[1],
+    "compose": lambda: compose(upb_qubit3(), 1, upb_tiles33(), 2),
+}
+_NAMED_SETS.update(
+    {f"dense {name}": (lambda build=build: _dense_copy(build()))
+     for name, build in _NAMED_SETS.items() if name not in ("shift_family30", "sqrt_subset19")}
+)
+
+
+class TestCollectorPause:
+    """``load_set`` and ``save_set`` decode and write with the cyclic
+    collector paused, and leave it as they found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_load_and_save_restore_the_collector(self, enabled, tmp_path):
+        path = tmp_path / "set.json"
+        with _collector(enabled):
+            save_set(upb_qubit3(), path)
+            assert gc.isenabled() is enabled
+            load_set(path)
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case", sorted(_BAD_FILES))
+    def test_refused_files_restore_the_collector(self, case, enabled, tmp_path):
+        text, message = _BAD_FILES[case]
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with _collector(enabled):
+            with pytest.raises(StateFormatError) as info:
+                load_set(path)
+            assert gc.isenabled() is enabled
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_failing_writer_restores_the_collector(self, enabled, monkeypatch, tmp_path):
+        def halfway(payload):
+            yield "{"
+            raise RuntimeError("writer failed")
+
+        monkeypatch.setattr(states_module, "iter_json", halfway)
+        with _collector(enabled):
+            with pytest.raises(RuntimeError, match="writer failed"):
+                save_set(upb_qubit3(), tmp_path / "set.json")
+            assert gc.isenabled() is enabled
+
+    def test_every_hook_call_runs_paused(self, monkeypatch, tmp_path):
+        path = tmp_path / "set.json"
+        save_set(_dense_copy(upb_shifts(3)), path)
+        seen, decoding = [], []
+        real_decode, real_entry = states_module._decode, states_module._entry
+
+        def decode(text, object_hook):
+            decoding.append(True)
+            try:
+                return real_decode(text, object_hook)
+            finally:
+                decoding.pop()
+
+        def entry(value):
+            # _parse_states runs the same function again after the decode
+            if decoding:
+                seen.append(gc.isenabled())
+            return real_entry(value)
+
+        monkeypatch.setattr(states_module, "_decode", decode)
+        monkeypatch.setattr(states_module, "_entry", entry)
+        with _collector(True):
+            load_set(path)
+        # one call per state entry and one for the top-level object
+        assert seen == [False] * (len(upb_shifts(3)) + 1)
+
+    def test_dense_save_and_load_collect_at_most_once(self, tmp_path):
+        dense = _dense_copy(upb_shifts(6))
+        path = tmp_path / "dense.json"
+        with _collector(True):
+            with _collection_starts() as saving:
+                save_set(dense, path)
+            with _collection_starts() as loading:
+                loaded = load_set(path)
+        assert len(saving) <= 1
+        assert len(loading) <= 1
+        assert len(loaded) == len(dense)
+
+    @pytest.mark.parametrize("name", sorted(_NAMED_SETS))
+    def test_saved_bytes_and_loaded_arrays_unchanged(self, name, tmp_path):
+        state_set = _NAMED_SETS[name]()
+        path = tmp_path / "set.json"
+        save_set(state_set, path)
+        text = path.read_text()
+        assert text == json.dumps(state_set_to_dict(state_set), indent=2) + "\n"
+        with _collector(True):
+            want = _outcome(lambda: state_set_from_dict(json.loads(text)))
+        assert isinstance(want, tuple)
+        assert _outcome(lambda: load_set(path)) == want
 
 
 class TestStatesClose:
