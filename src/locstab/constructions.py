@@ -378,17 +378,21 @@ def verify_two_pairs(plan, parties=None) -> TwoPairReport:
     two unordered complementary pairs {x, N-x} with x != 0.
 
     Accepts a :class:`SqrtSubsetPlan` or a raw index iterable plus
-    ``parties``; shifted entries being orthogonal is exactly the
-    complementary-pair condition on the shift-family table.  Shift s keeps
-    {t - s, t' - s} exactly when t + t' = 2s mod N, so the count of shift s
-    is the number of unordered index pairs {t, t'}, t != t', with that sum.
+    ``parties``, the cycle length N >= 1; shifted entries being orthogonal
+    is exactly the complementary-pair condition on the shift-family table.
+    Shift s keeps {t - s, t' - s} exactly when t + t' = 2s mod N, so the
+    count of shift s is the number of unordered index pairs {t, t'},
+    t != t', with that sum.
     """
     if isinstance(plan, SqrtSubsetPlan):
         indices, cycle = set(plan.indices), plan.parties
     else:
         if parties is None:
             raise ValueError("parties is required for a raw index set")
-        indices, cycle = {int(t) % int(parties) for t in plan}, int(parties)
+        cycle = int(parties)
+        if cycle < 1:
+            raise ValueError(f"parties must be at least 1, got {parties}")
+        indices = {int(t) % cycle for t in plan}
     chosen = np.array(sorted(indices), dtype=np.int64)
     j, k = np.triu_indices(len(chosen), 1)
     sums = np.bincount((chosen[j] + chosen[k]) % cycle, minlength=cycle)

@@ -370,9 +370,10 @@ def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
     subset's own certificate.  The masks the rule leaves to the kernel, and
     every mask of the other parties, are ranked by :func:`_stacked_ranks`
     in the subset's own layout: the traceless parts of its kept generators
-    in order, then zero rows.  A party's generators are built only once a
-    mask of it reaches the kernel.  A subset skips the block's later parties
-    after its first party short of d**2 - 1.
+    in order, then zero rows.  A product set's pairs are its conflict pairs,
+    a dense set's those of its generators, and a party's generators are
+    built only once a mask of it reaches the kernel.  A subset skips the
+    block's later parties after its first party short of d**2 - 1.
     """
     combos = iter(combos)
     source = _span_source(state_set, tol)
@@ -380,6 +381,7 @@ def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
     bad = np.array([pair[:2] for pair in offending], dtype=np.int64).reshape(-1, 2)
     ruled, counts, firsts = _qubit_pairs(state_set.dims, source, tol)
     rules = dict(zip(ruled, np.split(firsts, np.cumsum(counts)[:-1])))
+    product = isinstance(source, FactorZeroPattern)
     spans = {}
 
     def span(party):
@@ -387,11 +389,6 @@ def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
             generators, pairs = next(_party_spans(state_set, source, tol, [party]))
             spans[party] = _traceless_rows(generators), pairs
         return spans[party]
-
-    pairs = [
-        source.conflict_pairs[party] if party in rules else span(party)[1]
-        for party in range(len(state_set.dims))
-    ]
 
     while block := list(itertools.islice(combos, _SUBSET_BLOCK)):
         member = np.zeros((len(block), len(state_set)), dtype=bool)
@@ -406,11 +403,12 @@ def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
                 if j in position and k in position
             )
         stable = np.ones(len(block), dtype=bool)
-        for party, (d, own) in enumerate(zip(state_set.dims, pairs)):
+        for party, d in enumerate(state_set.dims):
             live = stable.nonzero()[0]
             if not live.size:
                 break
             alive = member[live]
+            own = source.conflict_pairs[party] if product else span(party)[1]
             kept = alive[:, own[:, 0]] & alive[:, own[:, 1]]
             masks, inverse = _distinct_masks(kept)
             dims = np.full(len(masks), _KERNEL)
@@ -471,8 +469,9 @@ def conflict_audit(
 
     ``certificate`` is the set's certificate from :func:`is_locally_stable`
     at ``tol`` when the caller already holds it; otherwise the set is
-    certified here.  A certificate with another party count, or with a pair
-    index outside ``range(len(state_set))``, is refused.
+    certified here.  A certificate with another party count, without
+    conflict pairs (that of a set with dense members), or with a pair index
+    outside ``range(len(state_set))``, is refused.
 
     The pairs are grouped by one sort of a key per (unordered pair, party),
     so the parties sharing a pair are a run of equal pair codes, in
@@ -484,13 +483,15 @@ def conflict_audit(
         certificate = is_locally_stable(state_set, tol)
     elif len(certificate.parties) != len(state_set.dims):
         raise ValueError("the certificate does not match the state set's parties")
+    elif any(r.conflict_pairs is None for r in certificate.parties):
+        raise ValueError("the certificate records no conflict pairs, as a dense set's does")
 
     size = len(state_set)
     records = certificate.parties
-    counts = [len(r.conflict_pairs or ()) for r in records]
+    counts = [len(r.conflict_pairs) for r in records]
     chain = itertools.chain.from_iterable
     pairs = np.fromiter(
-        chain(chain(r.conflict_pairs or () for r in records)), np.int64, 2 * sum(counts)
+        chain(chain(r.conflict_pairs for r in records)), np.int64, 2 * sum(counts)
     ).reshape(-1, 2)
     if len(pairs) and (pairs.min() < 0 or pairs.max() >= size):
         raise ValueError("the certificate does not match the state set's states")

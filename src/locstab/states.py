@@ -33,7 +33,6 @@ __all__ = [
     "FactorZeroPattern",
     "factor_zero_pattern",
     "check_mutual_orthogonality",
-    "bpart_decompose",
     "factorize",
     "state_set_to_dict",
     "state_set_from_dict",
@@ -229,12 +228,12 @@ class StateSet:
     def total_dimension(self) -> int:
         return math.prod(self.dims)
 
-    def subset(self, indices, label=None) -> "StateSet":
-        """A new set holding the states at ``indices``, in the given order;
-        an all-product set's subset takes its stacks' rows."""
+    def subset(self, indices) -> "StateSet":
+        """A new set holding the states at ``indices``, in the given order,
+        labelled by the parent's label and those indices; an all-product
+        set's subset takes its stacks' rows."""
         rows = [range(len(self))[i] for i in indices]
-        if label is None:
-            label = f"{self.label}[{','.join(str(i) for i in indices)}]"
+        label = f"{self.label}[{','.join(str(i) for i in indices)}]"
         if self.factors is None:
             return StateSet(self.dims, [self.states[i] for i in rows], label)
         rows = np.array(rows, dtype=np.intp)
@@ -476,26 +475,12 @@ def _party_blocks(amplitudes, dims, party):
     return np.ascontiguousarray(moved.reshape(-1, len(amplitudes) * dims[party]))
 
 
-def bpart_decompose(state: DenseState, i: int):
-    """Split a dense state across party ``i``.
-
-    Returns one (possibly zero, unnormalized) vector in party i's space per
-    computational basis state of the remaining parties, indexed row-major
-    over the remaining parties in their original order; summing
-    |j>_rest (x) v_j at party i's slot reassembles the state.  Each vector
-    is an independent, writable copy.
-    """
-    dims = state.dims
-    if not 0 <= i < len(dims):
-        raise IndexError(f"party {i} out of range for {len(dims)} parties")
-    return [row.copy() for row in _party_blocks(state.amplitudes[None], dims, i)]
-
-
 def factorize(state: DenseState, tol: Tolerance = DEFAULT_TOL) -> ProductState | None:
     """The product state equal to ``state`` up to a global phase, or None
     when it is not one.
 
-    Split at any party (the :func:`bpart_decompose` layout), a product
+    Split at any party (the :func:`_party_blocks` layout of the one-state
+    stack, one block per basis state of the other parties), a product
     state's blocks are all multiples of that party's factor, so each split
     must have rank 1.  The rank kernel ranks the transposed split, d_i long
     rows, in at most d_i steps.  The factor is the first block whose norm

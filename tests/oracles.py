@@ -253,6 +253,24 @@ def conflict_pairs_scan(state_set, orth_abs=DEFAULT_TOL.orth_abs):
     return zero_count, tuple(np.argwhere(party & once) for party in zeros)
 
 
+def party_blocks_loop(amplitudes, dims, party):
+    """The (D/d_i, l*d_i) split of an (l, D) amplitude stack at ``party``,
+    one entry at a time: entry [r, k*d_i + a] is state k's amplitude on the
+    basis state with index a at ``party`` and the r-th index tuple of
+    ``itertools.product`` over the other parties, in their original order."""
+    d = dims[party]
+    strides = [math.prod(dims[r + 1:]) for r in range(len(dims))]
+    others = itertools.product(*(range(n) for r, n in enumerate(dims) if r != party))
+    out = np.empty((math.prod(dims) // d, len(amplitudes) * d), dtype=complex)
+    for row, rest in enumerate(others):
+        for a in range(d):
+            index = rest[:party] + (a,) + rest[party:]
+            flat = sum(i * stride for i, stride in zip(index, strides))
+            for k, vector in enumerate(amplitudes):
+                out[row, k * d + a] = vector[flat]
+    return out
+
+
 def unit_reference(vec):
     """``vec`` over its ``np.linalg.norm``, the per-vector normalization rule."""
     arr = np.array(vec, dtype=complex)

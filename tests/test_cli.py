@@ -9,6 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
+import golden_guard
+import locstab._jsonout
 import locstab.stability
 from locstab import (
     DEFAULT_TOL,
@@ -582,6 +584,32 @@ class TestDeterminism:
             first.append(call(argv))
         assert first[2][0] == 2
         assert [call(argv) for argv in calls] == first
+
+
+class TestGoldenGuard:
+    def test_snapshots_match_and_a_planted_byte_is_reported(self, tmp_path, monkeypatch, capsys):
+        # the guard on a small slice: two snapshots of one tree agree; one
+        # byte more on every JSON stdout is reported there and nowhere else
+        sets = ["--sets", "qubit3", "triple"]
+        first, second, planted = (str(tmp_path / f"{name}.json") for name in "abc")
+        assert golden_guard.main(["snapshot", first, *sets]) == 0
+        assert golden_guard.main(["snapshot", second, *sets]) == 0
+        assert golden_guard.main(["compare", first, second]) == 0
+        real = locstab._jsonout.dumps
+        monkeypatch.setattr(locstab._jsonout, "dumps", lambda payload: real(payload) + " ")
+        assert golden_guard.main(["snapshot", planted, *sets]) == 0
+        capsys.readouterr()
+        assert golden_guard.main(["compare", first, planted]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        with open(first, encoding="utf-8") as fh:
+            entries = json.load(fh)
+        assert {"file qubit3.json", "file qubit3-dense.json", "file triple.json"} <= set(entries)
+        assert "differs: check qubit3.json" in lines
+        assert "differs: bound --dims 2,2,2" in lines
+        # --human text, saved files and error messages carry no JSON
+        assert "differs: check triple.json --audit" not in lines
+        assert not any("--human" in line or "file " in line for line in lines)
+        assert lines[-1] == f"{len(lines) - 1} of {len(entries)} entries differ"
 
 
 class TestFlagsPerSubcommand:

@@ -433,6 +433,11 @@ class TestVerifyTwoPairs:
         with pytest.raises(ValueError):
             verify_two_pairs([0, 1, 2])
 
+    @pytest.mark.parametrize("parties", [0, -5])
+    def test_cycle_below_one_refused_by_name(self, parties):
+        with pytest.raises(ValueError, match="parties"):
+            verify_two_pairs([0, 1, 2], parties=parties)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_counts_match_the_shift_loop(self, seed):
         # odd and even cycles, sparse and dense index sets, repeats and
@@ -640,6 +645,14 @@ class TestCampaignCertifiesFromParent:
         report = subset_campaign(upb_shifts(6), 8)
         assert (report.checked, report.unstable) == (495, 0)
         assert kernel == []
+
+    def test_generators_only_for_the_parties_reached(self, monkeypatch):
+        # all 66 10-subsets of reducible44 fail at party 0, so party 1's
+        # generators are never built
+        spans = self._counting(monkeypatch, locstab.stability, "_party_spans")
+        report = subset_campaign(upb_44_reducible(), 10)
+        assert (report.checked, report.unstable) == (66, 66)
+        assert [list(args[3]) for args in spans] == [[0]]
 
     @pytest.mark.parametrize(
         "build,k",

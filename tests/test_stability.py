@@ -19,7 +19,6 @@ from locstab import (
     DenseState,
     SearchReport,
     as_dense,
-    bpart_decompose,
     OrthogonalityError,
     ProductState,
     StateSet,
@@ -50,6 +49,7 @@ from oracles import (
     conflict_attribution_loop,
     extension_brute,
     hs_inner,
+    party_blocks_loop,
     planted_qubit_bases,
     seesaw_sequential,
     straddling_pair,
@@ -546,7 +546,10 @@ class TestDenseViews:
         for record, gens in zip(cert.parties, span_generators(state_set), strict=True):
             party = record.party
             # reference: one contraction per ordered pair, then the norm filter
-            blocks = [np.stack(bpart_decompose(s, party)) for s in state_set]
+            blocks = [
+                party_blocks_loop(as_dense(s).amplitudes[None], s.dims, party)
+                for s in state_set
+            ]
             contractions = [
                 blocks[k].T @ blocks[m].conj()
                 for k in range(size)
@@ -657,6 +660,14 @@ class TestConflictAudit:
         family = shift_family(5)
         with pytest.raises(ValueError, match="the certificate does not match the state set's"):
             conflict_audit(family.subset(range(5)), certificate=is_locally_stable(family))
+
+    def test_certificate_without_conflict_pairs_rejected(self):
+        # a dense set's certificate of the same party count records no
+        # pairs; read as empty it would pass as a stable set with no pairs
+        cert = is_locally_stable(entangled_triple(3))
+        assert all(r.conflict_pairs is None for r in cert.parties)
+        with pytest.raises(ValueError, match="no conflict pairs"):
+            conflict_audit(upb_qubit3(), certificate=cert)
 
     @pytest.mark.parametrize("index", [4, 9, -1])
     def test_pair_index_outside_the_set_rejected(self, index):

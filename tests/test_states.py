@@ -21,7 +21,6 @@ from locstab import (
     StateSet,
     Tolerance,
     as_dense,
-    bpart_decompose,
     check_mutual_orthogonality,
     check_signature,
     compose,
@@ -47,6 +46,7 @@ from oracles import (
     dense_offending_stacked,
     inner_brute,
     kron_expand_brute,
+    party_blocks_loop,
     product_offending_loop,
     state_inner,
     states_close,
@@ -615,22 +615,30 @@ class TestColumnarSets:
         assert peak <= 2.25 * path.stat().st_size
 
 
-class TestBpartDecompose:
+def _blocks(state, party):
+    """One dense state's split at ``party``: one row per basis state of the
+    other parties, each the state's vector in the party's space."""
+    blocks = states_module._party_blocks(state.amplitudes[None], state.dims, party)
+    assert np.array_equal(blocks, party_blocks_loop(state.amplitudes[None], state.dims, party))
+    return blocks
+
+
+class TestPartyBlocks:
     def test_bell_pair_last_party(self):
         bell = DenseState([1, 0, 0, 1], (2, 2))
-        vecs = bpart_decompose(bell, 1)
+        vecs = _blocks(bell, 1)
         assert np.allclose(vecs[0], [1 / np.sqrt(2), 0])
         assert np.allclose(vecs[1], [0, 1 / np.sqrt(2)])
 
     def test_product_state_gives_proportional_vectors(self):
         dense = tensor_expand(ProductState([PLUS, KET1]))
-        vecs = bpart_decompose(dense, 1)
+        vecs = _blocks(dense, 1)
         assert np.allclose(vecs[0], np.array([0, 1]) / np.sqrt(2))
         assert np.allclose(vecs[1], np.array([0, 1]) / np.sqrt(2))
 
     def test_ghz_first_party(self):
         ghz = DenseState([1, 0, 0, 0, 0, 0, 0, 1], (2, 2, 2))
-        vecs = bpart_decompose(ghz, 0)
+        vecs = _blocks(ghz, 0)
         assert np.allclose(vecs[0], [1 / np.sqrt(2), 0])
         assert np.allclose(vecs[3], [0, 1 / np.sqrt(2)])
         assert np.allclose(vecs[1], 0) and np.allclose(vecs[2], 0)
@@ -644,11 +652,9 @@ class TestBpartDecompose:
             amps = rng.standard_normal(total) + 1j * rng.standard_normal(total)
             state = DenseState(amps, dims)
             party = int(rng.integers(0, n))
-            vecs = bpart_decompose(state, party)
+            vecs = _blocks(state, party)
             rebuilt = np.moveaxis(
-                np.stack(vecs).reshape(
-                    tuple(d for r, d in enumerate(dims) if r != party) + (dims[party],)
-                ),
+                vecs.reshape(tuple(d for r, d in enumerate(dims) if r != party) + (dims[party],)),
                 -1,
                 party,
             ).ravel()
@@ -660,25 +666,20 @@ class TestBpartDecompose:
         dense = as_dense(s)
         for party in range(3):
             factor = s.factors[party]
-            for v in bpart_decompose(dense, party):
+            for v in _blocks(dense, party):
                 # v must be factor times a scalar: projection leaves nothing
                 residual = v - (np.vdot(factor, v)) * factor
                 assert np.linalg.norm(residual) < 1e-12
 
-    def test_bad_party_rejected(self):
-        with pytest.raises(IndexError):
-            bpart_decompose(DenseState([1, 0, 0, 1], (2, 2)), 2)
-
-    def test_rows_are_independent_writable_copies(self):
-        rng = np.random.default_rng(37)
-        amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        state = DenseState(amps, (2, 3, 2))
-        for party in range(3):
-            rows = bpart_decompose(state, party)
-            for pos, row in enumerate(rows):
-                assert row.flags.writeable
-                assert not np.shares_memory(row, state.amplitudes)
-                assert not any(np.shares_memory(row, other) for other in rows[pos + 1:])
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2, 4), (2, 2, 2, 2)])
+    def test_stacks_match_the_index_loop(self, dims):
+        # several states side by side: state k's vectors fill columns k*d_i..
+        rng = np.random.default_rng(sum(dims))
+        total = math.prod(dims)
+        amps = rng.standard_normal((3, total)) + 1j * rng.standard_normal((3, total))
+        for party in range(len(dims)):
+            blocks = states_module._party_blocks(amps, dims, party)
+            assert np.array_equal(blocks, party_blocks_loop(amps, dims, party))
 
 
 class TestFactorize:
