@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .numerics import DEFAULT_TOL, Tolerance
 from .stability import _subset_verdicts
 from .states import DenseState, ProductState, StateSet, as_dense
-from .states import _coordinate_sums, _unit, _unit_rows
+from .states import _qubit_zeros, _unit_rows
 
 __all__ = [
     "default_seeds",
@@ -55,11 +55,12 @@ _MINUS = np.array([1.0, -1.0], dtype=complex)
 
 
 def qubit_perp(vec) -> np.ndarray:
-    """The orthogonal direction of a qubit state: (a, b) -> (conj b, -conj a)."""
+    """The orthogonal direction of a qubit state, (a, b) -> (conj b, -conj a),
+    or of every row of an (m, 2) stack."""
     arr = np.asarray(vec, dtype=complex)
-    if arr.shape != (2,):
-        raise ValueError("qubit_perp expects a 2-entry vector")
-    return np.array([np.conj(arr[1]), -np.conj(arr[0])])
+    if arr.shape[-1:] != (2,) or arr.ndim > 2:
+        raise ValueError("qubit_perp expects a 2-entry vector or an (m, 2) stack")
+    return np.stack([arr[..., 1].conj(), -arr[..., 0].conj()], axis=-1)
 
 
 def default_seeds(n: int):
@@ -76,62 +77,51 @@ def default_seeds(n: int):
     ]
 
 
-def validate_seeds(seeds, n: int, tol: Tolerance = DEFAULT_TOL):
-    """Normalize and vet the n-1 shift-family seeds.
+def validate_seeds(seeds, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Normalize and vet the n-1 shift-family seeds; return them as one
+    read-only (n-1, 2) stack of unit rows.
 
-    Every seed must be neither orthogonal nor parallel to |0>, and no two
-    seeds may be mutually orthogonal or parallel; violations name the seed,
-    or the first offending pair in ``itertools.combinations`` order.
+    No two of |0> and the finite, nonzero seeds may be orthogonal, with
+    |<a|b>| and |<b|a>| below ``tol.orth_abs``, or parallel, with a and b's
+    perp so orthogonal below ``tol.rank_rel`` (the partition test's
+    |<a^perp|b>| < rank_rel).  Each decision is the zero pattern's qubit
+    pass, :func:`~locstab.states._qubit_zeros`.  Refusals name the first
+    seed that is malformed, not finite or zero, else the first offending
+    pair, with |0> or of seeds, in ``itertools.combinations`` order.
     """
     if len(seeds) != n - 1:
         raise ValueError(f"expected {n - 1} seeds for n={n}, got {len(seeds)}")
-    normalized = []
-    for pos, seed in enumerate(seeds):
-        arr = np.asarray(seed, dtype=complex)
-        if arr.shape != (2,):
-            raise ValueError(f"seed {pos} is not a single-qubit vector")
-        try:
-            normalized.append(_unit(arr))
-        except ValueError:
-            raise ValueError(f"seed {pos} is the zero vector") from None
-    lo, hi = tol.orth_abs, 1.0 - tol.orth_abs
-    stack = np.array(normalized, dtype=complex).reshape(len(normalized), 2)
-    for pos, overlap in enumerate(np.abs(stack[:, 0]).tolist()):
-        if overlap <= lo:
-            raise ValueError(f"seed {pos} is orthogonal to |0>")
-        if overlap >= hi:
-            raise ValueError(f"seed {pos} is parallel to |0>")
-    # One Gram over the stacked seeds, with the arithmetic of every factor
-    # overlap; taken in blocks of about 2**20 entries so that memory stays
-    # O(n) per block at wide n.
-    count = len(stack)
-    step = max(1, (1 << 20) // max(count, 1))
-    conj = stack.conj()
-    for start in range(0, count, step):
-        rows = slice(start, start + step)
-        overlap = np.abs(_coordinate_sums(conj[rows, None], stack[None]))
-        bad = (overlap <= lo) | (overlap >= hi)
-        bad &= np.arange(count) > np.arange(start, start + len(overlap))[:, None]
-        hits = np.argwhere(bad)
-        if len(hits):
-            row, b = hits[0].tolist()
-            if overlap[row, b] <= lo:
-                raise ValueError(f"seeds {start + row} and {b} are mutually orthogonal")
-            raise ValueError(f"seeds {start + row} and {b} are parallel")
-    return normalized
-
-
-def _local_state_table(n: int, seeds):
-    """The length-(2n-1) cyclic table m -> local state.
-
-    Index 0 maps to |1>, indices 1..n-1 to the seed perps, and N-i to seed i,
-    so two table entries are orthogonal exactly when their nonzero indices
-    sum to 0 mod N.
-    """
-    table = [_KET1]
-    table.extend(qubit_perp(seed) for seed in seeds)
-    table.extend(seeds[n - 2 - i] for i in range(n - 1))
-    return table
+    rows = [np.asarray(seed, dtype=complex) for seed in seeds]
+    malformed = next((pos for pos, row in enumerate(rows) if row.shape != (2,)), n - 1)
+    # |0> is row 0, so its pairs come first in combinations order
+    stack = np.array([_KET0, *rows[:malformed]])
+    try:
+        stack = _unit_rows(stack)
+    except ValueError:
+        finite = np.isfinite(stack).all(axis=1)
+        pos = int(np.flatnonzero(~finite | ~stack.any(axis=1))[0])
+        raise ValueError(f"seed {pos - 1} is " + ("the zero vector" if finite[pos] else "not finite")) from None
+    if malformed < n - 1:
+        raise ValueError(f"seed {malformed} is not a single-qubit vector")
+    # a is parallel to b exactly when a is orthogonal to b's perp; at the
+    # looser cutoff, valid seeds leave each of the n rows with its own perp alone
+    both = np.concatenate([stack, qubit_perp(stack)])
+    loose = replace(tol, orth_abs=max(tol.orth_abs, tol.rank_rel))
+    if all((k - j == n).all() for _, j, k in _qubit_zeros([both], [0], loose)):
+        return stack[1:]
+    # else the first pair the exact passes find, of two rows or of a row and
+    # another row's perp; orthogonal sorts before parallel
+    hits = []
+    for kind, group, cut in ("orthogonal", stack, tol), ("parallel", both, replace(tol, orth_abs=tol.rank_rel)):
+        for _, j, k in _qubit_zeros([group], [0], cut):
+            pairs = zip(j.tolist(), (k - len(group) + n).tolist())
+            hits += [(min(a, b), max(a, b), kind) for a, b in pairs if a < n and b >= 0 and a != b]
+    if hits:
+        j, k, kind = min(hits)
+        if j == 0:
+            raise ValueError(f"seed {k - 1} is {kind} to |0>")
+        raise ValueError(f"seeds {j - 1} and {k - 1} are " + "mutually " * (kind == "orthogonal") + kind)
+    return stack[1:]
 
 
 def upb_qubit3() -> StateSet:
@@ -164,13 +154,14 @@ def shift_family(n: int, seeds=None, tol: Tolerance = DEFAULT_TOL) -> StateSet:
 def _shift_stacks(n, seeds, tol, firsts):
     """The per-party factor stacks of the shift-family states whose first
     factor is table entry t, for each t in ``firsts``: state t carries entry
-    (t - r) mod N at party r.  The 2n-1 table entries are normalized once,
-    and the stacks are rows of one (N, len(firsts), 2) array, filled in
-    blocks of at most _TABLE_ROWS rows."""
-    seeds = default_seeds(n) if seeds is None else list(seeds)
-    seeds = validate_seeds(seeds, n, tol)
+    (t - r) mod N at party r.  The cyclic table maps 0 to |1>, 1..n-1 to the
+    seed perps and N-i to seed i, so two entries are orthogonal exactly when
+    their nonzero indices sum to 0 mod N.  Its 2n-1 entries are normalized
+    once, and the stacks are rows of one (N, len(firsts), 2) array, filled
+    in blocks of at most _TABLE_ROWS rows."""
+    seeds = validate_seeds(default_seeds(n) if seeds is None else list(seeds), n, tol)
     parties = 2 * n - 1
-    table = _unit_rows(np.array(_local_state_table(n, seeds)))
+    table = _unit_rows(np.concatenate([_KET1[None], qubit_perp(seeds), seeds[::-1]]))
     firsts = np.array(firsts, dtype=np.intp)
     stacks = np.empty((parties, len(firsts), 2), dtype=complex)
     per = max(1, _TABLE_ROWS // max(len(firsts), 1))

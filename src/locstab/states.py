@@ -49,12 +49,14 @@ MAX_DENSE_DIMENSION = 1 << 26
 # that few pairs that are not near antipodal share a key window; the slack
 # added to that window, far above the rounding of the keys (about 1e-15) and
 # of the party shifts (below 2**-43 for fewer than _RAY_PARTIES parties);
-# and the parties, keys and candidate pairs handled per step.
+# the parties, keys and candidate pairs handled per step; and the most pairs
+# a batch holds for every pair to be a candidate, with no keys sorted.
 _RAY_AXIS = np.array([1.0, math.sqrt(2.0), math.sqrt(5.0)]) / math.sqrt(8.0)
 _RAY_SLACK = 1e-11
 _RAY_PARTIES = 256
 _RAY_KEYS = 1 << 14
 _RAY_PAIRS = 1 << 16
+_RAY_ALL = 1 << 10
 
 # Complex factor entries turned into one block of JSON payloads by save_set.
 _SAVE_BLOCK = 1 << 16
@@ -86,7 +88,8 @@ def _unit_rows(stack) -> np.ndarray:
     multiply fuses multiply-adds), which ``orth_abs`` then judges.
     Squares overflow above about 1e154 and lose precision below about
     1e-154, so a row whose squared norm is not a normal float is first
-    divided by its largest real or imaginary part.
+    divided by its largest real or imaginary part; a row where that part is
+    zero, or not finite, is refused.
     """
     re, im = stack.real, stack.imag
     with np.errstate(over="ignore"):
@@ -94,6 +97,8 @@ def _unit_rows(stack) -> np.ndarray:
     extreme = np.flatnonzero(~np.isfinite(squares) | (squares < np.finfo(float).tiny))
     if extreme.size:
         scale = np.maximum(np.abs(re[extreme]), np.abs(im[extreme])).max(axis=1)
+        if not np.isfinite(scale).all():
+            raise ValueError("cannot normalize a vector that is not finite")
         if not scale.all():
             raise ValueError("cannot normalize a zero vector")
         re[extreme] /= scale[:, None]
@@ -331,12 +336,15 @@ def _qubit_zeros(factors, parties, tol: Tolerance):
     _RAY_PARTIES parties, the keys are sorted once, each party's shifted by
     4 times its place in the batch, and every factor's candidates are the
     keys within 2 * orth_abs + _RAY_SLACK of minus its own: a superset of
-    its vanishing partners, of which factor j keeps those k > j.  The
+    its vanishing partners, of which factor j keeps those k > j.  A batch
+    of at most _RAY_ALL pairs sorts no keys: all of them are candidates.  The
     window ends are searched in ascending order, each party's sorted keys
     reversed, where numpy's binary search starts from its last bound, and
     scattered back to factor order.  At most _RAY_PAIRS candidates are
     decided at a time, so sets whose keys cluster take more steps, not more
-    memory.
+    memory.  Its callers are :func:`factor_zero_pattern` and
+    :func:`~locstab.constructions.validate_seeds`, which vets shift-family
+    seeds with it.
     """
     size = len(factors[0])
     per = max(1, min(_RAY_PARTIES, _RAY_KEYS // max(size, 1)))
@@ -344,23 +352,29 @@ def _qubit_zeros(factors, parties, tol: Tolerance):
     for first in range(0, len(parties), per):
         batch = np.array(parties[first:first + per], dtype=np.intp)
         stacks = np.stack([factors[r] for r in batch])
-        up, down = stacks[..., 0], stacks[..., 1]
-        cross = up.conj() * down
-        keys = 2.0 * (_RAY_AXIS[0] * cross.real + _RAY_AXIS[1] * cross.imag) + _RAY_AXIS[2] * (
-            up.real**2 + up.imag**2 - down.real**2 - down.imag**2
-        )
-        shift = 4.0 * np.arange(len(batch))[:, None]
-        order = np.argsort(keys, axis=1)
-        ranked = np.take_along_axis(keys, order, axis=1)
-        targets = (shift - ranked[:, ::-1]).ravel()
-        ranked = (ranked + shift).ravel()
-        back = (order[:, ::-1] + size * np.arange(len(batch))[:, None]).ravel()
-        low, counts = np.empty((2, len(back)), dtype=np.intp)
-        low[back] = np.searchsorted(ranked, targets - window, "left")
-        counts[back] = np.searchsorted(ranked, targets + window, "right")
-        counts -= low
+        if len(batch) * size * size <= _RAY_ALL:
+            # so few pairs that every factor of a party is a candidate
+            order = np.arange(size)
+            low = np.zeros(len(batch) * size, dtype=np.intp)
+            counts = np.full(len(batch) * size, size)
+        else:
+            up, down = stacks[..., 0], stacks[..., 1]
+            cross = up.conj() * down
+            keys = 2.0 * (_RAY_AXIS[0] * cross.real + _RAY_AXIS[1] * cross.imag) + _RAY_AXIS[2] * (
+                up.real**2 + up.imag**2 - down.real**2 - down.imag**2
+            )
+            shift = 4.0 * np.arange(len(batch))[:, None]
+            order = np.argsort(keys, axis=1)
+            ranked = np.take_along_axis(keys, order, axis=1)
+            targets = (shift - ranked[:, ::-1]).ravel()
+            ranked = (ranked + shift).ravel()
+            back = (order[:, ::-1] + size * np.arange(len(batch))[:, None]).ravel()
+            low, counts = np.empty((2, len(back)), dtype=np.intp)
+            low[back] = np.searchsorted(ranked, targets - window, "left")
+            counts[back] = np.searchsorted(ranked, targets + window, "right")
+            counts -= low
+            order = order.ravel()
         ends = np.cumsum(counts)
-        order = order.ravel()
         start = 0
         while start < len(counts):
             done = int(ends[start - 1]) if start else 0
@@ -626,10 +640,7 @@ def _party_stacks(entries, dims):
     contiguous per-party stacks.
     """
     size = len(entries)
-    table = np.concatenate([entry.numbers for entry in entries])
-    if not np.isfinite(table).all():
-        return None
-    table = table.view(complex).reshape(size, -1)
+    table = np.concatenate([entry.numbers for entry in entries]).view(complex).reshape(size, -1)
     starts = list(itertools.accumulate(dims, initial=0))
     stacks = [None] * len(dims)
     for d in set(dims):
@@ -659,11 +670,7 @@ def _parse_states(states_raw, dims):
         if entry.lengths == dims:
             products.append((pos, entry))
             continue
-        if (
-            entry.kind != "dense"
-            or len(entry.numbers) != 2 * total
-            or not np.isfinite(entry.numbers).all()
-        ):
+        if entry.kind != "dense" or len(entry.numbers) != 2 * total:
             return None
         try:
             states[pos] = DenseState(entry.numbers.view(complex), dims)

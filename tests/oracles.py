@@ -298,34 +298,46 @@ def shift_family_factors(n, seeds=None):
     ]
 
 
-def validate_seeds_loop(seeds, n, orth_abs=1e-10):
-    """Shift-family seed vetting one seed and one seed pair at a time, in
-    ``itertools.combinations`` order, with the library's messages."""
+def validate_seeds_loop(seeds, n, tol=DEFAULT_TOL):
+    """Shift-family seed vetting one seed and one pair at a time, with the
+    library's rule and messages.  Each seed in turn must be a finite,
+    nonzero 2-vector.  Then |0> and the normalized seeds are taken pair by
+    pair in ``itertools.combinations`` order: a pair is orthogonal when its
+    overlap (:func:`factor_overlap_loop`) falls below ``tol.orth_abs`` in
+    both orders, and parallel when one of the two is so orthogonal to the
+    other's perp at the cutoff ``tol.rank_rel``."""
     if len(seeds) != n - 1:
         raise ValueError(f"expected {n - 1} seeds for n={n}, got {len(seeds)}")
-    normalized = []
+    rows = [np.array([1.0, 0.0], dtype=complex)]
     for pos, seed in enumerate(seeds):
         arr = np.asarray(seed, dtype=complex)
         if arr.shape != (2,):
             raise ValueError(f"seed {pos} is not a single-qubit vector")
-        norm = np.linalg.norm(arr)
-        if norm == 0.0:
+        if not np.isfinite(arr).all():
+            raise ValueError(f"seed {pos} is not finite")
+        if not arr.any():
             raise ValueError(f"seed {pos} is the zero vector")
-        normalized.append(arr / norm)
-    lo, hi = orth_abs, 1.0 - orth_abs
-    for pos, seed in enumerate(normalized):
-        overlap = abs(seed[0])
-        if overlap <= lo:
-            raise ValueError(f"seed {pos} is orthogonal to |0>")
-        if overlap >= hi:
-            raise ValueError(f"seed {pos} is parallel to |0>")
-    for a, b in itertools.combinations(range(len(normalized)), 2):
-        overlap = abs(vec_inner(normalized[a], normalized[b]))
-        if overlap <= lo:
-            raise ValueError(f"seeds {a} and {b} are mutually orthogonal")
-        if overlap >= hi:
-            raise ValueError(f"seeds {a} and {b} are parallel")
-    return normalized
+        rows.append(arr / np.linalg.norm(arr))
+
+    def vanishes(a, b, cutoff):
+        return all(np.abs(factor_overlap_loop(x, y))[0] < cutoff for x, y in ((a, b), (b, a)))
+
+    def perp(v):
+        return np.array([np.conj(v[1]), -np.conj(v[0])])
+
+    for a, b in itertools.combinations(range(len(rows)), 2):
+        x, y = rows[a], rows[b]
+        if vanishes(x, y, tol.orth_abs):
+            kind = "orthogonal"
+        elif vanishes(x, perp(y), tol.rank_rel) or vanishes(y, perp(x), tol.rank_rel):
+            kind = "parallel"
+        else:
+            continue
+        if a == 0:
+            raise ValueError(f"seed {b - 1} is {kind} to |0>")
+        kind = "mutually orthogonal" if kind == "orthogonal" else kind
+        raise ValueError(f"seeds {a - 1} and {b - 1} are {kind}")
+    return rows[1:]
 
 
 def conflict_attribution_loop(certificate):

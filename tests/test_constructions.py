@@ -71,7 +71,9 @@ def _random_seeds(n, seed):
 
 class TestSeeds:
     def test_default_seeds_are_valid(self):
-        for n in (2, 3, 5, 10, 25):
+        # adjacent default seeds at n >= 111,072 overlap within 1e-10 of 1,
+        # but lie far outside the rank_rel cutoff of the parallel test
+        for n in (2, 3, 5, 10, 25, 111_100, 120_000):
             validate_seeds(default_seeds(n), n)
 
     def test_wrong_count(self):
@@ -134,9 +136,52 @@ class TestSeeds:
         with pytest.raises(ValueError, match="^seeds 1 and 5 are mutually orthogonal$"):
             validate_seeds(seeds, 7)
 
+    def test_pole_reported_before_an_earlier_orthogonal_pair(self):
+        seeds = [np.array([1.0, 1.0]), np.array([1.0, -1.0]), np.array([1.0, 0.0])]
+        with pytest.raises(ValueError, match=r"^seed 2 is parallel to \|0>$"):
+            validate_seeds(seeds, 4)
+
+    @pytest.mark.parametrize("scale", [0.5, 1, 2])
+    @pytest.mark.parametrize("cutoff", ["orth_abs", "rank_rel"])
+    @pytest.mark.parametrize("where", ["pair", "pole"])
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_planted_near_cutoffs_match_pairwise_loop(self, n, where, cutoff, scale):
+        # seed 8 sits scale * cutoff off the perp of seed 3 (orth_abs) or off
+        # seed 3 itself (rank_rel); at a pole, off |1> (orthogonal to |0>)
+        # or off |0> (parallel to it).  At n = 12 the qubit pass takes every
+        # pair as a candidate, at n = 40 it sorts keys
+        seeds = _random_seeds(n, 7)
+        eps = scale * getattr(DEFAULT_TOL, cutoff)
+        if where == "pair":
+            u = seeds[3] / np.linalg.norm(seeds[3])
+            near, toward = (qubit_perp(u), u) if cutoff == "orth_abs" else (u, qubit_perp(u))
+        else:
+            kets = np.eye(2, dtype=complex)
+            near, toward = kets[::-1] if cutoff == "orth_abs" else kets
+        seeds[8] = (math.sqrt(1.0 - eps * eps) * near + eps * toward) * (2.0 - 1j)
+        outcome = self._outcome(validate_seeds, seeds, n)
+        assert outcome == self._outcome(validate_seeds_loop, seeds, n)
+        if scale != 1:
+            assert isinstance(outcome, str) == (scale < 1)
+
+    def test_non_finite_seed_named(self):
+        seeds = [[np.nan, 1], [1, 0.5]]
+        with pytest.raises(ValueError, match="^seed 0 is not finite$"):
+            validate_seeds(seeds, 3)
+        with pytest.raises(ValueError, match="^seed 1 is not finite$"):
+            shift_family(3, [[1, 0.5], [np.inf, 1j]])
+
     def test_qubit_perp(self):
         v = np.array([0.6, 0.8j])
         assert abs(vec_inner(v, qubit_perp(v))) < 1e-15
+
+    def test_qubit_perp_of_a_stack_is_rowwise(self):
+        stack = np.array(_random_seeds(9, 3))
+        assert [row.tobytes() for row in qubit_perp(stack)] == [
+            qubit_perp(row).tobytes() for row in stack
+        ]
+        with pytest.raises(ValueError, match="2-entry vector"):
+            qubit_perp(np.ones((2, 2, 2)))
 
 
 class TestQubit3:

@@ -134,6 +134,15 @@ class TestSignaturesAndTypes:
         assert rows[1].tobytes() == unit_reference([1.0, 2.0]).tobytes()
         assert rows[2].tobytes() == unit_reference([1.0, 0.0]).tobytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_amplitudes_refused(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            ProductState([[bad, 1.0], KET1])
+        with pytest.raises(ValueError, match="not finite"):
+            DenseState([1.0, 0.0, bad, 0.0], (2, 2))
+        with pytest.raises(ValueError, match="not finite"):
+            states_module._unit_rows(np.array([[1.0, 2.0], [bad, 0.0]], dtype=complex))
+
     def test_dense_state_length_checked(self):
         with pytest.raises(ValueError):
             DenseState([1.0, 0.0, 0.0], (2, 2))
@@ -465,6 +474,16 @@ class TestQubitRayPass:
         rng = np.random.default_rng(23)
         _assert_pattern_matches_scan(_pooled_set(rng, (2,) * 9, 50))
         _assert_pattern_matches_scan(_random_shift_family(12, 4), Tolerance(orth_abs=1e-4))
+
+    @pytest.mark.parametrize("every_pair", [0, 1 << 30])
+    def test_both_candidate_modes_match_scan(self, every_pair, monkeypatch):
+        # _RAY_ALL = 0 sorts the keys of every batch, 1 << 30 makes every
+        # pair of a party a candidate
+        monkeypatch.setattr(states_module, "_RAY_ALL", every_pair)
+        monkeypatch.setattr(states_module, "_RAY_PAIRS", 999)
+        rng = np.random.default_rng(29)
+        _assert_pattern_matches_scan(_pooled_set(rng, (2,) * 6, 30))
+        _assert_pattern_matches_scan(_random_shift_family(12, 5), Tolerance(orth_abs=1e-4))
 
     def test_one_party_batches_match_scan(self, monkeypatch):
         monkeypatch.setattr(states_module, "_RAY_PARTIES", 1)
