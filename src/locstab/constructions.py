@@ -100,28 +100,34 @@ def validate_seeds(seeds, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     except ValueError:
         finite = np.isfinite(stack).all(axis=1)
         pos = int(np.flatnonzero(~finite | ~stack.any(axis=1))[0])
-        raise ValueError(f"seed {pos - 1} is " + ("the zero vector" if finite[pos] else "not finite")) from None
+        problem = "the zero vector" if finite[pos] else "not finite"
+        raise ValueError(f"seed {pos - 1} is {problem}") from None
     if malformed < n - 1:
         raise ValueError(f"seed {malformed} is not a single-qubit vector")
-    # a is parallel to b exactly when a is orthogonal to b's perp; at the
-    # looser cutoff, valid seeds leave each of the n rows with its own perp alone
+    # a is parallel to b exactly when a is orthogonal to b's perp: the pairs
+    # (j, n + k) of [stack; perps] with k != j
     both = np.concatenate([stack, qubit_perp(stack)])
+    # at the looser of the two cutoffs, valid seeds leave each row with only
+    # its own perp: one pass accepts them
     loose = replace(tol, orth_abs=max(tol.orth_abs, tol.rank_rel))
     if all((k - j == n).all() for _, j, k in _qubit_zeros([both], [0], loose)):
         return stack[1:]
-    # else the first pair the exact passes find, of two rows or of a row and
-    # another row's perp; orthogonal sorts before parallel
     hits = []
-    for kind, group, cut in ("orthogonal", stack, tol), ("parallel", both, replace(tol, orth_abs=tol.rank_rel)):
-        for _, j, k in _qubit_zeros([group], [0], cut):
-            pairs = zip(j.tolist(), (k - len(group) + n).tolist())
-            hits += [(min(a, b), max(a, b), kind) for a, b in pairs if a < n and b >= 0 and a != b]
-    if hits:
-        j, k, kind = min(hits)
-        if j == 0:
-            raise ValueError(f"seed {k - 1} is {kind} to |0>")
-        raise ValueError(f"seeds {j - 1} and {k - 1} are " + "mutually " * (kind == "orthogonal") + kind)
-    return stack[1:]
+    for _, j, k in _qubit_zeros([stack], [0], tol):
+        hits += [(a, b, "orthogonal") for a, b in zip(j.tolist(), k.tolist())]
+    for _, j, k in _qubit_zeros([both], [0], replace(tol, orth_abs=tol.rank_rel)):
+        cross = (j < n) & (k >= n) & (k - n != j)
+        pairs = zip(j[cross].tolist(), (k[cross] - n).tolist())
+        hits += [(min(a, b), max(a, b), "parallel") for a, b in pairs]
+    if not hits:
+        return stack[1:]
+    # the first pair in combinations order; orthogonal sorts before parallel
+    j, k, kind = min(hits)
+    if j == 0:
+        raise ValueError(f"seed {k - 1} is {kind} to |0>")
+    if kind == "orthogonal":
+        kind = "mutually orthogonal"
+    raise ValueError(f"seeds {j - 1} and {k - 1} are {kind}")
 
 
 def upb_qubit3() -> StateSet:

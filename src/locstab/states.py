@@ -49,14 +49,12 @@ MAX_DENSE_DIMENSION = 1 << 26
 # that few pairs that are not near antipodal share a key window; the slack
 # added to that window, far above the rounding of the keys (about 1e-15) and
 # of the party shifts (below 2**-43 for fewer than _RAY_PARTIES parties);
-# the parties, keys and candidate pairs handled per step; and the most pairs
-# a batch holds for every pair to be a candidate, with no keys sorted.
+# and the parties, keys and candidate pairs handled per step.
 _RAY_AXIS = np.array([1.0, math.sqrt(2.0), math.sqrt(5.0)]) / math.sqrt(8.0)
 _RAY_SLACK = 1e-11
 _RAY_PARTIES = 256
 _RAY_KEYS = 1 << 14
 _RAY_PAIRS = 1 << 16
-_RAY_ALL = 1 << 10
 
 # Complex factor entries turned into one block of JSON payloads by save_set.
 _SAVE_BLOCK = 1 << 16
@@ -336,8 +334,7 @@ def _qubit_zeros(factors, parties, tol: Tolerance):
     _RAY_PARTIES parties, the keys are sorted once, each party's shifted by
     4 times its place in the batch, and every factor's candidates are the
     keys within 2 * orth_abs + _RAY_SLACK of minus its own: a superset of
-    its vanishing partners, of which factor j keeps those k > j.  A batch
-    of at most _RAY_ALL pairs sorts no keys: all of them are candidates.  The
+    its vanishing partners, of which factor j keeps those k > j.  The
     window ends are searched in ascending order, each party's sorted keys
     reversed, where numpy's binary search starts from its last bound, and
     scattered back to factor order.  At most _RAY_PAIRS candidates are
@@ -352,29 +349,23 @@ def _qubit_zeros(factors, parties, tol: Tolerance):
     for first in range(0, len(parties), per):
         batch = np.array(parties[first:first + per], dtype=np.intp)
         stacks = np.stack([factors[r] for r in batch])
-        if len(batch) * size * size <= _RAY_ALL:
-            # so few pairs that every factor of a party is a candidate
-            order = np.arange(size)
-            low = np.zeros(len(batch) * size, dtype=np.intp)
-            counts = np.full(len(batch) * size, size)
-        else:
-            up, down = stacks[..., 0], stacks[..., 1]
-            cross = up.conj() * down
-            keys = 2.0 * (_RAY_AXIS[0] * cross.real + _RAY_AXIS[1] * cross.imag) + _RAY_AXIS[2] * (
-                up.real**2 + up.imag**2 - down.real**2 - down.imag**2
-            )
-            shift = 4.0 * np.arange(len(batch))[:, None]
-            order = np.argsort(keys, axis=1)
-            ranked = np.take_along_axis(keys, order, axis=1)
-            targets = (shift - ranked[:, ::-1]).ravel()
-            ranked = (ranked + shift).ravel()
-            back = (order[:, ::-1] + size * np.arange(len(batch))[:, None]).ravel()
-            low, counts = np.empty((2, len(back)), dtype=np.intp)
-            low[back] = np.searchsorted(ranked, targets - window, "left")
-            counts[back] = np.searchsorted(ranked, targets + window, "right")
-            counts -= low
-            order = order.ravel()
+        up, down = stacks[..., 0], stacks[..., 1]
+        cross = up.conj() * down
+        keys = 2.0 * (_RAY_AXIS[0] * cross.real + _RAY_AXIS[1] * cross.imag) + _RAY_AXIS[2] * (
+            up.real**2 + up.imag**2 - down.real**2 - down.imag**2
+        )
+        shift = 4.0 * np.arange(len(batch))[:, None]
+        order = np.argsort(keys, axis=1)
+        ranked = np.take_along_axis(keys, order, axis=1)
+        targets = (shift - ranked[:, ::-1]).ravel()
+        ranked = (ranked + shift).ravel()
+        back = (order[:, ::-1] + size * np.arange(len(batch))[:, None]).ravel()
+        low, counts = np.empty((2, len(back)), dtype=np.intp)
+        low[back] = np.searchsorted(ranked, targets - window, "left")
+        counts[back] = np.searchsorted(ranked, targets + window, "right")
+        counts -= low
         ends = np.cumsum(counts)
+        order = order.ravel()
         start = 0
         while start < len(counts):
             done = int(ends[start - 1]) if start else 0

@@ -76,6 +76,13 @@ class TestSeeds:
         for n in (2, 3, 5, 10, 25, 111_100, 120_000):
             validate_seeds(default_seeds(n), n)
 
+    def test_returns_one_read_only_unit_stack(self):
+        seeds = _random_seeds(9, 4)
+        stack = validate_seeds(seeds, 9)
+        assert isinstance(stack, np.ndarray) and stack.shape == (8, 2)
+        assert not stack.flags.writeable
+        assert np.allclose(np.linalg.norm(stack, axis=1), 1.0)
+
     def test_wrong_count(self):
         with pytest.raises(ValueError, match="expected 2 seeds"):
             validate_seeds(default_seeds(4), 3)
@@ -148,8 +155,7 @@ class TestSeeds:
     def test_planted_near_cutoffs_match_pairwise_loop(self, n, where, cutoff, scale):
         # seed 8 sits scale * cutoff off the perp of seed 3 (orth_abs) or off
         # seed 3 itself (rank_rel); at a pole, off |1> (orthogonal to |0>)
-        # or off |0> (parallel to it).  At n = 12 the qubit pass takes every
-        # pair as a candidate, at n = 40 it sorts keys
+        # or off |0> (parallel to it)
         seeds = _random_seeds(n, 7)
         eps = scale * getattr(DEFAULT_TOL, cutoff)
         if where == "pair":

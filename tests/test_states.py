@@ -475,16 +475,6 @@ class TestQubitRayPass:
         _assert_pattern_matches_scan(_pooled_set(rng, (2,) * 9, 50))
         _assert_pattern_matches_scan(_random_shift_family(12, 4), Tolerance(orth_abs=1e-4))
 
-    @pytest.mark.parametrize("every_pair", [0, 1 << 30])
-    def test_both_candidate_modes_match_scan(self, every_pair, monkeypatch):
-        # _RAY_ALL = 0 sorts the keys of every batch, 1 << 30 makes every
-        # pair of a party a candidate
-        monkeypatch.setattr(states_module, "_RAY_ALL", every_pair)
-        monkeypatch.setattr(states_module, "_RAY_PAIRS", 999)
-        rng = np.random.default_rng(29)
-        _assert_pattern_matches_scan(_pooled_set(rng, (2,) * 6, 30))
-        _assert_pattern_matches_scan(_random_shift_family(12, 5), Tolerance(orth_abs=1e-4))
-
     def test_one_party_batches_match_scan(self, monkeypatch):
         monkeypatch.setattr(states_module, "_RAY_PARTIES", 1)
         monkeypatch.setattr(states_module, "_RAY_PAIRS", 7)
