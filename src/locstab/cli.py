@@ -25,11 +25,11 @@ from .stability import (
 from .states import _complex_pairs, load_set, save_set, state_set_to_dict
 
 
-def _sqrt_subset_set(n, tol):
-    return constructions.sqrt_subset(n, tol=tol)[1]
+def _sqrt_subset_set(n):
+    return constructions.sqrt_subset(n)[1]
 
 
-# name -> (builder, whether it is sized by --n); sized builders take (n, tol=)
+# name -> (builder, whether it is sized by --n); no builder takes a tolerance
 _CONSTRUCTIONS = {
     "qubit3": (constructions.upb_qubit3, False),
     "triple": (constructions.entangled_triple, False),
@@ -70,7 +70,7 @@ def _emit(args, payload: dict, human_lines, out) -> None:
         sys.stdout.write(text)
 
 
-def _build_named(name, n, tol, flag="--n"):
+def _build_named(name, n, flag="--n"):
     """The named construction, sized by ``n``, the value of ``flag``, which
     an unsized construction refuses."""
     build, sized = _CONSTRUCTIONS[name]
@@ -80,37 +80,22 @@ def _build_named(name, n, tol, flag="--n"):
         return build()
     if n is None:
         raise ValueError(f"construction {name!r} requires {flag}")
-    return build(n, tol=tol)
-
-
-def _refuse_unread_tolerance(args, names, what):
-    """Refuse --tol-rank and --tol-orth when no construction in ``names``
-    is sized: only the sized builders read a tolerance."""
-    if any(_CONSTRUCTIONS[name][1] for name in names):
-        return
-    for flag, value in (("--tol-rank", args.tol_rank), ("--tol-orth", args.tol_orth)):
-        if value is not None:
-            raise ValueError(f"{flag} is not read by {what}, which takes no tolerance")
+    return build(n)
 
 
 def _cmd_construct(args) -> int:
-    tol = _tolerance(args)
     if args.name != "compose":
         for dest in ("left", "right", "left_n", "right_n", "left_index", "right_index"):
             if getattr(args, dest) is not None:
                 raise ValueError(f"--{dest.replace('_', '-')} is read only by compose")
-        _refuse_unread_tolerance(args, [args.name], f"construction {args.name!r}")
-        state_set = _build_named(args.name, args.n, tol)
+        state_set = _build_named(args.name, args.n)
     else:
         if args.n is not None:
             raise ValueError("--n is not read by compose; its operands take --left-n and --right-n")
         if args.left is None or args.right is None:
             raise ValueError("compose requires --left and --right")
-        _refuse_unread_tolerance(
-            args, [args.left, args.right], f"compose of {args.left!r} and {args.right!r}"
-        )
-        left = _build_named(args.left, args.left_n, tol, "--left-n")
-        right = _build_named(args.right, args.right_n, tol, "--right-n")
+        left = _build_named(args.left, args.left_n, "--left-n")
+        right = _build_named(args.right, args.right_n, "--right-n")
         left_index, right_index = args.left_index or 0, args.right_index or 0
         for flag, index, operand in (
             ("--left-index", left_index, left),
@@ -318,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--right-n", type=int, default=None)
     p_construct.add_argument("--left-index", type=int, default=None)
     p_construct.add_argument("--right-index", type=int, default=None)
-    _common_flags(p_construct)
+    _common_flags(p_construct, tolerance=False)
     p_construct.set_defaults(func=_cmd_construct)
 
     p_check = sub.add_parser("check", help="certify local stability of a set file")
@@ -367,6 +352,11 @@ def main(argv=None) -> int:
         # every input error: bad flags, unreadable or malformed files,
         # empty or non-orthogonal sets
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a set too large for this host's memory is an input error too
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: not enough memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -63,28 +63,30 @@ def qubit_perp(vec) -> np.ndarray:
     return np.stack([arr[..., 1].conj(), -arr[..., 0].conj()], axis=-1)
 
 
-def default_seeds(n: int):
-    """n-1 planar qubit states at angles i*pi/(2n), i = 1..n-1.
+def default_seeds(n: int) -> np.ndarray:
+    """n-1 planar qubit states at angles i*pi/(2n), i = 1..n-1, as one
+    read-only (n-1, 2) stack of unit rows, bit for bit those
+    :func:`validate_seeds` returns for them.
 
     Pairwise angles stay strictly inside (0, pi/2), so no two seeds are
-    orthogonal or parallel and every seed is tilted away from both poles.
+    orthogonal or parallel and every seed is tilted away from both poles:
+    the constructions take them without a check.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    return [
-        np.array([math.cos(theta), math.sin(theta)], dtype=complex)
-        for theta in (i * math.pi / (2 * n) for i in range(1, n))
-    ]
+    angles = [i * math.pi / (2 * n) for i in range(1, n)]
+    cos_sin = np.column_stack([[*map(math.cos, angles)], [*map(math.sin, angles)]])
+    return _unit_rows(cos_sin.astype(complex))
 
 
-def validate_seeds(seeds, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Normalize and vet the n-1 shift-family seeds; return them as one
-    read-only (n-1, 2) stack of unit rows.
+def validate_seeds(seeds, n: int) -> np.ndarray:
+    """Normalize and vet n-1 caller-given shift-family seeds; return them as
+    one read-only (n-1, 2) stack of unit rows.
 
     No two of |0> and the finite, nonzero seeds may be orthogonal, with
-    |<a|b>| and |<b|a>| below ``tol.orth_abs``, or parallel, with a and b's
-    perp so orthogonal below ``tol.rank_rel`` (the partition test's
-    |<a^perp|b>| < rank_rel).  Each decision is the zero pattern's qubit
+    |<a|b>| and |<b|a>| below ``DEFAULT_TOL.orth_abs``, or parallel, with a
+    and b's perp so orthogonal below ``DEFAULT_TOL.rank_rel`` (the partition
+    test's |<a^perp|b>| < rank_rel).  Each decision is the zero pattern's qubit
     pass, :func:`~locstab.states._qubit_zeros`.  Refusals name the first
     seed that is malformed, not finite or zero, else the first offending
     pair, with |0> or of seeds, in ``itertools.combinations`` order.
@@ -107,15 +109,15 @@ def validate_seeds(seeds, n: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     # a is parallel to b exactly when a is orthogonal to b's perp: the pairs
     # (j, n + k) of [stack; perps] with k != j
     both = np.concatenate([stack, qubit_perp(stack)])
-    # at the looser of the two cutoffs, valid seeds leave each row with only
-    # its own perp: one pass accepts them
-    loose = replace(tol, orth_abs=max(tol.orth_abs, tol.rank_rel))
-    if all((k - j == n).all() for _, j, k in _qubit_zeros([both], [0], loose)):
+    # at the parallel cutoff, the looser of the two, valid seeds leave each
+    # row with only its own perp: one pass accepts them
+    parallel = replace(DEFAULT_TOL, orth_abs=DEFAULT_TOL.rank_rel)
+    if all((k - j == n).all() for _, j, k in _qubit_zeros([both], [0], parallel)):
         return stack[1:]
     hits = []
-    for _, j, k in _qubit_zeros([stack], [0], tol):
+    for _, j, k in _qubit_zeros([stack], [0], DEFAULT_TOL):
         hits += [(a, b, "orthogonal") for a, b in zip(j.tolist(), k.tolist())]
-    for _, j, k in _qubit_zeros([both], [0], replace(tol, orth_abs=tol.rank_rel)):
+    for _, j, k in _qubit_zeros([both], [0], parallel):
         cross = (j < n) & (k >= n) & (k - n != j)
         pairs = zip(j[cross].tolist(), (k[cross] - n).tolist())
         hits += [(min(a, b), max(a, b), "parallel") for a, b in pairs]
@@ -141,7 +143,7 @@ def upb_qubit3() -> StateSet:
     return StateSet((2, 2, 2), states, "qubit3-upb")
 
 
-def shift_family(n: int, seeds=None, tol: Tolerance = DEFAULT_TOL) -> StateSet:
+def shift_family(n: int, seeds=None) -> StateSet:
     """The N = 2n-1 cyclic right shifts of |1>|s_1>..|s_{n-1}>|s_{n-1}^perp>..|s_1^perp>
     on N qubits.
 
@@ -153,19 +155,21 @@ def shift_family(n: int, seeds=None, tol: Tolerance = DEFAULT_TOL) -> StateSet:
     if n < 2:
         raise ValueError("shift families need n >= 2")
     parties = 2 * n - 1
-    stacks = _shift_stacks(n, seeds, tol, range(parties))
+    stacks = _shift_stacks(n, seeds, range(parties))
     return StateSet._from_stacks((2,) * parties, stacks, f"shift-family-n{n}")
 
 
-def _shift_stacks(n, seeds, tol, firsts):
+def _shift_stacks(n, seeds, firsts):
     """The per-party factor stacks of the shift-family states whose first
     factor is table entry t, for each t in ``firsts``: state t carries entry
     (t - r) mod N at party r.  The cyclic table maps 0 to |1>, 1..n-1 to the
     seed perps and N-i to seed i, so two entries are orthogonal exactly when
     their nonzero indices sum to 0 mod N.  Its 2n-1 entries are normalized
     once, and the stacks are rows of one (N, len(firsts), 2) array, filled
-    in blocks of at most _TABLE_ROWS rows."""
-    seeds = validate_seeds(default_seeds(n) if seeds is None else list(seeds), n, tol)
+    in blocks of at most _TABLE_ROWS rows.  Seeds a caller passes go
+    through :func:`validate_seeds`; the default seeds are valid by their
+    angles and skip it."""
+    seeds = default_seeds(n) if seeds is None else validate_seeds(list(seeds), n)
     parties = 2 * n - 1
     table = _unit_rows(np.concatenate([_KET1[None], qubit_perp(seeds), seeds[::-1]]))
     firsts = np.array(firsts, dtype=np.intp)
@@ -178,9 +182,9 @@ def _shift_stacks(n, seeds, tol, firsts):
     return list(stacks)
 
 
-def upb_shifts(n: int, seeds=None, tol: Tolerance = DEFAULT_TOL) -> StateSet:
+def upb_shifts(n: int, seeds=None) -> StateSet:
     """|0...0> prepended to the shift family: a UPB with 2n states on 2n-1 qubits."""
-    family = shift_family(n, seeds, tol)
+    family = shift_family(n, seeds)
     zero = ProductState([_KET0] * len(family.dims))
     return StateSet(family.dims, (zero,) + family.states, f"shift-upb-n{n}")
 
@@ -347,7 +351,7 @@ def sqrt_subset_plan(n: int) -> SqrtSubsetPlan:
     return SqrtSubsetPlan(n, parties, block, head, chain, indices)
 
 
-def sqrt_subset(n: int, seeds=None, tol: Tolerance = DEFAULT_TOL):
+def sqrt_subset(n: int, seeds=None):
     """Pick 3*ceil(sqrt(N)) states of shift_family(n), N = 2n-1 > 36, whose
     every party keeps at least two orthogonal factor pairs.
 
@@ -356,7 +360,7 @@ def sqrt_subset(n: int, seeds=None, tol: Tolerance = DEFAULT_TOL):
     table entry t.
     """
     plan = sqrt_subset_plan(n)
-    stacks = _shift_stacks(n, seeds, tol, plan.indices)
+    stacks = _shift_stacks(n, seeds, plan.indices)
     return plan, StateSet._from_stacks((2,) * plan.parties, stacks, f"sqrt-subset-n{n}")
 
 
@@ -374,14 +378,17 @@ def verify_two_pairs(plan, parties=None) -> TwoPairReport:
     """Check that every cyclic shift of the selected index set keeps at least
     two unordered complementary pairs {x, N-x} with x != 0.
 
-    Accepts a :class:`SqrtSubsetPlan` or a raw index iterable plus
-    ``parties``, the cycle length N >= 1; shifted entries being orthogonal
+    Accepts a :class:`SqrtSubsetPlan`, whose ``parties`` a given
+    ``parties`` must equal, or a raw index iterable plus ``parties``, the
+    cycle length N >= 1; shifted entries being orthogonal
     is exactly the complementary-pair condition on the shift-family table.
     Shift s keeps {t - s, t' - s} exactly when t + t' = 2s mod N, so the
     count of shift s is the number of unordered index pairs {t, t'},
     t != t', with that sum.
     """
     if isinstance(plan, SqrtSubsetPlan):
+        if parties is not None and parties != plan.parties:
+            raise ValueError(f"parties={parties} disagrees with the plan's {plan.parties} parties")
         indices, cycle = set(plan.indices), plan.parties
     else:
         if parties is None:

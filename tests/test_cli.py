@@ -11,6 +11,7 @@ import pytest
 
 import golden_guard
 import locstab._jsonout
+import locstab.cli
 import locstab.stability
 from locstab import (
     DEFAULT_TOL,
@@ -531,7 +532,6 @@ class TestInputErrors:
     def test_audit_of_dense_set_rejected_before_certifying(
         self, capsys, tmp_path, monkeypatch
     ):
-        import locstab.cli
         from locstab import StateSet, tensor_expand
 
         q3 = upb_qubit3()
@@ -544,6 +544,18 @@ class TestInputErrors:
         self.assert_input_error(code, out, err)
         assert err == "error: --audit needs an all-product set\n"
         assert calls == []
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 4.66 TiB", ""])
+    def test_failed_allocation_exits_two(self, capsys, monkeypatch, message):
+        # a builder that runs out of memory stands in for a giant --n: a real
+        # allocation of that size would be paged in on overcommitting hosts
+        def exhausted(n):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(locstab.cli._CONSTRUCTIONS, "shift-family", (exhausted, True))
+        code, out, err = run_cli(capsys, "construct", "shift-family", "--n", "200000")
+        self.assert_input_error(code, out, err)
+        assert err == f"error: not enough memory{': ' + message if message else ''}\n"
 
 
 class TestDeterminism:
@@ -624,6 +636,14 @@ class TestFlagsPerSubcommand:
             ["bound", "--dims", "2,2", "--seed", "1"],
             ["bound", "--dims", "2,2", "--tol-rank", "1e-6"],
             ["bound", "--dims", "2,2", "--tol-orth", "1e-6"],
+            # no construction reads a tolerance
+            ["construct", "shifts", "--n", "3", "--tol-orth", "1e-9"],
+            ["construct", "compose", "--left", "qubit3", "--right", "shifts",
+             "--right-n", "3", "--tol-rank", "1e-9"],
+            ["construct", "qubit3", "--tol-orth", "1e-9"],
+            ["construct", "tiles33", "--tol-rank", "1e-9"],
+            ["construct", "compose", "--left", "qubit3", "--right", "tiles33",
+             "--tol-orth", "1e-9"],
         ],
     )
     def test_unread_flag_exits_two(self, capsys, qubit3_file, argv):
@@ -638,10 +658,6 @@ class TestFlagsPerSubcommand:
             ["subsets", "{set}", "--k", "2", "--seed", "1", "--tol-orth", "1e-9"],
             ["complement", "{set}", "--seed", "1", "--tol-rank", "1e-6"],
             ["check", "{set}", "--tol-rank", "1e-6", "--tol-orth", "1e-9"],
-            ["construct", "shifts", "--n", "3", "--tol-orth", "1e-9"],
-            # a sized operand reads the tolerance
-            ["construct", "compose", "--left", "qubit3", "--right", "shifts",
-             "--right-n", "3", "--tol-rank", "1e-9"],
         ],
     )
     def test_read_flags_accepted(self, capsys, qubit3_file, argv):
@@ -664,11 +680,6 @@ class TestFlagsPerSubcommand:
               "--right", "shifts", "--right-n", "3"], "--left-n"),
             (["construct", "compose", "--left", "shifts", "--left-n", "3",
               "--right", "tiles33", "--right-n", "2"], "--right-n"),
-            # only the sized constructions read a tolerance
-            (["construct", "qubit3", "--tol-orth", "1e-9"], "--tol-orth"),
-            (["construct", "tiles33", "--tol-rank", "1e-9"], "--tol-rank"),
-            (["construct", "compose", "--left", "qubit3", "--right", "tiles33",
-              "--tol-orth", "1e-9"], "--tol-orth"),
         ],
     )
     def test_construct_refuses_flags_it_does_not_read(self, capsys, argv, flag):

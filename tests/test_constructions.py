@@ -45,6 +45,7 @@ from oracles import (
     states_close,
     subset_campaign_loop,
     two_pairs_loop,
+    unit_reference,
     validate_seeds_loop,
 )
 
@@ -75,6 +76,49 @@ class TestSeeds:
         # but lie far outside the rank_rel cutoff of the parallel test
         for n in (2, 3, 5, 10, 25, 111_100, 120_000):
             validate_seeds(default_seeds(n), n)
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 1000])
+    def test_default_seeds_valid_by_their_angles(self, n):
+        # |0> and the seeds sit at angles i*pi/(2n), i = 0..n-1, so every
+        # pair's overlap is cos and its perp overlap |sin| of a difference in
+        # [pi/(2n), (n-1)pi/(2n)]: both at least sin(pi/(2n)), far above the
+        # cutoffs validate_seeds judges by
+        rows = np.concatenate([[[1.0, 0.0]], default_seeds(n)])
+        perps = np.stack([rows[:, 1].conj(), -rows[:, 0].conj()], axis=1)
+        off = ~np.eye(n, dtype=bool)
+        bound = math.sin(math.pi / (2 * n)) - 1e-15
+        assert np.abs(rows.conj() @ rows.T)[off].min() >= bound
+        assert np.abs(perps.conj() @ rows.T)[off].min() >= bound
+        assert bound > max(DEFAULT_TOL.orth_abs, DEFAULT_TOL.rank_rel)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 100, 1000])
+    def test_default_seeds_are_one_read_only_stack(self, n):
+        seeds = default_seeds(n)
+        assert isinstance(seeds, np.ndarray) and seeds.shape == (n - 1, 2)
+        assert not seeds.flags.writeable
+        angles = [i * math.pi / (2 * n) for i in range(1, n)]
+        assert [row.tobytes() for row in seeds] == [
+            unit_reference([math.cos(t), math.sin(t)]).tobytes() for t in angles
+        ]
+
+    @pytest.mark.parametrize(
+        "build, n",
+        [(shift_family, 5), (upb_shifts, 5), (sqrt_subset, 19)],
+        ids=["shift_family", "upb_shifts", "sqrt_subset"],
+    )
+    def test_only_caller_seeds_are_vetted(self, monkeypatch, build, n):
+        calls = []
+        real = locstab.constructions.validate_seeds
+
+        def spy(seeds, size):
+            calls.append(size)
+            return real(seeds, size)
+
+        monkeypatch.setattr(locstab.constructions, "validate_seeds", spy)
+        build(n)
+        assert calls == []
+        build(n, _random_seeds(n, 5))
+        assert calls == [n]
 
     def test_returns_one_read_only_unit_stack(self):
         seeds = _random_seeds(9, 4)
@@ -479,6 +523,14 @@ class TestVerifyTwoPairs:
         report = verify_two_pairs(range(16), parties=49)
         assert not report.ok
         assert report.counts[0] == 0
+
+    def test_plan_with_other_parties_refused_naming_both(self):
+        with pytest.raises(ValueError, match=r"^parties=3 disagrees with the plan's 37 parties$"):
+            verify_two_pairs(sqrt_subset_plan(19), parties=3)
+
+    def test_plan_with_its_own_parties_accepted(self):
+        plan = sqrt_subset_plan(19)
+        assert verify_two_pairs(plan, parties=37) == verify_two_pairs(plan)
 
     def test_raw_indices_need_parties(self):
         with pytest.raises(ValueError):
