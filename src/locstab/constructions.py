@@ -18,7 +18,7 @@ import numpy as np
 from .numerics import DEFAULT_TOL, Tolerance
 from .stability import _subset_verdicts
 from .states import DenseState, ProductState, StateSet, as_dense
-from .states import _qubit_zeros, _unit_rows
+from .states import _qubit_perp, _qubit_zeros, _unit_rows
 
 __all__ = [
     "default_seeds",
@@ -60,7 +60,7 @@ def qubit_perp(vec) -> np.ndarray:
     arr = np.asarray(vec, dtype=complex)
     if arr.shape[-1:] != (2,) or arr.ndim > 2:
         raise ValueError("qubit_perp expects a 2-entry vector or an (m, 2) stack")
-    return np.stack([arr[..., 1].conj(), -arr[..., 0].conj()], axis=-1)
+    return _qubit_perp(arr)
 
 
 def default_seeds(n: int) -> np.ndarray:
@@ -108,7 +108,7 @@ def validate_seeds(seeds, n: int) -> np.ndarray:
         raise ValueError(f"seed {malformed} is not a single-qubit vector")
     # a is parallel to b exactly when a is orthogonal to b's perp: the pairs
     # (j, n + k) of [stack; perps] with k != j
-    both = np.concatenate([stack, qubit_perp(stack)])
+    both = np.concatenate([stack, _qubit_perp(stack)])
     # at the parallel cutoff, the looser of the two, valid seeds leave each
     # row with only its own perp: one pass accepts them
     parallel = replace(DEFAULT_TOL, orth_abs=DEFAULT_TOL.rank_rel)

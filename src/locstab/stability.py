@@ -22,7 +22,10 @@ The module also carries the counting facts that bound the size of a stable
 set, closed-form upper bounds for qubit and qutrit systems, and the exact
 decision whether a set's orthogonal complement holds a product state: the
 partition test for product sets, the dimension count for small sets, and a
-see-saw search whose witnesses are checked before they count.
+see-saw search whose witnesses are checked before they count.  At a qubit
+party the partition test's hyperplanes are the factors' own rays, whose
+normals a^perp it takes in closed form, so it calls the rank kernel only
+for parties with d >= 3 and for a found split's witness.
 """
 
 from __future__ import annotations
@@ -38,9 +41,11 @@ from .states import (
     FactorZeroPattern,
     ProductState,
     StateSet,
+    _acyclic,
     _coordinate_sums,
     _offending_pairs,
     _party_blocks,
+    _qubit_perp,
     _rowwise_kron,
     _span_source,
     as_dense,
@@ -224,10 +229,12 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     dims[kernel] = _stacked_ranks((_traceless_rows(g) for g, _ in spans), tol)
     conflicts = [None] * len(state_set.dims)
     if isinstance(source, FactorZeroPattern):
-        conflicts = [
-            tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
-            for pairs in source.conflict_pairs
-        ]
+        # tuples of ints form no cycle, so no collection need scan them
+        with _acyclic():
+            conflicts = [
+                tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+                for pairs in source.conflict_pairs
+            ]
     records = [
         PartyRecord(party, dim, d * d - 1, dim == d * d - 1, pairs)
         for party, (d, dim, pairs) in enumerate(zip(state_set.dims, dims.tolist(), conflicts))
@@ -618,7 +625,8 @@ class ExtensionReport:
 
     The partition test also reports ``capacities[i]``, the largest number
     of party-i factors inside one hyperplane (all of them when they do not
-    span C^d), or the set size where the hyperplanes were not enumerated;
+    span C^d; at a qubit party, the most factors on one ray), or the set
+    size where the hyperplanes were not enumerated;
     ``groups[i]``, the states the found split gives party i, None when no
     split was found; and ``nodes``, the states its search placed.  Other
     methods leave these None.  Its witness factor at party i is the rank
@@ -638,42 +646,53 @@ class ExtensionReport:
     search: SearchReport | None = None
 
 
-def _hyperplanes(stack, tol):
-    """The hyperplanes holding min(l, d-1)-subsets of the unit factors of
-    parties sharing one local dimension, given as a (P, l, d) stack: per
-    party the (C, l) mask ``hits``, where ``hits[c, j]`` says whether
-    |<n_c|a_j>| < ``tol.rank_rel`` for the normal n_c of the c-th subset,
-    or None for every party when there are more than _HYPERPLANE_SUBSETS
-    subsets.
+def _hyperplanes(stacks, tol):
+    """Yield, party by party, the hyperplanes holding min(l, d-1)-subsets of
+    the unit factors of parties sharing one local dimension, given as P
+    (l, d) stacks: the (C, l) mask ``hits``, where ``hits[c, j]`` says
+    whether |<n_c|a_j>| < ``tol.rank_rel`` for the normal n_c of the c-th
+    subset, or None for every party when there are more than
+    _HYPERPLANE_SUBSETS subsets.
 
-    Each normal is the pivot past rank d-1 of its subset stacked above the
-    identity, so it is orthogonal to the subset even when the subset is
-    rank deficient.  Factors lie in one hyperplane exactly when some normal
-    hits all of them.  When the party's factors span C^d, a group of rank
-    below d grows, by more factors, to d-1 independent ones, whose normal
-    hits the group.  When they do not (always when l < d), some subset
-    spans all of them, so its normal hits every state and the party's
-    capacity is l.  Subsets are ranked, and their hits counted, in stacks
-    of at most _RANK_BUDGET entries, one party at least.
+    A qubit's subsets are its single factors a_c, each hyperplane the ray
+    of a_c, so n_c is a_c^perp in closed form
+    (:func:`~locstab.states._qubit_perp`).  For d >= 3 each normal is the
+    pivot past rank d-1 of its subset stacked above the identity, so it is
+    orthogonal to the subset even when the subset is rank deficient; for a
+    qubit that pivot is a_c^perp up to a phase.  Factors lie in one
+    hyperplane exactly when some normal hits all of them.  When the party's
+    factors span C^d, a group of rank below d grows, by more factors, to
+    d-1 independent ones, whose normal hits the group.  When they do not
+    (always when l < d), some subset spans all of them, so its normal hits
+    every state and the party's capacity is l.  Masks are made in batches
+    of at most _RANK_BUDGET entries of rows or hits, one party at least,
+    each batch's stacks copied into one array, so a mask the caller drops
+    is freed with its batch.
     """
-    parties, size, d = stack.shape
+    parties, (size, d) = len(stacks), stacks[0].shape
     width = min(size, d - 1)
     if math.comb(size, width) > _HYPERPLANE_SUBSETS:
-        return [None] * parties
+        yield from [None] * parties
+        return
+    if d == 2:
+        per = max(1, _RANK_BUDGET // (size * size))
+        for first in range(0, parties, per):
+            factors = np.stack(stacks[first:first + per])
+            overlaps = _qubit_perp(factors).conj() @ factors.transpose(0, 2, 1)
+            yield from np.abs(overlaps) < tol.rank_rel
+        return
     subsets = np.array(list(itertools.combinations(range(size), width)), dtype=np.intp)
     per = max(1, _RANK_BUDGET // (len(subsets) * (width + d) * d))
     identity = np.eye(d, dtype=complex)
-    hits = []
     for first in range(0, parties, per):
-        factors = stack[first:first + per]
+        factors = np.stack(stacks[first:first + per])
         chunk = factors[:, subsets]
         rows = np.concatenate(
             [chunk, np.broadcast_to(identity, chunk.shape[:2] + (d, d))], axis=2
         )
         pivots = _orthonormal_rows(rows.reshape(-1, width + d, d), tol.rank_rel)[0]
         normals = pivots[:, d - 1].reshape(len(factors), len(subsets), d)
-        hits.extend(np.abs(normals.conj() @ factors.transpose(0, 2, 1)) < tol.rank_rel)
-    return hits
+        yield from np.abs(normals.conj() @ factors.transpose(0, 2, 1)) < tol.rank_rel
 
 
 def _partition_search(hits, starts, leaf):
@@ -742,8 +761,11 @@ def _partition_test(label, factors, tol):
     complement is not empty.
 
     Party i's capacity is the largest number of its factors in one
-    hyperplane (:func:`_hyperplanes`); a capacity sum below the set
-    size proves unextendibility with no search, and otherwise
+    hyperplane, read off each mask of :func:`_hyperplanes` as it is made.
+    A capacity sum below the set size proves unextendibility with no
+    search: the report is what the search would return from its root, and
+    no qubit mask is kept past its batch.  Otherwise the qubit masks are
+    made again, the masks of parties with d >= 3 having been kept, and
     :func:`_partition_search` looks for a split.  The hyperplanes only
     decide capacities and the search: at a split, a group whose factors
     span C^d is refused, and otherwise the witness factor is the rank
@@ -755,17 +777,30 @@ def _partition_test(label, factors, tol):
     """
     size = len(factors[0])
     dims = [f.shape[1] for f in factors]
+
+    def hyperplanes(parties):
+        """(party, mask) of each of ``parties``, a stack per local dimension."""
+        for d in {dims[i] for i in parties}:
+            group = [i for i in parties if dims[i] == d]
+            yield from zip(group, _hyperplanes([factors[i] for i in group], tol))
+
+    # a party past the subset cap holds every state in one hyperplane
+    capacities = [size] * len(dims)
     masks = [None] * len(dims)
-    for d in set(dims):
-        parties = [i for i, di in enumerate(dims) if di == d]
-        stack = np.stack([factors[i] for i in parties])
-        for party, mask in zip(parties, _hyperplanes(stack, tol)):
+    for party, mask in hyperplanes(range(len(dims))):
+        if mask is not None:
+            capacities[party] = int(mask.sum(axis=1).max())
+        if dims[party] > 2:
             masks[party] = mask
-    # a party past the subset cap gets one column holding every state
+    capacities = tuple(capacities)
+    if sum(capacities) < size:
+        return ExtensionReport(label, "unextendible", None, None, capacities, 0)
+    # the search needs the (l, l) qubit masks, so only it builds them again
+    for party, mask in hyperplanes([i for i, d in enumerate(dims) if d == 2]):
+        masks[party] = mask
     columns = [np.ones((size, 1), dtype=bool) if m is None else m.T for m in masks]
     starts = np.cumsum([0] + [c.shape[1] for c in columns[:-1]])
     hits = np.concatenate(columns, axis=1)
-    capacities = tuple(np.maximum.reduceat(hits.sum(axis=0), starts).tolist())
 
     def leaf(parties):
         witness = []

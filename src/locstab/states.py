@@ -74,6 +74,12 @@ def check_signature(dims) -> tuple[int, ...]:
     return dims
 
 
+def _qubit_perp(stack) -> np.ndarray:
+    """The orthogonal direction (a, b) -> (conj b, -conj a) of every qubit
+    vector along the last axis of ``stack``, whatever its leading shape."""
+    return np.stack([stack[..., 1].conj(), -stack[..., 0].conj()], axis=-1)
+
+
 def _unit_rows(stack) -> np.ndarray:
     """Scale every row of a fresh (m, d) complex stack to unit norm, in
     place, and return the stack marked read-only.
@@ -765,13 +771,14 @@ def state_set_from_dict(payload) -> StateSet:
 def _acyclic():
     """Pause the cyclic garbage collector for the block, then restore it.
 
-    Only the JSON decoding and writing of state sets run inside: they build
-    nothing but lists, dicts, strings, numbers and :class:`_Entry` objects,
-    none of which can form a reference cycle, so reference counting frees
-    them exactly as before while the collector stops re-scanning the pair
-    lists of a dense entry.  The pause holds for the whole process, so
-    another thread may see the collector off while the block runs.  A
-    collector the caller had disabled stays disabled.
+    Only the JSON decoding and writing of state sets, and the building of a
+    certificate's conflict-pair tuples, run inside: they build nothing but
+    lists, dicts, tuples, strings, numbers and :class:`_Entry` objects, none
+    of which can form a reference cycle, so reference counting frees them
+    exactly as before while the collector stops re-scanning the pair lists
+    of a dense entry or the pair tuples.  The pause holds for the whole
+    process, so another thread may see the collector off while the block
+    runs.  A collector the caller had disabled stays disabled.
     """
     enabled = gc.isenabled()
     gc.disable()

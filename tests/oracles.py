@@ -7,9 +7,10 @@ from fractions import Fraction
 import numpy as np
 
 from locstab.constructions import CampaignReport, _sample_combos, compose, upb_qubit3
-from locstab.numerics import DEFAULT_TOL, vec_inner
-from locstab.stability import is_locally_stable
-from locstab.states import ProductState, StateSet, _party_blocks, as_dense
+import locstab.stability
+from locstab.numerics import DEFAULT_TOL, _orthonormal_rows, vec_inner
+from locstab.stability import _partition_search, is_locally_stable
+from locstab.states import ProductState, StateSet, _coordinate_sums, _party_blocks, as_dense
 
 
 def exact_rank(rows):
@@ -501,3 +502,70 @@ def two_pairs_loop(indices, parties):
             sum(1 for x in shifted if x != 0 and x < parties - x and (parties - x) in shifted)
         )
     return counts
+
+
+def hyperplanes_kernel(stack, tol=DEFAULT_TOL):
+    """One (C, l) hyperplane mask per party of a (P, l, d) factor stack, from
+    the rank kernel's normals at every local dimension: the normal of a
+    min(l, d-1)-subset is the pivot past rank d-1 of the subset stacked
+    above the identity, and ``mask[c, j]`` says whether |<n_c|a_j>| falls
+    below ``tol.rank_rel``.  The partition test took qubit normals this way
+    before they had a closed form."""
+    _, size, d = stack.shape
+    width = min(size, d - 1)
+    subsets = np.array(list(itertools.combinations(range(size), width)), dtype=np.intp)
+    identity = np.broadcast_to(np.eye(d, dtype=complex), (len(subsets), d, d))
+    masks = []
+    for factors in stack:
+        rows = np.concatenate([factors[subsets], identity], axis=1)
+        normals = _orthonormal_rows(rows, tol.rank_rel)[0][:, d - 1]
+        masks.append(np.abs(normals.conj() @ factors.T) < tol.rank_rel)
+    return masks
+
+
+def partition_kernel(state_set, tol=DEFAULT_TOL):
+    """(verdict, capacities, groups, nodes, witness factor bytes) of the
+    partition test on an all-product set, with every party's masks from
+    :func:`hyperplanes_kernel` (or one all-hitting column past the subset
+    cap), held together, and the search run from its root even when the
+    capacity sum settles the set.  The witness is built, checked and stored
+    as a ProductState as :func:`~locstab.stability.decide_extension` does."""
+    factors, size = state_set.factors, len(state_set)
+    columns = []
+    for stack in factors:
+        d = stack.shape[1]
+        if math.comb(size, min(size, d - 1)) > locstab.stability._HYPERPLANE_SUBSETS:
+            columns.append(np.ones((size, 1), dtype=bool))
+        else:
+            columns.append(hyperplanes_kernel(stack[None], tol)[0].T)
+    starts = np.cumsum([0] + [c.shape[1] for c in columns[:-1]])
+    hits = np.concatenate(columns, axis=1)
+    capacities = tuple(np.maximum.reduceat(hits.sum(axis=0), starts).tolist())
+
+    def leaf(parties):
+        witness = []
+        for party, stack in enumerate(factors):
+            group = stack[[j for j, p in enumerate(parties) if p == party]]
+            d = stack.shape[1]
+            rank = _orthonormal_rows(group[None].copy(), tol.rank_rel)[1][0]
+            if rank == d:
+                return None
+            rows = np.concatenate([group, np.eye(d, dtype=complex)])[None]
+            witness.append(_orthonormal_rows(rows, tol.rank_rel)[0][0, rank])
+        return witness
+
+    found, nodes, capped = _partition_search(hits, starts, leaf)
+    verdict = "undecided" if capped else "unextendible"
+    witness = groups = None
+    if found is not None:
+        parties, vectors = found
+        groups = tuple(
+            tuple(j for j, p in enumerate(parties) if p == party) for party in range(len(factors))
+        )
+        overlaps = [np.abs(_coordinate_sums(v.conj(), f)) for f, v in zip(factors, vectors)]
+        if (np.min(overlaps, axis=0) < tol.orth_abs).all():
+            witness = tuple(f.tobytes() for f in ProductState(vectors).factors)
+            verdict = "extendible"
+        else:
+            verdict = "undecided"
+    return verdict, capacities, groups, nodes, witness

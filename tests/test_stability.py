@@ -4,9 +4,11 @@ counting audits, and the complement see-saw."""
 import collections
 import dataclasses
 import functools
+import gc
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -44,11 +46,14 @@ from locstab import (
 )
 from locstab.numerics import Tolerance, _orthonormal_rows
 from locstab.stability import _hyperplanes, _see_saw
+from locstab.states import _qubit_perp
 from oracles import (
     PLANTED_SCALES,
     conflict_attribution_loop,
     extension_brute,
     hs_inner,
+    hyperplanes_kernel,
+    partition_kernel,
     party_blocks_loop,
     planted_qubit_bases,
     seesaw_sequential,
@@ -1316,7 +1321,168 @@ class TestOneWitnessRule:
         masks = _hyperplanes(stack, DEFAULT_TOL)
         assert [m.shape for m in masks] == [(10, 5)] * 2
         monkeypatch.setattr(locstab.stability, "_HYPERPLANE_SUBSETS", math.comb(5, 2) - 1)
-        assert _hyperplanes(stack, DEFAULT_TOL) == [None, None]
+        assert list(_hyperplanes(stack, DEFAULT_TOL)) == [None, None]
+
+
+def _planted_qubit_stack(seed, scale, parties=3, size=12):
+    """A (parties, size, 2) stack of random unit qubit factors where, at
+    every party, factor 1 is factor 0 turned off its ray by
+    |<a_0^perp|a_1>| = ``scale * rank_rel``, and factors 2 and 3 are factor
+    4 times a phase: a near-parallel pair and an exactly parallel class."""
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((parties, size, 2)) + 1j * rng.standard_normal((parties, size, 2))
+    stack /= np.linalg.norm(stack, axis=2, keepdims=True)
+    phases = np.exp(2j * np.pi * rng.random((2, parties, 1)))
+    turn = scale * DEFAULT_TOL.rank_rel
+    turned = stack[:, 0] + turn * phases[0] * _qubit_perp(stack[:, 0])
+    stack[:, 1] = turned / np.linalg.norm(turned, axis=1, keepdims=True)
+    stack[:, 2:4] = stack[:, 4:5] * np.exp(2j * np.pi * rng.random((parties, 2, 1)))
+    return stack
+
+
+def _masks_by_party(state_set):
+    """Every party's hyperplane mask from _hyperplanes, each local dimension
+    stacked on its own as the partition test stacks it."""
+    masks = {}
+    for d in set(state_set.dims):
+        parties = [i for i, di in enumerate(state_set.dims) if di == d]
+        stacks = [state_set.factors[i] for i in parties]
+        masks.update(zip(parties, _hyperplanes(stacks, DEFAULT_TOL)))
+    return [masks[i] for i in range(len(state_set.dims))]
+
+
+def _assert_masks_match_kernel(state_set):
+    for stack, mask in zip(state_set.factors, _masks_by_party(state_set)):
+        (expected,) = hyperplanes_kernel(stack[None])
+        assert mask.tolist() == expected.tolist()
+        assert mask.sum(axis=1).max() == expected.sum(axis=1).max()
+
+
+def _report_key(report):
+    witness = None if report.witness is None else tuple(f.tobytes() for f in report.witness.factors)
+    return report.verdict, report.capacities, report.groups, report.nodes, witness
+
+
+def _without(build, drop):
+    state_set = build()
+    return state_set.subset([j for j in range(len(state_set)) if j != drop % len(state_set)])
+
+
+_PARTITION_BASES = {
+    "qubit3": upb_qubit3,
+    "tiles33": upb_tiles33,
+    "sep333": upb_sep333,
+    "reducible44": upb_44_reducible,
+    "compose(qubit3, tiles33)": lambda: compose(upb_qubit3(), 0, upb_tiles33(), 0),
+    **{f"upb_shifts({n})": functools.partial(upb_shifts, n) for n in range(3, 41)},
+    **{f"shift_family({n})": functools.partial(shift_family, n) for n in (3, 5)},
+}
+_PARTITION_SETS = {
+    **_PARTITION_BASES,
+    **{f"{name} without {drop}": functools.partial(_without, _PARTITION_BASES[name], drop)
+       for name in ("qubit3", "tiles33", "sep333", "reducible44", "compose(qubit3, tiles33)",
+                    "upb_shifts(3)", "upb_shifts(4)")
+       for drop in (0, -1)},
+}
+
+
+class TestClosedFormQubitHyperplanes:
+    """A qubit hyperplane is the ray of one factor a_c, with normal a_c^perp
+    in closed form; the masks, capacities and reports equal those of the
+    rank kernel's normals, the pivot past rank 1 of a_c above the identity.
+    A capacity sum below the set size returns before any qubit mask is
+    held, and before the search."""
+
+    # within 1% of the cutoff on either side; at the cutoff itself the two
+    # normals round apart
+    @pytest.mark.parametrize("scale", [0.5, 0.99, 1.01, 2.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_pairs_match_kernel_normals(self, seed, scale):
+        stack = _planted_qubit_stack(seed, scale)
+        masks = list(_hyperplanes(stack, DEFAULT_TOL))
+        for mask, expected in zip(masks, hyperplanes_kernel(stack), strict=True):
+            assert mask.tolist() == expected.tolist()
+            # the turned pair fits one ray only below the cutoff; the class
+            # of three always does
+            assert mask[0, 1] == mask[1, 0] == (scale < 1)
+            assert mask.sum(axis=1).max() == 3
+
+    @pytest.mark.parametrize("n", range(3, 65))
+    def test_shift_upbs_match_kernel_normals(self, n):
+        _assert_masks_match_kernel(upb_shifts(n))
+
+    @pytest.mark.parametrize("build", [
+        lambda: compose(upb_qubit3(), 0, upb_tiles33(), 0),
+        lambda: compose(upb_tiles33(), 2, upb_qubit3(), 1),
+        lambda: compose(upb_shifts(3), 0, upb_sep333(), 0),
+        lambda: compose(compose(upb_qubit3(), 0, upb_44_reducible(), 0), 3, upb_shifts(4), 0),
+    ], ids=["qubit3+tiles33", "tiles33+qubit3", "shifts3+sep333", "qubit3+r44+shifts4"])
+    def test_mixed_compositions_match_kernel_normals(self, build):
+        state_set = build()
+        assert len(set(state_set.dims)) > 1
+        _assert_masks_match_kernel(state_set)
+
+    @pytest.mark.parametrize("name", list(_PARTITION_SETS))
+    def test_reports_match_kernel_partition_test(self, name):
+        state_set = _PARTITION_SETS[name]()
+        assert _report_key(decide_extension(state_set)) == partition_kernel(state_set)
+
+    def test_report_sets_cover_both_verdicts(self):
+        verdicts = collections.Counter(
+            decide_extension(build()).verdict for build in _PARTITION_SETS.values()
+        )
+        assert verdicts == {"extendible": 17, "unextendible": 42}
+
+    @pytest.mark.parametrize("build", [upb_qubit3, *(functools.partial(upb_shifts, n)
+                                                     for n in range(3, 10))])
+    def test_qubit_upbs_need_no_kernel_and_no_search(self, build, monkeypatch):
+        calls = collections.Counter()
+        _counted(monkeypatch, locstab.stability, "_orthonormal_rows", calls)
+        _counted(monkeypatch, locstab.stability, "_partition_search", calls)
+        report = decide_extension(build())
+        assert (report.verdict, report.nodes, report.groups) == ("unextendible", 0, None)
+        assert sum(report.capacities) < len(build())
+        assert calls == {}
+
+    @pytest.mark.parametrize("build", [functools.partial(shift_family, 3),
+                                       functools.partial(_without, upb_qubit3, 0)])
+    def test_extendible_qubit_set_ranks_only_at_the_leaf(self, build, monkeypatch):
+        callers = []
+        original = locstab.stability._orthonormal_rows
+
+        def recorded(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(*args)
+
+        monkeypatch.setattr(locstab.stability, "_orthonormal_rows", recorded)
+        report = decide_extension(build())
+        assert report.verdict == "extendible"
+        assert callers and set(callers) == {"leaf"}
+
+
+class TestCertificateSkipsCollection:
+    def test_conflict_tuples_start_at_most_two_collections(self):
+        # the certificate's tuples of int pairs are built with the cyclic
+        # collector paused: tuples of ints form no cycle
+        state_set = shift_family(100)
+        is_locally_stable(state_set)
+        starts = []
+
+        def record(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.callbacks.append(record)
+        try:
+            for _ in range(3):
+                before = len(starts)
+                cert = is_locally_stable(state_set)
+                assert len(starts) - before <= 2
+                assert gc.isenabled()
+        finally:
+            gc.callbacks.remove(record)
+        assert [len(r.conflict_pairs) for r in cert.parties] == [198] * 199
 
 
 class TestSpanRankOnGenerators:
