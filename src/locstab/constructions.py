@@ -112,12 +112,13 @@ def validate_seeds(seeds, n: int) -> np.ndarray:
     # at the parallel cutoff, the looser of the two, valid seeds leave each
     # row with only its own perp: one pass accepts them
     parallel = replace(DEFAULT_TOL, orth_abs=DEFAULT_TOL.rank_rel)
-    if all((k - j == n).all() for _, j, k in _qubit_zeros([both], [0], parallel)):
+    accepted = [(j, k) for _, j, k in _qubit_zeros([both], [0], parallel)]
+    if all((k - j == n).all() for j, k in accepted):
         return stack[1:]
     hits = []
     for _, j, k in _qubit_zeros([stack], [0], DEFAULT_TOL):
         hits += [(a, b, "orthogonal") for a, b in zip(j.tolist(), k.tolist())]
-    for _, j, k in _qubit_zeros([both], [0], parallel):
+    for j, k in accepted:
         cross = (j < n) & (k >= n) & (k - n != j)
         pairs = zip(j[cross].tolist(), (k[cross] - n).tolist())
         hits += [(min(a, b), max(a, b), "parallel") for a, b in pairs]

@@ -86,8 +86,7 @@ _KERNEL = -1
 _RANK_BUDGET = 1 << 13
 
 # min(l, d - 1)-subsets of one party's factors whose hyperplanes the partition
-# test enumerates; a party with more is searched as if any group fitted in one
-# hyperplane.
+# test enumerates; a party with more gets one hyperplane holding every state.
 _HYPERPLANE_SUBSETS = 1 << 14
 
 # States placed by the partition test's search before it reports "undecided".
@@ -646,13 +645,15 @@ class ExtensionReport:
     search: SearchReport | None = None
 
 
-def _hyperplanes(stacks, tol):
-    """Yield, party by party, the hyperplanes holding min(l, d-1)-subsets of
-    the unit factors of parties sharing one local dimension, given as P
-    (l, d) stacks: the (C, l) mask ``hits``, where ``hits[c, j]`` says
-    whether |<n_c|a_j>| < ``tol.rank_rel`` for the normal n_c of the c-th
-    subset, or None for every party when there are more than
-    _HYPERPLANE_SUBSETS subsets.
+def _hyperplanes(factors, tol):
+    """Yield, batch by batch, the hyperplanes holding min(l, d-1)-subsets of
+    the unit factors of every party, given as the set's (l, d_r) stacks:
+    (parties, hits), where the B ``parties`` share one local dimension d
+    and ``hits`` is their (B, C, l) mask over C subsets, ``hits[b, c, j]``
+    saying whether |<n_c|a_j>| < ``tol.rank_rel`` for the normal n_c of
+    the c-th subset at party ``parties[b]``.  A party with more than
+    _HYPERPLANE_SUBSETS subsets gets one hyperplane that holds every
+    state, an all-true (1, l) mask.
 
     A qubit's subsets are its single factors a_c, each hyperplane the ray
     of a_c, so n_c is a_c^perp in closed form
@@ -669,30 +670,35 @@ def _hyperplanes(stacks, tol):
     each batch's stacks copied into one array, so a mask the caller drops
     is freed with its batch.
     """
-    parties, (size, d) = len(stacks), stacks[0].shape
-    width = min(size, d - 1)
-    if math.comb(size, width) > _HYPERPLANE_SUBSETS:
-        yield from [None] * parties
-        return
-    if d == 2:
-        per = max(1, _RANK_BUDGET // (size * size))
-        for first in range(0, parties, per):
-            factors = np.stack(stacks[first:first + per])
-            overlaps = _qubit_perp(factors).conj() @ factors.transpose(0, 2, 1)
-            yield from np.abs(overlaps) < tol.rank_rel
-        return
-    subsets = np.array(list(itertools.combinations(range(size), width)), dtype=np.intp)
-    per = max(1, _RANK_BUDGET // (len(subsets) * (width + d) * d))
-    identity = np.eye(d, dtype=complex)
-    for first in range(0, parties, per):
-        factors = np.stack(stacks[first:first + per])
-        chunk = factors[:, subsets]
-        rows = np.concatenate(
-            [chunk, np.broadcast_to(identity, chunk.shape[:2] + (d, d))], axis=2
-        )
-        pivots = _orthonormal_rows(rows.reshape(-1, width + d, d), tol.rank_rel)[0]
-        normals = pivots[:, d - 1].reshape(len(factors), len(subsets), d)
-        yield from np.abs(normals.conj() @ factors.transpose(0, 2, 1)) < tol.rank_rel
+    size = len(factors[0])
+    dims = [f.shape[1] for f in factors]
+    for d in sorted(set(dims)):
+        group = [i for i, di in enumerate(dims) if di == d]
+        width = min(size, d - 1)
+        if math.comb(size, width) > _HYPERPLANE_SUBSETS:
+            yield group, np.broadcast_to(True, (len(group), 1, size))
+            continue
+        if d == 2:
+            per = max(1, _RANK_BUDGET // (size * size))
+            for first in range(0, len(group), per):
+                parties = group[first:first + per]
+                stack = np.stack([factors[i] for i in parties])
+                overlaps = _qubit_perp(stack).conj() @ stack.transpose(0, 2, 1)
+                yield parties, np.abs(overlaps) < tol.rank_rel
+            continue
+        subsets = np.array(list(itertools.combinations(range(size), width)), dtype=np.intp)
+        per = max(1, _RANK_BUDGET // (len(subsets) * (width + d) * d))
+        identity = np.eye(d, dtype=complex)
+        for first in range(0, len(group), per):
+            parties = group[first:first + per]
+            stack = np.stack([factors[i] for i in parties])
+            chunk = stack[:, subsets]
+            rows = np.concatenate(
+                [chunk, np.broadcast_to(identity, chunk.shape[:2] + (d, d))], axis=2
+            )
+            pivots = _orthonormal_rows(rows.reshape(-1, width + d, d), tol.rank_rel)[0]
+            normals = pivots[:, d - 1].reshape(len(parties), len(subsets), d)
+            yield parties, np.abs(normals.conj() @ stack.transpose(0, 2, 1)) < tol.rank_rel
 
 
 def _partition_search(hits, starts, leaf):
@@ -761,11 +767,12 @@ def _partition_test(label, factors, tol):
     complement is not empty.
 
     Party i's capacity is the largest number of its factors in one
-    hyperplane, read off each mask of :func:`_hyperplanes` as it is made.
+    hyperplane, read off each batch of :func:`_hyperplanes` as it is made;
+    a party past the subset cap has one hyperplane, holding every state.
     A capacity sum below the set size proves unextendibility with no
     search: the report is what the search would return from its root, and
-    no qubit mask is kept past its batch.  Otherwise the qubit masks are
-    made again, the masks of parties with d >= 3 having been kept, and
+    no mask is kept past its batch.  Otherwise a second pass of
+    :func:`_hyperplanes` makes every party's masks again, and
     :func:`_partition_search` looks for a split.  The hyperplanes only
     decide capacities and the search: at a split, a group whose factors
     span C^d is refused, and otherwise the witness factor is the rank
@@ -776,29 +783,16 @@ def _partition_test(label, factors, tol):
     when the search hits its node cap.
     """
     size = len(factors[0])
-    dims = [f.shape[1] for f in factors]
-
-    def hyperplanes(parties):
-        """(party, mask) of each of ``parties``, a stack per local dimension."""
-        for d in {dims[i] for i in parties}:
-            group = [i for i in parties if dims[i] == d]
-            yield from zip(group, _hyperplanes([factors[i] for i in group], tol))
-
-    # a party past the subset cap holds every state in one hyperplane
-    capacities = [size] * len(dims)
-    masks = [None] * len(dims)
-    for party, mask in hyperplanes(range(len(dims))):
-        if mask is not None:
-            capacities[party] = int(mask.sum(axis=1).max())
-        if dims[party] > 2:
-            masks[party] = mask
-    capacities = tuple(capacities)
+    capacities = np.zeros(len(factors), dtype=int)
+    for batch, masks in _hyperplanes(factors, tol):
+        capacities[batch] = masks.sum(axis=2).max(axis=1)
+    capacities = tuple(capacities.tolist())
     if sum(capacities) < size:
         return ExtensionReport(label, "unextendible", None, None, capacities, 0)
-    # the search needs the (l, l) qubit masks, so only it builds them again
-    for party, mask in hyperplanes([i for i, d in enumerate(dims) if d == 2]):
-        masks[party] = mask
-    columns = [np.ones((size, 1), dtype=bool) if m is None else m.T for m in masks]
+    columns = {}
+    for batch, masks in _hyperplanes(factors, tol):
+        columns.update(zip(batch, masks.transpose(0, 2, 1)))
+    columns = [columns[party] for party in range(len(factors))]
     starts = np.cumsum([0] + [c.shape[1] for c in columns[:-1]])
     hits = np.concatenate(columns, axis=1)
 
@@ -820,7 +814,7 @@ def _partition_test(label, factors, tol):
     if found is not None:
         parties, vectors = found
         groups = tuple(
-            tuple(j for j, p in enumerate(parties) if p == party) for party in range(len(dims))
+            tuple(j for j, p in enumerate(parties) if p == party) for party in range(len(factors))
         )
         overlaps = [np.abs(_coordinate_sums(v.conj(), f)) for f, v in zip(factors, vectors)]
         if (np.min(overlaps, axis=0) < tol.orth_abs).all():

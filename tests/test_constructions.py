@@ -147,6 +147,31 @@ class TestSeeds:
         with pytest.raises(ValueError, match="parallel"):
             validate_seeds([np.array([1.0, 1.0]), np.array([2.0, 2.0])], 3)
 
+    @pytest.mark.parametrize("seeds, n, passes", [
+        (_random_seeds(12, 7), 12, 1),
+        ([np.array([0.0, 1.0])], 2, 2),
+        ([np.array([1.0, 0.0])], 2, 2),
+        ([np.array([1.0, 1.0]), np.array([1.0, -1.0])], 3, 2),
+        ([np.array([1.0, 1.0]), np.array([2.0, 2.0])], 3, 2),
+    ], ids=["valid", "orthogonal-to-zero", "parallel-to-zero", "orthogonal", "parallel"])
+    def test_accept_pass_runs_once(self, monkeypatch, seeds, n, passes):
+        # a refusal adds the orthogonal pass and reads its parallel pairs
+        # from the accept pass
+        calls = []
+        real = locstab.constructions._qubit_zeros
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(locstab.constructions, "_qubit_zeros", spy)
+        if passes == 1:
+            validate_seeds(seeds, n)
+        else:
+            with pytest.raises(ValueError):
+                validate_seeds(seeds, n)
+        assert len(calls) == passes
+
     @staticmethod
     def _outcome(vet, seeds, n):
         try:

@@ -1307,21 +1307,23 @@ class TestOneWitnessRule:
 
     def test_non_spanning_party_has_an_all_hitting_column(self):
         # the first factors e0, e1, e0 span a plane of C^3
-        (mask,) = _hyperplanes(_flat_set().factors[0][None], DEFAULT_TOL)
+        mask = _masks_by_party(_flat_set())[0]
         assert mask.shape == (3, 3)
         assert mask.all(axis=1).any()
 
     def test_fewer_states_than_a_hyperplane_needs_give_one_column(self):
-        masks = _hyperplanes(np.stack(_pair_set().factors), DEFAULT_TOL)
-        assert [m.tolist() for m in masks] == [[[True, True]]] * 2
+        ((parties, masks),) = _hyperplanes(_pair_set().factors, DEFAULT_TOL)
+        assert parties == [0, 1]
+        assert masks.tolist() == [[[True, True]]] * 2
 
-    def test_masks_are_none_only_past_the_cap(self, monkeypatch):
-        stack = np.stack(upb_tiles33().factors)
+    def test_one_all_true_hyperplane_past_the_cap(self, monkeypatch):
+        tiles = upb_tiles33()
         monkeypatch.setattr(locstab.stability, "_HYPERPLANE_SUBSETS", math.comb(5, 2))
-        masks = _hyperplanes(stack, DEFAULT_TOL)
-        assert [m.shape for m in masks] == [(10, 5)] * 2
+        assert [m.shape for m in _masks_by_party(tiles)] == [(10, 5)] * 2
+        assert decide_extension(tiles).capacities == (2, 2)
         monkeypatch.setattr(locstab.stability, "_HYPERPLANE_SUBSETS", math.comb(5, 2) - 1)
-        assert list(_hyperplanes(stack, DEFAULT_TOL)) == [None, None]
+        assert [m.tolist() for m in _masks_by_party(tiles)] == [[[True] * 5]] * 2
+        assert decide_extension(tiles).capacities == (5, 5)
 
 
 def _planted_qubit_stack(seed, scale, parties=3, size=12):
@@ -1341,13 +1343,13 @@ def _planted_qubit_stack(seed, scale, parties=3, size=12):
 
 
 def _masks_by_party(state_set):
-    """Every party's hyperplane mask from _hyperplanes, each local dimension
-    stacked on its own as the partition test stacks it."""
+    """Every party's hyperplane mask from the batches of _hyperplanes, each
+    batch of parties with one local dimension, each party in one batch."""
     masks = {}
-    for d in set(state_set.dims):
-        parties = [i for i, di in enumerate(state_set.dims) if di == d]
-        stacks = [state_set.factors[i] for i in parties]
-        masks.update(zip(parties, _hyperplanes(stacks, DEFAULT_TOL)))
+    for parties, hits in _hyperplanes(state_set.factors, DEFAULT_TOL):
+        assert len({state_set.dims[i] for i in parties}) == 1
+        assert len(hits) == len(parties) and masks.keys().isdisjoint(parties)
+        masks.update(zip(parties, hits))
     return [masks[i] for i in range(len(state_set.dims))]
 
 
@@ -1390,8 +1392,8 @@ class TestClosedFormQubitHyperplanes:
     """A qubit hyperplane is the ray of one factor a_c, with normal a_c^perp
     in closed form; the masks, capacities and reports equal those of the
     rank kernel's normals, the pivot past rank 1 of a_c above the identity.
-    A capacity sum below the set size returns before any qubit mask is
-    held, and before the search."""
+    A capacity sum below the set size returns after one pass of
+    _hyperplanes, before any mask is held and before the search."""
 
     # within 1% of the cutoff on either side; at the cutoff itself the two
     # normals round apart
@@ -1399,7 +1401,8 @@ class TestClosedFormQubitHyperplanes:
     @pytest.mark.parametrize("seed", range(4))
     def test_planted_pairs_match_kernel_normals(self, seed, scale):
         stack = _planted_qubit_stack(seed, scale)
-        masks = list(_hyperplanes(stack, DEFAULT_TOL))
+        ((parties, masks),) = _hyperplanes(stack, DEFAULT_TOL)
+        assert parties == [0, 1, 2]
         for mask, expected in zip(masks, hyperplanes_kernel(stack), strict=True):
             assert mask.tolist() == expected.tolist()
             # the turned pair fits one ray only below the cutoff; the class
@@ -1458,6 +1461,18 @@ class TestClosedFormQubitHyperplanes:
         report = decide_extension(build())
         assert report.verdict == "extendible"
         assert callers and set(callers) == {"leaf"}
+
+    @pytest.mark.parametrize("build, passes", [
+        (upb_qubit3, 1), (upb_tiles33, 1), (upb_sep333, 1),
+        *((functools.partial(upb_shifts, n), 1) for n in range(3, 10)),
+        (upb_44_reducible, 2), (lambda: upb_tiles33().subset([0, 1, 2]), 2),
+    ])
+    def test_only_a_search_makes_a_second_pass(self, build, passes, monkeypatch):
+        calls = collections.Counter()
+        _counted(monkeypatch, locstab.stability, "_hyperplanes", calls)
+        _counted(monkeypatch, locstab.stability, "_partition_search", calls)
+        decide_extension(build())
+        assert (calls["_hyperplanes"], calls["_partition_search"]) == (passes, passes - 1)
 
 
 class TestCertificateSkipsCollection:
