@@ -15,17 +15,22 @@ a non-string key, is encoded by :mod:`json` itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
-__all__ = ["iter_json", "dumps"]
+__all__ = ["iter_json", "dumps", "number_template"]
 
 INDENT = 2
 _SCALARS = frozenset({int, float, bool, type(None)})
 _LISTS = frozenset({list, tuple})
 _chain = itertools.chain.from_iterable
+# number_template keeps this many templates of at most this many numbers
+_CACHED_TEMPLATES = 32
+_CACHED_NUMBERS = 1 << 12
 # the text of a list item or dict value of exactly these types, as json
 # writes it
 _IN_PLACE = {
@@ -36,14 +41,43 @@ _IN_PLACE = {
 }
 
 
+def number_template(shape: tuple, level: int) -> str:
+    """The ``%`` template of a rectangular number block of ``shape``, a
+    tuple of positive lengths, whose opening bracket sits at indentation
+    ``level``: one ``%r`` per number, in row-major order.
+
+    The last _CACHED_TEMPLATES templates of at most _CACHED_NUMBERS numbers
+    are kept, so blocks of one shape, such as a certificate's conflict pairs
+    or a set's factors, share one; a larger block, such as a dense
+    amplitude vector, gets a template of its own that is not held past the
+    call.
+    """
+    if math.prod(shape) > _CACHED_NUMBERS:
+        return _build_template(shape, level)
+    return _cached_template(shape, level)
+
+
+def _build_template(shape: tuple, level: int) -> str:
+    """:func:`number_template`, built from the innermost level out."""
+    template = "%r"
+    for depth in range(len(shape), 0, -1):
+        inner = "\n" + " " * (INDENT * (level + depth))
+        outer = "\n" + " " * (INDENT * (level + depth - 1))
+        template = "[" + inner + ("," + inner).join([template] * shape[depth - 1]) + outer + "]"
+    return template
+
+
+_cached_template = functools.lru_cache(maxsize=_CACHED_TEMPLATES)(_build_template)
+
+
 def _number_block(value, level: int) -> str | None:
     """The indented text of ``value`` when it is a rectangular block: lists
     and tuples of one non-empty length at each level, down to leaves whose
     type is exactly int or float (no bool or other subclass), the opening
     bracket at indentation ``level``; None for any other list.
 
-    The text is one ``%`` template, built from the innermost level out, and
-    :mod:`json` writes ints and floats with their own ``__repr__``.  Only a
+    The text is the block's :func:`number_template`, filled the way
+    :mod:`json` writes ints and floats, with their own ``__repr__``.  Only a
     non-finite float, which :mod:`json` spells ``NaN`` or ``Infinity``,
     puts the letter ``n`` in that text; such a block is refused too.
     """
@@ -57,12 +91,7 @@ def _number_block(value, level: int) -> str | None:
             return None
         shape.append(lengths.pop())
         items = list(_chain(items))
-    template = "%r"
-    for depth in range(len(shape), 0, -1):
-        inner = "\n" + " " * (INDENT * (level + depth))
-        outer = "\n" + " " * (INDENT * (level + depth - 1))
-        template = "[" + inner + ("," + inner).join([template] * shape[depth - 1]) + outer + "]"
-    text = template % tuple(items)
+    text = number_template(tuple(shape), level) % tuple(items)
     return None if "n" in text else text
 
 

@@ -15,10 +15,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from ._jsonout import iter_json
+from ._jsonout import iter_json, number_template
 from .numerics import DEFAULT_TOL, Tolerance, _orthonormal_rows, _row_norms, vec_inner
 
 __all__ = [
@@ -56,8 +57,17 @@ _RAY_PARTIES = 256
 _RAY_KEYS = 1 << 14
 _RAY_PAIRS = 1 << 16
 
-# Complex factor entries turned into one block of JSON payloads by save_set.
-_SAVE_BLOCK = 1 << 16
+# Sorted factor rows compared, and factor codes stored, per step when
+# save_set numbers the distinct factor rows of a set.
+_SAVE_ROWS = 1 << 12
+
+# The text of a saved all-product set around its factor texts, as
+# json.dumps(state_set_to_dict(...), indent=2) lays it out: each state opens
+# at depth 2 and each of its factors at depth 4.
+_FACTOR_LEVEL = 4
+_STATE_OPEN = '{\n      "product": [\n        '
+_FACTOR_SEP = ",\n        "
+_STATE_CLOSE = "\n      ]\n    }"
 
 
 class StateFormatError(ValueError):
@@ -529,22 +539,6 @@ def _state_payload(state) -> dict:
     return {"product": [_complex_pairs(f) for f in state.factors]}
 
 
-def _state_payloads(state_set: StateSet):
-    """Yield each state's payload in order.  When every party has one local
-    dimension, an all-product set's come from its factor stacks, in blocks
-    of states holding at most _SAVE_BLOCK factor entries; other sets are
-    written state by state."""
-    stacks = state_set.factors
-    if stacks is None or len(set(state_set.dims)) > 1:
-        yield from map(_state_payload, state_set.states)
-        return
-    per = max(1, _SAVE_BLOCK // sum(state_set.dims))
-    for start in range(0, len(state_set), per):
-        # one (states, parties, d) array: each state's (parties, d) factors
-        for factors in np.stack([stack[start:start + per] for stack in stacks], axis=1):
-            yield {"product": _complex_pairs(factors)}
-
-
 def _set_payload(state_set: StateSet, states_payload) -> dict:
     return {
         "label": state_set.label,
@@ -554,8 +548,18 @@ def _set_payload(state_set: StateSet, states_payload) -> dict:
 
 
 def state_set_to_dict(state_set: StateSet) -> dict:
-    """The JSON-ready payload for a state set."""
-    return _set_payload(state_set, list(_state_payloads(state_set)))
+    """The JSON-ready payload for a state set.
+
+    An all-product set's payload is built from one nested list per party
+    stack, state j taking row j of each, with the cyclic garbage collector
+    paused (:func:`_acyclic`), since it builds only lists, dicts and
+    numbers.
+    """
+    if state_set.factors is None:
+        return _set_payload(state_set, list(map(_state_payload, state_set.states)))
+    with _acyclic():
+        factors = zip(*map(_complex_pairs, state_set.factors))
+        return _set_payload(state_set, [{"product": list(row)} for row in factors])
 
 
 def _parse_pair(value, where):
@@ -771,10 +775,11 @@ def state_set_from_dict(payload) -> StateSet:
 def _acyclic():
     """Pause the cyclic garbage collector for the block, then restore it.
 
-    Only the JSON decoding and writing of state sets, and the building of a
-    certificate's conflict-pair tuples, run inside: they build nothing but
-    lists, dicts, tuples, strings, numbers and :class:`_Entry` objects, none
-    of which can form a reference cycle, so reference counting frees them
+    Only the JSON decoding and writing of state sets, the payload of an
+    all-product set, and the building of a certificate's conflict-pair
+    tuples run inside: they build nothing but lists, dicts, tuples,
+    strings, numbers, arrays and :class:`_Entry` objects, none of which can
+    form a reference cycle, so reference counting frees them
     exactly as before while the collector stops re-scanning the pair lists
     of a dense entry or the pair tuples.  The pause holds for the whole
     process, so another thread may see the collector off while the block
@@ -789,21 +794,136 @@ def _acyclic():
             gc.enable()
 
 
+def _factor_texts(rows) -> list:
+    """The text of each row of an (m, d) complex array as a factor in a set
+    file: its [re, im] pairs, the factor's bracket at depth _FACTOR_LEVEL.
+
+    The rows are filled into one template, their factor templates joined by
+    a "|", which neither a template nor the ``repr`` of a float holds.
+    """
+    template = number_template((rows.shape[1], 2), _FACTOR_LEVEL)
+    return ("|".join([template] * len(rows)) % tuple(rows.view(float).ravel().tolist())).split("|")
+
+
+def _number_rows(rows, parties, codes, base):
+    """Number the distinct rows of ``rows`` by their exact bytes, ``base``
+    upward in order of first appearance, and return the index of each
+    number's first and last row.
+
+    ``rows`` is the (n, d) complex stack of the factors of ``parties``, an
+    index array of the parties of one local dimension, in file order: row
+    t * len(parties) + j is state t's factor at party ``parties[j]``, whose
+    number goes to ``codes[t, parties[j]]``.  Rows are equal only when their
+    bytes are, so -0.0 and 0.0 stay apart, as ``repr`` keeps them apart.
+    Beside the sort order and one flag per row, each step gathers at most
+    _SAVE_ROWS rows.
+    """
+    n, width = len(rows), len(parties)
+    # a stable sort by bytes puts equal rows next to each other, in file order
+    key = np.dtype((np.void, rows.shape[1] * rows.itemsize))
+    order = np.argsort(rows.view(key).ravel(), kind="stable")
+    words = rows.view(np.uint64)
+    new = np.ones(n, dtype=bool)
+    for start in range(1, n, _SAVE_ROWS):
+        pair = words[order[start - 1:start + _SAVE_ROWS]]
+        new[start:start + _SAVE_ROWS] = (pair[1:] != pair[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    first, last = order[starts], order[np.append(starts[1:], n) - 1]
+    del starts
+    by_first = np.argsort(first)
+    first.sort()
+    last = last[by_first]
+    number = np.empty(len(first), dtype=np.intp)
+    number[by_first] = np.arange(base, base + len(first))
+    del by_first
+    run = -1
+    for start in range(0, n, _SAVE_ROWS):
+        runs = run + np.cumsum(new[start:start + _SAVE_ROWS])
+        state, party = np.divmod(order[start:start + _SAVE_ROWS], width)
+        codes[state, parties[party]] = number[runs]
+        run = runs[-1]
+    return first, last
+
+
+def _product_text(state_set: StateSet):
+    """Yield the file text of an all-product set in pieces, one state at a
+    time, each the join of its factors' texts.
+
+    The factors of each local dimension are numbered by :func:`_number_rows`;
+    each distinct row is rendered once by :func:`_factor_texts`, as the
+    first state that holds it is written, and its text is dropped after the
+    last.
+    """
+    dims, size = state_set.dims, len(state_set)
+    yield (
+        '{\n  "label": ' + encode_basestring_ascii(state_set.label)
+        + ',\n  "dims": ' + number_template((len(dims),), 1) % dims
+        + ',\n  "states": '
+    )
+    if not size:
+        yield "[]\n}"
+        return
+    codes = np.empty((size, len(dims)), dtype=np.intp)
+    groups, lasts, count = [], [], 0
+    for d in dict.fromkeys(dims):
+        parties = np.flatnonzero(np.array(dims) == d)
+        rows = np.stack([state_set.factors[r] for r in parties], axis=1).reshape(-1, d)
+        first, last = _number_rows(rows, parties, codes, count)
+        # state t is the first to hold the rows numbered count + born[t]
+        # up to count + born[t + 1]
+        born = np.searchsorted(first // len(parties), np.arange(size + 1)).tolist()
+        groups.append((rows, first, born, count))
+        lasts.append(last // len(parties))
+        count += len(first)
+    lasts = np.concatenate(lasts)
+    dying = np.argsort(lasts)
+    ends = np.searchsorted(lasts[dying], np.arange(size + 1)).tolist()
+    texts = [None] * count
+    separator = "[\n    "
+    for t in range(size):
+        for rows, first, born, base in groups:
+            if born[t] < born[t + 1]:
+                texts[base + born[t]:base + born[t + 1]] = _factor_texts(
+                    rows[first[born[t]:born[t + 1]]]
+                )
+        yield (
+            separator + _STATE_OPEN
+            + _FACTOR_SEP.join(map(texts.__getitem__, codes[t].tolist()))
+            + _STATE_CLOSE
+        )
+        separator = ",\n    "
+        for code in dying[ends[t]:ends[t + 1]].tolist():
+            texts[code] = None
+    yield "\n  ]\n}"
+
+
 def save_set(state_set: StateSet, path) -> None:
     """Write ``state_set`` as the text of ``json.dumps(state_set_to_dict(...),
-    indent=2)`` plus a newline, building one state's payload at a time.
+    indent=2)`` plus a newline, one state at a time.
+
+    An all-product set is written from its factor stacks
+    (:func:`_product_text`): the distinct factor rows of each local
+    dimension are found by their exact bytes, and each is rendered once, so
+    a set that repeats its factors, such as a shift family, formats few
+    numbers.  The bytes are the same; the cost is one code per factor and a
+    copy of the stacks in file order, and a row's text is held only from
+    the first state that holds it to the last.  A set with dense members is
+    written by :func:`iter_json`, one state's payload at a time.
 
     The cyclic garbage collector is paused for the whole process while the
     text is written, and only then (:func:`_acyclic`): the writer makes
-    only strings, lists and numbers, which reference counting frees, so
-    nothing it leaves behind needs the collector.  It is restored however
-    the write ends, stays off if the caller had turned it off, and may be
-    seen paused by another thread meanwhile.
+    only strings, lists, arrays and numbers, which reference counting
+    frees, so nothing it leaves behind needs the collector.  It is restored
+    however the write ends, stays off if the caller had turned it off, and
+    may be seen paused by another thread meanwhile.
     """
-    payload = _set_payload(state_set, _state_payloads(state_set))
     with open(path, "w", encoding="utf-8") as fh:
         with _acyclic():
-            fh.writelines(iter_json(payload))
+            if state_set.factors is None:
+                payload = _set_payload(state_set, map(_state_payload, state_set.states))
+                fh.writelines(iter_json(payload))
+            else:
+                fh.writelines(_product_text(state_set))
         fh.write("\n")
 
 

@@ -6,12 +6,15 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import locstab.cli
+import locstab.states
 from locstab import (
+    ProductState,
     StateSet,
     compose,
     entangled_triple,
@@ -204,6 +207,115 @@ class TestSetFiles:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 2
+
+
+def _planted(dims, states, label="planted"):
+    """The all-product set whose party-r factors are ``states[j][r]``, as
+    given, bit for bit: the factors are not normalized again."""
+    stacks = [np.array([state[r] for state in states], dtype=complex).reshape(-1, d)
+              for r, d in enumerate(dims)]
+    return StateSet._from_stacks(dims, stacks, label)
+
+
+_A = [0.6, 0.8j]
+_B = [0.8, -0.6j]
+_C = [1.0, 0.0]
+
+
+def _random_set(dims, size, seed=5):
+    rng = np.random.default_rng(seed)
+    states = [ProductState([rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims])
+              for _ in range(size)]
+    return StateSet(dims, states, "random")
+
+
+PLANTED_SETS = {
+    # equal as floats, apart in the sign of a zero coordinate
+    "signed zero": lambda: _planted((2, 2), [[_C, [1.0, complex(0.0, -0.0)]],
+                                             [[1.0, -0.0], _C]]),
+    "one ulp apart": lambda: _planted((2, 2), [[_A, [0.6, 1j * np.nextafter(0.8, 1)]],
+                                               [[np.nextafter(0.6, 0), 0.8j], _A]]),
+    "one row at every party": lambda: _planted((2, 2, 2), [[_A, _A, _A], [_B, _A, _B],
+                                                          [_A, _B, _A]]),
+    "no repeated factor": lambda: _random_set((2, 3, 2), 6),
+    "empty": lambda: StateSet((2, 3), [], "empty"),
+    "one state": lambda: StateSet((3, 2), [ProductState([[0, 1, 0], _B])], 'one "state" é'),
+    "one party": lambda: _planted((3,), [[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], [[1.0, 0.0, 0.0]]]),
+    "compose qubit3 tiles33": lambda: compose(upb_qubit3(), 0, upb_tiles33(), 0),
+    "compose tiles33 qubit3": lambda: compose(upb_tiles33(), 0, upb_qubit3(), 0),
+}
+
+
+# factor rows that are equal as floats or one ulp apart, for planted sets
+_POOL = {
+    2: [_C, [1.0, -0.0], [complex(1.0, -0.0), 0.0], _A, [0.6, 1j * np.nextafter(0.8, 1)], _B],
+    3: [[1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.0, 0.8j], [0.6, -0.0, 0.8j]],
+}
+
+
+@st.composite
+def planted_sets(draw):
+    dims = tuple(draw(st.lists(st.sampled_from(sorted(_POOL)), min_size=1, max_size=4)))
+    states = draw(st.lists(st.tuples(*(st.sampled_from(_POOL[d]) for d in dims)), max_size=6))
+    return _planted(dims, states)
+
+
+class TestFactorCodebook:
+    """An all-product set file is written from the distinct factor rows of
+    each local dimension, each rendered once, with the stdlib's bytes."""
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(state_set=planted_sets())
+    def test_drawn_sets_write_stdlib_bytes(self, state_set, tmp_path):
+        # rows shared across parties and states, first and last seen
+        # anywhere, in every mix of local dimensions
+        path = tmp_path / "set.json"
+        save_set(state_set, path)
+        assert path.read_text() == json.dumps(state_set_to_dict(state_set), indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", sorted(PLANTED_SETS))
+    def test_planted_sets_write_stdlib_bytes(self, name, tmp_path):
+        state_set = PLANTED_SETS[name]()
+        path = tmp_path / "set.json"
+        save_set(state_set, path)
+        assert path.read_text() == json.dumps(state_set_to_dict(state_set), indent=2) + "\n"
+
+    def test_planted_rows_differ_only_in_their_bytes(self):
+        zero = PLANTED_SETS["signed zero"]().factors[1]
+        assert np.array_equal(zero[0], zero[1]) and zero[0].tobytes() != zero[1].tobytes()
+        ulp = PLANTED_SETS["one ulp apart"]().factors[1]
+        assert np.nextafter(ulp[1, 1].imag, 1) == ulp[0, 1].imag
+
+    def test_shift_family_renders_each_distinct_row_once(self, tmp_path, monkeypatch):
+        rendered = []
+        real = locstab.states._factor_texts
+
+        def spy(rows):
+            rendered.extend(map(bytes, rows))
+            return real(rows)
+
+        monkeypatch.setattr(locstab.states, "_factor_texts", spy)
+        family = shift_family(100)
+        path = tmp_path / "sf.json"
+        save_set(family, path)
+        # 199 parties of 199 states, one table of 199 qubit vectors
+        assert len(rendered) == len(set(rendered)) == 199
+        assert path.read_text() == json.dumps(state_set_to_dict(family), indent=2) + "\n"
+
+    def test_peak_stays_near_the_stacks(self, tmp_path):
+        # the stacks' copy in file order, the sort order and the codes stay
+        # under twice the stacks; a text per factor would outweigh the file
+        family = shift_family(100)
+        stack_bytes = sum(stack.nbytes for stack in family.factors)
+        tracemalloc.start()
+        try:
+            save_set(family, tmp_path / "sf.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * stack_bytes + 2**20
 
 
 def _canonical(text):

@@ -1239,15 +1239,28 @@ class TestCollectorPause:
         assert str(info.value).startswith(message)
 
     @pytest.mark.parametrize("enabled", [True, False])
-    def test_failing_writer_restores_the_collector(self, enabled, monkeypatch, tmp_path):
-        def halfway(payload):
+    @pytest.mark.parametrize(
+        "seam, build",
+        [
+            # an all-product set is written from its factor codebook, a set
+            # with dense members one state's payload at a time
+            ("_product_text", upb_qubit3),
+            ("iter_json", lambda: _dense_copy(upb_qubit3())),
+        ],
+        ids=["product", "dense"],
+    )
+    def test_failing_writer_restores_the_collector(
+        self, seam, build, enabled, monkeypatch, tmp_path
+    ):
+        def halfway(value):
             yield "{"
             raise RuntimeError("writer failed")
 
-        monkeypatch.setattr(states_module, "iter_json", halfway)
+        state_set = build()
+        monkeypatch.setattr(states_module, seam, halfway)
         with _collector(enabled):
             with pytest.raises(RuntimeError, match="writer failed"):
-                save_set(upb_qubit3(), tmp_path / "set.json")
+                save_set(state_set, tmp_path / "set.json")
             assert gc.isenabled() is enabled
 
     def test_every_hook_call_runs_paused(self, monkeypatch, tmp_path):
