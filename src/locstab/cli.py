@@ -22,7 +22,7 @@ from .stability import (
     decide_extension,
     is_locally_stable,
 )
-from .states import _complex_pairs, load_set, save_set, state_set_to_dict
+from .states import _complex_pairs, _write_set, load_set, save_set
 
 
 def _sqrt_subset_set(n):
@@ -113,7 +113,11 @@ def _cmd_construct(args) -> int:
         f"dims:  {','.join(str(d) for d in state_set.dims)}",
     ]
     if not args.out:
-        _emit(args, state_set_to_dict(state_set), lines, None)
+        if args.human:
+            _emit(args, None, lines, None)
+        else:
+            # the text save_set writes, each distinct factor rendered once
+            _write_set(state_set, sys.stdout)
         return 0
     # the set goes to the file; the summary goes to stdout
     save_set(state_set, args.out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import gc
+import io
 import itertools
 import json
 import math
@@ -63,11 +64,36 @@ _SAVE_ROWS = 1 << 12
 
 # The text of a saved all-product set around its factor texts, as
 # json.dumps(state_set_to_dict(...), indent=2) lays it out: each state opens
-# at depth 2 and each of its factors at depth 4.
+# at depth 2 and each of its factors at depth 4, after _FACTOR_INDENT.
 _FACTOR_LEVEL = 4
-_STATE_OPEN = '{\n      "product": [\n        '
-_FACTOR_SEP = ",\n        "
+_FACTOR_INDENT = "\n" + "  " * _FACTOR_LEVEL
+_HEAD_LABEL, _HEAD_DIMS, _HEAD_STATES = '{\n  "label": ', ',\n  "dims": ', ',\n  "states": '
+_STATES_OPEN, _STATE_SEP, _STATES_CLOSE = "[\n    ", ",\n    ", "\n  ]\n}"
+_STATE_OPEN = '{\n      "product": [' + _FACTOR_INDENT
+_FACTOR_SEP = "," + _FACTOR_INDENT
 _STATE_CLOSE = "\n      ]\n    }"
+
+# How load_set reads that text back (_read_product_text).  _FIRST_STATE ends
+# the head.  _FACTOR_MARK, a factor's indentation and opening bracket, opens
+# every factor and nothing else in the layout, so past the head the text
+# splits at it into one piece per factor: the factor's text past its
+# bracket, then the tail that follows the factor at its place, within a
+# state (0), at a state's end (1) or at the file's end (2).  The three
+# tails end in different bytes, _TAIL_PLACES' keys.  The text is split
+# _LOAD_BYTES at a time, and _scan is the JSON scanner.
+_FACTOR_MARK = (_FACTOR_INDENT + "[").encode()
+_FACTOR_TAILS = tuple(
+    tail.encode()
+    for tail in (
+        _FACTOR_SEP[:-len(_FACTOR_INDENT)],
+        _STATE_CLOSE + _STATE_SEP + _STATE_OPEN[:-len(_FACTOR_INDENT)],
+        _STATE_CLOSE + _STATES_CLOSE + "\n",
+    )
+)
+_FIRST_STATE = (_STATES_OPEN + _STATE_OPEN[:-len(_FACTOR_INDENT)]).encode()
+_TAIL_PLACES = {tail[-1:]: place for place, tail in enumerate(_FACTOR_TAILS)}
+_LOAD_BYTES = 1 << 16
+_scan = json.JSONDecoder().scan_once
 
 
 class StateFormatError(ValueError):
@@ -548,18 +574,8 @@ def _set_payload(state_set: StateSet, states_payload) -> dict:
 
 
 def state_set_to_dict(state_set: StateSet) -> dict:
-    """The JSON-ready payload for a state set.
-
-    An all-product set's payload is built from one nested list per party
-    stack, state j taking row j of each, with the cyclic garbage collector
-    paused (:func:`_acyclic`), since it builds only lists, dicts and
-    numbers.
-    """
-    if state_set.factors is None:
-        return _set_payload(state_set, list(map(_state_payload, state_set.states)))
-    with _acyclic():
-        factors = zip(*map(_complex_pairs, state_set.factors))
-        return _set_payload(state_set, [{"product": list(row)} for row in factors])
+    """The JSON-ready payload for a state set."""
+    return _set_payload(state_set, list(map(_state_payload, state_set.states)))
 
 
 def _parse_pair(value, where):
@@ -775,15 +791,15 @@ def state_set_from_dict(payload) -> StateSet:
 def _acyclic():
     """Pause the cyclic garbage collector for the block, then restore it.
 
-    Only the JSON decoding and writing of state sets, the payload of an
-    all-product set, and the building of a certificate's conflict-pair
-    tuples run inside: they build nothing but lists, dicts, tuples,
-    strings, numbers, arrays and :class:`_Entry` objects, none of which can
-    form a reference cycle, so reference counting frees them
-    exactly as before while the collector stops re-scanning the pair lists
-    of a dense entry or the pair tuples.  The pause holds for the whole
-    process, so another thread may see the collector off while the block
-    runs.  A collector the caller had disabled stays disabled.
+    Only the reading and writing of set files and the building of a
+    certificate's conflict-pair tuples run inside: they build nothing but
+    lists, dicts, tuples, strings, bytes, numbers, arrays, states and
+    :class:`_Entry` objects, none of which can form a reference cycle, so
+    reference counting frees them exactly as before while the collector
+    stops re-scanning the pair lists of a dense entry or the pair tuples.
+    The pause holds for the whole process, so another thread may see the
+    collector off while the block runs.  A collector the caller had
+    disabled stays disabled.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -845,6 +861,15 @@ def _number_rows(rows, parties, codes, base):
     return first, last
 
 
+def _head_text(label, dims) -> str:
+    """The text of a set file up to its list of states."""
+    return (
+        _HEAD_LABEL + encode_basestring_ascii(label)
+        + _HEAD_DIMS + number_template((len(dims),), 1) % tuple(dims)
+        + _HEAD_STATES
+    )
+
+
 def _product_text(state_set: StateSet):
     """Yield the file text of an all-product set in pieces, one state at a
     time, each the join of its factors' texts.
@@ -855,11 +880,7 @@ def _product_text(state_set: StateSet):
     last.
     """
     dims, size = state_set.dims, len(state_set)
-    yield (
-        '{\n  "label": ' + encode_basestring_ascii(state_set.label)
-        + ',\n  "dims": ' + number_template((len(dims),), 1) % dims
-        + ',\n  "states": '
-    )
+    yield _head_text(state_set.label, dims)
     if not size:
         yield "[]\n}"
         return
@@ -879,7 +900,7 @@ def _product_text(state_set: StateSet):
     dying = np.argsort(lasts)
     ends = np.searchsorted(lasts[dying], np.arange(size + 1)).tolist()
     texts = [None] * count
-    separator = "[\n    "
+    separator = _STATES_OPEN
     for t in range(size):
         for rows, first, born, base in groups:
             if born[t] < born[t + 1]:
@@ -891,10 +912,21 @@ def _product_text(state_set: StateSet):
             + _FACTOR_SEP.join(map(texts.__getitem__, codes[t].tolist()))
             + _STATE_CLOSE
         )
-        separator = ",\n    "
+        separator = _STATE_SEP
         for code in dying[ends[t]:ends[t + 1]].tolist():
             texts[code] = None
-    yield "\n  ]\n}"
+    yield _STATES_CLOSE
+
+
+def _write_set(state_set: StateSet, fh) -> None:
+    """Write the text of :func:`save_set` to the text stream ``fh``."""
+    with _acyclic():
+        if state_set.factors is None:
+            payload = _set_payload(state_set, map(_state_payload, state_set.states))
+            fh.writelines(iter_json(payload))
+        else:
+            fh.writelines(_product_text(state_set))
+    fh.write("\n")
 
 
 def save_set(state_set: StateSet, path) -> None:
@@ -918,13 +950,140 @@ def save_set(state_set: StateSet, path) -> None:
     may be seen paused by another thread meanwhile.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        with _acyclic():
-            if state_set.factors is None:
-                payload = _set_payload(state_set, map(_state_payload, state_set.states))
-                fh.writelines(iter_json(payload))
-            else:
-                fh.writelines(_product_text(state_set))
-        fh.write("\n")
+        _write_set(state_set, fh)
+
+
+def _split_codes(data, start, parties):
+    """Split ``data`` from the _FACTOR_MARK at ``start`` to its end at every
+    _FACTOR_MARK, _LOAD_BYTES and then up to the next mark at a time, and
+    number the pieces by their exact bytes in order of first appearance.
+
+    Returns the number of each piece, in order, and a dict from each
+    distinct piece to its number.  Returns None instead when, with text
+    left to split, the pieces of at least three states of ``parties``
+    factors have been split and more than half of them are distinct: such
+    a file repeats too few factors for the split to pay, and holding every
+    distinct piece would cost about the file's size again.
+    """
+    numbers, codes, count = {}, [], 0
+    while start < len(data):
+        if 2 * len(numbers) > count >= 3 * parties:
+            return None
+        stop = data.find(_FACTOR_MARK, start + _LOAD_BYTES)
+        stop = len(data) if stop < 0 else stop
+        pieces = data[start + len(_FACTOR_MARK):stop].split(_FACTOR_MARK)
+        codes.append(np.array([numbers.setdefault(p, len(numbers)) for p in pieces], dtype=np.intp))
+        count += len(pieces)
+        start = stop
+    return np.concatenate(codes), numbers
+
+
+def _scan_factors(texts):
+    """The lengths and the numbers, as one flat float array, of the factors
+    whose texts past their opening bracket are ``texts``, or None when one
+    is not exactly one JSON value or a value breaks a rule of :func:`_entry`.
+
+    Each text is scanned by itself, and the values are turned into numbers
+    every _LOAD_BYTES of text, so that no more of them are held at once.
+    """
+    entries, values, size = [], [], 0
+    for text in texts:
+        try:
+            text = "[" + text.decode("ascii")
+            value, end = _scan(text, 0)
+        except (StopIteration, ValueError, RecursionError):
+            return None
+        if end != len(text):
+            return None
+        values.append(value)
+        size += end
+        if size >= _LOAD_BYTES:
+            entries.append(_entry({"product": values}))
+            values, size = [], 0
+    entries.append(_entry({"product": values}))
+    if not all(isinstance(entry, _Entry) for entry in entries):
+        return None
+    lengths = np.array([n for entry in entries for n in entry.lengths], dtype=np.intp)
+    return lengths, np.concatenate([entry.numbers for entry in entries])
+
+
+def _read_product_text(data: bytes):
+    """The all-product set whose file :func:`save_set` wrote as ``data``,
+    when ``data`` is exactly that layout and every factor is well formed;
+    else None, and nothing is decided about the file.
+
+    The head, up to the first factor, must be the writer's for the label
+    and dims the JSON scanner reads from it.  Split at _FACTOR_MARK
+    (:func:`_split_codes`), each distinct piece must end in one of
+    _FACTOR_TAILS; the rest, a factor's text past its bracket, is numbered
+    once more by its exact bytes.  The tails must run as the writer writes
+    them: in each state a separator after every factor but the last, then
+    a state's end, and the file's end after the last state.  Each distinct
+    factor text is scanned by itself (:func:`_scan_factors`) and must be
+    one JSON value that ends where the text ends, so the pieces align with
+    factors; the values must pass the per-field rules of :func:`_entry` and
+    have the length of every party they stand at.  The distinct factors of
+    each local dimension are normalized by one :func:`_unit_rows` call and
+    gathered into the party stacks, so every row has the bits
+    :func:`_party_stacks` gives it.
+    """
+    start = data.find(_FACTOR_MARK)
+    if start < 0 or not data.endswith(_FIRST_STATE, 0, start):
+        return None
+    try:
+        head = data[:start].decode("ascii")
+        label, at = _scan(head, len(_HEAD_LABEL))
+        dims, _ = _scan(head, at + len(_HEAD_DIMS))
+        if type(label) is not str or type(dims) is not list or not dims:
+            return None
+        if not all(type(d) is int for d in dims):
+            return None
+        dims = check_signature(dims)
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if _head_text(label, dims).encode() + _FIRST_STATE != data[:start]:
+        return None
+    split = _split_codes(data, start, len(dims))
+    if split is None:
+        return None
+    codes, numbers = split
+    if len(codes) % len(dims):
+        return None
+    # each distinct piece's place, and the number of its factor text
+    places, factors, texts = [None] * len(numbers), [None] * len(numbers), {}
+    while numbers:
+        piece, code = numbers.popitem()
+        place = _TAIL_PLACES.get(piece[-1:])
+        if place is None or not piece.endswith(_FACTOR_TAILS[place]):
+            return None
+        places[code] = place
+        text = piece[:len(piece) - len(_FACTOR_TAILS[place])]
+        factors[code] = texts.setdefault(text, len(texts))
+    codes = codes.reshape(-1, len(dims))
+    tails = np.array(places)[codes]
+    if not ((tails[:, :-1] == 0).all() and (tails[:-1, -1] == 1).all() and tails[-1, -1] == 2):
+        return None
+    del tails
+    codes = np.array(factors)[codes]
+    scanned = _scan_factors(texts)
+    if scanned is None:
+        return None
+    lengths, numbers = scanned
+    if not (lengths[codes] == dims).all():
+        return None
+    # the distinct factors of each local dimension, and each one's row there
+    table, firsts = numbers.view(complex), np.cumsum(lengths) - lengths
+    books, rows = {}, np.empty(len(lengths), dtype=np.intp)
+    for d in set(dims):
+        ids = np.flatnonzero(lengths == d)
+        try:
+            books[d] = _unit_rows(table[firsts[ids][:, None] + np.arange(d)])
+        except ValueError:
+            return None
+        rows[ids] = np.arange(len(ids))
+    codes = rows[codes]
+    stacks = [books[d][codes[:, party]] for party, d in enumerate(dims)]
+    return StateSet._from_stacks(dims, stacks, label)
 
 
 def _decode(text, object_hook):
@@ -940,23 +1099,42 @@ def _decode(text, object_hook):
 def load_set(path) -> StateSet:
     """Read the state set saved at ``path``.
 
-    Each state entry is turned into numbers as soon as it is decoded
-    (:func:`_entry`), so the set's nested lists are never held.  The hook
-    cannot tell a state entry from a one-key object elsewhere, so a refused
-    payload is decoded once more as plain JSON, whose offending field the
-    error then names.
+    The file's bytes are read once, and one of two routes reads them; both
+    give the same set, bit for bit, or the same error.
+
+    A file in the exact layout :func:`save_set` writes for an all-product
+    set is split at its factors (:func:`_read_product_text`), a window of
+    _LOAD_BYTES at a time, and each distinct factor text is parsed once,
+    so a set that repeats its factors, such as a shift family, scans few
+    numbers.  This load peaks at about the file's bytes plus the set's
+    factor stacks: 1.3 to 1.4 times the file for shift families.  A file
+    that route does not accept, in any byte, has nothing decided by it.
+
+    Every other file is read as text (UTF-8, universal newlines) and
+    decoded as JSON.  Each state entry is turned into numbers as soon as it
+    is decoded (:func:`_entry`), so the set's nested lists are never held,
+    and the load peaks at about twice the file, its bytes and its text.
+    The hook cannot tell a state entry from a one-key object elsewhere, so
+    a refused payload is decoded once more as plain JSON, whose offending
+    field the error then names.
 
     The cyclic garbage collector is paused for the whole process while the
-    JSON is decoded, and only then (:func:`_acyclic`): the decoder builds
-    only lists, dicts, strings, numbers and entries, which cannot form a
-    cycle and which reference counting frees as before, while a dense
-    entry's thousands of pair lists would otherwise set off many
-    collections that find nothing.  The collector is restored however the
-    decode ends, stays off if the caller had turned it off, and may be seen
-    paused by another thread meanwhile.
+    file is split or its JSON decoded, and only then (:func:`_acyclic`):
+    both build only containers that cannot form a cycle and that reference
+    counting frees as before, while a dense entry's thousands of pair lists
+    would otherwise set off many collections that find nothing.  The
+    collector is restored however the read ends, stays off if the caller
+    had turned it off, and may be seen paused by another thread meanwhile.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with _acyclic():
+        state_set = _read_product_text(data)
+    if state_set is not None:
+        return state_set
+    # the text open(path, encoding="utf-8").read() gives: universal newlines
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    del data
     payload = _decode(text, _entry)
     try:
         return state_set_from_dict(payload)

@@ -13,6 +13,7 @@ import golden_guard
 import locstab._jsonout
 import locstab.cli
 import locstab.stability
+import locstab.states
 from locstab import (
     DEFAULT_TOL,
     DenseState,
@@ -139,6 +140,28 @@ class TestConstruct:
         code, out, _ = run_cli(capsys, "construct", "qubit3", "--human")
         assert code == 0
         assert "size:  4" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["shift-family", "--n", "100"],
+            ["compose", "--left", "tiles33", "--right", "qubit3"],
+            ["qubit3"],
+            ["triple"],
+        ],
+    )
+    def test_stdout_is_the_out_file(self, capsys, tmp_path, monkeypatch, argv):
+        # without --out the set goes to stdout through save_set's writer, in
+        # the file's bytes; an all-product set never reaches the JSON writer
+        path = tmp_path / "set.json"
+        code, _, _ = run_cli(capsys, "construct", *argv, "--out", str(path))
+        assert code == 0
+        if argv != ["triple"]:
+            monkeypatch.setattr(locstab._jsonout, "dumps", None)
+            monkeypatch.setattr(locstab.states, "iter_json", None)
+        code, out, _ = run_cli(capsys, "construct", *argv)
+        assert code == 0
+        assert out.encode() == path.read_bytes()
 
 
 class TestCheck:
