@@ -45,9 +45,6 @@ __all__ = [
 # Uniform keys a sampled campaign draws per chunk: 4 MB of float64.
 _DRAW_KEYS = 1 << 19
 
-# Table indices a shift-family stack takes per block: 2 MB of intp.
-_TABLE_ROWS = 1 << 18
-
 _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
 _PLUS = np.array([1.0, 1.0], dtype=complex)
@@ -153,41 +150,37 @@ def shift_family(n: int, seeds=None) -> StateSet:
     orthogonal in exactly one party and every party sees exactly n-1
     orthogonal factor pairs.
     """
+    book, codes = _shift_codes(n, seeds, range(2 * n - 1))
+    return StateSet._from_codes((2,) * (2 * n - 1), {2: book}, codes, f"shift-family-n{n}")
+
+
+def _shift_codes(n, seeds, firsts):
+    """The code table of the shift-family states whose first factor is
+    table entry t, for each t in ``firsts``: the (2n, 2) codebook and the
+    (len(firsts), N) int32 codes, state t carrying entry (t - r) mod N at
+    party r.  The cyclic table maps 0 to |1>, 1..n-1 to the seed perps and
+    N-i to seed i, so two entries are orthogonal exactly when their nonzero
+    indices sum to 0 mod N; |0>, entry N, follows it.  The 2n entries are
+    normalized once.  Seeds a caller passes go through
+    :func:`validate_seeds`; the default seeds are valid by their angles and
+    skip it."""
     if n < 2:
         raise ValueError("shift families need n >= 2")
-    parties = 2 * n - 1
-    stacks = _shift_stacks(n, seeds, range(parties))
-    return StateSet._from_stacks((2,) * parties, stacks, f"shift-family-n{n}")
-
-
-def _shift_stacks(n, seeds, firsts):
-    """The per-party factor stacks of the shift-family states whose first
-    factor is table entry t, for each t in ``firsts``: state t carries entry
-    (t - r) mod N at party r.  The cyclic table maps 0 to |1>, 1..n-1 to the
-    seed perps and N-i to seed i, so two entries are orthogonal exactly when
-    their nonzero indices sum to 0 mod N.  Its 2n-1 entries are normalized
-    once, and the stacks are rows of one (N, len(firsts), 2) array, filled
-    in blocks of at most _TABLE_ROWS rows.  Seeds a caller passes go
-    through :func:`validate_seeds`; the default seeds are valid by their
-    angles and skip it."""
     seeds = default_seeds(n) if seeds is None else validate_seeds(list(seeds), n)
     parties = 2 * n - 1
-    table = _unit_rows(np.concatenate([_KET1[None], qubit_perp(seeds), seeds[::-1]]))
-    firsts = np.array(firsts, dtype=np.intp)
-    stacks = np.empty((parties, len(firsts), 2), dtype=complex)
-    per = max(1, _TABLE_ROWS // max(len(firsts), 1))
-    for start in range(0, parties, per):
-        shifts = np.arange(start, min(start + per, parties))[:, None]
-        stacks[start:start + per] = table[(firsts - shifts) % parties]
-    stacks.flags.writeable = False
-    return list(stacks)
+    book = _unit_rows(np.concatenate([_KET1[None], qubit_perp(seeds), seeds[::-1], _KET0[None]]))
+    codes = np.array(firsts, dtype=np.int32)[:, None] - np.arange(parties, dtype=np.int32)
+    codes %= parties
+    return book, codes
 
 
 def upb_shifts(n: int, seeds=None) -> StateSet:
     """|0...0> prepended to the shift family: a UPB with 2n states on 2n-1 qubits."""
-    family = shift_family(n, seeds)
-    zero = ProductState([_KET0] * len(family.dims))
-    return StateSet(family.dims, (zero,) + family.states, f"shift-upb-n{n}")
+    book, codes = _shift_codes(n, seeds, range(2 * n - 1))
+    zero = np.full((1, codes.shape[1]), len(book) - 1, dtype=np.int32)
+    return StateSet._from_codes(
+        (2,) * (2 * n - 1), {2: book}, np.concatenate([zero, codes]), f"shift-upb-n{n}"
+    )
 
 
 def entangled_triple(parties: int = 3) -> StateSet:
@@ -361,8 +354,8 @@ def sqrt_subset(n: int, seeds=None):
     table entry t.
     """
     plan = sqrt_subset_plan(n)
-    stacks = _shift_stacks(n, seeds, plan.indices)
-    return plan, StateSet._from_stacks((2,) * plan.parties, stacks, f"sqrt-subset-n{n}")
+    book, codes = _shift_codes(n, seeds, plan.indices)
+    return plan, StateSet._from_codes((2,) * plan.parties, {2: book}, codes, f"sqrt-subset-n{n}")
 
 
 @dataclass(frozen=True)

@@ -645,7 +645,7 @@ class ExtensionReport:
     search: SearchReport | None = None
 
 
-def _hyperplanes(factors, tol):
+def _hyperplanes(factors, tol, normals):
     """Yield, batch by batch, the hyperplanes holding min(l, d-1)-subsets of
     the unit factors of every party, given as the set's (l, d_r) stacks:
     (parties, hits), where the B ``parties`` share one local dimension d
@@ -668,7 +668,10 @@ def _hyperplanes(factors, tol):
     every state and the party's capacity is l.  Masks are made in batches
     of at most _RANK_BUDGET entries of rows or hits, one party at least,
     each batch's stacks copied into one array, so a mask the caller drops
-    is freed with its batch.
+    is freed with its batch.  The normals of each batch of d >= 3 parties
+    are ranked once per dict ``normals``, kept there under the batch's first
+    party: a second pass with the same dict rebuilds only their masks.
+    Qubit normals are not kept.
     """
     size = len(factors[0])
     dims = [f.shape[1] for f in factors]
@@ -692,13 +695,15 @@ def _hyperplanes(factors, tol):
         for first in range(0, len(group), per):
             parties = group[first:first + per]
             stack = np.stack([factors[i] for i in parties])
-            chunk = stack[:, subsets]
-            rows = np.concatenate(
-                [chunk, np.broadcast_to(identity, chunk.shape[:2] + (d, d))], axis=2
-            )
-            pivots = _orthonormal_rows(rows.reshape(-1, width + d, d), tol.rank_rel)[0]
-            normals = pivots[:, d - 1].reshape(len(parties), len(subsets), d)
-            yield parties, np.abs(normals.conj() @ stack.transpose(0, 2, 1)) < tol.rank_rel
+            if parties[0] not in normals:
+                chunk = stack[:, subsets]
+                rows = np.concatenate(
+                    [chunk, np.broadcast_to(identity, chunk.shape[:2] + (d, d))], axis=2
+                )
+                pivots = _orthonormal_rows(rows.reshape(-1, width + d, d), tol.rank_rel)[0]
+                normals[parties[0]] = pivots[:, d - 1].reshape(len(parties), len(subsets), d)
+            hits = np.abs(normals[parties[0]].conj() @ stack.transpose(0, 2, 1))
+            yield parties, hits < tol.rank_rel
 
 
 def _partition_search(hits, starts, leaf):
@@ -772,7 +777,8 @@ def _partition_test(label, factors, tol):
     A capacity sum below the set size proves unextendibility with no
     search: the report is what the search would return from its root, and
     no mask is kept past its batch.  Otherwise a second pass of
-    :func:`_hyperplanes` makes every party's masks again, and
+    :func:`_hyperplanes` makes every party's masks again, from the d >= 3
+    normals the first pass ranked and the qubit normals in closed form, and
     :func:`_partition_search` looks for a split.  The hyperplanes only
     decide capacities and the search: at a split, a group whose factors
     span C^d is refused, and otherwise the witness factor is the rank
@@ -784,13 +790,14 @@ def _partition_test(label, factors, tol):
     """
     size = len(factors[0])
     capacities = np.zeros(len(factors), dtype=int)
-    for batch, masks in _hyperplanes(factors, tol):
+    normals = {}
+    for batch, masks in _hyperplanes(factors, tol, normals):
         capacities[batch] = masks.sum(axis=2).max(axis=1)
     capacities = tuple(capacities.tolist())
     if sum(capacities) < size:
         return ExtensionReport(label, "unextendible", None, None, capacities, 0)
     columns = {}
-    for batch, masks in _hyperplanes(factors, tol):
+    for batch, masks in _hyperplanes(factors, tol, normals):
         columns.update(zip(batch, masks.transpose(0, 2, 1)))
     columns = [columns[party] for party in range(len(factors))]
     starts = np.cumsum([0] + [c.shape[1] for c in columns[:-1]])

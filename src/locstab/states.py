@@ -58,9 +58,13 @@ _RAY_PARTIES = 256
 _RAY_KEYS = 1 << 14
 _RAY_PAIRS = 1 << 16
 
-# Sorted factor rows compared, and factor codes stored, per step when
-# save_set numbers the distinct factor rows of a set.
+# Sorted factor rows compared per step when _number_rows numbers the
+# distinct factor rows of a set.
 _SAVE_ROWS = 1 << 12
+
+# Codes gathered per block when the factor stacks of a code table are
+# built: 128 KB of intp indices.
+_GATHER_CODES = 1 << 14
 
 # The text of a saved all-product set around its factor texts, as
 # json.dumps(state_set_to_dict(...), indent=2) lays it out: each state opens
@@ -226,9 +230,15 @@ class StateSet:
     An all-product set holds its factors by party: ``factors[r]`` is party
     r's (l, d_r) read-only stack of unit factors, row j that of state j.
     ``factors`` is None when some state is dense.
+
+    An all-product set also has a code table (:meth:`_code_table`), which
+    names each factor by its row in a codebook of its local dimension.  The
+    shift constructions, the loader's split route and :meth:`subset` of a
+    coded set supply it; any other set numbers its stacks the first time
+    the table is read.
     """
 
-    __slots__ = ("dims", "states", "label", "factors")
+    __slots__ = ("dims", "states", "label", "factors", "_table")
 
     def __init__(self, dims, states, label=""):
         self.dims = check_signature(dims)
@@ -242,7 +252,7 @@ class StateSet:
                 )
         self.states = states
         self.label = str(label)
-        self.factors = None
+        self.factors = self._table = None
         if all(isinstance(s, ProductState) for s in states):
             self.factors = _factor_stacks(states, self.dims)
 
@@ -255,6 +265,42 @@ class StateSet:
         for stack in stacks:
             stack.flags.writeable = False
         return cls(dims, ProductState._rows(tuple(stacks), dims), label)
+
+    @classmethod
+    def _from_codes(cls, dims, books, codes, label="") -> "StateSet":
+        """The all-product set whose code table is ``books`` and ``codes``,
+        as :meth:`_code_table` describes them, over the checked signature
+        ``dims``; its factor stacks are gathered from the table
+        (:func:`_coded_stacks`), and the table becomes the set's own."""
+        for array in (*books.values(), codes):
+            array.flags.writeable = False
+        state_set = cls._from_stacks(dims, _coded_stacks(dims, books, codes), label)
+        state_set._table = books, codes
+        return state_set
+
+    def _code_table(self):
+        """The code table of an all-product set: ``(books, codes)``, where
+        ``books[d]`` is a read-only (m_d, d) stack of unit rows for each
+        local dimension d and ``codes`` the read-only (l, P) int32 array with
+        ``factors[r][t]`` equal to ``books[dims[r]][codes[t, r]]`` bit for
+        bit.  A codebook may hold rows that no factor uses, or one row
+        twice.
+
+        The table a source supplied, else one made here and kept: the
+        factor rows of each local dimension are numbered once by their
+        exact bytes (:func:`_number_rows`), at a cost of 4 bytes per factor
+        and a copy of the distinct rows.
+        """
+        if self._table is None:
+            size = len(self)
+            books, codes = {}, np.empty((size, len(self.dims)), dtype=np.int32)
+            for d in dict.fromkeys(self.dims):
+                parties = [r for r, e in enumerate(self.dims) if e == d]
+                books[d], numbers = _number_rows(np.concatenate([self.factors[r] for r in parties]))
+                codes[:, parties] = numbers.reshape(len(parties), size).T
+            codes.flags.writeable = False
+            self._table = books, codes
+        return self._table
 
     def __len__(self):
         return len(self.states)
@@ -276,13 +322,20 @@ class StateSet:
     def subset(self, indices) -> "StateSet":
         """A new set holding the states at ``indices``, in the given order,
         labelled by the parent's label and those indices; an all-product
-        set's subset takes its stacks' rows."""
+        set's subset takes its stacks' rows, and the rows of its codes over
+        the same codebooks when the parent holds a code table."""
         rows = [range(len(self))[i] for i in indices]
         label = f"{self.label}[{','.join(str(i) for i in indices)}]"
         if self.factors is None:
             return StateSet(self.dims, [self.states[i] for i in rows], label)
         rows = np.array(rows, dtype=np.intp)
-        return StateSet._from_stacks(self.dims, [stack[rows] for stack in self.factors], label)
+        subset = StateSet._from_stacks(self.dims, [stack[rows] for stack in self.factors], label)
+        if self._table is not None:
+            books, codes = self._table
+            codes = codes[rows]
+            codes.flags.writeable = False
+            subset._table = books, codes
+        return subset
 
     def __repr__(self):
         return f"StateSet(label={self.label!r}, dims={self.dims}, size={len(self)})"
@@ -308,6 +361,26 @@ def _factor_stacks(states, dims) -> tuple:
         stack.flags.writeable = False
         gathered.append(stack)
     return tuple(gathered)
+
+
+def _coded_stacks(dims, books, codes) -> list:
+    """The per-party (l, d_r) factor stacks ``books[d_r][codes[:, r]]`` of
+    a code table: the parties of each local dimension are rows of one
+    (parties, l, d) array, filled in place in blocks of at most
+    _GATHER_CODES codes.  Every code is a row of its codebook, so the
+    gather needs no bounds check, which would copy each block once more."""
+    size = len(codes)
+    stacks = [None] * len(dims)
+    per = max(1, _GATHER_CODES // max(size, 1))
+    for d, book in books.items():
+        parties = [r for r, e in enumerate(dims) if e == d]
+        group = np.empty((len(parties), size, d), dtype=complex)
+        for start in range(0, len(parties), per):
+            block = codes[:, parties[start:start + per]].T
+            np.take(book, block, axis=0, out=group[start:start + per], mode="clip")
+        for party, stack in zip(parties, group):
+            stacks[party] = stack
+    return stacks
 
 
 def tensor_expand(state: ProductState) -> DenseState:
@@ -821,44 +894,30 @@ def _factor_texts(rows) -> list:
     return ("|".join([template] * len(rows)) % tuple(rows.view(float).ravel().tolist())).split("|")
 
 
-def _number_rows(rows, parties, codes, base):
-    """Number the distinct rows of ``rows`` by their exact bytes, ``base``
-    upward in order of first appearance, and return the index of each
-    number's first and last row.
+def _number_rows(rows):
+    """Number the distinct rows of the contiguous (n, d) complex stack
+    ``rows`` by their exact bytes: return the read-only stack of distinct
+    rows, ordered by their bytes, and each row's number there as an (n,)
+    int32 array.
 
-    ``rows`` is the (n, d) complex stack of the factors of ``parties``, an
-    index array of the parties of one local dimension, in file order: row
-    t * len(parties) + j is state t's factor at party ``parties[j]``, whose
-    number goes to ``codes[t, parties[j]]``.  Rows are equal only when their
-    bytes are, so -0.0 and 0.0 stay apart, as ``repr`` keeps them apart.
-    Beside the sort order and one flag per row, each step gathers at most
-    _SAVE_ROWS rows.
+    Rows are equal only when their bytes are, so -0.0 and 0.0 stay apart,
+    as ``repr`` keeps them apart.  Beside the sort order and one flag per
+    row, each step gathers at most _SAVE_ROWS rows.
     """
-    n, width = len(rows), len(parties)
-    # a stable sort by bytes puts equal rows next to each other, in file order
+    n = len(rows)
+    # a sort by bytes puts equal rows next to each other
     key = np.dtype((np.void, rows.shape[1] * rows.itemsize))
-    order = np.argsort(rows.view(key).ravel(), kind="stable")
+    order = np.argsort(rows.view(key).ravel())
     words = rows.view(np.uint64)
     new = np.ones(n, dtype=bool)
     for start in range(1, n, _SAVE_ROWS):
         pair = words[order[start - 1:start + _SAVE_ROWS]]
         new[start:start + _SAVE_ROWS] = (pair[1:] != pair[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    first, last = order[starts], order[np.append(starts[1:], n) - 1]
-    del starts
-    by_first = np.argsort(first)
-    first.sort()
-    last = last[by_first]
-    number = np.empty(len(first), dtype=np.intp)
-    number[by_first] = np.arange(base, base + len(first))
-    del by_first
-    run = -1
-    for start in range(0, n, _SAVE_ROWS):
-        runs = run + np.cumsum(new[start:start + _SAVE_ROWS])
-        state, party = np.divmod(order[start:start + _SAVE_ROWS], width)
-        codes[state, parties[party]] = number[runs]
-        run = runs[-1]
-    return first, last
+    numbers = np.empty(n, dtype=np.int32)
+    numbers[order] = np.cumsum(new) - 1
+    book = rows[order[new]]
+    book.flags.writeable = False
+    return book, numbers
 
 
 def _head_text(label, dims) -> str:
@@ -874,39 +933,46 @@ def _product_text(state_set: StateSet):
     """Yield the file text of an all-product set in pieces, one state at a
     time, each the join of its factors' texts.
 
-    The factors of each local dimension are numbered by :func:`_number_rows`;
-    each distinct row is rendered once by :func:`_factor_texts`, as the
-    first state that holds it is written, and its text is dropped after the
-    last.
+    The factors are read through the set's code table
+    (:meth:`StateSet._code_table`), each local dimension's codes numbered
+    past those of the codebooks before it: each codebook row that a state
+    uses is rendered once by :func:`_factor_texts`, as the first state that
+    uses it is written, and its text is dropped after the last.  Beside the
+    texts, this holds that copy of the codes and two states per codebook
+    row.
     """
     dims, size = state_set.dims, len(state_set)
     yield _head_text(state_set.label, dims)
     if not size:
         yield "[]\n}"
         return
-    codes = np.empty((size, len(dims)), dtype=np.intp)
-    groups, lasts, count = [], [], 0
-    for d in dict.fromkeys(dims):
-        parties = np.flatnonzero(np.array(dims) == d)
-        rows = np.stack([state_set.factors[r] for r in parties], axis=1).reshape(-1, d)
-        first, last = _number_rows(rows, parties, codes, count)
-        # state t is the first to hold the rows numbered count + born[t]
-        # up to count + born[t + 1]
-        born = np.searchsorted(first // len(parties), np.arange(size + 1)).tolist()
-        groups.append((rows, first, born, count))
-        lasts.append(last // len(parties))
-        count += len(first)
-    lasts = np.concatenate(lasts)
-    dying = np.argsort(lasts)
-    ends = np.searchsorted(lasts[dying], np.arange(size + 1)).tolist()
-    texts = [None] * count
+    books, codes = state_set._code_table()
+    bases = dict(zip(books, itertools.accumulate(map(len, books.values()), initial=0)))
+    codes = codes + np.array([bases[d] for d in dims], dtype=np.int32)
+    # the first and last state that use each code, size and -1 for a code
+    # that no state uses, which is neither born nor dies below
+    states = np.repeat(np.arange(size, dtype=np.int32), len(dims))
+    first = np.full(sum(map(len, books.values())), size, dtype=np.int32)
+    last = np.full(len(first), -1, dtype=np.int32)
+    np.minimum.at(first, codes.ravel(), states)
+    np.maximum.at(last, codes.ravel(), states)
+    del states
+    dying = np.argsort(last)
+    ends = np.searchsorted(last[dying], np.arange(size + 1)).tolist()
+    groups = []
+    for d, book in books.items():
+        # state t is the first to use the rows ids[born[t]:born[t + 1]]
+        firsts = first[bases[d]:bases[d] + len(book)]
+        ids = np.argsort(firsts)
+        born = np.searchsorted(firsts[ids], np.arange(size + 1)).tolist()
+        groups.append((book, ids, born, bases[d]))
+    texts = {}
     separator = _STATES_OPEN
     for t in range(size):
-        for rows, first, born, base in groups:
+        for book, ids, born, base in groups:
             if born[t] < born[t + 1]:
-                texts[base + born[t]:base + born[t + 1]] = _factor_texts(
-                    rows[first[born[t]:born[t + 1]]]
-                )
+                new = ids[born[t]:born[t + 1]]
+                texts.update(zip((new + base).tolist(), _factor_texts(book[new])))
         yield (
             separator + _STATE_OPEN
             + _FACTOR_SEP.join(map(texts.__getitem__, codes[t].tolist()))
@@ -914,7 +980,7 @@ def _product_text(state_set: StateSet):
         )
         separator = _STATE_SEP
         for code in dying[ends[t]:ends[t + 1]].tolist():
-            texts[code] = None
+            del texts[code]
     yield _STATES_CLOSE
 
 
@@ -933,14 +999,16 @@ def save_set(state_set: StateSet, path) -> None:
     """Write ``state_set`` as the text of ``json.dumps(state_set_to_dict(...),
     indent=2)`` plus a newline, one state at a time.
 
-    An all-product set is written from its factor stacks
-    (:func:`_product_text`): the distinct factor rows of each local
-    dimension are found by their exact bytes, and each is rendered once, so
-    a set that repeats its factors, such as a shift family, formats few
-    numbers.  The bytes are the same; the cost is one code per factor and a
-    copy of the stacks in file order, and a row's text is held only from
-    the first state that holds it to the last.  A set with dense members is
-    written by :func:`iter_json`, one state's payload at a time.
+    An all-product set is written from its code table
+    (:func:`_product_text`), and each codebook row a state uses is rendered
+    once, so a set that repeats its factors, such as a shift family,
+    formats few numbers.  The shift constructions, the loader and subsets
+    of their sets supply their codes; a set built from states numbers its
+    factor rows by their exact bytes on its first save and keeps the
+    codes.  The bytes are the same; the cost is a copy of the codes, and a
+    row's text is held only from the first state that uses it to the last.
+    A set with dense members is written by :func:`iter_json`, one state's
+    payload at a time.
 
     The cyclic garbage collector is paused for the whole process while the
     text is written, and only then (:func:`_acyclic`): the writer makes
@@ -1023,9 +1091,10 @@ def _read_product_text(data: bytes):
     one JSON value that ends where the text ends, so the pieces align with
     factors; the values must pass the per-field rules of :func:`_entry` and
     have the length of every party they stand at.  The distinct factors of
-    each local dimension are normalized by one :func:`_unit_rows` call and
-    gathered into the party stacks, so every row has the bits
-    :func:`_party_stacks` gives it.
+    each local dimension are normalized by one :func:`_unit_rows` call into
+    its codebook, so every row has the bits :func:`_party_stacks` gives it,
+    and the set keeps the codebooks and the factors' codes as its code
+    table (:meth:`StateSet._from_codes`).
     """
     start = data.find(_FACTOR_MARK)
     if start < 0 or not data.endswith(_FIRST_STATE, 0, start):
@@ -1073,7 +1142,7 @@ def _read_product_text(data: bytes):
         return None
     # the distinct factors of each local dimension, and each one's row there
     table, firsts = numbers.view(complex), np.cumsum(lengths) - lengths
-    books, rows = {}, np.empty(len(lengths), dtype=np.intp)
+    books, rows = {}, np.empty(len(lengths), dtype=np.int32)
     for d in set(dims):
         ids = np.flatnonzero(lengths == d)
         try:
@@ -1082,8 +1151,7 @@ def _read_product_text(data: bytes):
             return None
         rows[ids] = np.arange(len(ids))
     codes = rows[codes]
-    stacks = [books[d][codes[:, party]] for party, d in enumerate(dims)]
-    return StateSet._from_stacks(dims, stacks, label)
+    return StateSet._from_codes(dims, books, codes, label)
 
 
 def _decode(text, object_hook):

@@ -1312,7 +1312,7 @@ class TestOneWitnessRule:
         assert mask.all(axis=1).any()
 
     def test_fewer_states_than_a_hyperplane_needs_give_one_column(self):
-        ((parties, masks),) = _hyperplanes(_pair_set().factors, DEFAULT_TOL)
+        ((parties, masks),) = _hyperplanes(_pair_set().factors, DEFAULT_TOL, {})
         assert parties == [0, 1]
         assert masks.tolist() == [[[True, True]]] * 2
 
@@ -1346,7 +1346,7 @@ def _masks_by_party(state_set):
     """Every party's hyperplane mask from the batches of _hyperplanes, each
     batch of parties with one local dimension, each party in one batch."""
     masks = {}
-    for parties, hits in _hyperplanes(state_set.factors, DEFAULT_TOL):
+    for parties, hits in _hyperplanes(state_set.factors, DEFAULT_TOL, {}):
         assert len({state_set.dims[i] for i in parties}) == 1
         assert len(hits) == len(parties) and masks.keys().isdisjoint(parties)
         masks.update(zip(parties, hits))
@@ -1401,7 +1401,7 @@ class TestClosedFormQubitHyperplanes:
     @pytest.mark.parametrize("seed", range(4))
     def test_planted_pairs_match_kernel_normals(self, seed, scale):
         stack = _planted_qubit_stack(seed, scale)
-        ((parties, masks),) = _hyperplanes(stack, DEFAULT_TOL)
+        ((parties, masks),) = _hyperplanes(stack, DEFAULT_TOL, {})
         assert parties == [0, 1, 2]
         for mask, expected in zip(masks, hyperplanes_kernel(stack), strict=True):
             assert mask.tolist() == expected.tolist()
@@ -1473,6 +1473,26 @@ class TestClosedFormQubitHyperplanes:
         _counted(monkeypatch, locstab.stability, "_partition_search", calls)
         decide_extension(build())
         assert (calls["_hyperplanes"], calls["_partition_search"]) == (passes, passes - 1)
+
+    @pytest.mark.parametrize("build, ranked", [
+        (upb_44_reducible, 2),
+        (lambda: upb_tiles33().subset([0, 1, 2]), 1),
+        (lambda: compose(upb_qubit3(), 0, upb_44_reducible(), 0), 2),
+    ], ids=["reducible44", "tiles33[0,1,2]", "qubit3+reducible44"])
+    def test_search_pass_reuses_the_ranked_normals(self, build, ranked, monkeypatch):
+        # one kernel call per batch of d >= 3 parties, made by the capacity
+        # pass; the search pass rebuilds only the masks
+        callers = collections.Counter()
+        original = locstab.stability._orthonormal_rows
+
+        def recorded(*args):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(locstab.stability, "_orthonormal_rows", recorded)
+        report = decide_extension(build())
+        assert report.nodes > 0
+        assert callers["_hyperplanes"] == ranked
 
 
 class TestCertificateSkipsCollection:

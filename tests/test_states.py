@@ -1573,6 +1573,127 @@ class TestLayoutReader:
             _assert_loads_as_reference(bytes(mutated), path)
 
 
+# sets whose source supplies their code table
+_CODED_SETS = {
+    "shift_family(4)": lambda: shift_family(4),
+    "shift_family(30)": lambda: shift_family(30),
+    "random shift_family(20)": lambda: _random_shift_family(20, 8),
+    "upb_shifts(5)": lambda: upb_shifts(5),
+    "random upb_shifts(9)": lambda: upb_shifts(9, _random_seeds(9, 5)),
+    "sqrt_subset(19)": lambda: sqrt_subset(19)[1],
+    "random sqrt_subset(40)": lambda: sqrt_subset(40, _random_seeds(40, 6))[1],
+    "subset of upb_shifts(6)": lambda: upb_shifts(6).subset([5, 0, 11, 0]),
+    "empty subset": lambda: shift_family(4).subset([]),
+    "subset of a subset": lambda: sqrt_subset(19)[1].subset(range(3, 20, 2)).subset([1, 0]),
+}
+
+
+def _uncoded(state_set):
+    """``state_set`` with fresh copies of its stacks and no code table."""
+    return StateSet._from_stacks(
+        state_set.dims, [f.copy() for f in state_set.factors], state_set.label
+    )
+
+
+def _loaded(build, tmp_path):
+    path = tmp_path / "saved.json"
+    save_set(build(), path)
+    return load_set(path)
+
+
+def _number_rows_calls(monkeypatch):
+    """The row counts of every _number_rows call from now on."""
+    calls = []
+    real = states_module._number_rows
+
+    def spy(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(states_module, "_number_rows", spy)
+    return calls
+
+
+def _assert_table_holds_factors(state_set):
+    books, codes = state_set._code_table()
+    assert set(books) == set(state_set.dims)
+    assert codes.dtype == np.int32 and codes.shape == (len(state_set), len(state_set.dims))
+    assert not codes.flags.writeable
+    assert not any(book.flags.writeable for book in books.values())
+    for party, d in enumerate(state_set.dims):
+        assert books[d][codes[:, party]].tobytes() == state_set.factors[party].tobytes()
+
+
+class TestCodeTable:
+    """Every all-product set names each factor by a codebook row, bit for
+    bit: the shift constructions, the loader's split route and subsets of
+    coded sets supply the table; any other set numbers its stacks once, on
+    the first read, and save_set writes the same bytes either way."""
+
+    @pytest.mark.parametrize("name", sorted(_CODED_SETS))
+    def test_supplied_tables_hold_the_factors(self, name, monkeypatch):
+        calls = _number_rows_calls(monkeypatch)
+        _assert_table_holds_factors(_CODED_SETS[name]())
+        assert calls == []
+
+    @pytest.mark.parametrize("name", sorted(_LAYOUT_SETS))
+    def test_loaded_tables_hold_the_factors(self, name, tmp_path, monkeypatch):
+        state_set = _loaded(_LAYOUT_SETS[name], tmp_path)
+        calls = _number_rows_calls(monkeypatch)
+        _assert_table_holds_factors(state_set)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in _NAMED_SETS if not n.startswith("dense") and n != "triple")
+    )
+    def test_numbered_tables_hold_the_factors(self, name):
+        _assert_table_holds_factors(_uncoded(_NAMED_SETS[name]()))
+
+    def test_shift_codebooks_end_in_ket0(self):
+        books, codes = upb_shifts(4)._code_table()
+        assert books[2].tobytes() == shift_family(4)._code_table()[0][2].tobytes()
+        assert len(books[2]) == 8 and books[2][-1].tolist() == KET0
+        assert (codes[0] == 7).all() and (codes[1:] < 7).all()
+
+    @pytest.mark.parametrize("name", sorted(_CODED_SETS))
+    def test_coded_sets_save_the_bytes_of_their_uncoded_copy(self, name, tmp_path, monkeypatch):
+        state_set = _CODED_SETS[name]()
+        calls = _number_rows_calls(monkeypatch)
+        save_set(state_set, tmp_path / "coded.json")
+        assert calls == []
+        save_set(_uncoded(state_set), tmp_path / "uncoded.json")
+        assert (tmp_path / "coded.json").read_bytes() == (tmp_path / "uncoded.json").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(_LAYOUT_SETS))
+    def test_loaded_sets_save_the_bytes_of_their_uncoded_copy(self, name, tmp_path, monkeypatch):
+        state_set = _loaded(_LAYOUT_SETS[name], tmp_path)
+        calls = _number_rows_calls(monkeypatch)
+        save_set(state_set, tmp_path / "coded.json")
+        assert calls == []
+        save_set(_uncoded(state_set), tmp_path / "uncoded.json")
+        assert (tmp_path / "coded.json").read_bytes() == (tmp_path / "uncoded.json").read_bytes()
+
+    @pytest.mark.parametrize("build", [
+        upb_qubit3, upb_44_reducible, lambda: compose(upb_tiles33(), 0, upb_qubit3(), 3),
+        lambda: _uncoded(shift_family(6)),
+    ], ids=["qubit3", "reducible44", "tiles33+qubit3", "uncoded shift_family(6)"])
+    def test_uncoded_sets_number_each_dimension_once(self, build, tmp_path, monkeypatch):
+        state_set = build()
+        calls = _number_rows_calls(monkeypatch)
+        save_set(state_set, tmp_path / "first.json")
+        dims = state_set.dims
+        assert calls == [len(state_set) * dims.count(d) for d in dict.fromkeys(dims)]
+        save_set(state_set, tmp_path / "second.json")
+        assert len(calls) == len(set(dims))
+        assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+
+    def test_subset_of_an_uncoded_set_numbers_its_own_rows(self, monkeypatch):
+        subset = upb_tiles33().subset([4, 2])
+        calls = _number_rows_calls(monkeypatch)
+        _assert_table_holds_factors(subset)
+        assert calls == [4]
+
+
 class TestStatesClose:
     def test_global_phase_ignored(self):
         a = ProductState([KET0, KET1])
