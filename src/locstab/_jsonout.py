@@ -1,16 +1,20 @@
 """Indented JSON text, byte-identical to ``json.dumps(obj, indent=2)``.
 
-With ``indent`` set, :mod:`json` encodes in pure Python.  Nearly all of
-locstab's output bytes are numbers in rectangular nested lists (factor
-tables, dense amplitude vectors, conflict pairs), so each such block is
-written by one ``%`` template of its shape, filled with the ``repr`` of its
-numbers, which is how :mod:`json` writes ints and floats.  Dicts, strings
-and other lists take a short recursive walk, and any other iterator is
-written as a list, one item at a time as it yields them, so that no item
-is built before it is written.  Dict keys, and items whose type is exactly
+With ``indent`` set, :mod:`json` encodes in pure Python.  Nearly all the
+bytes of the CLI's payloads are numbers in rectangular nested lists
+(conflict pairs, witness factors), so each such block is written by one
+``%`` template of its shape, filled with the ``repr`` of its numbers, which
+is how :mod:`json` writes ints and floats.  Dicts, strings and other lists
+take a short recursive walk, and any other iterator is written as a list,
+one item at a time as it yields them, so that no item is built before it
+is written.  Dict keys, and items whose type is exactly
 str, int, bool or None, are written in place by the functions :mod:`json`
 uses for them.  Anything else the walk does not know, such as a dict with
 a non-string key, is encoded by :mod:`json` itself.
+
+Set files do not pass through here: :mod:`locstab.states` writes them from
+their arrays, and takes only the templates of factors and signatures from
+:func:`number_template`.
 """
 
 from __future__ import annotations
@@ -48,9 +52,10 @@ def number_template(shape: tuple, level: int) -> str:
 
     The last _CACHED_TEMPLATES templates of at most _CACHED_NUMBERS numbers
     are kept, so blocks of one shape, such as a certificate's conflict pairs
-    or a set's factors, share one; a larger block, such as a dense
-    amplitude vector, gets a template of its own that is not held past the
-    call.
+    or a set's factors, share one; a larger block, such as the conflict
+    pairs of a party with more than 2,048 of them, gets a template of its
+    own that is not held past the call.  Dense amplitude vectors take no
+    template: a set file writes them from their arrays.
     """
     if math.prod(shape) > _CACHED_NUMBERS:
         return _build_template(shape, level)

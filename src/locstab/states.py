@@ -20,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from ._jsonout import iter_json, number_template
+from ._jsonout import number_template
 from .numerics import DEFAULT_TOL, Tolerance, _orthonormal_rows, _row_norms, vec_inner
 
 __all__ = [
@@ -76,6 +76,16 @@ _STATES_OPEN, _STATE_SEP, _STATES_CLOSE = "[\n    ", ",\n    ", "\n  ]\n}"
 _STATE_OPEN = '{\n      "product": [' + _FACTOR_INDENT
 _FACTOR_SEP = "," + _FACTOR_INDENT
 _STATE_CLOSE = "\n      ]\n    }"
+# A dense member opens at depth 2 too, each of its [re, im] pairs at depth 4
+# and each number at depth 5.  _dense_text writes _DENSE_PAIRS pairs per
+# piece, between the separators _DENSE_SEPARATORS holds: a piece's 4,096
+# number texts take about 0.3 MB, whatever the vector's length.
+_NUMBER_INDENT = _FACTOR_INDENT + "  "
+_DENSE_OPEN = '{\n      "dense": [' + _FACTOR_INDENT + "[" + _NUMBER_INDENT
+_PAIR_SEP = _FACTOR_INDENT + "]," + _FACTOR_INDENT + "[" + _NUMBER_INDENT
+_DENSE_CLOSE = _FACTOR_INDENT + "]" + _STATE_CLOSE
+_DENSE_PAIRS = 1 << 11
+_DENSE_SEPARATORS = [_PAIR_SEP, None, "," + _NUMBER_INDENT, None] * _DENSE_PAIRS
 
 # How load_set reads that text back (_read_product_text).  _FIRST_STATE ends
 # the head.  _FACTOR_MARK, a factor's indentation and opening bracket, opens
@@ -638,17 +648,13 @@ def _state_payload(state) -> dict:
     return {"product": [_complex_pairs(f) for f in state.factors]}
 
 
-def _set_payload(state_set: StateSet, states_payload) -> dict:
+def state_set_to_dict(state_set: StateSet) -> dict:
+    """The JSON-ready payload for a state set."""
     return {
         "label": state_set.label,
         "dims": list(state_set.dims),
-        "states": states_payload,
+        "states": list(map(_state_payload, state_set.states)),
     }
-
-
-def state_set_to_dict(state_set: StateSet) -> dict:
-    """The JSON-ready payload for a state set."""
-    return _set_payload(state_set, list(map(_state_payload, state_set.states)))
 
 
 def _parse_pair(value, where):
@@ -984,14 +990,51 @@ def _product_text(state_set: StateSet):
     yield _STATES_CLOSE
 
 
-def _write_set(state_set: StateSet, fh) -> None:
-    """Write the text of :func:`save_set` to the text stream ``fh``."""
-    with _acyclic():
-        if state_set.factors is None:
-            payload = _set_payload(state_set, map(_state_payload, state_set.states))
-            fh.writelines(iter_json(payload))
+def _dense_text(amplitudes):
+    """Yield the text of a dense member with the contiguous complex vector
+    ``amplitudes`` in a set file, from its opening brace to its closing one,
+    in pieces of at most _DENSE_PAIRS [re, im] pairs.
+
+    Each number is written by ``float.__repr__``, as :mod:`json` writes a
+    finite float, and a piece is one join of those texts and the fixed
+    separators of the (D, 2) block around them, so no nested list or
+    template is built and at most one piece's texts are held at a time.
+    """
+    numbers = amplitudes.view(float)
+    for start in range(0, len(numbers), 2 * _DENSE_PAIRS):
+        chunk = numbers[start:start + 2 * _DENSE_PAIRS].tolist()
+        pieces = _DENSE_SEPARATORS[:2 * len(chunk)]
+        pieces[1::2] = map(float.__repr__, chunk)
+        if not start:
+            pieces[0] = _DENSE_OPEN
+        yield "".join(pieces)
+    yield _DENSE_CLOSE
+
+
+def _dense_set_text(state_set: StateSet):
+    """Yield the file text of a set with dense members in pieces, one state
+    at a time: a dense member by :func:`_dense_text`, a product member as
+    the join of its factors' texts (:func:`_factor_texts`)."""
+    yield _head_text(state_set.label, state_set.dims)
+    separator = _STATES_OPEN
+    for state in state_set.states:
+        if isinstance(state, DenseState):
+            yield separator
+            yield from _dense_text(state.amplitudes)
         else:
-            fh.writelines(_product_text(state_set))
+            texts = [_factor_texts(factor[None])[0] for factor in state.factors]
+            yield separator + _STATE_OPEN + _FACTOR_SEP.join(texts) + _STATE_CLOSE
+        separator = _STATE_SEP
+    yield _STATES_CLOSE
+
+
+def _write_set(state_set: StateSet, fh) -> None:
+    """Write the text of :func:`save_set` to the text stream ``fh``: an
+    all-product set's by :func:`_product_text`, any other set's by
+    :func:`_dense_set_text`."""
+    text = _dense_set_text if state_set.factors is None else _product_text
+    with _acyclic():
+        fh.writelines(text(state_set))
     fh.write("\n")
 
 
@@ -1007,8 +1050,10 @@ def save_set(state_set: StateSet, path) -> None:
     factor rows by their exact bytes on its first save and keeps the
     codes.  The bytes are the same; the cost is a copy of the codes, and a
     row's text is held only from the first state that uses it to the last.
-    A set with dense members is written by :func:`iter_json`, one state's
-    payload at a time.
+    A set with dense members is written straight from its arrays
+    (:func:`_dense_set_text`): each dense vector in pieces of at most
+    _DENSE_PAIRS amplitudes, so the texts of a 2^20-amplitude vector are
+    never held at once, and each product member from its factors.
 
     The cyclic garbage collector is paused for the whole process while the
     text is written, and only then (:func:`_acyclic`): the writer makes

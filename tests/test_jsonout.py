@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import locstab.cli
 import locstab.states
 from locstab import (
+    DenseState,
     ProductState,
     StateSet,
     compose,
@@ -317,6 +318,134 @@ class TestFactorCodebook:
         finally:
             tracemalloc.stop()
         assert peak <= stack_bytes
+
+
+def _planted_dense(dims, amplitudes):
+    """The dense member holding ``amplitudes`` as given, bit for bit: the
+    vector is not normalized again."""
+    state = DenseState.__new__(DenseState)
+    state.dims, state.amplitudes = dims, np.array(amplitudes, dtype=complex)
+    return state
+
+
+_NEGATIVE_ZEROS = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1.0]
+_EXPONENTS = [1e-05, 2.5e-300j, complex(-1e-05, 2.5e-300), 1e300]
+_ONE = ProductState([[0.6, 0.8j], [1.0, 0.0]])
+
+DENSE_SETS = {
+    "signed zeros": lambda: StateSet((2, 2), [_planted_dense((2, 2), _NEGATIVE_ZEROS)]),
+    "subnormal": lambda: StateSet((2,), [_planted_dense((2,), [5e-324, complex(0.5, -5e-324)])]),
+    "exponents": lambda: StateSet((2, 2), [_planted_dense((2, 2), _EXPONENTS)]),
+    "plus and minus one": lambda: StateSet(
+        (2, 2), [_planted_dense((2, 2), [1.0, -1.0, 1j, -1j]), DenseState([-1, 0, 0, 0], (2, 2))]
+    ),
+    "dense before product": lambda: StateSet(
+        (2, 2), [_planted_dense((2, 2), _NEGATIVE_ZEROS), _ONE], 'mixed "é"'
+    ),
+    "dense after product": lambda: StateSet(
+        (2, 2), [_ONE, _planted_dense((2, 2), _EXPONENTS), _ONE]
+    ),
+    "one state": lambda: StateSet((3, 2), [DenseState(np.arange(6) - 2.5j, (3, 2))], "one"),
+    "mixed dimensions": lambda: StateSet(
+        (3, 2), [ProductState([[0, 1, 0], [0.6, -0.8j]]), DenseState(np.arange(1, 7), (3, 2))]
+    ),
+}
+DENSE_SETS.update({f"triple {n}": (lambda n=n: entangled_triple(n)) for n in range(3, 15)})
+# the dense copy of every named set small enough to expand
+DENSE_SETS.update({
+    f"dense {name}": (lambda build=build: _dense(build()))
+    for name, build in {
+        "qubit3": upb_qubit3,
+        "tiles33": upb_tiles33,
+        "sep333": upb_sep333,
+        "reducible44": upb_44_reducible,
+        "heptagon": heptagon_qutrit_states,
+        "shifts5": lambda: upb_shifts(5),
+        "shift_family4": lambda: shift_family(4),
+        "compose": lambda: compose(upb_qubit3(), 1, upb_tiles33(), 2),
+    }.items()
+})
+
+# floats whose repr takes each of its forms: signed zeros, subnormals,
+# exponents either way, integers and shortest round trips
+_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-05, 2.5e-300, 1e16, 1.0, -1.0, 0.1]),
+)
+dense_vectors = st.integers(1, 4).flatmap(
+    lambda qubits: st.lists(
+        st.builds(complex, _floats, _floats), min_size=2**qubits, max_size=2**qubits
+    ).map(lambda amplitudes: _planted_dense((2,) * qubits, amplitudes))
+)
+
+
+def _saved_text(state_set, path):
+    save_set(state_set, path)
+    return path.read_text()
+
+
+class TestDenseMembers:
+    """A set with dense members is written straight from its arrays, with
+    the stdlib's bytes and none of the JSON writer."""
+
+    @pytest.fixture
+    def json_writer_calls(self, monkeypatch):
+        """The names of the JSON writer's functions called from now on."""
+        calls = []
+        for name in ("iter_json", "_number_block", "dumps"):
+            real = getattr(locstab._jsonout, name)
+
+            def spy(*args, _name=name, _real=real):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(locstab._jsonout, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(DENSE_SETS))
+    def test_writes_stdlib_bytes(self, name, tmp_path, json_writer_calls):
+        state_set = DENSE_SETS[name]()
+        text = _saved_text(state_set, tmp_path / "set.json")
+        assert json_writer_calls == []
+        assert text == json.dumps(state_set_to_dict(state_set), indent=2) + "\n"
+
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(states=st.lists(dense_vectors, min_size=1, max_size=3), product_at=st.integers(0, 3))
+    def test_drawn_vectors_write_stdlib_bytes(self, states, product_at, tmp_path):
+        dims = states[0].dims
+        states = [s for s in states if s.dims == dims]
+        states.insert(product_at, ProductState([[0.6, -0.8j]] * len(dims)))
+        state_set = StateSet(dims, states, "drawn")
+        text = _saved_text(state_set, tmp_path / "set.json")
+        assert text == json.dumps(state_set_to_dict(state_set), indent=2) + "\n"
+
+    def test_vectors_longer_than_a_piece(self, tmp_path, monkeypatch):
+        # pieces of 3 pairs: vectors of 2 to 8 amplitudes end in a full
+        # piece, a short one, or within the first
+        monkeypatch.setattr(locstab.states, "_DENSE_PAIRS", 3)
+        rng = np.random.default_rng(3)
+        states = [DenseState(rng.normal(size=8) + 1j * rng.normal(size=8), (2, 2, 2)),
+                  DenseState([0, 0, 0, 0, 0, 1j, 0, 0], (2, 2, 2))]
+        state_set = StateSet((2, 2, 2), states, "pieces")
+        text = _saved_text(state_set, tmp_path / "set.json")
+        assert text == json.dumps(state_set_to_dict(state_set), indent=2) + "\n"
+
+    def test_a_large_member_is_written_in_pieces(self, tmp_path):
+        # the 2^17 number texts of one 2^16-amplitude member would take
+        # about 8.5 MiB at once; a piece at a time, the traced peak stays
+        # below the vector's own 1 MiB (0.81 MiB measured)
+        rng = np.random.default_rng(2)
+        member = DenseState(rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16), (2,) * 16)
+        state_set = StateSet((2,) * 16, [member], "large")
+        tracemalloc.start()
+        try:
+            save_set(state_set, tmp_path / "large.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < member.amplitudes.nbytes
 
 
 def _canonical(text):

@@ -1246,9 +1246,10 @@ class TestCollectorPause:
         "seam, build",
         [
             # an all-product set is written from its factor codebook, a set
-            # with dense members one state's payload at a time
+            # with dense members one state at a time, each dense member
+            # straight from its amplitudes
             ("_product_text", upb_qubit3),
-            ("iter_json", lambda: _dense_copy(upb_qubit3())),
+            ("_dense_text", lambda: _dense_copy(upb_qubit3())),
         ],
         ids=["product", "dense"],
     )
