@@ -1,10 +1,14 @@
 """Indented JSON text, byte-identical to ``json.dumps(obj, indent=2)``.
 
 With ``indent`` set, :mod:`json` encodes in pure Python.  Nearly all the
-bytes of the CLI's payloads are numbers in rectangular nested lists
-(conflict pairs, witness factors), so each such block is written by one
-``%`` template of its shape, filled with the ``repr`` of its numbers, which
-is how :mod:`json` writes ints and floats.  Dicts, strings and other lists
+bytes of the CLI's payloads are numbers in rectangular nested lists.  A
+certificate's conflict pairs come as :class:`IndexPairs`, tuples that keep
+the (m, 2) int array they were made from, and are written straight from
+that array through a cached table of index texts, with no scan.  Any other
+rectangular block of ints and floats, such as a witness's factors, is
+scanned for its types and shape and written by one ``%`` template of that
+shape, filled with the ``repr`` of its numbers, which is how :mod:`json`
+writes ints and floats.  Dicts, strings and other lists
 take a short recursive walk, and any other iterator is written as a list,
 one item at a time as it yields them, so that no item is built before it
 is written.  Dict keys, and items whose type is exactly
@@ -26,7 +30,9 @@ import math
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
-__all__ = ["iter_json", "dumps", "number_template"]
+import numpy as np
+
+__all__ = ["IndexPairs", "iter_json", "dumps", "number_template"]
 
 INDENT = 2
 _SCALARS = frozenset({int, float, bool, type(None)})
@@ -35,6 +41,11 @@ _chain = itertools.chain.from_iterable
 # number_template keeps this many templates of at most this many numbers
 _CACHED_TEMPLATES = 32
 _CACHED_NUMBERS = 1 << 12
+# index texts str(i) are cached for i below this bound, in a table of at
+# least this many entries; a block holding a larger or a negative index
+# converts its own
+_CACHED_INDICES = 1 << 16
+_INDEX_TABLE = 1 << 10
 # the text of a list item or dict value of exactly these types, as json
 # writes it
 _IN_PLACE = {
@@ -51,15 +62,40 @@ def number_template(shape: tuple, level: int) -> str:
     ``level``: one ``%r`` per number, in row-major order.
 
     The last _CACHED_TEMPLATES templates of at most _CACHED_NUMBERS numbers
-    are kept, so blocks of one shape, such as a certificate's conflict pairs
-    or a set's factors, share one; a larger block, such as the conflict
-    pairs of a party with more than 2,048 of them, gets a template of its
-    own that is not held past the call.  Dense amplitude vectors take no
-    template: a set file writes them from their arrays.
+    are kept, so blocks of one shape, such as a set's factors or a witness's
+    factors, share one; a larger block gets a template of its own that is
+    not held past the call.  Conflict pairs (:class:`IndexPairs`) and dense
+    amplitude vectors take no template: they are written from their arrays.
     """
     if math.prod(shape) > _CACHED_NUMBERS:
         return _build_template(shape, level)
     return _cached_template(shape, level)
+
+
+class IndexPairs(tuple):
+    """A tuple of (j, k) int pairs that keeps the read-only (m, 2) int32
+    array it was made from as ``array``.
+
+    It is the plain tuple of the same pairs in every other way: equal to it
+    and hashed alike, with its ``repr`` and its JSON.  :func:`iter_json`
+    writes it from ``array``.  ``pairs`` is an (m, 2) integer array or an
+    iterable of (j, k) pairs; pickling and copying keep the type.
+    """
+
+    def __new__(cls, pairs=()):
+        array = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
+        if not array.size:
+            array = np.empty((0, 2), dtype=np.int32)
+        if array.dtype.kind not in "iu" or array.ndim != 2 or array.shape[1] != 2:
+            raise ValueError("index pairs must form an (m, 2) integer array")
+        array = array.astype(np.int32)
+        array.flags.writeable = False
+        self = super().__new__(cls, zip(array[:, 0].tolist(), array[:, 1].tolist()))
+        self.array = array
+        return self
+
+    def __reduce__(self):
+        return type(self), (self.array,)
 
 
 def _build_template(shape: tuple, level: int) -> str:
@@ -100,6 +136,39 @@ def _number_block(value, level: int) -> str | None:
     return None if "n" in text else text
 
 
+@functools.lru_cache(maxsize=1)
+def _index_table(size: int) -> np.ndarray:
+    """The object array of ``str(i)`` for i in ``range(size)``."""
+    return np.array(list(map(str, range(size))), dtype=object)
+
+
+def _index_texts(indices: np.ndarray) -> np.ndarray:
+    """``str(i)`` of each index, as an object array of its shape.  Indices
+    in ``range(_CACHED_INDICES)`` are read from one cached table, a power of
+    two of at least _INDEX_TABLE entries, so the blocks of one set, and
+    every set of fewer states than that, share it."""
+    low, high = int(indices.min()), int(indices.max())
+    if low < 0 or high >= _CACHED_INDICES:
+        return indices.astype(str).astype(object)
+    return _index_table(max(1 << high.bit_length(), _INDEX_TABLE))[indices]
+
+
+def _index_block(array: np.ndarray, level: int) -> str:
+    """The indented text of the (m, 2) index ``array`` as a list of pairs,
+    its opening bracket at indentation ``level``, as :mod:`json` writes it."""
+    if not len(array):
+        return "[]"
+    outer = "\n" + " " * (INDENT * (level + 1))
+    inner = "\n" + " " * (INDENT * (level + 2))
+    # each pair is the text before it, j, the comma between, and k
+    pieces = np.empty((len(array), 4), dtype=object)
+    pieces[0, 0] = "[" + outer + "[" + inner
+    pieces[1:, 0] = outer + "]," + outer + "[" + inner
+    pieces[:, 1::2] = _index_texts(array)
+    pieces[:, 2] = "," + inner
+    return "".join(pieces.ravel().tolist()) + outer + "]\n" + " " * (INDENT * level) + "]"
+
+
 def iter_json(obj, level: int = 0):
     """Yield the text of ``json.dumps(obj, indent=2)`` in pieces, for a value
     whose first line sits at indentation ``level``; an iterator that is not
@@ -107,6 +176,9 @@ def iter_json(obj, level: int = 0):
     kind = type(obj)
     if kind is str or kind in _SCALARS:
         yield json.dumps(obj)
+        return
+    if kind is IndexPairs:
+        yield _index_block(obj.array, level)
         return
     if kind is dict and all(type(key) is str for key in obj):
         items = ((encode_basestring_ascii(key) + ": ", value) for key, value in obj.items())

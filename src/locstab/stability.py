@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._jsonout import IndexPairs
 from .numerics import DEFAULT_TOL, Tolerance, _orthonormal_rows
 from .states import (
     FactorZeroPattern,
@@ -110,7 +111,13 @@ class PartyRecord:
     """One party's span dimension against d**2 - 1 and, for all-product sets,
     its conflict pairs (j, k): the pairs whose factor overlaps fall below
     ``orth_abs`` in both orders here and at no other party, so the reverse
-    of each is one too."""
+    of each is one too.
+
+    :func:`is_locally_stable` records the pairs as an
+    :class:`~locstab._jsonout.IndexPairs`: the tuple of (j, k) int tuples,
+    which keeps the factor zero pattern's pairs as its read-only (m, 2)
+    ``array``, the one form the audit and the JSON writer read.  Any other
+    tuple of int pairs may stand in its place."""
     party: int
     span_dim: int
     required: int
@@ -217,7 +224,9 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     ``tol.rank_rel`` / 16.  Only the parties it leaves to the rank kernel
     get generators, and the traceless parts of those of consecutive such
     parties with one local dimension are ranked together, each party's rows
-    followed by zero rows.
+    followed by zero rows.  Each party's conflict pairs are an
+    :class:`~locstab._jsonout.IndexPairs` built from the zero pattern's
+    (m, 2) array, which it keeps for the audit and the JSON writer.
     """
     source = _checked_source(state_set, tol)
     ruled, counts, firsts = _qubit_pairs(state_set.dims, source, tol)
@@ -230,10 +239,7 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     if isinstance(source, FactorZeroPattern):
         # tuples of ints form no cycle, so no collection need scan them
         with _acyclic():
-            conflicts = [
-                tuple(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
-                for pairs in source.conflict_pairs
-            ]
+            conflicts = [IndexPairs(pairs) for pairs in source.conflict_pairs]
     records = [
         PartyRecord(party, dim, d * d - 1, dim == d * d - 1, pairs)
         for party, (d, dim, pairs) in enumerate(zip(state_set.dims, dims.tolist(), conflicts))
@@ -476,12 +482,15 @@ def conflict_audit(
     ``certificate`` is the set's certificate from :func:`is_locally_stable`
     at ``tol`` when the caller already holds it; otherwise the set is
     certified here.  A certificate with another party count, without
-    conflict pairs (that of a set with dense members), or with a pair index
-    outside ``range(len(state_set))``, is refused.
+    conflict pairs (that of a set with dense members), with a pair that is
+    not two int indices, or with an index outside ``range(len(state_set))``,
+    is refused.
 
-    The pairs are grouped by one sort of a key per (unordered pair, party),
-    so the parties sharing a pair are a run of equal pair codes, in
-    ascending order.
+    Each party's pairs are read as one (m, 2) array: the ``array`` of an
+    :class:`~locstab._jsonout.IndexPairs`, with no pair visited in Python,
+    or the ``np.asarray`` of any other record's pairs.  They are grouped by
+    one sort of a key per (unordered pair, party), so the parties sharing a
+    pair are a run of equal pair codes, in ascending order.
     """
     if not state_set.all_product:
         raise ValueError("conflict_audit needs an all-product set")
@@ -494,11 +503,9 @@ def conflict_audit(
 
     size = len(state_set)
     records = certificate.parties
-    counts = [len(r.conflict_pairs) for r in records]
-    chain = itertools.chain.from_iterable
-    pairs = np.fromiter(
-        chain(chain(r.conflict_pairs for r in records)), np.int64, 2 * sum(counts)
-    ).reshape(-1, 2)
+    arrays = [_pair_array(r) for r in records]
+    counts = [len(a) for a in arrays]
+    pairs = np.concatenate(arrays, dtype=np.int64)
     if len(pairs) and (pairs.min() < 0 or pairs.max() >= size):
         raise ValueError("the certificate does not match the state set's states")
     parties = np.repeat([r.party for r in records], counts)
@@ -536,6 +543,26 @@ def conflict_audit(
         if certificate.stable
         else None,
     )
+
+
+def _pair_array(record: PartyRecord) -> np.ndarray:
+    """The (m, 2) int array of ``record``'s conflict pairs: the ``array`` of
+    an :class:`~locstab._jsonout.IndexPairs`, else the pairs read by one
+    ``np.asarray``; ValueError naming the party unless each pair is two
+    ints (no bool)."""
+    pairs = record.conflict_pairs
+    if type(pairs) is IndexPairs:
+        return pairs.array
+    array = np.asarray(pairs, dtype=object) if len(pairs) else np.empty((0, 2), dtype=object)
+    if (
+        array.ndim != 2
+        or array.shape[1] != 2
+        or not all(t is int or issubclass(t, np.integer) for t in set(map(type, array.flat)))
+    ):
+        raise ValueError(
+            f"the certificate's conflict pairs at party {record.party} are not pairs of int indices"
+        )
+    return array.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """The indented JSON writer: the stdlib's exact bytes, for set files and
 every CLI payload, with a set file written one state at a time."""
 
+import copy
+import dataclasses
 import enum
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import locstab._jsonout
 import locstab.cli
 import locstab.states
 from locstab import (
@@ -20,6 +24,7 @@ from locstab import (
     compose,
     entangled_triple,
     heptagon_qutrit_states,
+    is_locally_stable,
     save_set,
     shift_family,
     sqrt_subset,
@@ -31,7 +36,8 @@ from locstab import (
     upb_shifts,
     upb_tiles33,
 )
-from locstab._jsonout import dumps
+from locstab._jsonout import IndexPairs, dumps
+from locstab.stability import PartyRecord, StabilityCertificate, Tolerance
 from locstab.cli import main
 
 # strings that look like the brackets and separators of a number block
@@ -156,6 +162,150 @@ class TestWriterOracle:
     def test_unknown_types_raise_like_the_stdlib(self):
         with pytest.raises(TypeError, match="not JSON serializable"):
             dumps({"a": {1, 2}})
+
+
+def _nested(obj, level, container):
+    """``obj`` inside ``level`` dicts or lists, each beside a sibling."""
+    for _ in range(level):
+        obj = {"pairs": obj, "n": 1} if container is dict else [0, obj]
+    return obj
+
+
+class TestIndexPairs:
+    PAIRS = ((0, 2), (1, 3), (2, 0), (3, 1))
+
+    def test_is_the_plain_tuple(self):
+        pairs = IndexPairs(np.array(self.PAIRS))
+        assert isinstance(pairs, tuple)
+        assert pairs == self.PAIRS and self.PAIRS == pairs
+        assert not pairs != self.PAIRS and not self.PAIRS != pairs
+        assert hash(pairs) == hash(self.PAIRS)
+        assert {self.PAIRS: "plain"}[pairs] == "plain" and {pairs: "pairs"}[self.PAIRS] == "pairs"
+        assert repr(pairs) == repr(self.PAIRS)
+        assert all(type(pair) is tuple and list(map(type, pair)) == [int, int] for pair in pairs)
+        for indent in (None, 2):
+            assert json.dumps(pairs, indent=indent) == json.dumps(self.PAIRS, indent=indent)
+
+    def test_array_is_read_only(self):
+        pairs = IndexPairs(self.PAIRS)
+        assert pairs.array.shape == (4, 2) and pairs.array.dtype == np.int32
+        assert not pairs.array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pairs.array[0, 0] = 5
+        # made from a writable array, it keeps a read-only copy
+        source = np.array(self.PAIRS)
+        pairs = IndexPairs(source)
+        source[0, 0] = 5
+        assert pairs == self.PAIRS and not pairs.array.flags.writeable
+
+    @pytest.mark.parametrize("pairs", [[(0, 1, 2)], [(0.5, 1)], [("0", "1")], [(0,)], [[(0, 1)]]])
+    def test_refuses_what_is_no_index_pairs(self, pairs):
+        with pytest.raises(ValueError):
+            IndexPairs(pairs)
+
+    def test_empty_and_non_empty_records(self):
+        # the length the benchmark's tracer takes of every record
+        cert = is_locally_stable(upb_qubit3())
+        empty = PartyRecord(0, 0, 3, False, IndexPairs())
+        assert empty.conflict_pairs == () and empty.conflict_pairs.array.shape == (0, 2)
+        assert len(empty.conflict_pairs or ()) == 0
+        assert [len(r.conflict_pairs or ()) for r in cert.parties] == [4, 4, 4]
+
+    def test_certificate_round_trips(self):
+        cert = is_locally_stable(shift_family(5))
+        plain = dataclasses.replace(cert, parties=tuple(
+            dataclasses.replace(r, conflict_pairs=tuple(r.conflict_pairs)) for r in cert.parties
+        ))
+        for copied in (pickle.loads(pickle.dumps(cert)), copy.deepcopy(cert), copy.copy(cert)):
+            assert copied == cert == plain
+            for record, original in zip(copied.parties, cert.parties):
+                assert type(record.conflict_pairs) is IndexPairs
+                assert not record.conflict_pairs.array.flags.writeable
+                assert np.array_equal(record.conflict_pairs.array, original.conflict_pairs.array)
+        fields = dataclasses.asdict(cert)
+        assert fields == dataclasses.asdict(plain)
+        rebuilt = StabilityCertificate(
+            fields["label"],
+            Tolerance(**fields["tolerance"]),
+            tuple(PartyRecord(**record) for record in fields["parties"]),
+            fields["stable"],
+        )
+        assert rebuilt == cert
+        assert all(type(r.conflict_pairs) is IndexPairs for r in rebuilt.parties)
+
+
+class TestIndexPairBlocks:
+    BLOCKS = {
+        "empty": [],
+        "one": [(0, 1)],
+        "small": [(0, 2), (1, 3), (2, 0), (3, 1)],
+        "table-edge": [(65535, 0), (1023, 1024)],
+        "past-the-table": [(70000, 3), (1, 70001), (65535, 65536)],
+        "negative": [(-1, 2), (3, -40000)],
+    }
+
+    @pytest.mark.parametrize("container", [dict, list])
+    @pytest.mark.parametrize("level", range(6))
+    @pytest.mark.parametrize("name", sorted(BLOCKS))
+    def test_matches_stdlib_indent_2(self, name, level, container):
+        obj = _nested(IndexPairs(self.BLOCKS[name]), level, container)
+        assert dumps(obj) == json.dumps(obj, indent=2)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.tuples(st.integers(0, 1 << 17), st.integers(0, 1 << 17)), max_size=12),
+        st.integers(0, 5),
+        st.sampled_from([dict, list]),
+    )
+    def test_drawn_blocks_match_stdlib(self, pairs, level, container):
+        obj = _nested(IndexPairs(pairs), level, container)
+        assert dumps(obj) == json.dumps(obj, indent=2)
+
+    @pytest.fixture
+    def number_blocks(self, monkeypatch):
+        """Every value the writer hands to its block scan."""
+        seen = []
+        real = locstab._jsonout._number_block
+
+        def spy(value, level):
+            seen.append(value)
+            return real(value, level)
+
+        monkeypatch.setattr(locstab._jsonout, "_number_block", spy)
+        return seen
+
+    def test_plain_tuples_take_the_generic_path(self, number_blocks):
+        cert = is_locally_stable(upb_qubit3())
+        records = list(cert.parties)
+        records[1] = dataclasses.replace(records[1], conflict_pairs=tuple(records[1].conflict_pairs))
+        payload = dataclasses.replace(cert, parties=tuple(records)).to_dict()
+        assert dumps(payload) == json.dumps(payload, indent=2)
+        scanned = [block for block in number_blocks if type(block) is tuple]
+        assert scanned == [records[1].conflict_pairs]
+        assert scanned[0] is payload["parties"][1]["conflict_pairs"]
+
+    def test_audit_reads_and_writes_pairs_from_their_arrays(
+        self, tmp_path, capsys, monkeypatch, number_blocks
+    ):
+        family = shift_family(30)
+        path = tmp_path / "sf30.json"
+        save_set(family, path)
+        visits = []
+
+        def iterate(pairs):
+            visits.append(len(pairs))
+            return tuple.__iter__(pairs)
+
+        monkeypatch.setattr(IndexPairs, "__iter__", iterate)
+        assert main(["check", str(path), "--audit"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert visits == []
+        held = [r.conflict_pairs for r in is_locally_stable(family).parties]
+        assert not any(block == pairs for block in number_blocks for pairs in held)
+        assert [list(map(tuple, p["conflict_pairs"])) for p in payload["parties"]] == [
+            list(pairs) for pairs in held
+        ]
+        assert payload["audit"]["conflict_counts"] == [58] * 59
 
 
 def _dense(state_set):

@@ -682,6 +682,31 @@ class TestConflictAudit:
         with pytest.raises(ValueError, match="the certificate does not match the state set's"):
             conflict_audit(upb_qubit3(), certificate=dataclasses.replace(cert, parties=tuple(records)))
 
+    @pytest.mark.parametrize(
+        "pair",
+        [(0, 1, 2), (0.5, 1), ("0", "1"), (True, 2), (0,)],
+        ids=["three-indices", "float", "strings", "bool", "one-index"],
+    )
+    def test_malformed_pair_rejected(self, pair):
+        # a three-index pair would shift every later pair, and the others
+        # would be read as ints or stop numpy short: each is refused by party
+        cert = is_locally_stable(upb_qubit3())
+        records = list(cert.parties)
+        records[1] = dataclasses.replace(records[1], conflict_pairs=((0, 1), pair, (2, 3)))
+        with pytest.raises(ValueError, match="conflict pairs at party 1 are not pairs of int indices"):
+            conflict_audit(upb_qubit3(), certificate=dataclasses.replace(cert, parties=tuple(records)))
+
+    def test_plain_tuples_audit_like_the_recorded_pairs(self):
+        # the certificate's own pairs, as plain tuples of numpy or Python
+        # ints, give the audit of the recorded arrays
+        family = shift_family(7)
+        cert = is_locally_stable(family)
+        for convert in (tuple, lambda pairs: tuple(map(tuple, pairs.array))):
+            plain = dataclasses.replace(cert, parties=tuple(
+                dataclasses.replace(r, conflict_pairs=convert(r.conflict_pairs)) for r in cert.parties
+            ))
+            assert conflict_audit(family, certificate=plain) == conflict_audit(family, certificate=cert)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_grouping_matches_attribution_loop(self, seed):
         # hand-made certificates over random sizes: pairs in both orders at
