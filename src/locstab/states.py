@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -58,6 +59,13 @@ _RAY_PARTIES = 256
 _RAY_KEYS = 1 << 14
 _RAY_PAIRS = 1 << 16
 
+# factor_zero_pattern groups the parties of a coded set by their codes
+# (_party_groups) when the set holds at least _GROUP_MIN codes: below that,
+# forming the groups costs more than the one qubit batch it would shorten.
+# Grouping reads at most _GROUP_CODES codes per step (2 MB as uint64).
+_GROUP_MIN = 1 << 10
+_GROUP_CODES = 1 << 18
+
 # Sorted factor rows compared per step when _number_rows numbers the
 # distinct factor rows of a set.
 _SAVE_ROWS = 1 << 12
@@ -94,8 +102,12 @@ _DENSE_SEPARATORS = [_PAIR_SEP, None, "," + _NUMBER_INDENT, None] * _DENSE_PAIRS
 # bracket, then the tail that follows the factor at its place, within a
 # state (0), at a state's end (1) or at the file's end (2).  The three
 # tails end in different bytes, _TAIL_PLACES' keys.  The text is split
-# _LOAD_BYTES at a time, and _scan is the JSON scanner.
+# _LOAD_BYTES at a time, by _MARK_PATTERN: the regular expression engine's
+# literal search steps over the runs of indentation spaces that slow
+# bytes.split and bytes.find, and it gives the same pieces.  _scan is the
+# JSON scanner.
 _FACTOR_MARK = (_FACTOR_INDENT + "[").encode()
+_MARK_PATTERN = re.compile(re.escape(_FACTOR_MARK))
 _FACTOR_TAILS = tuple(
     tail.encode()
     for tail in (
@@ -429,7 +441,9 @@ class FactorZeroPattern:
     conflict pair of that single party.  ``zero_count`` is symmetric, and
     every conflict pair's reverse is a conflict pair of the same party.
     ``conflict_pairs[r]`` holds party r's conflict pairs as an (m_r, 2)
-    array, j outer and k inner.
+    array, j outer and k inner.  Both are the same, bit for bit, whether
+    :func:`factor_zero_pattern` decides party r on its own stack or once
+    for a group of parties that hold the same factors.
     """
 
     factors: tuple
@@ -449,9 +463,11 @@ def _coordinate_sums(left, right) -> np.ndarray:
 
 def _qubit_zeros(factors, parties, tol: Tolerance):
     """Yield (party, j, k) index arrays of the pairs j < k whose factor
-    overlaps <a_j|a_k> and <a_k|a_j> at a qubit party in ``parties`` both
-    fall below ``tol.orth_abs``, each decided by :func:`_coordinate_sums`,
-    the arithmetic of the party's Gram.
+    overlaps <a_j|a_k> and <a_k|a_j> in the (l, 2) stack ``factors[party]``
+    of a party in ``parties`` both fall below ``tol.orth_abs``, each
+    decided by :func:`_coordinate_sums`, the arithmetic of the party's
+    Gram.  A stack may stand for a group of parties that hold the same
+    factors (:func:`factor_zero_pattern`) or for a list of seeds.
 
     Unit qubit factors have |<a|b>| = |n_a + n_b| / 2 for their Bloch
     vectors n, so the keys x = n.u on the unit axis u = _RAY_AXIS of a
@@ -464,24 +480,27 @@ def _qubit_zeros(factors, parties, tol: Tolerance):
     reversed, where numpy's binary search starts from its last bound, and
     scattered back to factor order.  At most _RAY_PAIRS candidates are
     decided at a time, so sets whose keys cluster take more steps, not more
-    memory.  Its callers are :func:`factor_zero_pattern` and
+    memory.  The chunks come in the order of ``parties``, and each lists
+    its pairs party by party in that order.  Its callers are
+    :func:`factor_zero_pattern` and
     :func:`~locstab.constructions.validate_seeds`, which vets shift-family
     seeds with it.
     """
+    if not len(parties):
+        return
     size = len(factors[0])
     per = max(1, min(_RAY_PARTIES, _RAY_KEYS // max(size, 1)))
     window = 2.0 * tol.orth_abs + _RAY_SLACK
     for first in range(0, len(parties), per):
         batch = np.array(parties[first:first + per], dtype=np.intp)
-        stacks = np.stack([factors[r] for r in batch])
+        stacks = np.array([factors[r] for r in batch])
         up, down = stacks[..., 0], stacks[..., 1]
         cross = up.conj() * down
         keys = 2.0 * (_RAY_AXIS[0] * cross.real + _RAY_AXIS[1] * cross.imag) + _RAY_AXIS[2] * (
             up.real**2 + up.imag**2 - down.real**2 - down.imag**2
         )
         shift = 4.0 * np.arange(len(batch))[:, None]
-        order = np.argsort(keys, axis=1)
-        ranked = np.take_along_axis(keys, order, axis=1)
+        order, ranked = np.argsort(keys, axis=1), np.sort(keys, axis=1)
         targets = (shift - ranked[:, ::-1]).ravel()
         ranked = (ranked + shift).ravel()
         back = (order[:, ::-1] + size * np.arange(len(batch))[:, None]).ravel()
@@ -509,36 +528,130 @@ def _qubit_zeros(factors, parties, tol: Tolerance):
             start = stop
 
 
+def _party_groups(state_set: StateSet):
+    """The parties of an all-product set, grouped by local dimension and
+    by the multiset of their factor codes: ``(alone, shared)``, the parties
+    alone in their group, in order, and a list of ``(parties, order)`` for
+    the larger groups, an int array of the group's parties and ``order``,
+    the stable argsort of its first party's codes.
+
+    Parties whose codes sort alike hold the same factor rows in those
+    orders, bit for bit.  Candidates share a fingerprint, the sum and the
+    sum of squares of their codes (modulo 2**64); only their columns are
+    sorted, to confirm a group.  Both steps read at most _GROUP_CODES codes
+    at a time.  A set without a code table is not numbered for this, and a
+    set of fewer than _GROUP_MIN codes is not grouped: each of their
+    parties is alone.
+    """
+    dims = state_set.dims
+    if state_set._table is None or len(state_set) * len(dims) < _GROUP_MIN:
+        return range(len(dims)), []
+    codes = state_set._table[1]
+    sums = np.zeros((2, len(dims)), dtype=np.uint64)
+    rows = max(1, _GROUP_CODES // len(dims))
+    for start in range(0, len(codes), rows):
+        block = codes[start:start + rows].astype(np.uint64)
+        sums[0] += block.sum(axis=0)
+        block *= block
+        sums[1] += block.sum(axis=0)
+    candidates = {}
+    for party, key in enumerate(zip(dims, *sums.tolist())):
+        candidates.setdefault(key, []).append(party)
+    alone, shared = [], []
+    columns = max(1, _GROUP_CODES // max(len(codes), 1))
+    for parties in candidates.values():
+        parties = np.array(parties)
+        while len(parties) > 1:
+            first = np.sort(codes[:, parties[0]])[:, None]
+            same = np.concatenate([
+                (np.sort(codes[:, parties[start:start + columns]], axis=0) == first).all(axis=0)
+                for start in range(0, len(parties), columns)
+            ])
+            if same[1:].any():
+                shared.append((parties[same], np.argsort(codes[:, parties[0]], kind="stable")))
+            else:
+                alone.append(int(parties[0]))
+            parties = parties[~same]
+        alone += parties.tolist()
+    return sorted(alone), shared
+
+
+def _gram_zeros(stack, tol: Tolerance):
+    """The (l, l) boolean of the pairs whose overlaps in both orders, from
+    the factor Gram of ``stack`` (:func:`_coordinate_sums`), fall below
+    ``tol.orth_abs``."""
+    zeros = np.abs(_coordinate_sums(stack.conj()[:, None], stack[None])) < tol.orth_abs
+    zeros &= zeros.T
+    return zeros
+
+
+def _count_zeros(zero_count, last_zero, parties, j, k):
+    """Count the vanishing pairs j < k at ``parties``."""
+    np.add.at(zero_count, (j, k), 1)
+    last_zero[j, k] = parties
+
+
+def _count_shared(zero_count, last_zero, codes, parties, p, q):
+    """Count the vanishing pairs p < q of a group's rows in code order at
+    each of its ``parties``, read through the party's own order, the
+    stable argsort of its column of ``codes``, for at most _GROUP_CODES
+    codes or pairs of parties at a time."""
+    step = max(1, _GROUP_CODES // max(len(codes), len(p), 1))
+    for start in range(0, len(parties), step):
+        some = parties[start:start + step]
+        orders = np.argsort(codes[:, some], axis=0, kind="stable")
+        j, k = orders[p], orders[q]
+        _count_zeros(zero_count, last_zero, some, np.minimum(j, k), np.maximum(j, k))
+
+
 def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> FactorZeroPattern:
     """Build the :class:`FactorZeroPattern` of an all-product set from its
     factor stacks.
 
-    Qubit parties are decided by :func:`_qubit_zeros`, which takes only the
-    pairs near antipodal on the Bloch sphere and fills the upper triangle,
-    then mirrored; every other party's Gram (:func:`_coordinate_sums`)
-    keeps the zeros it holds in both orders and is dropped once they are
-    counted.  Either way each zero is decided by the same arithmetic, and
-    besides the factors only (l, l) integer arrays are held.  A party where
-    each pair vanishes is kept alongside the count, and the pairs vanishing
-    once are grouped by it in one sort.
+    Parties that hold the same factors in another order, such as every
+    party of a shift family, are decided once per group
+    (:func:`_party_groups`): on the first party's rows in code order, and
+    each vanishing pair is read through every party's own order.  A party
+    alone in its group is decided on its stack in state order.  Qubit
+    stacks are decided by :func:`_qubit_zeros`, which takes only the pairs
+    near antipodal on the Bloch sphere and fills the upper triangle, then
+    mirrored; every other stack's Gram (:func:`_coordinate_sums`) keeps the
+    zeros it holds in both orders and is dropped once they are counted.
+    Either way each zero is decided on the same two rows by the same
+    arithmetic, and besides the factors only (l, l) integer arrays are
+    held.  A party where each pair vanishes is kept alongside the count,
+    and the pairs vanishing once are grouped by it in one sort.
     """
     factors = state_set.factors
     if factors is None:
         raise ValueError("factor_zero_pattern needs an all-product set")
-    size = len(state_set)
+    size, dims = len(state_set), state_set.dims
     zero_count = np.zeros((size, size), dtype=np.int64)
     last_zero = np.zeros((size, size), dtype=np.int64)
-    qubits = [r for r, d in enumerate(state_set.dims) if d == 2]
-    for parties, j, k in _qubit_zeros(factors, qubits, tol):
-        np.add.at(zero_count, (j, k), 1)
-        last_zero[j, k] = parties
+    alone, shared = _party_groups(state_set)
+    for parties, j, k in _qubit_zeros(factors, [r for r in alone if dims[r] == 2], tol):
+        _count_zeros(zero_count, last_zero, parties, j, k)
+    codes = state_set._table[1] if shared else None
+    groups, stacks = [], []
+    for parties, order in shared:
+        stack = factors[parties[0]][order]
+        if stack.shape[1] == 2:
+            groups.append(parties)
+            stacks.append(stack)
+            continue
+        p, q = np.nonzero(np.triu(_gram_zeros(stack, tol), 1))
+        _count_shared(zero_count, last_zero, codes, parties, p, q)
+    held = [np.stack(chunk) for chunk in _qubit_zeros(stacks, range(len(stacks)), tol)]
+    held = np.concatenate(held, axis=1) if held else np.empty((3, 0), dtype=np.intp)
+    bounds = np.searchsorted(held[0], np.arange(len(groups) + 1)).tolist()
+    for parties, a, b in zip(groups, bounds, bounds[1:]):
+        _count_shared(zero_count, last_zero, codes, parties, held[1, a:b], held[2, a:b])
     zero_count += zero_count.T
     last_zero += last_zero.T
-    for r, stack in enumerate(factors):
-        if stack.shape[1] == 2:
+    for r in alone:
+        if dims[r] == 2:
             continue
-        zeros = np.abs(_coordinate_sums(stack.conj()[:, None], stack[None])) < tol.orth_abs
-        zeros &= zeros.T
+        zeros = _gram_zeros(factors[r], tol)
         zero_count += zeros
         np.copyto(last_zero, r, where=zeros)
     pairs = np.argwhere(zero_count == 1)
@@ -1068,7 +1181,8 @@ def save_set(state_set: StateSet, path) -> None:
 
 def _split_codes(data, start, parties):
     """Split ``data`` from the _FACTOR_MARK at ``start`` to its end at every
-    _FACTOR_MARK, _LOAD_BYTES and then up to the next mark at a time, and
+    _FACTOR_MARK (found by _MARK_PATTERN, with the pieces of
+    ``bytes.split``), _LOAD_BYTES and then up to the next mark at a time, and
     number the pieces by their exact bytes in order of first appearance.
 
     Returns the number of each piece, in order, and a dict from each
@@ -1082,9 +1196,9 @@ def _split_codes(data, start, parties):
     while start < len(data):
         if 2 * len(numbers) > count >= 3 * parties:
             return None
-        stop = data.find(_FACTOR_MARK, start + _LOAD_BYTES)
-        stop = len(data) if stop < 0 else stop
-        pieces = data[start + len(_FACTOR_MARK):stop].split(_FACTOR_MARK)
+        stop = _MARK_PATTERN.search(data, start + _LOAD_BYTES)
+        stop = len(data) if stop is None else stop.start()
+        pieces = _MARK_PATTERN.split(data[start + len(_FACTOR_MARK):stop])
         codes.append(np.array([numbers.setdefault(p, len(numbers)) for p in pieces], dtype=np.intp))
         count += len(pieces)
         start = stop
@@ -1141,9 +1255,10 @@ def _read_product_text(data: bytes):
     and the set keeps the codebooks and the factors' codes as its code
     table (:meth:`StateSet._from_codes`).
     """
-    start = data.find(_FACTOR_MARK)
-    if start < 0 or not data.endswith(_FIRST_STATE, 0, start):
+    first = _MARK_PATTERN.search(data)
+    if first is None or not data.endswith(_FIRST_STATE, 0, first.start()):
         return None
+    start = first.start()
     try:
         head = data[:start].decode("ascii")
         label, at = _scan(head, len(_HEAD_LABEL))

@@ -8,9 +8,17 @@ import numpy as np
 
 from locstab.constructions import CampaignReport, _sample_combos, compose, upb_qubit3
 import locstab.stability
+import locstab.states
 from locstab.numerics import DEFAULT_TOL, _orthonormal_rows, vec_inner
 from locstab.stability import _partition_search, is_locally_stable
-from locstab.states import ProductState, StateSet, _coordinate_sums, _party_blocks, as_dense
+from locstab.states import (
+    ProductState,
+    StateSet,
+    _coordinate_sums,
+    _party_blocks,
+    _qubit_zeros,
+    as_dense,
+)
 
 
 def exact_rank(rows):
@@ -252,6 +260,54 @@ def conflict_pairs_scan(state_set, orth_abs=DEFAULT_TOL.orth_abs):
     zero_count = zeros.sum(axis=0)
     once = zero_count == 1
     return zero_count, tuple(np.argwhere(party & once) for party in zeros)
+
+
+def factor_zero_pattern_per_party(state_set, tol=DEFAULT_TOL):
+    """(zero_count, conflict_pairs) of an all-product set, decided party by
+    party on each party's own stack in state order: the qubit parties by
+    the windowed pass, the others by their full coordinate-order Gram, with
+    no grouping of parties that share their factors."""
+    factors = state_set.factors
+    size = len(state_set)
+    zero_count = np.zeros((size, size), dtype=np.int64)
+    last_zero = np.zeros((size, size), dtype=np.int64)
+    qubits = [r for r, d in enumerate(state_set.dims) if d == 2]
+    for parties, j, k in _qubit_zeros(factors, qubits, tol):
+        np.add.at(zero_count, (j, k), 1)
+        last_zero[j, k] = parties
+    zero_count += zero_count.T
+    last_zero += last_zero.T
+    for r, stack in enumerate(factors):
+        if stack.shape[1] == 2:
+            continue
+        zeros = np.abs(_coordinate_sums(stack.conj()[:, None], stack[None])) < tol.orth_abs
+        zeros &= zeros.T
+        zero_count += zeros
+        np.copyto(last_zero, r, where=zeros)
+    pairs = np.argwhere(zero_count == 1)
+    parties = last_zero[pairs[:, 0], pairs[:, 1]]
+    order = np.argsort(parties, kind="stable")
+    bounds = np.searchsorted(parties[order], np.arange(len(factors) + 1)).tolist()
+    pairs = pairs[order]
+    return zero_count, tuple(pairs[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+def split_codes_bytes(data, start, parties):
+    """``states._split_codes`` by ``bytes.find`` and ``bytes.split`` at
+    ``_FACTOR_MARK``: the same windows of ``_LOAD_BYTES``, the same early
+    stop and the same numbering of the pieces by their exact bytes."""
+    mark, window = locstab.states._FACTOR_MARK, locstab.states._LOAD_BYTES
+    numbers, codes, count = {}, [], 0
+    while start < len(data):
+        if 2 * len(numbers) > count >= 3 * parties:
+            return None
+        stop = data.find(mark, start + window)
+        stop = len(data) if stop < 0 else stop
+        pieces = data[start + len(mark):stop].split(mark)
+        codes += [numbers.setdefault(piece, len(numbers)) for piece in pieces]
+        count += len(pieces)
+        start = stop
+    return np.array(codes, dtype=np.intp), numbers
 
 
 def party_blocks_loop(amplitudes, dims, party):

@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import io
 import json
 import math
 import tracemalloc
@@ -10,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import golden_guard
 import locstab.states as states_module
 from locstab import (
     DenseState,
@@ -24,6 +26,7 @@ from locstab import (
     check_mutual_orthogonality,
     check_signature,
     compose,
+    decide_extension,
     factor_zero_pattern,
     heptagon_qutrit_states,
     is_locally_stable,
@@ -31,6 +34,7 @@ from locstab import (
     save_set,
     state_set_from_dict,
     state_set_to_dict,
+    subset_campaign,
     tensor_expand,
     shift_family,
     sqrt_subset,
@@ -41,13 +45,16 @@ from locstab import (
     upb_tiles33,
     validate_seeds,
 )
+from locstab.cli import main as cli_main
 from oracles import (
     conflict_pairs_scan,
+    factor_zero_pattern_per_party,
     dense_offending_stacked,
     inner_brute,
     kron_expand_brute,
     party_blocks_loop,
     product_offending_loop,
+    split_codes_bytes,
     state_inner,
     states_close,
     unit_reference,
@@ -1574,6 +1581,65 @@ class TestLayoutReader:
             _assert_loads_as_reference(bytes(mutated), path)
 
 
+def _golden_files(tmp_path):
+    """The bytes of every set file the golden guard constructs."""
+    files = {}
+    for name, argv in golden_guard.INPUTS:
+        path = tmp_path / f"{name}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main([*argv, "--out", str(path)]) == 0
+        files[name] = path.read_bytes()
+    return files
+
+
+def _assert_split_like_bytes(data, start, parties):
+    got = states_module._split_codes(data, start, parties)
+    want = split_codes_bytes(data, start, parties)
+    if want is None:
+        assert got is None
+    else:
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert list(got[1]) == list(want[1])
+
+
+class TestMarkPattern:
+    """_split_codes finds and splits at _FACTOR_MARK with one compiled
+    pattern, and gives the pieces of bytes.find and bytes.split."""
+
+    def test_golden_files_split_as_by_bytes(self, tmp_path):
+        for name, data in _golden_files(tmp_path).items():
+            mark = states_module._FACTOR_MARK
+            assert states_module._MARK_PATTERN.split(data) == data.split(mark), name
+            start = data.find(mark)
+            parties = len(json.loads(data)["dims"])
+            _assert_split_like_bytes(data, start, parties)
+            _assert_split_like_bytes(data, start, 10**9)
+
+    @pytest.mark.parametrize("window", [None, 64])
+    def test_mark_at_every_offset_around_a_window_edge(self, window, monkeypatch):
+        if window is not None:
+            monkeypatch.setattr(states_module, "_LOAD_BYTES", window)
+        mark, edge = states_module._FACTOR_MARK, states_module._LOAD_BYTES
+        # the second mark starts from just before the window's edge, so
+        # that the edge cuts it, to just past it; offset 0 puts it at the edge
+        for offset in range(-len(mark) - 1, 3):
+            data = mark + b"x" * (edge + offset - len(mark)) + mark + b"a" + mark + b"b"
+            assert data.index(mark, 1) == edge + offset
+            _assert_split_like_bytes(data, 0, 10**9)
+
+    def test_adjacent_marks_and_a_mark_at_the_end(self):
+        mark = states_module._FACTOR_MARK
+        for data in (mark + b"a" + mark + mark + b"b", mark + b"a" + mark, mark + mark,
+                     mark + b"a" + mark + b"a" + mark + mark + mark):
+            assert states_module._MARK_PATTERN.split(data) == data.split(mark)
+            _assert_split_like_bytes(data, 0, 10**9)
+            got = states_module._split_codes(data, 0, 10**9)
+            assert b"" in got[1]
+
+    def test_first_mark_of_a_file_without_one(self):
+        assert states_module._read_product_text(b'{"label": "x", "dims": [2]}') is None
+
+
 # sets whose source supplies their code table
 _CODED_SETS = {
     "shift_family(4)": lambda: shift_family(4),
@@ -1688,11 +1754,176 @@ class TestCodeTable:
         assert len(calls) == len(set(dims))
         assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
 
+    def test_certifying_an_uncoded_set_numbers_no_rows(self, monkeypatch):
+        # the zero pattern groups only parties whose codes a source supplied:
+        # certifying, checking, a campaign and an extension test leave a set
+        # built from stacks without a table
+        state_set = _uncoded(_random_shift_family(8, 4))
+        calls = _number_rows_calls(monkeypatch)
+        assert is_locally_stable(state_set).stable
+        assert check_mutual_orthogonality(state_set) == []
+        assert subset_campaign(state_set, len(state_set) - 1).checked == len(state_set)
+        assert decide_extension(state_set).verdict == "extendible"
+        assert calls == [] and state_set._table is None
+
     def test_subset_of_an_uncoded_set_numbers_its_own_rows(self, monkeypatch):
         subset = upb_tiles33().subset([4, 2])
         calls = _number_rows_calls(monkeypatch)
         _assert_table_holds_factors(subset)
         assert calls == [4]
+
+
+def _assert_pattern_matches_per_party(state_set, tol=Tolerance()):
+    """factor_zero_pattern equals the per-party reference, bit for bit."""
+    pattern = factor_zero_pattern(state_set, tol)
+    zero_count, expected = factor_zero_pattern_per_party(state_set, tol)
+    assert np.array_equal(pattern.zero_count, zero_count)
+    assert len(pattern.conflict_pairs) == len(expected) == len(state_set.dims)
+    for pairs, ref in zip(pattern.conflict_pairs, expected):
+        assert pairs.dtype == ref.dtype and np.array_equal(pairs, ref)
+
+
+def _numbered(state_set):
+    """``state_set`` with its code table read, so its parties can group."""
+    state_set._code_table()
+    return state_set
+
+
+def _coded_set(dims, books, columns):
+    """The set of ``_from_codes`` whose party r holds the codes
+    ``columns[r]``."""
+    codes = np.array(columns, dtype=np.int32).T.copy()
+    books = {d: states_module._unit_rows(np.array(r, dtype=complex)) for d, r in books.items()}
+    return StateSet._from_codes(dims, books, codes, "coded")
+
+
+def _even_rows(state_set):
+    return state_set.subset(range(0, len(state_set), 2))
+
+
+_QUBIT_BOOK = [KET0, KET1, PLUS, MINUS, [1.0, 1j]]
+_QUTRIT_BOOK = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, -1, 0]]
+
+# sets whose coded parties share their factors, in groups or not at all
+_GROUPED_SETS = {
+    **{f"shift_family({n})": (lambda n=n: shift_family(n)) for n in range(3, 41)},
+    **{f"random shift_family({n})": (lambda n=n: _random_shift_family(n, n)) for n in range(3, 41)},
+    **{f"upb_shifts({n})": (lambda n=n: upb_shifts(n)) for n in range(3, 21)},
+    **{f"sqrt_subset({n})": (lambda n=n: sqrt_subset(n)[1]) for n in (19, 50, 100)},
+    **{f"even rows of sqrt_subset({n})": (lambda n=n: _even_rows(sqrt_subset(n)[1]))
+       for n in (19, 50, 100)},
+    **{f"four rows of sqrt_subset({n})": (lambda n=n: sqrt_subset(n)[1].subset([3, 1, 2, 0]))
+       for n in (19, 50, 100)},
+    "subset of random shift_family(30)": lambda: _random_shift_family(30, 2).subset(range(7, 50)),
+    "qubit3+tiles33": lambda: _numbered(compose(upb_qubit3(), 0, upb_tiles33(), 1)),
+    "tiles33+qubit3": lambda: _numbered(compose(upb_tiles33(), 1, upb_qubit3(), 0)),
+    "tiles33": lambda: _numbered(upb_tiles33()),
+    "sep333": lambda: _numbered(upb_sep333()),
+    "reducible44": lambda: _numbered(upb_44_reducible()),
+    # party 0 (a qubit) and party 1 (a qutrit) hold equal code columns
+    "equal columns across dimensions": lambda: _coded_set(
+        (2, 3, 2, 3), {2: _QUBIT_BOOK, 3: _QUTRIT_BOOK},
+        [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [4, 3, 2, 1, 0], [1, 0, 3, 4, 2]],
+    ),
+    # codes repeat within each party
+    "repeated codes": lambda: _coded_set(
+        (2, 2, 2, 3, 3), {2: _QUBIT_BOOK, 3: _QUTRIT_BOOK},
+        [[0, 1, 0, 2, 3, 1], [1, 0, 1, 3, 2, 0], [0, 0, 1, 1, 2, 3],
+         [3, 4, 3, 0, 0, 1], [0, 3, 0, 4, 1, 3]],
+    ),
+    # {0, 3, 3} and {1, 1, 4} have equal sums (6) and sums of squares (18)
+    "fingerprint collision": lambda: _coded_set(
+        (2, 2, 2, 2, 2), {2: _QUBIT_BOOK},
+        [[0, 3, 3], [3, 0, 3], [1, 1, 4], [4, 1, 1], [3, 3, 0]],
+    ),
+}
+
+
+class TestSharedCodeGroups:
+    """factor_zero_pattern decides once per group of parties that hold the
+    same multiset of codes, and gives the per-party pattern bit for bit.
+    Sets of fewer than _GROUP_MIN codes are not grouped; most tests here
+    group every coded set, whatever its size."""
+
+    @pytest.fixture
+    def group_all(self, monkeypatch):
+        monkeypatch.setattr(states_module, "_GROUP_MIN", 0)
+
+    @pytest.mark.parametrize("group_min", [None, 0])
+    @pytest.mark.parametrize("name", list(_GROUPED_SETS))
+    def test_grouped_pattern_is_the_per_party_pattern(self, name, group_min, monkeypatch):
+        if group_min is not None:
+            monkeypatch.setattr(states_module, "_GROUP_MIN", group_min)
+        _assert_pattern_matches_per_party(_GROUPED_SETS[name]())
+
+    @pytest.mark.usefixtures("group_all")
+    @pytest.mark.parametrize("name", ["sqrt_subset(19)", "repeated codes", "fingerprint collision"])
+    @pytest.mark.parametrize("orth_abs", _ORTH)
+    def test_any_cutoff(self, name, orth_abs):
+        _assert_pattern_matches_per_party(_GROUPED_SETS[name](), Tolerance(orth_abs=orth_abs))
+
+    @pytest.mark.usefixtures("group_all")
+    def test_small_batches_and_steps(self, monkeypatch):
+        # one group stack per qubit batch, few candidates per step, and one
+        # code column per grouping step
+        monkeypatch.setattr(states_module, "_RAY_PARTIES", 1)
+        monkeypatch.setattr(states_module, "_RAY_PAIRS", 7)
+        monkeypatch.setattr(states_module, "_GROUP_CODES", 1)
+        for name in ("random shift_family(12)", "repeated codes", "fingerprint collision",
+                     "equal columns across dimensions", "qubit3+tiles33"):
+            _assert_pattern_matches_per_party(_GROUPED_SETS[name]())
+
+    def test_small_sets_are_not_grouped(self):
+        # below _GROUP_MIN codes every party is alone; from it, the parties
+        # of a shift family form one group
+        for n, grouped in ((16, False), (17, True)):
+            family = shift_family(n)
+            alone, shared = states_module._party_groups(family)
+            assert (len(family) * len(family.dims) >= states_module._GROUP_MIN) is grouped
+            want = ([], 1) if grouped else (list(range(2 * n - 1)), 0)
+            assert (list(alone), len(shared)) == want
+
+    @pytest.mark.usefixtures("group_all")
+    def test_shift_family_is_one_group(self):
+        family = _random_shift_family(12, 5)
+        alone, shared = states_module._party_groups(family)
+        assert list(alone) == [] and len(shared) == 1
+        parties, order = shared[0]
+        assert parties.tolist() == list(range(len(family.dims)))
+        codes = family._code_table()[1]
+        ranked = np.sort(codes, axis=0)
+        assert (ranked == ranked[:, :1]).all()
+        assert np.array_equal(codes[order, 0], ranked[:, 0])
+
+    @pytest.mark.usefixtures("group_all")
+    def test_groups_split_by_dimension_and_by_codes(self):
+        # parties 0 and 1 hold equal columns, but of a qubit and a qutrit
+        # codebook: they group with the party of their own dimension
+        state_set = _GROUPED_SETS["equal columns across dimensions"]()
+        alone, shared = states_module._party_groups(state_set)
+        assert list(alone) == []
+        assert sorted(parties.tolist() for parties, _ in shared) == [[0, 2], [1, 3]]
+        alone, shared = states_module._party_groups(_GROUPED_SETS["fingerprint collision"]())
+        assert list(alone) == []
+        assert sorted(parties.tolist() for parties, _ in shared) == [[0, 1, 4], [2, 3]]
+
+    def test_random_phase_family_without_a_table(self):
+        family = _random_shift_family(100, 3)
+        rng = np.random.default_rng(3)
+        stacks = [states_module._unit_rows(f * np.exp(2j * np.pi * rng.random((len(f), 1))))
+                  for f in family.factors]
+        plain = StateSet._from_stacks(family.dims, stacks, "random phases")
+        _assert_pattern_matches_per_party(plain)
+        alone, shared = states_module._party_groups(plain)
+        assert list(alone) == list(range(len(plain.dims))) and shared == []
+        assert plain._table is None
+        left, right = factor_zero_pattern(plain), factor_zero_pattern(family)
+        assert np.array_equal(left.zero_count, right.zero_count)
+
+    def test_sqrt_subset_parties_are_alone(self):
+        # every party of a sqrt subset holds its own rows of the codebook
+        alone, shared = states_module._party_groups(sqrt_subset(100)[1])
+        assert list(alone) == list(range(199)) and shared == []
 
 
 class TestStatesClose:
