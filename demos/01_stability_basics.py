@@ -44,4 +44,4 @@ print("its single element, rescaled:")
 print(np.round(complement[0] / complement[0][0, 0], 6), "\n")
 
 print("certificate:")
-print(json.dumps(cert.to_dict(), indent=2))
+print(json.dumps(cert.to_dict(), indent=2, default=tuple))

@@ -2,14 +2,14 @@
 
 With ``indent`` set, :mod:`json` encodes in pure Python.  Nearly all the
 bytes of the CLI's payloads are numbers in rectangular nested lists.  A
-certificate's conflict pairs come as :class:`IndexPairs`, tuples that keep
+certificate's conflict pairs come as :class:`IndexPairs`, sequences held as
 the (m, 2) int array they were made from, and are written straight from
-that array through a cached table of index texts, with no scan.  Any other
-rectangular block of ints and floats, such as a witness's factors, is
-scanned for its types and shape and written by one ``%`` template of that
-shape, filled with the ``repr`` of its numbers, which is how :mod:`json`
-writes ints and floats.  Dicts, strings and other lists
-take a short recursive walk, and any other iterator is written as a list,
+that array through a cached table of index texts, with no scan and no
+pair tuple built.  Any other rectangular block of ints and floats, such as
+a witness's factors, is scanned for its types and shape and written by one
+``%`` template of that shape, filled with the ``repr`` of its numbers,
+which is how :mod:`json` writes ints and floats.  Dicts, strings and other
+lists take a short recursive walk, and any other iterator is written as a list,
 one item at a time as it yields them, so that no item is built before it
 is written.  Dict keys, and items whose type is exactly
 str, int, bool or None, are written in place by the functions :mod:`json`
@@ -27,7 +27,7 @@ import functools
 import itertools
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -72,27 +72,53 @@ def number_template(shape: tuple, level: int) -> str:
     return _cached_template(shape, level)
 
 
-class IndexPairs(tuple):
-    """A tuple of (j, k) int pairs that keeps the read-only (m, 2) int32
-    array it was made from as ``array``.
+class IndexPairs(Sequence):
+    """The read-only sequence of (j, k) int pairs held as the read-only
+    (m, 2) int32 array ``array`` it was made from.
 
-    It is the plain tuple of the same pairs in every other way: equal to it
-    and hashed alike, with its ``repr`` and its JSON.  :func:`iter_json`
-    writes it from ``array``.  ``pairs`` is an (m, 2) integer array or an
-    iterable of (j, k) pairs; pickling and copying keep the type.
+    Its tuple of (j, k) int tuples is built once, on the first iteration,
+    indexing, hashing, equality test or ``repr``; ``len``, truthiness,
+    :func:`iter_json` and the conflict audit read ``array`` alone.  It
+    equals, hashes and prints as the plain tuple of its pairs, but is no
+    tuple: :mod:`json` writes it with ``default=tuple``.  ``pairs`` is an
+    (m, 2) integer array or an iterable of (j, k) pairs; pickling and
+    copying keep the type.
     """
 
-    def __new__(cls, pairs=()):
+    __slots__ = ("array", "_tuple")
+
+    def __init__(self, pairs=()):
         array = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs))
         if not array.size:
             array = np.empty((0, 2), dtype=np.int32)
         if array.dtype.kind not in "iu" or array.ndim != 2 or array.shape[1] != 2:
             raise ValueError("index pairs must form an (m, 2) integer array")
-        array = array.astype(np.int32)
-        array.flags.writeable = False
-        self = super().__new__(cls, zip(array[:, 0].tolist(), array[:, 1].tolist()))
-        self.array = array
-        return self
+        self.array = array.astype(np.int32)
+        self.array.flags.writeable = False
+        self._tuple = None
+
+    def _pairs(self) -> tuple:
+        if self._tuple is None:
+            self._tuple = tuple(zip(self.array[:, 0].tolist(), self.array[:, 1].tolist()))
+        return self._tuple
+
+    def __len__(self):
+        return len(self.array)
+
+    def __iter__(self):
+        return iter(self._pairs())
+
+    def __getitem__(self, index):
+        return self._pairs()[index]
+
+    def __eq__(self, other):
+        return self._pairs() == other if isinstance(other, (tuple, IndexPairs)) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._pairs())
+
+    def __repr__(self):
+        return repr(self._pairs())
 
     def __reduce__(self):
         return type(self), (self.array,)

@@ -42,7 +42,6 @@ from .states import (
     FactorZeroPattern,
     ProductState,
     StateSet,
-    _acyclic,
     _coordinate_sums,
     _offending_pairs,
     _party_blocks,
@@ -82,6 +81,10 @@ _SUBSET_BLOCK = 512
 # What _qubit_dims returns for a run it leaves to the rank kernel.
 _KERNEL = -1
 
+# Conflict pairs whose first factors _qubit_batches hands to _qubit_dims at
+# most at once, unless one qubit party has more.
+_QUBIT_PAIRS = 1 << 16
+
 # Complex entries in one zero-padded (sets, rows, d*d) stack handed to the
 # rank kernel; a row set larger than this is ranked on its own.
 _RANK_BUDGET = 1 << 13
@@ -114,15 +117,16 @@ class PartyRecord:
     of each is one too.
 
     :func:`is_locally_stable` records the pairs as an
-    :class:`~locstab._jsonout.IndexPairs`: the tuple of (j, k) int tuples,
-    which keeps the factor zero pattern's pairs as its read-only (m, 2)
-    ``array``, the one form the audit and the JSON writer read.  Any other
-    tuple of int pairs may stand in its place."""
+    :class:`~locstab._jsonout.IndexPairs`: the sequence of (j, k) int
+    tuples held as the factor zero pattern's pairs in a read-only (m, 2)
+    ``array``, the one form the audit and the JSON writer read, which
+    builds its tuples only when its pairs are visited.  Any tuple of int
+    pairs may stand in its place."""
     party: int
     span_dim: int
     required: int
     stable: bool
-    conflict_pairs: tuple[tuple[int, int], ...] | None = None
+    conflict_pairs: IndexPairs | tuple[tuple[int, int], ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -219,27 +223,26 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     Product sets are checked and certified from one factor zero pattern and
     additionally record their conflict pairs per party.  Their qubit
     parties take the dimension their bases give (:func:`_qubit_dims`, one
-    call, each party one run) when the second basis sits outside the band
-    around the rank cutoff and ``tol.orth_abs`` is at most
-    ``tol.rank_rel`` / 16.  Only the parties it leaves to the rank kernel
-    get generators, and the traceless parts of those of consecutive such
-    parties with one local dimension are ranked together, each party's rows
-    followed by zero rows.  Each party's conflict pairs are an
-    :class:`~locstab._jsonout.IndexPairs` built from the zero pattern's
-    (m, 2) array, which it keeps for the audit and the JSON writer.
+    call per batch of :func:`_qubit_batches`, each party one run) when the
+    second basis sits outside the band around the rank cutoff and
+    ``tol.orth_abs`` is at most ``tol.rank_rel`` / 16.  Only the parties it
+    leaves to the rank kernel get generators, and the traceless parts of
+    those of consecutive such parties with one local dimension are ranked
+    together, each party's rows followed by zero rows.  Each party's
+    conflict pairs are an :class:`~locstab._jsonout.IndexPairs` of the zero
+    pattern's (m, 2) array, which the audit and the JSON writer read; no
+    pair tuple is built until a caller visits the pairs.
     """
     source = _checked_source(state_set, tol)
-    ruled, counts, firsts = _qubit_pairs(state_set.dims, source, tol)
     dims = np.full(len(state_set.dims), _KERNEL)
-    dims[ruled] = _qubit_dims(firsts, counts, tol)
+    for parties, counts, firsts in _qubit_batches(state_set.dims, source, tol):
+        dims[parties] = _qubit_dims(firsts, counts, tol)
     kernel = (dims == _KERNEL).nonzero()[0].tolist()
     spans = _party_spans(state_set, source, tol, kernel)
     dims[kernel] = _stacked_ranks((_traceless_rows(g) for g, _ in spans), tol)
     conflicts = [None] * len(state_set.dims)
     if isinstance(source, FactorZeroPattern):
-        # tuples of ints form no cycle, so no collection need scan them
-        with _acyclic():
-            conflicts = [IndexPairs(pairs) for pairs in source.conflict_pairs]
+        conflicts = [IndexPairs(pairs) for pairs in source.conflict_pairs]
     records = [
         PartyRecord(party, dim, d * d - 1, dim == d * d - 1, pairs)
         for party, (d, dim, pairs) in enumerate(zip(state_set.dims, dims.tolist(), conflicts))
@@ -249,23 +252,26 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     )
 
 
-def _qubit_pairs(dims, source, tol):
-    """What :func:`_qubit_dims` reads of the parties it decides: the qubit
-    parties of a factor zero pattern, but none when ``tol.orth_abs``
-    exceeds ``tol.rank_rel / 16``, and none of a set with dense members.
+def _qubit_batches(dims, source, tol):
+    """Yield what :func:`_qubit_dims` reads of the parties it decides, a
+    batch at a time: the qubit parties of a factor zero pattern, but none
+    when ``tol.orth_abs`` exceeds ``tol.rank_rel / 16``, and none of a set
+    with dense members.
 
-    Returns those parties, the number of conflict pairs (j, k) of each, and
-    the (E, 2) first factors a_j of their pairs, party after party and each
-    in the party's order.
+    A batch is a list of consecutive such parties, the number of conflict
+    pairs (j, k) of each, and the (E, 2) first factors a_j of their pairs,
+    party after party and each in the party's order.  Each batch has as
+    many parties as the widest party fits in _QUBIT_PAIRS pairs, or one.
     """
-    parties = []
-    if isinstance(source, FactorZeroPattern) and 16.0 * tol.orth_abs <= tol.rank_rel:
-        parties = [party for party, d in enumerate(dims) if d == 2]
-    if not parties:
-        return parties, [], np.empty((0, 2), dtype=complex)
-    pairs = [source.conflict_pairs[party] for party in parties]
-    firsts = np.concatenate([source.factors[party][p[:, 0]] for party, p in zip(parties, pairs)])
-    return parties, [len(p) for p in pairs], firsts
+    if not isinstance(source, FactorZeroPattern) or 16.0 * tol.orth_abs > tol.rank_rel:
+        return
+    pairs = source.conflict_pairs
+    parties = [party for party, d in enumerate(dims) if d == 2]
+    per = max(1, _QUBIT_PAIRS // max([1] + [len(pairs[party]) for party in parties]))
+    for start in range(0, len(parties), per):
+        batch = parties[start:start + per]
+        firsts = np.concatenate([source.factors[party][pairs[party][:, 0]] for party in batch])
+        yield batch, [len(pairs[party]) for party in batch], firsts
 
 
 def _qubit_dims(firsts, counts, tol):
@@ -273,7 +279,7 @@ def _qubit_dims(firsts, counts, tol):
     generators, or _KERNEL where the rank kernel must decide it.
 
     Run g holds the next ``counts[g]`` pairs, each given by its first factor
-    (:func:`_qubit_pairs`), in the party's pair order; a run is the pairs a
+    (:func:`_qubit_batches`), in the party's pair order; a run is the pairs a
     party, or a subset of the set, keeps.  A conflict pair (j, k) lies in
     one orthonormal basis {a_j, a_j^perp}: it gives |a_j><a_j^perp| up to a
     phase and a part below ``orth_abs``, and its reverse gives
@@ -294,7 +300,7 @@ def _qubit_dims(firsts, counts, tol):
     the kernel's first two pivots, so it reads 2.  Both need the reverse
     pair in the run, which the factor zero pattern decides with each pair,
     and the parts off the ideal generators far below ``rank_rel``, which
-    :func:`_qubit_pairs` provides; a run inside the band gets _KERNEL.  The
+    :func:`_qubit_batches` provides; a run inside the band gets _KERNEL.  The
     kernel ranks traceless parts, as the rule reads them, so neither counts
     the trace direction.  An empty run spans 0.
     """
@@ -391,8 +397,9 @@ def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
     source = _span_source(state_set, tol)
     offending = _offending_pairs(source, tol)
     bad = np.array([pair[:2] for pair in offending], dtype=np.int64).reshape(-1, 2)
-    ruled, counts, firsts = _qubit_pairs(state_set.dims, source, tol)
-    rules = dict(zip(ruled, np.split(firsts, np.cumsum(counts)[:-1])))
+    rules = {}
+    for parties, counts, firsts in _qubit_batches(state_set.dims, source, tol):
+        rules.update(zip(parties, np.split(firsts, np.cumsum(counts)[:-1])))
     product = isinstance(source, FactorZeroPattern)
     spans = {}
 

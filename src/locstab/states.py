@@ -983,12 +983,11 @@ def state_set_from_dict(payload) -> StateSet:
 def _acyclic():
     """Pause the cyclic garbage collector for the block, then restore it.
 
-    Only the reading and writing of set files and the building of a
-    certificate's conflict-pair tuples run inside: they build nothing but
-    lists, dicts, tuples, strings, bytes, numbers, arrays, states and
-    :class:`_Entry` objects, none of which can form a reference cycle, so
-    reference counting frees them exactly as before while the collector
-    stops re-scanning the pair lists of a dense entry or the pair tuples.
+    Only the reading and writing of set files run inside: they build
+    nothing but lists, dicts, tuples, strings, bytes, numbers, arrays,
+    states and :class:`_Entry` objects, none of which can form a reference
+    cycle, so reference counting frees them exactly as before while the
+    collector stops re-scanning the pair lists of a dense entry.
     The pause holds for the whole process, so another thread may see the
     collector off while the block runs.  A collector the caller had
     disabled stays disabled.

@@ -176,7 +176,14 @@ class TestIndexPairs:
 
     def test_is_the_plain_tuple(self):
         pairs = IndexPairs(np.array(self.PAIRS))
-        assert isinstance(pairs, tuple)
+        # construction, len, truthiness, the array and the writer build no
+        # tuple; the first element access builds it, once
+        assert len(pairs) == 4 and pairs and pairs.array.shape == (4, 2)
+        assert dumps({"pairs": pairs}) == json.dumps({"pairs": self.PAIRS}, indent=2)
+        assert pairs._tuple is None
+        assert pairs[0] == (0, 2)
+        built = pairs._tuple
+        assert built == self.PAIRS
         assert pairs == self.PAIRS and self.PAIRS == pairs
         assert not pairs != self.PAIRS and not self.PAIRS != pairs
         assert hash(pairs) == hash(self.PAIRS)
@@ -184,7 +191,12 @@ class TestIndexPairs:
         assert repr(pairs) == repr(self.PAIRS)
         assert all(type(pair) is tuple and list(map(type, pair)) == [int, int] for pair in pairs)
         for indent in (None, 2):
-            assert json.dumps(pairs, indent=indent) == json.dumps(self.PAIRS, indent=indent)
+            assert json.dumps(pairs, indent=indent, default=tuple) == json.dumps(
+                self.PAIRS, indent=indent
+            )
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json.dumps(pairs)
+        assert pairs._tuple is built
 
     def test_array_is_read_only(self):
         pairs = IndexPairs(self.PAIRS)
@@ -249,7 +261,7 @@ class TestIndexPairBlocks:
     @pytest.mark.parametrize("name", sorted(BLOCKS))
     def test_matches_stdlib_indent_2(self, name, level, container):
         obj = _nested(IndexPairs(self.BLOCKS[name]), level, container)
-        assert dumps(obj) == json.dumps(obj, indent=2)
+        assert dumps(obj) == json.dumps(obj, indent=2, default=tuple)
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -259,7 +271,7 @@ class TestIndexPairBlocks:
     )
     def test_drawn_blocks_match_stdlib(self, pairs, level, container):
         obj = _nested(IndexPairs(pairs), level, container)
-        assert dumps(obj) == json.dumps(obj, indent=2)
+        assert dumps(obj) == json.dumps(obj, indent=2, default=tuple)
 
     @pytest.fixture
     def number_blocks(self, monkeypatch):
@@ -279,7 +291,7 @@ class TestIndexPairBlocks:
         records = list(cert.parties)
         records[1] = dataclasses.replace(records[1], conflict_pairs=tuple(records[1].conflict_pairs))
         payload = dataclasses.replace(cert, parties=tuple(records)).to_dict()
-        assert dumps(payload) == json.dumps(payload, indent=2)
+        assert dumps(payload) == json.dumps(payload, indent=2, default=tuple)
         scanned = [block for block in number_blocks if type(block) is tuple]
         assert scanned == [records[1].conflict_pairs]
         assert scanned[0] is payload["parties"][1]["conflict_pairs"]
@@ -291,12 +303,13 @@ class TestIndexPairBlocks:
         path = tmp_path / "sf30.json"
         save_set(family, path)
         visits = []
+        build = IndexPairs._pairs
 
-        def iterate(pairs):
+        def spy(pairs):
             visits.append(len(pairs))
-            return tuple.__iter__(pairs)
+            return build(pairs)
 
-        monkeypatch.setattr(IndexPairs, "__iter__", iterate)
+        monkeypatch.setattr(IndexPairs, "_pairs", spy)
         assert main(["check", str(path), "--audit"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert visits == []
@@ -633,7 +646,7 @@ class TestCliPayloads:
             if code != 2:
                 assert out == _canonical(out)
         for payload in emitted:
-            assert dumps(payload) == json.dumps(payload, indent=2)
+            assert dumps(payload) == json.dumps(payload, indent=2, default=tuple)
 
     @pytest.mark.parametrize(
         "argv",

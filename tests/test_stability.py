@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from locstab import (
     span_generators,
     span_rank,
     sqrt_subset,
+    subset_campaign,
     tensor_expand,
     upb_44_reducible,
     upb_qubit3,
@@ -59,6 +61,7 @@ from oracles import (
     seesaw_sequential,
     straddling_pair,
 )
+from test_states import _GROUPED_SETS
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -226,7 +229,7 @@ class TestCertificates:
         payload = cert.to_dict()
         for entry, rec in zip(payload["parties"], cert.parties):
             assert entry["conflict_pairs"] is rec.conflict_pairs
-        assert _jsonout.dumps(payload) == json.dumps(payload, indent=2)
+        assert _jsonout.dumps(payload) == json.dumps(payload, indent=2, default=tuple)
 
     def test_span_dim_never_exceeds_required(self):
         for builder in (upb_qubit3, upb_sep333, upb_44_reducible, entangled_triple):
@@ -1522,8 +1525,8 @@ class TestClosedFormQubitHyperplanes:
 
 class TestCertificateSkipsCollection:
     def test_conflict_tuples_start_at_most_two_collections(self):
-        # the certificate's tuples of int pairs are built with the cyclic
-        # collector paused: tuples of ints form no cycle
+        # the certificate builds no tuple of int pairs, so no run of the
+        # cyclic collector scans them
         state_set = shift_family(100)
         is_locally_stable(state_set)
         starts = []
@@ -1543,6 +1546,78 @@ class TestCertificateSkipsCollection:
         finally:
             gc.callbacks.remove(record)
         assert [len(r.conflict_pairs) for r in cert.parties] == [198] * 199
+
+
+def _certified(state_set):
+    """The JSON text of ``state_set``'s certificate and its conflict audit."""
+    cert = is_locally_stable(state_set)
+    return _jsonout.dumps(cert.to_dict()), conflict_audit(state_set, certificate=cert)
+
+
+# the hand-coded sets of test_states.TestSharedCodeGroups, which are not
+# orthogonal and have no certificate
+_NOT_ORTHOGONAL = ("equal columns across dimensions", "repeated codes", "fingerprint collision")
+_BATCHED_SETS = {
+    **{f"shift_family({n})": (lambda n=n: shift_family(n)) for n in (3, 30, 258)},
+    **{f"sqrt_subset({n})": (lambda n=n: sqrt_subset(n)[1]) for n in (19, 50, 100)},
+    "qubit3": upb_qubit3,
+    "compose(tiles33, qubit3)": lambda: compose(upb_tiles33(), 0, upb_qubit3(), 0),
+    **{
+        f"grouped {name}": build
+        for name, build in _GROUPED_SETS.items()
+        if name not in _NOT_ORTHOGONAL
+    },
+}
+
+
+class TestQubitBatches:
+    """The qubit rule reads the first factors of at most _QUBIT_PAIRS
+    conflict pairs at a time, a party with more on its own: certificates
+    and campaign verdicts do not depend on the batch, and a certificate
+    holds little more than its factor zero pattern."""
+
+    @pytest.mark.parametrize("n, sizes", [(30, [8] * 7 + [3]), (258, [1] * 515)])
+    def test_batches_split_at_parties(self, n, sizes, monkeypatch):
+        # 2(n - 1) pairs a party: 58 fit eight times in 2^9, 514 not once
+        monkeypatch.setattr(locstab.stability, "_QUBIT_PAIRS", 1 << 9)
+        family = shift_family(n)
+        source = locstab.states.factor_zero_pattern(family)
+        batches = list(locstab.stability._qubit_batches(family.dims, source, DEFAULT_TOL))
+        assert [len(parties) for parties, _, _ in batches] == sizes
+        assert [p for parties, _, _ in batches for p in parties] == list(range(2 * n - 1))
+        for parties, counts, firsts in batches:
+            assert counts == [2 * n - 2] * len(parties) and firsts.shape == (sum(counts), 2)
+
+    @pytest.mark.parametrize("pairs", [1 << 9, 8])
+    @pytest.mark.parametrize("name", list(_BATCHED_SETS))
+    def test_certificates_do_not_depend_on_the_batch(self, name, pairs, monkeypatch):
+        state_set = _BATCHED_SETS[name]()
+        want = _certified(state_set)
+        monkeypatch.setattr(locstab.stability, "_QUBIT_PAIRS", pairs)
+        assert _certified(state_set) == want
+
+    @pytest.mark.parametrize("pairs", [1 << 9, 8])
+    @pytest.mark.parametrize("k", [5, 8])
+    def test_campaign_verdicts_do_not_depend_on_the_batch(self, k, pairs, monkeypatch):
+        state_set = upb_shifts(6)
+        want = subset_campaign(state_set, k)
+        monkeypatch.setattr(locstab.stability, "_QUBIT_PAIRS", pairs)
+        assert subset_campaign(state_set, k) == want
+
+    def test_peak_stays_at_the_zero_pattern(self):
+        # N = 599: 358,202 conflict pairs; the certificate builds no pair
+        # tuple and reads at most _QUBIT_PAIRS first factors at a time
+        family = shift_family(300)
+        locstab.states.factor_zero_pattern(family)
+        peaks = []
+        for build in (locstab.states.factor_zero_pattern, is_locally_stable):
+            tracemalloc.start()
+            try:
+                build(family)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
 
 class TestSpanRankOnGenerators:
