@@ -4,9 +4,11 @@ With ``indent`` set, :mod:`json` encodes in pure Python.  Nearly all the
 bytes of the CLI's payloads are numbers in rectangular nested lists.  A
 certificate's conflict pairs come as :class:`IndexPairs`, sequences held as
 the (m, 2) int array they were made from, and are written straight from
-that array through a cached table of index texts, with no scan and no
-pair tuple built.  Any other rectangular block of ints and floats, such as
-a witness's factors, is scanned for its types and shape and written by one
+those arrays, with no scan and no pair tuple built: :func:`dumps` collects
+every such block of a payload as it walks it, then writes them in batches
+of pairs, each gathered in one step from a cached table of the two pieces
+of a pair and joined per block.  Any other rectangular block of ints and
+floats, such as a witness's factors, is scanned for its types and shape and written by one
 ``%`` template of that shape, filled with the ``repr`` of its numbers,
 which is how :mod:`json` writes ints and floats.  Dicts, strings and other
 lists take a short recursive walk, and any other iterator is written as a list,
@@ -41,11 +43,14 @@ _chain = itertools.chain.from_iterable
 # number_template keeps this many templates of at most this many numbers
 _CACHED_TEMPLATES = 32
 _CACHED_NUMBERS = 1 << 12
-# index texts str(i) are cached for i below this bound, in a table of at
-# least this many entries; a block holding a larger or a negative index
-# converts its own
+# the pieces of index pairs are cached for indices below this bound, in a
+# table of at least this many entries, and written this many pairs at a
+# time; a batch holding a larger or a negative index converts its own
 _CACHED_INDICES = 1 << 16
 _INDEX_TABLE = 1 << 10
+_PAIR_BATCH = 1 << 16
+# what _walk yields in place of the text of an IndexPairs block
+_PAIRS = object()
 # the text of a list item or dict value of exactly these types, as json
 # writes it
 _IN_PLACE = {
@@ -81,8 +86,9 @@ class IndexPairs(Sequence):
     :func:`iter_json` and the conflict audit read ``array`` alone.  It
     equals, hashes and prints as the plain tuple of its pairs, but is no
     tuple: :mod:`json` writes it with ``default=tuple``.  ``pairs`` is an
-    (m, 2) integer array or an iterable of (j, k) pairs; pickling and
-    copying keep the type.
+    (m, 2) integer array or an iterable of (j, k) pairs; a non-empty
+    read-only int32 array becomes ``array`` itself, with no copy, and any
+    other input is copied.  Pickling and copying keep the type.
     """
 
     __slots__ = ("array", "_tuple")
@@ -93,7 +99,7 @@ class IndexPairs(Sequence):
             array = np.empty((0, 2), dtype=np.int32)
         if array.dtype.kind not in "iu" or array.ndim != 2 or array.shape[1] != 2:
             raise ValueError("index pairs must form an (m, 2) integer array")
-        self.array = array.astype(np.int32)
+        self.array = array.astype(np.int32, copy=array.flags.writeable)
         self.array.flags.writeable = False
         self._tuple = None
 
@@ -162,49 +168,111 @@ def _number_block(value, level: int) -> str | None:
     return None if "n" in text else text
 
 
-@functools.lru_cache(maxsize=1)
-def _index_table(size: int) -> np.ndarray:
-    """The object array of ``str(i)`` for i in ``range(size)``."""
-    return np.array(list(map(str, range(size))), dtype=object)
-
-
-def _index_texts(indices: np.ndarray) -> np.ndarray:
-    """``str(i)`` of each index, as an object array of its shape.  Indices
-    in ``range(_CACHED_INDICES)`` are read from one cached table, a power of
-    two of at least _INDEX_TABLE entries, so the blocks of one set, and
-    every set of fewer states than that, share it."""
-    low, high = int(indices.min()), int(indices.max())
-    if low < 0 or high >= _CACHED_INDICES:
-        return indices.astype(str).astype(object)
-    return _index_table(max(1 << high.bit_length(), _INDEX_TABLE))[indices]
-
-
-def _index_block(array: np.ndarray, level: int) -> str:
-    """The indented text of the (m, 2) index ``array`` as a list of pairs,
-    its opening bracket at indentation ``level``, as :mod:`json` writes it."""
-    if not len(array):
-        return "[]"
+def _pair_prefixes(level: int) -> tuple:
+    """The texts that precede j and k in each pair but a block's first, in
+    a block whose opening bracket sits at indentation ``level``."""
     outer = "\n" + " " * (INDENT * (level + 1))
     inner = "\n" + " " * (INDENT * (level + 2))
-    # each pair is the text before it, j, the comma between, and k
-    pieces = np.empty((len(array), 4), dtype=object)
-    pieces[0, 0] = "[" + outer + "[" + inner
-    pieces[1:, 0] = outer + "]," + outer + "[" + inner
-    pieces[:, 1::2] = _index_texts(array)
-    pieces[:, 2] = "," + inner
-    return "".join(pieces.ravel().tolist()) + outer + "]\n" + " " * (INDENT * level) + "]"
+    return outer + "]," + outer + "[" + inner, "," + inner
+
+
+@functools.lru_cache(maxsize=2)
+def _pair_table(size: int, level: int) -> np.ndarray:
+    """The object array of the pieces of a pair at ``level`` for index i in
+    ``range(size)``: row i holds j = i with its prefix, row size + i holds
+    k = i with its prefix (:func:`_pair_prefixes`)."""
+    texts = list(map(str, range(size)))
+    return np.array([prefix + text for prefix in _pair_prefixes(level) for text in texts],
+                    dtype=object)
+
+
+def _pair_pieces(pairs, level) -> list:
+    """The pieces of the (n, 2) index array ``pairs`` in a block at
+    ``level``, two a pair: j and k, each with its prefix.
+
+    They are gathered in one step from the cached :func:`_pair_table` whose
+    size is the power of two, at least _INDEX_TABLE, above the largest
+    index, unless an index is negative or at least _CACHED_INDICES: such
+    pairs are converted here.
+    """
+    low, high = int(pairs.min()), int(pairs.max())
+    if low < 0 or high >= _CACHED_INDICES:
+        prefixes = np.array(_pair_prefixes(level), dtype=object)
+        return (prefixes + pairs.astype(str).astype(object)).ravel().tolist()
+    size = max(1 << high.bit_length(), _INDEX_TABLE)
+    return _pair_table(size, level)[pairs + np.array([0, size], dtype=pairs.dtype)].ravel().tolist()
+
+
+def _pair_texts(blocks):
+    """Yield the text of each of ``blocks``, a list of (array, level) of
+    non-empty (m, 2) index arrays and the indentation of their opening
+    brackets, as :mod:`json` writes a list of pairs.
+
+    Runs of blocks at one level are written in batches of at most
+    _PAIR_BATCH pairs, which may cut a block or hold many: each batch's
+    pieces are gathered in one step (:func:`_pair_pieces`), then joined per
+    block.
+    """
+    held, batch, room = [], [], _PAIR_BATCH
+    for place, (array, level) in enumerate(blocks):
+        start = 0
+        while start < len(array):
+            stop = min(len(array), start + room)
+            batch.append((array, start, stop))
+            room -= stop - start
+            start = stop
+            if room and place + 1 < len(blocks) and blocks[place + 1][1] == level:
+                continue
+            outer = "\n" + " " * (INDENT * (level + 1))
+            # a block's first pair opens the block where a later one closes
+            # the pair before
+            cut = len(outer + "]," + outer)
+            pieces = _pair_pieces(np.concatenate([a[i:j] for a, i, j in batch]), level)
+            at, done = 0, []
+            for whole, i, j in batch:
+                part = pieces[at:at + 2 * (j - i)]
+                at += 2 * (j - i)
+                if not i:
+                    part[0] = "[" + outer + part[0][cut:]
+                if held:
+                    part, held = held + part, []
+                if j < len(whole):
+                    held = part
+                    continue
+                part.append(outer + "]\n" + " " * (INDENT * level) + "]")
+                done.append("".join(part))
+            # drop the batch's pieces before handing on its texts: a caller
+            # that takes the last text and stops would hold them while it
+            # joins the whole payload
+            del pieces, part
+            yield from done
+            batch, room = [], _PAIR_BATCH
 
 
 def iter_json(obj, level: int = 0):
     """Yield the text of ``json.dumps(obj, indent=2)`` in pieces, for a value
     whose first line sits at indentation ``level``; an iterator that is not
-    a list or tuple is written as the list of its items."""
+    a list or tuple is written as the list of its items, and each
+    :class:`IndexPairs` block as one piece."""
+    blocks = []
+    for piece in _walk(obj, level, blocks):
+        yield next(_pair_texts([blocks.pop()])) if piece is _PAIRS else piece
+
+
+def _walk(obj, level, blocks):
+    """:func:`iter_json`, but for each non-empty :class:`IndexPairs` block
+    yield _PAIRS in place of its text and append its (array, level) to
+    ``blocks``."""
     kind = type(obj)
     if kind is str or kind in _SCALARS:
         yield json.dumps(obj)
         return
     if kind is IndexPairs:
-        yield _index_block(obj.array, level)
+        if not len(obj.array):
+            yield "[]"
+            return
+        blocks.append((obj.array, level))
+        yield _PAIRS
         return
     if kind is dict and all(type(key) is str for key in obj):
         items = ((encode_basestring_ascii(key) + ": ", value) for key, value in obj.items())
@@ -230,7 +298,7 @@ def iter_json(obj, level: int = 0):
         write = _IN_PLACE.get(type(value))
         if write is None:
             yield separator + prefix
-            yield from iter_json(value, level + 1)
+            yield from _walk(value, level + 1, blocks)
         else:
             yield separator + prefix + write(value)
         separator = "," + newline
@@ -239,5 +307,11 @@ def iter_json(obj, level: int = 0):
 
 def dumps(obj) -> str:
     """``json.dumps(obj, indent=2)``, each rectangular number block written
-    by one template."""
-    return "".join(iter_json(obj))
+    by one template and every :class:`IndexPairs` block in the batches of
+    :func:`_pair_texts`."""
+    blocks = []
+    pieces = list(_walk(obj, 0, blocks))
+    if blocks:
+        texts = _pair_texts(blocks)
+        pieces = [next(texts) if piece is _PAIRS else piece for piece in pieces]
+    return "".join(pieces)

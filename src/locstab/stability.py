@@ -222,27 +222,37 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     Raises :class:`OrthogonalityError` when the input is not orthogonal.
     Product sets are checked and certified from one factor zero pattern and
     additionally record their conflict pairs per party.  Their qubit
-    parties take the dimension their bases give (:func:`_qubit_dims`, one
-    call per batch of :func:`_qubit_batches`, each party one run) when the
-    second basis sits outside the band around the rank cutoff and
-    ``tol.orth_abs`` is at most ``tol.rank_rel`` / 16.  Only the parties it
-    leaves to the rank kernel get generators, and the traceless parts of
-    those of consecutive such parties with one local dimension are ranked
-    together, each party's rows followed by zero rows.  Each party's
-    conflict pairs are an :class:`~locstab._jsonout.IndexPairs` of the zero
-    pattern's (m, 2) array, which the audit and the JSON writer read; no
-    pair tuple is built until a caller visits the pairs.
+    parties take the dimension their bases give (:func:`_qubit_dims`) when
+    the second basis sits outside the band around the rank cutoff and
+    ``tol.orth_abs`` is at most ``tol.rank_rel`` / 16: first once per code
+    group for the members whose zeros are all conflict pairs
+    (:func:`_group_dims`), then one run per remaining party, a call per
+    batch of :func:`_qubit_batches`.  Only the parties the rule leaves to
+    the rank kernel get generators, and the traceless parts of those of
+    consecutive such parties with one local dimension are ranked together,
+    each party's rows followed by zero rows.  The zero pattern's pairs are
+    copied once into one read-only int32 table of every party's pairs, and
+    each party's conflict pairs are an
+    :class:`~locstab._jsonout.IndexPairs` holding its slice of it, which the
+    audit and the JSON writer read; no pair tuple is built until a caller
+    visits the pairs.
     """
     source = _checked_source(state_set, tol)
     dims = np.full(len(state_set.dims), _KERNEL)
-    for parties, counts, firsts in _qubit_batches(state_set.dims, source, tol):
+    for parties, dim in _group_dims(source, tol):
+        dims[parties] = dim
+    decided = set((dims != _KERNEL).nonzero()[0].tolist())
+    for parties, counts, firsts in _qubit_batches(state_set.dims, source, tol, decided):
         dims[parties] = _qubit_dims(firsts, counts, tol)
     kernel = (dims == _KERNEL).nonzero()[0].tolist()
     spans = _party_spans(state_set, source, tol, kernel)
     dims[kernel] = _stacked_ranks((_traceless_rows(g) for g, _ in spans), tol)
     conflicts = [None] * len(state_set.dims)
     if isinstance(source, FactorZeroPattern):
-        conflicts = [IndexPairs(pairs) for pairs in source.conflict_pairs]
+        table = np.concatenate(source.conflict_pairs, dtype=np.int32)
+        table.flags.writeable = False
+        ends = np.cumsum([len(pairs) for pairs in source.conflict_pairs]).tolist()
+        conflicts = [IndexPairs(table[a:b]) for a, b in zip([0] + ends, ends)]
     records = [
         PartyRecord(party, dim, d * d - 1, dim == d * d - 1, pairs)
         for party, (d, dim, pairs) in enumerate(zip(state_set.dims, dims.tolist(), conflicts))
@@ -252,21 +262,60 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     )
 
 
-def _qubit_batches(dims, source, tol):
+def _qubit_rule_applies(source, tol):
+    """Whether the qubit rule may decide the qubit parties of ``source``:
+    it must be a factor zero pattern, and ``tol.orth_abs`` at most
+    ``tol.rank_rel / 16``."""
+    return isinstance(source, FactorZeroPattern) and 16.0 * tol.orth_abs <= tol.rank_rel
+
+
+def _group_dims(source, tol):
+    """Yield ``(parties, dim)``: the span dimension of the members of a
+    qubit code group of ``source`` (``FactorZeroPattern.qubit_groups``)
+    that one verdict decides for the group, when :func:`_qubit_rule_applies`.
+
+    A member whose conflict pairs are all its zeros, 2 len(p) of them, has
+    the group's rows at the zeros' positions as the first factors of its
+    run.  The largest diagonal part of such a run, M(u), is sin(phi) /
+    sqrt(2) for the largest angle phi between the Bloch axis of its first
+    factor u and those of its other factors, each axis taken up to sign.
+    By the triangle inequality on those axes, M(u) and M(u') of any two of
+    these rows differ by at most a factor of 2.  So one run of the rows,
+    started at the first of them and read with a band of 8
+    (:func:`_qubit_dims`), gives every such member the verdict its own run
+    gives with a band of 4.  A group inside the wider band, and every
+    other member, is left to the members' own runs.
+    """
+    if not _qubit_rule_applies(source, tol):
+        return
+    for parties, rows, p, q in source.qubit_groups:
+        counts = np.array([len(source.conflict_pairs[r]) for r in parties.tolist()])
+        covered = parties[counts == 2 * len(p)]
+        if not len(covered):
+            continue
+        held = np.zeros(len(rows), dtype=bool)
+        held[p] = True
+        held[q] = True
+        (dim,) = _qubit_dims(rows[held], [int(held.sum())], tol, band=8.0)
+        if dim != _KERNEL:
+            yield covered, dim
+
+
+def _qubit_batches(dims, source, tol, decided=frozenset()):
     """Yield what :func:`_qubit_dims` reads of the parties it decides, a
     batch at a time: the qubit parties of a factor zero pattern, but none
-    when ``tol.orth_abs`` exceeds ``tol.rank_rel / 16``, and none of a set
-    with dense members.
+    when ``tol.orth_abs`` exceeds ``tol.rank_rel / 16``, none of a set
+    with dense members, and none in the set ``decided``.
 
     A batch is a list of consecutive such parties, the number of conflict
     pairs (j, k) of each, and the (E, 2) first factors a_j of their pairs,
     party after party and each in the party's order.  Each batch has as
     many parties as the widest party fits in _QUBIT_PAIRS pairs, or one.
     """
-    if not isinstance(source, FactorZeroPattern) or 16.0 * tol.orth_abs > tol.rank_rel:
+    if not _qubit_rule_applies(source, tol):
         return
     pairs = source.conflict_pairs
-    parties = [party for party, d in enumerate(dims) if d == 2]
+    parties = [party for party, d in enumerate(dims) if d == 2 and party not in decided]
     per = max(1, _QUBIT_PAIRS // max([1] + [len(pairs[party]) for party in parties]))
     for start in range(0, len(parties), per):
         batch = parties[start:start + per]
@@ -274,7 +323,7 @@ def _qubit_batches(dims, source, tol):
         yield batch, [len(pairs[party]) for party in batch], firsts
 
 
-def _qubit_dims(firsts, counts, tol):
+def _qubit_dims(firsts, counts, tol, band=4.0):
     """The span dimension of each run of a qubit party's conflict-pair
     generators, or _KERNEL where the rank kernel must decide it.
 
@@ -289,7 +338,8 @@ def _qubit_dims(firsts, counts, tol):
     so with M the largest M_p of the run, the span is 2 when M vanishes and
     3 otherwise.
 
-    Outside the band the kernel agrees.  Every generator has unit norm, so
+    Outside the band, a factor of ``band`` = 4 on either side of
+    ``rank_rel``, the kernel agrees.  Every generator has unit norm, so
     its cutoff is ``rank_rel``.  Had it stopped at rank 2, every generator
     would lie within ``rank_rel`` of the plane of its two pivots; the first
     generator and its reverse are orthonormal, so that plane is close to
@@ -302,7 +352,8 @@ def _qubit_dims(firsts, counts, tol):
     and the parts off the ideal generators far below ``rank_rel``, which
     :func:`_qubit_batches` provides; a run inside the band gets _KERNEL.  The
     kernel ranks traceless parts, as the rule reads them, so neither counts
-    the trace direction.  An empty run spans 0.
+    the trace direction.  An empty run spans 0.  :func:`_group_dims` reads
+    one run for a code group with ``band`` = 8.
     """
     counts = np.asarray(counts, dtype=np.intp)
     dims = np.zeros(len(counts), dtype=np.intp)
@@ -315,7 +366,7 @@ def _qubit_dims(firsts, counts, tol):
     across = u[:, 0] * firsts[:, 1] - u[:, 1] * firsts[:, 0]
     diagonal = math.sqrt(2.0) * np.maximum.reduceat(np.abs(along) * np.abs(across), starts)
     verdicts = np.where(
-        diagonal > 4.0 * tol.rank_rel, 3, np.where(diagonal < tol.rank_rel / 4.0, 2, _KERNEL)
+        diagonal > band * tol.rank_rel, 3, np.where(diagonal < tol.rank_rel / band, 2, _KERNEL)
     )
     dims[held] = verdicts
     return dims

@@ -444,11 +444,20 @@ class FactorZeroPattern:
     array, j outer and k inner.  Both are the same, bit for bit, whether
     :func:`factor_zero_pattern` decides party r on its own stack or once
     for a group of parties that hold the same factors.
+
+    ``qubit_groups`` holds ``(parties, rows, p, q)`` for each group of
+    qubit parties decided at once: the int array of its parties, the (l, 2)
+    rows of its first party in code order, which are every member's rows in
+    its own code order, bit for bit, and the int arrays of the positions
+    p < q of the pairs of those rows that vanish.  So each member's zeros
+    are these pairs, read through its order, and a member with 2 len(p)
+    conflict pairs has them all as conflict pairs.
     """
 
     factors: tuple
     zero_count: np.ndarray
     conflict_pairs: tuple
+    qubit_groups: tuple
 
 
 def _coordinate_sums(left, right) -> np.ndarray:
@@ -528,12 +537,19 @@ def _qubit_zeros(factors, parties, tol: Tolerance):
             start = stop
 
 
+def _sort_keys(keys, bound):
+    """The int array ``keys``, all in ``range(bound)``, as uint16 when
+    ``bound`` is at most 2**16: their stable argsort is the same, as a
+    stable sort's order is unique, and numpy radix-sorts 16-bit keys."""
+    return keys.astype(np.uint16) if bound <= 1 << 16 else keys
+
+
 def _party_groups(state_set: StateSet):
     """The parties of an all-product set, grouped by local dimension and
     by the multiset of their factor codes: ``(alone, shared)``, the parties
     alone in their group, in order, and a list of ``(parties, order)`` for
     the larger groups, an int array of the group's parties and ``order``,
-    the stable argsort of its first party's codes.
+    the stable argsort of its first party's codes (:func:`_sort_keys`).
 
     Parties whose codes sort alike hold the same factor rows in those
     orders, bit for bit.  Candidates share a fingerprint, the sum and the
@@ -546,7 +562,7 @@ def _party_groups(state_set: StateSet):
     dims = state_set.dims
     if state_set._table is None or len(state_set) * len(dims) < _GROUP_MIN:
         return range(len(dims)), []
-    codes = state_set._table[1]
+    books, codes = state_set._table
     sums = np.zeros((2, len(dims)), dtype=np.uint64)
     rows = max(1, _GROUP_CODES // len(dims))
     for start in range(0, len(codes), rows):
@@ -568,7 +584,8 @@ def _party_groups(state_set: StateSet):
                 for start in range(0, len(parties), columns)
             ])
             if same[1:].any():
-                shared.append((parties[same], np.argsort(codes[:, parties[0]], kind="stable")))
+                keys = _sort_keys(codes[:, parties[0]], len(books[dims[parties[0]]]))
+                shared.append((parties[same], np.argsort(keys, kind="stable")))
             else:
                 alone.append(int(parties[0]))
             parties = parties[~same]
@@ -591,15 +608,16 @@ def _count_zeros(zero_count, last_zero, parties, j, k):
     last_zero[j, k] = parties
 
 
-def _count_shared(zero_count, last_zero, codes, parties, p, q):
+def _count_shared(zero_count, last_zero, codes, bound, parties, p, q):
     """Count the vanishing pairs p < q of a group's rows in code order at
     each of its ``parties``, read through the party's own order, the
-    stable argsort of its column of ``codes``, for at most _GROUP_CODES
-    codes or pairs of parties at a time."""
+    stable argsort of its column of ``codes``, each code below ``bound``
+    (:func:`_sort_keys`), for at most _GROUP_CODES codes or pairs of
+    parties at a time."""
     step = max(1, _GROUP_CODES // max(len(codes), len(p), 1))
     for start in range(0, len(parties), step):
         some = parties[start:start + step]
-        orders = np.argsort(codes[:, some], axis=0, kind="stable")
+        orders = np.argsort(_sort_keys(codes[:, some], bound), axis=0, kind="stable")
         j, k = orders[p], orders[q]
         _count_zeros(zero_count, last_zero, some, np.minimum(j, k), np.maximum(j, k))
 
@@ -620,18 +638,21 @@ def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Fa
     Either way each zero is decided on the same two rows by the same
     arithmetic, and besides the factors only (l, l) integer arrays are
     held.  A party where each pair vanishes is kept alongside the count,
-    and the pairs vanishing once are grouped by it in one sort.
+    and the pairs vanishing once are grouped by it in one sort.  Each qubit
+    group's rows and vanishing pairs are kept in ``qubit_groups``.
     """
     factors = state_set.factors
     if factors is None:
         raise ValueError("factor_zero_pattern needs an all-product set")
     size, dims = len(state_set), state_set.dims
     zero_count = np.zeros((size, size), dtype=np.int64)
-    last_zero = np.zeros((size, size), dtype=np.int64)
+    # the party where each pair vanishes: 16-bit when the party count
+    # allows, so that the final stable sort is a radix sort (_sort_keys)
+    last_zero = np.zeros((size, size), dtype=np.uint16 if len(dims) <= 1 << 16 else np.int64)
     alone, shared = _party_groups(state_set)
     for parties, j, k in _qubit_zeros(factors, [r for r in alone if dims[r] == 2], tol):
         _count_zeros(zero_count, last_zero, parties, j, k)
-    codes = state_set._table[1] if shared else None
+    books, codes = state_set._table if shared else (None, None)
     groups, stacks = [], []
     for parties, order in shared:
         stack = factors[parties[0]][order]
@@ -640,12 +661,16 @@ def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Fa
             stacks.append(stack)
             continue
         p, q = np.nonzero(np.triu(_gram_zeros(stack, tol), 1))
-        _count_shared(zero_count, last_zero, codes, parties, p, q)
+        _count_shared(zero_count, last_zero, codes, len(books[stack.shape[1]]), parties, p, q)
     held = [np.stack(chunk) for chunk in _qubit_zeros(stacks, range(len(stacks)), tol)]
     held = np.concatenate(held, axis=1) if held else np.empty((3, 0), dtype=np.intp)
     bounds = np.searchsorted(held[0], np.arange(len(groups) + 1)).tolist()
-    for parties, a, b in zip(groups, bounds, bounds[1:]):
-        _count_shared(zero_count, last_zero, codes, parties, held[1, a:b], held[2, a:b])
+    qubit_groups = tuple(
+        (parties, stack, held[1, a:b], held[2, a:b])
+        for parties, stack, a, b in zip(groups, stacks, bounds, bounds[1:])
+    )
+    for parties, _, p, q in qubit_groups:
+        _count_shared(zero_count, last_zero, codes, len(books[2]), parties, p, q)
     zero_count += zero_count.T
     last_zero += last_zero.T
     for r in alone:
@@ -660,7 +685,7 @@ def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Fa
     bounds = np.searchsorted(parties[order], np.arange(len(factors) + 1)).tolist()
     pairs = pairs[order]
     conflict_pairs = tuple(pairs[a:b] for a, b in zip(bounds, bounds[1:]))
-    return FactorZeroPattern(factors, zero_count, conflict_pairs)
+    return FactorZeroPattern(factors, zero_count, conflict_pairs, qubit_groups)
 
 
 def _span_source(state_set: StateSet, tol: Tolerance):

@@ -210,6 +210,23 @@ class TestIndexPairs:
         source[0, 0] = 5
         assert pairs == self.PAIRS and not pairs.array.flags.writeable
 
+    def test_read_only_int32_arrays_are_held_without_a_copy(self):
+        table = np.array(self.PAIRS * 2, dtype=np.int32)
+        # a writable array is copied, even of int32
+        copied = IndexPairs(table[:4])
+        assert not np.shares_memory(copied.array, table)
+        table[0, 0] = 9
+        assert copied == self.PAIRS
+        table[0, 0] = 0
+        table.flags.writeable = False
+        held = IndexPairs(table[4:])
+        assert np.shares_memory(held.array, table) and held == self.PAIRS
+        assert not held.array.flags.writeable
+        # a read-only array of another dtype is converted
+        wide = table.astype(np.int64)
+        wide.flags.writeable = False
+        assert not np.shares_memory(IndexPairs(wide).array, wide)
+
     @pytest.mark.parametrize("pairs", [[(0, 1, 2)], [(0.5, 1)], [("0", "1")], [(0,)], [[(0, 1)]]])
     def test_refuses_what_is_no_index_pairs(self, pairs):
         with pytest.raises(ValueError):
@@ -319,6 +336,70 @@ class TestIndexPairBlocks:
             list(pairs) for pairs in held
         ]
         assert payload["audit"]["conflict_counts"] == [58] * 59
+
+    @staticmethod
+    def _payload(blocks):
+        """``blocks`` as IndexPairs, alternately at levels 3 and 2, with
+        other values between them."""
+        return {
+            "parties": [{"party": place, "conflict_pairs": IndexPairs(pairs)}
+                        for place, pairs in enumerate(blocks[::2])],
+            "rest": [IndexPairs(pairs) for pairs in blocks[1::2]],
+            "tail": [1, 2],
+        }
+
+    @pytest.fixture
+    def pair_batches(self, monkeypatch):
+        """The number of pairs of every batch the writer gathers."""
+        sizes = []
+        real = locstab._jsonout._pair_pieces
+
+        def spy(pairs, level):
+            sizes.append(len(pairs))
+            return real(pairs, level)
+
+        monkeypatch.setattr(locstab._jsonout, "_pair_pieces", spy)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "batch, sizes",
+        [(1 << 16, [4, 3]), (5, [4, 3]), (3, [3, 1, 3]), (2, [2, 2, 2, 1]), (1, [1] * 7)],
+    )
+    def test_batches_cut_and_join_blocks(self, batch, sizes, monkeypatch, pair_batches):
+        # level 3 holds blocks of 3, 0 and 1 pairs, level 2 of 0, 2 and 1: a
+        # batch ends inside a block, at its end or past it, and never holds
+        # two levels
+        blocks = [[(0, 1), (1, 0), (2, 3)], [], [], [(4, 5), (5, 4)], [(9, 8)], [(7, 6)]]
+        payload = self._payload(blocks)
+        monkeypatch.setattr(locstab._jsonout, "_PAIR_BATCH", batch)
+        assert dumps(payload) == json.dumps(payload, indent=2, default=tuple)
+        assert sorted(pair_batches) == sorted(sizes)
+        pair_batches.clear()
+        assert "".join(locstab._jsonout.iter_json(payload)) == dumps(payload)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(
+            st.lists(st.tuples(*[st.one_of(st.integers(0, 40),
+                                           st.sampled_from([-3, -1, 1 << 16, 1 << 17]))] * 2),
+                     max_size=6),
+            max_size=6,
+        ),
+        st.sampled_from([1, 2, 3, 5, 1 << 16]),
+    )
+    def test_drawn_batches_match_stdlib(self, blocks, batch):
+        # cached indices mixed with negative ones and ones past the table;
+        # the table's own edge is in BLOCKS
+        payload = self._payload(blocks)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(locstab._jsonout, "_PAIR_BATCH", batch)
+            assert dumps(payload) == json.dumps(payload, indent=2, default=tuple)
+            assert "".join(locstab._jsonout.iter_json(payload)) == dumps(payload)
+
+    def test_payloads_without_pairs_gather_nothing(self, pair_batches):
+        for payload in ({"a": [[1, 2], [3, 4]], "b": "x"}, {"pairs": IndexPairs()}, []):
+            assert dumps(payload) == json.dumps(payload, indent=2, default=tuple)
+        assert pair_batches == []
 
 
 def _dense(state_set):

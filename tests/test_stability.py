@@ -1620,6 +1620,132 @@ class TestQubitBatches:
         assert peaks[1] <= 1.25 * peaks[0]
 
 
+def _planted_group(scale, twin=False):
+    """Five qubit states on five parties of one codebook T, party r holding
+    T[(t - r) mod 5] in state t, so that each pair vanishes at one party:
+    the coded set decides every party as one group (at _GROUP_MIN = 0).
+    Each party's conflict pairs span two bases, {T[1], T[4]} = {|0>, |1>}
+    and {T[2], T[3]} = {v, v^perp}, whose Bloch axes make the angle phi
+    with sin(phi) / sqrt(2) = ``scale`` * rank_rel: that is the diagonal
+    part M of every party's run, whichever basis it starts in.  ``twin``
+    adds a sixth party with party 0's codes, so the pairs vanishing at
+    party 0 vanish twice and neither party has a conflict pair."""
+    half = math.asin(math.sqrt(2.0) * scale * DEFAULT_TOL.rank_rel) / 2.0
+    cos, sin = math.cos(half), math.sin(half)
+    book = np.array([[0.6, 0.8j], [1, 0], [cos, sin], [-sin, cos], [0, 1]], dtype=complex)
+    codes = (np.arange(5)[:, None] - np.arange(5)[None, :]) % 5
+    if twin:
+        codes = np.concatenate([codes, codes[:, :1]], axis=1)
+    codes = np.ascontiguousarray(codes, dtype=np.int32)
+    books = {2: locstab.states._unit_rows(book)}
+    return StateSet._from_codes((2,) * codes.shape[1], books, codes, f"planted group {scale:g}")
+
+
+def _uncoded(state_set):
+    """``state_set`` built from copies of its stacks: every party alone."""
+    return StateSet._from_stacks(state_set.dims, [f.copy() for f in state_set.factors],
+                                 state_set.label)
+
+
+class TestSharedQubitRule:
+    """A qubit code group's parties whose zeros are all conflict pairs take
+    one verdict, read on the group's rows with a band of 8 around the rank
+    cutoff; the others, and every party of a group inside that band, take
+    their own runs.  Certificates equal those of the uncoded copy, whose
+    every party is alone."""
+
+    @pytest.fixture
+    def rule_calls(self, monkeypatch):
+        """What the group rule decides, as (parties, dim), and the parties
+        handed to _qubit_batches, from now on."""
+        calls = {"groups": [], "batched": []}
+        groups, batches = locstab.stability._group_dims, locstab.stability._qubit_batches
+
+        def group_spy(*args):
+            for parties, dim in groups(*args):
+                calls["groups"].append((parties.tolist(), int(dim)))
+                yield parties, dim
+
+        def batch_spy(*args):
+            for batch in batches(*args):
+                calls["batched"] += batch[0]
+                yield batch
+
+        monkeypatch.setattr(locstab.stability, "_group_dims", group_spy)
+        monkeypatch.setattr(locstab.stability, "_qubit_batches", batch_spy)
+        return calls
+
+    @pytest.mark.parametrize("group_min", [None, 0])
+    @pytest.mark.parametrize("name", [n for n in _GROUPED_SETS if n not in _NOT_ORTHOGONAL])
+    def test_certificates_equal_the_uncoded_copy(self, name, group_min, monkeypatch):
+        if group_min is not None:
+            monkeypatch.setattr(locstab.states, "_GROUP_MIN", group_min)
+        state_set = _GROUPED_SETS[name]()
+        assert _certified(state_set) == _certified(_uncoded(state_set))
+
+    @pytest.mark.parametrize(
+        "scale, decided",
+        [(0.1, 2), (0.125, None), (0.2, False), (1, False), (4, False), (6, False), (8, None),
+         (16, 3)],
+    )
+    def test_planted_bases_take_their_own_verdicts(self, scale, decided, monkeypatch, rule_calls):
+        # outside the band of 8 the group is decided once and no party is
+        # batched; inside it every party takes its own run, as in the copy,
+        # also where that run is outside the band of 4 (0.2 and 6); at the
+        # edges of the band of 8 (None) either may hold
+        monkeypatch.setattr(locstab.states, "_GROUP_MIN", 0)
+        state_set = _planted_group(scale)
+        want = _certified(_uncoded(state_set))
+        rule_calls["groups"].clear()
+        rule_calls["batched"].clear()
+        assert _certified(state_set) == want
+        if decided is False:
+            assert rule_calls == {"groups": [], "batched": list(range(5))}
+        elif decided is not None:
+            assert rule_calls == {"groups": [(list(range(5)), decided)], "batched": []}
+
+    @pytest.mark.parametrize("scale", [0.1, 1, 16])
+    def test_a_zero_that_is_no_conflict_takes_its_own_run(self, scale, monkeypatch, rule_calls):
+        # parties 0 and 5 share their zeros, so neither holds a conflict
+        # pair: they are batched, and span 0, whatever the group's verdict
+        monkeypatch.setattr(locstab.states, "_GROUP_MIN", 0)
+        state_set = _planted_group(scale, twin=True)
+        want = _certified(_uncoded(state_set))
+        rule_calls["groups"].clear()
+        rule_calls["batched"].clear()
+        assert _certified(state_set) == want
+        cert = is_locally_stable(state_set)
+        assert [r.span_dim for r in cert.parties][::5] == [0, 0]
+        assert rule_calls["batched"] == ([0, 5] if scale != 1 else list(range(6))) * 2
+        groups = rule_calls["groups"]
+        assert groups == ([] if scale == 1 else [([1, 2, 3, 4], 2 if scale < 1 else 3)] * 2)
+
+    def test_a_shift_family_batches_no_party(self, rule_calls):
+        # shift_family(17) has 33 states on 33 parties, past _GROUP_MIN codes
+        family = shift_family(17)
+        cert = is_locally_stable(family)
+        assert rule_calls == {"groups": [(list(range(33)), 3)], "batched": []}
+        assert _certified(family) == _certified(_uncoded(family))
+        assert cert.stable
+
+    def test_the_guard_leaves_every_party_to_the_kernel(self, rule_calls):
+        # orth_abs above rank_rel / 16: neither the group rule nor the
+        # batches decide a party
+        tol = Tolerance(rank_rel=1e-8, orth_abs=1e-9)
+        family = shift_family(17)
+        cert = is_locally_stable(family, tol)
+        assert rule_calls == {"groups": [], "batched": []}
+        assert cert == is_locally_stable(_uncoded(family), tol)
+
+    def test_records_are_views_of_one_read_only_table(self):
+        cert = is_locally_stable(shift_family(30))
+        arrays = [record.conflict_pairs.array for record in cert.parties]
+        table = arrays[0].base
+        assert table is not None and table.dtype == np.int32 and not table.flags.writeable
+        assert all(array.base is table and np.shares_memory(array, table) for array in arrays)
+        assert sum(map(len, arrays)) == len(table)
+
+
 class TestSpanRankOnGenerators:
     def test_rank_unaffected_by_keeping_both_orders(self):
         # adjoint pairs are kept as separate generators; dropping one of each
