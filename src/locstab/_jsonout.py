@@ -44,7 +44,7 @@ _chain = itertools.chain.from_iterable
 _CACHED_TEMPLATES = 32
 _CACHED_NUMBERS = 1 << 12
 # the pieces of index pairs are cached for indices below this bound, in a
-# table of at least this many entries, and written this many pairs at a
+# table whose size is a multiple of this, and written this many pairs at a
 # time; a batch holding a larger or a negative index converts its own
 _CACHED_INDICES = 1 << 16
 _INDEX_TABLE = 1 << 10
@@ -102,6 +102,13 @@ class IndexPairs(Sequence):
         self.array = array.astype(np.int32, copy=array.flags.writeable)
         self.array.flags.writeable = False
         self._tuple = None
+
+    @classmethod
+    def _held(cls, array) -> "IndexPairs":
+        """``array``, a checked read-only (m, 2) int32 array, held as it is."""
+        pairs = cls.__new__(cls)
+        pairs.array, pairs._tuple = array, None
+        return pairs
 
     def _pairs(self) -> tuple:
         if self._tuple is None:
@@ -176,7 +183,6 @@ def _pair_prefixes(level: int) -> tuple:
     return outer + "]," + outer + "[" + inner, "," + inner
 
 
-@functools.lru_cache(maxsize=2)
 def _pair_table(size: int, level: int) -> np.ndarray:
     """The object array of the pieces of a pair at ``level`` for index i in
     ``range(size)``: row i holds j = i with its prefix, row size + i holds
@@ -186,21 +192,30 @@ def _pair_table(size: int, level: int) -> np.ndarray:
                     dtype=object)
 
 
+# the largest _pair_table yet of each of the last two levels written
+_pair_tables: dict = {}
+
+
 def _pair_pieces(pairs, level) -> list:
     """The pieces of the (n, 2) index array ``pairs`` in a block at
     ``level``, two a pair: j and k, each with its prefix.
 
-    They are gathered in one step from the cached :func:`_pair_table` whose
-    size is the power of two, at least _INDEX_TABLE, above the largest
-    index, unless an index is negative or at least _CACHED_INDICES: such
-    pairs are converted here.
+    They are gathered in one step from the level's kept :func:`_pair_table`,
+    which is rebuilt only to hold a larger index, sized to it rounded up to
+    a multiple of _INDEX_TABLE, unless an index is negative or at least
+    _CACHED_INDICES: such pairs are converted here.
     """
     low, high = int(pairs.min()), int(pairs.max())
     if low < 0 or high >= _CACHED_INDICES:
         prefixes = np.array(_pair_prefixes(level), dtype=object)
         return (prefixes + pairs.astype(str).astype(object)).ravel().tolist()
-    size = max(1 << high.bit_length(), _INDEX_TABLE)
-    return _pair_table(size, level)[pairs + np.array([0, size], dtype=pairs.dtype)].ravel().tolist()
+    table = _pair_tables.pop(level, None)
+    if table is None or len(table) <= 2 * high:
+        table = _pair_table((high // _INDEX_TABLE + 1) * _INDEX_TABLE, level)
+    if len(_pair_tables) > 1:
+        del _pair_tables[next(iter(_pair_tables))]
+    _pair_tables[level] = table
+    return table[pairs + np.array([0, len(table) // 2], dtype=pairs.dtype)].ravel().tolist()
 
 
 def _pair_texts(blocks):

@@ -252,7 +252,7 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
         table = np.concatenate(source.conflict_pairs, dtype=np.int32)
         table.flags.writeable = False
         ends = np.cumsum([len(pairs) for pairs in source.conflict_pairs]).tolist()
-        conflicts = [IndexPairs(table[a:b]) for a, b in zip([0] + ends, ends)]
+        conflicts = [IndexPairs._held(table[a:b]) for a, b in zip([0] + ends, ends)]
     records = [
         PartyRecord(party, dim, d * d - 1, dim == d * d - 1, pairs)
         for party, (d, dim, pairs) in enumerate(zip(state_set.dims, dims.tolist(), conflicts))

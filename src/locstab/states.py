@@ -1203,29 +1203,42 @@ def save_set(state_set: StateSet, path) -> None:
         _write_set(state_set, fh)
 
 
-def _split_codes(data, start, parties):
-    """Split ``data`` from the _FACTOR_MARK at ``start`` to its end at every
+def _read_to_mark(fh, data, at):
+    """``data``, read on from the binary file ``fh`` until a _FACTOR_MARK
+    starts at or after ``at``, and that mark's start (the length when the
+    file ends first).  Each read asks for what is held, at least _LOAD_BYTES."""
+    while (found := _MARK_PATTERN.search(data, at)) is None:
+        more = fh.read(max(len(data), _LOAD_BYTES))
+        if not more:
+            return data, len(data)
+        data, at = data + more, max(at, len(data) - len(_FACTOR_MARK) + 1)
+    return data, found.start()
+
+
+def _split_codes(fh, data, parties):
+    """Split the text that begins with ``data``, bytes from a _FACTOR_MARK
+    on, and goes on with the rest of the binary file ``fh``, at every
     _FACTOR_MARK (found by _MARK_PATTERN, with the pieces of
-    ``bytes.split``), _LOAD_BYTES and then up to the next mark at a time, and
-    number the pieces by their exact bytes in order of first appearance.
+    ``bytes.split``), as it is read (:func:`_read_to_mark`) _LOAD_BYTES and
+    then up to the next mark at a time, and number the pieces by their
+    exact bytes in order of first appearance.
 
     Returns the number of each piece, in order, and a dict from each
     distinct piece to its number.  Returns None instead when, with text
     left to split, the pieces of at least three states of ``parties``
     factors have been split and more than half of them are distinct: such
     a file repeats too few factors for the split to pay, and holding every
-    distinct piece would cost about the file's size again.
+    distinct piece would cost about the file's size.
     """
     numbers, codes, count = {}, [], 0
-    while start < len(data):
+    while data:
         if 2 * len(numbers) > count >= 3 * parties:
             return None
-        stop = _MARK_PATTERN.search(data, start + _LOAD_BYTES)
-        stop = len(data) if stop is None else stop.start()
-        pieces = _MARK_PATTERN.split(data[start + len(_FACTOR_MARK):stop])
+        data, stop = _read_to_mark(fh, data, _LOAD_BYTES)
+        pieces = _MARK_PATTERN.split(data[len(_FACTOR_MARK):stop])
         codes.append(np.array([numbers.setdefault(p, len(numbers)) for p in pieces], dtype=np.intp))
         count += len(pieces)
-        start = stop
+        data = data[stop:]
     return np.concatenate(codes), numbers
 
 
@@ -1258,10 +1271,11 @@ def _scan_factors(texts):
     return lengths, np.concatenate([entry.numbers for entry in entries])
 
 
-def _read_product_text(data: bytes):
-    """The all-product set whose file :func:`save_set` wrote as ``data``,
-    when ``data`` is exactly that layout and every factor is well formed;
-    else None, and nothing is decided about the file.
+def _read_product_text(fh):
+    """The all-product set whose file :func:`save_set` wrote, read from the
+    binary file ``fh``, when the file is exactly that layout and every
+    factor is well formed; else None, and nothing is decided about the
+    file.
 
     The head, up to the first factor, must be the writer's for the label
     and dims the JSON scanner reads from it.  Split at _FACTOR_MARK
@@ -1279,10 +1293,9 @@ def _read_product_text(data: bytes):
     and the set keeps the codebooks and the factors' codes as its code
     table (:meth:`StateSet._from_codes`).
     """
-    first = _MARK_PATTERN.search(data)
-    if first is None or not data.endswith(_FIRST_STATE, 0, first.start()):
+    data, start = _read_to_mark(fh, b"", 0)
+    if start == len(data) or not data.endswith(_FIRST_STATE, 0, start):
         return None
-    start = first.start()
     try:
         head = data[:start].decode("ascii")
         label, at = _scan(head, len(_HEAD_LABEL))
@@ -1296,7 +1309,7 @@ def _read_product_text(data: bytes):
         return None
     if _head_text(label, dims).encode() + _FIRST_STATE != data[:start]:
         return None
-    split = _split_codes(data, start, len(dims))
+    split = _split_codes(fh, data[start:], len(dims))
     if split is None:
         return None
     codes, numbers = split
@@ -1313,7 +1326,7 @@ def _read_product_text(data: bytes):
         text = piece[:len(piece) - len(_FACTOR_TAILS[place])]
         factors[code] = texts.setdefault(text, len(texts))
     codes = codes.reshape(-1, len(dims))
-    tails = np.array(places)[codes]
+    tails = np.array(places, dtype=np.int8)[codes]
     if not ((tails[:, :-1] == 0).all() and (tails[:-1, -1] == 1).all() and tails[-1, -1] == 2):
         return None
     del tails
@@ -1351,21 +1364,23 @@ def _decode(text, object_hook):
 def load_set(path) -> StateSet:
     """Read the state set saved at ``path``.
 
-    The file's bytes are read once, and one of two routes reads them; both
-    give the same set, bit for bit, or the same error.
+    One of two routes reads the file; both give the same set, bit for bit,
+    or the same error.
 
     A file in the exact layout :func:`save_set` writes for an all-product
-    set is split at its factors (:func:`_read_product_text`), a window of
-    _LOAD_BYTES at a time, and each distinct factor text is parsed once,
-    so a set that repeats its factors, such as a shift family, scans few
-    numbers.  This load peaks at about the file's bytes plus the set's
-    factor stacks: 1.3 to 1.4 times the file for shift families.  A file
-    that route does not accept, in any byte, has nothing decided by it.
+    set is split at its factors as it is read (:func:`_read_product_text`),
+    a window of _LOAD_BYTES at a time, and each distinct factor text is
+    parsed once, so a set that repeats its factors, such as a shift family,
+    scans few numbers.  The load holds one window, the distinct texts and
+    the set: a quarter of a random-seed ``shift_family(100)`` file.  Input
+    that cannot seek, such as a pipe, is read whole first.  A file that
+    route does not accept, in any byte, has nothing decided by it.
 
-    Every other file is read as text (UTF-8, universal newlines) and
-    decoded as JSON.  Each state entry is turned into numbers as soon as it
-    is decoded (:func:`_entry`), so the set's nested lists are never held,
-    and the load peaks at about twice the file, its bytes and its text.
+    Every other file is read from its start as text (UTF-8, universal
+    newlines) and decoded as JSON.  Each state entry is turned into numbers
+    as soon as it is decoded (:func:`_entry`), so the set's nested lists
+    are never held, and the load peaks at about twice the file, its bytes
+    and its text.
     The hook cannot tell a state entry from a one-key object elsewhere, so
     a refused payload is decoded once more as plain JSON, whose offending
     field the error then names.
@@ -1379,11 +1394,14 @@ def load_set(path) -> StateSet:
     had turned it off, and may be seen paused by another thread meanwhile.
     """
     with open(path, "rb") as fh:
+        if not fh.seekable():
+            fh = io.BytesIO(fh.read())
+        with _acyclic():
+            state_set = _read_product_text(fh)
+        if state_set is not None:
+            return state_set
+        fh.seek(0)
         data = fh.read()
-    with _acyclic():
-        state_set = _read_product_text(data)
-    if state_set is not None:
-        return state_set
     # the text open(path, encoding="utf-8").read() gives: universal newlines
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     del data

@@ -227,6 +227,30 @@ class TestIndexPairs:
         wide.flags.writeable = False
         assert not np.shares_memory(IndexPairs(wide).array, wide)
 
+    def test_certificate_slices_are_held_unchecked(self, monkeypatch):
+        # is_locally_stable checks its one int32 table once and hands each
+        # record its read-only slice, past the public constructor
+        family = shift_family(30)
+        made = []
+        real = IndexPairs.__init__
+
+        def spy(self, pairs=()):
+            made.append(pairs)
+            real(self, pairs)
+
+        monkeypatch.setattr(IndexPairs, "__init__", spy)
+        cert = is_locally_stable(family)
+        assert made == []
+        arrays = [r.conflict_pairs.array for r in cert.parties]
+        for record, array in zip(cert.parties, arrays):
+            assert type(record.conflict_pairs) is IndexPairs
+            assert array.dtype == np.int32 and array.shape == (58, 2)
+            assert not array.flags.writeable and array.base is arrays[0].base is not None
+            assert record.conflict_pairs == IndexPairs(array.tolist())
+        held = IndexPairs._held(arrays[1])
+        assert held.array is arrays[1] and held._tuple is None
+        assert held == cert.parties[1].conflict_pairs
+
     @pytest.mark.parametrize("pairs", [[(0, 1, 2)], [(0.5, 1)], [("0", "1")], [(0,)], [[(0, 1)]]])
     def test_refuses_what_is_no_index_pairs(self, pairs):
         with pytest.raises(ValueError):
@@ -395,6 +419,73 @@ class TestIndexPairBlocks:
             patch.setattr(locstab._jsonout, "_PAIR_BATCH", batch)
             assert dumps(payload) == json.dumps(payload, indent=2, default=tuple)
             assert "".join(locstab._jsonout.iter_json(payload)) == dumps(payload)
+
+    @pytest.fixture
+    def table_builds(self, monkeypatch):
+        """The (size, level) of every pair table built from now on, from an
+        empty cache."""
+        builds = []
+        build = locstab._jsonout._pair_table
+
+        def spy(size, level):
+            builds.append((size, level))
+            return build(size, level)
+
+        monkeypatch.setattr(locstab._jsonout, "_pair_tables", {})
+        monkeypatch.setattr(locstab._jsonout, "_pair_table", spy)
+        return builds
+
+    @staticmethod
+    def _kept():
+        """The size of the pair table kept for each level."""
+        return {level: len(table) // 2 for level, table in locstab._jsonout._pair_tables.items()}
+
+    def test_tables_fit_the_largest_index_and_are_reused(self, table_builds):
+        # levels 3 and 2 alternate; each level builds one table of its
+        # largest index rounded up to _INDEX_TABLE, then grows it only for
+        # a larger index
+        kept = []
+        for blocks in ([[(40000, 1)], [(5, 6)]], [[(7, 8)], [(1023, 0)]],
+                       [[(39000, 2)], [(1024, 3)]], [[(65535, 0)], [(9, 9)]]):
+            payload = self._payload(blocks)
+            assert dumps(payload) == json.dumps(payload, indent=2, default=tuple)
+            kept.append(self._kept())
+        assert table_builds == [(40960, 3), (1024, 2), (2048, 2), (65536, 3)]
+        assert kept == [{3: 40960, 2: 1024}, {3: 40960, 2: 1024},
+                        {3: 40960, 2: 2048}, {3: 65536, 2: 2048}]
+        # a third level drops the table of the level written longest ago,
+        # level 3 (each payload writes its level 3 blocks first)
+        payload = IndexPairs([(3, 4)])
+        assert dumps(payload) == json.dumps(payload, indent=2, default=tuple)
+        assert self._kept() == {2: 2048, 0: 1024}
+
+    @settings(deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 1 << 17), st.integers(0, 1 << 17)), max_size=6),
+            min_size=2, max_size=6,
+        ),
+    )
+    def test_drawn_indices_past_the_table(self, table_builds, blocks):
+        # indices up to 2^17 at levels 3 and 2, the cache kept from one
+        # draw to the next: each level's blocks make one batch, which takes
+        # no table when an index reaches _CACHED_INDICES; else the level's
+        # table is built only when it lacks the batch's largest index, at
+        # that index rounded up to _INDEX_TABLE, so its tables grow
+        before, done = self._kept(), len(table_builds)
+        payload = self._payload(blocks)
+        assert dumps(payload) == json.dumps(payload, indent=2, default=tuple)
+        step = locstab._jsonout._INDEX_TABLE
+        for level, batch in ((3, blocks[::2]), (2, blocks[1::2])):
+            high = max((max(pair) for pairs in batch for pair in pairs), default=None)
+            want = before.get(level, 0)
+            if high is not None and high < locstab._jsonout._CACHED_INDICES:
+                want = max(want, (high // step + 1) * step)
+            sizes = [before.get(level, 0)] + [size for size, at in table_builds[done:]
+                                              if at == level]
+            assert sizes == sorted(set(sizes)) and sizes[-1] == want
+            assert self._kept().get(level, 0) == want
 
     def test_payloads_without_pairs_gather_nothing(self, pair_batches):
         for payload in ({"a": [[1, 2], [3, 4]], "b": "x"}, {"pairs": IndexPairs()}, []):

@@ -5,6 +5,8 @@ import gc
 import io
 import json
 import math
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -1489,9 +1491,47 @@ _OTHER_FILES = {
 }
 
 
+def _saved_bytes(state_set):
+    """The bytes save_set writes for ``state_set``."""
+    text = io.StringIO()
+    states_module._write_set(state_set, text)
+    return text.getvalue().encode()
+
+
+def _last_bool(data):
+    """``data`` with the first number of the last pair of its last factor
+    made ``true``."""
+    prefix = _PAIR + b"\n" + b" " * 12
+    at = data.rindex(prefix) + len(prefix)
+    return data[:at] + b"true" + data[data.index(b",", at):]
+
+
+# edits to the end of a file in save_set's layout: the split reads it whole,
+# then a later check refuses it
+_LAST_STATE_EDITS = {
+    "two final newlines": lambda data: data + b"\n",
+    "trailing text": lambda data: data + b"x",
+    "states' end one space deeper": lambda data: data[:-5] + b" " + data[-5:],
+    "bool in the last factor": _last_bool,
+}
+
+# the windows the split is run at: a byte, windows that cut inside states,
+# and the default
+_WINDOWS = [1, 64, 300, 4096, None]
+
+
+@pytest.fixture(params=_WINDOWS)
+def window(request, monkeypatch):
+    """_LOAD_BYTES, set to each of _WINDOWS (None: the default)."""
+    if request.param is not None:
+        monkeypatch.setattr(states_module, "_LOAD_BYTES", request.param)
+    return states_module._LOAD_BYTES
+
+
 class TestLayoutReader:
     """``load_set`` reads the layout save_set writes by splitting it at its
-    factors, and hands every other file to the JSON decoder."""
+    factors as it reads the file, and hands every other file to the JSON
+    decoder."""
 
     @pytest.mark.parametrize("name", sorted(_LAYOUT_SETS))
     def test_saved_files_load_bitwise_by_splitting(self, name, tmp_path, monkeypatch):
@@ -1551,17 +1591,69 @@ class TestLayoutReader:
         assert _any_outcome(lambda: load_set(path)) == want
         assert decodes == [states_module._entry]
 
-    @pytest.mark.parametrize("window", [1, 300, 4096])
     def test_any_window_gives_the_same_set(self, window, tmp_path, monkeypatch):
         # a window of 1 byte splits one factor at a time, each longer than
-        # the window; 300 and 4096 bytes cut inside states
+        # the window; 64, 300 and 4096 bytes cut inside states
         path = tmp_path / "set.json"
         save_set(compose(shift_family(5), 0, upb_sep333(), 1), path)
         want = _reference_outcome(path)
-        monkeypatch.setattr(states_module, "_LOAD_BYTES", window)
         decodes = _generic_decodes(monkeypatch)
         assert _any_outcome(lambda: load_set(path)) == want
         assert decodes == []
+
+    @pytest.mark.parametrize("name", ["shift_family(5)", "CRLF", "bool"])
+    def test_a_fifo_loads_as_its_file(self, name, tmp_path, monkeypatch):
+        # a pipe cannot seek: it is read once, then split or decoded
+        data = _OTHER_FILES[name]() if name in _OTHER_FILES else _saved_bytes(shift_family(5))
+        path, fifo = tmp_path / "set.json", tmp_path / "set.fifo"
+        path.write_bytes(data)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        decodes = _generic_decodes(monkeypatch)
+        assert _any_outcome(lambda: load_set(fifo)) == _reference_outcome(path)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (decodes == []) == (name not in _OTHER_FILES)
+
+    @pytest.mark.parametrize("name", sorted(_LAST_STATE_EDITS))
+    def test_refused_at_its_last_state_after_splitting_every_window(
+        self, name, window, tmp_path, monkeypatch
+    ):
+        # the split reads every window of the file before the edit at its
+        # end refuses it; the decoder then reads the file from its start
+        data = _LAST_STATE_EDITS[name](_saved_bytes(_random_shift_family(20, 8)))
+        assert len(data) > 4 * (1 << 16)
+        splits = []
+        real = states_module._split_codes
+
+        def spy(fh, data, parties):
+            splits.append(real(fh, data, parties))
+            return splits[-1]
+
+        monkeypatch.setattr(states_module, "_split_codes", spy)
+        decodes = _generic_decodes(monkeypatch)
+        want = _assert_loads_as_reference(data, tmp_path / "set.json")
+        assert len(splits) == 1 and splits[0] is not None and len(splits[0][0]) == 39 * 39
+        assert decodes[:1] == [states_module._entry]
+        # a set, or a StateFormatError's message
+        assert isinstance(want, str) or len(want) == 3
+
+    def test_traced_peak_is_a_fraction_of_the_file(self, tmp_path):
+        # one window of the file, the distinct factor texts and the code
+        # table: a random-seed shift_family(100) repeats each party's few
+        # factors across 199 states
+        path = tmp_path / "set.json"
+        save_set(_random_shift_family(100, 3), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = load_set(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 199
+        assert peak < size / 3, (peak, size)
 
     def test_every_truncation_of_a_saved_file(self, tmp_path):
         data = _qubit3_bytes()
@@ -1592,22 +1684,39 @@ def _golden_files(tmp_path):
     return files
 
 
+def _split_from(data, start, parties, cut=None):
+    """_split_codes of ``data`` from ``start``, given the bytes up to
+    ``cut`` (past the first mark by default) and left to read the rest
+    from a stream."""
+    cut = start + len(states_module._FACTOR_MARK) if cut is None else cut
+    return states_module._split_codes(io.BytesIO(data[cut:]), data[start:cut], parties)
+
+
 def _assert_split_like_bytes(data, start, parties):
-    got = states_module._split_codes(data, start, parties)
     want = split_codes_bytes(data, start, parties)
-    if want is None:
-        assert got is None
-    else:
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-        assert list(got[1]) == list(want[1])
+    # read from the stream from the first mark on, or with up to four
+    # windows held from the start
+    held = min(len(data), start + len(states_module._FACTOR_MARK) + 4 * states_module._LOAD_BYTES)
+    for got in (_split_from(data, start, parties), _split_from(data, start, parties, held)):
+        if want is None:
+            assert got is None
+        else:
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            assert list(got[1]) == list(want[1])
+
+
+@pytest.fixture(scope="module")
+def golden_files(tmp_path_factory):
+    return _golden_files(tmp_path_factory.mktemp("golden"))
 
 
 class TestMarkPattern:
     """_split_codes finds and splits at _FACTOR_MARK with one compiled
-    pattern, and gives the pieces of bytes.find and bytes.split."""
+    pattern, reading the file a window at a time, and gives the pieces of
+    bytes.find and bytes.split over the whole file."""
 
-    def test_golden_files_split_as_by_bytes(self, tmp_path):
-        for name, data in _golden_files(tmp_path).items():
+    def test_golden_files_split_as_by_bytes(self, golden_files, window):
+        for name, data in golden_files.items():
             mark = states_module._FACTOR_MARK
             assert states_module._MARK_PATTERN.split(data) == data.split(mark), name
             start = data.find(mark)
@@ -1615,29 +1724,27 @@ class TestMarkPattern:
             _assert_split_like_bytes(data, start, parties)
             _assert_split_like_bytes(data, start, 10**9)
 
-    @pytest.mark.parametrize("window", [None, 64])
-    def test_mark_at_every_offset_around_a_window_edge(self, window, monkeypatch):
-        if window is not None:
-            monkeypatch.setattr(states_module, "_LOAD_BYTES", window)
-        mark, edge = states_module._FACTOR_MARK, states_module._LOAD_BYTES
+    def test_mark_at_every_offset_around_a_window_edge(self, window):
+        mark, edge = states_module._FACTOR_MARK, window
         # the second mark starts from just before the window's edge, so
-        # that the edge cuts it, to just past it; offset 0 puts it at the edge
-        for offset in range(-len(mark) - 1, 3):
-            data = mark + b"x" * (edge + offset - len(mark)) + mark + b"a" + mark + b"b"
-            assert data.index(mark, 1) == edge + offset
+        # that the edge cuts it, to just past it; at the edge itself, it
+        # ends the window; it cannot start inside the first mark
+        for at in range(max(len(mark), edge - len(mark) - 1), max(len(mark), edge) + 3):
+            data = mark + b"x" * (at - len(mark)) + mark + b"a" + mark + b"b"
+            assert data.index(mark, 1) == at
             _assert_split_like_bytes(data, 0, 10**9)
 
-    def test_adjacent_marks_and_a_mark_at_the_end(self):
+    def test_adjacent_marks_and_a_mark_at_the_end(self, window):
         mark = states_module._FACTOR_MARK
         for data in (mark + b"a" + mark + mark + b"b", mark + b"a" + mark, mark + mark,
                      mark + b"a" + mark + b"a" + mark + mark + mark):
             assert states_module._MARK_PATTERN.split(data) == data.split(mark)
             _assert_split_like_bytes(data, 0, 10**9)
-            got = states_module._split_codes(data, 0, 10**9)
+            got = _split_from(data, 0, 10**9)
             assert b"" in got[1]
 
     def test_first_mark_of_a_file_without_one(self):
-        assert states_module._read_product_text(b'{"label": "x", "dims": [2]}') is None
+        assert states_module._read_product_text(io.BytesIO(b'{"label": "x", "dims": [2]}')) is None
 
 
 # sets whose source supplies their code table
