@@ -6,8 +6,10 @@ every public function is pure and leaves its inputs untouched.  All ranks
 and complements come from one elimination kernel, ``_orthonormal_rows``,
 which runs Gram-Schmidt over a (B, m, n) stack of row sets at once with a
 dead-pivot cutoff set per row set, so zero rows and the other sets in the
-stack never move a set's rank; ``span_rank`` and ``orthocomplement_basis``
-are its one-set case, and the certifier hands it whole stacks.  Those stacks
+stack never move a set's rank; it also reports each set's rank margin, the
+smallest residual a pivot was taken at.  ``span_rank`` and
+``orthocomplement_basis`` are its one-set case, and the certifier hands it
+whole stacks.  Those stacks
 hold the traceless parts of what the qubit basis count of ``stability``
 leaves to the kernel: parties with d >= 3, sets with dense members, and
 qubit row sets inside the band around the cutoff or past its guard (an
@@ -82,8 +84,7 @@ def span_rank(mats, tol: Tolerance = DEFAULT_TOL) -> int:
     rank 0.
     """
     rows, _ = _flattened_rows(mats)
-    _, ranks = _orthonormal_rows(rows[None], tol.rank_rel)
-    return int(ranks[0])
+    return int(_orthonormal_rows(rows[None], tol.rank_rel)[1][0])
 
 
 def orthocomplement_basis(mats, tol: Tolerance = DEFAULT_TOL, dim: int | None = None):
@@ -161,7 +162,9 @@ def _orthonormal_rows(rows, rank_rel):
     once it has no live row or its basis fills the row space, so there are
     at most n steps.  ``rows`` must be a C-contiguous complex array, and is
     overwritten.  Returns the pivots as a (B, r, n) array, zero past each
-    set's rank, and the ranks as a (B,) array.
+    set's rank, the ranks as a (B,) array, and each set's rank margin as a
+    (B,) array: the smallest residual norm at which it took a pivot,
+    infinite for a set of rank 0.
     """
     sets, _, width = rows.shape
     norms = _row_norms(rows)
@@ -169,6 +172,7 @@ def _orthonormal_rows(rows, rank_rel):
     alive = (norms >= threshold[:, None]) & (threshold[:, None] > 0.0)
     pivots = np.zeros((sets, min(rows.shape[1], width), width), dtype=complex)
     ranks = np.zeros(sets, dtype=np.intp)
+    residuals = np.full(pivots.shape[:2], np.inf)
     active = np.arange(sets)
     while True:
         going = alive.any(axis=1) & (ranks[active] < width)
@@ -179,9 +183,12 @@ def _orthonormal_rows(rows, rank_rel):
             break
         first = alive.argmax(axis=1)
         step = np.arange(len(active))
-        pivot = rows[step, first] / norms[step, first][:, None]
-        pivots[active, ranks[active]] = pivot
-        ranks[active] += 1
+        residual = norms[step, first]
+        pivot = rows[step, first] / residual[:, None]
+        slot = ranks[active]
+        pivots[active, slot] = pivot
+        residuals[active, slot] = residual
+        ranks[active] = slot + 1
         # every row up to the earliest pivot is dead or a pivot already
         cut = first.min() + 1
         alive[step, first] = False
@@ -189,8 +196,9 @@ def _orthonormal_rows(rows, rank_rel):
         # elementwise products rather than a BLAS call, so the result does
         # not depend on the BLAS build
         pivot = pivot[:, None, :]
+        conj = pivot.conj()
         for _ in range(2):
-            rows -= (rows * pivot.conj()).sum(axis=2)[:, :, None] * pivot
+            rows -= (rows * conj).sum(axis=2)[:, :, None] * pivot
         norms = _row_norms(rows)
         alive &= norms >= threshold[:, None]
-    return pivots[:, :ranks.max(initial=0)], ranks
+    return pivots[:, :ranks.max(initial=0)], ranks, residuals.min(axis=1, initial=np.inf)

@@ -85,6 +85,15 @@ _KERNEL = -1
 # most at once, unless one qubit party has more.
 _QUBIT_PAIRS = 1 << 16
 
+# _contractions conjugates a third of a split's rows at once, or as many
+# states as hold this many complex entries when that is more, so that small
+# vectors take few products.
+_CONJUGATED_BLOCK = 1 << 12
+
+# Amplitude entries a set with dense members must hold for _lead_proofs to
+# try proving its parties from their leading states.
+_LEAD_ENTRIES = 1 << 14
+
 # Complex entries in one zero-padded (sets, rows, d*d) stack handed to the
 # rank kernel; a row set larger than this is ranked on its own.
 _RANK_BUDGET = 1 << 13
@@ -161,7 +170,7 @@ class StabilityCertificate:
         }
 
 
-def _party_spans(state_set, source, tol, parties):
+def _party_spans(state_set, source, tol, parties, heads=None):
     """Yield the span generators of each party in ``parties`` as an
     (m, d, d) array, with the (m, 2) array of the ordered pairs (j, k) they
     come from, j outer and k inner.
@@ -171,22 +180,123 @@ def _party_spans(state_set, source, tol, parties):
     vectors contribute the block contraction of every ordered pair whose
     norm reaches ``tol.orth_abs``.  Each generator depends on its own pair
     alone, so a subset's generators are its parent's on the pairs inside it.
+    Amplitude vectors are split at one party at a time (:func:`_split_rows`),
+    and the pairs of the party's :func:`_lead_states` leading states come
+    first, by one :func:`_contractions` call, then the rest by another;
+    ``heads`` maps a party to the first call's result when it is held
+    already, so only the rest is built.
     """
     if isinstance(source, FactorZeroPattern):
         for party in parties:
             factors, pairs = source.factors[party], source.conflict_pairs[party]
             yield factors[pairs[:, 0], :, None] * factors[pairs[:, 1], None, :].conj(), pairs
         return
-    amplitudes = np.stack(source)
-    size = len(amplitudes)
+    heads = heads or {}
     for party in parties:
         d = state_set.dims[party]
-        split = _party_blocks(amplitudes, state_set.dims, party)
-        # contractions[j, k] is the (d, d) block (j, k) of the split's Gram
-        contractions = (split.T @ split.conj()).reshape(size, d, size, d).swapaxes(1, 2)
-        keep = np.linalg.norm(contractions, axis=(2, 3)) >= tol.orth_abs
-        np.fill_diagonal(keep, False)
-        yield contractions[keep], np.argwhere(keep)
+        lead = _lead_states(source, d)
+        split = _split_rows(source, state_set.dims, party)
+        head = heads.get(party) or _contractions(split, d, tol, 0, lead)
+        rest = _contractions(split, d, tol, lead, len(source))
+        del split
+        yield np.concatenate([head[0], rest[0]]), np.concatenate([head[1], rest[1]])
+
+
+def _split_rows(source, dims, party):
+    """The amplitude vectors ``source`` split at ``party`` as one new
+    (l*d, D/d) array, d = dims[party]: row k*d + a holds entry a of state
+    k's vector in the party's space, one column per basis state of the
+    other parties, in their order.  So its Gram holds every pair's block
+    contraction.  It is :func:`~locstab.states._party_blocks` of the
+    stacked vectors, transposed, copied straight from the member arrays."""
+    d, left = dims[party], math.prod(dims[:party])
+    split = np.empty((len(source), d, left, len(source[0]) // (left * d)), dtype=complex)
+    for slot, vector in zip(split, source):
+        slot[...] = vector.reshape(left, d, -1).transpose(1, 0, 2)
+    return split.reshape(len(source) * d, -1)
+
+
+def _contractions(split, d, tol, start, stop):
+    """The generators and pairs, as :func:`_party_spans` yields them, of the
+    ordered pairs (j, k) with ``start`` <= j < ``stop`` of a
+    :func:`_split_rows` split with local dimension ``d``.
+
+    Block (j, k) of the split's Gram is the contraction of pair (j, k).  Its
+    rows are built a block of states at a time, as the conjugate transpose
+    of the split times the block's conjugate, so only that block is
+    conjugated: a third of the states, or as many as _CONJUGATED_BLOCK
+    entries hold.  Each row has the bits of its pair's own product, however
+    the blocks fall.
+    """
+    size, total = len(split) // d, split.shape[1] * d
+    step = max(1, size // 3, _CONJUGATED_BLOCK // total)
+    generators, pairs = [np.empty((0, d, d), dtype=complex)], [np.empty((0, 2), dtype=np.intp)]
+    for first in range(start, stop, step):
+        last = min(first + step, stop)
+        gram = (split @ split[first * d:last * d].conj().T).conj().T
+        blocks = gram.reshape(last - first, d, size, d).swapaxes(1, 2)
+        keep = np.sqrt((blocks.conj() * blocks).real.sum(axis=(2, 3))) >= tol.orth_abs
+        keep[np.arange(last - first), np.arange(first, last)] = False
+        generators.append(blocks[keep])
+        pairs.append(np.argwhere(keep) + [first, 0])
+    return np.concatenate(generators), np.concatenate(pairs)
+
+
+def _lead_states(source, d):
+    """The number s of leading states of the amplitude vectors ``source``
+    whose pairs may prove a party of local dimension ``d`` full
+    (:func:`_lead_proofs`): s = d + 2, whose s (l - 1) pairs exceed
+    d**2 - 1 whenever s < l; on the named sets 3 suffice at d = 2 and 4 at
+    d = 3.  It is l, and the attempt skipped, when s >= l or when the
+    vectors hold fewer than _LEAD_ENTRIES entries, where a failed attempt's
+    extra rank costs more than the rows a proof saves."""
+    size = len(source)
+    if d + 2 >= size or size * len(source[0]) < _LEAD_ENTRIES:
+        return size
+    return d + 2
+
+
+def _lead_proofs(dims, source, tol, parties):
+    """Which of ``parties`` of a set with dense members are proven full,
+    spanning d**2 - 1, from their leading states' pairs alone, and the
+    :func:`_contractions` of those pairs of the others, as a list and a
+    dict keyed by party.  A factor zero pattern gives neither.
+
+    Each party with s = :func:`_lead_states` < l has the pairs (j, k) with
+    j < s built from its split, which is freed at once; the traceless parts
+    of every such party's generators are ranked together
+    (:func:`_stacked_ranks`).  A party is proven when the kernel takes
+    d**2 - 1 pivots from them, each at a residual of at least 4
+    ``rank_rel``.  That is exact, not a heuristic:
+
+    - every generator contracts two unit states, so its norm, and that of
+      its traceless part, is at most 1, and the kernel's cutoff on the
+      party's full row list is at most ``rank_rel``;
+    - the leading rows are the first rows of that list, bit for bit:
+      :func:`_party_spans` reuses these and builds only the rest after them;
+    - so on the full list the kernel takes the same pivots.  Each was taken
+      at a residual of at least 4 ``rank_rel``, above that cutoff, and a row
+      that died on the leading rows dies under the full list's cutoff,
+      which is no lower than theirs.  It reads d**2 - 1, the most a
+      traceless span holds.
+    """
+    if isinstance(source, FactorZeroPattern):
+        return [], {}
+    leads = {party: _lead_states(source, dims[party]) for party in parties}
+    tried = [party for party in parties if leads[party] < len(source)]
+    heads = {
+        party: _contractions(_split_rows(source, dims, party), dims[party], tol, 0, leads[party])
+        for party in tried
+    }
+    ranks, margins = _stacked_ranks((_traceless_rows(g.copy()) for g, _ in heads.values()), tol)
+    proven = [
+        party
+        for party, rank, margin in zip(tried, ranks, margins)
+        if rank == dims[party] ** 2 - 1 and margin >= 4.0 * tol.rank_rel
+    ]
+    for party in proven:
+        del heads[party]
+    return proven, heads
 
 
 def span_generators(state_set: StateSet, tol: Tolerance = DEFAULT_TOL):
@@ -230,7 +340,9 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     batch of :func:`_qubit_batches`.  Only the parties the rule leaves to
     the rank kernel get generators, and the traceless parts of those of
     consecutive such parties with one local dimension are ranked together,
-    each party's rows followed by zero rows.  The zero pattern's pairs are
+    each party's rows followed by zero rows.  At a set with dense members a
+    party is first tried on its leading states' pairs, and one proven full
+    there (:func:`_lead_proofs`) builds no other rows.  The zero pattern's pairs are
     copied once into one read-only int32 table of every party's pairs, and
     each party's conflict pairs are an
     :class:`~locstab._jsonout.IndexPairs` holding its slice of it, which the
@@ -245,8 +357,11 @@ def is_locally_stable(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Stab
     for parties, counts, firsts in _qubit_batches(state_set.dims, source, tol, decided):
         dims[parties] = _qubit_dims(firsts, counts, tol)
     kernel = (dims == _KERNEL).nonzero()[0].tolist()
-    spans = _party_spans(state_set, source, tol, kernel)
-    dims[kernel] = _stacked_ranks((_traceless_rows(g) for g, _ in spans), tol)
+    proven, heads = _lead_proofs(state_set.dims, source, tol, kernel)
+    dims[proven] = [state_set.dims[party] ** 2 - 1 for party in proven]
+    kernel = [party for party in kernel if party not in proven]
+    spans = _party_spans(state_set, source, tol, kernel, heads)
+    dims[kernel] = _stacked_ranks((_traceless_rows(g) for g, _ in spans), tol)[0]
     conflicts = [None] * len(state_set.dims)
     if isinstance(source, FactorZeroPattern):
         table = np.concatenate(source.conflict_pairs, dtype=np.int32)
@@ -382,21 +497,25 @@ def _traceless_rows(generators):
 
 
 def _stacked_ranks(row_sets, tol):
-    """Span ranks of an iterable of (m, n) row sets, in order: the
-    certificate's kernel parties, or the kept rows of a campaign's masks.
+    """Span ranks and rank margins (the smallest pivot residual of
+    :func:`~locstab.numerics._orthonormal_rows`) of an iterable of (m, n)
+    row sets, as two lists in order: the certificate's kernel parties or
+    their leading rows, or the kept rows of a campaign's masks.
 
     Each run of consecutive sets of one width n is ranked as one
     (sets, tallest m, n) stack, each set's rows followed by zero rows, with
     one kernel call; a run ends where the width changes, where the next set
     would push its stack past _RANK_BUDGET entries, and at the end.
     """
-    ranks, run, tallest = [], [], 0
+    ranks, margins, run, tallest = [], [], [], 0
 
     def flush():
         stack = np.zeros((len(run), tallest, run[0].shape[1]), dtype=complex)
         for slot, rows in zip(stack, run):
             slot[:len(rows)] = rows
-        ranks.extend(_orthonormal_rows(stack, tol.rank_rel)[1].tolist())
+        _, got, low = _orthonormal_rows(stack, tol.rank_rel)
+        ranks.extend(got.tolist())
+        margins.extend(low.tolist())
 
     for rows in row_sets:
         width, taller = rows.shape[1], max(tallest, len(rows))
@@ -407,7 +526,7 @@ def _stacked_ranks(row_sets, tol):
         tallest = taller
     if run:
         flush()
-    return ranks
+    return ranks, margins
 
 
 def _distinct_masks(kept):
@@ -487,7 +606,7 @@ def _subset_verdicts(state_set: StateSet, combos, tol: Tolerance):
             band = dims == _KERNEL
             if band.any():
                 rows = span(party)[0]
-                dims[band] = _stacked_ranks((rows[mask] for mask in masks[band]), tol)
+                dims[band] = _stacked_ranks((rows[mask] for mask in masks[band]), tol)[0]
             stable[live] = dims[inverse] == d * d - 1
         yield from zip(block, stable.tolist())
 

@@ -37,7 +37,6 @@ __all__ = [
     "factor_zero_pattern",
     "check_mutual_orthogonality",
     "factorize",
-    "state_set_to_dict",
     "state_set_from_dict",
     "save_set",
     "load_set",
@@ -75,8 +74,8 @@ _SAVE_ROWS = 1 << 12
 _GATHER_CODES = 1 << 14
 
 # The text of a saved all-product set around its factor texts, as
-# json.dumps(state_set_to_dict(...), indent=2) lays it out: each state opens
-# at depth 2 and each of its factors at depth 4, after _FACTOR_INDENT.
+# json.dumps(..., indent=2) lays out its payload: each state opens at depth
+# 2 and each of its factors at depth 4, after _FACTOR_INDENT.
 _FACTOR_LEVEL = 4
 _FACTOR_INDENT = "\n" + "  " * _FACTOR_LEVEL
 _HEAD_LABEL, _HEAD_DIMS, _HEAD_STATES = '{\n  "label": ', ',\n  "dims": ', ',\n  "states": '
@@ -780,21 +779,6 @@ def _complex_pairs(arr):
     return arr.view(float).reshape(arr.shape + (2,)).tolist()
 
 
-def _state_payload(state) -> dict:
-    if isinstance(state, DenseState):
-        return {"dense": _complex_pairs(state.amplitudes)}
-    return {"product": [_complex_pairs(f) for f in state.factors]}
-
-
-def state_set_to_dict(state_set: StateSet) -> dict:
-    """The JSON-ready payload for a state set."""
-    return {
-        "label": state_set.label,
-        "dims": list(state_set.dims),
-        "states": list(map(_state_payload, state_set.states)),
-    }
-
-
 def _parse_pair(value, where):
     ok = (
         isinstance(value, (list, tuple))
@@ -1176,8 +1160,11 @@ def _write_set(state_set: StateSet, fh) -> None:
 
 
 def save_set(state_set: StateSet, path) -> None:
-    """Write ``state_set`` as the text of ``json.dumps(state_set_to_dict(...),
-    indent=2)`` plus a newline, one state at a time.
+    """Write ``state_set`` as the text ``json.dumps(payload, indent=2)``
+    gives, plus a newline, one state at a time.  The payload is the object
+    :func:`state_set_from_dict` reads: the label, the dims, and each state
+    as ``{"product": [factor, ...]}`` or ``{"dense": amplitudes}``, every
+    complex number an [re, im] pair.
 
     An all-product set is written from its code table
     (:func:`_product_text`), and each codebook row a state uses is rendered

@@ -12,13 +12,32 @@ import locstab.states
 from locstab.numerics import DEFAULT_TOL, _orthonormal_rows, vec_inner
 from locstab.stability import _partition_search, is_locally_stable
 from locstab.states import (
+    DenseState,
     ProductState,
     StateSet,
+    _complex_pairs,
     _coordinate_sums,
     _party_blocks,
     _qubit_zeros,
     as_dense,
 )
+
+
+def state_set_to_dict(state_set):
+    """The JSON payload of a state set as nested lists, the byte reference
+    of the set writer: ``json.dumps(state_set_to_dict(s), indent=2) + "\n"``
+    is the text ``save_set`` writes."""
+
+    def payload(state):
+        if isinstance(state, DenseState):
+            return {"dense": _complex_pairs(state.amplitudes)}
+        return {"product": [_complex_pairs(f) for f in state.factors]}
+
+    return {
+        "label": state_set.label,
+        "dims": list(state_set.dims),
+        "states": list(map(payload, state_set.states)),
+    }
 
 
 def exact_rank(rows):
@@ -444,14 +463,15 @@ def subset_campaign_loop(
     )
 
 
-def orthonormal_rows_loop(rows, rank_rel):
+def orthonormal_rows_loop(rows, rank_rel, residuals=None):
     """Modified Gram-Schmidt over the rows of one 2-D array, in row order:
     the rank kernel as a loop over a single row set.
 
     The first row whose residual norm reaches ``rank_rel`` times the largest
     initial row norm becomes the next unit pivot, projected out of every
     later row twice; dependent rows are dropped.  Returns the (rank, n)
-    pivots.
+    pivots, and appends each pivot's residual norm to the list
+    ``residuals`` when one is given.
     """
 
     def norms_of(rows):
@@ -469,6 +489,8 @@ def orthonormal_rows_loop(rows, rank_rel):
             break
         pivot = rows[alive[0]] / norms[alive[0]]
         basis.append(pivot)
+        if residuals is not None:
+            residuals.append(norms[alive[0]])
         rows = rows[alive[1:]]
         for _ in range(2):
             rows -= (rows * pivot.conj()).sum(axis=1)[:, None] * pivot

@@ -28,7 +28,6 @@ from locstab import (
     save_set,
     shift_family,
     sqrt_subset,
-    state_set_to_dict,
     tensor_expand,
     upb_44_reducible,
     upb_qubit3,
@@ -39,6 +38,7 @@ from locstab import (
 from locstab._jsonout import IndexPairs, dumps
 from locstab.stability import PartyRecord, StabilityCertificate, Tolerance
 from locstab.cli import main
+from oracles import state_set_to_dict
 
 # strings that look like the brackets and separators of a number block
 TRICKY = [", ", "], [", "]], [[", "[", "]", '"', "\\", "é", "☃", "\n", "a, b", ""]

@@ -247,13 +247,16 @@ class TestRankKernel:
         rng = np.random.default_rng(width)
         for _ in range(40):
             stack = random_stack(rng, int(rng.integers(1, 9)), int(rng.integers(0, 30)), width)
-            pivots, ranks = _orthonormal_rows(stack.copy(), DEFAULT_TOL.rank_rel)
+            pivots, ranks, margins = _orthonormal_rows(stack.copy(), DEFAULT_TOL.rank_rel)
             assert pivots.shape == (len(stack), ranks.max(initial=0), width)
-            for rows, got, rank in zip(stack, pivots, ranks):
-                want = orthonormal_rows_loop(rows, DEFAULT_TOL.rank_rel)
+            for rows, got, rank, margin in zip(stack, pivots, ranks, margins):
+                residuals = []
+                want = orthonormal_rows_loop(rows, DEFAULT_TOL.rank_rel, residuals)
                 assert rank == len(want)
                 assert np.array_equal(got[:rank], want)
                 assert not got[rank:].any()
+                # the rank margin: the smallest residual a pivot was taken at
+                assert margin == min(residuals, default=np.inf)
 
     def test_padding_and_neighbours_do_not_move_a_rank(self):
         rng = np.random.default_rng(1)
@@ -264,15 +267,16 @@ class TestRankKernel:
         big[0, 5:17] = rows
         big[1] = 1e100 * rng.standard_normal((20, 9))
         big[2, :12] = rows
-        pivots, ranks = _orthonormal_rows(big, DEFAULT_TOL.rank_rel)
+        pivots, ranks, _ = _orthonormal_rows(big, DEFAULT_TOL.rank_rel)
         assert ranks.tolist() == [len(want), 9, len(want)]
         assert np.array_equal(pivots[0, :len(want)], want)
         assert np.array_equal(pivots[2, :len(want)], want)
 
     def test_all_zero_and_empty_sets_have_rank_zero(self):
         for shape in [(3, 5, 4), (2, 0, 9), (0, 4, 4), (1, 0, 0)]:
-            pivots, ranks = _orthonormal_rows(np.zeros(shape, dtype=complex), 1e-8)
+            pivots, ranks, margins = _orthonormal_rows(np.zeros(shape, dtype=complex), 1e-8)
             assert ranks.tolist() == [0] * shape[0]
+            assert margins.tolist() == [np.inf] * shape[0]
             assert pivots.shape == (shape[0], 0, shape[2])
 
     @pytest.mark.parametrize("d", [2, 3, 4])

@@ -575,6 +575,191 @@ class TestDenseViews:
             assert span_rank(gens) == record.span_dim
 
 
+def random_dense_set(seed):
+    """A seeded mutually orthogonal set of product and entangled members:
+    product states of one random local basis per party at distinct basis
+    indices, then random vectors orthonormalized against them, shuffled.
+    At least one member is entangled, so the set takes the amplitude rule,
+    and it holds more states than d + 2 at every party."""
+    rng = np.random.default_rng(seed)
+    dims = [(2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 2, 2, 2)][seed % 6]
+    total = math.prod(dims)
+    size = int(rng.integers(max(dims) + 3, total + 1))
+    count = int(rng.integers(0, size))
+    bases = [
+        np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        for d in dims
+    ]
+    members = [
+        ProductState([basis[:, i] for basis, i in zip(bases, np.unravel_index(pick, dims))])
+        for pick in rng.choice(total, size=count, replace=False)
+    ]
+    products = np.array([as_dense(m).amplitudes for m in members]).reshape(count, total)
+    raw = rng.standard_normal((total, size - count)) + 1j * rng.standard_normal((total, size - count))
+    basis = np.linalg.qr(np.concatenate([products.T, raw], axis=1))[0]
+    members += [DenseState(basis[:, k], dims) for k in range(count, size)]
+    return StateSet(dims, [members[k] for k in rng.permutation(size)], f"random-dense-{seed}")
+
+
+class TestLeadProofs:
+    """A party of a set with dense members is proven full from the pairs of
+    its first d + 2 states when the kernel takes d**2 - 1 pivots from them,
+    each at a residual of at least 4 rank_rel: the certificate is the full
+    Gram's, and the rest of that party's rows is never built."""
+
+    @staticmethod
+    def _tried(monkeypatch, entries=0):
+        """Try the proof on sets of at least ``entries`` amplitudes; return
+        the (party, start, stop) of every block of rows built, each block
+        of the party whose split was built last."""
+        monkeypatch.setattr(locstab.stability, "_LEAD_ENTRIES", entries)
+        built, current = [], [None]
+        split, contractions = locstab.stability._split_rows, locstab.stability._contractions
+
+        def split_spy(source, dims, party):
+            current[0] = party
+            return split(source, dims, party)
+
+        def rows_spy(rows, d, tol, start, stop):
+            built.append((current[0], start, stop))
+            return contractions(rows, d, tol, start, stop)
+
+        monkeypatch.setattr(locstab.stability, "_split_rows", split_spy)
+        monkeypatch.setattr(locstab.stability, "_contractions", rows_spy)
+        return built
+
+    @staticmethod
+    def _on_and_off(state_set):
+        """The certificate as a dict with the proof tried on every set, as
+        by default, and switched off."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(locstab.stability, "_LEAD_ENTRIES", 0)
+            tried = is_locally_stable(state_set).to_dict()
+        default = is_locally_stable(state_set).to_dict()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(locstab.stability, "_lead_proofs", lambda *args: ([], {}))
+            off = is_locally_stable(state_set).to_dict()
+        return tried, default, off
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: dense_expansion(upb_qubit3()),
+            lambda: dense_expansion(upb_tiles33()),
+            lambda: dense_expansion(upb_sep333()),
+            lambda: dense_expansion(upb_44_reducible()),
+            lambda: entangled_triple(3),
+            lambda: entangled_triple(10),
+        ]
+        + [functools.partial(lambda n: dense_expansion(upb_shifts(n)), n) for n in range(3, 8)]
+        + [functools.partial(entangled_triple, n) for n in range(4, 15)],
+    )
+    def test_certificate_is_the_full_grams(self, build):
+        tried, default, off = self._on_and_off(build())
+        assert tried == off
+        assert default == off
+
+    def test_random_dense_sets(self, monkeypatch):
+        proven, real = [], locstab.stability._lead_proofs
+
+        def recorded(*args):
+            found = real(*args)
+            proven.append(len(found[0]))
+            return found
+
+        monkeypatch.setattr(locstab.stability, "_lead_proofs", recorded)
+        for seed in range(50):
+            tried, default, off = self._on_and_off(random_dense_set(seed))
+            assert tried == off, seed
+            assert default == off, seed
+        # the proof decides many parties of these sets, but not every one
+        parties = sum(len(random_dense_set(seed).dims) for seed in range(50))
+        assert 0 < sum(proven) < parties
+
+    def test_dense_shift_upb_builds_leading_rows_only(self, monkeypatch):
+        built = self._tried(monkeypatch)
+        cert = is_locally_stable(dense_expansion(upb_shifts(7)))
+        assert [r.span_dim for r in cert.parties] == [3] * 13
+        # one split per party, its rows those of its first d + 2 = 4 states
+        assert built == [(party, 0, 4) for party in range(13)]
+
+    def test_small_sets_are_not_tried_by_default(self, monkeypatch):
+        # dense upb_shifts(7) holds 14 * 8192 amplitudes, above the default
+        # _LEAD_ENTRIES, and the reducible set 12 * 16, below it
+        built = self._tried(monkeypatch, locstab.stability._LEAD_ENTRIES)
+        is_locally_stable(dense_expansion(upb_shifts(7)))
+        assert built == [(party, 0, 4) for party in range(13)]
+        built.clear()
+        is_locally_stable(dense_expansion(upb_44_reducible()))
+        assert built == [(0, 0, 12), (0, 12, 12), (1, 0, 12), (1, 12, 12)]
+
+    def test_reducible_parties_fall_back(self, monkeypatch):
+        built = self._tried(monkeypatch)
+        cert = is_locally_stable(dense_expansion(upb_44_reducible()))
+        assert [r.span_dim for r in cert.parties] == [14, 14]
+        # both parties stall short of 15 on their first 6 states, then
+        # build the rest of their rows after the ones they hold
+        assert built == [(0, 0, 6), (1, 0, 6), (0, 6, 12), (1, 6, 12)]
+
+    def test_planted_bases_proven_only_clear_of_the_cutoff(self):
+        outcomes = set()
+        for scale in (0.5, 1.0, 2.0, 8.0):
+            for v_first in (False, True):
+                state_set = dense_expansion(planted_qubit_bases(scale, v_first))
+                source = [s.amplitudes for s in state_set]
+                tried, _, off = self._on_and_off(state_set)
+                assert tried == off
+                with pytest.MonkeyPatch.context() as patch:
+                    built = self._tried(patch)
+                    is_locally_stable(state_set)
+                fallen = {party for party, start, _ in built if start}
+                spans = locstab.stability._party_spans(
+                    state_set, source, DEFAULT_TOL, range(len(state_set.dims))
+                )
+                for party, (generators, pairs) in enumerate(spans):
+                    lead = generators[pairs[:, 0] < 4]
+                    rows = locstab.stability._traceless_rows(lead).reshape(1, -1, 4)
+                    _, (rank,), (margin,) = _orthonormal_rows(rows, DEFAULT_TOL.rank_rel)
+                    clear = rank == 3 and margin >= 4 * DEFAULT_TOL.rank_rel
+                    assert (party not in fallen) == clear, (scale, v_first, party)
+                    outcomes.add((rank, clear))
+        # proofs taken, and refused at rank 3 for a margin below 4 rank_rel
+        assert {(3, True), (3, False)} <= outcomes
+
+    def test_no_lapack_call(self, monkeypatch):
+        # the dense certificate ranks with the one elimination kernel only
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg called")
+
+        for name in ("norm", "svd", "qr", "eigh", "eig", "matrix_rank", "lstsq", "solve"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        for state_set in (dense_expansion(upb_shifts(7)), entangled_triple(5)):
+            assert is_locally_stable(state_set).stable
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            functools.partial(entangled_triple, 14),
+            functools.partial(entangled_triple, 16),
+            functools.partial(entangled_triple, 18),
+            lambda: dense_expansion(upb_shifts(7)),
+        ],
+    )
+    def test_traced_peak_holds_one_split(self, build):
+        # one (l, D) split at a time beside the set, and a third of it
+        # conjugated at once
+        state_set = build()
+        amplitudes = sum(s.amplitudes.nbytes for s in state_set)
+        for run in (is_locally_stable, span_generators):
+            tracemalloc.start()
+            try:
+                run(state_set)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * amplitudes, run.__name__
+
+
 def random_shift_seeds(n, rng):
     while True:
         raw = rng.standard_normal((n - 1, 2)) + 1j * rng.standard_normal((n - 1, 2))

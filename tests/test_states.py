@@ -35,7 +35,6 @@ from locstab import (
     load_set,
     save_set,
     state_set_from_dict,
-    state_set_to_dict,
     subset_campaign,
     tensor_expand,
     shift_family,
@@ -58,6 +57,7 @@ from oracles import (
     product_offending_loop,
     split_codes_bytes,
     state_inner,
+    state_set_to_dict,
     states_close,
     unit_reference,
 )
