@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-__all__ = ["IndexPairs", "iter_json", "dumps", "number_template"]
+__all__ = ["IndexPairs", "dumps", "number_template"]
 
 INDENT = 2
 _SCALARS = frozenset({int, float, bool, type(None)})
@@ -83,7 +83,7 @@ class IndexPairs(Sequence):
 
     Its tuple of (j, k) int tuples is built once, on the first iteration,
     indexing, hashing, equality test or ``repr``; ``len``, truthiness,
-    :func:`iter_json` and the conflict audit read ``array`` alone.  It
+    :func:`dumps` and the conflict audit read ``array`` alone.  It
     equals, hashes and prints as the plain tuple of its pairs, but is no
     tuple: :mod:`json` writes it with ``default=tuple``.  ``pairs`` is an
     (m, 2) integer array or an iterable of (j, k) pairs; a non-empty
@@ -264,20 +264,12 @@ def _pair_texts(blocks):
             batch, room = [], _PAIR_BATCH
 
 
-def iter_json(obj, level: int = 0):
+def _walk(obj, level, blocks):
     """Yield the text of ``json.dumps(obj, indent=2)`` in pieces, for a value
     whose first line sits at indentation ``level``; an iterator that is not
-    a list or tuple is written as the list of its items, and each
-    :class:`IndexPairs` block as one piece."""
-    blocks = []
-    for piece in _walk(obj, level, blocks):
-        yield next(_pair_texts([blocks.pop()])) if piece is _PAIRS else piece
-
-
-def _walk(obj, level, blocks):
-    """:func:`iter_json`, but for each non-empty :class:`IndexPairs` block
-    yield _PAIRS in place of its text and append its (array, level) to
-    ``blocks``."""
+    a list or tuple is written as the list of its items.  For each
+    non-empty :class:`IndexPairs` block, yield _PAIRS in place of its text
+    and append its (array, level) to ``blocks``."""
     kind = type(obj)
     if kind is str or kind in _SCALARS:
         yield json.dumps(obj)

@@ -176,20 +176,24 @@ def _party_spans(state_set, source, tol, parties, heads=None):
     come from, j outer and k inner.
 
     ``source`` is the set's :func:`~locstab.states._span_source`.  A factor
-    zero pattern contributes |a_j><a_k| for each conflict pair; amplitude
-    vectors contribute the block contraction of every ordered pair whose
-    norm reaches ``tol.orth_abs``.  Each generator depends on its own pair
-    alone, so a subset's generators are its parent's on the pairs inside it.
-    Amplitude vectors are split at one party at a time (:func:`_split_rows`),
-    and the pairs of the party's :func:`_lead_states` leading states come
-    first, by one :func:`_contractions` call, then the rest by another;
+    zero pattern contributes |a_j><a_k| for each conflict pair, its factors
+    gathered from the code table; amplitude vectors contribute the block
+    contraction of every ordered pair whose norm reaches ``tol.orth_abs``.
+    Each generator depends on its own pair alone, so a subset's generators
+    are its parent's on the pairs inside it.  Amplitude vectors are split
+    at one party at a time (:func:`_split_rows`), and the pairs of the
+    party's :func:`_lead_states` leading states come first, by one
+    :func:`_contractions` call, then the rest by another;
     ``heads`` maps a party to the first call's result when it is held
     already, so only the rest is built.
     """
     if isinstance(source, FactorZeroPattern):
+        books, codes = source.table
         for party in parties:
-            factors, pairs = source.factors[party], source.conflict_pairs[party]
-            yield factors[pairs[:, 0], :, None] * factors[pairs[:, 1], None, :].conj(), pairs
+            book, pairs = books[source.dims[party]], source.conflict_pairs[party]
+            left = np.take(book, codes[pairs[:, 0], party], axis=0)
+            right = np.take(book, codes[pairs[:, 1], party], axis=0)
+            yield left[:, :, None] * right[:, None, :].conj(), pairs
         return
     heads = heads or {}
     for party in parties:
@@ -403,15 +407,16 @@ def _group_dims(source, tol):
     """
     if not _qubit_rule_applies(source, tol):
         return
-    for parties, rows, p, q in source.qubit_groups:
+    for parties, column, p, q in source.qubit_groups:
         counts = np.array([len(source.conflict_pairs[r]) for r in parties.tolist()])
         covered = parties[counts == 2 * len(p)]
         if not len(covered):
             continue
-        held = np.zeros(len(rows), dtype=bool)
+        held = np.zeros(len(column), dtype=bool)
         held[p] = True
         held[q] = True
-        (dim,) = _qubit_dims(rows[held], [int(held.sum())], tol, band=8.0)
+        rows = np.take(source.table[0][2], column[held], axis=0)
+        (dim,) = _qubit_dims(rows, [int(held.sum())], tol, band=8.0)
         if dim != _KERNEL:
             yield covered, dim
 
@@ -424,17 +429,19 @@ def _qubit_batches(dims, source, tol, decided=frozenset()):
 
     A batch is a list of consecutive such parties, the number of conflict
     pairs (j, k) of each, and the (E, 2) first factors a_j of their pairs,
-    party after party and each in the party's order.  Each batch has as
-    many parties as the widest party fits in _QUBIT_PAIRS pairs, or one.
+    party after party and each in the party's order, gathered from the
+    code table at once.  Each batch has as many parties as the widest party
+    fits in _QUBIT_PAIRS pairs, or one.
     """
     if not _qubit_rule_applies(source, tol):
         return
-    pairs = source.conflict_pairs
+    pairs, (books, codes) = source.conflict_pairs, source.table
     parties = [party for party, d in enumerate(dims) if d == 2 and party not in decided]
     per = max(1, _QUBIT_PAIRS // max([1] + [len(pairs[party]) for party in parties]))
     for start in range(0, len(parties), per):
         batch = parties[start:start + per]
-        firsts = np.concatenate([source.factors[party][pairs[party][:, 0]] for party in batch])
+        rows = np.concatenate([codes[pairs[party][:, 0], party] for party in batch])
+        firsts = np.take(books[2], rows, axis=0)
         yield batch, [len(pairs[party]) for party in batch], firsts
 
 
@@ -849,9 +856,10 @@ class ExtensionReport:
     search: SearchReport | None = None
 
 
-def _hyperplanes(factors, tol, normals):
+def _hyperplanes(dims, table, tol, normals):
     """Yield, batch by batch, the hyperplanes holding min(l, d-1)-subsets of
-    the unit factors of every party, given as the set's (l, d_r) stacks:
+    the unit factors of every party of the signature ``dims``, read from
+    the code table ``table`` (:meth:`~locstab.states.StateSet._code_table`):
     (parties, hits), where the B ``parties`` share one local dimension d
     and ``hits`` is their (B, C, l) mask over C subsets, ``hits[b, c, j]``
     saying whether |<n_c|a_j>| < ``tol.rank_rel`` for the normal n_c of
@@ -871,14 +879,15 @@ def _hyperplanes(factors, tol, normals):
     (always when l < d), some subset spans all of them, so its normal hits
     every state and the party's capacity is l.  Masks are made in batches
     of at most _RANK_BUDGET entries of rows or hits, one party at least,
-    each batch's stacks copied into one array, so a mask the caller drops
-    is freed with its batch.  The normals of each batch of d >= 3 parties
-    are ranked once per dict ``normals``, kept there under the batch's first
-    party: a second pass with the same dict rebuilds only their masks.
+    each batch's factors gathered from the table into one array, so a mask
+    the caller drops is freed with its batch.  The normals of each batch of
+    d >= 3 parties are ranked once per dict ``normals``, kept there under
+    the batch's first party: a second pass with the same dict rebuilds only
+    their masks.
     Qubit normals are not kept.
     """
-    size = len(factors[0])
-    dims = [f.shape[1] for f in factors]
+    books, codes = table
+    size = len(codes)
     for d in sorted(set(dims)):
         group = [i for i, di in enumerate(dims) if di == d]
         width = min(size, d - 1)
@@ -889,7 +898,7 @@ def _hyperplanes(factors, tol, normals):
             per = max(1, _RANK_BUDGET // (size * size))
             for first in range(0, len(group), per):
                 parties = group[first:first + per]
-                stack = np.stack([factors[i] for i in parties])
+                stack = np.take(books[d], codes[:, parties].T, axis=0)
                 overlaps = _qubit_perp(stack).conj() @ stack.transpose(0, 2, 1)
                 yield parties, np.abs(overlaps) < tol.rank_rel
             continue
@@ -898,7 +907,7 @@ def _hyperplanes(factors, tol, normals):
         identity = np.eye(d, dtype=complex)
         for first in range(0, len(group), per):
             parties = group[first:first + per]
-            stack = np.stack([factors[i] for i in parties])
+            stack = np.take(books[d], codes[:, parties].T, axis=0)
             if parties[0] not in normals:
                 chunk = stack[:, subsets]
                 rows = np.concatenate(
@@ -970,10 +979,10 @@ def _partition_search(hits, starts, leaf):
     return None, nodes, False
 
 
-def _partition_test(label, factors, tol):
-    """The partition rule of :func:`decide_extension` on ``factors``, the
-    per-party (l, d_r) factor stacks of a checked product set whose
-    complement is not empty.
+def _partition_test(label, dims, table, tol):
+    """The partition rule of :func:`decide_extension` on the code table
+    ``table`` of a checked product set over ``dims`` whose complement is
+    not empty.
 
     Party i's capacity is the largest number of its factors in one
     hyperplane, read off each batch of :func:`_hyperplanes` as it is made;
@@ -992,26 +1001,26 @@ def _partition_test(label, factors, tol):
     ``tol.orth_abs`` with it, else the verdict is "undecided", as it is
     when the search hits its node cap.
     """
-    size = len(factors[0])
-    capacities = np.zeros(len(factors), dtype=int)
+    books, codes = table
+    size = len(codes)
+    capacities = np.zeros(len(dims), dtype=int)
     normals = {}
-    for batch, masks in _hyperplanes(factors, tol, normals):
+    for batch, masks in _hyperplanes(dims, table, tol, normals):
         capacities[batch] = masks.sum(axis=2).max(axis=1)
     capacities = tuple(capacities.tolist())
     if sum(capacities) < size:
         return ExtensionReport(label, "unextendible", None, None, capacities, 0)
     columns = {}
-    for batch, masks in _hyperplanes(factors, tol, normals):
+    for batch, masks in _hyperplanes(dims, table, tol, normals):
         columns.update(zip(batch, masks.transpose(0, 2, 1)))
-    columns = [columns[party] for party in range(len(factors))]
+    columns = [columns[party] for party in range(len(dims))]
     starts = np.cumsum([0] + [c.shape[1] for c in columns[:-1]])
     hits = np.concatenate(columns, axis=1)
 
     def leaf(parties):
         witness = []
-        for party, stack in enumerate(factors):
-            group = stack[[j for j, p in enumerate(parties) if p == party]]
-            d = stack.shape[1]
+        for party, d in enumerate(dims):
+            group = books[d][codes[[j for j, p in enumerate(parties) if p == party], party]]
             rank = _orthonormal_rows(group[None].copy(), tol.rank_rel)[1][0]
             if rank == d:
                 return None
@@ -1025,9 +1034,12 @@ def _partition_test(label, factors, tol):
     if found is not None:
         parties, vectors = found
         groups = tuple(
-            tuple(j for j, p in enumerate(parties) if p == party) for party in range(len(factors))
+            tuple(j for j, p in enumerate(parties) if p == party) for party in range(len(dims))
         )
-        overlaps = [np.abs(_coordinate_sums(v.conj(), f)) for f, v in zip(factors, vectors)]
+        overlaps = [
+            np.abs(_coordinate_sums(v.conj(), np.take(books[d], codes[:, party], axis=0)))
+            for party, (d, v) in enumerate(zip(dims, vectors))
+        ]
         if (np.min(overlaps, axis=0) < tol.orth_abs).all():
             verdict, witness = "extendible", ProductState(vectors)
         else:
@@ -1161,12 +1173,12 @@ def decide_extension(
     if len(state_set) >= state_set.total_dimension:
         raise ValueError("the set already spans the full space; complement is empty")
     if isinstance(source, FactorZeroPattern):
-        return _partition_test(state_set.label, source.factors, tol)
+        return _partition_test(state_set.label, source.dims, source.table, tol)
     members = (s if isinstance(s, ProductState) else factorize(s, tol) for s in state_set.states)
     members = list(itertools.takewhile(lambda member: member is not None, members))
     if len(members) == len(state_set):
-        factors = StateSet(state_set.dims, members).factors
-        return _partition_test(state_set.label, factors, tol)
+        table = StateSet(state_set.dims, members)._code_table()
+        return _partition_test(state_set.label, state_set.dims, table, tol)
     if len(state_set) <= sum(d - 1 for d in state_set.dims):
         return ExtensionReport(state_set.label, "extendible", method="dimension-count")
     if restarts < 1 or iters < 1:

@@ -65,14 +65,6 @@ _RAY_PAIRS = 1 << 16
 _GROUP_MIN = 1 << 10
 _GROUP_CODES = 1 << 18
 
-# Sorted factor rows compared per step when _number_rows numbers the
-# distinct factor rows of a set.
-_SAVE_ROWS = 1 << 12
-
-# Codes gathered per block when the factor stacks of a code table are
-# built: 128 KB of intp indices.
-_GATHER_CODES = 1 << 14
-
 # The text of a saved all-product set around its factor texts, as
 # json.dumps(..., indent=2) lays out its payload: each state opens at depth
 # 2 and each of its factors at depth 4, after _FACTOR_INDENT.
@@ -186,37 +178,36 @@ def _unit(vec) -> np.ndarray:
 class ProductState:
     """A fully product multipartite pure state; factors are stored unit-norm.
 
-    The factors are one row of per-party (m, d_r) read-only unit stacks:
-    the states of an all-product :class:`StateSet` are rows of the set's
-    stacks, and a state built on its own holds one-row stacks.  ``factors``
-    is the tuple of that row's views, made on first use.
+    A state is one row of a code table (:meth:`StateSet._code_table`): the
+    states of an all-product :class:`StateSet` are rows of the set's table,
+    and a state built on its own holds a one-state table of its factors.
+    ``factors`` is the tuple of that row's codebook rows, read-only views
+    made on each access.
     """
 
-    __slots__ = ("_stacks", "_row", "_factors", "dims")
+    __slots__ = ("_table", "_row", "dims")
 
     def __init__(self, factors):
-        self._stacks = tuple(_unit(f)[None] for f in factors)
-        self._row = 0
-        self._factors = None
-        self.dims = check_signature(stack.shape[1] for stack in self._stacks)
+        units = [_unit(f)[None] for f in factors]
+        self.dims = check_signature(unit.shape[1] for unit in units)
+        self._table, self._row = _read_only(*_identity_table(self.dims, units)), 0
 
     @classmethod
-    def _rows(cls, stacks, dims) -> list:
-        """One state per row of ``stacks``: read-only (m, d_r) stacks of unit
-        rows normalized by :func:`_unit_rows`, one per party of the checked
-        signature ``dims``."""
+    def _rows(cls, table, dims) -> list:
+        """One state per row of the read-only code table ``table`` over
+        the checked signature ``dims``, its codebooks' rows normalized by
+        :func:`_unit_rows`."""
         states = []
-        for row in range(len(stacks[0])):
+        for row in range(len(table[1])):
             state = cls.__new__(cls)
-            state._stacks, state._row, state._factors, state.dims = stacks, row, None, dims
+            state._table, state._row, state.dims = table, row, dims
             states.append(state)
         return states
 
     @property
     def factors(self) -> tuple:
-        if self._factors is None:
-            self._factors = tuple(stack[self._row] for stack in self._stacks)
-        return self._factors
+        books, codes = self._table
+        return tuple(books[d][code] for d, code in zip(self.dims, codes[self._row].tolist()))
 
     def __repr__(self):
         return f"ProductState(dims={self.dims})"
@@ -248,18 +239,18 @@ class DenseState:
 class StateSet:
     """An ordered collection of states over one signature; the unit of checking.
 
-    An all-product set holds its factors by party: ``factors[r]`` is party
-    r's (l, d_r) read-only stack of unit factors, row j that of state j.
-    ``factors`` is None when some state is dense.
-
-    An all-product set also has a code table (:meth:`_code_table`), which
-    names each factor by its row in a codebook of its local dimension.  The
-    shift constructions, the loader's split route and :meth:`subset` of a
-    coded set supply it; any other set numbers its stacks the first time
-    the table is read.
+    An all-product set is stored as its code table alone
+    (:meth:`_code_table`), which names each factor by its row in a
+    codebook of its local dimension; its states are the table's rows.  A
+    set built from states joins the tables its states are rows of
+    (:func:`_joined_table`), so a set rebuilt from a set's own states keeps
+    that set's table.  ``factors`` gathers party r's (l, d_r) read-only
+    stack, row j that of state j, from the table on each access, and is
+    None when some state is dense: a view for callers, which nothing in the
+    package reads.
     """
 
-    __slots__ = ("dims", "states", "label", "factors", "_table")
+    __slots__ = ("dims", "states", "label", "_table")
 
     def __init__(self, dims, states, label=""):
         self.dims = check_signature(dims)
@@ -273,54 +264,35 @@ class StateSet:
                 )
         self.states = states
         self.label = str(label)
-        self.factors = self._table = None
+        self._table = None
         if all(isinstance(s, ProductState) for s in states):
-            self.factors = _factor_stacks(states, self.dims)
+            self._table = _joined_table(states, self.dims)
 
     @classmethod
     def _from_stacks(cls, dims, stacks, label="") -> "StateSet":
         """The all-product set whose party-r factors are the rows of
         ``stacks[r]``, unit rows normalized by :func:`_unit_rows`, over the
-        checked signature ``dims``; the stacks are marked read-only and
-        become the set's own."""
-        for stack in stacks:
-            stack.flags.writeable = False
-        return cls(dims, ProductState._rows(tuple(stacks), dims), label)
+        checked signature ``dims``: every row of the stacks becomes a row
+        of its local dimension's codebook (:func:`_identity_table`), with
+        no numbering."""
+        return cls._from_codes(dims, *_identity_table(dims, stacks), label)
 
     @classmethod
     def _from_codes(cls, dims, books, codes, label="") -> "StateSet":
         """The all-product set whose code table is ``books`` and ``codes``,
         as :meth:`_code_table` describes them, over the checked signature
-        ``dims``; its factor stacks are gathered from the table
-        (:func:`_coded_stacks`), and the table becomes the set's own."""
-        for array in (*books.values(), codes):
-            array.flags.writeable = False
-        state_set = cls._from_stacks(dims, _coded_stacks(dims, books, codes), label)
-        state_set._table = books, codes
-        return state_set
+        ``dims``; the arrays are marked read-only and the table becomes the
+        set's own."""
+        return cls(dims, ProductState._rows(_read_only(books, codes), dims), label)
 
     def _code_table(self):
-        """The code table of an all-product set: ``(books, codes)``, where
-        ``books[d]`` is a read-only (m_d, d) stack of unit rows for each
-        local dimension d and ``codes`` the read-only (l, P) int32 array with
-        ``factors[r][t]`` equal to ``books[dims[r]][codes[t, r]]`` bit for
-        bit.  A codebook may hold rows that no factor uses, or one row
-        twice.
-
-        The table a source supplied, else one made here and kept: the
-        factor rows of each local dimension are numbered once by their
-        exact bytes (:func:`_number_rows`), at a cost of 4 bytes per factor
-        and a copy of the distinct rows.
-        """
-        if self._table is None:
-            size = len(self)
-            books, codes = {}, np.empty((size, len(self.dims)), dtype=np.int32)
-            for d in dict.fromkeys(self.dims):
-                parties = [r for r, e in enumerate(self.dims) if e == d]
-                books[d], numbers = _number_rows(np.concatenate([self.factors[r] for r in parties]))
-                codes[:, parties] = numbers.reshape(len(parties), size).T
-            codes.flags.writeable = False
-            self._table = books, codes
+        """The code table of an all-product set, the one stored form of its
+        factors: ``(books, codes)``, where ``books[d]`` is a read-only
+        (m_d, d) stack of unit rows for each local dimension d and
+        ``codes`` the read-only (l, P) int32 array naming state t's factor
+        at party r as ``books[dims[r]][codes[t, r]]``.  A codebook may hold
+        rows that no factor uses, or one row twice.  None for a set with a
+        dense member."""
         return self._table
 
     def __len__(self):
@@ -334,7 +306,17 @@ class StateSet:
 
     @property
     def all_product(self) -> bool:
-        return self.factors is not None
+        return self._table is not None
+
+    @property
+    def factors(self):
+        if self._table is None:
+            return None
+        books, codes = self._table
+        stacks = tuple(np.take(books[d], codes[:, r], axis=0) for r, d in enumerate(self.dims))
+        for stack in stacks:
+            stack.flags.writeable = False
+        return stacks
 
     @property
     def total_dimension(self) -> int:
@@ -342,66 +324,66 @@ class StateSet:
 
     def subset(self, indices) -> "StateSet":
         """A new set holding the states at ``indices``, in the given order,
-        labelled by the parent's label and those indices; an all-product
-        set's subset takes its stacks' rows, and the rows of its codes over
-        the same codebooks when the parent holds a code table."""
-        rows = [range(len(self))[i] for i in indices]
-        label = f"{self.label}[{','.join(str(i) for i in indices)}]"
-        if self.factors is None:
-            return StateSet(self.dims, [self.states[i] for i in rows], label)
-        rows = np.array(rows, dtype=np.intp)
-        subset = StateSet._from_stacks(self.dims, [stack[rows] for stack in self.factors], label)
-        if self._table is not None:
-            books, codes = self._table
-            codes = codes[rows]
-            codes.flags.writeable = False
-            subset._table = books, codes
-        return subset
+        labelled by the parent's label and those indices; its table joins
+        those states' (:func:`_joined_table`), so a subset of a set whose
+        states are rows of its own table holds its parent's codebooks and
+        the rows of its codes."""
+        states = [self.states[range(len(self))[i]] for i in indices]
+        return StateSet(self.dims, states, f"{self.label}[{','.join(str(i) for i in indices)}]")
 
     def __repr__(self):
         return f"StateSet(label={self.label!r}, dims={self.dims}, size={len(self)})"
 
 
-def _factor_stacks(states, dims) -> tuple:
-    """The per-party (l, d_r) read-only factor stacks of product ``states``:
-    their own stacks when they are all those stacks' rows in order, else one
-    copy per party, joined from the runs of consecutive rows of one source
-    stack."""
-    runs = []  # [source stacks, first row, end row]
-    for state in states:
-        if runs and runs[-1][0] is state._stacks and runs[-1][2] == state._row:
-            runs[-1][2] += 1
-        else:
-            runs.append([state._stacks, state._row, state._row + 1])
-    if len(runs) == 1 and runs[0][1] == 0 and runs[0][2] == len(runs[0][0][0]):
-        return runs[0][0]
-    gathered = []
-    for party, d in enumerate(dims):
-        pieces = [source[party][first:end] for source, first, end in runs]
-        stack = np.concatenate(pieces) if pieces else np.empty((0, d), dtype=complex)
-        stack.flags.writeable = False
-        gathered.append(stack)
-    return tuple(gathered)
-
-
-def _coded_stacks(dims, books, codes) -> list:
-    """The per-party (l, d_r) factor stacks ``books[d_r][codes[:, r]]`` of
-    a code table: the parties of each local dimension are rows of one
-    (parties, l, d) array, filled in place in blocks of at most
-    _GATHER_CODES codes.  Every code is a row of its codebook, so the
-    gather needs no bounds check, which would copy each block once more."""
-    size = len(codes)
-    stacks = [None] * len(dims)
-    per = max(1, _GATHER_CODES // max(size, 1))
-    for d, book in books.items():
+def _identity_table(dims, stacks):
+    """The code table in which every row of the (l, d_r) ``stacks`` is its
+    own codebook row: the codebook of each local dimension is a new array
+    joining its parties' stacks in party order, and party r's codes number
+    its l rows there in order.  Neither array is marked read-only."""
+    size = len(stacks[0])
+    books, codes = {}, np.empty((size, len(dims)), dtype=np.int32)
+    for d in dict.fromkeys(dims):
         parties = [r for r, e in enumerate(dims) if e == d]
-        group = np.empty((len(parties), size, d), dtype=complex)
-        for start in range(0, len(parties), per):
-            block = codes[:, parties[start:start + per]].T
-            np.take(book, block, axis=0, out=group[start:start + per], mode="clip")
-        for party, stack in zip(parties, group):
-            stacks[party] = stack
-    return stacks
+        books[d] = np.concatenate([stacks[r] for r in parties])
+        codes[:, parties] = np.arange(len(books[d]), dtype=np.int32).reshape(len(parties), size).T
+    return books, codes
+
+
+def _joined_table(states, dims):
+    """The code table of product ``states`` over ``dims``: the table they
+    are rows of when they are all its rows in order; the rows of its codes
+    over the same codebooks when they all come from one table; else each
+    local dimension's codebooks of the distinct source tables joined once,
+    in order of first use, and every state's codes offset past the rows of
+    the sources before its own."""
+    sources = list({id(state._table): state._table for state in states}.values())
+    if not sources:
+        return _read_only(*_identity_table(dims, [np.empty((0, d), dtype=complex) for d in dims]))
+    rows = np.fromiter((state._row for state in states), dtype=np.intp, count=len(states))
+    if len(sources) == 1:
+        books, codes = sources[0]
+        if len(rows) == len(codes) and (rows == np.arange(len(rows))).all():
+            return sources[0]
+        return _read_only(books, codes[rows])
+    place = {id(table): i for i, table in enumerate(sources)}
+    which = np.fromiter((place[id(state._table)] for state in states), dtype=np.intp,
+                        count=len(states))
+    books, bases = {}, np.zeros((len(sources), len(dims)), dtype=np.int32)
+    for d in dict.fromkeys(dims):
+        parties = [r for r, e in enumerate(dims) if e == d]
+        sizes = [len(table[0][d]) for table in sources[:-1]]
+        bases[:, parties] = np.cumsum([0] + sizes, dtype=np.int32)[:, None]
+        books[d] = np.concatenate([table[0][d] for table in sources])
+    starts = np.cumsum([0] + [len(table[1]) for table in sources[:-1]])
+    codes = np.concatenate([table[1] for table in sources])
+    return _read_only(books, codes[rows + starts[which]] + bases[which])
+
+
+def _read_only(books, codes):
+    """The code table ``(books, codes)``, its arrays marked read-only."""
+    for array in (*books.values(), codes):
+        array.flags.writeable = False
+    return books, codes
 
 
 def tensor_expand(state: ProductState) -> DenseState:
@@ -431,7 +413,8 @@ def as_dense(state) -> DenseState:
 class FactorZeroPattern:
     """Which factor overlaps of an all-product set vanish, from one pass.
 
-    ``factors[r]`` stacks the unit factors of party r as an (l, d_r) array.
+    ``dims`` is the set's signature and ``table`` its code table
+    (:meth:`StateSet._code_table`), which readers gather factor rows from.
     The factors of pair (j, k) vanish at party r when both |<a_j|a_k>_r| and
     |<a_k|a_j>_r| fall below ``orth_abs``, so each unordered pair is decided
     once; factors are unit vectors, so that cutoff does not depend on the
@@ -441,19 +424,20 @@ class FactorZeroPattern:
     every conflict pair's reverse is a conflict pair of the same party.
     ``conflict_pairs[r]`` holds party r's conflict pairs as an (m_r, 2)
     array, j outer and k inner.  Both are the same, bit for bit, whether
-    :func:`factor_zero_pattern` decides party r on its own stack or once
+    :func:`factor_zero_pattern` decides party r on its own factors or once
     for a group of parties that hold the same factors.
 
-    ``qubit_groups`` holds ``(parties, rows, p, q)`` for each group of
-    qubit parties decided at once: the int array of its parties, the (l, 2)
-    rows of its first party in code order, which are every member's rows in
-    its own code order, bit for bit, and the int arrays of the positions
-    p < q of the pairs of those rows that vanish.  So each member's zeros
+    ``qubit_groups`` holds ``(parties, column, p, q)`` for each group of
+    qubit parties decided at once: the int array of its parties, the (l,)
+    codes of its first party in code order, which name every member's rows
+    in its own code order, and the int arrays of the positions p < q of the
+    pairs of those rows that vanish.  So each member's zeros
     are these pairs, read through its order, and a member with 2 len(p)
     conflict pairs has them all as conflict pairs.
     """
 
-    factors: tuple
+    dims: tuple
+    table: tuple
     zero_count: np.ndarray
     conflict_pairs: tuple
     qubit_groups: tuple
@@ -469,39 +453,41 @@ def _coordinate_sums(left, right) -> np.ndarray:
     return sums
 
 
-def _qubit_zeros(factors, parties, tol: Tolerance):
-    """Yield (party, j, k) index arrays of the pairs j < k whose factor
-    overlaps <a_j|a_k> and <a_k|a_j> in the (l, 2) stack ``factors[party]``
-    of a party in ``parties`` both fall below ``tol.orth_abs``, each
-    decided by :func:`_coordinate_sums`, the arithmetic of the party's
-    Gram.  A stack may stand for a group of parties that hold the same
-    factors (:func:`factor_zero_pattern`) or for a list of seeds.
+def _qubit_zeros(book, codes, columns, tol: Tolerance):
+    """Yield (column, j, k) index arrays of the pairs j < k whose factor
+    overlaps <a_j|a_k> and <a_k|a_j> both fall below ``tol.orth_abs``, in
+    the (l, 2) factors ``book[codes[:, column]]`` of a column in
+    ``columns`` of the (l, C) int array ``codes``, each decided by
+    :func:`_coordinate_sums`, the arithmetic of the party's Gram.  A column
+    may hold a party's codes, a group representative's for a group of
+    parties that hold the same factors (:func:`factor_zero_pattern`), or
+    the rows of a list of seeds.
 
     Unit qubit factors have |<a|b>| = |n_a + n_b| / 2 for their Bloch
     vectors n, so the keys x = n.u on the unit axis u = _RAY_AXIS of a
     vanishing pair satisfy |x_a + x_b| <= 2 |<a|b>|.  Per batch of at most
-    _RAY_PARTIES parties, the keys are sorted once, each party's shifted by
-    4 times its place in the batch, and every factor's candidates are the
-    keys within 2 * orth_abs + _RAY_SLACK of minus its own: a superset of
-    its vanishing partners, of which factor j keeps those k > j.  The
-    window ends are searched in ascending order, each party's sorted keys
-    reversed, where numpy's binary search starts from its last bound, and
-    scattered back to factor order.  At most _RAY_PAIRS candidates are
-    decided at a time, so sets whose keys cluster take more steps, not more
-    memory.  The chunks come in the order of ``parties``, and each lists
-    its pairs party by party in that order.  Its callers are
-    :func:`factor_zero_pattern` and
+    _RAY_PARTIES columns, gathered from ``book`` at once, the keys are
+    sorted once, each column's shifted by 4 times its place in the batch,
+    and every factor's candidates are the keys within 2 * orth_abs +
+    _RAY_SLACK of minus its own: a superset of its vanishing partners, of
+    which factor j keeps those k > j.  The window ends are searched in
+    ascending order, each column's sorted keys reversed, where numpy's
+    binary search starts from its last bound, and scattered back to factor
+    order.  At most _RAY_PAIRS candidates are decided at a time, so sets
+    whose keys cluster take more steps, not more memory.  The chunks come
+    in the order of ``columns``, and each lists its pairs column by column
+    in that order.  Its callers are :func:`factor_zero_pattern` and
     :func:`~locstab.constructions.validate_seeds`, which vets shift-family
     seeds with it.
     """
-    if not len(parties):
+    if not len(columns):
         return
-    size = len(factors[0])
+    size = len(codes)
     per = max(1, min(_RAY_PARTIES, _RAY_KEYS // max(size, 1)))
     window = 2.0 * tol.orth_abs + _RAY_SLACK
-    for first in range(0, len(parties), per):
-        batch = np.array(parties[first:first + per], dtype=np.intp)
-        stacks = np.array([factors[r] for r in batch])
+    for first in range(0, len(columns), per):
+        batch = np.array(columns[first:first + per], dtype=np.intp)
+        stacks = np.take(book, codes[:, batch].T, axis=0)
         up, down = stacks[..., 0], stacks[..., 1]
         cross = up.conj() * down
         keys = 2.0 * (_RAY_AXIS[0] * cross.real + _RAY_AXIS[1] * cross.imag) + _RAY_AXIS[2] * (
@@ -554,14 +540,13 @@ def _party_groups(state_set: StateSet):
     orders, bit for bit.  Candidates share a fingerprint, the sum and the
     sum of squares of their codes (modulo 2**64); only their columns are
     sorted, to confirm a group.  Both steps read at most _GROUP_CODES codes
-    at a time.  A set without a code table is not numbered for this, and a
-    set of fewer than _GROUP_MIN codes is not grouped: each of their
-    parties is alone.
+    at a time.  A set of fewer than _GROUP_MIN codes is not grouped: each
+    of its parties is alone.
     """
     dims = state_set.dims
-    if state_set._table is None or len(state_set) * len(dims) < _GROUP_MIN:
+    if len(state_set) * len(dims) < _GROUP_MIN:
         return range(len(dims)), []
-    books, codes = state_set._table
+    books, codes = state_set._code_table()
     sums = np.zeros((2, len(dims)), dtype=np.uint64)
     rows = max(1, _GROUP_CODES // len(dims))
     for start in range(0, len(codes), rows):
@@ -623,50 +608,55 @@ def _count_shared(zero_count, last_zero, codes, bound, parties, p, q):
 
 def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> FactorZeroPattern:
     """Build the :class:`FactorZeroPattern` of an all-product set from its
-    factor stacks.
+    code table.
 
     Parties that hold the same factors in another order, such as every
     party of a shift family, are decided once per group
     (:func:`_party_groups`): on the first party's rows in code order, and
     each vanishing pair is read through every party's own order.  A party
-    alone in its group is decided on its stack in state order.  Qubit
-    stacks are decided by :func:`_qubit_zeros`, which takes only the pairs
-    near antipodal on the Bloch sphere and fills the upper triangle, then
-    mirrored; every other stack's Gram (:func:`_coordinate_sums`) keeps the
-    zeros it holds in both orders and is dropped once they are counted.
-    Either way each zero is decided on the same two rows by the same
-    arithmetic, and besides the factors only (l, l) integer arrays are
-    held.  A party where each pair vanishes is kept alongside the count,
-    and the pairs vanishing once are grouped by it in one sort.  Each qubit
-    group's rows and vanishing pairs are kept in ``qubit_groups``.
+    alone in its group is decided on its factors in state order.  Qubit
+    factors are decided by :func:`_qubit_zeros`, which gathers them a batch
+    of parties at a time, takes only the pairs near antipodal on the Bloch
+    sphere and fills the upper triangle, then mirrored; every other party's
+    factors are gathered on their own, and their Gram
+    (:func:`_coordinate_sums`) keeps the zeros it holds in both orders and
+    is dropped once they are counted.  Either way each zero is decided on
+    the same two rows by the same arithmetic, and besides the table and one
+    batch of gathered factors only (l, l) integer arrays are held.  A party
+    where each pair vanishes is kept alongside the count, and the pairs
+    vanishing once are grouped by it in one sort.  Each qubit group's codes
+    and vanishing pairs are kept in ``qubit_groups``.
     """
-    factors = state_set.factors
-    if factors is None:
+    if not state_set.all_product:
         raise ValueError("factor_zero_pattern needs an all-product set")
+    books, codes = table = state_set._code_table()
     size, dims = len(state_set), state_set.dims
     zero_count = np.zeros((size, size), dtype=np.int64)
     # the party where each pair vanishes: 16-bit when the party count
     # allows, so that the final stable sort is a radix sort (_sort_keys)
     last_zero = np.zeros((size, size), dtype=np.uint16 if len(dims) <= 1 << 16 else np.int64)
     alone, shared = _party_groups(state_set)
-    for parties, j, k in _qubit_zeros(factors, [r for r in alone if dims[r] == 2], tol):
+    qubits = [r for r in alone if dims[r] == 2]
+    for parties, j, k in _qubit_zeros(books.get(2), codes, qubits, tol):
         _count_zeros(zero_count, last_zero, parties, j, k)
-    books, codes = state_set._table if shared else (None, None)
-    groups, stacks = [], []
+    groups, columns = [], []
     for parties, order in shared:
-        stack = factors[parties[0]][order]
-        if stack.shape[1] == 2:
+        column = codes[order, parties[0]]
+        if dims[parties[0]] == 2:
             groups.append(parties)
-            stacks.append(stack)
+            columns.append(column)
             continue
-        p, q = np.nonzero(np.triu(_gram_zeros(stack, tol), 1))
-        _count_shared(zero_count, last_zero, codes, len(books[stack.shape[1]]), parties, p, q)
-    held = [np.stack(chunk) for chunk in _qubit_zeros(stacks, range(len(stacks)), tol)]
+        book = books[dims[parties[0]]]
+        p, q = np.nonzero(np.triu(_gram_zeros(np.take(book, column, axis=0), tol), 1))
+        _count_shared(zero_count, last_zero, codes, len(book), parties, p, q)
+    columns = np.array(columns, dtype=np.int32).reshape(len(groups), size).T
+    held = _qubit_zeros(books.get(2), columns, range(len(groups)), tol)
+    held = [np.stack(chunk) for chunk in held]
     held = np.concatenate(held, axis=1) if held else np.empty((3, 0), dtype=np.intp)
     bounds = np.searchsorted(held[0], np.arange(len(groups) + 1)).tolist()
     qubit_groups = tuple(
-        (parties, stack, held[1, a:b], held[2, a:b])
-        for parties, stack, a, b in zip(groups, stacks, bounds, bounds[1:])
+        (parties, column, held[1, a:b], held[2, a:b])
+        for parties, column, a, b in zip(groups, columns.T, bounds, bounds[1:])
     )
     for parties, _, p, q in qubit_groups:
         _count_shared(zero_count, last_zero, codes, len(books[2]), parties, p, q)
@@ -675,16 +665,16 @@ def factor_zero_pattern(state_set: StateSet, tol: Tolerance = DEFAULT_TOL) -> Fa
     for r in alone:
         if dims[r] == 2:
             continue
-        zeros = _gram_zeros(factors[r], tol)
+        zeros = _gram_zeros(np.take(books[dims[r]], codes[:, r], axis=0), tol)
         zero_count += zeros
         np.copyto(last_zero, r, where=zeros)
     pairs = np.argwhere(zero_count == 1)
     parties = last_zero[pairs[:, 0], pairs[:, 1]]
     order = np.argsort(parties, kind="stable")
-    bounds = np.searchsorted(parties[order], np.arange(len(factors) + 1)).tolist()
+    bounds = np.searchsorted(parties[order], np.arange(len(dims) + 1)).tolist()
     pairs = pairs[order]
     conflict_pairs = tuple(pairs[a:b] for a, b in zip(bounds, bounds[1:]))
-    return FactorZeroPattern(factors, zero_count, conflict_pairs, qubit_groups)
+    return FactorZeroPattern(dims, table, zero_count, conflict_pairs, qubit_groups)
 
 
 def _span_source(state_set: StateSet, tol: Tolerance):
@@ -708,9 +698,11 @@ def _offending_pairs(source, tol: Tolerance):
         rows, cols = bad.nonzero()
         if not len(rows):
             return []
+        books, codes = source.table
         values = np.ones(len(rows), dtype=complex)
-        for stack in source.factors:
-            values *= _coordinate_sums(stack[rows].conj(), stack[cols])
+        for party, d in enumerate(source.dims):
+            left = np.take(books[d], codes[rows, party], axis=0)
+            values *= _coordinate_sums(left.conj(), np.take(books[d], codes[cols, party], axis=0))
         return list(zip(rows.tolist(), cols.tolist(), values.tolist()))
     overlaps = np.array([[(c * vec).sum() for vec in source] for c in map(np.conj, source)])
     bad = np.abs(overlaps) >= tol.orth_abs
@@ -848,28 +840,25 @@ def _entry(entry):
         return entry
 
 
-def _party_stacks(entries, dims):
-    """The per-party (l, d_r) read-only unit factor stacks of product
-    ``entries``, or None when a number is not finite or a factor is zero.
+def _entry_table(entries, dims):
+    """The code table of product ``entries`` in which every factor is its
+    own codebook row (:func:`_identity_table`), or None when a number is
+    not finite or a factor is zero.
 
-    The entries' numbers are joined into one (l, sum d_r) complex table.
-    The columns of the parties of each local dimension are stacked
-    party-major, normalized by one :func:`_unit_rows` call and split into
-    contiguous per-party stacks.
+    The entries' numbers are joined into one (l, sum d_r) complex table,
+    and each local dimension's codebook, its parties' columns stacked
+    party-major, is normalized by one :func:`_unit_rows` call.
     """
     size = len(entries)
     table = np.concatenate([entry.numbers for entry in entries]).view(complex).reshape(size, -1)
-    starts = list(itertools.accumulate(dims, initial=0))
-    stacks = [None] * len(dims)
-    for d in set(dims):
-        parties = [r for r, e in enumerate(dims) if e == d]
-        try:
-            group = _unit_rows(np.concatenate([table[:, starts[r]:starts[r] + d] for r in parties]))
-        except ValueError:
-            return None
-        for place, party in enumerate(parties):
-            stacks[party] = group[place * size:(place + 1) * size]
-    return tuple(stacks)
+    starts = itertools.accumulate(dims, initial=0)
+    books, codes = _identity_table(dims, [table[:, a:a + d] for a, d in zip(starts, dims)])
+    try:
+        for book in books.values():
+            _unit_rows(book)
+    except ValueError:
+        return None
+    return _read_only(books, codes)
 
 
 def _parse_states(states_raw, dims):
@@ -877,8 +866,8 @@ def _parse_states(states_raw, dims):
 
     Every entry goes through :func:`_entry`, which :func:`load_set` has
     already run on each as it was decoded.  Each dense entry becomes one
-    amplitude vector.  The product states are the rows of the stacks of
-    :func:`_party_stacks`, which an all-product set keeps as its own.
+    amplitude vector.  The product states are the rows of the code table
+    of :func:`_entry_table`, which an all-product set keeps as its own.
     """
     states = [None] * len(states_raw)
     products, total = [], math.prod(dims)
@@ -895,10 +884,10 @@ def _parse_states(states_raw, dims):
         except ValueError:
             return None
     if products:
-        stacks = _party_stacks([entry for _, entry in products], dims)
-        if stacks is None:
+        table = _entry_table([entry for _, entry in products], dims)
+        if table is None:
             return None
-        for (pos, _), state in zip(products, ProductState._rows(stacks, dims)):
+        for (pos, _), state in zip(products, ProductState._rows(table, dims)):
             states[pos] = state
     return states
 
@@ -1021,32 +1010,6 @@ def _factor_texts(rows) -> list:
     return ("|".join([template] * len(rows)) % tuple(rows.view(float).ravel().tolist())).split("|")
 
 
-def _number_rows(rows):
-    """Number the distinct rows of the contiguous (n, d) complex stack
-    ``rows`` by their exact bytes: return the read-only stack of distinct
-    rows, ordered by their bytes, and each row's number there as an (n,)
-    int32 array.
-
-    Rows are equal only when their bytes are, so -0.0 and 0.0 stay apart,
-    as ``repr`` keeps them apart.  Beside the sort order and one flag per
-    row, each step gathers at most _SAVE_ROWS rows.
-    """
-    n = len(rows)
-    # a sort by bytes puts equal rows next to each other
-    key = np.dtype((np.void, rows.shape[1] * rows.itemsize))
-    order = np.argsort(rows.view(key).ravel())
-    words = rows.view(np.uint64)
-    new = np.ones(n, dtype=bool)
-    for start in range(1, n, _SAVE_ROWS):
-        pair = words[order[start - 1:start + _SAVE_ROWS]]
-        new[start:start + _SAVE_ROWS] = (pair[1:] != pair[:-1]).any(axis=1)
-    numbers = np.empty(n, dtype=np.int32)
-    numbers[order] = np.cumsum(new) - 1
-    book = rows[order[new]]
-    book.flags.writeable = False
-    return book, numbers
-
-
 def _head_text(label, dims) -> str:
     """The text of a set file up to its list of states."""
     return (
@@ -1153,7 +1116,7 @@ def _write_set(state_set: StateSet, fh) -> None:
     """Write the text of :func:`save_set` to the text stream ``fh``: an
     all-product set's by :func:`_product_text`, any other set's by
     :func:`_dense_set_text`."""
-    text = _dense_set_text if state_set.factors is None else _product_text
+    text = _product_text if state_set.all_product else _dense_set_text
     with _acyclic():
         fh.writelines(text(state_set))
     fh.write("\n")
@@ -1166,14 +1129,15 @@ def save_set(state_set: StateSet, path) -> None:
     as ``{"product": [factor, ...]}`` or ``{"dense": amplitudes}``, every
     complex number an [re, im] pair.
 
-    An all-product set is written from its code table
-    (:func:`_product_text`), and each codebook row a state uses is rendered
-    once, so a set that repeats its factors, such as a shift family,
-    formats few numbers.  The shift constructions, the loader and subsets
-    of their sets supply their codes; a set built from states numbers its
-    factor rows by their exact bytes on its first save and keeps the
-    codes.  The bytes are the same; the cost is a copy of the codes, and a
-    row's text is held only from the first state that uses it to the last.
+    An all-product set is written from its code table, the one form it
+    is stored in (:func:`_product_text`), and each codebook row a state
+    uses is rendered once, so a set whose table repeats its factors, such
+    as a shift family's or a file's that the loader split, formats few
+    numbers.  A table in which every factor is its own row, such as that
+    of a set of states built one by one, renders each factor.  The bytes
+    are the same either way: a row's text depends on its bits alone.  The
+    cost is a copy of the codes, and a row's text is held only from the
+    first state that uses it to the last.
     A set with dense members is written straight from its arrays
     (:func:`_dense_set_text`): each dense vector in pieces of at most
     _DENSE_PAIRS amplitudes, so the texts of a 2^20-amplitude vector are
@@ -1276,9 +1240,10 @@ def _read_product_text(fh):
     factors; the values must pass the per-field rules of :func:`_entry` and
     have the length of every party they stand at.  The distinct factors of
     each local dimension are normalized by one :func:`_unit_rows` call into
-    its codebook, so every row has the bits :func:`_party_stacks` gives it,
-    and the set keeps the codebooks and the factors' codes as its code
-    table (:meth:`StateSet._from_codes`).
+    its codebook, so every row has the bits the decoder route
+    (:func:`_entry_table`) gives that factor, and the set keeps the
+    codebooks and the factors' codes as its code table
+    (:meth:`StateSet._from_codes`).
     """
     data, start = _read_to_mark(fh, b"", 0)
     if start == len(data) or not data.endswith(_FIRST_STATE, 0, start):
@@ -1367,7 +1332,8 @@ def load_set(path) -> StateSet:
     newlines) and decoded as JSON.  Each state entry is turned into numbers
     as soon as it is decoded (:func:`_entry`), so the set's nested lists
     are never held, and the load peaks at about twice the file, its bytes
-    and its text.
+    and its text.  The product members become the rows of one code table
+    in which every factor is its own codebook row (:func:`_entry_table`).
     The hook cannot tell a state entry from a one-key object elsewhere, so
     a refused payload is decoded once more as plain JSON, whose offending
     field the error then names.

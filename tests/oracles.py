@@ -287,11 +287,12 @@ def factor_zero_pattern_per_party(state_set, tol=DEFAULT_TOL):
     the windowed pass, the others by their full coordinate-order Gram, with
     no grouping of parties that share their factors."""
     factors = state_set.factors
+    books, codes = state_set._code_table()
     size = len(state_set)
     zero_count = np.zeros((size, size), dtype=np.int64)
     last_zero = np.zeros((size, size), dtype=np.int64)
     qubits = [r for r, d in enumerate(state_set.dims) if d == 2]
-    for parties, j, k in _qubit_zeros(factors, qubits, tol):
+    for parties, j, k in _qubit_zeros(books.get(2), codes, qubits, tol):
         np.add.at(zero_count, (j, k), 1)
         last_zero[j, k] = parties
     zero_count += zero_count.T

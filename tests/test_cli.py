@@ -156,7 +156,7 @@ class TestConstruct:
         path = tmp_path / "set.json"
         code, _, _ = run_cli(capsys, "construct", *argv, "--out", str(path))
         assert code == 0
-        for name in ("dumps", "iter_json", "_number_block"):
+        for name in ("dumps", "_number_block"):
             monkeypatch.setattr(locstab._jsonout, name, None)
         code, out, _ = run_cli(capsys, "construct", *argv)
         assert code == 0

@@ -48,7 +48,7 @@ from locstab import (
 )
 from locstab.numerics import Tolerance, _orthonormal_rows
 from locstab.stability import _hyperplanes, _see_saw
-from locstab.states import _qubit_perp
+from locstab.states import _identity_table, _qubit_perp
 from oracles import (
     PLANTED_SCALES,
     conflict_attribution_loop,
@@ -1525,7 +1525,8 @@ class TestOneWitnessRule:
         assert mask.all(axis=1).any()
 
     def test_fewer_states_than_a_hyperplane_needs_give_one_column(self):
-        ((parties, masks),) = _hyperplanes(_pair_set().factors, DEFAULT_TOL, {})
+        pair_set = _pair_set()
+        ((parties, masks),) = _hyperplanes(pair_set.dims, pair_set._code_table(), DEFAULT_TOL, {})
         assert parties == [0, 1]
         assert masks.tolist() == [[[True, True]]] * 2
 
@@ -1559,7 +1560,7 @@ def _masks_by_party(state_set):
     """Every party's hyperplane mask from the batches of _hyperplanes, each
     batch of parties with one local dimension, each party in one batch."""
     masks = {}
-    for parties, hits in _hyperplanes(state_set.factors, DEFAULT_TOL, {}):
+    for parties, hits in _hyperplanes(state_set.dims, state_set._code_table(), DEFAULT_TOL, {}):
         assert len({state_set.dims[i] for i in parties}) == 1
         assert len(hits) == len(parties) and masks.keys().isdisjoint(parties)
         masks.update(zip(parties, hits))
@@ -1614,7 +1615,8 @@ class TestClosedFormQubitHyperplanes:
     @pytest.mark.parametrize("seed", range(4))
     def test_planted_pairs_match_kernel_normals(self, seed, scale):
         stack = _planted_qubit_stack(seed, scale)
-        ((parties, masks),) = _hyperplanes(stack, DEFAULT_TOL, {})
+        dims = (2,) * len(stack)
+        ((parties, masks),) = _hyperplanes(dims, _identity_table(dims, stack), DEFAULT_TOL, {})
         assert parties == [0, 1, 2]
         for mask, expected in zip(masks, hyperplanes_kernel(stack), strict=True):
             assert mask.tolist() == expected.tolist()

@@ -534,16 +534,20 @@ class TestColumnarSets:
                     factor[0] = 1.0
 
     def test_loaded_and_built_states_are_views(self):
+        # a state's factors are read-only views of the codebooks of the
+        # table it is a row of: the set's own, when the set made it
         for state_set in (
             shift_family(5),
             sqrt_subset(19)[1],
             state_set_from_dict(state_set_to_dict(upb_tiles33())),
+            StateSet(shift_family(5).dims, shift_family(5).states),
         ):
+            books, _ = state_set._code_table()
             for state in state_set:
-                for factor, stack in zip(state.factors, state_set.factors):
-                    assert np.shares_memory(factor, stack)
+                for factor, d in zip(state.factors, state_set.dims):
+                    assert np.shares_memory(factor, books[d])
 
-    def test_subset_keeps_stacks(self):
+    def test_subset_keeps_the_codebooks(self):
         family = _random_shift_family(9, 2)
         picked = [5, 0, -1, 3]
         sub = family.subset(picked)
@@ -551,8 +555,11 @@ class TestColumnarSets:
         assert sub.all_product
         for stack, parent in zip(sub.factors, family.factors):
             assert stack.tobytes() == parent[picked].tobytes()
+        books, codes = sub._code_table()
+        assert books[2] is family._code_table()[0][2]
+        assert np.array_equal(codes, family._code_table()[1][picked])
         for state in sub:
-            assert all(np.shares_memory(f, s) for f, s in zip(state.factors, sub.factors))
+            assert all(np.shares_memory(f, books[2]) for f in state.factors)
         assert np.array_equal(
             factor_zero_pattern(sub).zero_count,
             factor_zero_pattern(family).zero_count[np.ix_(picked, picked)],
@@ -560,17 +567,44 @@ class TestColumnarSets:
         with pytest.raises(IndexError):
             family.subset([0, len(family)])
 
-    def test_rewrapped_states_share_the_stacks(self):
-        family = shift_family(6)
+    def test_rewrapped_states_keep_the_table(self):
+        # a set rebuilt from a coded set's own states holds that set's
+        # codebook objects and equal codes, so its parties group alike
+        family = shift_family(30)
         again = StateSet(family.dims, family.states, "again")
-        assert all(a is b for a, b in zip(again.factors, family.factors))
+        books, codes = again._code_table()
+        assert books.keys() == family._code_table()[0].keys()
+        assert all(books[d] is family._code_table()[0][d] for d in books)
+        assert np.array_equal(codes, family._code_table()[1])
+        alone, shared = states_module._party_groups(again)
+        assert list(alone) == [] and len(shared) == 1
         reordered = StateSet(family.dims, family.states[::-1])
+        assert reordered._code_table()[0][2] is books[2]
         assert reordered.factors[0].tobytes() == family.factors[0][::-1].tobytes()
 
-    def test_dense_member_leaves_no_stacks(self):
+    def test_states_of_several_tables_join_them(self):
+        # each distinct source's codebooks are joined once, in order of first
+        # use, and each state's codes offset past the rows of the sources
+        # before its own
+        family, upb, alone = shift_family(4), upb_shifts(4), ProductState([PLUS] * 7)
+        states = [family[2], upb[0], alone, family[0], upb[7], family[2]]
+        books, codes = StateSet(family.dims, states)._code_table()
+        sources = [family._code_table()[0][2], upb._code_table()[0][2], alone._table[0][2]]
+        assert books[2].tobytes() == np.concatenate(sources).tobytes()
+        for t, state in enumerate(states):
+            for r, factor in enumerate(state.factors):
+                assert books[2][codes[t, r]].tobytes() == factor.tobytes()
+        assert codes[1].tolist() == [8 + 7] * 7 and codes[2].tolist() == list(range(16, 23))
+        mixed = StateSet((2, 3), [ProductState([KET1, [1, 0, 0]]), ProductState([PLUS, [0, 1, 1]])])
+        books, codes = mixed._code_table()
+        assert {d: len(book) for d, book in books.items()} == {2: 2, 3: 2}
+        assert codes.tolist() == [[0, 0], [1, 1]]
+
+    def test_dense_member_leaves_no_table(self):
         mixed = StateSet((2, 2), [ProductState([KET0, KET1]), DenseState([1, 0, 0, 1], (2, 2))])
-        assert mixed.factors is None and not mixed.all_product
-        assert StateSet((2, 3), []).factors[1].shape == (0, 3)
+        assert mixed.factors is None and mixed._code_table() is None and not mixed.all_product
+        empty = StateSet((2, 3), [])
+        assert empty.factors[1].shape == (0, 3) and empty._code_table()[1].shape == (0, 2)
 
     @pytest.mark.parametrize(
         "build",
@@ -1763,7 +1797,8 @@ _CODED_SETS = {
 
 
 def _uncoded(state_set):
-    """``state_set`` with fresh copies of its stacks and no code table."""
+    """``state_set`` with fresh copies of its stacks as its codebooks, every
+    factor its own row."""
     return StateSet._from_stacks(
         state_set.dims, [f.copy() for f in state_set.factors], state_set.label
     )
@@ -1775,52 +1810,42 @@ def _loaded(build, tmp_path):
     return load_set(path)
 
 
-def _number_rows_calls(monkeypatch):
-    """The row counts of every _number_rows call from now on."""
-    calls = []
-    real = states_module._number_rows
-
-    def spy(rows):
-        calls.append(len(rows))
-        return real(rows)
-
-    monkeypatch.setattr(states_module, "_number_rows", spy)
-    return calls
-
-
 def _assert_table_holds_factors(state_set):
+    """The code table's layout, and every state's factors equal to the
+    codebook rows the table names for it, bit for bit."""
     books, codes = state_set._code_table()
     assert set(books) == set(state_set.dims)
     assert codes.dtype == np.int32 and codes.shape == (len(state_set), len(state_set.dims))
     assert not codes.flags.writeable
     assert not any(book.flags.writeable for book in books.values())
-    for party, d in enumerate(state_set.dims):
-        assert books[d][codes[:, party]].tobytes() == state_set.factors[party].tobytes()
+    for t, state in enumerate(state_set):
+        for party, (d, factor) in enumerate(zip(state_set.dims, state.factors)):
+            assert books[d][codes[t, party]].tobytes() == factor.tobytes()
+
+
+def _stdlib_bytes(state_set):
+    return (json.dumps(state_set_to_dict(state_set), indent=2) + "\n").encode()
 
 
 class TestCodeTable:
-    """Every all-product set names each factor by a codebook row, bit for
-    bit: the shift constructions, the loader's split route and subsets of
-    coded sets supply the table; any other set numbers its stacks once, on
-    the first read, and save_set writes the same bytes either way."""
+    """Every all-product set is stored as its code table alone, which names
+    each factor by a codebook row: the shift constructions and the loader's
+    split route supply tables that repeat rows, and any other set's table
+    holds every factor as its own row.  save_set writes the same bytes
+    either way."""
 
     @pytest.mark.parametrize("name", sorted(_CODED_SETS))
-    def test_supplied_tables_hold_the_factors(self, name, monkeypatch):
-        calls = _number_rows_calls(monkeypatch)
+    def test_supplied_tables_hold_the_factors(self, name):
         _assert_table_holds_factors(_CODED_SETS[name]())
-        assert calls == []
 
     @pytest.mark.parametrize("name", sorted(_LAYOUT_SETS))
-    def test_loaded_tables_hold_the_factors(self, name, tmp_path, monkeypatch):
-        state_set = _loaded(_LAYOUT_SETS[name], tmp_path)
-        calls = _number_rows_calls(monkeypatch)
-        _assert_table_holds_factors(state_set)
-        assert calls == []
+    def test_loaded_tables_hold_the_factors(self, name, tmp_path):
+        _assert_table_holds_factors(_loaded(_LAYOUT_SETS[name], tmp_path))
 
     @pytest.mark.parametrize(
         "name", sorted(n for n in _NAMED_SETS if not n.startswith("dense") and n != "triple")
     )
-    def test_numbered_tables_hold_the_factors(self, name):
+    def test_stack_copies_hold_the_factors(self, name):
         _assert_table_holds_factors(_uncoded(_NAMED_SETS[name]()))
 
     def test_shift_codebooks_end_in_ket0(self):
@@ -1830,54 +1855,93 @@ class TestCodeTable:
         assert (codes[0] == 7).all() and (codes[1:] < 7).all()
 
     @pytest.mark.parametrize("name", sorted(_CODED_SETS))
-    def test_coded_sets_save_the_bytes_of_their_uncoded_copy(self, name, tmp_path, monkeypatch):
+    def test_coded_sets_save_the_bytes_of_their_uncoded_copy(self, name, tmp_path):
         state_set = _CODED_SETS[name]()
-        calls = _number_rows_calls(monkeypatch)
         save_set(state_set, tmp_path / "coded.json")
-        assert calls == []
         save_set(_uncoded(state_set), tmp_path / "uncoded.json")
         assert (tmp_path / "coded.json").read_bytes() == (tmp_path / "uncoded.json").read_bytes()
+        assert (tmp_path / "coded.json").read_bytes() == _stdlib_bytes(state_set)
 
     @pytest.mark.parametrize("name", sorted(_LAYOUT_SETS))
-    def test_loaded_sets_save_the_bytes_of_their_uncoded_copy(self, name, tmp_path, monkeypatch):
+    def test_loaded_sets_save_the_bytes_of_their_uncoded_copy(self, name, tmp_path):
         state_set = _loaded(_LAYOUT_SETS[name], tmp_path)
-        calls = _number_rows_calls(monkeypatch)
         save_set(state_set, tmp_path / "coded.json")
-        assert calls == []
         save_set(_uncoded(state_set), tmp_path / "uncoded.json")
         assert (tmp_path / "coded.json").read_bytes() == (tmp_path / "uncoded.json").read_bytes()
 
     @pytest.mark.parametrize("build", [
         upb_qubit3, upb_44_reducible, lambda: compose(upb_tiles33(), 0, upb_qubit3(), 3),
         lambda: _uncoded(shift_family(6)),
-    ], ids=["qubit3", "reducible44", "tiles33+qubit3", "uncoded shift_family(6)"])
-    def test_uncoded_sets_number_each_dimension_once(self, build, tmp_path, monkeypatch):
+        lambda: StateSet((2, 2), [ProductState([KET0, PLUS]), ProductState([KET1, [1, 1j]])], "x"),
+    ], ids=["qubit3", "reducible44", "tiles33+qubit3", "uncoded shift_family(6)", "two states"])
+    def test_sets_of_own_rows_save_the_stdlib_bytes(self, build, tmp_path):
+        # standalone states and stack copies hold every factor as its own
+        # codebook row: each is rendered, in the stdlib's bytes, and a
+        # second save writes the same file
         state_set = build()
-        calls = _number_rows_calls(monkeypatch)
         save_set(state_set, tmp_path / "first.json")
-        dims = state_set.dims
-        assert calls == [len(state_set) * dims.count(d) for d in dict.fromkeys(dims)]
         save_set(state_set, tmp_path / "second.json")
-        assert len(calls) == len(set(dims))
-        assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+        assert (tmp_path / "first.json").read_bytes() == _stdlib_bytes(state_set)
+        assert (tmp_path / "second.json").read_bytes() == _stdlib_bytes(state_set)
 
-    def test_certifying_an_uncoded_set_numbers_no_rows(self, monkeypatch):
-        # the zero pattern groups only parties whose codes a source supplied:
-        # certifying, checking, a campaign and an extension test leave a set
-        # built from stacks without a table
-        state_set = _uncoded(_random_shift_family(8, 4))
-        calls = _number_rows_calls(monkeypatch)
-        assert is_locally_stable(state_set).stable
+    @pytest.mark.parametrize("name", sorted(n for n in _NAMED_SETS if n != "triple"))
+    def test_decoded_sets_save_the_stdlib_bytes(self, name, tmp_path):
+        # the decoder route, which a compact file takes, gives every product
+        # factor its own codebook row and saves the stdlib's bytes
+        path = tmp_path / "compact.json"
+        path.write_text(json.dumps(state_set_to_dict(_NAMED_SETS[name]())))
+        calls = []
+        real = states_module._entry_table
+
+        def spy(entries, dims):
+            calls.append(len(entries))
+            return real(entries, dims)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(states_module, "_entry_table", spy)
+            state_set = load_set(path)
+        assert calls == ([] if name.startswith("dense") else [len(state_set)])
+        save_set(state_set, tmp_path / "saved.json")
+        assert (tmp_path / "saved.json").read_bytes() == _stdlib_bytes(state_set)
+
+    def test_certifying_an_uncoded_copy_forms_no_group(self):
+        # a copy built from stacks holds each factor as its own row, so no
+        # two parties share codes: certifying, checking, a campaign and an
+        # extension test give the coded set's results with every party alone
+        family = _random_shift_family(20, 4)
+        state_set = _uncoded(family)
+        assert states_module._party_groups(state_set)[1] == []
+        assert len(states_module._party_groups(family)[1]) == 1
+        assert is_locally_stable(state_set) == is_locally_stable(family)
         assert check_mutual_orthogonality(state_set) == []
         assert subset_campaign(state_set, len(state_set) - 1).checked == len(state_set)
         assert decide_extension(state_set).verdict == "extendible"
-        assert calls == [] and state_set._table is None
 
-    def test_subset_of_an_uncoded_set_numbers_its_own_rows(self, monkeypatch):
-        subset = upb_tiles33().subset([4, 2])
-        calls = _number_rows_calls(monkeypatch)
+    def test_building_and_certifying_holds_no_stacks(self):
+        # N = 6,399, l = 240: per-party (l, d_r) stacks would take 46.9 MiB,
+        # the codes 5.9 MiB; building and certifying traces under half the
+        # stacks
+        tracemalloc.start()
+        try:
+            plan, state_set = sqrt_subset(3200)
+            assert is_locally_stable(state_set).stable
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stacks = len(plan.indices) * plan.parties * 2 * 16
+        assert stacks == len(state_set) * sum(state_set.dims) * 16
+        assert peak < stacks / 2
+
+    def test_subset_of_a_set_of_states_joins_their_tables(self):
+        # tiles33's states each hold a one-state table: its subset joins the
+        # two it keeps, in order
+        tiles = upb_tiles33()
+        subset = tiles.subset([4, 2])
         _assert_table_holds_factors(subset)
-        assert calls == [4]
+        books, codes = subset._code_table()
+        want = np.concatenate([tiles[4]._table[0][3], tiles[2]._table[0][3]])
+        assert books[3].tobytes() == want.tobytes()
+        assert codes.tolist() == [[0, 1], [2, 3]]
 
 
 def _assert_pattern_matches_per_party(state_set, tol=Tolerance()):
@@ -1888,12 +1952,6 @@ def _assert_pattern_matches_per_party(state_set, tol=Tolerance()):
     assert len(pattern.conflict_pairs) == len(expected) == len(state_set.dims)
     for pairs, ref in zip(pattern.conflict_pairs, expected):
         assert pairs.dtype == ref.dtype and np.array_equal(pairs, ref)
-
-
-def _numbered(state_set):
-    """``state_set`` with its code table read, so its parties can group."""
-    state_set._code_table()
-    return state_set
 
 
 def _coded_set(dims, books, columns):
@@ -1922,11 +1980,11 @@ _GROUPED_SETS = {
     **{f"four rows of sqrt_subset({n})": (lambda n=n: sqrt_subset(n)[1].subset([3, 1, 2, 0]))
        for n in (19, 50, 100)},
     "subset of random shift_family(30)": lambda: _random_shift_family(30, 2).subset(range(7, 50)),
-    "qubit3+tiles33": lambda: _numbered(compose(upb_qubit3(), 0, upb_tiles33(), 1)),
-    "tiles33+qubit3": lambda: _numbered(compose(upb_tiles33(), 1, upb_qubit3(), 0)),
-    "tiles33": lambda: _numbered(upb_tiles33()),
-    "sep333": lambda: _numbered(upb_sep333()),
-    "reducible44": lambda: _numbered(upb_44_reducible()),
+    "qubit3+tiles33": lambda: compose(upb_qubit3(), 0, upb_tiles33(), 1),
+    "tiles33+qubit3": lambda: compose(upb_tiles33(), 1, upb_qubit3(), 0),
+    "tiles33": upb_tiles33,
+    "sep333": upb_sep333,
+    "reducible44": upb_44_reducible,
     # party 0 (a qubit) and party 1 (a qutrit) hold equal code columns
     "equal columns across dimensions": lambda: _coded_set(
         (2, 3, 2, 3), {2: _QUBIT_BOOK, 3: _QUTRIT_BOOK},
@@ -2014,7 +2072,7 @@ class TestSharedCodeGroups:
         assert list(alone) == []
         assert sorted(parties.tolist() for parties, _ in shared) == [[0, 1, 4], [2, 3]]
 
-    def test_random_phase_family_without_a_table(self):
+    def test_random_phase_family_forms_no_group(self):
         family = _random_shift_family(100, 3)
         rng = np.random.default_rng(3)
         stacks = [states_module._unit_rows(f * np.exp(2j * np.pi * rng.random((len(f), 1))))
@@ -2023,7 +2081,6 @@ class TestSharedCodeGroups:
         _assert_pattern_matches_per_party(plain)
         alone, shared = states_module._party_groups(plain)
         assert list(alone) == list(range(len(plain.dims))) and shared == []
-        assert plain._table is None
         left, right = factor_zero_pattern(plain), factor_zero_pattern(family)
         assert np.array_equal(left.zero_count, right.zero_count)
 
