@@ -72,7 +72,8 @@ _FACTOR_LEVEL = 4
 _FACTOR_INDENT = "\n" + "  " * _FACTOR_LEVEL
 _HEAD_LABEL, _HEAD_DIMS, _HEAD_STATES = '{\n  "label": ', ',\n  "dims": ', ',\n  "states": '
 _STATES_OPEN, _STATE_SEP, _STATES_CLOSE = "[\n    ", ",\n    ", "\n  ]\n}"
-_STATE_OPEN = '{\n      "product": [' + _FACTOR_INDENT
+_PRODUCT_OPEN = '{\n      "product": ['
+_STATE_OPEN = _PRODUCT_OPEN + _FACTOR_INDENT
 _FACTOR_SEP = "," + _FACTOR_INDENT
 _STATE_CLOSE = "\n      ]\n    }"
 # A dense member opens at depth 2 too, each of its [re, im] pairs at depth 4
@@ -80,22 +81,34 @@ _STATE_CLOSE = "\n      ]\n    }"
 # piece, between the separators _DENSE_SEPARATORS holds: a piece's 4,096
 # number texts take about 0.3 MB, whatever the vector's length.
 _NUMBER_INDENT = _FACTOR_INDENT + "  "
-_DENSE_OPEN = '{\n      "dense": [' + _FACTOR_INDENT + "[" + _NUMBER_INDENT
+_DENSE_KEY = '{\n      "dense": ['
+_DENSE_OPEN = _DENSE_KEY + _FACTOR_INDENT + "[" + _NUMBER_INDENT
 _PAIR_SEP = _FACTOR_INDENT + "]," + _FACTOR_INDENT + "[" + _NUMBER_INDENT
 _DENSE_CLOSE = _FACTOR_INDENT + "]" + _STATE_CLOSE
 _DENSE_PAIRS = 1 << 11
 _DENSE_SEPARATORS = [_PAIR_SEP, None, "," + _NUMBER_INDENT, None] * _DENSE_PAIRS
 
-# How load_set reads that text back (_read_product_text).  _FIRST_STATE ends
-# the head.  _FACTOR_MARK, a factor's indentation and opening bracket, opens
-# every factor and nothing else in the layout, so past the head the text
-# splits at it into one piece per factor: the factor's text past its
-# bracket, then the tail that follows the factor at its place, within a
-# state (0), at a state's end (1) or at the file's end (2).  The three
-# tails end in different bytes, _TAIL_PLACES' keys.  The text is split
-# _LOAD_BYTES at a time, by _MARK_PATTERN: the regular expression engine's
-# literal search steps over the runs of indentation spaces that slow
-# bytes.split and bytes.find, and it gives the same pieces.  _scan is the
+# How load_set reads that text back.  Both of its layout routes first read
+# the head up to _HEAD_END, the first state's brace, and check it byte for
+# byte against the writer's head for the label and dims it holds.
+#
+# The product split (_read_product_text): _FACTOR_MARK, a factor's
+# indentation and opening bracket, opens every factor and nothing else in
+# an all-product file, so past the head the text splits at it into one
+# piece per factor: the factor's text past its bracket, then the tail that
+# follows the factor at its place, within a state (0), at a state's end (1)
+# or at the file's end (2).  The three tails end in different bytes,
+# _TAIL_PLACES' keys.  The text is split _LOAD_BYTES at a time, by
+# _MARK_PATTERN: the regular expression engine's literal search steps over
+# the runs of indentation spaces that slow bytes.split and bytes.find, and
+# it gives the same pieces.
+#
+# The state route (_read_state_text): a "{" opens every state and nothing
+# else in the layout, so a state's text runs to the next "{", found by the
+# one-byte search bytes.find runs as memchr, less the _STATE_SEP before it,
+# or to the file's end, less _LAST_STATE.  A dense member, which opens with
+# _DENSE_KEY, is cut into windows of pairs instead: each past _LOAD_BYTES
+# of text at the next _PAIR_END, after its closing bracket.  _scan is the
 # JSON scanner.
 _FACTOR_MARK = (_FACTOR_INDENT + "[").encode()
 _MARK_PATTERN = re.compile(re.escape(_FACTOR_MARK))
@@ -103,12 +116,16 @@ _FACTOR_TAILS = tuple(
     tail.encode()
     for tail in (
         _FACTOR_SEP[:-len(_FACTOR_INDENT)],
-        _STATE_CLOSE + _STATE_SEP + _STATE_OPEN[:-len(_FACTOR_INDENT)],
+        _STATE_CLOSE + _STATE_SEP + _PRODUCT_OPEN,
         _STATE_CLOSE + _STATES_CLOSE + "\n",
     )
 )
-_FIRST_STATE = (_STATES_OPEN + _STATE_OPEN[:-len(_FACTOR_INDENT)]).encode()
 _TAIL_PLACES = {tail[-1:]: place for place, tail in enumerate(_FACTOR_TAILS)}
+_HEAD_END = (_STATES_OPEN + "{").encode()
+_FIRST_FACTOR = _PRODUCT_OPEN.encode() + _FACTOR_MARK
+_NEXT_STATE, _LAST_STATE = _STATE_SEP.encode(), (_STATES_CLOSE + "\n").encode()
+_DENSE_START, _STATE_END = _DENSE_KEY.encode(), _STATE_CLOSE.encode()
+_PAIR_END = (_FACTOR_INDENT + "],").encode()
 _LOAD_BYTES = 1 << 16
 _scan = json.JSONDecoder().scan_once
 
@@ -1222,15 +1239,47 @@ def _scan_factors(texts):
     return lengths, np.concatenate([entry.numbers for entry in entries])
 
 
+def _read_head(fh):
+    """The label and dims of a file that opens with the head
+    :func:`save_set` writes, read from the start of the binary file ``fh``,
+    with the bytes read and the index in them of the first state's "{";
+    None when the file does not open so.
+
+    The file is read until it holds _HEAD_END, whatever the label; the JSON
+    scanner reads the label and dims from the text before it, and that
+    text must be the writer's head for them, byte for byte.
+    """
+    data = b""
+    while (found := data.find(_HEAD_END)) < 0:
+        more = fh.read(max(len(data), _LOAD_BYTES))
+        if not more:
+            return None
+        data += more
+    try:
+        head = data[:found].decode("ascii")
+        label, at = _scan(head, len(_HEAD_LABEL))
+        dims, _ = _scan(head, at + len(_HEAD_DIMS))
+        if type(label) is not str or type(dims) is not list or not dims:
+            return None
+        if not all(type(d) is int for d in dims):
+            return None
+        dims = check_signature(dims)
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if _head_text(label, dims).encode() != data[:found]:
+        return None
+    return label, dims, data, found + len(_STATES_OPEN)
+
+
 def _read_product_text(fh):
     """The all-product set whose file :func:`save_set` wrote, read from the
     binary file ``fh``, when the file is exactly that layout and every
     factor is well formed; else None, and nothing is decided about the
     file.
 
-    The head, up to the first factor, must be the writer's for the label
-    and dims the JSON scanner reads from it.  Split at _FACTOR_MARK
-    (:func:`_split_codes`), each distinct piece must end in one of
+    The head must be the writer's (:func:`_read_head`), and the first
+    state must open with its first factor's _FACTOR_MARK.  Split at each
+    mark (:func:`_split_codes`), each distinct piece must end in one of
     _FACTOR_TAILS; the rest, a factor's text past its bracket, is numbered
     once more by its exact bytes.  The tails must run as the writer writes
     them: in each state a separator after every factor but the last, then
@@ -1245,21 +1294,12 @@ def _read_product_text(fh):
     codebooks and the factors' codes as its code table
     (:meth:`StateSet._from_codes`).
     """
-    data, start = _read_to_mark(fh, b"", 0)
-    if start == len(data) or not data.endswith(_FIRST_STATE, 0, start):
+    head = _read_head(fh)
+    if head is None:
         return None
-    try:
-        head = data[:start].decode("ascii")
-        label, at = _scan(head, len(_HEAD_LABEL))
-        dims, _ = _scan(head, at + len(_HEAD_DIMS))
-        if type(label) is not str or type(dims) is not list or not dims:
-            return None
-        if not all(type(d) is int for d in dims):
-            return None
-        dims = check_signature(dims)
-    except (StopIteration, ValueError, RecursionError):
-        return None
-    if _head_text(label, dims).encode() + _FIRST_STATE != data[:start]:
+    label, dims, data, at = head
+    data, start = _read_to_mark(fh, data, at)
+    if not data.startswith(_FIRST_FACTOR, at):
         return None
     split = _split_codes(fh, data[start:], len(dims))
     if split is None:
@@ -1303,6 +1343,120 @@ def _read_product_text(fh):
     return StateSet._from_codes(dims, books, codes, label)
 
 
+def _state_end(data, start, brace):
+    """Where the text of the state that ``data`` holds from its "{" at
+    ``start`` ends: before the _NEXT_STATE that ends at ``brace``, the next
+    state's "{", or with ``brace`` -1, before the _LAST_STATE that ends
+    ``data``; None when those bytes are not there."""
+    if brace < 0:
+        return len(data) - len(_LAST_STATE) if data.endswith(_LAST_STATE, start) else None
+    return brace - len(_NEXT_STATE) if data.endswith(_NEXT_STATE, start, brace) else None
+
+
+def _read_dense_member(fh, data, total):
+    """The :class:`_Entry` of the dense member of ``total`` amplitudes whose
+    text ``data`` holds from its _DENSE_START on, read on from the binary
+    file ``fh``, and the bytes held past it; None when the member is not in
+    the layout or a window breaks a rule of :func:`_entry`.
+
+    Each window of pairs, in brackets, must scan as one non-empty JSON list
+    that ends where they end, so the windows' values, joined in order, are
+    those of the whole list of pairs.  They pass :func:`_entry` one window
+    at a time and fill one array of 2 ``total`` numbers.
+    """
+    numbers, filled, start = np.empty(2 * total), 0, len(_DENSE_START)
+    while True:
+        # the window ends at a pair's end past start + _LOAD_BYTES, or at
+        # the member's end, before the next "{" or the file's end
+        brace = data.find(b"{", start)
+        cut = data.find(_PAIR_END, start + _LOAD_BYTES, brace if brace >= 0 else len(data))
+        if cut < 0 and brace < 0 and (more := fh.read(_LOAD_BYTES)):
+            data += more
+            continue
+        if cut >= 0:
+            stop = cut + len(_PAIR_END) - 1
+        else:
+            end = _state_end(data, 0, brace)
+            if end is None or not data.endswith(_STATE_END, start, end):
+                return None
+            stop = end - len(_STATE_END)
+        try:
+            text = "[" + data[start:stop].decode("ascii") + "]"
+            values, at = _scan(text, 0)
+        except (StopIteration, ValueError, RecursionError):
+            return None
+        entry = _entry({"dense": values})
+        if at != len(text) or not values or not isinstance(entry, _Entry):
+            return None
+        if filled + len(entry.numbers) > len(numbers):
+            return None
+        numbers[filled:filled + len(entry.numbers)] = entry.numbers
+        filled += len(entry.numbers)
+        if cut < 0:
+            break
+        data, start = data[stop + 1:], 0
+    if filled != len(numbers):
+        return None
+    return _Entry("dense", None, numbers), data[brace:] if brace >= 0 else b""
+
+
+def _read_state_text(fh):
+    """The set whose file :func:`save_set` wrote, read from the binary file
+    ``fh`` one state at a time, when the file is exactly that layout and
+    :func:`_parse_states` accepts its entries; else None, and nothing is
+    decided about the file.
+
+    The head must be the writer's (:func:`_read_head`), and each state's
+    text is read only up to the next state's "{" (:func:`_state_end`).  A
+    product member's text must scan as one JSON value that ends where the
+    text ends, which the scanner's object hook, :func:`_entry`, turns into
+    an :class:`_Entry`; a dense member is read one window of pairs at a
+    time (:func:`_read_dense_member`).  The entries are those the decoder
+    route's hook gives for the same text.
+    """
+    head = _read_head(fh)
+    if head is None:
+        return None
+    label, dims, data, pos = head
+    total, size = math.prod(dims), fh.seek(0, io.SEEK_END)
+    fh.seek(len(data))
+    scan, entries = json.JSONDecoder(object_hook=_entry).scan_once, []
+    while pos < len(data):
+        # data holds the text from a state's "{", at pos, on
+        while len(data) - pos < len(_DENSE_START) and (more := fh.read(_LOAD_BYTES)):
+            data, pos = data[pos:] + more, 0
+        if data.startswith(_DENSE_START, pos):
+            # a file that holds a member of total pairs is longer than its
+            # separators: refuse a shorter one before allocating the numbers
+            if total * len(_PAIR_SEP) > size:
+                return None
+            member = _read_dense_member(fh, data[pos:], total)
+            if member is None:
+                return None
+            entry, data = member
+            pos = 0
+        else:
+            # each read asks for what is held, at least _LOAD_BYTES
+            while (brace := data.find(b"{", pos + 1)) < 0 and (
+                more := fh.read(max(len(data) - pos, _LOAD_BYTES))
+            ):
+                data, pos = data[pos:] + more, 0
+            end = _state_end(data, pos, brace)
+            if end is None:
+                return None
+            try:
+                text = data[pos:end].decode("ascii")
+                entry, stop = scan(text, 0)
+            except (StopIteration, ValueError, RecursionError):
+                return None
+            if stop != len(text) or not isinstance(entry, _Entry):
+                return None
+            pos = brace if brace >= 0 else len(data)
+        entries.append(entry)
+    states = _parse_states(entries, dims)
+    return None if states is None else StateSet(dims, states, label)
+
+
 def _decode(text, object_hook):
     try:
         with _acyclic():
@@ -1316,43 +1470,53 @@ def _decode(text, object_hook):
 def load_set(path) -> StateSet:
     """Read the state set saved at ``path``.
 
-    One of two routes reads the file; both give the same set, bit for bit,
-    or the same error.
+    One of three routes reads the file; all give the same set, bit for
+    bit, or the same error.  Input that cannot seek, such as a pipe, is
+    read whole first.  A file that a layout route does not accept, in any
+    byte, has nothing decided by it, and the next route reads it from its
+    start.
 
     A file in the exact layout :func:`save_set` writes for an all-product
     set is split at its factors as it is read (:func:`_read_product_text`),
     a window of _LOAD_BYTES at a time, and each distinct factor text is
     parsed once, so a set that repeats its factors, such as a shift family,
     scans few numbers.  The load holds one window, the distinct texts and
-    the set: a quarter of a random-seed ``shift_family(100)`` file.  Input
-    that cannot seek, such as a pipe, is read whole first.  A file that
-    route does not accept, in any byte, has nothing decided by it.
+    the set: a quarter of a random-seed ``shift_family(100)`` file.
 
-    Every other file is read from its start as text (UTF-8, universal
-    newlines) and decoded as JSON.  Each state entry is turned into numbers
-    as soon as it is decoded (:func:`_entry`), so the set's nested lists
-    are never held, and the load peaks at about twice the file, its bytes
-    and its text.  The product members become the rows of one code table
-    in which every factor is its own codebook row (:func:`_entry_table`).
-    The hook cannot tell a state entry from a one-key object elsewhere, so
+    Any other file in the layout save_set writes, one with dense members or
+    one that repeats too few factors for the split, is read one state at a
+    time (:func:`_read_state_text`), and a dense member one window of pairs
+    at a time, so the load holds one state's or one window's text beside
+    the set's numbers, well under the file's size.
+
+    Every other file, in a layout of its own or malformed, is read as text
+    (UTF-8, universal newlines) and decoded as JSON.  Each state entry is
+    turned into numbers as soon as it is decoded (:func:`_entry`), so the
+    set's nested lists are never held, and the load peaks at about twice
+    the file, its bytes and its text.  On this route and the state route,
+    the product members become the rows of one code table in which every
+    factor is its own codebook row (:func:`_entry_table`).  The hook cannot tell a state entry from a one-key object elsewhere, so
     a refused payload is decoded once more as plain JSON, whose offending
     field the error then names.
 
-    The cyclic garbage collector is paused for the whole process while the
-    file is split or its JSON decoded, and only then (:func:`_acyclic`):
-    both build only containers that cannot form a cycle and that reference
-    counting frees as before, while a dense entry's thousands of pair lists
-    would otherwise set off many collections that find nothing.  The
-    collector is restored however the read ends, stays off if the caller
-    had turned it off, and may be seen paused by another thread meanwhile.
+    The cyclic garbage collector is paused for the whole process while a
+    layout route reads the file or the JSON is decoded, and only then
+    (:func:`_acyclic`): they build only containers that cannot form a cycle
+    and that reference counting frees as before, while a dense entry's
+    thousands of pair lists would otherwise set off many collections that
+    find nothing.  The collector is restored however the read ends, stays
+    off if the caller had turned it off, and may be seen paused by another
+    thread meanwhile.
     """
     with open(path, "rb") as fh:
         if not fh.seekable():
             fh = io.BytesIO(fh.read())
-        with _acyclic():
-            state_set = _read_product_text(fh)
-        if state_set is not None:
-            return state_set
+        for read in (_read_product_text, _read_state_text):
+            fh.seek(0)
+            with _acyclic():
+                state_set = read(fh)
+            if state_set is not None:
+                return state_set
         fh.seek(0)
         data = fh.read()
     # the text open(path, encoding="utf-8").read() gives: universal newlines
@@ -1363,4 +1527,3 @@ def load_set(path) -> StateSet:
         return state_set_from_dict(payload)
     except StateFormatError:
         return state_set_from_dict(_decode(text, None))
-

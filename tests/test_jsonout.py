@@ -25,6 +25,7 @@ from locstab import (
     entangled_triple,
     heptagon_qutrit_states,
     is_locally_stable,
+    load_set,
     save_set,
     shift_family,
     sqrt_subset,
@@ -778,6 +779,25 @@ class TestDenseMembers:
         finally:
             tracemalloc.stop()
         assert peak < member.amplitudes.nbytes
+
+    def test_a_large_member_is_loaded_in_windows(self, tmp_path):
+        # the member's 5.4 MiB file, decoded whole, would be held as bytes
+        # and text at once, then as 2^16 pair lists; a window of pairs at a
+        # time, the traced peak is the member's numbers and its normalized
+        # copy, 2 MiB (0.41x the file measured)
+        rng = np.random.default_rng(2)
+        member = DenseState(rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16), (2,) * 16)
+        path = tmp_path / "large.json"
+        save_set(StateSet((2,) * 16, [member], "large"), path)
+        tracemalloc.start()
+        try:
+            loaded = load_set(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = locstab.states.state_set_from_dict(json.loads(path.read_text()))
+        assert loaded[0].amplitudes.tobytes() == want[0].amplitudes.tobytes()
+        assert peak < path.stat().st_size
 
 
 def _canonical(text):

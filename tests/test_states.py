@@ -1310,31 +1310,34 @@ class TestCollectorPause:
                 save_set(state_set, tmp_path / "set.json")
             assert gc.isenabled() is enabled
 
-    def test_every_hook_call_runs_paused(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("crlf", [False, True], ids=["state route", "decoder route"])
+    def test_every_hook_call_runs_paused(self, crlf, monkeypatch, tmp_path):
+        # the saved file is read state by state; its CRLF copy is decoded
+        dense = _dense_copy(upb_shifts(3))
         path = tmp_path / "set.json"
-        save_set(_dense_copy(upb_shifts(3)), path)
-        seen, decoding = [], []
-        real_decode, real_entry = states_module._decode, states_module._entry
-
-        def decode(text, object_hook):
-            decoding.append(True)
-            try:
-                return real_decode(text, object_hook)
-            finally:
-                decoding.pop()
+        data = _saved_bytes(dense)
+        path.write_bytes(data.replace(b"\n", b"\r\n") if crlf else data)
+        seen = []
+        real_entry = states_module._entry
 
         def entry(value):
-            # _parse_states runs the same function again after the decode
-            if decoding:
-                seen.append(gc.isenabled())
+            seen.append(gc.isenabled())
             return real_entry(value)
 
-        monkeypatch.setattr(states_module, "_decode", decode)
         monkeypatch.setattr(states_module, "_entry", entry)
+        decodes = _generic_decodes(monkeypatch)
         with _collector(True):
             load_set(path)
-        # one call per state entry and one for the top-level object
-        assert seen == [False] * (len(upb_shifts(3)) + 1)
+        assert gc.isenabled()
+        assert decodes == ([states_module._entry] if crlf else [])
+        if crlf:
+            # while decoding, one call per state entry and one for the
+            # top-level object; then _parse_states runs it on each entry
+            assert seen == [False] * (len(dense) + 1) + [True] * len(dense)
+        else:
+            # one call per window of each member (one window here), then one
+            # per entry in _parse_states, all inside the paused read
+            assert seen == [False] * (2 * len(dense))
 
     def test_dense_save_and_load_collect_at_most_once(self, tmp_path):
         dense = _dense_copy(upb_shifts(6))
@@ -1363,7 +1366,8 @@ class TestCollectorPause:
 
 def _generic_decodes(monkeypatch):
     """A list that grows by one for each JSON decode that ``load_set`` runs:
-    the decoder route, which every file not in save_set's layout takes."""
+    the decoder route, which every file that neither layout route accepts
+    takes."""
     calls = []
     real = states_module._decode
 
@@ -1563,8 +1567,9 @@ def window(request, monkeypatch):
 
 
 class TestLayoutReader:
-    """``load_set`` reads the layout save_set writes by splitting it at its
-    factors as it reads the file, and hands every other file to the JSON
+    """``load_set`` reads the layout save_set writes for an all-product set
+    by splitting it at its factors as it reads the file, and hands every
+    other file to the state route (:class:`TestStateReader`) or the JSON
     decoder."""
 
     @pytest.mark.parametrize("name", sorted(_LAYOUT_SETS))
@@ -1590,8 +1595,8 @@ class TestLayoutReader:
 
     @pytest.mark.parametrize(
         "name",
-        ["CRLF", "BOM", "compact JSON", "no final newline", "dense member first",
-         "dense member after product members", "extra key in a state", "NaN", "zero factor"],
+        ["CRLF", "BOM", "compact JSON", "no final newline", "extra key in a state", "NaN",
+         "zero factor"],
     )
     def test_other_files_take_the_decoder(self, name, tmp_path, monkeypatch):
         path = tmp_path / "set.json"
@@ -1600,30 +1605,57 @@ class TestLayoutReader:
         _any_outcome(lambda: load_set(path))
         assert decodes[:1] == [states_module._entry]
 
-    def test_dense_file_goes_to_the_decoder_before_any_split(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("name", ["dense member first", "dense member after product members"])
+    def test_mixed_files_are_read_state_by_state(self, name, tmp_path, monkeypatch):
+        path = tmp_path / "set.json"
+        path.write_bytes(_OTHER_FILES[name]())
+        want = _reference_outcome(path)
+        decodes = _generic_decodes(monkeypatch)
+        assert isinstance(want, tuple)
+        assert _any_outcome(lambda: load_set(path)) == want
+        assert decodes == []
+
+    def test_dense_file_is_read_state_by_state_before_any_split(self, tmp_path, monkeypatch):
         path = tmp_path / "set.json"
         save_set(_dense_copy(upb_shifts(4)), path)
+        want = _reference_outcome(path)
 
         def no_split(*args):
             raise AssertionError("a dense file was split")
 
         monkeypatch.setattr(states_module, "_split_codes", no_split)
         decodes = _generic_decodes(monkeypatch)
-        assert len(load_set(path)) == 8
-        assert decodes == [states_module._entry]
+        assert _any_outcome(lambda: load_set(path)) == want
+        assert len(want[2]) == 8
+        assert decodes == []
 
-    def test_file_repeating_few_factors_goes_to_the_decoder(self, tmp_path, monkeypatch):
+    def test_file_repeating_few_factors_is_read_state_by_state(self, tmp_path, monkeypatch):
         # forty random qubit states on forty parties repeat no factor: the
-        # split stops before its second window and the decoder reads the file
+        # split stops before its second window, and the file is read again
+        # one state at a time
         rng = np.random.default_rng(7)
         states = [random_product_state(rng, (2,) * 40) for _ in range(40)]
         path = tmp_path / "set.json"
         save_set(StateSet((2,) * 40, states, "random"), path)
         assert path.stat().st_size > 2 * states_module._LOAD_BYTES
+        splits = []
+        real = states_module._split_codes
+
+        def spy(fh, data, parties):
+            splits.append(real(fh, data, parties))
+            return splits[-1]
+
+        monkeypatch.setattr(states_module, "_split_codes", spy)
         decodes = _generic_decodes(monkeypatch)
         want = _reference_outcome(path)
+        assert isinstance(want, tuple)
         assert _any_outcome(lambda: load_set(path)) == want
-        assert decodes == [states_module._entry]
+        assert splits == [None]
+        assert decodes == []
+
+    def test_golden_files_load_as_the_decoder(self, golden_files, tmp_path):
+        for name, data in golden_files.items():
+            assert isinstance(_assert_loads_as_reference(data, tmp_path / "set.json"), tuple), name
 
     def test_any_window_gives_the_same_set(self, window, tmp_path, monkeypatch):
         # a window of 1 byte splits one factor at a time, each longer than
@@ -1698,6 +1730,133 @@ class TestLayoutReader:
     @pytest.mark.parametrize("seed", range(4))
     def test_single_byte_mutations(self, seed, tmp_path):
         data = _qubit3_bytes()
+        rng = np.random.default_rng(seed)
+        alphabet = b'0123456789-+.eE,:[]{}" \n\r\tantruxyN\xff'
+        path = tmp_path / "set.json"
+        for _ in range(150):
+            mutated = bytearray(data)
+            mutated[int(rng.integers(len(data)))] = alphabet[int(rng.integers(len(alphabet)))]
+            _assert_loads_as_reference(bytes(mutated), path)
+
+
+def _mixed_edited(edit, dense_first=True):
+    """The file of the mixed qubit3 set's payload after ``edit(payload)``,
+    its dense member first or last, in the layout save_set writes."""
+    payload = state_set_to_dict(_mixed_qubit3(dense_first))
+    edit(payload)
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def _replaced(data, old, new, n):
+    """``data`` with the n-th occurrence (0 first, -1 last) of ``old``
+    replaced by ``new``."""
+    starts = [i for i in range(len(data)) if data.startswith(old, i)]
+    return data[:starts[n]] + new + data[starts[n] + len(old):]
+
+
+def _three_beside_one(payload):
+    pairs = payload["states"][0]["dense"]
+    pairs[1], pairs[2] = pairs[1] + pairs[2][:1], pairs[2][1:]
+
+
+# files in save_set's layout but for one edit, which the state route hands
+# to the decoder: each loads as that route's set or error
+_HANDOVER_FILES = {
+    "nested object in a product state": lambda: _mixed_edited(
+        lambda p: p["states"][2]["product"][1].__setitem__(0, {"re": 1.0})
+    ),
+    "nested dense object in a dense member": lambda: _mixed_edited(
+        lambda p: p["states"][0]["dense"].__setitem__(3, {"dense": [[1.0, 0.0]]})
+    ),
+    "non-ASCII byte in a dense member": lambda: _replaced(
+        _mixed_edited(lambda p: None), b"0.0", "0.\u00e9".encode(), 2
+    ),
+    "non-ASCII byte in a product state": lambda: _replaced(
+        _mixed_edited(lambda p: None), b"1.0", "1.\u00e9".encode(), -1
+    ),
+    "truncated last product state": lambda: _mixed_edited(lambda p: None)[:-40],
+    "truncated last dense member": lambda: _mixed_edited(lambda p: None, False)[:-200],
+    "text after the final brace": lambda: _mixed_edited(lambda p: None) + b"x",
+    "space after the final brace": lambda: _mixed_edited(lambda p: None)[:-1] + b" \n",
+    "dense member one pair short": lambda: _mixed_edited(lambda p: p["states"][0]["dense"].pop()),
+    "last dense member one pair short": lambda: _mixed_edited(
+        lambda p: p["states"][-1]["dense"].pop(), False
+    ),
+    "pair of three beside a pair of one": lambda: _mixed_edited(_three_beside_one),
+    "comma after a dense member's last pair": lambda: _replaced(
+        _mixed_edited(lambda p: None), b"\n        ]\n      ]", b"\n        ],\n      ]", 0
+    ),
+    "dense member of a wide signature": lambda: (json.dumps(
+        {"label": "wide", "dims": [2] * 40, "states": [{"dense": [[1.0, 0.0], [0.0, 0.0]]}]},
+        indent=2,
+    ) + "\n").encode(),
+    "bool in a dense member": lambda: _replaced(_mixed_edited(lambda p: None), b"0.0", b"true", 5),
+}
+
+# sets with dense members, which load_set reads one state at a time
+_STATE_SETS = {
+    "dense qubit3": lambda: _dense_copy(upb_qubit3()),
+    "dense sep333": lambda: _dense_copy(upb_sep333()),
+    "triple(4)": lambda: entangled_triple(4),
+    "dense member first": lambda: _mixed_qubit3(True),
+    "dense member last": lambda: _mixed_qubit3(False),
+}
+
+
+class TestStateReader:
+    """``load_set`` reads any other file in save_set's layout one state at
+    a time, and a dense member one window of pairs at a time; a file that
+    breaks that layout in any byte goes to the JSON decoder, from its
+    start."""
+
+    @pytest.mark.parametrize("name", sorted(_STATE_SETS))
+    def test_any_window_gives_the_decoders_set(self, name, window, tmp_path, monkeypatch):
+        path = tmp_path / "set.json"
+        state_set = _STATE_SETS[name]()
+        save_set(state_set, path)
+        want = _reference_outcome(path)
+        windows = []
+        real = states_module._entry
+
+        def entry(value):
+            if isinstance(value, dict) and "dense" in value:
+                windows.append(len(value["dense"]))
+            return real(value)
+
+        monkeypatch.setattr(states_module, "_entry", entry)
+        decodes = _generic_decodes(monkeypatch)
+        assert isinstance(want, tuple)
+        assert _any_outcome(lambda: load_set(path)) == want
+        assert decodes == []
+        members = sum(isinstance(s, DenseState) for s in state_set)
+        assert sum(windows) == members * math.prod(state_set.dims)
+        # a window is cut past _LOAD_BYTES of text, at the next pair's end:
+        # windows of 1, 64 and 300 bytes cut every member here, 4,096 none
+        assert (len(windows) > members) == (window <= 300)
+
+    @pytest.mark.parametrize("name", sorted(_HANDOVER_FILES))
+    def test_handover_files_load_as_the_decoder(self, name, window, tmp_path, monkeypatch):
+        decodes = _generic_decodes(monkeypatch)
+        _assert_loads_as_reference(_HANDOVER_FILES[name](), tmp_path / "set.json")
+        assert decodes[:1] == [states_module._entry]
+
+    def test_three_beside_one_keeps_the_number_count(self):
+        # the edit moves a number between pairs, so only the pairs' lengths
+        # tell the member from a valid one
+        payload = json.loads(_HANDOVER_FILES["pair of three beside a pair of one"]())
+        pairs = payload["states"][0]["dense"]
+        assert sorted(map(len, pairs[1:3])) == [1, 3]
+        assert sum(map(len, pairs)) == 2 * len(pairs)
+
+    def test_every_truncation_of_a_mixed_file(self, tmp_path):
+        data = _saved_bytes(_mixed_qubit3(False))
+        path = tmp_path / "set.json"
+        for size in range(0, len(data) + 1, 7):
+            _assert_loads_as_reference(data[:size], path)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_single_byte_mutations_of_a_mixed_file(self, seed, tmp_path):
+        data = _saved_bytes(_mixed_qubit3(True))
         rng = np.random.default_rng(seed)
         alphabet = b'0123456789-+.eE,:[]{}" \n\r\tantruxyN\xff'
         path = tmp_path / "set.json"
