@@ -88,43 +88,27 @@ _DENSE_CLOSE = _FACTOR_INDENT + "]" + _STATE_CLOSE
 _DENSE_PAIRS = 1 << 11
 _DENSE_SEPARATORS = [_PAIR_SEP, None, "," + _NUMBER_INDENT, None] * _DENSE_PAIRS
 
-# How load_set reads that text back.  Both of its layout routes first read
-# the head up to _HEAD_END, the first state's brace, and check it byte for
-# byte against the writer's head for the label and dims it holds.
-#
-# The product split (_read_product_text): _FACTOR_MARK, a factor's
-# indentation and opening bracket, opens every factor and nothing else in
-# an all-product file, so past the head the text splits at it into one
-# piece per factor: the factor's text past its bracket, then the tail that
-# follows the factor at its place, within a state (0), at a state's end (1)
-# or at the file's end (2).  The three tails end in different bytes,
-# _TAIL_PLACES' keys.  The text is split _LOAD_BYTES at a time, by
-# _MARK_PATTERN: the regular expression engine's literal search steps over
-# the runs of indentation spaces that slow bytes.split and bytes.find, and
-# it gives the same pieces.
-#
-# The state route (_read_state_text): a "{" opens every state and nothing
-# else in the layout, so a state's text runs to the next "{", found by the
-# one-byte search bytes.find runs as memchr, less the _STATE_SEP before it,
-# or to the file's end, less _LAST_STATE.  A dense member, which opens with
-# _DENSE_KEY, is cut into windows of pairs instead: each past _LOAD_BYTES
-# of text at the next _PAIR_END, after its closing bracket.  _scan is the
-# JSON scanner.
-_FACTOR_MARK = (_FACTOR_INDENT + "[").encode()
+# How load_set reads that text back (_read_layout): it reads the head up to
+# _HEAD_END, the first state's brace, and checks it byte for byte against
+# the writer's head for the label and dims it holds.  A "{" opens every
+# state and nothing else in the layout, so a state's text runs to the next
+# "{", found by the one-byte search bytes.find runs as memchr, less the
+# _STATE_SEP before it, or to the file's end, less _LAST_STATE.  A product
+# state opens with _PRODUCT_START, its first factor's bracket, and a
+# _FACTOR_MARK, a comma, a factor's indentation and its bracket, comes
+# before every other factor and nowhere else, so the state's text splits at
+# it into its factors' texts past their brackets.  _MARK_PATTERN splits
+# there: the regular expression engine's literal search steps over the runs
+# of indentation spaces a little faster than bytes.split, and gives the same
+# pieces.  A dense member, which opens with _DENSE_START, is cut into
+# windows of pairs instead: each past _LOAD_BYTES of text at the next
+# _PAIR_END, after its closing bracket.  _scan is the JSON scanner.
+_FACTOR_MARK = (_FACTOR_SEP + "[").encode()
 _MARK_PATTERN = re.compile(re.escape(_FACTOR_MARK))
-_FACTOR_TAILS = tuple(
-    tail.encode()
-    for tail in (
-        _FACTOR_SEP[:-len(_FACTOR_INDENT)],
-        _STATE_CLOSE + _STATE_SEP + _PRODUCT_OPEN,
-        _STATE_CLOSE + _STATES_CLOSE + "\n",
-    )
-)
-_TAIL_PLACES = {tail[-1:]: place for place, tail in enumerate(_FACTOR_TAILS)}
 _HEAD_END = (_STATES_OPEN + "{").encode()
-_FIRST_FACTOR = _PRODUCT_OPEN.encode() + _FACTOR_MARK
 _NEXT_STATE, _LAST_STATE = _STATE_SEP.encode(), (_STATES_CLOSE + "\n").encode()
-_DENSE_START, _STATE_END = _DENSE_KEY.encode(), _STATE_CLOSE.encode()
+_PRODUCT_START, _DENSE_START = (_STATE_OPEN + "[").encode(), _DENSE_KEY.encode()
+_STATE_END = _STATE_CLOSE.encode()
 _PAIR_END = (_FACTOR_INDENT + "],").encode()
 _LOAD_BYTES = 1 << 16
 _scan = json.JSONDecoder().scan_once
@@ -248,6 +232,15 @@ class DenseState:
                 f"amplitude length {arr.shape[0]} does not match total dimension {total}"
             )
         self.amplitudes = arr
+
+    @classmethod
+    def _normalized(cls, amplitudes, dims) -> "DenseState":
+        """The state over the checked signature ``dims`` whose amplitudes
+        are the fresh complex vector ``amplitudes`` of their total length,
+        normalized in place by :func:`_unit_rows` rather than copied."""
+        state = cls.__new__(cls)
+        state.dims, state.amplitudes = dims, _unit_rows(amplitudes[None])[0]
+        return state
 
     def __repr__(self):
         return f"DenseState(dims={self.dims})"
@@ -1171,45 +1164,6 @@ def save_set(state_set: StateSet, path) -> None:
         _write_set(state_set, fh)
 
 
-def _read_to_mark(fh, data, at):
-    """``data``, read on from the binary file ``fh`` until a _FACTOR_MARK
-    starts at or after ``at``, and that mark's start (the length when the
-    file ends first).  Each read asks for what is held, at least _LOAD_BYTES."""
-    while (found := _MARK_PATTERN.search(data, at)) is None:
-        more = fh.read(max(len(data), _LOAD_BYTES))
-        if not more:
-            return data, len(data)
-        data, at = data + more, max(at, len(data) - len(_FACTOR_MARK) + 1)
-    return data, found.start()
-
-
-def _split_codes(fh, data, parties):
-    """Split the text that begins with ``data``, bytes from a _FACTOR_MARK
-    on, and goes on with the rest of the binary file ``fh``, at every
-    _FACTOR_MARK (found by _MARK_PATTERN, with the pieces of
-    ``bytes.split``), as it is read (:func:`_read_to_mark`) _LOAD_BYTES and
-    then up to the next mark at a time, and number the pieces by their
-    exact bytes in order of first appearance.
-
-    Returns the number of each piece, in order, and a dict from each
-    distinct piece to its number.  Returns None instead when, with text
-    left to split, the pieces of at least three states of ``parties``
-    factors have been split and more than half of them are distinct: such
-    a file repeats too few factors for the split to pay, and holding every
-    distinct piece would cost about the file's size.
-    """
-    numbers, codes, count = {}, [], 0
-    while data:
-        if 2 * len(numbers) > count >= 3 * parties:
-            return None
-        data, stop = _read_to_mark(fh, data, _LOAD_BYTES)
-        pieces = _MARK_PATTERN.split(data[len(_FACTOR_MARK):stop])
-        codes.append(np.array([numbers.setdefault(p, len(numbers)) for p in pieces], dtype=np.intp))
-        count += len(pieces)
-        data = data[stop:]
-    return np.concatenate(codes), numbers
-
-
 def _scan_factors(texts):
     """The lengths and the numbers, as one flat float array, of the factors
     whose texts past their opening bracket are ``texts``, or None when one
@@ -1245,12 +1199,16 @@ def _read_head(fh):
     with the bytes read and the index in them of the first state's "{";
     None when the file does not open so.
 
-    The file is read until it holds _HEAD_END, whatever the label; the JSON
-    scanner reads the label and dims from the text before it, and that
-    text must be the writer's head for them, byte for byte.
+    The file is read until it holds _HEAD_END, whatever the label, unless
+    the bytes read stop being the start of _HEAD_LABEL, as a file in any
+    other layout does within its first window; the JSON scanner reads the
+    label and dims from the text before _HEAD_END, and that text must be
+    the writer's head for them, byte for byte.
     """
-    data = b""
+    data, opening = b"", _HEAD_LABEL.encode()
     while (found := data.find(_HEAD_END)) < 0:
+        if not opening.startswith(data[:len(opening)]):
+            return None
         more = fh.read(max(len(data), _LOAD_BYTES))
         if not more:
             return None
@@ -1271,78 +1229,6 @@ def _read_head(fh):
     return label, dims, data, found + len(_STATES_OPEN)
 
 
-def _read_product_text(fh):
-    """The all-product set whose file :func:`save_set` wrote, read from the
-    binary file ``fh``, when the file is exactly that layout and every
-    factor is well formed; else None, and nothing is decided about the
-    file.
-
-    The head must be the writer's (:func:`_read_head`), and the first
-    state must open with its first factor's _FACTOR_MARK.  Split at each
-    mark (:func:`_split_codes`), each distinct piece must end in one of
-    _FACTOR_TAILS; the rest, a factor's text past its bracket, is numbered
-    once more by its exact bytes.  The tails must run as the writer writes
-    them: in each state a separator after every factor but the last, then
-    a state's end, and the file's end after the last state.  Each distinct
-    factor text is scanned by itself (:func:`_scan_factors`) and must be
-    one JSON value that ends where the text ends, so the pieces align with
-    factors; the values must pass the per-field rules of :func:`_entry` and
-    have the length of every party they stand at.  The distinct factors of
-    each local dimension are normalized by one :func:`_unit_rows` call into
-    its codebook, so every row has the bits the decoder route
-    (:func:`_entry_table`) gives that factor, and the set keeps the
-    codebooks and the factors' codes as its code table
-    (:meth:`StateSet._from_codes`).
-    """
-    head = _read_head(fh)
-    if head is None:
-        return None
-    label, dims, data, at = head
-    data, start = _read_to_mark(fh, data, at)
-    if not data.startswith(_FIRST_FACTOR, at):
-        return None
-    split = _split_codes(fh, data[start:], len(dims))
-    if split is None:
-        return None
-    codes, numbers = split
-    if len(codes) % len(dims):
-        return None
-    # each distinct piece's place, and the number of its factor text
-    places, factors, texts = [None] * len(numbers), [None] * len(numbers), {}
-    while numbers:
-        piece, code = numbers.popitem()
-        place = _TAIL_PLACES.get(piece[-1:])
-        if place is None or not piece.endswith(_FACTOR_TAILS[place]):
-            return None
-        places[code] = place
-        text = piece[:len(piece) - len(_FACTOR_TAILS[place])]
-        factors[code] = texts.setdefault(text, len(texts))
-    codes = codes.reshape(-1, len(dims))
-    tails = np.array(places, dtype=np.int8)[codes]
-    if not ((tails[:, :-1] == 0).all() and (tails[:-1, -1] == 1).all() and tails[-1, -1] == 2):
-        return None
-    del tails
-    codes = np.array(factors)[codes]
-    scanned = _scan_factors(texts)
-    if scanned is None:
-        return None
-    lengths, numbers = scanned
-    if not (lengths[codes] == dims).all():
-        return None
-    # the distinct factors of each local dimension, and each one's row there
-    table, firsts = numbers.view(complex), np.cumsum(lengths) - lengths
-    books, rows = {}, np.empty(len(lengths), dtype=np.int32)
-    for d in set(dims):
-        ids = np.flatnonzero(lengths == d)
-        try:
-            books[d] = _unit_rows(table[firsts[ids][:, None] + np.arange(d)])
-        except ValueError:
-            return None
-        rows[ids] = np.arange(len(ids))
-    codes = rows[codes]
-    return StateSet._from_codes(dims, books, codes, label)
-
-
 def _state_end(data, start, brace):
     """Where the text of the state that ``data`` holds from its "{" at
     ``start`` ends: before the _NEXT_STATE that ends at ``brace``, the next
@@ -1353,11 +1239,28 @@ def _state_end(data, start, brace):
     return brace - len(_NEXT_STATE) if data.endswith(_NEXT_STATE, start, brace) else None
 
 
+def _factor_codes(data, start, end, numbers):
+    """The numbers of the factors of the product state whose text ``data``
+    holds from ``start`` to ``end``, or None when that text does not open
+    with _PRODUCT_START and end with _STATE_END.
+
+    The text between them splits at each _FACTOR_MARK (by _MARK_PATTERN)
+    into one piece per factor, its text past its bracket, and each piece
+    is numbered by its exact bytes in the dict ``numbers``, a new piece
+    past every number the dict holds.
+    """
+    if not (data.startswith(_PRODUCT_START, start) and data.endswith(_STATE_END, start, end)):
+        return None
+    pieces = _MARK_PATTERN.split(data[start + len(_PRODUCT_START):end - len(_STATE_END)])
+    return [numbers.setdefault(piece, len(numbers)) for piece in pieces]
+
+
 def _read_dense_member(fh, data, total):
-    """The :class:`_Entry` of the dense member of ``total`` amplitudes whose
-    text ``data`` holds from its _DENSE_START on, read on from the binary
-    file ``fh``, and the bytes held past it; None when the member is not in
-    the layout or a window breaks a rule of :func:`_entry`.
+    """The amplitudes, a fresh complex vector, of the dense member of
+    ``total`` amplitudes whose text ``data`` holds from its _DENSE_START
+    on, read on from the binary file ``fh``, and the bytes held past it;
+    None when the member is not in the layout or a window breaks a rule of
+    :func:`_entry`.
 
     Each window of pairs, in brackets, must scan as one non-empty JSON list
     that ends where they end, so the windows' values, joined in order, are
@@ -1397,64 +1300,140 @@ def _read_dense_member(fh, data, total):
         data, start = data[stop + 1:], 0
     if filled != len(numbers):
         return None
-    return _Entry("dense", None, numbers), data[brace:] if brace >= 0 else b""
+    return numbers.view(complex), data[brace:] if brace >= 0 else b""
 
 
-def _read_state_text(fh):
+def _factor_table(factors, codes, dims):
+    """The read-only code table of the product states of a file, or None
+    when a factor's length is not its party's, or a factor is zero or not
+    finite.
+
+    ``factors`` holds the lengths and the numbers of the numbered factors,
+    in order, as pairs of arrays: first those of the distinct factor texts,
+    whose numbers ``codes`` lists, P to a state, for the states read while
+    texts were numbered; then one pair for each later state.  The factors
+    of each local dimension are normalized by one :func:`_unit_rows` call
+    into its codebook, so every row has the bits the decoder route
+    (:func:`_entry_table`) gives that factor.
+    """
+    lengths = np.concatenate([pair[0] for pair in factors])
+    codes = np.concatenate([
+        np.array(codes, dtype=np.int32), np.arange(len(factors[0][0]), len(lengths), dtype=np.int32)
+    ]).reshape(-1, len(dims))
+    if not (lengths[codes] == dims).all():
+        return None
+    table = np.concatenate([pair[1] for pair in factors]).view(complex)
+    if len(set(dims)) == 1:
+        # one local dimension: the table as it is holds its codebook
+        books = {dims[0]: table.reshape(-1, dims[0])}
+    else:
+        firsts = np.cumsum(lengths) - lengths
+        books, rows = {}, np.empty(len(lengths), dtype=np.int32)
+        for d in set(dims):
+            ids = np.flatnonzero(lengths == d)
+            books[d] = table[firsts[ids][:, None] + np.arange(d)]
+            rows[ids] = np.arange(len(ids))
+        codes = rows[codes]
+    try:
+        for book in books.values():
+            _unit_rows(book)
+    except ValueError:
+        return None
+    return _read_only(books, codes)
+
+
+def _read_layout(fh):
     """The set whose file :func:`save_set` wrote, read from the binary file
     ``fh`` one state at a time, when the file is exactly that layout and
-    :func:`_parse_states` accepts its entries; else None, and nothing is
-    decided about the file.
+    every state is well formed; else None, and nothing is decided about
+    the file.
 
     The head must be the writer's (:func:`_read_head`), and each state's
     text is read only up to the next state's "{" (:func:`_state_end`).  A
-    product member's text must scan as one JSON value that ends where the
-    text ends, which the scanner's object hook, :func:`_entry`, turns into
-    an :class:`_Entry`; a dense member is read one window of pairs at a
-    time (:func:`_read_dense_member`).  The entries are those the decoder
-    route's hook gives for the same text.
+    dense member is read one window of pairs at a time
+    (:func:`_read_dense_member`) and becomes its state at once.  The
+    factors of the product states are numbered by their exact texts in one
+    dict across the file (:func:`_factor_codes`), and each distinct text
+    is scanned once (:func:`_scan_factors`), so a set that repeats its
+    factors, such as a shift family, scans few numbers.  Once the pieces of
+    at least three states of P factors are numbered and more than half of
+    them are distinct, the file repeats too few factors for that to pay,
+    and holding its distinct texts would cost about its size: the texts
+    numbered so far are scanned, and every later product state is scanned
+    whole, its factors numbered in order, by the JSON scanner, whose object
+    hook, :func:`_entry`, turns it into an :class:`_Entry`.  The numbered
+    factors become one code table (:func:`_factor_table`).
     """
     head = _read_head(fh)
     if head is None:
         return None
     label, dims, data, pos = head
-    total, size = math.prod(dims), fh.seek(0, io.SEEK_END)
+    parties, total, size = len(dims), math.prod(dims), fh.seek(0, io.SEEK_END)
     fh.seek(len(data))
-    scan, entries = json.JSONDecoder(object_hook=_entry).scan_once, []
-    while pos < len(data):
+    scan, signature = json.JSONDecoder(object_hook=_entry).scan_once, np.array(dims)
+    # numbers: each distinct factor text's number, until the texts are
+    # scanned; codes: the numbers of the factors of each state read until
+    # then, in turn; factors: as _factor_table takes them; states: each
+    # dense member, and None for a product state
+    numbers, codes, factors, states = {}, [], [], []
+    while True:
+        if numbers and (pos == len(data) or 2 * len(numbers) > len(codes) >= 3 * parties):
+            factors.append(_scan_factors(numbers))
+            if factors[-1] is None:
+                return None
+            numbers = None
+        if pos == len(data):
+            break
         # data holds the text from a state's "{", at pos, on
         while len(data) - pos < len(_DENSE_START) and (more := fh.read(_LOAD_BYTES)):
             data, pos = data[pos:] + more, 0
         if data.startswith(_DENSE_START, pos):
             # a file that holds a member of total pairs is longer than its
-            # separators: refuse a shorter one before allocating the numbers
-            if total * len(_PAIR_SEP) > size:
+            # separators: refuse a shorter one, or a member past the dense
+            # limit, before allocating the numbers
+            if total > MAX_DENSE_DIMENSION or total * len(_PAIR_SEP) > size:
                 return None
             member = _read_dense_member(fh, data[pos:], total)
             if member is None:
                 return None
-            entry, data = member
-            pos = 0
-        else:
-            # each read asks for what is held, at least _LOAD_BYTES
-            while (brace := data.find(b"{", pos + 1)) < 0 and (
-                more := fh.read(max(len(data) - pos, _LOAD_BYTES))
-            ):
-                data, pos = data[pos:] + more, 0
-            end = _state_end(data, pos, brace)
-            if end is None:
+            amplitudes, data = member
+            try:
+                states.append(DenseState._normalized(amplitudes, dims))
+            except ValueError:
                 return None
+            pos = 0
+            continue
+        # each read asks for what is held, at least _LOAD_BYTES
+        while (brace := data.find(b"{", pos + 1)) < 0 and (
+            more := fh.read(max(len(data) - pos, _LOAD_BYTES))
+        ):
+            data, pos = data[pos:] + more, 0
+        end = _state_end(data, pos, brace)
+        if end is None:
+            return None
+        if numbers is not None:
+            row = _factor_codes(data, pos, end, numbers)
+            if row is None or len(row) != parties:
+                return None
+            codes += row
+        else:
             try:
                 text = data[pos:end].decode("ascii")
                 entry, stop = scan(text, 0)
             except (StopIteration, ValueError, RecursionError):
                 return None
-            if stop != len(text) or not isinstance(entry, _Entry):
+            if stop != len(text) or not isinstance(entry, _Entry) or entry.lengths != dims:
                 return None
-            pos = brace if brace >= 0 else len(data)
-        entries.append(entry)
-    states = _parse_states(entries, dims)
-    return None if states is None else StateSet(dims, states, label)
+            factors.append((signature, entry.numbers))
+        states.append(None)
+        pos = brace if brace >= 0 else len(data)
+    if factors:
+        table = _factor_table(factors, codes, dims)
+        if table is None:
+            return None
+        rows = iter(ProductState._rows(table, dims))
+        states = [next(rows) if state is None else state for state in states]
+    return StateSet(dims, states, label)
 
 
 def _decode(text, object_hook):
@@ -1470,37 +1449,34 @@ def _decode(text, object_hook):
 def load_set(path) -> StateSet:
     """Read the state set saved at ``path``.
 
-    One of three routes reads the file; all give the same set, bit for
-    bit, or the same error.  Input that cannot seek, such as a pipe, is
-    read whole first.  A file that a layout route does not accept, in any
-    byte, has nothing decided by it, and the next route reads it from its
-    start.
+    One of two routes reads the file; both give the same set, bit for bit,
+    or the same error.  Input that cannot seek, such as a pipe, is read
+    whole first.
 
-    A file in the exact layout :func:`save_set` writes for an all-product
-    set is split at its factors as it is read (:func:`_read_product_text`),
-    a window of _LOAD_BYTES at a time, and each distinct factor text is
-    parsed once, so a set that repeats its factors, such as a shift family,
-    scans few numbers.  The load holds one window, the distinct texts and
-    the set: a quarter of a random-seed ``shift_family(100)`` file.
+    A file in the exact layout :func:`save_set` writes is read one state
+    at a time (:func:`_read_layout`), so the load holds one state's text,
+    or one window of _LOAD_BYTES of a dense member's pairs, beside the
+    set's numbers.  Each distinct factor text is parsed once and each
+    local dimension's distinct factors are normalized into one codebook,
+    so a set that repeats its factors, such as a shift family, scans few
+    numbers: the load of a random-seed ``shift_family(100)`` holds a
+    seventh of its file.  A file that the reader does not accept, in any
+    byte, has nothing decided by it; a file whose first bytes are not the
+    writer's head is refused within its first window.
 
-    Any other file in the layout save_set writes, one with dense members or
-    one that repeats too few factors for the split, is read one state at a
-    time (:func:`_read_state_text`), and a dense member one window of pairs
-    at a time, so the load holds one state's or one window's text beside
-    the set's numbers, well under the file's size.
+    Every other file, in a layout of its own or malformed, is read from its
+    start as text (UTF-8, universal newlines) and decoded as JSON.  Each
+    state entry is turned into numbers as soon as it is decoded
+    (:func:`_entry`), so the set's nested lists are never held, and the
+    load peaks at about twice the file, its bytes and its text.  The
+    product members become the rows of one code table in which every
+    factor is its own codebook row (:func:`_entry_table`).  The hook cannot
+    tell a state entry from a one-key object elsewhere, so a refused
+    payload is decoded once more as plain JSON, whose offending field the
+    error then names.
 
-    Every other file, in a layout of its own or malformed, is read as text
-    (UTF-8, universal newlines) and decoded as JSON.  Each state entry is
-    turned into numbers as soon as it is decoded (:func:`_entry`), so the
-    set's nested lists are never held, and the load peaks at about twice
-    the file, its bytes and its text.  On this route and the state route,
-    the product members become the rows of one code table in which every
-    factor is its own codebook row (:func:`_entry_table`).  The hook cannot tell a state entry from a one-key object elsewhere, so
-    a refused payload is decoded once more as plain JSON, whose offending
-    field the error then names.
-
-    The cyclic garbage collector is paused for the whole process while a
-    layout route reads the file or the JSON is decoded, and only then
+    The cyclic garbage collector is paused for the whole process while the
+    layout reader reads the file or the JSON is decoded, and only then
     (:func:`_acyclic`): they build only containers that cannot form a cycle
     and that reference counting frees as before, while a dense entry's
     thousands of pair lists would otherwise set off many collections that
@@ -1511,12 +1487,10 @@ def load_set(path) -> StateSet:
     with open(path, "rb") as fh:
         if not fh.seekable():
             fh = io.BytesIO(fh.read())
-        for read in (_read_product_text, _read_state_text):
-            fh.seek(0)
-            with _acyclic():
-                state_set = read(fh)
-            if state_set is not None:
-                return state_set
+        with _acyclic():
+            state_set = _read_layout(fh)
+        if state_set is not None:
+            return state_set
         fh.seek(0)
         data = fh.read()
     # the text open(path, encoding="utf-8").read() gives: universal newlines

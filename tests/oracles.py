@@ -1,6 +1,7 @@
 """Slow, independent reference computations used only by the tests."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -312,22 +313,28 @@ def factor_zero_pattern_per_party(state_set, tol=DEFAULT_TOL):
     return zero_count, tuple(pairs[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
-def split_codes_bytes(data, start, parties):
-    """``states._split_codes`` by ``bytes.find`` and ``bytes.split`` at
-    ``_FACTOR_MARK``: the same windows of ``_LOAD_BYTES``, the same early
-    stop and the same numbering of the pieces by their exact bytes."""
-    mark, window = locstab.states._FACTOR_MARK, locstab.states._LOAD_BYTES
-    numbers, codes, count = {}, [], 0
-    while start < len(data):
+def factor_codes_bytes(data):
+    """The factor numbering of ``states._read_layout`` for the bytes
+    ``data`` of a file ``save_set`` wrote, by ``bytes.split``: the states'
+    texts, split at each state separator and its "{", and each product
+    state's text between ``_PRODUCT_START`` and ``_STATE_END`` split at each
+    ``_FACTOR_MARK``, its pieces numbered by their exact bytes in one dict
+    across the file, up to the same cutoff: the numbers of each product
+    state numbered, in turn, and the dict."""
+    s = locstab.states
+    parties = len(json.loads(data)["dims"])
+    body = data[data.index(s._HEAD_END) + len(s._HEAD_END) - 1:len(data) - len(s._LAST_STATE)]
+    first, *rest = body.split(s._NEXT_STATE + b"{")
+    numbers, rows, count = {}, [], 0
+    for text in [first] + [b"{" + text for text in rest]:
+        if text.startswith(s._DENSE_START):
+            continue
         if 2 * len(numbers) > count >= 3 * parties:
-            return None
-        stop = data.find(mark, start + window)
-        stop = len(data) if stop < 0 else stop
-        pieces = data[start + len(mark):stop].split(mark)
-        codes += [numbers.setdefault(piece, len(numbers)) for piece in pieces]
+            break
+        pieces = text[len(s._PRODUCT_START):len(text) - len(s._STATE_END)].split(s._FACTOR_MARK)
+        rows.append([numbers.setdefault(piece, len(numbers)) for piece in pieces])
         count += len(pieces)
-        start = stop
-    return np.array(codes, dtype=np.intp), numbers
+    return rows, numbers
 
 
 def party_blocks_loop(amplitudes, dims, party):

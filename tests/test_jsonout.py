@@ -783,8 +783,8 @@ class TestDenseMembers:
     def test_a_large_member_is_loaded_in_windows(self, tmp_path):
         # the member's 5.4 MiB file, decoded whole, would be held as bytes
         # and text at once, then as 2^16 pair lists; a window of pairs at a
-        # time, the traced peak is the member's numbers and its normalized
-        # copy, 2 MiB (0.41x the file measured)
+        # time, the traced peak is the member's numbers, normalized where
+        # they were read, and one window (0.29x the file measured)
         rng = np.random.default_rng(2)
         member = DenseState(rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16), (2,) * 16)
         path = tmp_path / "large.json"

@@ -49,13 +49,13 @@ from locstab import (
 from locstab.cli import main as cli_main
 from oracles import (
     conflict_pairs_scan,
+    factor_codes_bytes,
     factor_zero_pattern_per_party,
     dense_offending_stacked,
     inner_brute,
     kron_expand_brute,
     party_blocks_loop,
     product_offending_loop,
-    split_codes_bytes,
     state_inner,
     state_set_to_dict,
     states_close,
@@ -1335,9 +1335,9 @@ class TestCollectorPause:
             # top-level object; then _parse_states runs it on each entry
             assert seen == [False] * (len(dense) + 1) + [True] * len(dense)
         else:
-            # one call per window of each member (one window here), then one
-            # per entry in _parse_states, all inside the paused read
-            assert seen == [False] * (2 * len(dense))
+            # one call per window of each member (one window here), inside
+            # the paused read; each member becomes its state at once
+            assert seen == [False] * len(dense)
 
     def test_dense_save_and_load_collect_at_most_once(self, tmp_path):
         dense = _dense_copy(upb_shifts(6))
@@ -1366,8 +1366,8 @@ class TestCollectorPause:
 
 def _generic_decodes(monkeypatch):
     """A list that grows by one for each JSON decode that ``load_set`` runs:
-    the decoder route, which every file that neither layout route accepts
-    takes."""
+    the decoder route, which every file that the layout reader does not
+    accept takes."""
     calls = []
     real = states_module._decode
 
@@ -1377,6 +1377,31 @@ def _generic_decodes(monkeypatch):
 
     monkeypatch.setattr(states_module, "_decode", decode)
     return calls
+
+
+def _numbered(monkeypatch):
+    """A list that grows by one for each product state whose factors the
+    layout reader numbers by their texts: the state's numbers and the dict
+    they were numbered in."""
+    calls = []
+    real = states_module._factor_codes
+
+    def factor_codes(data, start, end, numbers):
+        calls.append((real(data, start, end, numbers), numbers))
+        return calls[-1][0]
+
+    monkeypatch.setattr(states_module, "_factor_codes", factor_codes)
+    return calls
+
+
+def _assert_numbered_as_bytes(calls, data):
+    """The layout reader numbered the factors of the file ``data`` in one
+    dict, as :func:`factor_codes_bytes` does."""
+    rows, numbers = factor_codes_bytes(data)
+    assert [row for row, _ in calls] == rows
+    assert len({id(numbers) for _, numbers in calls}) <= 1
+    if calls:
+        assert list(calls[-1][1].items()) == list(numbers.items())
 
 
 def _any_outcome(load):
@@ -1419,7 +1444,16 @@ def _random_seeds(n, seed):
     return list(rng.standard_normal((n - 1, 2)) + 1j * rng.standard_normal((n - 1, 2)))
 
 
-# save_set files in its own layout, which load_set reads by splitting
+def _distinct_set(dims, seed):
+    """Six random product states over ``dims``: no factor repeats, so the
+    layout reader numbers the texts of the first three states and scans
+    each later state whole."""
+    rng = np.random.default_rng(seed)
+    return StateSet(dims, [random_product_state(rng, dims) for _ in range(6)], "distinct")
+
+
+# save_set files in its own layout, which load_set reads by numbering their
+# factors
 _LAYOUT_SETS = {
     name: build for name, build in _NAMED_SETS.items()
     if not name.startswith("dense") and name != "triple"
@@ -1429,6 +1463,7 @@ _LAYOUT_SETS.update({
     "random upb_shifts(9)": lambda: upb_shifts(9, _random_seeds(9, 5)),
     "random sqrt_subset(40)": lambda: sqrt_subset(40, _random_seeds(40, 6))[1],
     "mixed dims": lambda: compose(upb_tiles33(), 0, upb_qubit3(), 3),
+    "random states of mixed dims": lambda: _distinct_set((2, 3, 2), 9),
     # unit rows equal but for the sign of a zero, which save_set writes apart
     "negative zeros": lambda: StateSet._from_stacks((2, 2), [
         np.array([[-0.0, 1.0], [0.0, 1.0], [complex(-0.0, -0.0), 1.0]]),
@@ -1476,8 +1511,7 @@ def _mixed_qubit3(dense_first):
 _PAIR, _FACTOR = b"\n" + b" " * 10 + b"[", b"\n" + b" " * 8 + b"["
 
 # files that are not save_set's layout, or are but hold a malformed
-# factor: load_set must give what it gave before it read that layout by
-# splitting, a set or an error
+# factor: load_set must give what the JSON decoder gives, a set or an error
 _OTHER_FILES = {
     "CRLF": lambda: _qubit3_bytes().replace(b"\n", b"\r\n"),
     "BOM": lambda: b"\xef\xbb\xbf" + _qubit3_bytes(),
@@ -1544,8 +1578,47 @@ def _last_bool(data):
     return data[:at] + b"true" + data[data.index(b",", at):]
 
 
-# edits to the end of a file in save_set's layout: the split reads it whole,
-# then a later check refuses it
+def _distinct_edited(edit):
+    """The file of six random qubit states on three parties after
+    ``edit(entry)`` on its fifth state's entry."""
+    payload = state_set_to_dict(_distinct_set((2, 2, 2), 4))
+    edit(payload["states"][4])
+    return (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def _distinct_bytes():
+    return _distinct_edited(lambda state: None)
+
+
+def _late_number(text):
+    """The file of :func:`_distinct_bytes` with the first number of its
+    fifth state written as ``text``."""
+    data = _distinct_bytes()
+    at = [i for i in range(len(data)) if data.startswith(b'"product"', i)][4]
+    at = data.index(b"\n" + b" " * 12, at) + 13
+    return data[:at] + text + data[data.index(b",", at):]
+
+
+# edits to a state that the layout reader scans whole, past the numbering
+_LATE_STATE_EDITS = {
+    "too few factors": lambda: _distinct_edited(lambda s: s["product"].pop()),
+    "factor too long": lambda: _distinct_edited(lambda s: s["product"][1].append([0.0, 0.0])),
+    "zero factor": lambda: _distinct_edited(
+        lambda s: s["product"].__setitem__(2, [[0.0, 0.0], [0.0, -0.0]])
+    ),
+    "bool": lambda: _distinct_edited(lambda s: s["product"][0][1].__setitem__(0, True)),
+    "NaN": lambda: _distinct_edited(lambda s: s["product"][0][0].__setitem__(1, math.nan)),
+    "1e400": lambda: _late_number(b"1e400"),
+    "huge integer": lambda: _late_number(b"1" + b"0" * 400),
+    "extra key": lambda: _distinct_edited(lambda s: s.update(note=1)),
+    "dense key": lambda: _distinct_edited(lambda s: s.update(dense=s.pop("product"))),
+    "nested object": lambda: _distinct_edited(lambda s: s["product"][1].__setitem__(0, {"re": 1.0})),
+    "text after the state": lambda: _replaced(_distinct_bytes(), b"\n    },", b"\n    }x,", 4),
+    "space after the state": lambda: _replaced(_distinct_bytes(), b"\n    },", b"\n    } ,", 4),
+}
+
+# edits to the end of a file in save_set's layout: the reader numbers every
+# state before it, then a later check refuses it
 _LAST_STATE_EDITS = {
     "two final newlines": lambda data: data + b"\n",
     "trailing text": lambda data: data + b"x",
@@ -1553,8 +1626,8 @@ _LAST_STATE_EDITS = {
     "bool in the last factor": _last_bool,
 }
 
-# the windows the split is run at: a byte, windows that cut inside states,
-# and the default
+# the windows the layout reader is run at: a byte, windows that cut inside
+# states, and the default
 _WINDOWS = [1, 64, 300, 4096, None]
 
 
@@ -1567,10 +1640,9 @@ def window(request, monkeypatch):
 
 
 class TestLayoutReader:
-    """``load_set`` reads the layout save_set writes for an all-product set
-    by splitting it at its factors as it reads the file, and hands every
-    other file to the state route (:class:`TestStateReader`) or the JSON
-    decoder."""
+    """``load_set`` reads the layout save_set writes one state at a time,
+    numbering the factors of the product states by their texts, and hands
+    every other file to the JSON decoder."""
 
     @pytest.mark.parametrize("name", sorted(_LAYOUT_SETS))
     def test_saved_files_load_bitwise_by_splitting(self, name, tmp_path, monkeypatch):
@@ -1621,9 +1693,9 @@ class TestLayoutReader:
         want = _reference_outcome(path)
 
         def no_split(*args):
-            raise AssertionError("a dense file was split")
+            raise AssertionError("a dense member was split at factors")
 
-        monkeypatch.setattr(states_module, "_split_codes", no_split)
+        monkeypatch.setattr(states_module, "_factor_codes", no_split)
         decodes = _generic_decodes(monkeypatch)
         assert _any_outcome(lambda: load_set(path)) == want
         assert len(want[2]) == 8
@@ -1631,35 +1703,70 @@ class TestLayoutReader:
 
     def test_file_repeating_few_factors_is_read_state_by_state(self, tmp_path, monkeypatch):
         # forty random qubit states on forty parties repeat no factor: the
-        # split stops before its second window, and the file is read again
-        # one state at a time
+        # texts of the first three states are numbered, and every later
+        # state is scanned whole, in the same pass over the file
         rng = np.random.default_rng(7)
         states = [random_product_state(rng, (2,) * 40) for _ in range(40)]
         path = tmp_path / "set.json"
         save_set(StateSet((2,) * 40, states, "random"), path)
         assert path.stat().st_size > 2 * states_module._LOAD_BYTES
-        splits = []
-        real = states_module._split_codes
-
-        def spy(fh, data, parties):
-            splits.append(real(fh, data, parties))
-            return splits[-1]
-
-        monkeypatch.setattr(states_module, "_split_codes", spy)
+        numbered, heads = _numbered(monkeypatch), []
+        real_head = states_module._read_head
+        monkeypatch.setattr(states_module, "_read_head", lambda fh: heads.append(fh) or real_head(fh))
         decodes = _generic_decodes(monkeypatch)
         want = _reference_outcome(path)
         assert isinstance(want, tuple)
         assert _any_outcome(lambda: load_set(path)) == want
-        assert splits == [None]
+        assert [row for row, _ in numbered] == [list(range(k, k + 40)) for k in (0, 40, 80)]
+        _assert_numbered_as_bytes(numbered, path.read_bytes())
+        assert len(heads) == 1
         assert decodes == []
+
+    def test_mixed_file_is_read_in_one_pass(self, tmp_path, monkeypatch):
+        # two qubit product states, then a 2^14-amplitude member whose pairs
+        # repeat: an 823 KB file, whose member is read in windows of pairs
+        # and never split at factors
+        ghz = np.zeros(1 << 14, dtype=complex)
+        ghz[[0, -1]] = 1.0
+        products = [ProductState([KET0] * 14), ProductState([KET1] * 14)]
+        path = tmp_path / "set.json"
+        save_set(StateSet((2,) * 14, [*products, DenseState(ghz, (2,) * 14)], "mixed"), path)
+        assert path.stat().st_size == 823_308
+        numbered, heads = _numbered(monkeypatch), []
+        real_head = states_module._read_head
+        monkeypatch.setattr(states_module, "_read_head", lambda fh: heads.append(fh) or real_head(fh))
+        decodes = _generic_decodes(monkeypatch)
+        want = _reference_outcome(path)
+        assert isinstance(want, tuple)
+        assert _any_outcome(lambda: load_set(path)) == want
+        assert [row for row, _ in numbered] == [[0] * 14, [1] * 14]
+        assert len(heads) == 1
+        assert decodes == []
+
+    def test_dense_load_holds_each_member_once(self, tmp_path):
+        # each member's numbers are normalized where they were read, so the
+        # load holds the amplitudes and one window of text (1.40x measured;
+        # 2.12x when each member was held as read and as normalized)
+        state_set = _dense_copy(upb_shifts(7))
+        amplitudes = sum(state.amplitudes.nbytes for state in state_set)
+        path = tmp_path / "set.json"
+        save_set(state_set, path)
+        tracemalloc.start()
+        try:
+            loaded = load_set(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 14
+        assert peak < 1.5 * amplitudes, (peak, amplitudes)
 
     def test_golden_files_load_as_the_decoder(self, golden_files, tmp_path):
         for name, data in golden_files.items():
             assert isinstance(_assert_loads_as_reference(data, tmp_path / "set.json"), tuple), name
 
     def test_any_window_gives_the_same_set(self, window, tmp_path, monkeypatch):
-        # a window of 1 byte splits one factor at a time, each longer than
-        # the window; 64, 300 and 4096 bytes cut inside states
+        # a window of 1 byte ends inside every factor, each longer than the
+        # window; 64, 300 and 4096 bytes cut inside states
         path = tmp_path / "set.json"
         save_set(compose(shift_family(5), 0, upb_sep333(), 1), path)
         want = _reference_outcome(path)
@@ -1682,25 +1789,45 @@ class TestLayoutReader:
         assert not writer.is_alive()
         assert (decodes == []) == (name not in _OTHER_FILES)
 
+    @pytest.mark.parametrize("name", sorted(_LATE_STATE_EDITS))
+    def test_states_scanned_whole_load_as_the_decoder(self, name, window, tmp_path, monkeypatch):
+        numbered = _numbered(monkeypatch)
+        _assert_loads_as_reference(_LATE_STATE_EDITS[name](), tmp_path / "set.json")
+        assert len(numbered) == 3
+
+    def test_every_truncation_of_a_file_scanned_whole(self, tmp_path):
+        data = _distinct_bytes()
+        path = tmp_path / "set.json"
+        for size in range(0, len(data) + 1, 3):
+            _assert_loads_as_reference(data[:size], path)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_single_byte_mutations_of_a_file_scanned_whole(self, seed, tmp_path):
+        data = _distinct_bytes()
+        rng = np.random.default_rng(seed)
+        alphabet = b'0123456789-+.eE,:[]{}" \n\r\tantruxyN\xff'
+        path = tmp_path / "set.json"
+        for _ in range(150):
+            mutated = bytearray(data)
+            mutated[int(rng.integers(len(data)))] = alphabet[int(rng.integers(len(alphabet)))]
+            _assert_loads_as_reference(bytes(mutated), path)
+
     @pytest.mark.parametrize("name", sorted(_LAST_STATE_EDITS))
-    def test_refused_at_its_last_state_after_splitting_every_window(
+    def test_refused_at_its_last_state_after_numbering_every_state(
         self, name, window, tmp_path, monkeypatch
     ):
-        # the split reads every window of the file before the edit at its
-        # end refuses it; the decoder then reads the file from its start
+        # the reader numbers every state before the edit at the file's end
+        # refuses it: the last state's end, or the bool in the last state's
+        # factor when its text is scanned; the decoder then reads the file
+        # from its start
         data = _LAST_STATE_EDITS[name](_saved_bytes(_random_shift_family(20, 8)))
         assert len(data) > 4 * (1 << 16)
-        splits = []
-        real = states_module._split_codes
-
-        def spy(fh, data, parties):
-            splits.append(real(fh, data, parties))
-            return splits[-1]
-
-        monkeypatch.setattr(states_module, "_split_codes", spy)
+        numbered = _numbered(monkeypatch)
         decodes = _generic_decodes(monkeypatch)
         want = _assert_loads_as_reference(data, tmp_path / "set.json")
-        assert len(splits) == 1 and splits[0] is not None and len(splits[0][0]) == 39 * 39
+        rows = [row for row, _ in numbered]
+        assert len(rows) == (39 if name == "bool in the last factor" else 38)
+        assert all(len(row) == 39 for row in rows)
         assert decodes[:1] == [states_module._entry]
         # a set, or a StateFormatError's message
         assert isinstance(want, str) or len(want) == 3
@@ -1759,8 +1886,8 @@ def _three_beside_one(payload):
     pairs[1], pairs[2] = pairs[1] + pairs[2][:1], pairs[2][1:]
 
 
-# files in save_set's layout but for one edit, which the state route hands
-# to the decoder: each loads as that route's set or error
+# files in save_set's layout but for one edit, which the layout reader
+# hands to the decoder: each loads as that route's set or error
 _HANDOVER_FILES = {
     "nested object in a product state": lambda: _mixed_edited(
         lambda p: p["states"][2]["product"][1].__setitem__(0, {"re": 1.0})
@@ -1791,6 +1918,10 @@ _HANDOVER_FILES = {
         indent=2,
     ) + "\n").encode(),
     "bool in a dense member": lambda: _replaced(_mixed_edited(lambda p: None), b"0.0", b"true", 5),
+    "zero dense member": lambda: _mixed_edited(
+        lambda p: p["states"][0].update(dense=[[0.0, 0.0]] * 8)
+    ),
+    "1e400 in a dense member": lambda: _replaced(_mixed_edited(lambda p: None), b"0.0", b"1e400", 3),
 }
 
 # sets with dense members, which load_set reads one state at a time
@@ -1804,10 +1935,10 @@ _STATE_SETS = {
 
 
 class TestStateReader:
-    """``load_set`` reads any other file in save_set's layout one state at
-    a time, and a dense member one window of pairs at a time; a file that
-    breaks that layout in any byte goes to the JSON decoder, from its
-    start."""
+    """``load_set`` reads a set with dense members in save_set's layout one
+    state at a time, and a dense member one window of pairs at a time; a
+    file that breaks that layout in any byte goes to the JSON decoder, from
+    its start."""
 
     @pytest.mark.parametrize("name", sorted(_STATE_SETS))
     def test_any_window_gives_the_decoders_set(self, name, window, tmp_path, monkeypatch):
@@ -1877,67 +2008,70 @@ def _golden_files(tmp_path):
     return files
 
 
-def _split_from(data, start, parties, cut=None):
-    """_split_codes of ``data`` from ``start``, given the bytes up to
-    ``cut`` (past the first mark by default) and left to read the rest
-    from a stream."""
-    cut = start + len(states_module._FACTOR_MARK) if cut is None else cut
-    return states_module._split_codes(io.BytesIO(data[cut:]), data[start:cut], parties)
-
-
-def _assert_split_like_bytes(data, start, parties):
-    want = split_codes_bytes(data, start, parties)
-    # read from the stream from the first mark on, or with up to four
-    # windows held from the start
-    held = min(len(data), start + len(states_module._FACTOR_MARK) + 4 * states_module._LOAD_BYTES)
-    for got in (_split_from(data, start, parties), _split_from(data, start, parties, held)):
-        if want is None:
-            assert got is None
-        else:
-            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-            assert list(got[1]) == list(want[1])
-
-
 @pytest.fixture(scope="module")
 def golden_files(tmp_path_factory):
     return _golden_files(tmp_path_factory.mktemp("golden"))
 
 
 class TestMarkPattern:
-    """_split_codes finds and splits at _FACTOR_MARK with one compiled
-    pattern, reading the file a window at a time, and gives the pieces of
-    bytes.find and bytes.split over the whole file."""
+    """The layout reader splits each product state's text at _FACTOR_MARK
+    with one compiled pattern, once it holds the state's whole text, and
+    numbers the pieces as bytes.split and one dict across the file do."""
 
-    def test_golden_files_split_as_by_bytes(self, golden_files, window):
+    def test_golden_files_split_as_by_bytes(self, golden_files, window, tmp_path, monkeypatch):
+        path, numbered = tmp_path / "set.json", _numbered(monkeypatch)
         for name, data in golden_files.items():
             mark = states_module._FACTOR_MARK
             assert states_module._MARK_PATTERN.split(data) == data.split(mark), name
-            start = data.find(mark)
-            parties = len(json.loads(data)["dims"])
-            _assert_split_like_bytes(data, start, parties)
-            _assert_split_like_bytes(data, start, 10**9)
+            path.write_bytes(data)
+            numbered.clear()
+            load_set(path)
+            _assert_numbered_as_bytes(numbered, data)
 
-    def test_mark_at_every_offset_around_a_window_edge(self, window):
-        mark, edge = states_module._FACTOR_MARK, window
-        # the second mark starts from just before the window's edge, so
-        # that the edge cuts it, to just past it; at the edge itself, it
-        # ends the window; it cannot start inside the first mark
-        for at in range(max(len(mark), edge - len(mark) - 1), max(len(mark), edge) + 3):
-            data = mark + b"x" * (at - len(mark)) + mark + b"a" + mark + b"b"
-            assert data.index(mark, 1) == at
-            _assert_split_like_bytes(data, 0, 10**9)
+    def test_state_at_every_offset_around_a_window_edge(self, window, tmp_path, monkeypatch):
+        # labels of each length that puts the edge of the first window at
+        # each byte from the first state's brace to the second's
+        two = StateSet((2, 3), [ProductState([KET0, [1.0, 0.0, 0.0]])] * 2, "")
+        first = _saved_bytes(two).index(b"{", 1)
+        second = _saved_bytes(two).index(b"{", first + 1)
+        path = tmp_path / "set.json"
+        numbered, decodes = _numbered(monkeypatch), _generic_decodes(monkeypatch)
+        for size in range(max(0, window - second - 1), max(0, window - first + 4)):
+            data = _saved_bytes(StateSet(two.dims, two.states, "x" * size))
+            numbered.clear()
+            assert isinstance(_assert_loads_as_reference(data, path), tuple)
+            _assert_numbered_as_bytes(numbered, data)
+            assert len(numbered) == 2 and decodes == []
 
-    def test_adjacent_marks_and_a_mark_at_the_end(self, window):
-        mark = states_module._FACTOR_MARK
-        for data in (mark + b"a" + mark + mark + b"b", mark + b"a" + mark, mark + mark,
-                     mark + b"a" + mark + b"a" + mark + mark + mark):
-            assert states_module._MARK_PATTERN.split(data) == data.split(mark)
-            _assert_split_like_bytes(data, 0, 10**9)
-            got = _split_from(data, 0, 10**9)
-            assert b"" in got[1]
+    def test_adjacent_marks_and_a_mark_at_the_end(self):
+        mark, start, end = (
+            states_module._FACTOR_MARK, states_module._PRODUCT_START, states_module._STATE_END
+        )
+        numbers = {}
+        for pieces in (b"a" + mark + mark + b"b", b"a" + mark, mark, mark + b"a" + mark + mark):
+            assert states_module._MARK_PATTERN.split(pieces) == pieces.split(mark)
+            data = b"xx" + start + pieces + end + b"yy"
+            got = states_module._factor_codes(data, 2, len(data) - 2, numbers)
+            assert [list(numbers)[code] for code in got] == pieces.split(mark)
+        assert list(numbers) == [b"a", b"", b"b"]
+        # a state that does not open or end as a product state's is not split
+        for data in (start + b"a" + end[:-1], start[1:] + b"a" + end):
+            assert states_module._factor_codes(data, 0, len(data), numbers) is None
 
     def test_first_mark_of_a_file_without_one(self):
-        assert states_module._read_product_text(io.BytesIO(b'{"label": "x", "dims": [2]}')) is None
+        assert states_module._read_layout(io.BytesIO(b'{"label": "x", "dims": [2]}')) is None
+
+    def test_foreign_head_is_refused_within_one_window(self, tmp_path, monkeypatch):
+        # the compact copy of dense upb_shifts(6) is 494,134 bytes; its
+        # second byte is not the writer's, so the reader stops after one
+        # window, and the decoder reads the file once
+        data = json.dumps(state_set_to_dict(_dense_copy(upb_shifts(6)))).encode()
+        fh = io.BytesIO(data)
+        assert states_module._read_layout(fh) is None
+        assert fh.tell() <= states_module._LOAD_BYTES < len(data)
+        decodes = _generic_decodes(monkeypatch)
+        assert isinstance(_assert_loads_as_reference(data, tmp_path / "set.json"), tuple)
+        assert decodes == [states_module._entry]
 
 
 # sets whose source supplies their code table
@@ -1989,7 +2123,7 @@ def _stdlib_bytes(state_set):
 class TestCodeTable:
     """Every all-product set is stored as its code table alone, which names
     each factor by a codebook row: the shift constructions and the loader's
-    split route supply tables that repeat rows, and any other set's table
+    layout reader supply tables that repeat rows, and any other set's table
     holds every factor as its own row.  save_set writes the same bytes
     either way."""
 
